@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 GALILEI_LABELS = ("E", "H", "P1", "P2", "N1", "N2", "M")
 
 _ZERO = Fraction(0)
@@ -82,9 +80,6 @@ class LieAlgebra:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"no basis element named {label!r}") from None
-
-    def bracket_row(self, i: int, j: int) -> tuple:
-        return self.tensor[i][j]
 
 
 @dataclass(frozen=True)
@@ -350,10 +345,6 @@ def _parse_coeff(text: str, params: ExtensionParams) -> Fraction:
     return value
 
 
-def _format_rational(x: Fraction) -> str:
-    return str(x)  # Fraction formats as "p/q" or "p", never decimal
-
-
 def algebra_from_json(data) -> tuple[LieAlgebra, ExtensionParams, Fraction]:
     """Load an algebra definition; returns (algebra, params, jacobi defect).
 
@@ -399,7 +390,7 @@ def algebra_to_json(alg: LieAlgebra, params: ExtensionParams) -> dict:
     for i in range(dim):
         for j in range(i + 1, dim):
             result = {
-                alg.labels[n]: _format_rational(cn)
+                alg.labels[n]: str(cn)
                 for n, cn in enumerate(alg.tensor[i][j])
                 if cn
             }
@@ -411,9 +402,9 @@ def algebra_to_json(alg: LieAlgebra, params: ExtensionParams) -> dict:
         "basis": list(alg.labels),
         "brackets": brackets,
         "params": {
-            "k": _format_rational(params.k),
-            "m": _format_rational(params.m),
-            "l": _format_rational(params.l),
+            "k": str(params.k),
+            "m": str(params.m),
+            "l": str(params.l),
         },
     }
 

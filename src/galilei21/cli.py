@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
 
 from . import algebra, contraction, enveloping, group
 from .algebra import ExtensionParams
+from .group import worst_defect
 
-DEGREE_CAP_DEFAULT = 4
+DEGREE_CAP = 4
 
 
 def _rational(text: str) -> Fraction:
@@ -30,13 +32,20 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not finite")
+    return x
+
+
 def _c_grid(text: str) -> tuple:
     try:
         if ":" in text:
             lo_s, hi_s, step = text.split(":")
             if not step.startswith("logx"):
                 raise ValueError("step must look like logx10")
-            lo, hi, factor = float(lo_s), float(hi_s), float(step[4:])
+            lo, hi, factor = _finite(lo_s), _finite(hi_s), _finite(step[4:])
             if lo <= 0 or factor <= 1:
                 raise ValueError("grid must be positive and growing")
             grid = []
@@ -45,7 +54,7 @@ def _c_grid(text: str) -> tuple:
                 grid.append(c)
                 c *= factor
             return tuple(grid)
-        return tuple(float(x) for x in text.split(","))
+        return tuple(_finite(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad c grid {text!r}: {exc}") from exc
 
@@ -72,21 +81,19 @@ def cmd_verify_algebra(opts) -> dict:
     params = ExtensionParams(opts.k, opts.m, opts.l)
     alg = algebra.make_galilei_algebra(params)
     rng = random.Random(opts.seed)
-    checks = [
-        _check("antisymmetry", algebra.antisymmetry_defect(alg),
-               algebra.antisymmetry_defect(alg) == 0),
-        _check("jacobi", algebra.jacobi_defect(alg), algebra.jacobi_defect(alg) == 0),
-    ]
+    anti, jac = algebra.antisymmetry_defect(alg), algebra.jacobi_defect(alg)
+    checks = [_check("antisymmetry", anti, anti == 0), _check("jacobi", jac, jac == 0)]
 
-    worst = Fraction(0)
     boundary = [
         ExtensionParams(0, 0, 0),
         ExtensionParams(0, params.m, params.l),
         ExtensionParams(params.k, 0, params.l),
         ExtensionParams(params.k, params.m, 0),
     ]
-    for p in boundary + [algebra.random_params(rng) for _ in range(opts.samples)]:
-        worst = max(worst, algebra.jacobi_defect(algebra.make_galilei_algebra(p)))
+    charges = boundary + [algebra.random_params(rng) for _ in range(opts.samples)]
+    worst = worst_defect(
+        (algebra.jacobi_defect(algebra.make_galilei_algebra(p)) for p in charges), Fraction(0)
+    )
     checks.append(_check("jacobi_random_charges", worst, worst == 0))
 
     if params.m == 0:
@@ -133,11 +140,11 @@ def cmd_casimir(opts) -> dict:
         candidates["internal_angular_momentum"] = enveloping.internal_angular_momentum(params)
     expected = _expected_centrality(params)
     for name in sorted(candidates):
-        poly = candidates[name]
-        defect = Fraction(0)
-        for gen in enveloping.GEN_NAMES:
-            com = enveloping.no_commutator(alg, poly, enveloping.NOPoly.generator(gen))
-            defect = max(defect, com.max_abs_coefficient())
+        coms = (
+            enveloping.no_commutator(alg, candidates[name], enveloping.NOPoly.generator(gen))
+            for gen in enveloping.GEN_NAMES
+        )
+        defect = worst_defect((com.max_abs_coefficient() for com in coms), Fraction(0))
         central = defect == 0
         checks.append(
             _check(
@@ -174,76 +181,53 @@ def cmd_casimir(opts) -> dict:
     return checks
 
 
-def cmd_group(opts) -> dict:
+def cmd_group(opts) -> list:
     params = ExtensionParams(opts.k, opts.m, opts.l)
     rng = random.Random(opts.seed)
-    tol = opts.tolerance
-    checks = []
+    tol, n = opts.tolerance, opts.samples
+    cov, ext = group.GroupKind.COVERING, group.GroupKind.EXTENDED
+    floats = lambda count: lambda: [group.random_element(rng) for _ in range(count)]
+    rationals = lambda count: lambda: [group.random_rational_element(rng) for _ in range(count)]
+    exact = lambda defect: lambda *els: Fraction(defect(*els))
+    assoc = lambda kind: lambda g, h, f: group.associativity_defect(kind, params, g, h, f)
 
-    worst = 0.0
-    for _ in range(opts.samples):
-        g, h, f = (group.random_element(rng) for _ in range(3))
-        worst = max(worst, group.associativity_defect(group.GroupKind.COVERING, params, g, h, f))
-    checks.append(_check("associativity_covering", worst, worst < tol))
+    def round_trip(g):
+        gi = group.inverse(cov, params, g)
+        to_identity = lambda a, b: group.element_distance(group.compose(cov, params, a, b), group.IDENTITY)
+        return worst_defect((to_identity(g, gi), to_identity(gi, g)), 0.0)
 
-    if params.l == 0:
-        worst = 0.0
-        for _ in range(opts.samples):
-            g, h, f = (group.random_element(rng) for _ in range(3))
-            worst = max(worst, group.associativity_defect(group.GroupKind.EXTENDED, params, g, h, f))
-        checks.append(_check("associativity_extended", worst, worst < tol))
-    else:
-        checks.append(_skip("associativity_extended", "l != 0 lives on the covering only"))
+    p_k, p_0 = ExtensionParams(params.k, params.m, 0), ExtensionParams(0, params.m, 0)
+    phi = lambda g: group.eliminate_k_map(p_k, g)
+    hom = lambda g, h: group.homomorphism_defect(ext, p_k, p_0, phi, g, h)
 
-    exact_worst = Fraction(0)
-    for _ in range(min(opts.samples, 200)):
-        g, h, f = (group.random_rational_element(rng) for _ in range(3))
-        d = group.associativity_defect(group.GroupKind.COVERING, params, g, h, f)
-        exact_worst = max(exact_worst, Fraction(d))
-    checks.append(_check("associativity_exact_mode", exact_worst, exact_worst == 0))
-
-    worst = 0.0
-    for _ in range(min(opts.samples, 200)):
-        g = group.random_element(rng)
-        gi = group.inverse(group.GroupKind.COVERING, params, g)
-        worst = max(
-            worst,
-            group.element_distance(group.compose(group.GroupKind.COVERING, params, g, gi), group.IDENTITY),
-            group.element_distance(group.compose(group.GroupKind.COVERING, params, gi, g), group.IDENTITY),
-        )
-    checks.append(_check("inverse_round_trip", worst, worst < tol))
-
-    if params.m == 0:
-        checks.append(_skip("k_removal_homomorphism", "m=0: hypothesis violated; skipped"))
-    else:
-        p_k = ExtensionParams(params.k, params.m, 0)
-        p_0 = ExtensionParams(0, params.m, 0)
-        phi = lambda g: group.eliminate_k_map(p_k, g)
-        worst = 0.0
-        for _ in range(opts.samples):
-            g, h = group.random_element(rng), group.random_element(rng)
-            worst = max(
-                worst,
-                group.homomorphism_defect(group.GroupKind.EXTENDED, p_k, p_0, phi, g, h),
-            )
-        checks.append(_check("k_removal_homomorphism", worst, worst < tol))
-        exact_worst = Fraction(0)
-        for _ in range(min(opts.samples, 200)):
-            g, h = group.random_rational_element(rng), group.random_rational_element(rng)
-            d = group.homomorphism_defect(group.GroupKind.EXTENDED, p_k, p_0, phi, g, h)
-            exact_worst = max(exact_worst, Fraction(d))
-        checks.append(_check("k_removal_homomorphism_exact", exact_worst, exact_worst == 0))
-
-    base_xi = lambda g, h: group.cocycle_exponent(group.GroupKind.COVERING, params, g, h)
+    base_xi = lambda g, h: group.cocycle_exponent(cov, params, g, h)
     zeta = lambda g: 0.37 * g.v[0] * g.u[0] - 0.11 * g.tau * g.theta + 0.2 * g.v[1] ** 2
     shifted = group.apply_coboundary(base_xi, zeta)
-    worst = 0.0
-    for _ in range(min(opts.samples, 300)):
-        g, h, f = (group.random_element(rng) for _ in range(3))
-        left = group.compose_with_exponent(group.compose_with_exponent(g, h, shifted), f, shifted)
-        right = group.compose_with_exponent(g, group.compose_with_exponent(h, f, shifted), shifted)
-        worst = max(worst, group.element_distance(left, right))
-    checks.append(_check("coboundary_invariance", worst, worst < 10 * tol))
+    twist = lambda g, h: group.compose_with_exponent(g, h, shifted)
+    coboundary = lambda g, h, f: group.element_distance(twist(twist(g, h), f), twist(g, twist(h, f)))
+
+    l_note = "l != 0 lives on the covering only" if params.l != 0 else None
+    m_note = "m=0: hypothesis violated; skipped" if params.m == 0 else None
+    # name, skip note, samples, draw, defect, bound (None: exactly zero)
+    rows = [
+        ("associativity_covering", None, n, floats(3), assoc(cov), tol),
+        ("associativity_extended", l_note, n, floats(3), assoc(ext), tol),
+        ("associativity_exact_mode", None, min(n, 200), rationals(3), exact(assoc(cov)), None),
+        ("inverse_round_trip", None, min(n, 200), floats(1), round_trip, tol),
+        ("k_removal_homomorphism", m_note, n, floats(2), hom, tol),
+    ]
+    if params.m != 0:
+        rows.append(("k_removal_homomorphism_exact", None, min(n, 200), rationals(2), exact(hom), None))
+    rows.append(("coboundary_invariance", None, min(n, 300), floats(3), coboundary, 10 * tol))
+
+    checks = []
+    for name, note, count, draw, defect, bound in rows:
+        if note:
+            checks.append(_skip(name, note))
+            continue
+        zero = Fraction(0) if bound is None else 0.0
+        worst = worst_defect((defect(*draw()) for _ in range(count)), zero)
+        checks.append(_check(name, worst, worst == 0 if bound is None else worst < bound))
     return checks
 
 
@@ -255,10 +239,8 @@ def cmd_contract(opts) -> dict:
     rows = []
     for i, exp in enumerate(experiments):
         rep = contraction.convergence_study(exp, grid)
-        slope_err = abs(rep.fitted_slope - (-2.0))
-        row = _check(f"slope[{i}]", slope_err, slope_err <= opts.tolerance)
-        row.update(contraction.report_summary(rep, slope_tolerance=opts.tolerance))
-        checks.append(row)
+        summary = contraction.report_summary(rep, slope_tolerance=opts.tolerance)
+        checks.append({"name": f"slope[{i}]", **summary})
         if opts.experiment == "thomas" and rep.target != 0:
             rel = rep.errors[-1] / abs(rep.target)
             checks.append(_check(f"limit_agreement[{i}]", rel, rel <= 1e-3))
@@ -343,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("casimir", help="invariant table and bounded-degree centralizer")
     common(p)
     p.add_argument("--max-degree", type=int, default=2, dest="max_degree")
-    p.add_argument("--degree-cap", type=int, default=DEGREE_CAP_DEFAULT, dest="degree_cap")
     p.set_defaults(func=cmd_casimir)
 
     p = sub.add_parser("group", help="cocycle, inverse, coboundary and isomorphism suites")
@@ -372,11 +353,8 @@ def main(argv=None) -> int:
     if getattr(opts, "samples", 1) < 1:
         print("samples must be positive", file=sys.stderr)
         return 2
-    if getattr(opts, "max_degree", 0) > getattr(opts, "degree_cap", DEGREE_CAP_DEFAULT):
-        print(
-            f"max degree {opts.max_degree} exceeds the cap {opts.degree_cap}",
-            file=sys.stderr,
-        )
+    if getattr(opts, "max_degree", 0) > DEGREE_CAP:
+        print(f"max degree {opts.max_degree} exceeds the cap {DEGREE_CAP}", file=sys.stderr)
         return 2
     if getattr(opts, "max_degree", 0) < 0:
         print("max degree must be non-negative", file=sys.stderr)
@@ -399,8 +377,12 @@ def main(argv=None) -> int:
     }
     text = _render(report, rows, opts.format)
     if opts.out:
-        with open(opts.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(opts.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"configuration error: cannot write {opts.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report["pass"] else 1

@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ExtensionParams, LieAlgebra, make_galilei_algebra
+from .algebra import ExtensionParams, LieAlgebra
 
 GEN_NAMES = ("N1", "N2", "P1", "P2", "H", "M")
 NGEN = len(GEN_NAMES)
@@ -463,8 +463,3 @@ def poly_from_json(data) -> NOPoly:
             raise ValueError(f"bad exponent key {key!r}")
         terms[mono] = Fraction(cs)
     return NOPoly(terms)
-
-
-def galilei_enveloping(params: ExtensionParams) -> LieAlgebra:
-    """Convenience: the algebra most callers normal-order over."""
-    return make_galilei_algebra(params)

@@ -158,21 +158,36 @@ def angle_distance(a, b):
     return abs((float(d) + math.pi) % TWO_PI - math.pi)
 
 
+def worst_defect(defects, zero):
+    """Largest of `defects`, or `zero` when none exceeds it; fails closed.
+
+    Ties keep the earlier value, so an all-zero exact set returns `zero`
+    with its type (a Fraction stays a Fraction).  A NaN or +-inf defect,
+    or zero, makes the result NaN, which no `< tol` or `== 0` test
+    accepts; builtin max() would drop a NaN that is not the first value.
+    Every defect is consumed, so a seeded caller draws the same samples
+    whether or not one of them fails.
+    """
+    worst, finite = zero, True
+    for d in defects:
+        if d > worst:
+            worst = d
+        elif not d > -math.inf:  # NaN or -inf
+            finite = False
+    return worst if finite and -math.inf < worst < math.inf else math.nan
+
+
 def element_distance(a: GroupElement, b: GroupElement, kind: GroupKind = GroupKind.COVERING):
     """Component-wise max distance; phase always mod 2*pi, theta too for EXTENDED."""
-    ds = [
-        angle_distance(a.phase, b.phase),
-        abs(a.tau - b.tau),
-        abs(a.u[0] - b.u[0]),
-        abs(a.u[1] - b.u[1]),
-        abs(a.v[0] - b.v[0]),
-        abs(a.v[1] - b.v[1]),
-    ]
     if kind is GroupKind.EXTENDED:
-        ds.append(angle_distance(a.theta, b.theta))
+        theta = angle_distance(a.theta, b.theta)
     else:
-        ds.append(abs(a.theta - b.theta))
-    return max(ds)
+        theta = abs(a.theta - b.theta)
+    return worst_defect(
+        (abs(a.tau - b.tau), abs(a.u[0] - b.u[0]), abs(a.u[1] - b.u[1]),
+         abs(a.v[0] - b.v[0]), abs(a.v[1] - b.v[1]), theta),
+        angle_distance(a.phase, b.phase),
+    )
 
 
 def associativity_defect(

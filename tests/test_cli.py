@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
 import json
+import math
 
 import pytest
 
+from galilei21 import group
 from galilei21.cli import main
 
 
@@ -115,12 +119,62 @@ def test_degree_cap_enforced(capsys):
     assert main(["casimir", "--max-degree", "-1"]) == 2
 
 
+def test_degree_cap_is_not_an_option(capsys):
+    assert main(["casimir", "--degree-cap", "9"]) == 2
+    assert "--degree-cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["nan,1,2", "1e2,1e3,inf", "1:1e6:logxnan", "nan:1e6:logx10"])
+def test_non_finite_c_grid_is_config_error(capfd, grid):
+    assert main(["contract", "--experiment", "mass", "--c-grid", grid]) == 2
+    err = capfd.readouterr().err
+    assert "not finite" in err and "DLASCL" not in err
+
+
+def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    assert main(["verify-algebra", "--samples", "1", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+def test_group_nan_defects_fail_closed(capsys, monkeypatch):
+    draw = group.random_element
+    monkeypatch.setattr(
+        group, "random_element", lambda rng: dataclasses.replace(draw(rng), tau=math.nan)
+    )
+    code, out = run(capsys, "group", "--k", "1", "--m", "2", "--samples", "5", "--format", "json")
+    assert code == 1
+    names = {c["name"]: c for c in json.loads(out)["checks"]}
+    for name in ("associativity_covering", "associativity_extended", "inverse_round_trip",
+                 "k_removal_homomorphism", "coboundary_invariance"):
+        assert math.isnan(names[name]["defect"]) and not names[name]["pass"]
+    assert names["associativity_exact_mode"]["pass"]
+
+
 def test_bad_samples_is_config_error(capsys):
     assert main(["group", "--samples", "0"]) == 2
 
 
 def test_unknown_experiment_is_config_error(capsys):
     assert main(["contract", "--experiment", "warp"]) == 2
+
+
+# sha256 of the JSON reports of the criterion-10 suite's exact commands.
+# They use exact arithmetic only, so the digests hold on every platform.
+GOLDEN_JSON = {
+    ("verify-algebra", "--k", "1", "--m", "2", "--l", "3", "--seed", "5"):
+        "41e9fbf589387af9ecf123f79d2353707c225d0293654814c1f3b232e8b52deb",
+    ("casimir", "--k", "5", "--m", "2", "--l", "0", "--seed", "5"):
+        "3f02ec5ba824ff7af9bda751a789b90e89b234319619291cd8f13cf8c520c5ae",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_JSON), ids=lambda argv: argv[0])
+def test_exact_reports_match_golden_digest(tmp_path, argv):
+    path = tmp_path / "report.json"
+    assert main([*argv, "--format", "json", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_JSON[argv]
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):

@@ -29,7 +29,13 @@ from galilei21.contraction import (
     thomas_experiment,
     thomas_target,
 )
-from galilei21.group import GroupElement, angle_distance, galilei_product
+from galilei21.group import (
+    GroupElement,
+    GroupKind,
+    angle_distance,
+    element_distance,
+    galilei_product,
+)
 
 
 def rand_vel(rng, lo=0.1, hi=0.9, c=1.0):
@@ -212,13 +218,18 @@ def test_contract_commutes_with_product_asymptotically():
             h = poincare_from_galilei(*data(), c)
             left = contract_element(poincare_product(g, h))
             right = galilei_product(contract_element(g), contract_element(h))
-            worst = max(
-                abs(left.tau - right.tau),
-                abs(left.u[0] - right.u[0]), abs(left.u[1] - right.u[1]),
-                abs(left.v[0] - right.v[0]), abs(left.v[1] - right.v[1]),
-                float(angle_distance(left.theta, right.theta)),
-            )
-            assert worst < 100.0 / c ** 2
+            assert element_distance(left, right, GroupKind.EXTENDED) < 100.0 / c ** 2
+
+
+def test_nan_matrix_is_rejected():
+    lam = np.eye(3)
+    lam[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        PoincareElement(lam, np.zeros(3), 10.0)
+    with pytest.raises(ValueError):
+        PoincareElement(np.eye(3), np.zeros(3), math.nan)
+    with pytest.raises(ValueError):
+        compose_boosts((math.nan, 0.0), (0.0, 1.0), 10.0)
 
 
 def test_convergence_study_guards():

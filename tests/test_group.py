@@ -28,6 +28,7 @@ from galilei21.group import (
     random_element,
     random_rational_element,
     rotate,
+    worst_defect,
 )
 
 EXT = GroupKind.EXTENDED
@@ -149,14 +150,15 @@ def test_corrupted_law_fails_associativity():
             g.v[0] * h.u[0] + g.v[1] * h.u[1]
         )
 
-    rng = random.Random(8)
-    worst = 0.0
-    for _ in range(50):
-        g, h, f = (random_element(rng) for _ in range(3))
+    def defect(g, h, f):
         left = compose_with_exponent(compose_with_exponent(g, h, bad_xi), f, bad_xi)
         right = compose_with_exponent(g, compose_with_exponent(h, f, bad_xi), bad_xi)
-        worst = max(worst, element_distance(left, right))
-    assert worst > 0.05
+        return element_distance(left, right)
+
+    rng = random.Random(8)
+    defects = [defect(*(random_element(rng) for _ in range(3))) for _ in range(50)]
+    assert all(math.isfinite(d) for d in defects)
+    assert worst_defect(defects, 0.0) > 0.05
 
 
 def test_covering_matches_extension_when_l_vanishes():
@@ -260,12 +262,13 @@ def test_charge_removal_wrong_sign_fails():
         )
 
     rng = random.Random(16)
-    worst = 0.0
-    for _ in range(100):
-        g, h = random_element(rng), random_element(rng)
-        worst = max(worst, homomorphism_defect(EXT, p_k, p_0, bad, g, h))
+    defects = [
+        homomorphism_defect(EXT, p_k, p_0, bad, random_element(rng), random_element(rng))
+        for _ in range(100)
+    ]
+    assert all(math.isfinite(d) for d in defects)
     # analytic mismatch is (m lam + k/2)(v x R v') = k (v x R v') here
-    assert worst > 0.1
+    assert worst_defect(defects, 0.0) > 0.1
 
 
 def test_identity_map_between_equal_charges():
@@ -274,6 +277,32 @@ def test_identity_map_between_equal_charges():
     for _ in range(20):
         g, h = random_element(rng), random_element(rng)
         assert homomorphism_defect(EXT, p, p, lambda x: x, g, h) == 0
+
+
+def test_worst_defect_fails_closed():
+    for defects in ([0.0, math.nan], [math.nan, 0.0], [math.inf], [1e-3, -math.inf]):
+        assert math.isnan(worst_defect(defects, 0.0))
+    assert math.isnan(worst_defect([], math.nan))
+    assert worst_defect([], 0.0) == 0.0
+    assert worst_defect([3e-13, 1e-12, 0.0], 0.0) == 1e-12
+
+
+def test_worst_defect_keeps_exact_type():
+    worst = worst_defect([F(1, 3), F(1, 2), F(0)], F(0))
+    assert worst == F(1, 2) and isinstance(worst, F)
+    zero = worst_defect([F(0), F(0)], F(0))
+    assert zero == 0 and isinstance(zero, F)
+
+
+def test_nan_time_translation_fails_associativity():
+    p = ExtensionParams(F(1), F(2), F(0))
+    rng = random.Random(18)
+    g, h, f = (random_element(rng) for _ in range(3))
+    g = GroupElement(phase=g.phase, tau=math.nan, u=g.u, v=g.v, theta=g.theta)
+    for kind in (COV, EXT):
+        d = associativity_defect(kind, p, g, h, f)
+        assert math.isnan(d)
+        assert not d < TOL
 
 
 def test_angle_distance_folds():
