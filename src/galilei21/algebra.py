@@ -329,6 +329,13 @@ def algebras_equal(a: LieAlgebra, b: LieAlgebra) -> bool:
 # parameter names k, m, l, e.g. "m", "-1/2*k", "3".
 
 
+def _exact(text) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_coeff(text: str, params: ExtensionParams) -> Fraction:
     s = text.strip()
     sign = _ONE
@@ -341,7 +348,7 @@ def _parse_coeff(text: str, params: ExtensionParams) -> Fraction:
         if factor in ("k", "m", "l"):
             value *= getattr(params, factor)
         else:
-            value *= Fraction(factor)
+            value *= _exact(factor)
     return value
 
 
@@ -349,21 +356,27 @@ def algebra_from_json(data) -> tuple[LieAlgebra, ExtensionParams, Fraction]:
     """Load an algebra definition; returns (algebra, params, jacobi defect).
 
     The bracket list gives each pair once; the antisymmetric partner is
-    filled in automatically.  Conflicting duplicate entries raise
-    ValueError (antisymmetry-closure validation).
+    filled in automatically.  Conflicting duplicate entries, duplicate or
+    unknown labels and zero denominators raise ValueError.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     labels = tuple(data["basis"])
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate basis labels in {list(labels)}")
     idx = {lbl: i for i, lbl in enumerate(labels)}
+    brackets = data.get("brackets", [])
+    unknown = {lbl for e in brackets for lbl in (e["left"], e["right"], *e["result"])} - set(idx)
+    if unknown:
+        raise ValueError(f"brackets name unknown labels {sorted(map(str, unknown))}")
     pdata = data.get("params", {})
     params = ExtensionParams(
-        Fraction(pdata.get("k", 0)), Fraction(pdata.get("m", 0)), Fraction(pdata.get("l", 0))
+        _exact(pdata.get("k", 0)), _exact(pdata.get("m", 0)), _exact(pdata.get("l", 0))
     )
     dim = len(labels)
     tensor = _zero_tensor(dim)
     seen: set[tuple[int, int]] = set()
-    for entry in data.get("brackets", []):
+    for entry in brackets:
         i, j = idx[entry["left"]], idx[entry["right"]]
         row = [_ZERO] * dim
         for lbl, cs in entry["result"].items():

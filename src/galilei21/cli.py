@@ -77,7 +77,7 @@ def _skip(name: str, note: str) -> dict:
 # --- commands ---------------------------------------------------------------
 
 
-def cmd_verify_algebra(opts) -> dict:
+def cmd_verify_algebra(opts) -> tuple:
     params = ExtensionParams(opts.k, opts.m, opts.l)
     alg = algebra.make_galilei_algebra(params)
     rng = random.Random(opts.seed)
@@ -115,7 +115,7 @@ def cmd_verify_algebra(opts) -> dict:
         ):
             bad += 1
     checks.append(_check("k_removal_random_charges", Fraction(bad), bad == 0))
-    return checks
+    return checks, None
 
 
 def _expected_centrality(params: ExtensionParams) -> dict:
@@ -127,7 +127,16 @@ def _expected_centrality(params: ExtensionParams) -> dict:
     }
 
 
-def cmd_casimir(opts) -> dict:
+def _expected_dimension(params: ExtensionParams, degree: int) -> int:
+    """Centralizer dimension at degree <= DEGREE_CAP, by charge regime."""
+    if params.m != 0:
+        dims = (1, 1, 3, 3, 6) if params.l == 0 else (1, 1, 1, 1, 1)
+    else:
+        dims = (1, 1, 3, 3, 6) if params.k == 0 or params.l == 0 else (1, 1, 2, 2, 3)
+    return dims[degree]
+
+
+def cmd_casimir(opts) -> tuple:
     params = ExtensionParams(opts.k, opts.m, opts.l)
     alg = algebra.make_galilei_algebra(params)
     checks = []
@@ -162,26 +171,15 @@ def cmd_casimir(opts) -> dict:
         checks.append(_check("energy_defect_equals_l", Fraction(0 if ok else 1), ok))
 
     basis = enveloping.centralizer_basis(alg, opts.max_degree)
-    dim_note = f"basis: {'; '.join(repr(e) for e in basis.elements)}"
-    if params.m != 0 and params.l != 0:
-        checks.append(
-            _check("centralizer_dimension", Fraction(basis.dimension),
-                   basis.dimension == 1, note="scalars only expected; " + dim_note)
-        )
-    elif params.m != 0 and opts.max_degree == 2:
-        checks.append(
-            _check("centralizer_dimension", Fraction(basis.dimension),
-                   basis.dimension == 3, note=dim_note)
-        )
-    else:
-        checks.append(
-            _check("centralizer_dimension", Fraction(basis.dimension), True,
-                   note="reported; " + dim_note)
-        )
-    return checks
+    checks.append(
+        _check("centralizer_dimension", Fraction(basis.dimension),
+               basis.dimension == _expected_dimension(params, opts.max_degree),
+               note=f"basis: {'; '.join(repr(e) for e in basis.elements)}")
+    )
+    return checks, None
 
 
-def cmd_group(opts) -> list:
+def cmd_group(opts) -> tuple:
     params = ExtensionParams(opts.k, opts.m, opts.l)
     rng = random.Random(opts.seed)
     tol, n = opts.tolerance, opts.samples
@@ -228,10 +226,10 @@ def cmd_group(opts) -> list:
         zero = Fraction(0) if bound is None else 0.0
         worst = worst_defect((defect(*draw()) for _ in range(count)), zero)
         checks.append(_check(name, worst, worst == 0 if bound is None else worst < bound))
-    return checks
+    return checks, None
 
 
-def cmd_contract(opts) -> dict:
+def cmd_contract(opts) -> tuple:
     rng = random.Random(opts.seed)
     grid = opts.c_grid
     experiments = contraction.sample_experiments(opts.experiment, rng, opts.samples, min(grid))
@@ -359,16 +357,11 @@ def main(argv=None) -> int:
     if getattr(opts, "max_degree", 0) < 0:
         print("max degree must be non-negative", file=sys.stderr)
         return 2
-    rows = None
     try:
-        result = opts.func(opts)
+        checks, rows = opts.func(opts)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, tuple):
-        checks, rows = result
-    else:
-        checks = result
     report = {
         "command": opts.command,
         "config": _config_dict(opts),

@@ -18,6 +18,7 @@ on x86).  Plain double precision loses the c^2-amplified quantities to
 rounding near the top of the default grid c = 1e6: the gamma - 1 stored
 in a unit-scale matrix entry only retains about eps/ (v^2/2c^2) ~ 1e-4
 relative accuracy there, which drowns the O(1/c^2) signal being fitted.
+So `convergence_study` raises ValueError where np.longdouble is only double.
 """
 
 from __future__ import annotations
@@ -238,6 +239,9 @@ class ConvergenceReport:
 
 def convergence_study(experiment: LimitExperiment, c_grid: Sequence[float]) -> ConvergenceReport:
     """Evaluate the experiment over the grid and fit log error vs log c."""
+    nmant = np.finfo(LD).nmant
+    if nmant <= np.finfo(np.float64).nmant:
+        raise ValueError(f"np.longdouble has a {nmant}-bit mantissa; the fits need more than 52")
     grid = tuple(float(c) for c in c_grid)
     if len(grid) < 3:
         raise ValueError("need at least 3 grid points to fit a slope")

@@ -13,7 +13,9 @@ Products are normalized by repeatedly replacing an adjacent out-of-order
 pair X Y with Y X + [X, Y]; every rewrite either removes an inversion at
 fixed degree or lowers the degree, so the process terminates.  The
 leftmost out-of-order pair is rewritten first; confluence is certified
-by the associativity tests rather than assumed.
+by the associativity tests rather than assumed.  Each top-level call
+(`no_mul`, `centralizer_basis`) builds its own memoized normal orderer
+and drops it on return; nothing is kept between calls.
 
 All linear algebra here (the bounded-degree centralizer search) is exact
 integer/rational arithmetic; no floating point enters this module.
@@ -25,7 +27,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -152,78 +154,61 @@ class NOPoly:
         return out
 
 
-class _Rewriter:
-    """Normal-ordering engine for one algebra, with a word-level cache."""
+def _normal_orderer(alg: LieAlgebra):
+    """Memoized normal_form(word) -> {exponents: coeff} over `alg`."""
+    try:
+        e_idx = alg.index("E")
+        gen_idx = [alg.index(n) for n in GEN_NAMES]
+    except KeyError as exc:
+        raise ValueError(
+            "enveloping products need the extended Galilei basis labels"
+        ) from exc
+    # [g_a, g_b] = scalar*1 + sum of generator terms, E evaluated to 1
+    table = {}
+    for a in range(NGEN):
+        for b in range(NGEN):
+            row = alg.tensor[gen_idx[a]][gen_idx[b]]
+            terms = []
+            for n, cn in enumerate(row):
+                if n == e_idx or not cn:
+                    continue
+                if n not in gen_idx:
+                    raise ValueError(
+                        "bracket leaves the generator span; cannot "
+                        "normal-order over this algebra"
+                    )
+                terms.append((gen_idx.index(n), cn))
+            table[(a, b)] = (row[e_idx], tuple(terms))
 
-    def __init__(self, alg: LieAlgebra):
-        try:
-            e_idx = alg.index("E")
-            gen_idx = [alg.index(n) for n in GEN_NAMES]
-        except KeyError as exc:
-            raise ValueError(
-                "enveloping products need the extended Galilei basis labels"
-            ) from exc
-        # [g_a, g_b] = scalar*1 + sum of generator terms, E evaluated to 1
-        table = {}
-        for a in range(NGEN):
-            for b in range(NGEN):
-                row = alg.tensor[gen_idx[a]][gen_idx[b]]
-                scalar = row[e_idx]
-                terms = []
-                for n, cn in enumerate(row):
-                    if n == e_idx or not cn:
-                        continue
-                    try:
-                        terms.append((gen_idx.index(n), cn))
-                    except ValueError:
-                        raise ValueError(
-                            "bracket leaves the generator span; cannot "
-                            "normal-order over this algebra"
-                        ) from None
-                table[(a, b)] = (scalar, tuple(terms))
-        self._table = table
-        self._cache: dict[tuple, dict] = {}
-
-    def normal_form(self, word: tuple) -> dict:
-        """{exponents: coeff} expansion of an arbitrary generator word."""
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
+    @cache
+    def normal_form(word: tuple) -> dict:
         for i in range(len(word) - 1):
             x, y = word[i], word[i + 1]
             if x > y:
-                out: dict[Exponents, Fraction] = {}
-                for mono, co in self.normal_form(word[:i] + (y, x) + word[i + 2:]).items():
-                    out[mono] = out.get(mono, _ZERO) + co
-                scalar, terms = self._table[(x, y)]
+                scalar, terms = table[(x, y)]
+                parts = [(_ONE, word[:i] + (y, x) + word[i + 2:])]
                 if scalar:
-                    for mono, co in self.normal_form(word[:i] + word[i + 2:]).items():
-                        out[mono] = out.get(mono, _ZERO) + scalar * co
-                for g, cg in terms:
-                    for mono, co in self.normal_form(word[:i] + (g,) + word[i + 2:]).items():
-                        out[mono] = out.get(mono, _ZERO) + cg * co
-                out = {m: c for m, c in out.items() if c}
-                self._cache[word] = out
-                return out
-        out = {_word_to_mono(word): _ONE}
-        self._cache[word] = out
-        return out
+                    parts.append((scalar, word[:i] + word[i + 2:]))
+                parts += [(cg, word[:i] + (g,) + word[i + 2:]) for g, cg in terms]
+                out: dict[Exponents, Fraction] = {}
+                for f, w in parts:
+                    for mono, co in normal_form(w).items():
+                        out[mono] = out.get(mono, _ZERO) + f * co
+                return {m: c for m, c in out.items() if c}
+        return {_word_to_mono(word): _ONE}
 
-
-@lru_cache(maxsize=None)
-def _rewriter(alg: LieAlgebra) -> _Rewriter:
-    return _Rewriter(alg)
+    return normal_form
 
 
 def no_mul(alg: LieAlgebra, p: NOPoly, q: NOPoly) -> NOPoly:
     """Product of p and q in the enveloping algebra, in normal order."""
-    rw = _rewriter(alg)
+    normal_form = _normal_orderer(alg)
     out: dict[Exponents, Fraction] = {}
     for m1, c1 in p.terms.items():
         w1 = _mono_to_word(m1)
         for m2, c2 in q.terms.items():
             f = c1 * c2
-            for mono, co in rw.normal_form(w1 + _mono_to_word(m2)).items():
+            for mono, co in normal_form(w1 + _mono_to_word(m2)).items():
                 out[mono] = out.get(mono, _ZERO) + f * co
     return NOPoly(out)
 
@@ -409,14 +394,18 @@ def centralizer_basis(alg: LieAlgebra, max_degree: int) -> CentralizerBasis:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
+    normal_form = _normal_orderer(alg)
     monos = monomials_up_to(max_degree)
     rows: dict[tuple, dict[int, Fraction]] = {}
-    for name in GEN_NAMES:
-        gen = NOPoly.generator(name)
+    for g in range(NGEN):
         for col, mono in enumerate(monos):
-            com = no_commutator(alg, gen, NOPoly({mono: _ONE}))
+            w = _mono_to_word(mono)
+            com = NOPoly(normal_form((g,) + w)) - NOPoly(normal_form(w + (g,)))
             for rmono, co in com.terms.items():
-                rows.setdefault((name, rmono), {})[col] = co
+                rows.setdefault((g, rmono), {})[col] = co
+    # normal_form refers to itself, so without this its memo would live
+    # until the next cyclic collection, often into the next call
+    normal_form.cache_clear()
     kernel = exact_nullspace(rows.values(), len(monos))
     elements = tuple(
         NOPoly({monos[i]: c for i, c in enumerate(vec) if c}) for vec in kernel

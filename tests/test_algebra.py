@@ -248,3 +248,30 @@ def test_json_rejects_inconsistent_duplicate():
     }
     with pytest.raises(ValueError):
         algebra_from_json(data)
+
+
+def _small_definition(**changes):
+    data = {
+        "basis": ["E", "A", "B"],
+        "brackets": [{"left": "A", "right": "B", "result": {"E": "1"}}],
+        "params": {},
+    }
+    data.update(changes)
+    return data
+
+
+def test_json_rejects_unknown_label():
+    data = _small_definition(brackets=[{"left": "A", "right": "C", "result": {"E": "1"}}])
+    with pytest.raises(ValueError, match="'C'"):
+        algebra_from_json(data)
+
+
+def test_json_rejects_zero_denominator():
+    data = _small_definition(brackets=[{"left": "A", "right": "B", "result": {"E": "1/0"}}])
+    with pytest.raises(ValueError, match="zero denominator"):
+        algebra_from_json(data)
+
+
+def test_json_rejects_duplicate_labels():
+    with pytest.raises(ValueError, match="duplicate basis labels"):
+        algebra_from_json(_small_definition(basis=["A", "A"], brackets=[]))

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from galilei21 import group
+from galilei21 import enveloping, group
 from galilei21.cli import main
 
 
@@ -136,6 +136,28 @@ def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
     assert main(["verify-algebra", "--samples", "1", "--out", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("charges,degree,dim", [
+    (("--k", "2", "--m", "0", "--l", "1"), 4, 3),
+    (("--k", "0", "--m", "0", "--l", "1"), 3, 3),
+    (("--k", "1", "--m", "2", "--l", "0"), 4, 6),
+])
+def test_centralizer_dimension_is_gated_in_every_regime(capsys, monkeypatch, charges, degree, dim):
+    argv = ["casimir", *charges, "--max-degree", str(degree), "--format", "json"]
+    code, out = run(capsys, *argv)
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["centralizer_dimension"]
+    assert code == 0 and check["defect"] == str(dim) and check["note"].startswith("basis: ")
+    # one basis element too many must fail the report
+    real = enveloping.centralizer_basis
+
+    def one_too_many(alg, d):
+        return enveloping.CentralizerBasis(real(alg, d).elements + (enveloping.NOPoly.one(),), d)
+
+    monkeypatch.setattr(enveloping, "centralizer_basis", one_too_many)
+    code, out = run(capsys, *argv)
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["centralizer_dimension"]
+    assert code == 1 and check["defect"] == str(dim + 1) and not check["pass"]
 
 
 def test_group_nan_defects_fail_closed(capsys, monkeypatch):

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from galilei21 import contraction
+from galilei21.cli import main
 from galilei21.contraction import (
     DEFAULT_C_GRID,
     ETA,
@@ -238,6 +240,16 @@ def test_convergence_study_guards():
         convergence_study(exp, [100.0])
     with pytest.raises(ValueError):
         convergence_study(exp, [100.0, 10.0, 1000.0])
+
+
+def test_double_precision_longdouble_is_refused(monkeypatch, capsys):
+    monkeypatch.setattr(contraction, "LD", np.float64)
+    exp = thomas_experiment((0.3, 0.1), (0.2, -0.4), 0.7)
+    with pytest.raises(ValueError, match="mantissa"):
+        convergence_study(exp, DEFAULT_C_GRID)
+    assert main(["contract", "--experiment", "thomas", "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
 def test_thomas_study_slope_and_limit():

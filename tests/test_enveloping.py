@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +21,7 @@ from galilei21.enveloping import (
     NOPoly,
     boost_momentum_cross,
     centralizer_basis,
+    exact_nullspace,
     in_span,
     internal_angular_momentum,
     internal_energy,
@@ -31,6 +34,7 @@ from galilei21.enveloping import (
     poly_to_json,
     substitute_generators,
 )
+from galilei21.cli import _expected_dimension
 
 ALG = make_galilei_algebra(ExtensionParams(F(5), F(2), F(0)))
 N1 = NOPoly.generator("N1")
@@ -255,3 +259,99 @@ def test_rewriter_rejects_wrong_basis():
     alien = LieAlgebra(("A", "B"), ((((F(0),) * 2),) * 2,) * 2)
     with pytest.raises(ValueError):
         no_mul(alien, ONE, ONE)
+
+
+def _bracket_table(alg):
+    """[g_a, g_b] as (word, coeff) pairs read through `bracket`; E is the empty word."""
+    table = {}
+    for a, na in enumerate(GEN_NAMES):
+        for b, nb in enumerate(GEN_NAMES):
+            vec = bracket(alg, basis_element(alg, na), basis_element(alg, nb))
+            table[(a, b)] = [
+                (() if lbl == "E" else (GEN_NAMES.index(lbl),), co)
+                for lbl, co in zip(alg.labels, vec.coeffs)
+                if co
+            ]
+    return table
+
+
+def _rightmost_normal_form(brackets, word):
+    """Independent oracle: normal order by rewriting the rightmost inversion.
+
+    Keeps a worklist of words instead of a memoized recursion, so it shares
+    no code with the leftmost-first engine in `enveloping`.
+    """
+    pending, done = {tuple(word): F(1)}, {}
+    while pending:
+        w, c = pending.popitem()
+        inversions = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
+        if not inversions:
+            mono = tuple(w.count(g) for g in range(len(GEN_NAMES)))
+            done[mono] = done.get(mono, F(0)) + c
+            continue
+        i = inversions[-1]
+        for new, co in [((w[i + 1], w[i]), F(1))] + brackets[(w[i], w[i + 1])]:
+            nw = w[:i] + new + w[i + 2:]
+            pending[nw] = pending.get(nw, F(0)) + c * co
+    return {m: c for m, c in done.items() if c}
+
+
+def _oracle_centralizer(alg, max_degree):
+    brackets = _bracket_table(alg)
+    monos = monomials_up_to(max_degree)
+    rows = {}
+    for g in range(len(GEN_NAMES)):
+        for col, mono in enumerate(monos):
+            word = tuple(h for h, e in enumerate(mono) for _ in range(e))
+            com = _rightmost_normal_form(brackets, (g,) + word)
+            for m, co in _rightmost_normal_form(brackets, word + (g,)).items():
+                com[m] = com.get(m, F(0)) - co
+            for m, co in com.items():
+                if co:
+                    rows.setdefault((g, m), {})[col] = co
+    kernel = exact_nullspace(rows.values(), len(monos))
+    return tuple(NOPoly({monos[i]: c for i, c in enumerate(v) if c}) for v in kernel)
+
+
+# centralizer dimension at degrees 0..4, one charge set per regime
+CENTRALIZER_TABLE = [
+    (ExtensionParams(F(3, 2), F(2), F(0)), (1, 1, 3, 3, 6)),  # m != 0, l = 0
+    (ExtensionParams(F(3, 2), F(2), F(1, 3)), (1, 1, 1, 1, 1)),  # m != 0, l != 0
+    (ExtensionParams(F(0), F(0), F(7, 2)), (1, 1, 3, 3, 6)),  # m = 0, k = 0
+    (ExtensionParams(F(-2, 3), F(0), F(0)), (1, 1, 3, 3, 6)),  # m = 0, l = 0
+    (ExtensionParams(F(5, 2), F(0), F(-3)), (1, 1, 2, 2, 3)),  # m = 0, k, l != 0
+]
+
+
+@pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
+def test_centralizer_table_from_rightmost_first_oracle(params, dims):
+    alg = make_galilei_algebra(params)
+    for degree, dim in enumerate(dims):
+        oracle = _oracle_centralizer(alg, degree)
+        assert len(oracle) == dim, degree
+        assert centralizer_basis(alg, degree).elements == oracle, degree
+        assert _expected_dimension(params, degree) == dim, degree
+
+
+def test_oracle_agrees_with_no_mul():
+    rng = random.Random(7)
+    alg = make_galilei_algebra(ExtensionParams(F(3, 2), F(2), F(1, 3)))
+    brackets = _bracket_table(alg)
+    for _ in range(30):
+        word = tuple(rng.randrange(len(GEN_NAMES)) for _ in range(rng.randint(0, 5)))
+        prod = ONE
+        for g in word:
+            prod = no_mul(alg, prod, NOPoly.generator(GEN_NAMES[g]))
+        assert NOPoly(_rightmost_normal_form(brackets, word)) == prod, word
+
+
+def test_enveloping_keeps_no_algebra_alive():
+    # charges used by no other test: a cache keyed on an equal algebra
+    # made earlier would otherwise hold that one, not this one
+    alg = make_galilei_algebra(ExtensionParams(F(11, 7), F(-5, 3), F(13, 4)))
+    centralizer_basis(alg, 2)
+    no_mul(alg, no_mul(alg, P1, N1), H)
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
