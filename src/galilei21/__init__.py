@@ -71,6 +71,7 @@ from .group import (
     eliminate_k_map,
     homomorphism_defect,
     inverse,
+    random_elements,
 )
 
 __version__ = "0.1.0"

@@ -357,15 +357,23 @@ def algebra_from_json(data) -> tuple[LieAlgebra, ExtensionParams, Fraction]:
 
     The bracket list gives each pair once; the antisymmetric partner is
     filled in automatically.  Conflicting duplicate entries, duplicate or
-    unknown labels and zero denominators raise ValueError.
+    unknown labels, a missing or non-list basis, a bracket without
+    left/right/result, inexact (float) coefficients and zero denominators raise
+    ValueError.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
+    if not isinstance(data.get("basis"), (list, tuple)):
+        raise ValueError("the definition needs a list of labels under 'basis'")
     labels = tuple(data["basis"])
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate basis labels in {list(labels)}")
     idx = {lbl: i for i, lbl in enumerate(labels)}
     brackets = data.get("brackets", [])
+    for entry in brackets:
+        missing = {"left", "right", "result"} - set(entry)
+        if missing:
+            raise ValueError(f"bracket {entry} lacks {sorted(missing)}")
     unknown = {lbl for e in brackets for lbl in (e["left"], e["right"], *e["result"])} - set(idx)
     if unknown:
         raise ValueError(f"brackets name unknown labels {sorted(map(str, unknown))}")
@@ -380,7 +388,10 @@ def algebra_from_json(data) -> tuple[LieAlgebra, ExtensionParams, Fraction]:
         i, j = idx[entry["left"]], idx[entry["right"]]
         row = [_ZERO] * dim
         for lbl, cs in entry["result"].items():
-            row[idx[lbl]] = _parse_coeff(cs, params) if isinstance(cs, str) else _as_rational(cs)
+            try:
+                row[idx[lbl]] = _parse_coeff(cs, params) if isinstance(cs, str) else _as_rational(cs)
+            except TypeError as exc:  # a float or other inexact coefficient
+                raise ValueError(f"coefficient {cs!r}: {exc}") from None
         for pair, sgn in (((i, j), _ONE), ((j, i), -_ONE)):
             if pair in seen:
                 stored = tensor[pair[0]][pair[1]]

@@ -27,22 +27,29 @@ with the phase increment
 
 Everything is written so that elements with theta = 0 and Fraction
 components compose in exact rational arithmetic; with float components
-the usual double-precision trigonometry applies.  All values are
-immutable and all functions pure.
+the usual double-precision trigonometry applies.  A component may also
+be a float64 numpy array with one entry per sample: the same functions
+then evaluate every sample at once, with the same floating-point
+operations as one scalar call per sample.  All values are immutable and
+all functions pure.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .algebra import ExtensionParams
 
 TWO_PI = 2 * math.pi
+HALF = Fraction(1, 2)
 
 
 class GroupKind(enum.Enum):
@@ -66,11 +73,22 @@ class GroupElement:
 IDENTITY = GroupElement()
 
 
+def _batched(*values) -> bool:
+    """True when one of the values is a numpy array of samples."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            return True
+    return False
+
+
 def rotate(theta, vec: tuple) -> tuple:
     """Apply R(theta); the theta == 0 branch keeps exact scalars exact."""
-    if theta == 0:
+    if isinstance(theta, np.ndarray):
+        c, s = np.cos(theta), np.sin(theta)
+    elif theta == 0:
         return (vec[0], vec[1])
-    c, s = math.cos(theta), math.sin(theta)
+    else:
+        c, s = math.cos(theta), math.sin(theta)
     return (c * vec[0] + s * vec[1], -s * vec[0] + c * vec[1])
 
 
@@ -98,10 +116,14 @@ def cocycle_exponent(
     _check_kind(kind, params)
     ru = rotate(g.theta, h.u)
     rv = rotate(g.theta, h.v)
-    xi = -params.m * (dot(g.v, g.v) * Fraction(1, 2) * h.tau + dot(g.v, ru)) \
-        - params.k * Fraction(1, 2) * cross(g.v, rv)
+    m, half_k, l, half = params.m, params.k * HALF, params.l, HALF
+    if _batched(*g.v, g.theta, h.tau, *ru, *rv):
+        # Fraction * float is float(q) * x, so floats give the scalar
+        # law's values and keep Fractions out of numpy object arrays
+        m, half_k, l, half = float(m), float(half_k), float(l), float(half)
+    xi = -m * (dot(g.v, g.v) * half * h.tau + dot(g.v, ru)) - half_k * cross(g.v, rv)
     if kind is GroupKind.COVERING:
-        xi = xi + params.l * g.theta * h.tau
+        xi = xi + l * g.theta * h.tau
     return xi
 
 
@@ -153,9 +175,11 @@ def inverse(kind: GroupKind, params: ExtensionParams, g: GroupElement) -> GroupE
 def angle_distance(a, b):
     """|a - b| folded into [0, pi]; exact zero stays exact."""
     d = a - b
-    if d == 0:
-        return d * 0  # preserves int/Fraction zero
-    return abs((float(d) + math.pi) % TWO_PI - math.pi)
+    if not isinstance(d, np.ndarray):
+        if d == 0:
+            return d * 0  # preserves int/Fraction zero
+        d = float(d)
+    return abs((d + math.pi) % TWO_PI - math.pi)
 
 
 def worst_defect(defects, zero):
@@ -167,7 +191,15 @@ def worst_defect(defects, zero):
     accepts; builtin max() would drop a NaN that is not the first value.
     Every defect is consumed, so a seeded caller draws the same samples
     whether or not one of them fails.
+
+    When `zero` or a defect is a numpy array of samples, the same
+    reduction is taken per sample and the result is an array.
     """
+    defects = tuple(defects)
+    if _batched(zero, *defects):
+        worst = functools.reduce(np.maximum, defects, zero)  # NaN propagates
+        finite = functools.reduce(np.logical_and, (d > -math.inf for d in defects), True)
+        return np.where(finite & np.isfinite(worst), worst, math.nan)
     worst, finite = zero, True
     for d in defects:
         if d > worst:
@@ -233,6 +265,8 @@ def eliminate_k_map(params: ExtensionParams, g: GroupElement) -> GroupElement:
     lam = params.k / (2 * params.m)
     if lam == 0:
         return g
+    if _batched(*g.v):
+        lam = float(lam)  # as Fraction * float does
     return GroupElement(
         phase=g.phase,
         tau=g.tau,
@@ -291,6 +325,21 @@ def random_element(rng, scale: float = 1.0, max_angle: float = math.pi) -> Group
         v=(r(), r()),
         theta=rng.uniform(-max_angle, max_angle),
     )
+
+
+def random_elements(
+    rng, samples: int, count: int = 1, scale: float = 1.0, max_angle: float = math.pi
+) -> tuple:
+    """`count` elements whose components are arrays of `samples` draws.
+
+    Consumes `rng` exactly as `samples * count` calls of `random_element`
+    would, the `count` elements of one sample drawn together, and gives
+    the same values: entry i of element j is the (i * count + j)-th draw.
+    """
+    hi = np.array([math.pi, scale, scale, scale, scale, scale, max_angle])
+    r = np.array([rng.random() for _ in range(samples * count * 7)]).reshape(samples, count, 7)
+    x = (-hi + (hi - -hi) * r).transpose(1, 2, 0).copy()  # rng.uniform(a, b): a + (b - a) * r
+    return tuple(GroupElement(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6]) for c in x)
 
 
 def random_rational_element(rng, max_num: int = 4, max_den: int = 4) -> GroupElement:

@@ -116,10 +116,10 @@ def test_criterion_05_group_cocycle_condition():
         for _ in range(20):
             p = algebra.random_params(rng)
             p_ext = ExtensionParams(p.k, p.m, 0)
-            for _ in range(1000):
-                g, h, f = (group.random_element(rng) for _ in range(3))
-                assert group.associativity_defect(group.GroupKind.COVERING, p, g, h, f) < 1e-12
-                assert group.associativity_defect(group.GroupKind.EXTENDED, p_ext, g, h, f) < 1e-12
+            # 1000 triples as arrays, drawn as 1000 x 3 calls of random_element would be
+            g, h, f = group.random_elements(rng, 1000, 3)
+            assert (group.associativity_defect(group.GroupKind.COVERING, p, g, h, f) < 1e-12).all()
+            assert (group.associativity_defect(group.GroupKind.EXTENDED, p_ext, g, h, f) < 1e-12).all()
         # exact rational mode is exactly associative
         for _ in range(5):
             p = algebra.random_params(rng)
@@ -137,10 +137,9 @@ def test_criterion_06_group_charge_removal():
             p_k = ExtensionParams(p.k, p.m, 0)
             p_0 = ExtensionParams(0, p.m, 0)
             phi = lambda g: group.eliminate_k_map(p_k, g)
-            for _ in range(1000):
-                g, h = group.random_element(rng), group.random_element(rng)
-                d = group.homomorphism_defect(group.GroupKind.EXTENDED, p_k, p_0, phi, g, h)
-                assert d < 1e-12
+            g, h = group.random_elements(rng, 1000, 2)
+            d = group.homomorphism_defect(group.GroupKind.EXTENDED, p_k, p_0, phi, g, h)
+            assert d.shape == (1000,) and (d < 1e-12).all()
             for _ in range(40):
                 g, h = group.random_rational_element(rng), group.random_rational_element(rng)
                 d = group.homomorphism_defect(group.GroupKind.EXTENDED, p_k, p_0, phi, g, h)

@@ -275,3 +275,29 @@ def test_json_rejects_zero_denominator():
 def test_json_rejects_duplicate_labels():
     with pytest.raises(ValueError, match="duplicate basis labels"):
         algebra_from_json(_small_definition(basis=["A", "A"], brackets=[]))
+
+
+def test_json_rejects_missing_basis():
+    data = _small_definition()
+    del data["basis"]
+    with pytest.raises(ValueError, match="basis"):
+        algebra_from_json(data)
+
+
+def test_json_rejects_string_basis():
+    with pytest.raises(ValueError, match="basis"):
+        algebra_from_json(_small_definition(basis="AB", brackets=[]))
+
+
+@pytest.mark.parametrize("field", ["left", "right", "result"])
+def test_json_rejects_bracket_without_field(field):
+    entry = {"left": "A", "right": "B", "result": {"E": "1"}}
+    del entry[field]
+    with pytest.raises(ValueError, match=field):
+        algebra_from_json(_small_definition(brackets=[entry]))
+
+
+def test_json_rejects_float_coefficient():
+    data = _small_definition(brackets=[{"left": "A", "right": "B", "result": {"E": 0.5}}])
+    with pytest.raises(ValueError, match="float"):
+        algebra_from_json(data)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from galilei21 import enveloping, group
@@ -160,11 +161,15 @@ def test_centralizer_dimension_is_gated_in_every_regime(capsys, monkeypatch, cha
     assert code == 1 and check["defect"] == str(dim + 1) and not check["pass"]
 
 
-def test_group_nan_defects_fail_closed(capsys, monkeypatch):
-    draw = group.random_element
-    monkeypatch.setattr(
-        group, "random_element", lambda rng: dataclasses.replace(draw(rng), tau=math.nan)
-    )
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_group_nan_defects_fail_closed(capsys, monkeypatch, tau):
+    draw = group.random_elements
+
+    def poisoned(rng, samples, count=1):
+        return tuple(dataclasses.replace(g, tau=np.full(samples, tau))
+                     for g in draw(rng, samples, count))
+
+    monkeypatch.setattr(group, "random_elements", poisoned)
     code, out = run(capsys, "group", "--k", "1", "--m", "2", "--samples", "5", "--format", "json")
     assert code == 1
     names = {c["name"]: c for c in json.loads(out)["checks"]}
