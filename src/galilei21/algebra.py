@@ -329,11 +329,15 @@ def algebras_equal(a: LieAlgebra, b: LieAlgebra) -> bool:
 # parameter names k, m, l, e.g. "m", "-1/2*k", "3".
 
 
-def _exact(text) -> Fraction:
+def _exact(value) -> Fraction:
+    """A rational from a string or an int; a float or a zero denominator
+    raises ValueError."""
     try:
-        return Fraction(text)
+        return _as_rational(value)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {value!r}") from None
+    except TypeError as exc:  # a float or other inexact value
+        raise ValueError(f"{value!r}: {exc}") from None
 
 
 def _parse_coeff(text: str, params: ExtensionParams) -> Fraction:
@@ -358,8 +362,8 @@ def algebra_from_json(data) -> tuple[LieAlgebra, ExtensionParams, Fraction]:
     The bracket list gives each pair once; the antisymmetric partner is
     filled in automatically.  Conflicting duplicate entries, duplicate or
     unknown labels, a missing or non-list basis, a bracket without
-    left/right/result, inexact (float) coefficients and zero denominators raise
-    ValueError.
+    left/right/result, inexact (float) coefficients or params and zero
+    denominators raise ValueError.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
@@ -388,10 +392,7 @@ def algebra_from_json(data) -> tuple[LieAlgebra, ExtensionParams, Fraction]:
         i, j = idx[entry["left"]], idx[entry["right"]]
         row = [_ZERO] * dim
         for lbl, cs in entry["result"].items():
-            try:
-                row[idx[lbl]] = _parse_coeff(cs, params) if isinstance(cs, str) else _as_rational(cs)
-            except TypeError as exc:  # a float or other inexact coefficient
-                raise ValueError(f"coefficient {cs!r}: {exc}") from None
+            row[idx[lbl]] = _parse_coeff(cs, params) if isinstance(cs, str) else _exact(cs)
         for pair, sgn in (((i, j), _ONE), ((j, i), -_ONE)):
             if pair in seen:
                 stored = tensor[pair[0]][pair[1]]

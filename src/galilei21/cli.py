@@ -206,7 +206,7 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
     def round_trip(g):
         gi = group.inverse(cov, params, g)
         to_identity = lambda a, b: group.element_distance(group.compose(cov, params, a, b), group.IDENTITY)
-        return worst_defect((to_identity(g, gi), to_identity(gi, g)), 0.0)
+        return group.worst_per_sample((to_identity(g, gi), to_identity(gi, g)), 0.0)
 
     p_k, p_0 = ExtensionParams(params.k, params.m, 0), ExtensionParams(0, params.m, 0)
     phi = lambda g: group.eliminate_k_map(p_k, g)

@@ -191,15 +191,7 @@ def worst_defect(defects, zero):
     accepts; builtin max() would drop a NaN that is not the first value.
     Every defect is consumed, so a seeded caller draws the same samples
     whether or not one of them fails.
-
-    When `zero` or a defect is a numpy array of samples, the same
-    reduction is taken per sample and the result is an array.
     """
-    defects = tuple(defects)
-    if _batched(zero, *defects):
-        worst = functools.reduce(np.maximum, defects, zero)  # NaN propagates
-        finite = functools.reduce(np.logical_and, (d > -math.inf for d in defects), True)
-        return np.where(finite & np.isfinite(worst), worst, math.nan)
     worst, finite = zero, True
     for d in defects:
         if d > worst:
@@ -209,13 +201,23 @@ def worst_defect(defects, zero):
     return worst if finite and -math.inf < worst < math.inf else math.nan
 
 
+def worst_per_sample(defects: tuple, zero):
+    """`worst_defect` of one sample's defects, taken per entry when some
+    of them are numpy arrays of samples (the result is then an array)."""
+    if not _batched(zero, *defects):
+        return worst_defect(defects, zero)
+    worst = functools.reduce(np.maximum, defects, zero)  # NaN propagates
+    finite = functools.reduce(np.logical_and, (d > -math.inf for d in defects), True)
+    return np.where(finite & np.isfinite(worst), worst, math.nan)
+
+
 def element_distance(a: GroupElement, b: GroupElement, kind: GroupKind = GroupKind.COVERING):
     """Component-wise max distance; phase always mod 2*pi, theta too for EXTENDED."""
     if kind is GroupKind.EXTENDED:
         theta = angle_distance(a.theta, b.theta)
     else:
         theta = abs(a.theta - b.theta)
-    return worst_defect(
+    return worst_per_sample(
         (abs(a.tau - b.tau), abs(a.u[0] - b.u[0]), abs(a.u[1] - b.u[1]),
          abs(a.v[0] - b.v[0]), abs(a.v[1] - b.v[1]), theta),
         angle_distance(a.phase, b.phase),
@@ -327,16 +329,14 @@ def random_element(rng, scale: float = 1.0, max_angle: float = math.pi) -> Group
     )
 
 
-def random_elements(
-    rng, samples: int, count: int = 1, scale: float = 1.0, max_angle: float = math.pi
-) -> tuple:
+def random_elements(rng, samples: int, count: int = 1) -> tuple:
     """`count` elements whose components are arrays of `samples` draws.
 
     Consumes `rng` exactly as `samples * count` calls of `random_element`
-    would, the `count` elements of one sample drawn together, and gives
+    with its default ranges would, the `count` elements of one sample drawn together, and gives
     the same values: entry i of element j is the (i * count + j)-th draw.
     """
-    hi = np.array([math.pi, scale, scale, scale, scale, scale, max_angle])
+    hi = np.array([math.pi, 1.0, 1.0, 1.0, 1.0, 1.0, math.pi])
     r = np.array([rng.random() for _ in range(samples * count * 7)]).reshape(samples, count, 7)
     x = (-hi + (hi - -hi) * r).transpose(1, 2, 0).copy()  # rng.uniform(a, b): a + (b - a) * r
     return tuple(GroupElement(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6]) for c in x)

@@ -301,3 +301,10 @@ def test_json_rejects_float_coefficient():
     data = _small_definition(brackets=[{"left": "A", "right": "B", "result": {"E": 0.5}}])
     with pytest.raises(ValueError, match="float"):
         algebra_from_json(data)
+
+
+def test_json_rejects_float_param():
+    data = _small_definition(brackets=[{"left": "A", "right": "B", "result": {"E": "m"}}])
+    data["params"] = {"m": 0.1}
+    with pytest.raises(ValueError, match="float"):
+        algebra_from_json(data)

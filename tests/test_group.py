@@ -32,6 +32,7 @@ from galilei21.group import (
     random_rational_element,
     rotate,
     worst_defect,
+    worst_per_sample,
 )
 
 EXT = GroupKind.EXTENDED
@@ -397,9 +398,9 @@ def test_coboundary_zeta_squares_like_python_floats():
 def test_batched_sampler_consumes_the_stream_like_scalar_draws():
     for samples, count in ((1, 1), (7, 2), (50, 3)):
         a, b = random.Random(99), random.Random(99)
-        random_elements(a, samples, count, scale=2.5, max_angle=0.5)
+        random_elements(a, samples, count)
         for _ in range(samples * count):
-            random_element(b, scale=2.5, max_angle=0.5)
+            random_element(b)
         assert a.getstate() == b.getstate()
         assert a.random() == b.random()
 
@@ -413,8 +414,10 @@ def test_batched_defects_fail_closed_per_sample():
         for kind in (COV, EXT):
             d = associativity_defect(kind, p, g, h, f)
             assert d[0] < TOL and np.isnan(d[1:]).all()
-    worst = worst_defect([np.array([0.0, 1.0, math.inf]), np.array([2.0, math.nan, 0.0])], 0.0)
+    worst = worst_per_sample((np.array([0.0, 1.0, math.inf]), np.array([2.0, math.nan, 0.0])), 0.0)
     assert worst[0] == 2.0 and np.isnan(worst[1:]).all()
+    assert math.isnan(worst_per_sample((1.0, -math.inf), 0.0))  # scalars: worst_defect
+    assert isinstance(worst_per_sample((F(0), F(0)), F(0)), F)
 
 
 def test_one_law_for_exact_scalars_and_arrays():
