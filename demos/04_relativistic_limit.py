@@ -35,7 +35,7 @@ for c in (10.0, 100.0, 1000.0):
 print(f"predicted limit (v x w)/2 = {thomas_target(v, w)}\n")
 
 def show(experiment, grid=DEFAULT_C_GRID):
-    report = convergence_study(experiment, grid)
+    (report,) = convergence_study(experiment, grid)  # one sample, one report
     print(f"{experiment.name}: target value {report.target:+.4f}, "
           f"fitted error slope {report.fitted_slope:+.3f}")
     print("        c          error   |zeta|")
@@ -51,5 +51,4 @@ show(mass_experiment((50.0, 20.0), 0.5, 1.5, (1.0, -2.0)))
 
 # the contraction also commutes with composition at the same 1/c^2 rate
 rng = random.Random(1)
-exp = sample_experiments("diagram", rng, 1, min(DEFAULT_C_GRID))[0]
-show(exp)
+show(sample_experiments("diagram", rng, 1, min(DEFAULT_C_GRID)))

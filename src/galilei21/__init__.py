@@ -57,6 +57,7 @@ from .enveloping import (
     is_central,
     momentum_squared,
     no_commutator,
+    no_commutators,
     no_mul,
 )
 from .group import (

@@ -56,7 +56,10 @@ def _c_grid(text: str) -> tuple:
                 grid.append(c)
                 c *= factor
             return tuple(grid)
-        return tuple(_finite(x) for x in text.split(","))
+        grid = tuple(_finite(x) for x in text.split(","))
+        if not all(c > 0 for c in grid):
+            raise ValueError("grid must be positive")
+        return grid
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad c grid {text!r}: {exc}") from exc
 
@@ -150,12 +153,17 @@ def cmd_casimir(opts) -> tuple:
         candidates["internal_energy"] = enveloping.internal_energy(params)
         candidates["internal_angular_momentum"] = enveloping.internal_angular_momentum(params)
     expected = _expected_centrality(params)
-    for name in sorted(candidates):
-        coms = (
-            enveloping.no_commutator(alg, candidates[name], enveloping.NOPoly.generator(gen))
-            for gen in enveloping.GEN_NAMES
-        )
-        defect = worst_defect((com.max_abs_coefficient() for com in coms), Fraction(0))
+    names = sorted(candidates)
+    gens = [enveloping.NOPoly.generator(gen) for gen in enveloping.GEN_NAMES]
+    pairs = [(candidates[name], gen) for name in names for gen in gens]
+    if params.m != 0:
+        # the commutator of the rotation generator with the internal energy
+        # measures the time-rotation charge exactly
+        pairs.append((enveloping.NOPoly.generator("M"), candidates["internal_energy"]))
+    coms = enveloping.no_commutators(alg, pairs)  # one normal orderer for every check
+    for i, name in enumerate(names):
+        row = coms[i * len(gens):(i + 1) * len(gens)]
+        defect = worst_defect((com.max_abs_coefficient() for com in row), Fraction(0))
         central = defect == 0
         checks.append(
             _check(
@@ -164,12 +172,7 @@ def cmd_casimir(opts) -> tuple:
             )
         )
     if params.m != 0:
-        # the commutator of the rotation generator with the internal energy
-        # measures the time-rotation charge exactly
-        com = enveloping.no_commutator(
-            alg, enveloping.NOPoly.generator("M"), enveloping.internal_energy(params)
-        )
-        ok = com == enveloping.NOPoly.scalar(params.l)
+        ok = coms[-1] == enveloping.NOPoly.scalar(params.l)
         checks.append(_check("energy_defect_equals_l", Fraction(0 if ok else 1), ok))
 
     basis = enveloping.centralizer_basis(alg, opts.max_degree)
@@ -253,11 +256,10 @@ def cmd_group(opts) -> tuple:
 def cmd_contract(opts) -> tuple:
     rng = random.Random(opts.seed)
     grid = opts.c_grid
-    experiments = contraction.sample_experiments(opts.experiment, rng, opts.samples, min(grid))
+    experiment = contraction.sample_experiments(opts.experiment, rng, opts.samples, min(grid))
     checks = []
     rows = []
-    for i, exp in enumerate(experiments):
-        rep = contraction.convergence_study(exp, grid)
+    for i, rep in enumerate(contraction.convergence_study(experiment, grid)):
         summary = contraction.report_summary(rep, slope_tolerance=opts.tolerance)
         checks.append({"name": f"slope[{i}]", **summary})
         if opts.experiment == "thomas" and rep.target != 0:
@@ -319,8 +321,15 @@ def _config_dict(opts) -> dict:
     return cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line, as every configuration error is."""
+
+    def error(self, message):
+        self.exit(2, f"configuration error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="galilei21",
         description="verification suites for the extended planar Galilei group",
     )

@@ -13,6 +13,12 @@ Composing two boosts is not a boost; the residual angle delta_theta is
 the Wigner rotation, which shrinks as (v x w) / (2 c^2).  The module
 measures such limits on grids of c values and fits the decay rate.
 
+Every function takes one element or a stack: matrices (..., 3, 3),
+velocities (..., 2), angles and c values (...), broadcast together.  A
+stack gets the same floating-point operations as one call per entry, and
+every check runs on every entry.  `convergence_study` evaluates a family
+of samples over a (samples, grid) array of c values in one call.
+
 Numerics run in numpy extended precision (np.longdouble, 64-bit mantissa
 on x86).  Plain double precision loses the c^2-amplified quantities to
 rounding near the top of the default grid c = 1e6: the gamma - 1 stored
@@ -23,7 +29,6 @@ So `convergence_study` raises ValueError where np.longdouble is only double.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,46 +45,65 @@ MATRIX_TOL = 1e-10  # Lorentz-invariant checks
 DEFAULT_C_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
 
 
-def _as_matrix(m) -> np.ndarray:
+def _as_matrices(m) -> np.ndarray:
     out = np.array(m, dtype=LD)
-    if out.shape != (3, 3):
+    if out.shape[-2:] != (3, 3):
         raise ValueError("expected a 3x3 matrix")
     return out
 
 
-def lorentz_defect(lam) -> float:
-    """max |Lambda^T eta Lambda - eta|."""
-    lam = _as_matrix(lam)
-    return float(np.max(np.abs(lam.T @ ETA @ lam - ETA)))
+def _floats(x):
+    """x rounded to double: a float for one value, a float64 array for a stack."""
+    out = np.asarray(x).astype(np.float64)
+    return float(out) if out.ndim == 0 else out
+
+
+def _largest(m) -> np.ndarray:
+    """max |entry| of each 3x3 matrix, rounded to double."""
+    return np.max(np.abs(m), axis=(-2, -1)).astype(np.float64)
+
+
+def lorentz_defect(lam):
+    """max |Lambda^T eta Lambda - eta|, per matrix of a stack."""
+    lam = _as_matrices(lam)
+    return _floats(_largest(np.swapaxes(lam, -1, -2) @ ETA @ lam - ETA))
 
 
 @dataclass(frozen=True, eq=False)
 class PoincareElement:
-    """{Lambda, a} at a fixed c; proper orthochronous, validated on build."""
+    """{Lambda, a} at c; proper orthochronous, validated on build.
+
+    lam (..., 3, 3), a (..., 3) and c broadcast to common leading axes; c
+    is a float for one element and a float64 array for a stack.
+    """
 
     lam: np.ndarray
     a: np.ndarray
-    c: float
+    c: object
 
     def __post_init__(self):
-        lam = _as_matrix(self.lam)
+        lam = _as_matrices(self.lam)
         a = np.array(self.a, dtype=LD)
-        if a.shape != (3,):
+        if a.shape[-1:] != (3,):
             raise ValueError("translation must be a 3-vector")
-        # negated tests, so that NaN entries fail every check
-        if not self.c > 0:
+        shape = np.broadcast_shapes(lam.shape[:-2], a.shape[:-1], np.shape(self.c))
+        # read-only, so the element stays immutable
+        lam, a = np.broadcast_to(lam, shape + (3, 3)), np.broadcast_to(a, shape + (3,))
+        c = _floats(np.broadcast_to(self.c, shape))
+        if isinstance(c, np.ndarray):
+            c.flags.writeable = False
+        # negated tests over every entry, so that NaN entries fail every check
+        if not np.all(c > 0):
             raise ValueError("c must be positive")
-        if not lorentz_defect(lam) <= MATRIX_TOL:
+        if not np.all(lorentz_defect(lam) <= MATRIX_TOL):
             raise ValueError("matrix is not a Lorentz transformation")
-        if not lam[0, 0] >= 1 - MATRIX_TOL:
+        if not np.all(lam[..., 0, 0] >= 1 - MATRIX_TOL):
             raise ValueError("matrix is not orthochronous")
-        if not abs(float(np.linalg.det(np.array(lam, dtype=float))) - 1.0) <= MATRIX_TOL:
+        if not np.all(np.abs(np.linalg.det(lam.astype(np.float64)) - 1.0) <= MATRIX_TOL):
             raise ValueError("matrix is not proper")
-        lam.flags.writeable = False
-        a.flags.writeable = False
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True)
@@ -87,50 +111,54 @@ class BoostDecomposition:
     """Velocity and residual rotation angle with Lambda = L(v) R(theta)."""
 
     v: tuple
-    theta: object  # np.longdouble
+    theta: object  # np.longdouble, or an array of them for a stack
 
 
 def boost_matrix(v, c) -> np.ndarray:
-    """Pure boost L(v); requires |v| < c.  v = 0 gives the identity."""
-    v = np.array(v, dtype=LD)
-    c = LD(c)
-    v2 = v @ v
-    if v2 == 0:
-        return np.eye(3, dtype=LD)
+    """Pure boost L(v); requires c > 0 and |v| < c.  v = 0 gives the identity.
+
+    v is (..., 2) and c broadcasts against v[..., 0].
+    """
+    v, c = np.asarray(v, dtype=LD), np.asarray(c, dtype=LD)
+    if not np.all(c > 0):
+        raise ValueError("c must be positive")
+    v2 = v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]  # the sum v @ v forms
     b2 = v2 / (c * c)
-    if b2 >= 1:
+    if not np.all(b2 < 1):
         raise ValueError("|v| must be smaller than c")
     g = 1 / np.sqrt(1 - b2)
     gm1 = b2 * g * g / (1 + g)  # gamma - 1 without cancellation
-    L = np.eye(3, dtype=LD)
-    L[0, 0] = g
-    for i in range(2):
-        L[0, i + 1] = L[i + 1, 0] = g * v[i] / c
-        for k in range(2):
-            L[i + 1, k + 1] = (1 if i == k else 0) + gm1 * v[i] * v[k] / v2
-    return L
+    L = np.empty(b2.shape + (3, 3), dtype=LD)
+    L[..., 0, 0] = g
+    with np.errstate(invalid="ignore"):  # 0/0 at v = 0, where the identity is chosen
+        for i in range(2):
+            L[..., 0, i + 1] = L[..., i + 1, 0] = g * v[..., i] / c
+            for k in range(2):
+                L[..., i + 1, k + 1] = (1 if i == k else 0) + gm1 * v[..., i] * v[..., k] / v2
+    return np.where((v2 == 0)[..., None, None], np.eye(3, dtype=LD), L)
 
 
 def rotation_matrix(theta) -> np.ndarray:
     """R(theta) embedded in 3x3 form (time row/column untouched)."""
-    th = LD(theta)
-    R = np.eye(3, dtype=LD)
-    R[1, 1] = R[2, 2] = np.cos(th)
-    R[1, 2] = np.sin(th)
-    R[2, 1] = -np.sin(th)
+    th = np.asarray(theta, dtype=LD)
+    cos, sin = np.cos(th), np.sin(th)
+    R = np.zeros(th.shape + (3, 3), dtype=LD)
+    R[..., 0, 0] = 1
+    R[..., 1, 1] = R[..., 2, 2] = cos
+    R[..., 1, 2] = sin
+    R[..., 2, 1] = -sin
     return R
 
 
-def _decompose_lorentz(lam: np.ndarray, c) -> tuple[np.ndarray, LD]:
-    lam = _as_matrix(lam)
-    c = LD(c)
-    if not lam[0, 0] >= 1 - MATRIX_TOL:
+def _decompose_lorentz(lam, c) -> tuple[np.ndarray, LD]:
+    lam, c = _as_matrices(lam), np.asarray(c, dtype=LD)
+    if not np.all(lam[..., 0, 0] >= 1 - MATRIX_TOL):
         raise ValueError("matrix is not orthochronous")
-    v = c * lam[1:, 0] / lam[0, 0]
+    v = c[..., None] * lam[..., 1:, 0] / lam[..., 0, :1]
     residual = boost_matrix(-v, c) @ lam
-    theta = np.arctan2(residual[1, 2], residual[1, 1])
+    theta = np.arctan2(residual[..., 1, 2], residual[..., 1, 1])
     # the residual must be a pure rotation, else the input was no Lorentz map
-    if not float(np.max(np.abs(residual - rotation_matrix(theta)))) <= MATRIX_TOL:
+    if not np.all(_largest(residual - rotation_matrix(theta)) <= MATRIX_TOL):
         raise ValueError("residual is not a rotation: invariants violated")
     return v, theta
 
@@ -139,9 +167,10 @@ def decompose(p: PoincareElement) -> BoostDecomposition:
     """Split p.lam into boost times rotation; reconstruction is checked."""
     v, theta = _decompose_lorentz(p.lam, p.c)
     recon = boost_matrix(v, p.c) @ rotation_matrix(theta)
-    if not float(np.max(np.abs(recon - p.lam))) <= MATRIX_TOL:
+    if not np.all(_largest(recon - p.lam) <= MATRIX_TOL):
         raise ValueError("decomposition failed to reconstruct the input")
-    return BoostDecomposition(v=(v[0], v[1]), theta=theta)
+    # [()] makes one element's components scalars and leaves stacks as arrays
+    return BoostDecomposition(v=(v[..., 0][()], v[..., 1][()]), theta=theta)
 
 
 def compose_boosts(v, w, c) -> tuple[np.ndarray, LD]:
@@ -154,23 +183,25 @@ def compose_boosts(v, w, c) -> tuple[np.ndarray, LD]:
     return _decompose_lorentz(prod, c)
 
 
-def thomas_target(v, w) -> float:
+def thomas_target(v, w):
     """(v x w) / 2, the limit of c^2 times the Wigner angle."""
-    return float((LD(v[0]) * LD(w[1]) - LD(v[1]) * LD(w[0])) / 2)
+    v, w = np.asarray(v, dtype=LD), np.asarray(w, dtype=LD)
+    return _floats((v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]) / 2)
 
 
 def poincare_from_galilei(tau, u, v, theta, c) -> PoincareElement:
     """Element with Lambda = L(v) R(theta) and a = (c tau, u1, u2)."""
     lam = boost_matrix(v, c) @ rotation_matrix(theta)
-    a = np.array([LD(c) * LD(tau), LD(u[0]), LD(u[1])], dtype=LD)
+    c, tau, u = np.asarray(c, dtype=LD), np.asarray(tau, dtype=LD), np.asarray(u, dtype=LD)
+    a = np.stack(np.broadcast_arrays(c * tau, u[..., 0], u[..., 1]), axis=-1)
     return PoincareElement(lam, a, c)
 
 
 def poincare_product(g: PoincareElement, h: PoincareElement) -> PoincareElement:
     """{Lambda, a} {Lambda', a'} = {Lambda Lambda', Lambda a' + a}."""
-    if g.c != h.c:
+    if not np.all(g.c == h.c):
         raise ValueError("elements carry different c")
-    return PoincareElement(g.lam @ h.lam, g.lam @ h.a + g.a, g.c)
+    return PoincareElement(g.lam @ h.lam, (g.lam @ h.a[..., None])[..., 0] + g.a, g.c)
 
 
 def contract_element(p: PoincareElement) -> GroupElement:
@@ -178,10 +209,10 @@ def contract_element(p: PoincareElement) -> GroupElement:
     dec = decompose(p)
     return GroupElement(
         phase=0.0,
-        tau=float(p.a[0] / LD(p.c)),
-        u=(float(p.a[1]), float(p.a[2])),
-        v=(float(dec.v[0]), float(dec.v[1])),
-        theta=float(dec.theta),
+        tau=_floats(p.a[..., 0] / np.asarray(p.c, dtype=LD)),
+        u=(_floats(p.a[..., 1]), _floats(p.a[..., 2])),
+        v=(_floats(dec.v[0]), _floats(dec.v[1])),
+        theta=_floats(dec.theta),
     )
 
 
@@ -192,10 +223,11 @@ def mass_cocycle_exponent(g: PoincareElement, h: PoincareElement):
     straight from the matrices.  With a^0 = c tau this approaches
     v^2/2 tau' + v . R u' as c grows.
     """
-    if g.c != h.c:
+    if not np.all(g.c == h.c):
         raise ValueError("elements carry different c")
-    c = LD(g.c)
-    return c * (g.lam[0] @ h.a + g.a[0]) - c * g.a[0] - c * h.a[0]
+    c = np.asarray(g.c, dtype=LD)
+    row_a = (g.lam[..., None, 0, :] @ h.a[..., None])[..., 0, 0]  # Lambda^0_mu a'^mu
+    return c * (row_a + g.a[..., 0]) - c * g.a[..., 0] - c * h.a[..., 0]
 
 
 def rotation_cocycle_exponent(lam1, lam2, c):
@@ -205,10 +237,10 @@ def rotation_cocycle_exponent(lam1, lam2, c):
     (-pi, pi] before scaling by c^2, which removes the branch ambiguity
     of the angle function.
     """
-    c = LD(c)
-    _, th1 = _decompose_lorentz(_as_matrix(lam1), c)
-    _, th2 = _decompose_lorentz(_as_matrix(lam2), c)
-    _, th12 = _decompose_lorentz(_as_matrix(lam1) @ _as_matrix(lam2), c)
+    c, lam1, lam2 = np.asarray(c, dtype=LD), _as_matrices(lam1), _as_matrices(lam2)
+    _, th1 = _decompose_lorentz(lam1, c)
+    _, th2 = _decompose_lorentz(lam2, c)
+    _, th12 = _decompose_lorentz(lam1 @ lam2, c)
     delta = th12 - th1 - th2
     two_pi = 2 * LD(np.pi)
     delta = delta - two_pi * np.floor((delta + LD(np.pi)) / two_pi)
@@ -220,12 +252,16 @@ def rotation_cocycle_exponent(lam1, lam2, c):
 
 @dataclass(frozen=True)
 class LimitExperiment:
-    """A named scalar limit: error(c) should decay, zeta_magnitude may grow."""
+    """A family of scalar limits, one per sample.
+
+    `evaluate` maps a (samples, grid) array of c values to the errors,
+    which should decay, and the zeta magnitudes, which may grow: two
+    float64 arrays of that shape.
+    """
 
     name: str
-    target: float
-    error: Callable[[float], float]
-    zeta_magnitude: Callable[[float], float]
+    targets: tuple[float, ...]
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -237,22 +273,31 @@ class ConvergenceReport:
     zeta_magnitudes: tuple[float, ...]
 
 
-def convergence_study(experiment: LimitExperiment, c_grid: Sequence[float]) -> ConvergenceReport:
-    """Evaluate the experiment over the grid and fit log error vs log c."""
+def convergence_study(
+    experiment: LimitExperiment, c_grid: Sequence[float]
+) -> list[ConvergenceReport]:
+    """Evaluate every sample over the grid in one call; one report per sample.
+
+    Each report fits log error vs log c for its sample.
+    """
     nmant = np.finfo(LD).nmant
     if nmant <= np.finfo(np.float64).nmant:
         raise ValueError(f"np.longdouble has a {nmant}-bit mantissa; the fits need more than 52")
     grid = tuple(float(c) for c in c_grid)
     if len(grid) < 3:
         raise ValueError("need at least 3 grid points to fit a slope")
+    if not all(c > 0 for c in grid):  # negated, so that NaN fails
+        raise ValueError("c grid must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("c grid must be strictly increasing")
-    errors = tuple(float(experiment.error(c)) for c in grid)
-    zetas = tuple(float(experiment.zeta_magnitude(c)) for c in grid)
-    slope = float(
-        np.polyfit(np.log10(grid), np.log10(np.maximum(errors, 1e-300)), 1)[0]
-    )
-    return ConvergenceReport(grid, errors, slope, experiment.target, zetas)
+    c = np.tile(np.array(grid, dtype=LD), (len(experiment.targets), 1))
+    errors, zetas = experiment.evaluate(c)
+    log_c = np.log10(grid)
+    reports = []
+    for target, errs, zs in zip(experiment.targets, errors.tolist(), zetas.tolist()):
+        slope = float(np.polyfit(log_c, np.log10(np.maximum(errs, 1e-300)), 1)[0])
+        reports.append(ConvergenceReport(grid, tuple(errs), slope, target, tuple(zs)))
+    return reports
 
 
 def growth_slope(report: ConvergenceReport) -> float:
@@ -261,82 +306,88 @@ def growth_slope(report: ConvergenceReport) -> float:
     return float(np.polyfit(np.log10(report.c_grid), np.log10(mags), 1)[0])
 
 
+def _samples(x, *tail) -> np.ndarray:
+    """One value per sample, shaped (samples, 1, *tail) to broadcast over a c grid."""
+    return np.reshape(np.asarray(x, dtype=np.float64), (-1, 1, *tail))
+
+
 def thomas_experiment(v, vp, theta) -> LimitExperiment:
     """Wigner angle of L(v) L(R(theta) v') against (v x R v')/2.
 
-    zeta here is c^2 theta(Lambda) of the first factor L(v) R(theta),
-    which diverges like c^2 whenever theta != 0.
+    v and vp are velocities (samples, 2) and theta angles (samples,), or
+    the values of one sample.  zeta here is c^2 theta(Lambda) of the
+    first factor L(v) R(theta), which diverges like c^2 whenever theta != 0.
     """
-    w = rotate(theta, vp)
+    v, vp, theta = _samples(v, 2), _samples(vp, 2), _samples(theta)
+    w = np.stack(rotate(theta, (vp[..., 0], vp[..., 1])), axis=-1)
     target = thomas_target(v, w)
 
-    def error(c):
+    def evaluate(c):
         _, delta = compose_boosts(v, w, c)
-        return abs(float(LD(c) * LD(c) * delta) - target)
+        _, th = _decompose_lorentz(boost_matrix(v, c) @ rotation_matrix(theta), c)
+        errors = np.abs((c * c * delta).astype(np.float64) - target)
+        return errors, np.abs((c * c * th).astype(np.float64))
 
-    def zeta_magnitude(c):
-        lam = boost_matrix(v, c) @ rotation_matrix(theta)
-        _, th = _decompose_lorentz(lam, c)
-        return abs(float(LD(c) * LD(c) * th))
-
-    return LimitExperiment("thomas", target, error, zeta_magnitude)
+    return LimitExperiment("thomas", tuple(target[:, 0].tolist()), evaluate)
 
 
 def mass_experiment(v, theta, tau_p, u_p) -> LimitExperiment:
     """delta-zeta of a boost-rotation against a translation (tau', u').
 
-    The target is v^2/2 tau' + v . R(theta) u'; zeta = c a^0 evaluated on
-    the product grows like c^2 tau'.
+    Each argument holds one value per sample, or one sample's value.  The
+    target is v^2/2 tau' + v . R(theta) u'; zeta = c a^0 evaluated on the
+    product grows like c^2 tau'.
     """
-    ru = rotate(theta, u_p)
-    target = float((v[0] ** 2 + v[1] ** 2) / 2 * tau_p + v[0] * ru[0] + v[1] * ru[1])
+    v, theta, tau_p, u_p = _samples(v, 2), _samples(theta), _samples(tau_p), _samples(u_p, 2)
+    ru = rotate(theta, (u_p[..., 0], u_p[..., 1]))
+    v0, v1 = v[..., 0], v[..., 1]
+    # np.float_power is libm pow, as a Python float's ** 2 is; an array's ** 2 is not
+    target = (np.float_power(v0, 2) + np.float_power(v1, 2)) / 2 * tau_p + v0 * ru[0] + v1 * ru[1]
 
-    @functools.cache  # error and zeta_magnitude share each c's pair
-    def _pair(c):
+    def evaluate(c):
         g = poincare_from_galilei(0.0, (0.0, 0.0), v, theta, c)
         h = poincare_from_galilei(tau_p, u_p, (0.0, 0.0), 0.0, c)
-        return g, h
+        errors = np.abs(mass_cocycle_exponent(g, h).astype(np.float64) - target)
+        return errors, np.abs((c * poincare_product(g, h).a[..., 0]).astype(np.float64))
 
-    def error(c):
-        g, h = _pair(c)
-        return abs(float(mass_cocycle_exponent(g, h)) - target)
-
-    def zeta_magnitude(c):
-        g, h = _pair(c)
-        prod = poincare_product(g, h)
-        return abs(float(LD(c) * prod.a[0]))
-
-    return LimitExperiment("mass", target, error, zeta_magnitude)
+    return LimitExperiment("mass", tuple(target[:, 0].tolist()), evaluate)
 
 
 def diagram_experiment(data_g, data_h) -> LimitExperiment:
     """Mismatch between contracting a product and composing contractions.
 
-    data_g and data_h are (tau, u, v, theta) tuples.  The error is the
-    largest component distance (angles modulo 2*pi) between
-    contract(g h) and the Galilei product of the contractions; there is
-    no trivializing function in play, so zeta_magnitude is 0.
+    data_g and data_h are (tau, u, v, theta) tuples, each entry holding
+    one value per sample or one sample's value.  The error is the largest
+    component distance (angles modulo 2*pi) between contract(g h) and
+    the Galilei product of the contractions; there is no trivializing
+    function in play, so zeta_magnitude is 0.
     """
+    data_g, data_h = (
+        (_samples(tau), _samples(u, 2), _samples(v, 2), _samples(theta))
+        for tau, u, v, theta in (data_g, data_h)
+    )
 
-    def error(c):
+    def evaluate(c):
         g = poincare_from_galilei(*data_g, c)
         h = poincare_from_galilei(*data_h, c)
         left = contract_element(poincare_product(g, h))
         right = galilei_product(contract_element(g), contract_element(h))
-        return element_distance(left, right, GroupKind.EXTENDED)
+        return element_distance(left, right, GroupKind.EXTENDED), np.zeros(c.shape)
 
-    return LimitExperiment("diagram", 0.0, error, lambda c: 0.0)
+    return LimitExperiment("diagram", (0.0,) * len(data_g[0]), evaluate)
 
 
 EXPERIMENT_NAMES = ("thomas", "mass", "diagram")
 
 
-def sample_experiments(name: str, rng, samples: int, c_min: float) -> list[LimitExperiment]:
-    """Seeded random scenarios for one experiment family.
+def sample_experiments(name: str, rng, samples: int, c_min: float) -> LimitExperiment:
+    """Seeded random scenarios for one experiment family, as one experiment.
 
-    Speeds are drawn from [0.4, 0.8] * c_min: they must stay below every
-    grid point, and staying under 0.8 c_min keeps the smallest-c point
-    close enough to the asymptotic regime for a clean slope fit.
+    The draws are made sample by sample, in the order of the family's
+    factory arguments.  Speeds are drawn from [0.4, 0.8] * c_min: they
+    must stay below every grid point, and staying under 0.8 c_min keeps
+    the smallest-c point close enough to the asymptotic regime for a
+    clean slope fit.
     """
 
     def rand_vel():
@@ -350,19 +401,19 @@ def sample_experiments(name: str, rng, samples: int, c_min: float) -> list[Limit
         rand_vel(),
         rng.uniform(-1.5, 1.5),
     )
-    factories = {
-        "thomas": lambda: thomas_experiment(rand_vel(), rand_vel(), rng.uniform(0.2, 3.0)),
-        "mass": lambda: mass_experiment(
-            rand_vel(),
-            rng.uniform(-3.0, 3.0),
-            rng.uniform(0.5, 2.0),
-            (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)),
-        ),
-        "diagram": lambda: diagram_experiment(data(), data()),
+    families = {  # factory taking per-sample columns, and one sample's draw
+        "thomas": (thomas_experiment, lambda: (rand_vel(), rand_vel(), rng.uniform(0.2, 3.0))),
+        "mass": (mass_experiment, lambda: (
+            rand_vel(), rng.uniform(-3.0, 3.0), rng.uniform(0.5, 2.0),
+            (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))),
+        "diagram": (lambda *c: diagram_experiment(c[:4], c[4:]), lambda: (*data(), *data())),
     }
-    if name not in factories:
+    if name not in families:
         raise ValueError(f"unknown experiment {name!r}")
-    return [factories[name]() for _ in range(samples)]
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    factory, draw = families[name]
+    return factory(*zip(*(draw() for _ in range(samples))))
 
 
 def report_csv_rows(report: ConvergenceReport) -> list[tuple[float, float, float]]:

@@ -14,8 +14,9 @@ pair X Y with Y X + [X, Y]; every rewrite either removes an inversion at
 fixed degree or lowers the degree, so the process terminates.  The
 leftmost out-of-order pair is rewritten first; confluence is certified
 by the associativity tests rather than assumed.  Each top-level call
-(`no_mul`, `centralizer_basis`) builds its own memoized normal orderer
-and drops it on return; nothing is kept between calls.
+(`no_mul`, `no_commutators`, `is_central`, `substitute_generators`,
+`centralizer_basis`) builds one memoized normal orderer for all of its
+products and drops it on return; nothing is kept between calls.
 
 All linear algebra here (the bounded-degree centralizer search) is exact
 integer/rational arithmetic; no floating point enters this module.
@@ -200,9 +201,7 @@ def _normal_orderer(alg: LieAlgebra):
     return normal_form
 
 
-def no_mul(alg: LieAlgebra, p: NOPoly, q: NOPoly) -> NOPoly:
-    """Product of p and q in the enveloping algebra, in normal order."""
-    normal_form = _normal_orderer(alg)
+def _product(normal_form, p: NOPoly, q: NOPoly) -> NOPoly:
     out: dict[Exponents, Fraction] = {}
     for m1, c1 in p.terms.items():
         w1 = _mono_to_word(m1)
@@ -213,15 +212,26 @@ def no_mul(alg: LieAlgebra, p: NOPoly, q: NOPoly) -> NOPoly:
     return NOPoly(out)
 
 
+def no_mul(alg: LieAlgebra, p: NOPoly, q: NOPoly) -> NOPoly:
+    """Product of p and q in the enveloping algebra, in normal order."""
+    return _product(_normal_orderer(alg), p, q)
+
+
+def no_commutators(alg: LieAlgebra, pairs: Iterable[tuple[NOPoly, NOPoly]]) -> list[NOPoly]:
+    """[p, q] for each pair (p, q), all normal-ordered by one orderer."""
+    normal_form = _normal_orderer(alg)
+    out = [_product(normal_form, p, q) - _product(normal_form, q, p) for p, q in pairs]
+    normal_form.cache_clear()  # see centralizer_basis
+    return out
+
+
 def no_commutator(alg: LieAlgebra, p: NOPoly, q: NOPoly) -> NOPoly:
-    return no_mul(alg, p, q) - no_mul(alg, q, p)
+    return no_commutators(alg, [(p, q)])[0]
 
 
 def is_central(alg: LieAlgebra, p: NOPoly) -> bool:
     """True iff p commutes with every generator N1, N2, P1, P2, H, M."""
-    return all(
-        not no_commutator(alg, p, NOPoly.generator(name)) for name in GEN_NAMES
-    )
+    return not any(no_commutators(alg, [(p, NOPoly.generator(name)) for name in GEN_NAMES]))
 
 
 def substitute_generators(
@@ -232,13 +242,15 @@ def substitute_generators(
     Generators absent from `images` map to themselves.  Used to transport
     polynomials along an algebra isomorphism given on the generators.
     """
+    normal_form = _normal_orderer(alg)
     table = [images.get(name, NOPoly.generator(name)) for name in GEN_NAMES]
     out = NOPoly.zero()
     for mono, co in p.terms.items():
         acc = NOPoly.scalar(co)
         for g in _mono_to_word(mono):
-            acc = no_mul(alg, acc, table[g])
+            acc = _product(normal_form, acc, table[g])
         out = out + acc
+    normal_form.cache_clear()  # see centralizer_basis
     return out
 
 

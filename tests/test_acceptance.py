@@ -152,8 +152,10 @@ GRID = contraction.DEFAULT_C_GRID
 def test_criterion_07_wigner_angle_limit():
     with criterion(7, "Wigner angle: slope -2 and limit agreement, 20 draws", 5.0):
         rng = random.Random(2030)
-        for exp in contraction.sample_experiments("thomas", rng, 20, min(GRID)):
-            rep = contraction.convergence_study(exp, GRID)
+        family = contraction.sample_experiments("thomas", rng, 20, min(GRID))
+        reports = contraction.convergence_study(family, GRID)
+        assert len(reports) == 20
+        for rep in reports:
             assert abs(rep.fitted_slope - (-2.0)) <= 0.1
             assert rep.errors[-1] <= 1e-3 * abs(rep.target)
 
@@ -161,8 +163,10 @@ def test_criterion_07_wigner_angle_limit():
 def test_criterion_08_mass_cocycle_limit():
     with criterion(8, "mass coboundary: slope -2, zeta diverges like c^2", 5.0):
         rng = random.Random(2031)
-        for exp in contraction.sample_experiments("mass", rng, 20, min(GRID)):
-            rep = contraction.convergence_study(exp, GRID)
+        family = contraction.sample_experiments("mass", rng, 20, min(GRID))
+        reports = contraction.convergence_study(family, GRID)
+        assert len(reports) == 20
+        for rep in reports:
             assert abs(rep.fitted_slope - (-2.0)) <= 0.1
             assert abs(contraction.growth_slope(rep) - 2.0) <= 0.1
 
@@ -170,8 +174,10 @@ def test_criterion_08_mass_cocycle_limit():
 def test_criterion_09_contraction_diagram():
     with criterion(9, "contract/compose diagram closes at rate 1/c^2", 10.0):
         rng = random.Random(2032)
-        for exp in contraction.sample_experiments("diagram", rng, 20, min(GRID)):
-            rep = contraction.convergence_study(exp, GRID)
+        family = contraction.sample_experiments("diagram", rng, 20, min(GRID))
+        reports = contraction.convergence_study(family, GRID)
+        assert len(reports) == 20
+        for rep in reports:
             assert abs(rep.fitted_slope - (-2.0)) <= 0.1
 
 

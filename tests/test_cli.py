@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,26 @@ def test_non_finite_c_grid_is_config_error(capfd, grid):
     assert main(["contract", "--experiment", "mass", "--c-grid", grid]) == 2
     err = capfd.readouterr().err
     assert "not finite" in err and "DLASCL" not in err
+
+
+@pytest.mark.parametrize("grid", ["-1000,-999,-998", "0,1e3,1e4", "0:1e6:logx10"])
+def test_non_positive_c_grid_is_one_line_config_error(capfd, grid):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["contract", "--experiment=thomas", f"--c-grid={grid}"]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "positive" in err and "SVD" not in err and "RuntimeWarning" not in err
+    assert not caught
+
+
+def test_casimir_builds_one_orderer_for_its_candidate_checks(capsys, monkeypatch):
+    built = []
+    orderer = enveloping._normal_orderer
+    monkeypatch.setattr(enveloping, "_normal_orderer", lambda alg: built.append(alg) or orderer(alg))
+    code, out = run(capsys, "casimir", "--k", "5", "--m", "2", "--l", "0", "--max-degree", "2")
+    assert code == 0 and "overall: PASS" in out
+    assert len(built) == 2  # the candidate checks, then the centralizer search
 
 
 def test_out_into_missing_directory_is_config_error(tmp_path, capsys):

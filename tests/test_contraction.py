@@ -9,6 +9,7 @@ from galilei21.cli import main
 from galilei21.contraction import (
     DEFAULT_C_GRID,
     ETA,
+    LD,
     BoostDecomposition,
     PoincareElement,
     boost_matrix,
@@ -37,6 +38,7 @@ from galilei21.group import (
     angle_distance,
     element_distance,
     galilei_product,
+    rotate,
 )
 
 
@@ -240,6 +242,9 @@ def test_convergence_study_guards():
         convergence_study(exp, [100.0])
     with pytest.raises(ValueError):
         convergence_study(exp, [100.0, 10.0, 1000.0])
+    for grid in ([-1000.0, -999.0, -998.0], [0.0, 1e3, 1e4], [math.nan, 1e3, 1e4]):
+        with pytest.raises(ValueError, match="c grid must be positive"):
+            convergence_study(exp, grid)
 
 
 def test_double_precision_longdouble_is_refused(monkeypatch, capsys):
@@ -254,8 +259,7 @@ def test_double_precision_longdouble_is_refused(monkeypatch, capsys):
 
 def test_thomas_study_slope_and_limit():
     rng = random.Random(5)
-    for exp in sample_experiments("thomas", rng, 5, min(DEFAULT_C_GRID)):
-        rep = convergence_study(exp, DEFAULT_C_GRID)
+    for rep in convergence_study(sample_experiments("thomas", rng, 5, min(DEFAULT_C_GRID)), DEFAULT_C_GRID):
         assert rep.fitted_slope == pytest.approx(-2.0, abs=0.1)
         # at the top of the grid the limit value is reached to 1e-3 relative
         assert rep.errors[-1] < 1e-3 * abs(rep.target)
@@ -264,30 +268,29 @@ def test_thomas_study_slope_and_limit():
 
 def test_mass_study_slope_and_zeta_growth():
     rng = random.Random(6)
-    for exp in sample_experiments("mass", rng, 5, min(DEFAULT_C_GRID)):
-        rep = convergence_study(exp, DEFAULT_C_GRID)
+    for rep in convergence_study(sample_experiments("mass", rng, 5, min(DEFAULT_C_GRID)), DEFAULT_C_GRID):
         assert rep.fitted_slope == pytest.approx(-2.0, abs=0.1)
         assert growth_slope(rep) == pytest.approx(2.0, abs=0.1)
 
 
 def test_diagram_study_slope():
     rng = random.Random(7)
-    for exp in sample_experiments("diagram", rng, 5, min(DEFAULT_C_GRID)):
-        rep = convergence_study(exp, DEFAULT_C_GRID)
+    for rep in convergence_study(sample_experiments("diagram", rng, 5, min(DEFAULT_C_GRID)), DEFAULT_C_GRID):
         assert rep.fitted_slope == pytest.approx(-2.0, abs=0.1)
 
 
 def test_thomas_zeta_tracks_rotation_angle():
     exp = thomas_experiment((30.0, 0.0), (0.0, 40.0), 1.3)
     # zeta = c^2 theta(Lambda) diverges quadratically for theta != 0
-    z2, z3 = exp.zeta_magnitude(1e2), exp.zeta_magnitude(1e3)
+    _, zetas = exp.evaluate(np.array([[1e2, 1e3]], dtype=np.longdouble))
+    z2, z3 = zetas[0]
     assert z3 / z2 == pytest.approx(100.0, rel=1e-3)
     assert z2 == pytest.approx(1.3 * 1e4, rel=1e-2)
 
 
 def test_report_csv_rows_shape():
     exp = mass_experiment((10.0, 0.0), 0.0, 1.0, (0.0, 0.0))
-    rep = convergence_study(exp, (100.0, 1000.0, 10000.0))
+    (rep,) = convergence_study(exp, (100.0, 1000.0, 10000.0))
     rows = report_csv_rows(rep)
     assert len(rows) == 3
     assert rows[0][0] == 100.0
@@ -322,3 +325,185 @@ def test_limit_reproduces_group_cocycle_k_term():
             GroupElement(v=vp),
         )
         assert float(limit) == pytest.approx(-xi, rel=1e-6, abs=1e-8)
+
+
+# --- one layer over single elements and stacks ----------------------------------
+
+
+def _digits(x):
+    return np.format_float_scientific(np.longdouble(x), unique=True)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="values pinned in x87 extended precision")
+def test_single_element_calls_keep_their_values():
+    assert [_digits(x) for x in boost_matrix((3.0, 0.0), 5.0).ravel()] == [
+        "1.25e+00", "7.5e-01", "0.e+00", "7.5e-01", "1.25e+00", "0.e+00", "0.e+00", "0.e+00", "1.e+00"]
+    assert [_digits(x) for x in boost_matrix((0.3, -0.4), 1.0)[1:, 1:].ravel()] == [
+        "1.0556921938165305469e+00", "-7.4256258422040736107e-02",
+        "-7.4256258422040736107e-02", "1.0990083445627209907e+00"]
+    assert _digits(rotation_matrix(0.8)[1, 2]) == "7.173560908995227926e-01"
+    v, delta = compose_boosts((0.5, 0.0), (0.0, 0.5), 1.0)
+    assert [_digits(v[1]), _digits(delta)] == ["4.3301270189221932337e-01", "1.433475689053653576e-01"]
+    g = poincare_from_galilei(0.7, (1.5, -0.25), (30.0, 40.0), 0.9, 100.0)
+    h = poincare_from_galilei(1.25, (-2.0, 0.5), (-20.0, 10.0), -0.4, 100.0)
+    assert _digits(mass_cocycle_exponent(g, h)) == "1.9909740555456942737e+03"
+    p = poincare_product(g, h)
+    assert [_digits(x) for x in p.a] == [
+        "2.149097405554569383e+02", "4.404170172494953493e+01", "5.9485136412293128497e+01"]
+    dec = decompose(p)
+    assert [_digits(dec.v[0]), _digits(dec.theta)] == ["2.5334607749584313944e+01", "5.4471402543523890125e-01"]
+    assert isinstance(dec.theta, np.longdouble) and isinstance(dec.v[0], np.longdouble)
+    assert contract_element(p) == GroupElement(
+        phase=0.0, tau=2.1490974055545693, u=(44.04170172494953, 59.48513641229313),
+        v=(25.334607749584315, 56.37475009941609), theta=0.544714025435239)
+    assert _digits(rotation_cocycle_exponent(g.lam, h.lam, 100.0)) == "4.471402543523890128e+02"
+    assert lorentz_defect(p.lam) == 2.168404344971009e-19 and p.c == 100.0
+
+
+def _random_stack(rng, n, c):
+    """n Galilei data tuples (tau, u, v, theta) with |v| < c, as per-entry arrays."""
+    rows = [(rng.uniform(0.5, 2), (rng.uniform(-2, 2), rng.uniform(-2, 2)),
+             rand_vel(rng, hi=0.9, c=c), rng.uniform(-3, 3)) for _ in range(n)]
+    return [np.array(col) for col in zip(*rows)], rows
+
+
+def test_stacks_match_single_calls_entry_by_entry():
+    rng = random.Random(11)
+    c = np.array([3.0, 10.0, 50.0, 1e3, 1e5, 7.0])
+    (tau, u, v, theta), rows = _random_stack(rng, len(c), 3.0)
+    (tau2, u2, v2, theta2), rows2 = _random_stack(rng, len(c), 3.0)
+    g, h = poincare_from_galilei(tau, u, v, theta, c), poincare_from_galilei(tau2, u2, v2, theta2, c)
+    assert not (g.lam.flags.writeable or g.a.flags.writeable or g.c.flags.writeable)
+    stacked = {
+        "boost": boost_matrix(v, c),
+        "rotation": rotation_matrix(theta),
+        "product": poincare_product(g, h).lam,
+        "wigner": compose_boosts(v, v2, c)[1],
+        "mass": mass_cocycle_exponent(g, h),
+        "rotation_cocycle": rotation_cocycle_exponent(g.lam, h.lam, c),
+        "lorentz": lorentz_defect(g.lam),
+        "target": thomas_target(v, v2),
+    }
+    dec, con = decompose(g), contract_element(poincare_product(g, h))
+    for i, (ci, row, row2) in enumerate(zip(c, rows, rows2)):
+        gi, hi = poincare_from_galilei(*row, ci), poincare_from_galilei(*row2, ci)
+        single = {
+            "boost": boost_matrix(row[2], ci),
+            "rotation": rotation_matrix(row[3]),
+            "product": poincare_product(gi, hi).lam,
+            "wigner": compose_boosts(row[2], row2[2], ci)[1],
+            "mass": mass_cocycle_exponent(gi, hi),
+            "rotation_cocycle": rotation_cocycle_exponent(gi.lam, hi.lam, ci),
+            "lorentz": lorentz_defect(gi.lam),
+            "target": thomas_target(row[2], row2[2]),
+        }
+        for key, value in single.items():
+            assert np.array_equal(stacked[key][i], value), key
+        assert np.array_equal(g.a[i], gi.a) and g.c[i] == gi.c
+        di = decompose(gi)
+        assert (dec.v[0][i], dec.v[1][i], dec.theta[i]) == (di.v[0], di.v[1], di.theta)
+        ei = contract_element(poincare_product(gi, hi))
+        assert (con.tau[i], con.u[0][i], con.u[1][i], con.v[0][i], con.v[1][i], con.theta[i]) == (
+            ei.tau, *ei.u, *ei.v, ei.theta)
+
+
+def _valid_stack():
+    (tau, u, v, theta), _ = _random_stack(random.Random(12), 5, 10.0)
+    lam = boost_matrix(v, 10.0) @ rotation_matrix(theta)
+    return lam, np.zeros((5, 3)), np.full(5, 10.0), v
+
+
+def test_stack_with_one_nan_matrix_fails_closed():
+    lam, a, c, _ = _valid_stack()
+    PoincareElement(lam, a, c)  # valid as it stands
+    lam[3, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="not a Lorentz transformation"):
+        PoincareElement(lam, a, c)
+    lam[3] = np.diag([-1.0, -1.0, 1.0])
+    with pytest.raises(ValueError, match="not orthochronous"):
+        PoincareElement(lam, a, c)
+
+
+def test_stack_with_one_nan_c_fails_closed():
+    lam, a, c, v = _valid_stack()
+    c[1] = np.nan
+    with pytest.raises(ValueError, match="c must be positive"):
+        PoincareElement(lam, a, c)
+    with pytest.raises(ValueError, match="c must be positive"):
+        poincare_from_galilei(1.0, (0.0, 0.0), v, 0.3, c)
+    with pytest.raises(ValueError, match="c must be positive"):
+        boost_matrix(np.zeros((5, 2)), c)  # v = 0 rows are no exception
+
+
+def test_stack_with_one_superluminal_or_nan_velocity_fails_closed():
+    _, _, c, v = _valid_stack()
+    for bad in ((10.0, 0.0), (6.0, -8.0), (30.0, 1.0), (math.nan, 0.0)):
+        w = v.copy()
+        w[2] = bad
+        with pytest.raises(ValueError, match="smaller than c"):
+            boost_matrix(w, c)
+        with pytest.raises(ValueError, match="smaller than c"):
+            poincare_from_galilei(1.0, (0.0, 0.0), w, 0.3, c)
+
+
+# The draws and per-point formulas of one scalar experiment per sample: each
+# sample's factory arguments in draw order, and its (error, zeta) at one c.
+def _draw(name, rng, c_min):
+    def rand_vel():
+        speed = rng.uniform(0.4, 0.8) * c_min
+        ang = rng.uniform(0.0, 2 * math.pi)
+        return (speed * math.cos(ang), speed * math.sin(ang))
+
+    def data():
+        tau = rng.uniform(0.5, 2.0)
+        u = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        return (tau, u, rand_vel(), rng.uniform(-1.5, 1.5))
+
+    if name == "thomas":
+        return (rand_vel(), rand_vel(), rng.uniform(0.2, 3.0))
+    if name == "mass":
+        v, theta, tau_p = rand_vel(), rng.uniform(-3.0, 3.0), rng.uniform(0.5, 2.0)
+        return (v, theta, tau_p, (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+    return (*data(), *data())
+
+
+def _scalar_point(name, args, c):
+    if name == "thomas":
+        v, vp, theta = args
+        w = rotate(theta, vp)
+        _, delta = compose_boosts(v, w, c)
+        _, th = contraction._decompose_lorentz(boost_matrix(v, c) @ rotation_matrix(theta), c)
+        return abs(float(LD(c) * LD(c) * delta) - thomas_target(v, w)), abs(float(LD(c) * LD(c) * th))
+    if name == "mass":
+        v, theta, tau_p, u_p = args
+        ru = rotate(theta, u_p)
+        target = float((v[0] ** 2 + v[1] ** 2) / 2 * tau_p + v[0] * ru[0] + v[1] * ru[1])
+        g = poincare_from_galilei(0.0, (0.0, 0.0), v, theta, c)
+        h = poincare_from_galilei(tau_p, u_p, (0.0, 0.0), 0.0, c)
+        zeta = abs(float(LD(c) * poincare_product(g, h).a[0]))
+        return abs(float(mass_cocycle_exponent(g, h)) - target), zeta
+    g, h = poincare_from_galilei(*args[:4], c), poincare_from_galilei(*args[4:], c)
+    left = contract_element(poincare_product(g, h))
+    right = galilei_product(contract_element(g), contract_element(h))
+    return element_distance(left, right, GroupKind.EXTENDED), 0.0
+
+
+FINE_GRID = tuple(1e2 * 2.0 ** k for k in range(14))  # --c-grid 1e2:1e6:logx2
+
+
+@pytest.mark.parametrize("name", ["thomas", "mass", "diagram"])
+@pytest.mark.parametrize("grid", [DEFAULT_C_GRID, FINE_GRID], ids=["default", "logx2"])
+def test_family_matches_scalar_points_bit_for_bit(name, grid):
+    seed, samples = 40 + len(grid), 6
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    reports = convergence_study(sample_experiments(name, rng, samples, min(grid)), grid)
+    draws = [_draw(name, oracle_rng, min(grid)) for _ in range(samples)]
+    assert rng.getstate() == oracle_rng.getstate()
+    assert len(reports) == samples
+    for rep, args in zip(reports, draws):
+        points = [_scalar_point(name, args, c) for c in grid]
+        assert [x.hex() for x in rep.errors] == [float(e).hex() for e, _ in points]
+        assert [x.hex() for x in rep.zeta_magnitudes] == [float(z).hex() for _, z in points]
+        errors = [float(e) for e, _ in points]
+        slope = float(np.polyfit(np.log10(grid), np.log10(np.maximum(errors, 1e-300)), 1)[0])
+        assert rep.fitted_slope.hex() == slope.hex() and rep.c_grid == grid

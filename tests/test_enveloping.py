@@ -29,6 +29,7 @@ from galilei21.enveloping import (
     momentum_squared,
     monomials_up_to,
     no_commutator,
+    no_commutators,
     no_mul,
     poly_from_json,
     poly_to_json,
@@ -351,6 +352,21 @@ def test_enveloping_keeps_no_algebra_alive():
     alg = make_galilei_algebra(ExtensionParams(F(11, 7), F(-5, 3), F(13, 4)))
     centralizer_basis(alg, 2)
     no_mul(alg, no_mul(alg, P1, N1), H)
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
+
+
+def test_shared_orderer_gives_the_per_product_commutators():
+    rng = random.Random(9)
+    pairs = [(rand_poly(rng), rand_poly(rng)) for _ in range(12)]
+    assert no_commutators(ALG, pairs) == [no_mul(ALG, p, q) - no_mul(ALG, q, p) for p, q in pairs]
+    # charges used by no other test, as in test_enveloping_keeps_no_algebra_alive
+    alg = make_galilei_algebra(ExtensionParams(F(-9, 5), F(7, 6), F(2, 9)))
+    no_commutators(alg, pairs)
+    is_central(alg, internal_energy(ExtensionParams(F(-9, 5), F(7, 6), F(2, 9))))
+    substitute_generators(alg, pairs[0][0], {"N1": pairs[0][1]})
     ref = weakref.ref(alg)
     del alg
     gc.collect()
