@@ -16,9 +16,11 @@ brackets are
 for three rational charges (k, m, l).  All arithmetic is exact: scalars
 are `fractions.Fraction` and structure constants are stored as a dense
 rank-3 tuple tensor c[i][j][n] with [X_i, X_j] = sum_n c[i][j][n] X_n.
+With `Poly` charges they are polynomials in (k, m, l), so one evaluation
+proves the Jacobi identity for every charge set at once.
 
-Every value in this module is immutable after construction and can be
-shared freely between threads.
+Every value in this module is immutable after construction (a `Poly` is
+never changed once built) and can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 GALILEI_LABELS = ("E", "H", "P1", "P2", "N1", "N2", "M")
@@ -40,6 +44,45 @@ def _as_rational(x) -> Fraction:
     if isinstance(x, int) or isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+class Poly(dict):
+    """A polynomial over Fraction in commuting symbols: it maps each monomial,
+    the sorted tuple of its symbols (repeated for a power), to a nonzero
+    coefficient, so zero is the empty, falsy Poly.  Floats raise TypeError."""
+
+    def __init__(self, terms):
+        """From {monomial: coefficient}, or from a number as a constant."""
+        terms = terms if isinstance(terms, dict) else {(): _as_rational(terms)}
+        super().__init__((mono, c) for mono, c in terms.items() if c)
+
+    @staticmethod
+    def symbol(name: str) -> "Poly":
+        return Poly({(name,): _ONE})
+
+    def __add__(self, other) -> "Poly":
+        terms = dict(self)
+        for mono, c in Poly(other).items():
+            terms[mono] = terms.get(mono, _ZERO) + c
+        return Poly(terms)
+
+    def __mul__(self, other) -> "Poly":
+        terms: dict = {}
+        for (ma, a), (mb, b) in product(self.items(), Poly(other).items()):
+            mono = tuple(sorted(ma + mb))
+            terms[mono] = terms.get(mono, _ZERO) + a * b
+        return Poly(terms)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self) -> "Poly":
+        return self * -1
+
+    def __sub__(self, other) -> "Poly":
+        return self + -Poly(other)
+
+    def __rsub__(self, other) -> "Poly":
+        return -self + other
 
 
 @dataclass(frozen=True)
@@ -142,7 +185,7 @@ def element(alg: LieAlgebra, terms: Mapping[str, object]) -> AlgebraElement:
 
 
 def make_galilei_algebra(params: ExtensionParams) -> LieAlgebra:
-    """The extended planar Galilei algebra g_(k,m,l) on the fixed basis."""
+    """The extended planar Galilei algebra g_(k,m,l); the charges may be `Poly`s."""
     idx = {lbl: i for i, lbl in enumerate(GALILEI_LABELS)}
     c = _zero_tensor(len(GALILEI_LABELS))
 
@@ -210,24 +253,29 @@ def antisymmetry_defect(alg: LieAlgebra) -> Fraction:
     return worst
 
 
+def jacobi_entries(alg: LieAlgebra):
+    """The entries sum_m (c_ijm c_mkn + c_jkm c_min + c_kim c_mjn) of the
+    Jacobi tensor that some pair of brackets reaches (all others are zero)."""
+    rows = _nonzero_rows(alg)
+    for i, j, k in product(range(alg.dim), repeat=3):
+        acc: dict[int, Fraction] = {}
+        for (a, b, c3) in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cv in rows[a][b]:
+                for n, cw in rows[m][c3]:
+                    acc[n] = acc.get(n, _ZERO) + cv * cw
+        yield from acc.values()
+
+
 def jacobi_defect(alg: LieAlgebra) -> Fraction:
     """max over (i,j,k,n) of |sum_m (c_ijm c_mkn + c_jkm c_min + c_kim c_mjn)|."""
-    rows = _nonzero_rows(alg)
-    dim = alg.dim
-    worst = _ZERO
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                acc: dict[int, Fraction] = {}
-                for (a, b, c3) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, cv in rows[a][b]:
-                        for n, cw in rows[m][c3]:
-                            acc[n] = acc.get(n, _ZERO) + cv * cw
-                for val in acc.values():
-                    d = abs(val)
-                    if d > worst:
-                        worst = d
-    return worst
+    return max(map(abs, jacobi_entries(alg)), default=_ZERO)
+
+
+def jacobi_certified() -> bool:
+    """True when g_(k,m,l)'s Jacobi tensor is zero as a polynomial in the charges,
+    which proves jacobi_defect(make_galilei_algebra(p)) == 0 for every p."""
+    charges = SimpleNamespace(k=Poly.symbol("k"), m=Poly.symbol("m"), l=Poly.symbol("l"))
+    return not any(jacobi_entries(make_galilei_algebra(charges)))
 
 
 def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> tuple:
@@ -285,15 +333,6 @@ def apply_basis_change(alg: LieAlgebra, t: BasisChange) -> LieAlgebra:
                         if w:
                             dest[kk] += v * w
     return LieAlgebra(alg.labels, _freeze_tensor(out))
-
-
-def identity_change(dim: int) -> BasisChange:
-    return BasisChange(
-        tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(dim))
-            for i in range(dim)
-        )
-    )
 
 
 def eliminate_k_change(params: ExtensionParams) -> BasisChange:
@@ -406,32 +445,6 @@ def algebra_from_json(data) -> tuple[LieAlgebra, ExtensionParams, Fraction]:
                 tensor[pair[0]][pair[1]] = [sgn * v for v in row]
     alg = LieAlgebra(labels, _freeze_tensor(tensor))
     return alg, params, jacobi_defect(alg)
-
-
-def algebra_to_json(alg: LieAlgebra, params: ExtensionParams) -> dict:
-    """Serialize to the definition-file layout (numeric coefficients)."""
-    brackets = []
-    dim = alg.dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            result = {
-                alg.labels[n]: str(cn)
-                for n, cn in enumerate(alg.tensor[i][j])
-                if cn
-            }
-            if result:
-                brackets.append(
-                    {"left": alg.labels[i], "right": alg.labels[j], "result": result}
-                )
-    return {
-        "basis": list(alg.labels),
-        "brackets": brackets,
-        "params": {
-            "k": str(params.k),
-            "m": str(params.m),
-            "l": str(params.l),
-        },
-    }
 
 
 def random_rational(rng, max_num: int = 6, max_den: int = 4, nonzero: bool = False) -> Fraction:

@@ -12,9 +12,11 @@ or an explicit comma list.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -96,29 +98,21 @@ def cmd_verify_algebra(opts) -> tuple:
         ExtensionParams(params.k, params.m, 0),
     ]
     charges = boundary + [algebra.random_params(rng) for _ in range(opts.samples)]
-    worst = worst_defect(
+    worst = Fraction(0) if algebra.jacobi_certified() else worst_defect(  # certified: zero at every p
         (algebra.jacobi_defect(algebra.make_galilei_algebra(p)) for p in charges), Fraction(0)
     )
     checks.append(_check("jacobi_random_charges", worst, worst == 0))
 
+    removes_k = lambda p: algebra.algebras_equal(
+        algebra.apply_basis_change(algebra.make_galilei_algebra(p), algebra.eliminate_k_change(p)),
+        algebra.make_galilei_algebra(ExtensionParams(0, p.m, p.l)))
     if params.m == 0:
         checks.append(_skip("k_removal", "m=0: hypothesis violated; skipped"))
     else:
-        moved = algebra.apply_basis_change(alg, algebra.eliminate_k_change(params))
-        target = algebra.make_galilei_algebra(ExtensionParams(0, params.m, params.l))
-        ok = algebra.algebras_equal(moved, target)
+        ok = removes_k(params)
         checks.append(_check("k_removal", Fraction(0 if ok else 1), ok))
-
-    bad = 0
-    for _ in range(min(opts.samples, 50)):
-        p = algebra.random_params(rng, nonzero_m=True)
-        moved = algebra.apply_basis_change(
-            algebra.make_galilei_algebra(p), algebra.eliminate_k_change(p)
-        )
-        if not algebra.algebras_equal(
-            moved, algebra.make_galilei_algebra(ExtensionParams(0, p.m, p.l))
-        ):
-            bad += 1
+    draws = (algebra.random_params(rng, nonzero_m=True) for _ in range(min(opts.samples, 50)))
+    bad = sum(not removes_k(p) for p in draws)
     checks.append(_check("k_removal_random_charges", Fraction(bad), bad == 0))
     return checks, None
 
@@ -197,14 +191,15 @@ def _zeta(g):
 
 
 def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
-    """The group suite: (name, skip note, samples, elements per sample, defect, bound).
+    """The group suite: (name, skip note, samples, elements per sample, defect, bound, sides).
 
-    A bound of None asks for an exactly zero defect on Fraction elements.
-    The other rows' defects take elements whose components are floats, or
-    numpy arrays with one entry per sample, and return a float or an array.
+    A bound of None asks for an exactly zero defect on Fraction elements, and
+    gives the `sides` that defect compares.  The other rows' defects take
+    float elements, or numpy arrays of samples, and return a float or an array.
     """
     cov, ext = group.GroupKind.COVERING, group.GroupKind.EXTENDED
     assoc = lambda kind: lambda g, h, f: group.associativity_defect(kind, params, g, h, f)
+    assoc_sides = lambda g, h, f: group.associativity_sides(cov, params, g, h, f)
 
     def round_trip(g):
         gi = group.inverse(cov, params, g)
@@ -214,6 +209,7 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
     p_k, p_0 = ExtensionParams(params.k, params.m, 0), ExtensionParams(0, params.m, 0)
     phi = lambda g: group.eliminate_k_map(p_k, g)
     hom = lambda g, h: group.homomorphism_defect(ext, p_k, p_0, phi, g, h)
+    hom_sides = lambda g, h: group.homomorphism_sides(ext, p_k, p_0, phi, g, h)
 
     shifted = group.apply_coboundary(lambda g, h: group.cocycle_exponent(cov, params, g, h), _zeta)
     twist = lambda g, h: group.compose_with_exponent(g, h, shifted)
@@ -222,28 +218,38 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
     l_note = "l != 0 lives on the covering only" if params.l != 0 else None
     m_note = "m=0: hypothesis violated; skipped" if params.m == 0 else None
     rows = [
-        ("associativity_covering", None, n, 3, assoc(cov), tol),
-        ("associativity_extended", l_note, n, 3, assoc(ext), tol),
-        ("associativity_exact_mode", None, min(n, 200), 3, assoc(cov), None),
-        ("inverse_round_trip", None, min(n, 200), 1, round_trip, tol),
-        ("k_removal_homomorphism", m_note, n, 2, hom, tol),
+        ("associativity_covering", None, n, 3, assoc(cov), tol, None),
+        ("associativity_extended", l_note, n, 3, assoc(ext), tol, None),
+        ("associativity_exact_mode", None, min(n, 200), 3, assoc(cov), None, assoc_sides),
+        ("inverse_round_trip", None, min(n, 200), 1, round_trip, tol, None),
+        ("k_removal_homomorphism", m_note, n, 2, hom, tol, None),
     ]
     if params.m != 0:
-        rows.append(("k_removal_homomorphism_exact", None, min(n, 200), 2, hom, None))
-    rows.append(("coboundary_invariance", None, min(n, 300), 3, coboundary, 10 * tol))
+        rows.append(("k_removal_homomorphism_exact", None, min(n, 200), 2, hom, None, hom_sides))
+    rows.append(("coboundary_invariance", None, min(n, 300), 3, coboundary, 10 * tol, None))
     return rows
+
+
+def _exact_worst(rng, count: int, arity: int, defect, sides) -> Fraction:
+    """Worst defect of `count` exact samples: zero when `sides` is certified,
+    with the samples' draws still made, as later rows read on from `rng`."""
+    if group.identity_certified(sides, arity):
+        group.rational_draws(rng, count * arity)
+        return Fraction(0)
+    draw = lambda: (group.random_rational_element(rng) for _ in range(arity))
+    return worst_defect((Fraction(defect(*draw())) for _ in range(count)), Fraction(0))
 
 
 def cmd_group(opts) -> tuple:
     rng = random.Random(opts.seed)
     params = ExtensionParams(opts.k, opts.m, opts.l)
     checks = []
-    for name, note, count, arity, defect, bound in _group_rows(params, opts.samples, opts.tolerance):
+    rows = _group_rows(params, opts.samples, opts.tolerance)
+    for name, note, count, arity, defect, bound, sides in rows:
         if note:
             checks.append(_skip(name, note))
-        elif bound is None:  # Fraction elements, one sample at a time
-            draw = lambda: (group.random_rational_element(rng) for _ in range(arity))
-            worst = worst_defect((Fraction(defect(*draw())) for _ in range(count)), Fraction(0))
+        elif bound is None:  # Fraction elements: certified once, else sampled
+            worst = _exact_worst(rng, count, arity, defect, sides)
             checks.append(_check(name, worst, worst == 0))
         else:  # float elements, every sample in one call on numpy arrays
             with np.errstate(all="ignore"):  # a NaN or inf fails the row, silently as floats do
@@ -322,13 +328,21 @@ def _config_dict(opts) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line in one line, as every configuration error is."""
+    """Reports a bad command line in one line, as every configuration error is,
+    and reads a token like ``-1/2`` as a value, as argparse reads ``-2``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.exit(2, f"configuration error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged);
+    each command is looked up when it runs, so a wrapper set on the module applies."""
     parser = _Parser(
         prog="galilei21",
         description="verification suites for the extended planar Galilei group",
@@ -348,18 +362,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-algebra", help="Jacobi, antisymmetry and charge-removal suites")
     common(p)
     p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(func=cmd_verify_algebra)
+    p.set_defaults(func=lambda opts: cmd_verify_algebra(opts))
 
     p = sub.add_parser("casimir", help="invariant table and bounded-degree centralizer")
     common(p)
     p.add_argument("--max-degree", type=int, default=2, dest="max_degree")
-    p.set_defaults(func=cmd_casimir)
+    p.set_defaults(func=lambda opts: cmd_casimir(opts))
 
     p = sub.add_parser("group", help="cocycle, inverse, coboundary and isomorphism suites")
     common(p)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--tolerance", type=float, default=1e-12)
-    p.set_defaults(func=cmd_group)
+    p.set_defaults(func=lambda opts: cmd_group(opts))
 
     p = sub.add_parser("contract", help="large-c limit experiments with slope fits")
     common(p, charges=False)
@@ -368,14 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--tolerance", type=float, default=0.1,
                    help="allowed deviation of the fitted slope from -2")
-    p.set_defaults(func=cmd_contract)
+    p.set_defaults(func=lambda opts: cmd_contract(opts))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        opts = parser.parse_args(argv)
+        opts = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if getattr(opts, "samples", 1) < 1:

@@ -25,7 +25,6 @@ integer/rational arithmetic; no floating point enters this module.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -119,10 +118,6 @@ class NOPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
 
     def coefficient(self, mono: Exponents) -> Fraction:
         return self.terms.get(tuple(mono), _ZERO)
@@ -442,25 +437,3 @@ def in_span(polys: Sequence[NOPoly], p: NOPoly) -> bool:
     # inconsistent iff some pivot sits in the augmented column
     return all(col != aug for col in pivots)
 
-
-# --- serialization -----------------------------------------------------------
-
-
-def poly_to_json(p: NOPoly) -> dict:
-    """{"a1,a2,b1,b2,c,d": "coeff"} with exact rational strings."""
-    return {
-        ",".join(map(str, mono)): str(co)
-        for mono, co in sorted(p.terms.items())
-    }
-
-
-def poly_from_json(data) -> NOPoly:
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    terms = {}
-    for key, cs in data.items():
-        mono = tuple(int(x) for x in key.split(","))
-        if len(mono) != NGEN or any(e < 0 for e in mono):
-            raise ValueError(f"bad exponent key {key!r}")
-        terms[mono] = Fraction(cs)
-    return NOPoly(terms)

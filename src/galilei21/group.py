@@ -30,15 +30,15 @@ components compose in exact rational arithmetic; with float components
 the usual double-precision trigonometry applies.  A component may also
 be a float64 numpy array with one entry per sample: the same functions
 then evaluate every sample at once, with the same floating-point
-operations as one scalar call per sample.  All values are immutable and
-all functions pure.
+operations as one scalar call per sample.  With theta = 0 the law is a
+polynomial, which `identity_certified` evaluates on `algebra.Poly` symbols.
+All values are immutable and all functions pure.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import ExtensionParams
+from .algebra import ExtensionParams, Poly
 
 TWO_PI = 2 * math.pi
 HALF = Fraction(1, 2)
@@ -224,17 +224,19 @@ def element_distance(a: GroupElement, b: GroupElement, kind: GroupKind = GroupKi
     )
 
 
+def associativity_sides(
+    kind: GroupKind, params: ExtensionParams, g: GroupElement, h: GroupElement, f: GroupElement
+) -> tuple:
+    """The two sides (gh)f and g(hf) of the 2-cocycle condition."""
+    return (compose(kind, params, compose(kind, params, g, h), f),
+            compose(kind, params, g, compose(kind, params, h, f)))
+
+
 def associativity_defect(
-    kind: GroupKind,
-    params: ExtensionParams,
-    g: GroupElement,
-    h: GroupElement,
-    f: GroupElement,
+    kind: GroupKind, params: ExtensionParams, g: GroupElement, h: GroupElement, f: GroupElement
 ):
     """Executable 2-cocycle condition: distance of (gh)f from g(hf)."""
-    left = compose(kind, params, compose(kind, params, g, h), f)
-    right = compose(kind, params, g, compose(kind, params, h, f))
-    return element_distance(left, right, kind)
+    return element_distance(*associativity_sides(kind, params, g, h, f), kind)
 
 
 def apply_coboundary(
@@ -278,43 +280,38 @@ def eliminate_k_map(params: ExtensionParams, g: GroupElement) -> GroupElement:
     )
 
 
+def homomorphism_sides(
+    kind: GroupKind, params_a: ExtensionParams, params_b: ExtensionParams,
+    mapping: Callable[[GroupElement], GroupElement], g: GroupElement, h: GroupElement,
+) -> tuple:
+    """The two sides compose_b(map g, map h) and map(compose_a(g, h))."""
+    return compose(kind, params_b, mapping(g), mapping(h)), mapping(compose(kind, params_a, g, h))
+
+
 def homomorphism_defect(
-    kind: GroupKind,
-    params_a: ExtensionParams,
-    params_b: ExtensionParams,
-    mapping: Callable[[GroupElement], GroupElement],
-    g: GroupElement,
-    h: GroupElement,
+    kind: GroupKind, params_a: ExtensionParams, params_b: ExtensionParams,
+    mapping: Callable[[GroupElement], GroupElement], g: GroupElement, h: GroupElement,
 ):
     """Distance of compose_b(map g, map h) from map(compose_a(g, h))."""
-    lhs = compose(kind, params_b, mapping(g), mapping(h))
-    rhs = mapping(compose(kind, params_a, g, h))
-    return element_distance(lhs, rhs, kind)
+    return element_distance(*homomorphism_sides(kind, params_a, params_b, mapping, g, h), kind)
 
 
-# --- serialization and sampling ----------------------------------------------
+def _exact_element(q) -> GroupElement:
+    """The exact-mode element (phase, tau, u1, u2, v1, v2) = q, theta = 0."""
+    return GroupElement(q[0], q[1], (q[2], q[3]), (q[4], q[5]), Fraction(0))
 
 
-def element_to_json(g: GroupElement) -> dict:
-    return {
-        "phase": float(g.phase),
-        "tau": float(g.tau),
-        "u": [float(g.u[0]), float(g.u[1])],
-        "v": [float(g.v[0]), float(g.v[1])],
-        "theta": float(g.theta),
-    }
+def identity_certified(sides: Callable[..., tuple], arity: int) -> bool:
+    """True when `sides` of `arity` elements with symbolic phase, tau, u and v
+    and theta = 0 agree as polynomials.  That proves the sides equal, and their
+    distance exactly zero, at every input `random_rational_element` can draw."""
+    symbols = lambda i: [Poly.symbol(f"{n}{i}") for n in ("phase", "tau", "u1", "u2", "v1", "v2")]
+    left, right = sides(*(_exact_element(symbols(i)) for i in range(arity)))
+    coordinates = lambda g: (g.phase, g.tau, *g.u, *g.v, g.theta)
+    return not any(a - b for a, b in zip(coordinates(left), coordinates(right)))
 
 
-def element_from_json(data) -> GroupElement:
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    return GroupElement(
-        phase=data["phase"],
-        tau=data["tau"],
-        u=tuple(data["u"]),
-        v=tuple(data["v"]),
-        theta=data["theta"],
-    )
+# --- sampling ------------------------------------------------------------------
 
 
 def random_element(rng, scale: float = 1.0, max_angle: float = math.pi) -> GroupElement:
@@ -342,7 +339,11 @@ def random_elements(rng, samples: int, count: int = 1) -> tuple:
     return tuple(GroupElement(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6]) for c in x)
 
 
-def random_rational_element(rng, max_num: int = 4, max_den: int = 4) -> GroupElement:
+def rational_draws(rng, count: int) -> list:
+    """The (numerator, denominator) draws of `count` exact-mode elements' coordinates."""
+    return [(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(6 * count)]
+
+
+def random_rational_element(rng) -> GroupElement:
     """Random element with Fraction components and theta = 0 (exact mode)."""
-    q = lambda: Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-    return GroupElement(phase=q(), tau=q(), u=(q(), q()), v=(q(), q()), theta=Fraction(0))
+    return _exact_element([Fraction(*draw) for draw in rational_draws(rng, 1)])

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galilei21 import algebra
 from galilei21.algebra import (
     ExtensionParams,
     LieAlgebra,
+    Poly,
     algebra_from_json,
-    algebra_to_json,
     algebras_equal,
     antisymmetry_defect,
     apply_basis_change,
@@ -18,14 +19,16 @@ from galilei21.algebra import (
     bracket,
     element,
     eliminate_k_change,
-    identity_change,
     invert_matrix,
+    jacobi_certified,
     jacobi_defect,
+    jacobi_entries,
     make_galilei_algebra,
     random_params,
     random_rational,
     BasisChange,
 )
+from galilei21.cli import main
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -115,6 +118,50 @@ def _with_entry(alg, i, j, n, value):
     return LieAlgebra(alg.labels, tuple(tuple(tuple(r) for r in pl) for pl in t))
 
 
+def charge_on_m_h(params):
+    """g_(k,m,l) with the charge k also on the P1 entry of [M, H]: not a Lie algebra."""
+    alg = make_galilei_algebra(params)
+    m, h, p1 = alg.index("M"), alg.index("H"), alg.index("P1")
+    return _with_entry(_with_entry(alg, m, h, p1, params.k), h, m, p1, -params.k)
+
+
+def test_poly_arithmetic_and_zero_test():
+    x, y = Poly.symbol("x"), Poly.symbol("y")
+    assert not ((x + y) * (x - y) - (x * x - y * y))
+    p = F(1, 2) * x + 3 - y * 2
+    assert p == {("x",): F(1, 2), (): F(3), ("y",): F(-2)}
+    assert (1 - p) == {("x",): F(-1, 2), (): F(-2), ("y",): F(2)}
+    assert (-(y * x) * x) == {("x", "x", "y"): F(-1)}
+    assert x and not x - x and not x * 0 and not F(0) * y
+    with pytest.raises(TypeError):
+        x * 0.5  # floats never enter an exact polynomial
+
+
+def test_jacobi_certificate_is_the_sampled_check_for_all_charges(monkeypatch):
+    assert jacobi_certified()
+    # the entries at symbolic charges are the entries at any rational charge set
+    rng = random.Random(41)
+    for _ in range(5):
+        p = random_params(rng)
+        assert jacobi_defect(make_galilei_algebra(p)) == 0
+        assert not any(jacobi_entries(make_galilei_algebra(p)))
+    monkeypatch.setattr(algebra, "make_galilei_algebra", charge_on_m_h)
+    assert not jacobi_certified()
+    assert jacobi_defect(charge_on_m_h(ExtensionParams(1, 2, 3))) != 0
+
+
+def test_failed_jacobi_certificate_reports_the_sampled_defect(tmp_path, monkeypatch):
+    monkeypatch.setattr(algebra, "make_galilei_algebra", charge_on_m_h)
+    argv = ["verify-algebra", "--k=1/2", "--m=2", "--l=-3", "--samples=30", "--format=json"]
+    assert main([*argv, f"--out={tmp_path / 'fallback.json'}"]) == 1
+    monkeypatch.setattr(algebra, "jacobi_certified", lambda: False)
+    assert main([*argv, f"--out={tmp_path / 'sampled.json'}"]) == 1
+    fallback = (tmp_path / "fallback.json").read_bytes()
+    assert fallback == (tmp_path / "sampled.json").read_bytes()
+    row = {c["name"]: c for c in json.loads(fallback)["checks"]}["jacobi_random_charges"]
+    assert row["defect"] != "0" and not row["pass"]
+
+
 def test_corrupted_tensor_detection():
     alg = galg(1, 2, 3)
     # flipping [N1,H] -> -P1 on one side breaks the Jacobi identity
@@ -126,11 +173,6 @@ def test_corrupted_tensor_detection():
     bad2 = _with_entry(alg, alg.index("N1"), alg.index("N2"), alg.index("E"), F(-1))
     assert jacobi_defect(bad2) == 0
     assert antisymmetry_defect(bad2) != 0
-
-
-def test_identity_change_is_neutral():
-    alg = galg(2, 3, 4)
-    assert algebras_equal(apply_basis_change(alg, identity_change(alg.dim)), alg)
 
 
 def test_k_removal_maps_onto_k_zero_algebra():
@@ -148,7 +190,8 @@ def test_k_removal_shift_coefficients():
     assert m[alg.index("N1")][alg.index("P2")] == F(1, 4)
     assert m[alg.index("N2")][alg.index("P1")] == F(-1, 4)
     # k = 0 gives the identity change
-    assert eliminate_k_change(ExtensionParams(0, 2, 0)).matrix == identity_change(7).matrix
+    identity = tuple(tuple(F(int(i == j)) for j in range(7)) for i in range(7))
+    assert eliminate_k_change(ExtensionParams(0, 2, 0)).matrix == identity
 
 
 def test_k_removal_requires_mass():
@@ -201,9 +244,20 @@ def test_basis_change_round_trip_and_singular_rejection():
 
 
 def test_json_round_trip_and_validation():
+    # g_(1/2, 2, 0) with numeric coefficients, each bracket [X_i, X_j] once with i < j
     p = ExtensionParams(F(1, 2), F(2), F(0))
     alg = make_galilei_algebra(p)
-    data = algebra_to_json(alg, p)
+    brackets = [
+        ("H", "N1", {"P1": "-1"}), ("H", "N2", {"P2": "-1"}),
+        ("P1", "N1", {"E": "-2"}), ("P1", "M", {"P2": "-1"}),
+        ("P2", "N2", {"E": "-2"}), ("P2", "M", {"P1": "1"}),
+        ("N1", "N2", {"E": "1/2"}), ("N1", "M", {"N2": "-1"}), ("N2", "M", {"N1": "1"}),
+    ]
+    data = {
+        "basis": list(alg.labels),
+        "brackets": [{"left": a, "right": b, "result": r} for a, b, r in brackets],
+        "params": {"k": "1/2", "m": "2", "l": "0"},
+    }
     loaded, lp, defect = algebra_from_json(json.dumps(data))
     assert algebras_equal(loaded, alg)
     assert lp == p

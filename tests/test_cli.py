@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from galilei21 import enveloping, group
-from galilei21.cli import main
+from galilei21 import algebra, enveloping, group
+from galilei21.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -114,6 +114,23 @@ def test_contract_single_grid_point_is_config_error(capsys):
 
 def test_bad_rational_is_config_error(capsys):
     assert main(["verify-algebra", "--k", "not-a-number"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--k", "--m", "--l"])
+def test_negative_fraction_as_a_separate_token(capsys, flag):
+    separate = run(capsys, "casimir", flag, "-1/2", "--format", "json")
+    assert separate == run(capsys, "casimir", f"{flag}=-1/2", "--format", "json")
+    assert json.loads(separate[1])["config"][flag[2:]] == "-1/2"
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    first = run(capsys, "casimir", "--format", "json")
+    assert main(["casimir", "--k", "3", "--m", "1", "--format", "json"]) == 0
+    assert main(["group", "--samples", "0"]) == 2
+    assert main(["verify-algebra", "--k", "x"]) == 2
+    capsys.readouterr()
+    assert run(capsys, "casimir", "--format", "json") == first  # defaults, not the last values
 
 
 def test_degree_cap_enforced(capsys):
@@ -239,6 +256,36 @@ def test_reports_are_byte_identical(tmp_path, capsys):
             assert main([*case, "--format", fmt, "--out", str(a)]) == 0
             assert main([*case, "--format", fmt, "--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+
+CERTIFIED_CASES = [
+    ("verify-algebra", "--k", "1/2", "--m", "2", "--l", "-3", "--samples", "30", "--seed", "9"),
+    ("group", "--k", "-3/2", "--m", "5/3", "--samples", "60", "--seed", "9"),
+    ("group", "--k", "-5/3", "--m", "-5/4", "--l", "7/2", "--samples", "60", "--seed", "9"),
+    ("group", "--k", "2", "--samples", "60", "--seed", "9"),
+]
+
+
+def _reports(tmp_path, cases, tag):
+    out = []
+    for i, case in enumerate(cases):
+        for fmt in ("json", "csv", "human"):
+            path = tmp_path / f"{tag}{i}.{fmt}"
+            code = main([*case, "--format", fmt, "--out", str(path)])
+            out.append((code, path.read_bytes()))
+    return out
+
+
+def _sample_only(monkeypatch):
+    monkeypatch.setattr(algebra, "jacobi_certified", lambda: False)
+    monkeypatch.setattr(group, "identity_certified", lambda sides, arity: False)
+
+
+def test_certified_reports_equal_sampled_reports(tmp_path, monkeypatch):
+    certified = _reports(tmp_path, CERTIFIED_CASES, "certified")
+    _sample_only(monkeypatch)
+    assert _reports(tmp_path, CERTIFIED_CASES, "sampled") == certified
+    assert {code for code, _ in certified} == {0}
 
 
 def test_out_file_written(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import gc
-import json
 import random
 import weakref
 from fractions import Fraction as F
@@ -31,8 +30,6 @@ from galilei21.enveloping import (
     no_commutator,
     no_commutators,
     no_mul,
-    poly_from_json,
-    poly_to_json,
     substitute_generators,
 )
 from galilei21.cli import _expected_dimension
@@ -243,15 +240,6 @@ def test_centrality_survives_charge_removal_substitution():
     moved = substitute_generators(alg_k, internal_angular_momentum(p_0), images)
     expected = internal_angular_momentum(p_k) + (k / m) * internal_energy(p_k)
     assert moved == expected
-
-
-def test_poly_json_round_trip():
-    p = internal_angular_momentum(ExtensionParams(F(5), F(2), F(0)))
-    data = poly_to_json(p)
-    assert data["0,0,0,0,1,0"] == "-5/2"
-    assert poly_from_json(json.dumps(data)) == p
-    with pytest.raises(ValueError):
-        poly_from_json({"1,2": "3"})
 
 
 def test_rewriter_rejects_wrong_basis():

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from fractions import Fraction as F
@@ -8,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galilei21.algebra import ExtensionParams, random_params
-from galilei21.cli import _group_rows, _zeta
+import galilei21.group as group_module
+from galilei21.algebra import ExtensionParams, Poly, random_params
+from galilei21.cli import _exact_worst, _group_rows, _zeta
 from galilei21.group import (
     IDENTITY,
     GroupElement,
@@ -21,15 +21,15 @@ from galilei21.group import (
     compose,
     compose_with_exponent,
     element_distance,
-    element_from_json,
-    element_to_json,
     eliminate_k_map,
     galilei_product,
     homomorphism_defect,
+    identity_certified,
     inverse,
     random_element,
     random_elements,
     random_rational_element,
+    rational_draws,
     rotate,
     worst_defect,
     worst_per_sample,
@@ -325,13 +325,6 @@ def test_rotation_matrix_convention():
     assert rotate(0, (F(1, 2), F(3))) == (F(1, 2), F(3))
 
 
-def test_element_json_round_trip():
-    g = GroupElement(phase=0.5, tau=1.0, u=(2.0, 3.0), v=(-1.0, 0.25), theta=2.5)
-    data = element_to_json(g)
-    assert json.loads(json.dumps(data)) == data
-    assert element_from_json(json.dumps(data)) == g
-
-
 @settings(max_examples=50)
 @given(
     tau=st.floats(-2, 2), ux=st.floats(-2, 2), vy=st.floats(-2, 2),
@@ -371,7 +364,7 @@ def test_batched_law_matches_scalar_law_bit_for_bit(params):
     equal the scalar calls' defects on the same draws, bit for bit."""
     float_rows = [row for row in _group_rows(params, 400, TOL) if not row[1] and row[5]]
     assert len(float_rows) == 5 - (params.l != 0) - (params.m == 0)
-    for seed, (name, _, _, arity, defect, _) in enumerate(float_rows):
+    for seed, (name, _, _, arity, defect, _, _) in enumerate(float_rows):
         batch_rng, scalar_rng = random.Random(seed), random.Random(seed)
         batch = random_elements(batch_rng, 400, arity)
         samples = [[random_element(scalar_rng) for _ in range(arity)] for _ in range(400)]
@@ -432,3 +425,86 @@ def test_one_law_for_exact_scalars_and_arrays():
     out = compose(COV, p, IDENTITY, a)
     assert all(x.dtype == np.float64 for x in (out.phase, out.tau, *out.u, *out.v, out.theta))
     assert (element_distance(compose(COV, p, a, IDENTITY), a) < TOL).all()
+
+
+def _at(x, values):
+    """A Poly evaluated at rational values of its symbols; a Fraction as is."""
+    if not isinstance(x, Poly):
+        return x
+    return sum((c * math.prod(values[s] for s in mono) for mono, c in x.items()), F(0))
+
+
+def _coordinates(g):
+    return (g.phase, g.tau, *g.u, *g.v, g.theta)
+
+
+def _exact_element(q):
+    return GroupElement(q[0], q[1], (q[2], q[3]), (q[4], q[5]), F(0))
+
+
+def test_symbolic_law_evaluates_to_the_exact_law():
+    """The polynomials a certificate compares are the exact law's values:
+    evaluated at a rational point they give what the law gives there."""
+    names = [[f"{c}{i}" for c in ("phase", "tau", "u1", "u2", "v1", "v2")] for i in range(2)]
+    symbolic = [_exact_element([Poly.symbol(n) for n in row]) for row in names]
+    rng = random.Random(31)
+    for params in REGIMES:
+        values = {n: F(rng.randint(-9, 9), rng.randint(1, 9)) for row in names for n in row}
+        exact = [_exact_element([values[n] for n in row]) for row in names]
+        laws = [lambda g, h: compose(COV, params, g, h)]
+        if params.m != 0:
+            laws.append(lambda g, h: eliminate_k_map(params, g))
+        for law in laws:
+            evaluated = [_at(x, values) for x in _coordinates(law(*symbolic))]
+            assert evaluated == list(_coordinates(law(*exact)))
+
+
+@pytest.mark.parametrize("params", REGIMES, ids=["l=0", "l!=0", "m=0"])
+def test_exact_rows_are_certified_and_draw_what_sampling_draws(monkeypatch, params):
+    exact = [row for row in _group_rows(params, 60, TOL) if row[5] is None]
+    assert [row[0] for row in exact] == ["associativity_exact_mode"] + (
+        ["k_removal_homomorphism_exact"] if params.m != 0 else [])
+    for name, _, count, arity, defect, _, sides in exact:
+        assert identity_certified(sides, arity), name
+        certified_rng, sampled_rng = random.Random(7), random.Random(7)
+        certified = _exact_worst(certified_rng, count, arity, defect, sides)
+        with monkeypatch.context() as m:
+            m.setattr(group_module, "identity_certified", lambda sides, arity: False)
+            sampled = _exact_worst(sampled_rng, count, arity, defect, sides)
+        assert certified == sampled == 0 and type(certified) is type(sampled) is F
+        assert certified_rng.getstate() == sampled_rng.getstate(), name
+
+
+def test_rational_draws_consume_the_stream_like_drawing_the_elements():
+    a, b = random.Random(12), random.Random(12)
+    rational_draws(a, 25)
+    for _ in range(25):
+        random_rational_element(b)
+    assert a.getstate() == b.getstate()
+
+
+def _wrong_cocycle_coefficient(m):
+    m.setattr(group_module, "HALF", F(1))  # -m v^2 tau' where the law has -m v^2/2 tau'
+
+
+def _flipped_k_map(m):
+    original = group_module.eliminate_k_map
+    m.setattr(group_module, "eliminate_k_map",
+              lambda p, g: original(ExtensionParams(-p.k, p.m, p.l), g))
+
+
+@pytest.mark.parametrize("row, mutate", [
+    ("associativity_exact_mode", _wrong_cocycle_coefficient),
+    ("k_removal_homomorphism_exact", _flipped_k_map),
+], ids=["cocycle_coefficient", "k_map_sign"])
+def test_failed_certificate_falls_back_to_the_sampled_defect(monkeypatch, row, mutate):
+    mutate(monkeypatch)
+    rows = [r for r in _group_rows(REGIMES[0], 60, TOL) if r[0] == row]
+    (_, _, count, arity, defect, _, sides), = rows
+    assert not identity_certified(sides, arity)
+    rng, reference_rng = random.Random(8), random.Random(8)
+    worst = _exact_worst(rng, count, arity, defect, sides)
+    draw = lambda: [random_rational_element(reference_rng) for _ in range(arity)]
+    sampled = worst_defect([F(defect(*draw())) for _ in range(count)], F(0))
+    assert worst == sampled > 0
+    assert rng.getstate() == reference_rng.getstate()
