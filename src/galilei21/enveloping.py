@@ -18,8 +18,11 @@ by the associativity tests rather than assumed.  Each top-level call
 `centralizer_basis`) builds one memoized normal orderer for all of its
 products and drops it on return; nothing is kept between calls.
 
-All linear algebra here (the bounded-degree centralizer search) is exact
-integer/rational arithmetic; no floating point enters this module.
+The bounded-degree centralizer search solves [g, X] = 0 in exact integer
+arithmetic, with rows for g in {N1, H, M} only: [N1,H] = P1, [M,N1] = N2
+and [N2,H] = P2, so by Jacobi X then commutes with all six generators and
+the kernel is unchanged.  An algebra whose brackets do not show this gets
+the rows of all six.  No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ExtensionParams, LieAlgebra
+from .algebra import ExtensionParams, LieAlgebra, antisymmetry_defect, jacobi_entries
 
 GEN_NAMES = ("N1", "N2", "P1", "P2", "H", "M")
 NGEN = len(GEN_NAMES)
@@ -182,11 +185,9 @@ def _normal_orderer(alg: LieAlgebra):
             x, y = word[i], word[i + 1]
             if x > y:
                 scalar, terms = table[(x, y)]
-                parts = [(_ONE, word[:i] + (y, x) + word[i + 2:])]
-                if scalar:
-                    parts.append((scalar, word[:i] + word[i + 2:]))
+                out = dict(normal_form(word[:i] + (y, x) + word[i + 2:]))
+                parts = [(scalar, word[:i] + word[i + 2:])] if scalar else []
                 parts += [(cg, word[:i] + (g,) + word[i + 2:]) for g, cg in terms]
-                out: dict[Exponents, Fraction] = {}
                 for f, w in parts:
                     for mono, co in normal_form(w).items():
                         out[mono] = out.get(mono, _ZERO) + f * co
@@ -324,7 +325,7 @@ def _integer_rows(rows: Iterable[Mapping[int, Fraction]]) -> list[dict]:
         if not row:
             continue
         den = lcm(*(c.denominator for c in row.values()))
-        ints = {j: int(c * den) for j, c in row.items()}
+        ints = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
         g = gcd(*ints.values())
         out.append({j: v // g for j, v in ints.items()})
     return out
@@ -369,9 +370,10 @@ def exact_nullspace(
 ) -> list[tuple[Fraction, ...]]:
     """Basis of {x : A x = 0} over the rationals, one vector per free column.
 
-    Forward elimination is fraction-free (integer cross-multiplication
-    with gcd reduction); back-substitution assembles exact rational
-    solutions which are then scaled to primitive integer vectors.
+    Elimination is fraction-free (integer cross-multiplication with gcd
+    reduction), and so is back-substitution: numerators over one common
+    denominator.  Each vector is the primitive integer multiple (as
+    `Fraction`s) of the solution with a 1 in its free column.
     """
     pivots = _eliminate(_integer_rows(rows))
     pivot_cols = sorted(pivots, reverse=True)
@@ -379,37 +381,54 @@ def exact_nullspace(
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = [_ZERO] * ncols
-        vec[free] = _ONE
+        # the nonzero numerators; each rescale is the least that keeps them
+        # integers, so the common denominator ends as the lcm of the solution's
+        vec = {free: 1}
         for col in pivot_cols:  # descending: later pivots are already final
             row = pivots[col]
-            s = sum((Fraction(v) * vec[j] for j, v in row.items() if j != col), _ZERO)
+            s = sum(v * vec[j] for j, v in row.items() if j in vec)
             if s:
-                vec[col] = -s / row[col]
-        den = lcm(*(c.denominator for c in vec if c)) if any(vec) else 1
-        vec = [c * den for c in vec]
-        basis.append(tuple(vec))
+                g = gcd(s, row[col])
+                if row[col] != g:
+                    vec = {j: c * (row[col] // g) for j, c in vec.items()}
+                vec[col] = -s // g
+        basis.append(tuple(Fraction(vec[j]) if j in vec else _ZERO for j in range(ncols)))
     return basis
+
+
+def _three_generate(alg: LieAlgebra) -> bool:
+    """True when `alg` is a Lie algebra with E central whose brackets [N1,H],
+    [M,N1], [N2,H] are nonzero multiples of P1, N2, P2 modulo E: then what
+    commutes with N1, H and M in the enveloping algebra commutes with all six
+    generators (Jacobi)."""
+    i, t, gens = alg.index, alg.tensor, [alg.index(n) for n in GEN_NAMES]
+    chain = (("N1", "H", "P1"), ("M", "N1", "N2"), ("N2", "H", "P2"))
+    return (not antisymmetry_defect(alg) and not any(any(t[i("E")][g]) for g in gens)
+            and all([n for n in gens if t[i(x)][i(y)][n]] == [i(z)] for x, y, z in chain)
+            and not any(jacobi_entries(alg)))
 
 
 def centralizer_basis(alg: LieAlgebra, max_degree: int) -> CentralizerBasis:
     """All degree <= max_degree polynomials commuting with every generator.
 
-    Sets up the exact linear system [g, sum_m x_m X^m] = 0 for each
-    generator g over the graded monomial list and returns a basis of its
-    kernel.  Scalars are always present, so the dimension is >= 1.
+    A basis of the kernel of the exact linear system [g, sum_m x_m X^m] = 0
+    over the graded monomial list, for g in {N1, H, M} if `_three_generate`,
+    else for all six.  Scalars are always present, so the dimension is >= 1.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     normal_form = _normal_orderer(alg)
     monos = monomials_up_to(max_degree)
     rows: dict[tuple, dict[int, Fraction]] = {}
-    for g in range(NGEN):
+    gens = ("N1", "H", "M") if _three_generate(alg) else GEN_NAMES
+    for g in map(GEN_NAMES.index, gens):
         for col, mono in enumerate(monos):
             w = _mono_to_word(mono)
-            com = NOPoly(normal_form((g,) + w)) - NOPoly(normal_form(w + (g,)))
-            for rmono, co in com.terms.items():
-                rows.setdefault((g, rmono), {})[col] = co
+            left, right = normal_form((g,) + w), normal_form(w + (g,))
+            for rmono in {**left, **right}:
+                co = left.get(rmono, _ZERO) - right.get(rmono, _ZERO)
+                if co:
+                    rows.setdefault((g, rmono), {})[col] = co
     # normal_form refers to itself, so without this its memo would live
     # until the next cyclic collection, often into the next call
     normal_form.cache_clear()

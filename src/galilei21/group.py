@@ -82,11 +82,14 @@ def _batched(*values) -> bool:
 
 
 def rotate(theta, vec: tuple) -> tuple:
-    """Apply R(theta); the theta == 0 branch keeps exact scalars exact."""
+    """Apply R(theta); the theta == 0 branch keeps exact scalars exact, and a
+    NaN or +-inf theta gives NaN components on scalars as on arrays."""
     if isinstance(theta, np.ndarray):
         c, s = np.cos(theta), np.sin(theta)
     elif theta == 0:
         return (vec[0], vec[1])
+    elif not math.isfinite(theta):  # math.cos raises here; NaN, as np.cos gives
+        c = s = math.nan
     else:
         c, s = math.cos(theta), math.sin(theta)
     return (c * vec[0] + s * vec[1], -s * vec[0] + c * vec[1])

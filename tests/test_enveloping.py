@@ -2,13 +2,17 @@ import gc
 import random
 import weakref
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import galilei21.enveloping as enveloping_module
 from galilei21.algebra import (
     ExtensionParams,
+    LieAlgebra,
+    jacobi_defect,
     basis_element,
     bracket,
     eliminate_k_change,
@@ -18,6 +22,8 @@ from galilei21.algebra import (
 from galilei21.enveloping import (
     GEN_NAMES,
     NOPoly,
+    _eliminate,
+    _integer_rows,
     boost_momentum_cross,
     centralizer_basis,
     exact_nullspace,
@@ -320,6 +326,118 @@ def test_centralizer_table_from_rightmost_first_oracle(params, dims):
         assert len(oracle) == dim, degree
         assert centralizer_basis(alg, degree).elements == oracle, degree
         assert _expected_dimension(params, degree) == dim, degree
+
+
+def _spy_row_counts(monkeypatch):
+    """Record the row count of every exact_nullspace call centralizer_basis makes."""
+    seen, original = [], enveloping_module.exact_nullspace
+
+    def spy(rows, ncols):
+        rows = list(rows)
+        seen.append(len(rows))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(enveloping_module, "exact_nullspace", spy)
+    return seen
+
+
+@pytest.mark.parametrize("params", [params for params, _ in CENTRALIZER_TABLE])
+def test_three_generator_rows_give_the_six_generator_basis_at_degree_5(params, monkeypatch):
+    alg = make_galilei_algebra(params)
+    seen = _spy_row_counts(monkeypatch)
+    three = centralizer_basis(alg, 5).elements
+    monkeypatch.setattr(enveloping_module, "_three_generate", lambda alg: False)
+    assert three == centralizer_basis(alg, 5).elements
+    assert seen[0] < seen[1]
+
+
+def _reference_nullspace(rows, ncols):
+    """exact_nullspace with back-substitution in Fraction sums, as it was written
+    before the integer back-substitution: a test-only reference."""
+    pivots = _eliminate(_integer_rows(rows))
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [F(0)] * ncols
+        vec[free] = F(1)
+        for col in sorted(pivots, reverse=True):
+            row = pivots[col]
+            s = sum((F(v) * vec[j] for j, v in row.items() if j != col), F(0))
+            if s:
+                vec[col] = -s / row[col]
+        den = lcm(*(c.denominator for c in vec if c)) if any(vec) else 1
+        basis.append(tuple(c * den for c in vec))
+    return basis
+
+
+def test_exact_nullspace_matches_fraction_back_substitution():
+    rng = random.Random(41)
+    assert exact_nullspace([], 0) == [] == _reference_nullspace([], 0)
+    assert exact_nullspace([], 3) == _reference_nullspace([], 3)  # no rows: all free
+    assert exact_nullspace([{}, {}], 2) == _reference_nullspace([], 2)  # empty rows skipped
+    for _ in range(300):
+        ncols = rng.randint(1, 12)
+        used = rng.sample(range(ncols), rng.randint(1, ncols))  # the rest: all-zero columns
+        rows = [{} for _ in range(rng.randint(0, 2))]
+        for _ in range(rng.randint(0, ncols + 2)):
+            cols = rng.sample(used, rng.randint(1, len(used)))
+            rows.append({j: F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)) for j in cols})
+        rng.shuffle(rows)
+        got = exact_nullspace(rows, ncols)
+        assert got == _reference_nullspace(rows, ncols)
+        assert all(type(c) is F for vec in got for c in vec)
+
+
+def _six_row_centralizer(alg, degree):
+    """The basis from the rows of all six generators, and how many rows they are."""
+    monos = monomials_up_to(degree)
+    pairs = [(NOPoly.generator(g), NOPoly({mono: 1})) for g in GEN_NAMES for mono in monos]
+    rows = {}
+    for i, com in enumerate(no_commutators(alg, pairs)):
+        for mono, co in com.terms.items():
+            rows.setdefault((i // len(monos), mono), {})[i % len(monos)] = co
+    kernel = exact_nullspace(rows.values(), len(monos))
+    return tuple(NOPoly({monos[i]: c for i, c in enumerate(v) if c}) for v in kernel), len(rows)
+
+
+def _with_brackets(alg, brackets):
+    """`alg` with each bracket [a, b] (and [b, a]) replaced by {label: coeff}."""
+    t = [[list(row) for row in plane] for plane in alg.tensor]
+    for (a, b), result in brackets.items():
+        vec = [F(result.get(label, 0)) for label in alg.labels]
+        t[alg.index(a)][alg.index(b)] = vec
+        t[alg.index(b)][alg.index(a)] = [-c for c in vec]
+    return LieAlgebra(alg.labels, tuple(tuple(tuple(r) for r in plane) for plane in t))
+
+
+@pytest.mark.parametrize("brackets,is_lie", [
+    ({("N1", "H"): {}}, False),  # N1, H, M no longer generate P1
+    ({("N1", "H"): {}, ("N2", "H"): {}}, True),  # a Lie algebra without P1, P2 from N1, H, M
+    ({("M", "H"): {"E": F(1, 3), "P1": F(3, 2)}}, False),  # generates, but Jacobi fails
+])
+def test_centralizer_falls_back_to_six_rows(brackets, is_lie, monkeypatch):
+    alg = _with_brackets(make_galilei_algebra(ExtensionParams(F(3, 2), F(2), F(1, 3))), brackets)
+    assert (jacobi_defect(alg) == 0) == is_lie
+    seen = _spy_row_counts(monkeypatch)
+    for degree in (2, 3):
+        basis, nrows = _six_row_centralizer(alg, degree)
+        seen.clear()
+        assert centralizer_basis(alg, degree).elements == basis
+        assert seen == [nrows]
+
+
+def test_three_generator_shortcut_checks_each_condition(monkeypatch):
+    alg = make_galilei_algebra(ExtensionParams(F(3, 2), F(2), F(0)))
+    assert enveloping_module._three_generate(alg)
+    # the algebras below also fail Jacobi; hide that to test the other checks
+    monkeypatch.setattr(enveloping_module, "jacobi_entries", lambda alg: iter(()))
+    assert not enveloping_module._three_generate(_with_brackets(alg, {("E", "P1"): {"P2": 1}}))
+    # [N1,H] = P1 + P2 puts P1 + P2, not P1 alone, in what N1, H, M generate
+    assert not enveloping_module._three_generate(_with_brackets(alg, {("N1", "H"): {"P1": 1, "P2": 1}}))
+    t = [[list(row) for row in plane] for plane in alg.tensor]
+    t[alg.index("H")][alg.index("N1")][alg.index("P1")] = F(2)  # [N1,H] = P1 but [H,N1] = 2 P1
+    assert not enveloping_module._three_generate(LieAlgebra(alg.labels, t))
 
 
 def test_oracle_agrees_with_no_mul():

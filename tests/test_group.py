@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -307,6 +309,28 @@ def test_nan_time_translation_fails_associativity():
         d = associativity_defect(kind, p, g, h, f)
         assert math.isnan(d)
         assert not d < TOL
+
+
+@pytest.mark.parametrize("field", ["tau", "theta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_gives_nan_on_scalars_as_on_arrays(field, value):
+    # math.cos(inf) raises ValueError where np.cos gives NaN; both paths must
+    # give a NaN defect, which worst_defect turns into a FAIL
+    p = ExtensionParams(F(1), F(2), F(0))
+    g, h, f = random_elements(random.Random(20), 2, 3)
+    g = dataclasses.replace(g, **{field: np.array([0.5, value])})
+    at = lambda e, i: GroupElement(
+        float(e.phase[i]), float(e.tau[i]), (float(e.u[0][i]), float(e.u[1][i])),
+        (float(e.v[0][i]), float(e.v[1][i])), float(e.theta[i]),
+    )
+    for kind in (COV, EXT):
+        with np.errstate(all="ignore"):
+            batched = associativity_defect(kind, p, g, h, f)
+        assert batched[0] < TOL and math.isnan(batched[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert associativity_defect(kind, p, at(g, 0), at(h, 0), at(f, 0)) == batched[0]
+            assert math.isnan(associativity_defect(kind, p, at(g, 1), at(h, 1), at(f, 1)))
 
 
 def test_angle_distance_folds():
