@@ -20,7 +20,6 @@ from .algebra import (
     BasisChange,
     ExtensionParams,
     LieAlgebra,
-    algebras_equal,
     antisymmetry_defect,
     apply_basis_change,
     basis_element,

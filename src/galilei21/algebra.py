@@ -25,12 +25,11 @@ never changed once built) and can be shared freely between threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 GALILEI_LABELS = ("E", "H", "P1", "P2", "N1", "N2", "M")
 
@@ -108,7 +107,8 @@ class LieAlgebra:
 
     The tensor is not validated on construction; use
     :func:`antisymmetry_defect` and :func:`jacobi_defect` to certify
-    that it actually defines a Lie algebra.
+    that it actually defines a Lie algebra.  ``==`` is exact structural
+    equality: the same labels and identical tensors.
     """
 
     labels: tuple[str, ...]
@@ -351,100 +351,6 @@ def eliminate_k_change(params: ExtensionParams) -> BasisChange:
     rows[idx["N1"]][idx["P2"]] = shift
     rows[idx["N2"]][idx["P1"]] = -shift
     return BasisChange(tuple(tuple(r) for r in rows))
-
-
-def algebras_equal(a: LieAlgebra, b: LieAlgebra) -> bool:
-    """Exact structural equality: same labels and identical tensors."""
-    return a.labels == b.labels and a.tensor == b.tensor
-
-
-# --- JSON definition files -------------------------------------------------
-#
-# {"basis": ["E","H",...],
-#  "brackets": [{"left": "N1", "right": "P1", "result": {"E": "m"}}, ...],
-#  "params": {"k": "1/2", "m": "2", "l": "0"}}
-#
-# Coefficient strings are products of rational literals "p/q" and the
-# parameter names k, m, l, e.g. "m", "-1/2*k", "3".
-
-
-def _exact(value) -> Fraction:
-    """A rational from a string or an int; a float or a zero denominator
-    raises ValueError."""
-    try:
-        return _as_rational(value)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
-    except TypeError as exc:  # a float or other inexact value
-        raise ValueError(f"{value!r}: {exc}") from None
-
-
-def _parse_coeff(text: str, params: ExtensionParams) -> Fraction:
-    s = text.strip()
-    sign = _ONE
-    if s.startswith("-"):
-        sign = -_ONE
-        s = s[1:]
-    value = sign
-    for factor in s.split("*"):
-        factor = factor.strip()
-        if factor in ("k", "m", "l"):
-            value *= getattr(params, factor)
-        else:
-            value *= _exact(factor)
-    return value
-
-
-def algebra_from_json(data) -> tuple[LieAlgebra, ExtensionParams, Fraction]:
-    """Load an algebra definition; returns (algebra, params, jacobi defect).
-
-    The bracket list gives each pair once; the antisymmetric partner is
-    filled in automatically.  Conflicting duplicate entries, duplicate or
-    unknown labels, a missing or non-list basis, a bracket without
-    left/right/result, inexact (float) coefficients or params and zero
-    denominators raise ValueError.
-    """
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    if not isinstance(data.get("basis"), (list, tuple)):
-        raise ValueError("the definition needs a list of labels under 'basis'")
-    labels = tuple(data["basis"])
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate basis labels in {list(labels)}")
-    idx = {lbl: i for i, lbl in enumerate(labels)}
-    brackets = data.get("brackets", [])
-    for entry in brackets:
-        missing = {"left", "right", "result"} - set(entry)
-        if missing:
-            raise ValueError(f"bracket {entry} lacks {sorted(missing)}")
-    unknown = {lbl for e in brackets for lbl in (e["left"], e["right"], *e["result"])} - set(idx)
-    if unknown:
-        raise ValueError(f"brackets name unknown labels {sorted(map(str, unknown))}")
-    pdata = data.get("params", {})
-    params = ExtensionParams(
-        _exact(pdata.get("k", 0)), _exact(pdata.get("m", 0)), _exact(pdata.get("l", 0))
-    )
-    dim = len(labels)
-    tensor = _zero_tensor(dim)
-    seen: set[tuple[int, int]] = set()
-    for entry in brackets:
-        i, j = idx[entry["left"]], idx[entry["right"]]
-        row = [_ZERO] * dim
-        for lbl, cs in entry["result"].items():
-            row[idx[lbl]] = _parse_coeff(cs, params) if isinstance(cs, str) else _exact(cs)
-        for pair, sgn in (((i, j), _ONE), ((j, i), -_ONE)):
-            if pair in seen:
-                stored = tensor[pair[0]][pair[1]]
-                if any(stored[n] != sgn * row[n] for n in range(dim)):
-                    raise ValueError(
-                        f"bracket [{labels[pair[0]]},{labels[pair[1]]}] given twice "
-                        "with inconsistent values"
-                    )
-            else:
-                seen.add(pair)
-                tensor[pair[0]][pair[1]] = [sgn * v for v in row]
-    alg = LieAlgebra(labels, _freeze_tensor(tensor))
-    return alg, params, jacobi_defect(alg)
 
 
 def random_rational(rng, max_num: int = 6, max_den: int = 4, nonzero: bool = False) -> Fraction:

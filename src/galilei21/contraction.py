@@ -420,11 +420,9 @@ def report_csv_rows(report: ConvergenceReport) -> list[tuple[float, float, float
     return list(zip(report.c_grid, report.errors, report.zeta_magnitudes))
 
 
-def report_summary(
-    report: ConvergenceReport, slope_target: float = -2.0, slope_tolerance: float = 0.1
-) -> dict:
-    """The slope check: deviation of the fitted slope from its target."""
-    defect = abs(report.fitted_slope - slope_target)
+def report_summary(report: ConvergenceReport, slope_tolerance: float = 0.1) -> dict:
+    """The slope check: deviation of the fitted slope from -2, the c^-2 convergence."""
+    defect = abs(report.fitted_slope + 2.0)
     return {
         "defect": defect,
         "slope": report.fitted_slope,

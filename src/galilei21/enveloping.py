@@ -319,15 +319,15 @@ def monomials_up_to(max_degree: int) -> list[Exponents]:
 
 
 def _integer_rows(rows: Iterable[Mapping[int, Fraction]]) -> list[dict]:
-    """Clear denominators and common factors; keeps elimination in Z."""
+    """Clear denominators and common factors, and drop zero entries and rows
+    (gcd is 0 only for those); keeps elimination in Z."""
     out = []
     for row in rows:
-        if not row:
-            continue
         den = lcm(*(c.denominator for c in row.values()))
         ints = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
         g = gcd(*ints.values())
-        out.append({j: v // g for j, v in ints.items()})
+        if g:
+            out.append({j: v // g for j, v in ints.items() if v})
     return out
 
 

@@ -317,15 +317,16 @@ def identity_certified(sides: Callable[..., tuple], arity: int) -> bool:
 # --- sampling ------------------------------------------------------------------
 
 
-def random_element(rng, scale: float = 1.0, max_angle: float = math.pi) -> GroupElement:
-    """Bounded random element from a seeded `random.Random` (float mode)."""
-    r = lambda: rng.uniform(-scale, scale)
+def random_element(rng) -> GroupElement:
+    """Random element from a seeded `random.Random` (float mode): phase and
+    theta in [-pi, pi], tau, u and v in [-1, 1]."""
+    r = lambda: rng.uniform(-1.0, 1.0)
     return GroupElement(
         phase=rng.uniform(-math.pi, math.pi),
         tau=r(),
         u=(r(), r()),
         v=(r(), r()),
-        theta=rng.uniform(-max_angle, max_angle),
+        theta=rng.uniform(-math.pi, math.pi),
     )
 
 
@@ -333,7 +334,7 @@ def random_elements(rng, samples: int, count: int = 1) -> tuple:
     """`count` elements whose components are arrays of `samples` draws.
 
     Consumes `rng` exactly as `samples * count` calls of `random_element`
-    with its default ranges would, the `count` elements of one sample drawn together, and gives
+    would, the `count` elements of one sample drawn together, and gives
     the same values: entry i of element j is the (i * count + j)-th draw.
     """
     hi = np.array([math.pi, 1.0, 1.0, 1.0, 1.0, 1.0, math.pi])

@@ -134,8 +134,19 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
 
 
 def test_degree_cap_enforced(capsys):
-    assert main(["casimir", "--max-degree", "9"]) == 2
-    assert main(["casimir", "--max-degree", "-1"]) == 2
+    cases = [
+        (["group", "--samples=0"], "--samples"),
+        (["contract", "--experiment=mass", "--samples=0"], "--samples"),
+        (["casimir", "--max-degree=9"], "--max-degree"),
+        (["casimir", "--max-degree", "9"], "--max-degree"),
+        (["casimir", "--max-degree=-1"], "--max-degree"),
+        (["casimir", "--max-degree", "-1"], "--max-degree"),
+    ]
+    for argv, option in cases:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"configuration error: argument {option}:")
 
 
 def test_degree_cap_is_not_an_option(capsys):

@@ -1,0 +1,35 @@
+"""Every demo runs to exit 0, and the exact demos print what they printed before."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
+
+# sha256 of the stdout of the demos that use exact arithmetic only, so the
+# digests hold on every platform.  The float demos (03, 04) only have to run.
+EXACT_STDOUT = {
+    "01_extended_algebra.py": "0916c52a15ec91b3eaa7b06d3caf06be4ac2635b13965bf30c244a93fcb25210",
+    "02_invariant_search.py": "379b7a285d03c7b1b39b5a5db3a7e5485d782b1614cdc667eb65405f3806fecd",
+}
+
+
+def test_every_demo_is_listed():
+    assert len(DEMOS) == 4 and set(EXACT_STDOUT) < set(DEMOS)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs_and_exact_output_is_unchanged(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": path}, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    if demo in EXACT_STDOUT:
+        assert hashlib.sha256(done.stdout).hexdigest() == EXACT_STDOUT[demo]

@@ -389,6 +389,15 @@ def test_exact_nullspace_matches_fraction_back_substitution():
         assert all(type(c) is F for vec in got for c in vec)
 
 
+def test_explicit_zero_entries_are_dropped():
+    assert exact_nullspace([{0: F(0)}], 1) == [(F(1),)]
+    assert exact_nullspace([{0: F(0), 1: F(1)}], 2) == [(F(1), F(0))]  # a zero never pivots
+    zero_term = NOPoly()
+    zero_term.terms = {(0,) * len(GEN_NAMES): F(0)}  # a zero stored past the constructor
+    assert in_span([zero_term], NOPoly.zero())
+    assert not in_span([zero_term], NOPoly.one())
+
+
 def _six_row_centralizer(alg, degree):
     """The basis from the rows of all six generators, and how many rows they are."""
     monos = monomials_up_to(degree)
