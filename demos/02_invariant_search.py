@@ -64,6 +64,6 @@ for label, charges, degree in [
 ]:
     alg = make_galilei_algebra(ExtensionParams(*map(Fraction, charges)))
     basis = centralizer_basis(alg, degree)
-    print(f"  {label}: dimension {basis.dimension}")
-    for e in basis.elements:
+    print(f"  {label}: dimension {len(basis)}")
+    for e in basis:
         print(f"      {e}")

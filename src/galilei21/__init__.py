@@ -17,7 +17,6 @@ Four layers:
 
 from .algebra import (
     AlgebraElement,
-    BasisChange,
     ExtensionParams,
     LieAlgebra,
     antisymmetry_defect,
@@ -30,7 +29,6 @@ from .algebra import (
     make_galilei_algebra,
 )
 from .contraction import (
-    BoostDecomposition,
     ConvergenceReport,
     LimitExperiment,
     PoincareElement,
@@ -47,7 +45,6 @@ from .contraction import (
     thomas_target,
 )
 from .enveloping import (
-    CentralizerBasis,
     NOPoly,
     boost_momentum_cross,
     centralizer_basis,

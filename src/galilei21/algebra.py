@@ -155,13 +155,6 @@ class AlgebraElement:
         return all(c == 0 for c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class BasisChange:
-    """Invertible matrix T acting on the basis: X_i' = sum_j T[i][j] X_j."""
-
-    matrix: tuple  # dim x dim tuple of tuples of Fraction
-
-
 def _freeze_tensor(t: Sequence[Sequence[Sequence[Fraction]]]) -> tuple:
     return tuple(tuple(tuple(row) for row in plane) for plane in t)
 
@@ -300,10 +293,10 @@ def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> tuple:
     return tuple(tuple(row[dim:]) for row in aug)
 
 
-def apply_basis_change(alg: LieAlgebra, t: BasisChange) -> LieAlgebra:
-    """Structure constants of `alg` rewritten in the basis X_i' = T[i][j] X_j."""
+def apply_basis_change(alg: LieAlgebra, T: Sequence[Sequence[Fraction]]) -> LieAlgebra:
+    """Structure constants of `alg` rewritten in the basis X_i' = sum_j T[i][j] X_j,
+    for an invertible matrix T."""
     dim = alg.dim
-    T = t.matrix
     if len(T) != dim:
         raise ValueError("dimension mismatch")
     Tinv = invert_matrix(T)
@@ -335,8 +328,9 @@ def apply_basis_change(alg: LieAlgebra, t: BasisChange) -> LieAlgebra:
     return LieAlgebra(alg.labels, _freeze_tensor(out))
 
 
-def eliminate_k_change(params: ExtensionParams) -> BasisChange:
-    """Basis change N_i -> N_i + (k/2m) eps_ij P_j removing the boost-boost charge.
+def eliminate_k_change(params: ExtensionParams) -> tuple:
+    """Matrix of the basis change N_i -> N_i + (k/2m) eps_ij P_j removing the
+    boost-boost charge, a tuple of rows for `apply_basis_change`.
 
     Requires m != 0.  Applying it to g_(k,m,l) yields an algebra
     structurally equal to g_(0,m,l); the shift direction is frozen by a
@@ -350,20 +344,17 @@ def eliminate_k_change(params: ExtensionParams) -> BasisChange:
     rows = [[_ONE if i == j else _ZERO for j in range(dim)] for i in range(dim)]
     rows[idx["N1"]][idx["P2"]] = shift
     rows[idx["N2"]][idx["P1"]] = -shift
-    return BasisChange(tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
-def random_rational(rng, max_num: int = 6, max_den: int = 4, nonzero: bool = False) -> Fraction:
-    """Small random rational from a seeded `random.Random`."""
+def random_rational(rng, nonzero: bool = False) -> Fraction:
+    """Small random rational p/q, |p| <= 6 and 1 <= q <= 4, from a seeded `random.Random`."""
     while True:
-        num = rng.randint(-max_num, max_num)
+        num = rng.randint(-6, 6)
         if num or not nonzero:
-            return Fraction(num, rng.randint(1, max_den))
+            return Fraction(num, rng.randint(1, 4))
 
 
-def random_params(rng, nonzero_m: bool = False, nonzero_l: bool = False) -> ExtensionParams:
-    return ExtensionParams(
-        random_rational(rng),
-        random_rational(rng, nonzero=nonzero_m),
-        random_rational(rng, nonzero=nonzero_l),
-    )
+def random_params(rng, nonzero_m: bool = False) -> ExtensionParams:
+    """Random charges (k, m, l), each drawn by `random_rational`, m nonzero on request."""
+    return ExtensionParams(random_rational(rng), random_rational(rng, nonzero_m), random_rational(rng))

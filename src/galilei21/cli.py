@@ -57,6 +57,16 @@ def _finite(text: str) -> float:
     return x
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite number >= 0."""
+    try:
+        if _finite(text) >= 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+
+
 def _c_grid(text: str) -> tuple:
     try:
         if ":" in text:
@@ -71,6 +81,8 @@ def _c_grid(text: str) -> tuple:
             while c <= hi * (1 + 1e-9):
                 grid.append(c)
                 c *= factor
+            if not grid:
+                raise ValueError("the range holds no grid point")
             return tuple(grid)
         grid = tuple(_finite(x) for x in text.split(","))
         if not all(c > 0 for c in grid):
@@ -185,9 +197,9 @@ def cmd_casimir(opts) -> tuple:
 
     basis = enveloping.centralizer_basis(alg, opts.max_degree)
     checks.append(
-        _check("centralizer_dimension", Fraction(basis.dimension),
-               basis.dimension == _expected_dimension(params, opts.max_degree),
-               note=f"basis: {'; '.join(repr(e) for e in basis.elements)}")
+        _check("centralizer_dimension", Fraction(len(basis)),
+               len(basis) == _expected_dimension(params, opts.max_degree),
+               note=f"basis: {'; '.join(repr(e) for e in basis)}")
     )
     return checks, None
 
@@ -280,8 +292,9 @@ def cmd_contract(opts) -> tuple:
     checks = []
     rows = []
     for i, rep in enumerate(contraction.convergence_study(experiment, grid)):
-        summary = contraction.report_summary(rep, slope_tolerance=opts.tolerance)
-        checks.append({"name": f"slope[{i}]", **summary})
+        defect = abs(rep.fitted_slope + 2.0)  # the c^-2 convergence fits a slope of -2
+        checks.append({**_check(f"slope[{i}]", defect, defect <= opts.tolerance),
+                       "slope": rep.fitted_slope, "target": rep.target})
         if opts.experiment == "thomas" and rep.target != 0:
             rel = rep.errors[-1] / abs(rep.target)
             checks.append(_check(f"limit_agreement[{i}]", rel, rel <= 1e-3))
@@ -291,8 +304,7 @@ def cmd_contract(opts) -> tuple:
                 _check(f"zeta_growth[{i}]", abs(gs - 2.0), abs(gs - 2.0) <= opts.tolerance,
                        note="trivializing function must diverge like c^2")
             )
-        for c, err, zmag in contraction.report_csv_rows(rep):
-            rows.append((i, c, err, zmag))
+        rows += [(i, *row) for row in zip(rep.c_grid, rep.errors, rep.zeta_magnitudes)]
     return checks, rows
 
 
@@ -386,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group", help="cocycle, inverse, coboundary and isomorphism suites")
     common(p)
     p.add_argument("--samples", type=positive, default=1000)
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-12)
     p.set_defaults(func=lambda opts: cmd_group(opts))
 
     p = sub.add_parser("contract", help="large-c limit experiments with slope fits")
@@ -394,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", choices=contraction.EXPERIMENT_NAMES, required=True)
     p.add_argument("--c-grid", type=_c_grid, default=contraction.DEFAULT_C_GRID, dest="c_grid")
     p.add_argument("--samples", type=positive, default=20)
-    p.add_argument("--tolerance", type=float, default=0.1,
+    p.add_argument("--tolerance", type=_tolerance, default=0.1,
                    help="allowed deviation of the fitted slope from -2")
     p.set_defaults(func=lambda opts: cmd_contract(opts))
     return parser

@@ -106,14 +106,6 @@ class PoincareElement:
         object.__setattr__(self, "c", c)
 
 
-@dataclass(frozen=True)
-class BoostDecomposition:
-    """Velocity and residual rotation angle with Lambda = L(v) R(theta)."""
-
-    v: tuple
-    theta: object  # np.longdouble, or an array of them for a stack
-
-
 def boost_matrix(v, c) -> np.ndarray:
     """Pure boost L(v); requires c > 0 and |v| < c.  v = 0 gives the identity.
 
@@ -163,14 +155,13 @@ def _decompose_lorentz(lam, c) -> tuple[np.ndarray, LD]:
     return v, theta
 
 
-def decompose(p: PoincareElement) -> BoostDecomposition:
-    """Split p.lam into boost times rotation; reconstruction is checked."""
+def decompose(p: PoincareElement) -> tuple[np.ndarray, LD]:
+    """(v, theta) with p.lam = L(v) R(theta), v of shape (..., 2); reconstruction is checked."""
     v, theta = _decompose_lorentz(p.lam, p.c)
     recon = boost_matrix(v, p.c) @ rotation_matrix(theta)
     if not np.all(_largest(recon - p.lam) <= MATRIX_TOL):
         raise ValueError("decomposition failed to reconstruct the input")
-    # [()] makes one element's components scalars and leaves stacks as arrays
-    return BoostDecomposition(v=(v[..., 0][()], v[..., 1][()]), theta=theta)
+    return v, theta
 
 
 def compose_boosts(v, w, c) -> tuple[np.ndarray, LD]:
@@ -206,13 +197,13 @@ def poincare_product(g: PoincareElement, h: PoincareElement) -> PoincareElement:
 
 def contract_element(p: PoincareElement) -> GroupElement:
     """Galilei coordinates (phase 0, tau = a0/c, u, v, theta) of p."""
-    dec = decompose(p)
+    v, theta = decompose(p)
     return GroupElement(
         phase=0.0,
         tau=_floats(p.a[..., 0] / np.asarray(p.c, dtype=LD)),
         u=(_floats(p.a[..., 1]), _floats(p.a[..., 2])),
-        v=(_floats(dec.v[0]), _floats(dec.v[1])),
-        theta=_floats(dec.theta),
+        v=(_floats(v[..., 0]), _floats(v[..., 1])),
+        theta=_floats(theta),
     )
 
 
@@ -292,18 +283,20 @@ def convergence_study(
         raise ValueError("c grid must be strictly increasing")
     c = np.tile(np.array(grid, dtype=LD), (len(experiment.targets), 1))
     errors, zetas = experiment.evaluate(c)
-    log_c = np.log10(grid)
-    reports = []
-    for target, errs, zs in zip(experiment.targets, errors.tolist(), zetas.tolist()):
-        slope = float(np.polyfit(log_c, np.log10(np.maximum(errs, 1e-300)), 1)[0])
-        reports.append(ConvergenceReport(grid, tuple(errs), slope, target, tuple(zs)))
-    return reports
+    return [
+        ConvergenceReport(grid, tuple(errs), _loglog_slope(grid, errs), target, tuple(zs))
+        for target, errs, zs in zip(experiment.targets, errors.tolist(), zetas.tolist())
+    ]
+
+
+def _loglog_slope(c_grid, values) -> float:
+    """Least-squares slope of log10 value vs log10 c, values floored at 1e-300."""
+    return float(np.polyfit(np.log10(c_grid), np.log10(np.maximum(values, 1e-300)), 1)[0])
 
 
 def growth_slope(report: ConvergenceReport) -> float:
     """Fitted slope of log |zeta| vs log c (c^2 growth gives +2)."""
-    mags = np.maximum(report.zeta_magnitudes, 1e-300)
-    return float(np.polyfit(np.log10(report.c_grid), np.log10(mags), 1)[0])
+    return _loglog_slope(report.c_grid, report.zeta_magnitudes)
 
 
 def _samples(x, *tail) -> np.ndarray:
@@ -415,17 +408,3 @@ def sample_experiments(name: str, rng, samples: int, c_min: float) -> LimitExper
     factory, draw = families[name]
     return factory(*zip(*(draw() for _ in range(samples))))
 
-
-def report_csv_rows(report: ConvergenceReport) -> list[tuple[float, float, float]]:
-    return list(zip(report.c_grid, report.errors, report.zeta_magnitudes))
-
-
-def report_summary(report: ConvergenceReport, slope_tolerance: float = 0.1) -> dict:
-    """The slope check: deviation of the fitted slope from -2, the c^-2 convergence."""
-    defect = abs(report.fitted_slope + 2.0)
-    return {
-        "defect": defect,
-        "slope": report.fitted_slope,
-        "target": report.target,
-        "pass": bool(defect <= slope_tolerance),
-    }

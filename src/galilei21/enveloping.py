@@ -28,7 +28,6 @@ the rows of all six.  No floating point enters this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -299,16 +298,6 @@ def boost_momentum_cross() -> NOPoly:
 # --- bounded-degree centralizer ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralizerBasis:
-    elements: tuple[NOPoly, ...]
-    max_degree: int
-
-    @property
-    def dimension(self) -> int:
-        return len(self.elements)
-
-
 def monomials_up_to(max_degree: int) -> list[Exponents]:
     """All exponent tuples of total degree <= max_degree, graded order."""
     out = []
@@ -408,12 +397,12 @@ def _three_generate(alg: LieAlgebra) -> bool:
             and not any(jacobi_entries(alg)))
 
 
-def centralizer_basis(alg: LieAlgebra, max_degree: int) -> CentralizerBasis:
-    """All degree <= max_degree polynomials commuting with every generator.
+def centralizer_basis(alg: LieAlgebra, max_degree: int) -> tuple[NOPoly, ...]:
+    """A basis of the degree <= max_degree polynomials commuting with every generator.
 
-    A basis of the kernel of the exact linear system [g, sum_m x_m X^m] = 0
+    The kernel of the exact linear system [g, sum_m x_m X^m] = 0
     over the graded monomial list, for g in {N1, H, M} if `_three_generate`,
-    else for all six.  Scalars are always present, so the dimension is >= 1.
+    else for all six.  Scalars are always present, so the basis is never empty.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
@@ -433,10 +422,7 @@ def centralizer_basis(alg: LieAlgebra, max_degree: int) -> CentralizerBasis:
     # until the next cyclic collection, often into the next call
     normal_form.cache_clear()
     kernel = exact_nullspace(rows.values(), len(monos))
-    elements = tuple(
-        NOPoly({monos[i]: c for i, c in enumerate(vec) if c}) for vec in kernel
-    )
-    return CentralizerBasis(elements, max_degree)
+    return tuple(NOPoly({monos[i]: c for i, c in enumerate(vec) if c}) for vec in kernel)
 
 
 def in_span(polys: Sequence[NOPoly], p: NOPoly) -> bool:

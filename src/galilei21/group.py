@@ -178,11 +178,9 @@ def inverse(kind: GroupKind, params: ExtensionParams, g: GroupElement) -> GroupE
 def angle_distance(a, b):
     """|a - b| folded into [0, pi]; exact zero stays exact."""
     d = a - b
-    if not isinstance(d, np.ndarray):
-        if d == 0:
-            return d * 0  # preserves int/Fraction zero
-        d = float(d)
-    return abs((d + math.pi) % TWO_PI - math.pi)
+    if not isinstance(d, np.ndarray) and d == 0:
+        return d * 0  # preserves int/Fraction zero
+    return abs((d + math.pi) % TWO_PI - math.pi)  # a Fraction d + pi is a float
 
 
 def worst_defect(defects, zero):

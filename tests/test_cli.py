@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from galilei21 import algebra, enveloping, group
+from galilei21 import algebra, contraction, enveloping, group
 from galilei21.cli import build_parser, main
 
 
@@ -103,8 +103,12 @@ def test_contract_csv_rows(capsys):
         "--seed", "7", "--format", "csv",
     )
     assert code == 0
-    assert "sample,c,error,zeta_magnitude" in out
-    assert out.count("\n") > 10
+    lines = out.splitlines()
+    rows = [line.split(",") for line in lines[lines.index("sample,c,error,zeta_magnitude") + 1:]]
+    # one row per (sample, grid point), the grid in order within each sample
+    expected = [(i, c) for i in range(2) for c in contraction.DEFAULT_C_GRID]
+    assert [(int(r[0]), float(r[1])) for r in rows] == expected
+    assert all(len(r) == 4 and float(r[2]) >= 0 and float(r[3]) > 0 for r in rows)
 
 
 def test_contract_single_grid_point_is_config_error(capsys):
@@ -141,12 +145,27 @@ def test_degree_cap_enforced(capsys):
         (["casimir", "--max-degree", "9"], "--max-degree"),
         (["casimir", "--max-degree=-1"], "--max-degree"),
         (["casimir", "--max-degree", "-1"], "--max-degree"),
+    ] + [
+        ([*command, "--tolerance", tolerance], "--tolerance")
+        for command in (["group"], ["contract", "--experiment=mass"])
+        for tolerance in ("nan", "inf", "-1")
     ]
     for argv, option in cases:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith(f"configuration error: argument {option}:")
+
+
+def test_zero_tolerance_is_accepted_and_fails(capsys):
+    assert main(["group", "--k=1", "--m=1", "--samples=2", "--tolerance=0"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_empty_c_grid_range_is_config_error(capsys):
+    assert main(["contract", "--experiment=thomas", "--c-grid", "10:1:logx2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: argument --c-grid: bad c grid '10:1:logx2': the range holds no grid point\n"
 
 
 def test_degree_cap_is_not_an_option(capsys):
@@ -202,7 +221,7 @@ def test_centralizer_dimension_is_gated_in_every_regime(capsys, monkeypatch, cha
     real = enveloping.centralizer_basis
 
     def one_too_many(alg, d):
-        return enveloping.CentralizerBasis(real(alg, d).elements + (enveloping.NOPoly.one(),), d)
+        return real(alg, d) + (enveloping.NOPoly.one(),)
 
     monkeypatch.setattr(enveloping, "centralizer_basis", one_too_many)
     code, out = run(capsys, *argv)

@@ -18,6 +18,7 @@ from galilei21.algebra import (
     eliminate_k_change,
     make_galilei_algebra,
     random_params,
+    random_rational,
 )
 from galilei21.enveloping import (
     GEN_NAMES,
@@ -187,7 +188,7 @@ def test_casimir_table_massless():
 def test_centrality_defect_identities():
     rng = random.Random(33)
     for _ in range(20):
-        p = random_params(rng, nonzero_m=True, nonzero_l=True)
+        p = ExtensionParams(random_rational(rng), random_rational(rng, True), random_rational(rng, True))
         alg = make_galilei_algebra(p)
         c1 = internal_energy(p)
         c2 = internal_angular_momentum(p)
@@ -198,27 +199,25 @@ def test_centrality_defect_identities():
 
 
 def test_centralizer_degree_zero():
-    cb = centralizer_basis(make_galilei_algebra(ExtensionParams(1, 1, 1)), 0)
-    assert cb.dimension == 1
-    assert cb.elements[0] == NOPoly.one()
+    assert centralizer_basis(make_galilei_algebra(ExtensionParams(1, 1, 1)), 0) == (NOPoly.one(),)
 
 
 def test_centralizer_degree_two_spans_invariants():
     p = ExtensionParams(F(5), F(2), F(0))
     cb = centralizer_basis(make_galilei_algebra(p), 2)
-    assert cb.dimension == 3
-    assert in_span(cb.elements, NOPoly.one())
-    assert in_span(cb.elements, internal_energy(p))
-    assert in_span(cb.elements, internal_angular_momentum(p))
-    assert not in_span(cb.elements, momentum_squared())
-    for e in cb.elements:
+    assert len(cb) == 3
+    assert in_span(cb, NOPoly.one())
+    assert in_span(cb, internal_energy(p))
+    assert in_span(cb, internal_angular_momentum(p))
+    assert not in_span(cb, momentum_squared())
+    for e in cb:
         assert is_central(make_galilei_algebra(p), e)
 
 
 def test_centralizer_all_charges_active_is_trivial():
     cb = centralizer_basis(make_galilei_algebra(ExtensionParams(F(2), F(1), F(1))), 3)
-    assert cb.dimension == 1
-    assert in_span(cb.elements, NOPoly.one())
+    assert len(cb) == 1
+    assert in_span(cb, NOPoly.one())
 
 
 def test_centralizer_rejects_negative_degree():
@@ -324,7 +323,7 @@ def test_centralizer_table_from_rightmost_first_oracle(params, dims):
     for degree, dim in enumerate(dims):
         oracle = _oracle_centralizer(alg, degree)
         assert len(oracle) == dim, degree
-        assert centralizer_basis(alg, degree).elements == oracle, degree
+        assert centralizer_basis(alg, degree) == oracle, degree
         assert _expected_dimension(params, degree) == dim, degree
 
 
@@ -345,9 +344,9 @@ def _spy_row_counts(monkeypatch):
 def test_three_generator_rows_give_the_six_generator_basis_at_degree_5(params, monkeypatch):
     alg = make_galilei_algebra(params)
     seen = _spy_row_counts(monkeypatch)
-    three = centralizer_basis(alg, 5).elements
+    three = centralizer_basis(alg, 5)
     monkeypatch.setattr(enveloping_module, "_three_generate", lambda alg: False)
-    assert three == centralizer_basis(alg, 5).elements
+    assert three == centralizer_basis(alg, 5)
     assert seen[0] < seen[1]
 
 
@@ -432,7 +431,7 @@ def test_centralizer_falls_back_to_six_rows(brackets, is_lie, monkeypatch):
     for degree in (2, 3):
         basis, nrows = _six_row_centralizer(alg, degree)
         seen.clear()
-        assert centralizer_basis(alg, degree).elements == basis
+        assert centralizer_basis(alg, degree) == basis
         assert seen == [nrows]
 
 
