@@ -23,7 +23,6 @@ from .algebra import (
     apply_basis_change,
     basis_element,
     bracket,
-    element,
     eliminate_k_change,
     jacobi_defect,
     make_galilei_algebra,

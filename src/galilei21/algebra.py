@@ -169,14 +169,6 @@ def basis_element(alg: LieAlgebra, label: str) -> AlgebraElement:
     return AlgebraElement(tuple(coeffs))
 
 
-def element(alg: LieAlgebra, terms: Mapping[str, object]) -> AlgebraElement:
-    """Build an element from a {label: coefficient} mapping."""
-    coeffs = [_ZERO] * alg.dim
-    for label, c in terms.items():
-        coeffs[alg.index(label)] = _as_rational(c)
-    return AlgebraElement(tuple(coeffs))
-
-
 def make_galilei_algebra(params: ExtensionParams) -> LieAlgebra:
     """The extended planar Galilei algebra g_(k,m,l); the charges may be `Poly`s."""
     idx = {lbl: i for i, lbl in enumerate(GALILEI_LABELS)}
@@ -272,8 +264,11 @@ def jacobi_certified() -> bool:
 
 
 def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> tuple:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
+    """Exact inverse by Gauss-Jordan elimination; raises on singular or
+    non-square input."""
     dim = len(matrix)
+    if any(len(row) != dim for row in matrix):
+        raise ValueError("dimension mismatch")
     aug = [
         [_as_rational(matrix[i][j]) for j in range(dim)]
         + [_ONE if i == j else _ZERO for j in range(dim)]

@@ -1,11 +1,10 @@
 """Normal-ordered enveloping algebra of the extended Galilei algebra.
 
-Monomials are written with the generators in the fixed sequence
-
-    N1^a1 N2^a2 P1^b1 P2^b2 H^c M^d
-
-and a polynomial is a sparse map from exponent tuples
-(a1, a2, b1, b2, c, d) to rational coefficients.  The central element E
+A monomial is a sorted word of generator indices into GEN_NAMES, so
+(0, 0, 3, 4) is N1^2 P2 H: the generators stand in the fixed sequence
+N1 N2 P1 P2 H M, and these words are the Poincare-Birkhoff-Witt basis
+(Dixmier, Enveloping Algebras, ch. 2).  A polynomial is a sparse map from
+such words to rational coefficients.  The central element E
 of the underlying algebra is evaluated to the scalar unit, so brackets
 like [N1, P1] = m E contribute plain numbers when products are reordered.
 
@@ -15,8 +14,9 @@ fixed degree or lowers the degree, so the process terminates.  The
 leftmost out-of-order pair is rewritten first; confluence is certified
 by the associativity tests rather than assumed.  Each top-level call
 (`no_mul`, `no_commutators`, `is_central`, `substitute_generators`,
-`centralizer_basis`) builds one memoized normal orderer for all of its
-products and drops it on return; nothing is kept between calls.
+`centralizer_basis`) builds one memo of normal forms for all of its
+products; nothing refers back to the memo, so it is freed by the time the
+call returns, and nothing is kept between calls.
 
 The bounded-degree centralizer search solves [g, X] = 0 in exact integer
 arithmetic, with rows for g in {N1, H, M} only: [N1,H] = P1, [M,N1] = N2
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -37,40 +36,29 @@ from .algebra import ExtensionParams, LieAlgebra, antisymmetry_defect, jacobi_en
 
 GEN_NAMES = ("N1", "N2", "P1", "P2", "H", "M")
 NGEN = len(GEN_NAMES)
+N1, N2, P1, P2, H, M = range(NGEN)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-Exponents = tuple  # length-6 tuple of non-negative ints
-_UNIT_MONO: Exponents = (0,) * NGEN
-
-
-def _word_to_mono(word: tuple) -> Exponents:
-    m = [0] * NGEN
-    for g in word:
-        m[g] += 1
-    return tuple(m)
-
-
-def _mono_to_word(mono: Exponents) -> tuple:
-    w = []
-    for g, e in enumerate(mono):
-        w.extend([g] * e)
-    return tuple(w)
-
 
 class NOPoly:
-    """Normal-ordered polynomial: sparse {exponents: Fraction}, no zeros stored."""
+    """Normal-ordered polynomial: sparse {sorted word: Fraction}, no zeros stored."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exponents, Fraction] | None = None):
+    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
         cleaned = {}
         if terms:
-            for mono, co in terms.items():
+            for word, co in terms.items():
+                # an unsorted word would stand for a different element
+                if not (isinstance(word, tuple)
+                        and all(type(g) is int and 0 <= g < NGEN for g in word)
+                        and list(word) == sorted(word)):
+                    raise ValueError(f"not a sorted word of generator indices: {word!r}")
                 co = co if isinstance(co, Fraction) else Fraction(co)
                 if co:
-                    cleaned[tuple(mono)] = co
+                    cleaned[word] = co
         self.terms = cleaned
 
     # construction helpers
@@ -80,17 +68,15 @@ class NOPoly:
 
     @classmethod
     def one(cls) -> "NOPoly":
-        return cls({_UNIT_MONO: _ONE})
+        return cls({(): _ONE})
 
     @classmethod
     def generator(cls, name: str) -> "NOPoly":
-        mono = [0] * NGEN
-        mono[GEN_NAMES.index(name)] = 1
-        return cls({tuple(mono): _ONE})
+        return cls({(GEN_NAMES.index(name),): _ONE})
 
     @classmethod
     def scalar(cls, value) -> "NOPoly":
-        return cls({_UNIT_MONO: Fraction(value)})
+        return cls({(): Fraction(value)})
 
     # ring-module structure (multiplication needs an algebra: see no_mul)
     def __add__(self, other: "NOPoly") -> "NOPoly":
@@ -121,8 +107,8 @@ class NOPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, mono: Exponents) -> Fraction:
-        return self.terms.get(tuple(mono), _ZERO)
+    def coefficient(self, word: tuple) -> Fraction:
+        return self.terms.get(tuple(word), _ZERO)
 
     def max_abs_coefficient(self) -> Fraction:
         return max((abs(c) for c in self.terms.values()), default=_ZERO)
@@ -131,13 +117,11 @@ class NOPoly:
         if not self.terms:
             return "0"
         parts = []
-        order = lambda m: (sum(m), tuple(-e for e in m))
-        for mono in sorted(self.terms, key=order):
-            co = self.terms[mono]
+        for word in sorted(self.terms, key=lambda w: (len(w), w)):
+            co = self.terms[word]
             factors = [
-                f"{GEN_NAMES[g]}^{e}" if e > 1 else GEN_NAMES[g]
-                for g, e in enumerate(mono)
-                if e
+                f"{GEN_NAMES[g]}^{word.count(g)}" if word.count(g) > 1 else GEN_NAMES[g]
+                for g in dict.fromkeys(word)
             ]
             body = "*".join(factors) if factors else "1"
             if co == 1 and factors:
@@ -152,72 +136,73 @@ class NOPoly:
         return out
 
 
-def _normal_orderer(alg: LieAlgebra):
-    """Memoized normal_form(word) -> {exponents: coeff} over `alg`."""
-    try:
-        e_idx = alg.index("E")
-        gen_idx = [alg.index(n) for n in GEN_NAMES]
-    except KeyError as exc:
-        raise ValueError(
-            "enveloping products need the extended Galilei basis labels"
-        ) from exc
-    # [g_a, g_b] = scalar*1 + sum of generator terms, E evaluated to 1
-    table = {}
-    for a in range(NGEN):
-        for b in range(NGEN):
-            row = alg.tensor[gen_idx[a]][gen_idx[b]]
-            terms = []
-            for n, cn in enumerate(row):
-                if n == e_idx or not cn:
-                    continue
-                if n not in gen_idx:
-                    raise ValueError(
-                        "bracket leaves the generator span; cannot "
-                        "normal-order over this algebra"
-                    )
-                terms.append((gen_idx.index(n), cn))
-            table[(a, b)] = (row[e_idx], tuple(terms))
+class _NormalOrderer(dict):
+    """Memo of normal forms over `alg`: orderer[word] is {sorted word: coeff}
+    for any word of generator indices, computed on its first lookup."""
 
-    @cache
-    def normal_form(word: tuple) -> dict:
+    def __init__(self, alg: LieAlgebra):
+        try:
+            e_idx = alg.index("E")
+            gen_idx = [alg.index(n) for n in GEN_NAMES]
+        except KeyError as exc:
+            raise ValueError(
+                "enveloping products need the extended Galilei basis labels"
+            ) from exc
+        # [g_a, g_b] = scalar*1 + sum of generator terms, E evaluated to 1
+        self.table = {}
+        for a in range(NGEN):
+            for b in range(NGEN):
+                row = alg.tensor[gen_idx[a]][gen_idx[b]]
+                terms = []
+                for n, cn in enumerate(row):
+                    if n == e_idx or not cn:
+                        continue
+                    if n not in gen_idx:
+                        raise ValueError(
+                            "bracket leaves the generator span; cannot "
+                            "normal-order over this algebra"
+                        )
+                    terms.append((gen_idx.index(n), cn))
+                self.table[(a, b)] = (row[e_idx], tuple(terms))
+
+    def __missing__(self, word: tuple) -> dict:
         for i in range(len(word) - 1):
             x, y = word[i], word[i + 1]
             if x > y:
-                scalar, terms = table[(x, y)]
-                out = dict(normal_form(word[:i] + (y, x) + word[i + 2:]))
+                scalar, terms = self.table[(x, y)]
+                out = dict(self[word[:i] + (y, x) + word[i + 2:]])
                 parts = [(scalar, word[:i] + word[i + 2:])] if scalar else []
                 parts += [(cg, word[:i] + (g,) + word[i + 2:]) for g, cg in terms]
                 for f, w in parts:
-                    for mono, co in normal_form(w).items():
+                    for mono, co in self[w].items():
                         out[mono] = out.get(mono, _ZERO) + f * co
-                return {m: c for m, c in out.items() if c}
-        return {_word_to_mono(word): _ONE}
+                out = {m: c for m, c in out.items() if c}
+                break
+        else:
+            out = {word: _ONE}
+        self[word] = out
+        return out
 
-    return normal_form
 
-
-def _product(normal_form, p: NOPoly, q: NOPoly) -> NOPoly:
-    out: dict[Exponents, Fraction] = {}
-    for m1, c1 in p.terms.items():
-        w1 = _mono_to_word(m1)
-        for m2, c2 in q.terms.items():
+def _product(normal_form: _NormalOrderer, p: NOPoly, q: NOPoly) -> NOPoly:
+    out: dict[tuple, Fraction] = {}
+    for w1, c1 in p.terms.items():
+        for w2, c2 in q.terms.items():
             f = c1 * c2
-            for mono, co in normal_form(w1 + _mono_to_word(m2)).items():
+            for mono, co in normal_form[w1 + w2].items():
                 out[mono] = out.get(mono, _ZERO) + f * co
     return NOPoly(out)
 
 
 def no_mul(alg: LieAlgebra, p: NOPoly, q: NOPoly) -> NOPoly:
     """Product of p and q in the enveloping algebra, in normal order."""
-    return _product(_normal_orderer(alg), p, q)
+    return _product(_NormalOrderer(alg), p, q)
 
 
 def no_commutators(alg: LieAlgebra, pairs: Iterable[tuple[NOPoly, NOPoly]]) -> list[NOPoly]:
     """[p, q] for each pair (p, q), all normal-ordered by one orderer."""
-    normal_form = _normal_orderer(alg)
-    out = [_product(normal_form, p, q) - _product(normal_form, q, p) for p, q in pairs]
-    normal_form.cache_clear()  # see centralizer_basis
-    return out
+    normal_form = _NormalOrderer(alg)
+    return [_product(normal_form, p, q) - _product(normal_form, q, p) for p, q in pairs]
 
 
 def no_commutator(alg: LieAlgebra, p: NOPoly, q: NOPoly) -> NOPoly:
@@ -237,15 +222,14 @@ def substitute_generators(
     Generators absent from `images` map to themselves.  Used to transport
     polynomials along an algebra isomorphism given on the generators.
     """
-    normal_form = _normal_orderer(alg)
+    normal_form = _NormalOrderer(alg)
     table = [images.get(name, NOPoly.generator(name)) for name in GEN_NAMES]
     out = NOPoly.zero()
-    for mono, co in p.terms.items():
+    for word, co in p.terms.items():
         acc = NOPoly.scalar(co)
-        for g in _mono_to_word(mono):
+        for g in word:
             acc = _product(normal_form, acc, table[g])
         out = out + acc
-    normal_form.cache_clear()  # see centralizer_basis
     return out
 
 
@@ -259,9 +243,9 @@ def internal_energy(params: ExtensionParams) -> NOPoly:
     half = Fraction(1, 2) / params.m
     return NOPoly(
         {
-            (0, 0, 0, 0, 1, 0): _ONE,
-            (0, 0, 2, 0, 0, 0): -half,
-            (0, 0, 0, 2, 0, 0): -half,
+            (H,): _ONE,
+            (P1, P1): -half,
+            (P2, P2): -half,
         }
     )
 
@@ -277,34 +261,31 @@ def internal_angular_momentum(params: ExtensionParams) -> NOPoly:
     inv = 1 / params.m
     return NOPoly(
         {
-            (0, 0, 0, 0, 0, 1): _ONE,
-            (1, 0, 0, 1, 0, 0): -inv,
-            (0, 1, 1, 0, 0, 0): inv,
-            (0, 0, 0, 0, 1, 0): -params.k * inv,
+            (M,): _ONE,
+            (N1, P2): -inv,
+            (N2, P1): inv,
+            (H,): -params.k * inv,
         }
     )
 
 
 def momentum_squared() -> NOPoly:
     """P1^2 + P2^2 (the m = 0 invariant)."""
-    return NOPoly({(0, 0, 2, 0, 0, 0): _ONE, (0, 0, 0, 2, 0, 0): _ONE})
+    return NOPoly({(P1, P1): _ONE, (P2, P2): _ONE})
 
 
 def boost_momentum_cross() -> NOPoly:
     """N1 P2 - N2 P1 (invariant only when both m = 0 and k = 0)."""
-    return NOPoly({(1, 0, 0, 1, 0, 0): _ONE, (0, 1, 1, 0, 0, 0): -_ONE})
+    return NOPoly({(N1, P2): _ONE, (N2, P1): -_ONE})
 
 
 # --- bounded-degree centralizer ----------------------------------------------
 
 
-def monomials_up_to(max_degree: int) -> list[Exponents]:
-    """All exponent tuples of total degree <= max_degree, graded order."""
-    out = []
-    for total in range(max_degree + 1):
-        for combo in itertools.combinations_with_replacement(range(NGEN), total):
-            out.append(_word_to_mono(combo))
-    return out
+def monomials_up_to(max_degree: int) -> list[tuple]:
+    """All sorted words of length <= max_degree, graded order."""
+    return [word for total in range(max_degree + 1)
+            for word in itertools.combinations_with_replacement(range(NGEN), total)]
 
 
 def _integer_rows(rows: Iterable[Mapping[int, Fraction]]) -> list[dict]:
@@ -397,6 +378,22 @@ def _three_generate(alg: LieAlgebra) -> bool:
             and not any(jacobi_entries(alg)))
 
 
+def _centralizer_rows(alg: LieAlgebra, monos: Sequence[tuple]) -> Iterable[dict[int, Fraction]]:
+    """The rows of [g, sum_m x_m X^m] = 0 over `monos`, one per (g, monomial of
+    the commutator).  The memo of normal forms is freed on return, before
+    the elimination needs its memory."""
+    normal_form = _NormalOrderer(alg)
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for g in (N1, H, M) if _three_generate(alg) else range(NGEN):
+        for col, w in enumerate(monos):
+            left, right = normal_form[(g,) + w], normal_form[w + (g,)]
+            for rmono in {**left, **right}:
+                co = left.get(rmono, _ZERO) - right.get(rmono, _ZERO)
+                if co:
+                    rows.setdefault((g, rmono), {})[col] = co
+    return rows.values()
+
+
 def centralizer_basis(alg: LieAlgebra, max_degree: int) -> tuple[NOPoly, ...]:
     """A basis of the degree <= max_degree polynomials commuting with every generator.
 
@@ -406,29 +403,14 @@ def centralizer_basis(alg: LieAlgebra, max_degree: int) -> tuple[NOPoly, ...]:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    normal_form = _normal_orderer(alg)
     monos = monomials_up_to(max_degree)
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    gens = ("N1", "H", "M") if _three_generate(alg) else GEN_NAMES
-    for g in map(GEN_NAMES.index, gens):
-        for col, mono in enumerate(monos):
-            w = _mono_to_word(mono)
-            left, right = normal_form((g,) + w), normal_form(w + (g,))
-            for rmono in {**left, **right}:
-                co = left.get(rmono, _ZERO) - right.get(rmono, _ZERO)
-                if co:
-                    rows.setdefault((g, rmono), {})[col] = co
-    # normal_form refers to itself, so without this its memo would live
-    # until the next cyclic collection, often into the next call
-    normal_form.cache_clear()
-    kernel = exact_nullspace(rows.values(), len(monos))
+    kernel = exact_nullspace(_centralizer_rows(alg, monos), len(monos))
     return tuple(NOPoly({monos[i]: c for i, c in enumerate(vec) if c}) for vec in kernel)
 
 
 def in_span(polys: Sequence[NOPoly], p: NOPoly) -> bool:
     """Exact membership of p in the linear span of `polys`."""
     support = sorted({m for q in polys for m in q.terms} | set(p.terms))
-    sidx = {m: i for i, m in enumerate(support)}
     # solve sum_j x_j polys[j] = p by elimination on the augmented columns
     aug = len(polys)
     rows = []

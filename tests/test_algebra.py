@@ -15,7 +15,6 @@ from galilei21.algebra import (
     apply_basis_change,
     basis_element,
     bracket,
-    element,
     eliminate_k_change,
     invert_matrix,
     jacobi_certified,
@@ -237,3 +236,13 @@ def test_basis_change_round_trip_and_singular_rejection():
     singular = [[F(0)] * alg.dim for _ in range(alg.dim)]
     with pytest.raises(ValueError):
         apply_basis_change(alg, singular)
+
+
+def test_basis_change_rejects_a_non_square_matrix():
+    alg = galg(1, 2, 0)
+    wide = [[F(i == j) for j in range(alg.dim + 1)] for i in range(alg.dim)]  # identity, one column more
+    for matrix in ([[1] * 3] * alg.dim, wide):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_basis_change(alg, matrix)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            invert_matrix(matrix)

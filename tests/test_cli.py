@@ -193,8 +193,8 @@ def test_non_positive_c_grid_is_one_line_config_error(capfd, grid):
 
 def test_casimir_builds_one_orderer_for_its_candidate_checks(capsys, monkeypatch):
     built = []
-    orderer = enveloping._normal_orderer
-    monkeypatch.setattr(enveloping, "_normal_orderer", lambda alg: built.append(alg) or orderer(alg))
+    orderer = enveloping._NormalOrderer
+    monkeypatch.setattr(enveloping, "_NormalOrderer", lambda alg: built.append(alg) or orderer(alg))
     code, out = run(capsys, "casimir", "--k", "5", "--m", "2", "--l", "0", "--max-degree", "2")
     assert code == 0 and "overall: PASS" in out
     assert len(built) == 2  # the candidate checks, then the centralizer search

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction as F
@@ -39,7 +40,7 @@ from galilei21.enveloping import (
     no_mul,
     substitute_generators,
 )
-from galilei21.cli import _expected_dimension
+from galilei21.cli import _expected_dimension, main
 
 ALG = make_galilei_algebra(ExtensionParams(F(5), F(2), F(0)))
 N1 = NOPoly.generator("N1")
@@ -62,13 +63,13 @@ def rand_poly(rng, max_degree=2, nterms=3):
 def test_swap_produces_central_term():
     # P1 * N1 = N1*P1 - m with the central element evaluated to 1
     out = no_mul(ALG, P1, N1)
-    assert out == NOPoly({(1, 0, 1, 0, 0, 0): F(1), (0, 0, 0, 0, 0, 0): F(-2)})
+    assert out == NOPoly({(0, 2): F(1), (): F(-2)})
 
 
 def test_time_rotation_swap():
     alg = make_galilei_algebra(ExtensionParams(F(0), F(0), F(7)))
     out = no_mul(alg, M, H)
-    assert out == NOPoly({(0, 0, 0, 0, 1, 1): F(1), (0, 0, 0, 0, 0, 0): F(7)})
+    assert out == NOPoly({(4, 5): F(1), (): F(7)})
 
 
 def test_unit_law():
@@ -96,7 +97,7 @@ def test_degree_one_commutators_match_algebra_brackets():
 
 def test_boost_on_momentum_square():
     out = no_commutator(ALG, N1, no_mul(ALG, P1, P1))
-    assert out == NOPoly({(0, 0, 1, 0, 0, 0): F(4)})  # 2m P1, m = 2
+    assert out == NOPoly({(2,): F(4)})  # 2m P1, m = 2
 
 
 def test_rotation_annihilates_cross_term():
@@ -134,6 +135,36 @@ def test_commutator_antisymmetry_and_leibniz(seed):
     assert lhs == rhs
 
 
+def test_nopoly_rejects_a_key_that_is_not_a_sorted_word():
+    # read as exponents, (3, 2) was N1^3 N2^2; as a word it is unsorted
+    for key in [(3, 2), (0, 6), (-1, 0), (1.0,), (True,), ("P1",), ("P1", 0), 3]:
+        with pytest.raises(ValueError):
+            NOPoly({key: 1})
+    assert NOPoly({(2, 3): 1}) == no_mul(ALG, P1, P2)
+
+
+def _exponents(word):
+    return tuple(word.count(g) for g in range(len(GEN_NAMES)))
+
+
+def _exponent_order(word):
+    """The order of terms in a repr when monomials were exponent tuples: by
+    degree, then by descending exponents.  A test-only oracle."""
+    mono = _exponents(word)
+    return (sum(mono), tuple(-e for e in mono))
+
+
+def test_repr_order_is_the_exponent_tuple_order():
+    words = monomials_up_to(4)
+    random.Random(3).shuffle(words)
+    assert sorted(words, key=lambda w: (len(w), w)) == sorted(words, key=_exponent_order)
+    bodies = [
+        "*".join(f"{GEN_NAMES[g]}^{e}" if e > 1 else GEN_NAMES[g] for g, e in enumerate(_exponents(w)) if e)
+        for w in sorted(words, key=_exponent_order)
+    ]
+    assert repr(NOPoly({w: 1 for w in words})) == " + ".join(body or "1" for body in bodies)
+
+
 def test_scalars_are_central():
     assert is_central(ALG, NOPoly.scalar(F(7, 3)))
     assert is_central(ALG, NOPoly.zero())
@@ -141,8 +172,8 @@ def test_scalars_are_central():
 
 def test_internal_energy_coefficients():
     c1 = internal_energy(ExtensionParams(F(3), F(2), F(0)))
-    assert c1.coefficient((0, 0, 2, 0, 0, 0)) == F(-1, 4)
-    assert c1.coefficient((0, 0, 0, 0, 1, 0)) == F(1)
+    assert c1.coefficient((2, 2)) == F(-1, 4)
+    assert c1.coefficient((4,)) == F(1)
     with pytest.raises(ValueError):
         internal_energy(ExtensionParams(F(1), F(0), F(0)))
 
@@ -151,9 +182,9 @@ def test_internal_angular_momentum_coefficients():
     c2 = internal_angular_momentum(ExtensionParams(F(0), F(1), F(0)))
     assert c2 == NOPoly(
         {
-            (0, 0, 0, 0, 0, 1): F(1),
-            (1, 0, 0, 1, 0, 0): F(-1),
-            (0, 1, 1, 0, 0, 0): F(1),
+            (5,): F(1),
+            (0, 3): F(-1),
+            (1, 2): F(1),
         }
     )
     with pytest.raises(ValueError):
@@ -280,8 +311,7 @@ def _rightmost_normal_form(brackets, word):
         w, c = pending.popitem()
         inversions = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
         if not inversions:
-            mono = tuple(w.count(g) for g in range(len(GEN_NAMES)))
-            done[mono] = done.get(mono, F(0)) + c
+            done[w] = done.get(w, F(0)) + c
             continue
         i = inversions[-1]
         for new, co in [((w[i + 1], w[i]), F(1))] + brackets[(w[i], w[i + 1])]:
@@ -295,8 +325,7 @@ def _oracle_centralizer(alg, max_degree):
     monos = monomials_up_to(max_degree)
     rows = {}
     for g in range(len(GEN_NAMES)):
-        for col, mono in enumerate(monos):
-            word = tuple(h for h, e in enumerate(mono) for _ in range(e))
+        for col, word in enumerate(monos):
             com = _rightmost_normal_form(brackets, (g,) + word)
             for m, co in _rightmost_normal_form(brackets, word + (g,)).items():
                 com[m] = com.get(m, F(0)) - co
@@ -325,6 +354,56 @@ def test_centralizer_table_from_rightmost_first_oracle(params, dims):
         assert len(oracle) == dim, degree
         assert centralizer_basis(alg, degree) == oracle, degree
         assert _expected_dimension(params, degree) == dim, degree
+
+
+# sha256 of `casimir --format=json` at degrees 0..4 for each CENTRALIZER_TABLE
+# charge set; the reports print the basis, so this pins its reprs
+CASIMIR_JSON_SHA256 = [
+    (
+        "8b7aa8da81149df00312d02ea892ce3c78894166c87c0868d2233369e7c67d94",
+        "5585a13355e9f344ad89c67492c902a9591f9f2cc61001e4939481266da9e404",
+        "d7bdf1885a92f83288703c8c0ce92c7efd0768535eb30ac9de15364fefb4dcf8",
+        "6ed5cc8ad1954a8342bbbe2e339f6a879acc4f60f541a48391b9fe4953773786",
+        "a7de1b04da52c16b8aa848d1f96d699239899deff949520fd4f441fecbf04574",
+    ),
+    (
+        "fc0537188b8c564fead090479c21665cd9d8f114dc8b24889e257ad61dcec189",
+        "de35aa2f5115781f07c7221a81c98a27b61f7702a07f3e67d58edccbe2e625cc",
+        "3b160d391395bcb089ac2d6debc10c476586690bc68255490dd43213c8630968",
+        "25c253b9e2a68aa4a685a8e4625896abfd46fe2768c33b1b3db91c67f59535b6",
+        "07a2c79f684ac9297b07945e96b5d56ccf9ad73639a901ab603bf5cbe6a74e7b",
+    ),
+    (
+        "8c9fcd2dd42463a67f715ce9703c2c5f8b76b6273cf3f6ad1961bb65bd94803a",
+        "b7fb0a97b4b1dae4e6d54e60d80ae52a428625e2738d4f2c06ff924c7334fc62",
+        "54c6fb21ba3b05409d40555cada58e8a705071aeda6369fd974933e677a40958",
+        "25c04de47d85942f2dae299f87aeef33e758719889806e24ab4054820c7dd8e5",
+        "a894b6b27d498260adbfa13780916e7f76056998b9cb2ab00080bdddf0739a07",
+    ),
+    (
+        "9ffb2e8636a3369211ca1c548a0265b570ac410f661031679aeba0bbb0232c57",
+        "f991cf655fddb6edb1c8edb45ecc5769e24de5afa03678cef7af8513f47b5fad",
+        "0057f05b3760a8bbcf4b2f3292a55477f6b6ed10f1898af1c78f59257a14cf27",
+        "957123c9bbaabd9e50c9e11c59a4f858de113c0213b35490b5120b61a874ddb6",
+        "55989c5550c23ab55a645246b8432e873c91fff182102fb34ea8e046e538c5a7",
+    ),
+    (
+        "ee44577b991afb9f7bb31f097470f05faacc7af09a3e37d8aebb54977317af45",
+        "bd19cffd516dd9b2d54e8a565d1af35022535b20795c3128debde9ddae685ecf",
+        "5e8196031a0bd563391ea6e5c02bcb3cf8b2a1dccc7f5e3e386d371a7eedf7cd",
+        "9eb119371de172068d0f9e7dcaafe72f57cb615bb45f060f455941956a3d89aa",
+        "737700ea209761c79d336e105275d54e53704f9419a10748dd0b23177b4a1162",
+    ),
+]
+
+
+@pytest.mark.parametrize("params,digests", zip([p for p, _ in CENTRALIZER_TABLE], CASIMIR_JSON_SHA256))
+def test_casimir_reports_match_golden_digest(tmp_path, params, digests):
+    path = tmp_path / "report.json"
+    for degree, digest in enumerate(digests):
+        argv = ["casimir", f"--k={params.k}", f"--m={params.m}", f"--l={params.l}", f"--max-degree={degree}"]
+        assert main([*argv, "--format", "json", "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, degree
 
 
 def _spy_row_counts(monkeypatch):
@@ -485,3 +564,30 @@ def test_shared_orderer_gives_the_per_product_commutators():
     del alg
     gc.collect()
     assert ref() is None
+
+
+def test_orderers_are_freed_without_the_cycle_collector(monkeypatch):
+    built, real = [], enveloping_module._NormalOrderer
+
+    def spy(alg):
+        orderer = real(alg)
+        built.append(weakref.ref(orderer))
+        return orderer
+
+    monkeypatch.setattr(enveloping_module, "_NormalOrderer", spy)
+    c1 = internal_energy(ExtensionParams(F(5), F(2), F(0)))
+    calls = {
+        "no_mul": lambda: no_mul(ALG, P1, N1),
+        "no_commutators": lambda: no_commutators(ALG, [(N1, c1), (M, c1)]),
+        "is_central": lambda: is_central(ALG, c1),
+        "substitute_generators": lambda: substitute_generators(ALG, c1, {"N1": N1 + P2}),
+        "centralizer_basis": lambda: centralizer_basis(ALG, 2),
+    }
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            built.clear()
+            call()
+            assert len(built) == 1 and built[0]() is None, name
+    finally:
+        gc.enable()
