@@ -13,8 +13,6 @@ from galilei21 import (
     ExtensionParams,
     antisymmetry_defect,
     apply_basis_change,
-    basis_element,
-    bracket,
     eliminate_k_change,
     jacobi_defect,
     make_galilei_algebra,
@@ -25,13 +23,13 @@ alg = make_galilei_algebra(params)
 print(f"charges: k={params.k}, m={params.m}, l={params.l}")
 print(f"basis:   {', '.join(alg.labels)}")
 
-# every bracket of basis elements, skipping zero rows
+# every bracket of basis elements, skipping zero rows: [X_i, X_j] is the
+# coefficient row alg.tensor[i][j] over the basis
 print("\nnonzero brackets:")
 for i, a in enumerate(alg.labels):
-    for b in alg.labels[i + 1:]:
-        out = bracket(alg, basis_element(alg, a), basis_element(alg, b))
+    for j, b in enumerate(alg.labels[i + 1:], start=i + 1):
         terms = []
-        for lbl, c in zip(alg.labels, out.coeffs):
+        for lbl, c in zip(alg.labels, alg.tensor[i][j]):
             if c == 1:
                 terms.append(lbl)
             elif c == -1:

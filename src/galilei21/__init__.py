@@ -16,13 +16,10 @@ Four layers:
 """
 
 from .algebra import (
-    AlgebraElement,
     ExtensionParams,
     LieAlgebra,
     antisymmetry_defect,
     apply_basis_change,
-    basis_element,
-    bracket,
     eliminate_k_change,
     jacobi_defect,
     make_galilei_algebra,

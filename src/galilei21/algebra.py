@@ -125,48 +125,12 @@ class LieAlgebra:
             raise KeyError(f"no basis element named {label!r}") from None
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Coefficient vector over the algebra basis."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(_as_rational(c) for c in self.coeffs)
-        )
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("dimension mismatch")
-        return AlgebraElement(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "AlgebraElement":
-        s = _as_rational(scalar)
-        return AlgebraElement(tuple(s * c for c in self.coeffs))
-
-    def __neg__(self) -> "AlgebraElement":
-        return (-1) * self
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-
 def _freeze_tensor(t: Sequence[Sequence[Sequence[Fraction]]]) -> tuple:
     return tuple(tuple(tuple(row) for row in plane) for plane in t)
 
 
 def _zero_tensor(dim: int) -> list:
     return [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-
-
-def basis_element(alg: LieAlgebra, label: str) -> AlgebraElement:
-    coeffs = [_ZERO] * alg.dim
-    coeffs[alg.index(label)] = _ONE
-    return AlgebraElement(tuple(coeffs))
 
 
 def make_galilei_algebra(params: ExtensionParams) -> LieAlgebra:
@@ -191,26 +155,6 @@ def make_galilei_algebra(params: ExtensionParams) -> LieAlgebra:
     put("M", "N2", {"N1": -_ONE})
     put("M", "H", {"E": params.l})
     return LieAlgebra(GALILEI_LABELS, _freeze_tensor(c))
-
-
-def bracket(alg: LieAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the bracket table to arbitrary elements."""
-    dim = alg.dim
-    if len(x.coeffs) != dim or len(y.coeffs) != dim:
-        raise ValueError("dimension mismatch")
-    out = [_ZERO] * dim
-    for i, xi in enumerate(x.coeffs):
-        if not xi:
-            continue
-        for j, yj in enumerate(y.coeffs):
-            if not yj:
-                continue
-            row = alg.tensor[i][j]
-            f = xi * yj
-            for n, cn in enumerate(row):
-                if cn:
-                    out[n] += f * cn
-    return AlgebraElement(tuple(out))
 
 
 def _nonzero_rows(alg: LieAlgebra) -> list:

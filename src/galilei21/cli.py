@@ -269,6 +269,13 @@ def _exact_worst(rng, count: int, arity: int, defect, sides) -> Fraction:
 def cmd_group(opts) -> tuple:
     rng = random.Random(opts.seed)
     params = ExtensionParams(opts.k, opts.m, opts.l)
+    # the float rows convert these charges; one too large for a float is bad input
+    shift = {"k/(2m)": params.k / (2 * params.m)} if params.m else {}
+    for name, value in {"k/2": params.k / 2, "m": params.m, "l": params.l, **shift}.items():
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
     checks = []
     rows = _group_rows(params, opts.samples, opts.tolerance)
     for name, note, count, arity, defect, bound, sides in rows:

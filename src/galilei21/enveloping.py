@@ -13,10 +13,10 @@ pair X Y with Y X + [X, Y]; every rewrite either removes an inversion at
 fixed degree or lowers the degree, so the process terminates.  The
 leftmost out-of-order pair is rewritten first; confluence is certified
 by the associativity tests rather than assumed.  Each top-level call
-(`no_mul`, `no_commutators`, `is_central`, `substitute_generators`,
-`centralizer_basis`) builds one memo of normal forms for all of its
-products; nothing refers back to the memo, so it is freed by the time the
-call returns, and nothing is kept between calls.
+(`no_mul`, `no_commutators`, `is_central`, `centralizer_basis`) builds
+one memo of normal forms for all of its products; nothing refers back to
+the memo, so it is freed by the time the call returns, and nothing is
+kept between calls.
 
 The bounded-degree centralizer search solves [g, X] = 0 in exact integer
 arithmetic, with rows for g in {N1, H, M} only: [N1,H] = P1, [M,N1] = N2
@@ -63,14 +63,6 @@ class NOPoly:
 
     # construction helpers
     @classmethod
-    def zero(cls) -> "NOPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "NOPoly":
-        return cls({(): _ONE})
-
-    @classmethod
     def generator(cls, name: str) -> "NOPoly":
         return cls({(GEN_NAMES.index(name),): _ONE})
 
@@ -106,9 +98,6 @@ class NOPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def coefficient(self, word: tuple) -> Fraction:
-        return self.terms.get(tuple(word), _ZERO)
 
     def max_abs_coefficient(self) -> Fraction:
         return max((abs(c) for c in self.terms.values()), default=_ZERO)
@@ -212,25 +201,6 @@ def no_commutator(alg: LieAlgebra, p: NOPoly, q: NOPoly) -> NOPoly:
 def is_central(alg: LieAlgebra, p: NOPoly) -> bool:
     """True iff p commutes with every generator N1, N2, P1, P2, H, M."""
     return not any(no_commutators(alg, [(p, NOPoly.generator(name)) for name in GEN_NAMES]))
-
-
-def substitute_generators(
-    alg: LieAlgebra, p: NOPoly, images: Mapping[str, NOPoly]
-) -> NOPoly:
-    """Apply a generator substitution and re-normalize products in `alg`.
-
-    Generators absent from `images` map to themselves.  Used to transport
-    polynomials along an algebra isomorphism given on the generators.
-    """
-    normal_form = _NormalOrderer(alg)
-    table = [images.get(name, NOPoly.generator(name)) for name in GEN_NAMES]
-    out = NOPoly.zero()
-    for word, co in p.terms.items():
-        acc = NOPoly.scalar(co)
-        for g in word:
-            acc = _product(normal_form, acc, table[g])
-        out = out + acc
-    return out
 
 
 # --- the invariants from the Casimir table ----------------------------------

@@ -99,13 +99,13 @@ def test_criterion_04_bounded_degree_centralizer():
                 algebra.random_rational(rng), algebra.random_rational(rng, True), algebra.random_rational(rng, True))
             basis = enveloping.centralizer_basis(algebra.make_galilei_algebra(p), 3)
             assert len(basis) == 1
-            assert enveloping.in_span(basis, enveloping.NOPoly.one())
+            assert enveloping.in_span(basis, enveloping.NOPoly.scalar(1))
         for _ in range(10):
             p = algebra.random_params(rng, nonzero_m=True)
             p = ExtensionParams(p.k, p.m, 0)
             basis = enveloping.centralizer_basis(algebra.make_galilei_algebra(p), 2)
             assert len(basis) == 3
-            assert enveloping.in_span(basis, enveloping.NOPoly.one())
+            assert enveloping.in_span(basis, enveloping.NOPoly.scalar(1))
             assert enveloping.in_span(basis, enveloping.internal_energy(p))
             assert enveloping.in_span(basis, enveloping.internal_angular_momentum(p))
 

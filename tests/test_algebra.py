@@ -3,8 +3,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from galilei21 import algebra
 from galilei21.algebra import (
@@ -13,8 +11,6 @@ from galilei21.algebra import (
     Poly,
     antisymmetry_defect,
     apply_basis_change,
-    basis_element,
-    bracket,
     eliminate_k_change,
     invert_matrix,
     jacobi_certified,
@@ -25,8 +21,6 @@ from galilei21.algebra import (
 )
 from galilei21.cli import main
 
-rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-
 
 def galg(k, m, l):
     return make_galilei_algebra(ExtensionParams(F(k), F(m), F(l)))
@@ -34,11 +28,7 @@ def galg(k, m, l):
 
 def test_bracket_table_matches_definition():
     alg = galg(1, 2, 3)
-    get = lambda a, b: dict(
-        (lbl, c)
-        for lbl, c in zip(alg.labels, bracket(alg, basis_element(alg, a), basis_element(alg, b)).coeffs)
-        if c
-    )
+    get = lambda a, b: {lbl: c for lbl, c in zip(alg.labels, alg.tensor[alg.index(a)][alg.index(b)]) if c}
     assert get("N1", "P1") == {"E": F(2)}
     assert get("N1", "P2") == {}
     assert get("H", "P1") == {}
@@ -52,8 +42,7 @@ def test_bracket_table_matches_definition():
     assert get("N2", "P2") == {"E": F(2)}
     assert get("M", "N2") == {"N1": F(-1)}
     # E is central
-    for lbl in alg.labels:
-        assert bracket(alg, basis_element(alg, "E"), basis_element(alg, lbl)).is_zero()
+    assert not any(any(row) for row in alg.tensor[alg.index("E")])
 
 
 def test_zero_charges_give_plain_galilei_plus_decoupled_center():
@@ -63,36 +52,6 @@ def test_zero_charges_give_plain_galilei_plus_decoupled_center():
         for j in range(alg.dim):
             assert alg.tensor[i][j][e_idx] == 0
     assert jacobi_defect(alg) == 0
-
-
-def test_bracket_of_sum():
-    alg = galg(1, 2, 3)
-    n12 = basis_element(alg, "N1") + basis_element(alg, "N2")
-    h = basis_element(alg, "H")
-    out = bracket(alg, n12, h)
-    assert out == basis_element(alg, "P1") + basis_element(alg, "P2")
-
-
-def test_bracket_dimension_mismatch():
-    alg = galg(1, 2, 3)
-    from galilei21.algebra import AlgebraElement
-
-    with pytest.raises(ValueError):
-        bracket(alg, AlgebraElement((F(1),)), basis_element(alg, "H"))
-
-
-@settings(max_examples=60)
-@given(a=rationals, b=rationals, x=st.integers(0, 6), y=st.integers(0, 6), z=st.integers(0, 6))
-def test_bracket_bilinear_and_antisymmetric(a, b, x, y, z):
-    alg = galg(1, 2, 0)
-    ex = basis_element(alg, alg.labels[x])
-    ey = basis_element(alg, alg.labels[y])
-    ez = basis_element(alg, alg.labels[z])
-    lhs = bracket(alg, a * ex + b * ey, ez)
-    rhs = a * bracket(alg, ex, ez) + b * bracket(alg, ey, ez)
-    assert lhs == rhs
-    assert bracket(alg, ex, ey) == -bracket(alg, ey, ex)
-    assert bracket(alg, ex, ex).is_zero()
 
 
 def test_jacobi_zero_for_random_and_boundary_charges():
@@ -158,6 +117,18 @@ def test_failed_jacobi_certificate_reports_the_sampled_defect(tmp_path, monkeypa
     assert fallback == (tmp_path / "sampled.json").read_bytes()
     row = {c["name"]: c for c in json.loads(fallback)["checks"]}["jacobi_random_charges"]
     assert row["defect"] != "0" and not row["pass"]
+
+
+def test_wrong_k_removal_fails_verify_algebra(tmp_path, monkeypatch):
+    real = algebra.eliminate_k_change
+    # the shift -k/(2m) in place of k/(2m)
+    monkeypatch.setattr(algebra, "eliminate_k_change", lambda p: real(ExtensionParams(-p.k, p.m, p.l)))
+    out = tmp_path / "report.json"
+    argv = ["verify-algebra", "--k", "1", "--m", "2", "--l", "3", "--samples", "60", "--format=json"]
+    assert main([*argv, f"--out={out}"]) == 1
+    rows = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert (rows["k_removal"]["defect"], rows["k_removal_random_charges"]["defect"]) == ("1", "45")
+    assert not rows["k_removal"]["pass"] and not rows["k_removal_random_charges"]["pass"]
 
 
 def test_corrupted_tensor_detection():

@@ -221,7 +221,7 @@ def test_centralizer_dimension_is_gated_in_every_regime(capsys, monkeypatch, cha
     real = enveloping.centralizer_basis
 
     def one_too_many(alg, d):
-        return real(alg, d) + (enveloping.NOPoly.one(),)
+        return real(alg, d) + (enveloping.NOPoly.scalar(1),)
 
     monkeypatch.setattr(enveloping, "centralizer_basis", one_too_many)
     code, out = run(capsys, *argv)
@@ -245,6 +245,16 @@ def test_group_nan_defects_fail_closed(capsys, monkeypatch, tau):
                  "k_removal_homomorphism", "coboundary_invariance"):
         assert math.isnan(names[name]["defect"]) and not names[name]["pass"]
     assert names["associativity_exact_mode"]["pass"]
+
+
+@pytest.mark.parametrize("charges", [
+    ("--m", "1e400"), ("--k", "1e400", "--m", "1"), ("--l", "1e400"), ("--k", "1", "--m", "1e-400"),
+])
+def test_charge_too_large_for_a_float_is_config_error(capsys, charges):
+    # k/2, m, l and k/(2m) enter the float rows; each overflows a float once
+    assert main(["group", *charges]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("configuration error:") and err.count("\n") == 1
 
 
 def test_bad_samples_is_config_error(capsys):
