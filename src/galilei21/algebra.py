@@ -25,10 +25,10 @@ never changed once built) and can be shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 GALILEI_LABELS = ("E", "H", "P1", "P2", "N1", "N2", "M")
@@ -38,7 +38,7 @@ _ONE = Fraction(1)
 
 
 def _as_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, Poly)):
         return x
     if isinstance(x, int) or isinstance(x, str):
         return Fraction(x)
@@ -48,7 +48,8 @@ def _as_rational(x) -> Fraction:
 class Poly(dict):
     """A polynomial over Fraction in commuting symbols: it maps each monomial,
     the sorted tuple of its symbols (repeated for a power), to a nonzero
-    coefficient, so zero is the empty, falsy Poly.  Floats raise TypeError."""
+    coefficient, so zero is the empty, falsy Poly.  Floats raise TypeError,
+    and so does a division other than by a monomial that divides every term."""
 
     def __init__(self, terms):
         """From {monomial: coefficient}, or from a number as a constant."""
@@ -82,6 +83,24 @@ class Poly(dict):
 
     def __rsub__(self, other) -> "Poly":
         return -self + other
+
+    def __truediv__(self, other) -> "Poly":
+        divisor = Poly(other)
+        if len(divisor) != 1:
+            raise TypeError("a Poly divides only by a nonzero monomial")
+        ((mono, c),) = divisor.items()
+        terms = {}
+        for ma, a in self.items():
+            rest = list(ma)  # stays sorted as symbols are removed
+            for name in mono:
+                if name not in rest:
+                    raise TypeError(f"{mono} does not divide {ma}")
+                rest.remove(name)
+            terms[tuple(rest)] = a / c
+        return Poly(terms)
+
+    def __rtruediv__(self, other) -> "Poly":
+        return Poly(other) / self
 
 
 @dataclass(frozen=True)
@@ -200,10 +219,12 @@ def jacobi_defect(alg: LieAlgebra) -> Fraction:
     return max(map(abs, jacobi_entries(alg)), default=_ZERO)
 
 
+@functools.cache
 def jacobi_certified() -> bool:
     """True when g_(k,m,l)'s Jacobi tensor is zero as a polynomial in the charges,
-    which proves jacobi_defect(make_galilei_algebra(p)) == 0 for every p."""
-    charges = SimpleNamespace(k=Poly.symbol("k"), m=Poly.symbol("m"), l=Poly.symbol("l"))
+    which proves jacobi_defect(make_galilei_algebra(p)) == 0 for every p.
+    Computed once per process."""
+    charges = ExtensionParams(*(Poly.symbol(name) for name in ("k", "m", "l")))
     return not any(jacobi_entries(make_galilei_algebra(charges)))
 
 
@@ -284,6 +305,27 @@ def eliminate_k_change(params: ExtensionParams) -> tuple:
     rows[idx["N1"]][idx["P2"]] = shift
     rows[idx["N2"]][idx["P1"]] = -shift
     return tuple(tuple(r) for r in rows)
+
+
+@functools.cache
+def k_removal_certified() -> bool:
+    """True when eliminate_k_change takes g_(k,m,l) onto g_(0,m,l) as polynomials
+    in m, l and s = k/(2m), the charges being k = 2 m s: that proves it for every
+    charge set with m != 0.  Computed once per process.
+
+    It runs the numeric path itself on Poly charges: invert_matrix divides only
+    by its pivots, which are 1 here, and k/(2m) is the exact division 2ms/(2m).
+    """
+    m, l, s = (Poly.symbol(name) for name in ("m", "l", "s"))
+    params = ExtensionParams(2 * m * s, m, l)
+    removed = apply_basis_change(make_galilei_algebra(params), eliminate_k_change(params))
+    target = make_galilei_algebra(ExtensionParams(0, m, l))
+    return not any(
+        a - b
+        for plane_a, plane_b in zip(removed.tensor, target.tensor)
+        for row_a, row_b in zip(plane_a, plane_b)
+        for a, b in zip(row_a, row_b)
+    )
 
 
 def random_rational(rng, nonzero: bool = False) -> Fraction:

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra, contraction, enveloping, group
-from .algebra import ExtensionParams
+from .algebra import ExtensionParams, Poly
 from .group import worst_defect
 
 DEGREE_CAP = 4
@@ -117,15 +117,19 @@ def cmd_verify_algebra(opts) -> tuple:
     anti, jac = algebra.antisymmetry_defect(alg), algebra.jacobi_defect(alg)
     checks = [_check("antisymmetry", anti, anti == 0), _check("jacobi", jac, jac == 0)]
 
+    # Both random-charge rows are certified at symbolic charges, once per process.
+    # Only a failed certificate samples; the draws then keep their order, and
+    # when both hold none is made, as nothing reads rng after these rows.
+    jacobi_ok, removal_ok = algebra.jacobi_certified(), algebra.k_removal_certified()
+    drawn = [] if jacobi_ok and removal_ok else [algebra.random_params(rng) for _ in range(opts.samples)]
     boundary = [
         ExtensionParams(0, 0, 0),
         ExtensionParams(0, params.m, params.l),
         ExtensionParams(params.k, 0, params.l),
         ExtensionParams(params.k, params.m, 0),
     ]
-    charges = boundary + [algebra.random_params(rng) for _ in range(opts.samples)]
-    worst = Fraction(0) if algebra.jacobi_certified() else worst_defect(  # certified: zero at every p
-        (algebra.jacobi_defect(algebra.make_galilei_algebra(p)) for p in charges), Fraction(0)
+    worst = Fraction(0) if jacobi_ok else worst_defect(
+        (algebra.jacobi_defect(algebra.make_galilei_algebra(p)) for p in boundary + drawn), Fraction(0)
     )
     checks.append(_check("jacobi_random_charges", worst, worst == 0))
 
@@ -137,8 +141,11 @@ def cmd_verify_algebra(opts) -> tuple:
     else:
         ok = removes_k(params)
         checks.append(_check("k_removal", Fraction(0 if ok else 1), ok))
-    draws = (algebra.random_params(rng, nonzero_m=True) for _ in range(min(opts.samples, 50)))
-    bad = sum(not removes_k(p) for p in draws)
+    if removal_ok:
+        bad = 0
+    else:
+        draws = (algebra.random_params(rng, nonzero_m=True) for _ in range(min(opts.samples, 50)))
+        bad = sum(not removes_k(p) for p in draws)
     checks.append(_check("k_removal_random_charges", Fraction(bad), bad == 0))
     return checks, None
 
@@ -220,7 +227,8 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
     """The group suite: (name, skip note, samples, elements per sample, defect, bound, sides).
 
     A bound of None asks for an exactly zero defect on Fraction elements, and
-    gives the `sides` that defect compares.  The other rows' defects take
+    gives the `sides` that defect compares.  The charges may be `Poly`s, as
+    `_certified_exact_rows` passes them.  The other rows' defects take
     float elements, or numpy arrays of samples, and return a float or an array.
     """
     cov, ext = group.GroupKind.COVERING, group.GroupKind.EXTENDED
@@ -256,11 +264,27 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
     return rows
 
 
-def _exact_worst(rng, count: int, arity: int, defect, sides) -> Fraction:
-    """Worst defect of `count` exact samples: zero when `sides` is certified,
-    with the samples' draws still made, as later rows read on from `rng`."""
-    if group.identity_certified(sides, arity):
-        group.rational_draws(rng, count * arity)
+@functools.cache
+def _certified_exact_rows() -> frozenset:
+    """Names of the exact rows of `_group_rows` certified at every charge set,
+    built once per process from the rows at symbolic charges (2ms, m, l).
+
+    Their sides are then polynomials in m, l, s and the coordinates: eliminate_k_map
+    divides k = 2ms by 2m, exactly, to s = k/(2m).  A zero difference proves the
+    homomorphism at every (k, m, l) with m != 0, and associativity at every
+    charge set, since a polynomial in k that vanishes at k = 2ms is zero.
+    """
+    m, l, s = (Poly.symbol(name) for name in ("m", "l", "s"))
+    rows = _group_rows(ExtensionParams(2 * m * s, m, l), 1, 0.0)
+    return frozenset(name for name, _, _, arity, _, bound, sides in rows
+                     if bound is None and group.identity_certified(sides, arity))
+
+
+def _exact_worst(rng, count: int, arity: int, defect, certified: bool) -> Fraction:
+    """Worst defect of `count` exact samples: zero when the row is `certified`,
+    with the samples' draws still replayed, as later rows read on from `rng`."""
+    if certified:
+        group.skip_rational_draws(rng, count * arity)
         return Fraction(0)
     draw = lambda: (group.random_rational_element(rng) for _ in range(arity))
     return worst_defect((Fraction(defect(*draw())) for _ in range(count)), Fraction(0))
@@ -281,8 +305,8 @@ def cmd_group(opts) -> tuple:
     for name, note, count, arity, defect, bound, sides in rows:
         if note:
             checks.append(_skip(name, note))
-        elif bound is None:  # Fraction elements: certified once, else sampled
-            worst = _exact_worst(rng, count, arity, defect, sides)
+        elif bound is None:  # Fraction elements: certified once per process, else sampled
+            worst = _exact_worst(rng, count, arity, defect, name in _certified_exact_rows())
             checks.append(_check(name, worst, worst == 0))
         else:  # float elements, every sample in one call on numpy arrays
             with np.errstate(all="ignore"):  # a NaN or inf fails the row, silently as floats do

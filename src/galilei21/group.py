@@ -346,6 +346,20 @@ def rational_draws(rng, count: int) -> list:
     return [(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(6 * count)]
 
 
+def skip_rational_draws(rng, count: int) -> None:
+    """Advance `rng` as `rational_draws(rng, count)` does, building no draw.
+
+    CPython's randint(-4, 4) and randint(1, 4) are _randbelow_with_getrandbits
+    of 9 and 4: getrandbits(4) until it is below 9, getrandbits(3) until below 4.
+    """
+    bits = rng.getrandbits
+    for _ in range(6 * count):
+        while bits(4) >= 9:
+            pass
+        while bits(3) >= 4:
+            pass
+
+
 def random_rational_element(rng) -> GroupElement:
     """Random element with Fraction components and theta = 0 (exact mode)."""
     return _exact_element([Fraction(*draw) for draw in rational_draws(rng, 1)])

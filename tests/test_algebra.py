@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from galilei21.algebra import (
     jacobi_certified,
     jacobi_defect,
     jacobi_entries,
+    k_removal_certified,
     make_galilei_algebra,
     random_params,
 )
@@ -94,6 +96,47 @@ def test_poly_arithmetic_and_zero_test():
         x * 0.5  # floats never enter an exact polynomial
 
 
+def test_poly_exact_division():
+    m, s = Poly.symbol("m"), Poly.symbol("s")
+    assert (2 * m * s) / (2 * m) == s
+    assert (m * m * s - 3 * m) / (F(-1, 2) * m) == {("m", "s"): F(-2), (): F(6)}
+    assert (4 * s + 2) / F(2) == 2 * s + 1
+    assert F(3) / Poly(2) == Poly(F(3, 2)) and 1 / Poly(F(1, 4)) == Poly(4)
+    for divisor in (m + s, s * s, Poly(0), 0.5):
+        with pytest.raises(TypeError):
+            (2 * m * s) / divisor
+    with pytest.raises(TypeError):
+        1 / m  # 1/m is no polynomial
+    with pytest.raises(TypeError):
+        0.5 / Poly(2)
+
+
+def _at(x, values):
+    """A Poly evaluated at rational values of its symbols; a Fraction as is."""
+    if not isinstance(x, Poly):
+        return x
+    return sum((c * math.prod(values[v] for v in mono) for mono, c in x.items()), F(0))
+
+
+def test_k_removal_certificate_is_the_sampled_check_for_all_charges(monkeypatch):
+    assert k_removal_certified()
+    # the symbolic basis change, at s = k/(2m), is the one each charge set gets
+    m, l, s = (Poly.symbol(name) for name in ("m", "l", "s"))
+    symbolic = ExtensionParams(2 * m * s, m, l)
+    changed = apply_basis_change(make_galilei_algebra(symbolic), eliminate_k_change(symbolic))
+    rng = random.Random(43)
+    for _ in range(5):
+        p = random_params(rng, nonzero_m=True)
+        values = {"m": p.m, "l": p.l, "s": p.k / (2 * p.m)}
+        numeric = apply_basis_change(make_galilei_algebra(p), eliminate_k_change(p))
+        assert tuple(tuple(tuple(_at(x, values) for x in row) for row in plane)
+                     for plane in changed.tensor) == numeric.tensor
+    real = algebra.eliminate_k_change
+    monkeypatch.setattr(algebra, "eliminate_k_change", lambda p: real(ExtensionParams(-p.k, p.m, p.l)))
+    k_removal_certified.cache_clear()  # the certificate above proved the unflipped shift
+    assert not k_removal_certified()
+
+
 def test_jacobi_certificate_is_the_sampled_check_for_all_charges(monkeypatch):
     assert jacobi_certified()
     # the entries at symbolic charges are the entries at any rational charge set
@@ -103,6 +146,7 @@ def test_jacobi_certificate_is_the_sampled_check_for_all_charges(monkeypatch):
         assert jacobi_defect(make_galilei_algebra(p)) == 0
         assert not any(jacobi_entries(make_galilei_algebra(p)))
     monkeypatch.setattr(algebra, "make_galilei_algebra", charge_on_m_h)
+    jacobi_certified.cache_clear()  # the certificate above proved the uncorrupted law
     assert not jacobi_certified()
     assert jacobi_defect(charge_on_m_h(ExtensionParams(1, 2, 3))) != 0
 
@@ -126,6 +170,7 @@ def test_wrong_k_removal_fails_verify_algebra(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     argv = ["verify-algebra", "--k", "1", "--m", "2", "--l", "3", "--samples", "60", "--format=json"]
     assert main([*argv, f"--out={out}"]) == 1
+    assert not k_removal_certified()
     rows = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert (rows["k_removal"]["defect"], rows["k_removal_random_charges"]["defect"]) == ("1", "45")
     assert not rows["k_removal"]["pass"] and not rows["k_removal_random_charges"]["pass"]

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from galilei21 import algebra, contraction, enveloping, group
+from galilei21 import algebra, cli, contraction, enveloping, group
 from galilei21.cli import build_parser, main
 
 
@@ -318,14 +319,31 @@ def _reports(tmp_path, cases, tag):
 
 def _sample_only(monkeypatch):
     monkeypatch.setattr(algebra, "jacobi_certified", lambda: False)
+    monkeypatch.setattr(algebra, "k_removal_certified", lambda: False)
     monkeypatch.setattr(group, "identity_certified", lambda sides, arity: False)
+    cli._certified_exact_rows.cache_clear()  # it may hold the real certificates
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or real(*args))
 
 
 def test_certified_reports_equal_sampled_reports(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, algebra, "apply_basis_change")
+    _count_calls(monkeypatch, calls, group, "random_rational_element")
     certified = _reports(tmp_path, CERTIFIED_CASES, "certified")
+    # three formats of one verify-algebra case: its k_removal row, and one symbolic run
+    assert calls == {"apply_basis_change": 3 + 1}
+    calls.clear()
     _sample_only(monkeypatch)
     assert _reports(tmp_path, CERTIFIED_CASES, "sampled") == certified
     assert {code for code, _ in certified} == {0}
+    # the sampled rows ran: 30 charge sets per verify-algebra report, and
+    # 60 samples of 3 (associativity) and of 2 (homomorphism, m != 0) elements per group report
+    assert calls == {"apply_basis_change": 3 * (1 + 30),
+                     "random_rational_element": 3 * (300 + 300 + 180)}
 
 
 def test_out_file_written(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import galilei21.group as group_module
 from galilei21.algebra import ExtensionParams, Poly, random_params
-from galilei21.cli import _exact_worst, _group_rows, _zeta
+from galilei21.cli import _certified_exact_rows, _exact_worst, _group_rows, _zeta
 from galilei21.group import (
     IDENTITY,
     GroupElement,
@@ -22,6 +22,7 @@ from galilei21.group import (
     cocycle_exponent,
     compose,
     compose_with_exponent,
+    cross,
     element_distance,
     eliminate_k_map,
     galilei_product,
@@ -33,6 +34,7 @@ from galilei21.group import (
     random_rational_element,
     rational_draws,
     rotate,
+    skip_rational_draws,
     worst_defect,
     worst_per_sample,
 )
@@ -484,17 +486,16 @@ def test_symbolic_law_evaluates_to_the_exact_law():
 
 
 @pytest.mark.parametrize("params", REGIMES, ids=["l=0", "l!=0", "m=0"])
-def test_exact_rows_are_certified_and_draw_what_sampling_draws(monkeypatch, params):
+def test_exact_rows_are_certified_and_draw_what_sampling_draws(params):
     exact = [row for row in _group_rows(params, 60, TOL) if row[5] is None]
     assert [row[0] for row in exact] == ["associativity_exact_mode"] + (
         ["k_removal_homomorphism_exact"] if params.m != 0 else [])
     for name, _, count, arity, defect, _, sides in exact:
-        assert identity_certified(sides, arity), name
+        assert identity_certified(sides, arity), name  # at this charge set too
+        assert name in _certified_exact_rows(), name
         certified_rng, sampled_rng = random.Random(7), random.Random(7)
-        certified = _exact_worst(certified_rng, count, arity, defect, sides)
-        with monkeypatch.context() as m:
-            m.setattr(group_module, "identity_certified", lambda sides, arity: False)
-            sampled = _exact_worst(sampled_rng, count, arity, defect, sides)
+        certified = _exact_worst(certified_rng, count, arity, defect, True)
+        sampled = _exact_worst(sampled_rng, count, arity, defect, False)
         assert certified == sampled == 0 and type(certified) is type(sampled) is F
         assert certified_rng.getstate() == sampled_rng.getstate(), name
 
@@ -507,6 +508,17 @@ def test_rational_draws_consume_the_stream_like_drawing_the_elements():
     assert a.getstate() == b.getstate()
 
 
+@pytest.mark.parametrize("seed", [0, 12, 8191])
+@pytest.mark.parametrize("count", [0, 1, 37, 1000])
+def test_skipped_draws_leave_the_stream_where_rational_draws_do(seed, count):
+    """The replay relies on how CPython's randint draws (via getrandbits)."""
+    a, b = random.Random(seed), random.Random(seed)
+    rational_draws(a, count)
+    skip_rational_draws(b, count)
+    assert a.getstate() == b.getstate()
+    assert a.random() == b.random()
+
+
 def _wrong_cocycle_coefficient(m):
     m.setattr(group_module, "HALF", F(1))  # -m v^2 tau' where the law has -m v^2/2 tau'
 
@@ -517,17 +529,26 @@ def _flipped_k_map(m):
               lambda p, g: original(ExtensionParams(-p.k, p.m, p.l), g))
 
 
+def _extra_k_phase_term(m):
+    original = group_module.cocycle_exponent
+    # + k (v x u'), whose coboundary at (g, h, f) is -k tau_f (v_g x v_h), not zero
+    m.setattr(group_module, "cocycle_exponent",
+              lambda kind, p, g, h: original(kind, p, g, h) + p.k * cross(g.v, h.u))
+
+
 @pytest.mark.parametrize("row, mutate", [
     ("associativity_exact_mode", _wrong_cocycle_coefficient),
+    ("associativity_exact_mode", _extra_k_phase_term),
     ("k_removal_homomorphism_exact", _flipped_k_map),
-], ids=["cocycle_coefficient", "k_map_sign"])
+], ids=["cocycle_coefficient", "extra_k_term", "k_map_sign"])
 def test_failed_certificate_falls_back_to_the_sampled_defect(monkeypatch, row, mutate):
     mutate(monkeypatch)
+    assert row not in _certified_exact_rows()  # at symbolic charges
     rows = [r for r in _group_rows(REGIMES[0], 60, TOL) if r[0] == row]
     (_, _, count, arity, defect, _, sides), = rows
     assert not identity_certified(sides, arity)
     rng, reference_rng = random.Random(8), random.Random(8)
-    worst = _exact_worst(rng, count, arity, defect, sides)
+    worst = _exact_worst(rng, count, arity, defect, row in _certified_exact_rows())
     draw = lambda: [random_rational_element(reference_rng) for _ in range(arity)]
     sampled = worst_defect([F(defect(*draw())) for _ in range(count)], F(0))
     assert worst == sampled > 0
