@@ -26,7 +26,7 @@ from . import algebra, contraction, enveloping, group
 from .algebra import ExtensionParams, Poly
 from .group import worst_defect
 
-DEGREE_CAP = 4
+DEGREE_CAP = 6
 
 
 def _rational(text: str) -> Fraction:
@@ -160,12 +160,13 @@ def _expected_centrality(params: ExtensionParams) -> dict:
 
 
 def _expected_dimension(params: ExtensionParams, degree: int) -> int:
-    """Centralizer dimension at degree <= DEGREE_CAP, by charge regime."""
+    """Centralizer dimension at degree <= DEGREE_CAP: the count of monomials
+    of degree <= `degree` in the regime's g commuting degree-2 invariants."""
     if params.m != 0:
-        dims = (1, 1, 3, 3, 6) if params.l == 0 else (1, 1, 1, 1, 1)
+        g = 2 if params.l == 0 else 0
     else:
-        dims = (1, 1, 3, 3, 6) if params.k == 0 or params.l == 0 else (1, 1, 2, 2, 3)
-    return dims[degree]
+        g = 2 if params.k == 0 or params.l == 0 else 1
+    return math.comb(degree // 2 + g, g)
 
 
 def cmd_casimir(opts) -> tuple:

@@ -18,11 +18,26 @@ one memo of normal forms for all of its products; nothing refers back to
 the memo, so it is freed by the time the call returns, and nothing is
 kept between calls.
 
+The memo holds integers, not fractions: with D the least common
+denominator of the structure constants, the normal form of a word of
+length n is stored as the integer numerators of D**n times it.  A
+rewrite that drops the word by one letter (a generator term) or two (a
+scalar) multiplies by its constant times D or D**2, which is an integer,
+and `_product` divides by D**n once per pair of terms.
+
 The bounded-degree centralizer search solves [g, X] = 0 in exact integer
 arithmetic, with rows for g in {N1, H, M} only: [N1,H] = P1, [M,N1] = N2
 and [N2,H] = P2, so by Jacobi X then commutes with all six generators and
 the kernel is unchanged.  An algebra whose brackets do not show this gets
-the rows of all six.  No floating point enters this module.
+the rows of all six.  Each column of the system, a monomial of length n,
+is scaled by D**(max degree - n), so every row is integral.  The
+eliminator takes the rows sparsest first, so the early pivots are short
+and the many redundant rows reduce to zero against them cheaply.  The
+order cannot change a basis: the pivot columns are the leading columns
+of the row space, and each null vector is the unique solution with 1 in
+its free column and 0 in the other free columns, scaled by the least
+common multiple of its denominators.  No floating point enters this
+module.
 """
 
 from __future__ import annotations
@@ -126,8 +141,10 @@ class NOPoly:
 
 
 class _NormalOrderer(dict):
-    """Memo of normal forms over `alg`: orderer[word] is {sorted word: coeff}
-    for any word of generator indices, computed on its first lookup."""
+    """Memo of normal forms over `alg`, in integers: orderer[word] is
+    {sorted word: n} with sum n * mono = D**len(word) * (word in normal
+    order), for any word of generator indices, computed on its first lookup.
+    D (`den`) is the least common denominator of the structure constants."""
 
     def __init__(self, alg: LieAlgebra):
         try:
@@ -137,6 +154,10 @@ class _NormalOrderer(dict):
             raise ValueError(
                 "enveloping products need the extended Galilei basis labels"
             ) from exc
+        # a rewrite drops the word by one letter (generator term) or two
+        # (scalar), so the numerators gain den or den**2
+        self.den = den = lcm(*(c.denominator for a in gen_idx for b in gen_idx
+                               for c in alg.tensor[a][b]))
         # [g_a, g_b] = scalar*1 + sum of generator terms, E evaluated to 1
         self.table = {}
         for a in range(NGEN):
@@ -151,8 +172,8 @@ class _NormalOrderer(dict):
                             "bracket leaves the generator span; cannot "
                             "normal-order over this algebra"
                         )
-                    terms.append((gen_idx.index(n), cn))
-                self.table[(a, b)] = (row[e_idx], tuple(terms))
+                    terms.append((gen_idx.index(n), int(cn * den)))
+                self.table[(a, b)] = (int(row[e_idx] * den * den), tuple(terms))
 
     def __missing__(self, word: tuple) -> dict:
         for i in range(len(word) - 1):
@@ -164,11 +185,11 @@ class _NormalOrderer(dict):
                 parts += [(cg, word[:i] + (g,) + word[i + 2:]) for g, cg in terms]
                 for f, w in parts:
                     for mono, co in self[w].items():
-                        out[mono] = out.get(mono, _ZERO) + f * co
+                        out[mono] = out.get(mono, 0) + f * co
                 out = {m: c for m, c in out.items() if c}
                 break
         else:
-            out = {word: _ONE}
+            out = {word: self.den ** len(word)}
         self[word] = out
         return out
 
@@ -177,7 +198,7 @@ def _product(normal_form: _NormalOrderer, p: NOPoly, q: NOPoly) -> NOPoly:
     out: dict[tuple, Fraction] = {}
     for w1, c1 in p.terms.items():
         for w2, c2 in q.terms.items():
-            f = c1 * c2
+            f = c1 * c2 / normal_form.den ** (len(w1) + len(w2))
             for mono, co in normal_form[w1 + w2].items():
                 out[mono] = out.get(mono, _ZERO) + f * co
     return NOPoly(out)
@@ -272,9 +293,10 @@ def _integer_rows(rows: Iterable[Mapping[int, Fraction]]) -> list[dict]:
 
 
 def _eliminate(rows: list[dict]) -> dict[int, dict]:
-    """Fraction-free forward elimination; returns {pivot column: row}."""
+    """Fraction-free forward elimination, sparsest row first; returns
+    {pivot column: row}."""
     pivots: dict[int, dict] = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         row = dict(row)
         while row:
             col = min(row)
@@ -348,19 +370,22 @@ def _three_generate(alg: LieAlgebra) -> bool:
             and not any(jacobi_entries(alg)))
 
 
-def _centralizer_rows(alg: LieAlgebra, monos: Sequence[tuple]) -> Iterable[dict[int, Fraction]]:
+def _centralizer_rows(alg: LieAlgebra, monos: Sequence[tuple]) -> Iterable[dict[int, int]]:
     """The rows of [g, sum_m x_m X^m] = 0 over `monos`, one per (g, monomial of
-    the commutator).  The memo of normal forms is freed on return, before
-    the elimination needs its memory."""
+    the commutator), each scaled by D**(max degree + 1) to integers.  The
+    memo of normal forms is freed on return, before the elimination needs
+    its memory."""
     normal_form = _NormalOrderer(alg)
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    max_degree = len(monos[-1])
+    rows: dict[tuple, dict[int, int]] = {}
     for g in (N1, H, M) if _three_generate(alg) else range(NGEN):
         for col, w in enumerate(monos):
             left, right = normal_form[(g,) + w], normal_form[w + (g,)]
+            scale = normal_form.den ** (max_degree - len(w))
             for rmono in {**left, **right}:
-                co = left.get(rmono, _ZERO) - right.get(rmono, _ZERO)
+                co = left.get(rmono, 0) - right.get(rmono, 0)
                 if co:
-                    rows.setdefault((g, rmono), {})[col] = co
+                    rows.setdefault((g, rmono), {})[col] = co * scale
     return rows.values()
 
 

@@ -142,6 +142,7 @@ def test_degree_cap_enforced(capsys):
     cases = [
         (["group", "--samples=0"], "--samples"),
         (["contract", "--experiment=mass", "--samples=0"], "--samples"),
+        (["casimir", "--max-degree=7"], "--max-degree"),
         (["casimir", "--max-degree=9"], "--max-degree"),
         (["casimir", "--max-degree", "9"], "--max-degree"),
         (["casimir", "--max-degree=-1"], "--max-degree"),
@@ -212,6 +213,8 @@ def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
     (("--k", "2", "--m", "0", "--l", "1"), 4, 3),
     (("--k", "0", "--m", "0", "--l", "1"), 3, 3),
     (("--k", "1", "--m", "2", "--l", "0"), 4, 6),
+    (("--k", "3/2", "--m", "2", "--l", "0"), 6, 10),
+    (("--k", "2", "--m", "0", "--l", "1"), 6, 4),
 ])
 def test_centralizer_dimension_is_gated_in_every_regime(capsys, monkeypatch, charges, degree, dim):
     argv = ["casimir", *charges, "--max-degree", str(degree), "--format", "json"]

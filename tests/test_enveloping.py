@@ -324,24 +324,31 @@ def _oracle_centralizer(alg, max_degree):
     return tuple(NOPoly({monos[i]: c for i, c in enumerate(v) if c}) for v in kernel)
 
 
-# centralizer dimension at degrees 0..4, one charge set per regime
+# centralizer dimension at degrees 0..6, one charge set per regime
 CENTRALIZER_TABLE = [
-    (ExtensionParams(F(3, 2), F(2), F(0)), (1, 1, 3, 3, 6)),  # m != 0, l = 0
-    (ExtensionParams(F(3, 2), F(2), F(1, 3)), (1, 1, 1, 1, 1)),  # m != 0, l != 0
-    (ExtensionParams(F(0), F(0), F(7, 2)), (1, 1, 3, 3, 6)),  # m = 0, k = 0
-    (ExtensionParams(F(-2, 3), F(0), F(0)), (1, 1, 3, 3, 6)),  # m = 0, l = 0
-    (ExtensionParams(F(5, 2), F(0), F(-3)), (1, 1, 2, 2, 3)),  # m = 0, k, l != 0
+    (ExtensionParams(F(3, 2), F(2), F(0)), (1, 1, 3, 3, 6, 6, 10)),  # m != 0, l = 0
+    (ExtensionParams(F(3, 2), F(2), F(1, 3)), (1, 1, 1, 1, 1, 1, 1)),  # m != 0, l != 0
+    (ExtensionParams(F(0), F(0), F(7, 2)), (1, 1, 3, 3, 6, 6, 10)),  # m = 0, k = 0
+    (ExtensionParams(F(-2, 3), F(0), F(0)), (1, 1, 3, 3, 6, 6, 10)),  # m = 0, l = 0
+    (ExtensionParams(F(5, 2), F(0), F(-3)), (1, 1, 2, 2, 3, 3, 4)),  # m = 0, k, l != 0
 ]
 
 
 @pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
 def test_centralizer_table_from_rightmost_first_oracle(params, dims):
     alg = make_galilei_algebra(params)
-    for degree, dim in enumerate(dims):
+    for degree, dim in enumerate(dims[:6]):
         oracle = _oracle_centralizer(alg, degree)
         assert len(oracle) == dim, degree
         assert centralizer_basis(alg, degree) == oracle, degree
         assert _expected_dimension(params, degree) == dim, degree
+
+
+@pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
+def test_centralizer_table_at_degree_6(params, dims):
+    # the top of the CLI's degree range, without the (slower) oracle
+    assert len(centralizer_basis(make_galilei_algebra(params), 6)) == dims[6]
+    assert _expected_dimension(params, 6) == dims[6]
 
 
 # sha256 of `casimir --format=json` at degrees 0..4 for each CENTRALIZER_TABLE
@@ -464,16 +471,58 @@ def test_explicit_zero_entries_are_dropped():
     assert not in_span([zero_term], ONE)
 
 
-def _six_row_centralizer(alg, degree):
-    """The basis from the rows of all six generators, and how many rows they are."""
+def _commutator_rows(alg, degree):
+    """The centralizer system over all six generators, in `Fraction`s from
+    `no_commutators`: one {column: coefficient} row per (generator, monomial)."""
     monos = monomials_up_to(degree)
     pairs = [(NOPoly.generator(g), NOPoly({mono: 1})) for g in GEN_NAMES for mono in monos]
     rows = {}
     for i, com in enumerate(no_commutators(alg, pairs)):
         for mono, co in com.terms.items():
             rows.setdefault((i // len(monos), mono), {})[i % len(monos)] = co
-    kernel = exact_nullspace(rows.values(), len(monos))
+    return list(rows.values())
+
+
+def _six_row_centralizer(alg, degree):
+    """The basis from the rows of all six generators, and how many rows they are."""
+    monos = monomials_up_to(degree)
+    rows = _commutator_rows(alg, degree)
+    kernel = exact_nullspace(rows, len(monos))
     return tuple(NOPoly({monos[i]: c for i, c in enumerate(v) if c}) for v in kernel), len(rows)
+
+
+def _fraction_rank(rows):
+    """Rank by plain Gaussian elimination in `Fraction`s: a test-only reference
+    that shares nothing with `_eliminate`."""
+    pivots = {}
+    for row in rows:
+        row = {j: F(v) for j, v in row.items() if v}
+        while row and min(row) in pivots:
+            col = min(row)
+            f = row[col] / pivots[col][col]
+            for j, v in pivots[col].items():
+                row[j] = row.get(j, F(0)) - f * v
+            row = {j: v for j, v in row.items() if v}
+        if row:
+            pivots[min(row)] = row
+    return len(pivots)
+
+
+@pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
+def test_nullspace_of_degree_4_system_is_independent_of_row_order(params, dims):
+    rows = _commutator_rows(make_galilei_algebra(params), 4)
+    ncols = len(monomials_up_to(4))
+    basis = exact_nullspace(rows, ncols)
+    assert len(basis) == dims[4] == ncols - _fraction_rank(rows)
+    for vec in basis:
+        assert all(sum(co * vec[j] for j, co in row.items()) == 0 for row in rows)
+    for seed in range(3):
+        # the same row space: rows shuffled and each scaled by a nonzero rational
+        rng = random.Random(seed)
+        scales = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in rows]
+        moved = [{j: co * scale for j, co in row.items()} for row, scale in zip(rows, scales)]
+        rng.shuffle(moved)
+        assert exact_nullspace(moved, ncols) == basis, seed
 
 
 def _with_brackets(alg, brackets):
@@ -515,16 +564,38 @@ def test_three_generator_shortcut_checks_each_condition(monkeypatch):
     assert not enveloping_module._three_generate(LieAlgebra(alg.labels, t))
 
 
+# charges whose denominators 5, 6, 9 make the orderer's common denominator 90
+MIXED_DENOMINATORS = ExtensionParams(F(-9, 5), F(7, 6), F(2, 9))
+
+
 def test_oracle_agrees_with_no_mul():
     rng = random.Random(7)
-    alg = make_galilei_algebra(ExtensionParams(F(3, 2), F(2), F(1, 3)))
-    brackets = _bracket_table(alg)
+    for params in (ExtensionParams(F(3, 2), F(2), F(1, 3)), MIXED_DENOMINATORS):
+        alg = make_galilei_algebra(params)
+        brackets = _bracket_table(alg)
+        for _ in range(30):
+            word = tuple(rng.randrange(len(GEN_NAMES)) for _ in range(rng.randint(0, 6)))
+            prod = ONE
+            for g in word:
+                prod = no_mul(alg, prod, NOPoly.generator(GEN_NAMES[g]))
+            assert NOPoly(_rightmost_normal_form(brackets, word)) == prod, (params, word)
+
+
+def test_normal_orderer_memo_holds_integer_numerators():
+    alg = make_galilei_algebra(MIXED_DENOMINATORS)
+    orderer = enveloping_module._NormalOrderer(alg)
+    assert orderer.den == 90
+    rng = random.Random(8)
     for _ in range(30):
-        word = tuple(rng.randrange(len(GEN_NAMES)) for _ in range(rng.randint(0, 5)))
+        word = tuple(rng.randrange(len(GEN_NAMES)) for _ in range(rng.randint(0, 6)))
+        orderer[word]
+    assert all(type(co) is int for nf in orderer.values() for co in nf.values())
+    # the numerators of D**len(word) times the normal form
+    for word, nf in list(orderer.items())[:40]:
         prod = ONE
         for g in word:
             prod = no_mul(alg, prod, NOPoly.generator(GEN_NAMES[g]))
-        assert NOPoly(_rightmost_normal_form(brackets, word)) == prod, word
+        assert NOPoly(nf) == 90 ** len(word) * prod, word
 
 
 def test_enveloping_keeps_no_algebra_alive():
@@ -544,9 +615,9 @@ def test_shared_orderer_gives_the_per_product_commutators():
     pairs = [(rand_poly(rng), rand_poly(rng)) for _ in range(12)]
     assert no_commutators(ALG, pairs) == [no_mul(ALG, p, q) - no_mul(ALG, q, p) for p, q in pairs]
     # charges used by no other test, as in test_enveloping_keeps_no_algebra_alive
-    alg = make_galilei_algebra(ExtensionParams(F(-9, 5), F(7, 6), F(2, 9)))
+    alg = make_galilei_algebra(ExtensionParams(F(-7, 5), F(11, 6), F(2, 9)))
     no_commutators(alg, pairs)
-    is_central(alg, internal_energy(ExtensionParams(F(-9, 5), F(7, 6), F(2, 9))))
+    is_central(alg, internal_energy(ExtensionParams(F(-7, 5), F(11, 6), F(2, 9))))
     ref = weakref.ref(alg)
     del alg
     gc.collect()
