@@ -20,7 +20,6 @@ import random
 from galilei21 import compose_boosts, convergence_study, thomas_target
 from galilei21.contraction import (
     DEFAULT_C_GRID,
-    growth_slope,
     mass_experiment,
     sample_experiments,
     thomas_experiment,
@@ -42,7 +41,7 @@ def show(experiment, grid=DEFAULT_C_GRID):
     for c, err, zeta in zip(report.c_grid, report.errors, report.zeta_magnitudes):
         print(f"  {c:9.0f}  {err:12.3e}  {zeta:9.3e}")
     if any(report.zeta_magnitudes):
-        print(f"  zeta growth slope: {growth_slope(report):+.3f} "
+        print(f"  zeta growth slope: {report.growth_slope:+.3f} "
               "(the trivializing function diverges)")
     print()
 

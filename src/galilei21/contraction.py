@@ -17,7 +17,11 @@ Every function takes one element or a stack: matrices (..., 3, 3),
 velocities (..., 2), angles and c values (...), broadcast together.  A
 stack gets the same floating-point operations as one call per entry, and
 every check runs on every entry.  `convergence_study` evaluates a family
-of samples over a (samples, grid) array of c values in one call.
+of samples over a (samples, grid) array of c values in one call, and fits
+the log-log slopes of every sample's errors and zetas in one stacked
+least-squares call.  That call runs np.polyfit's steps with the LAPACK
+solve made once per sample, as np.polyfit makes it, so each slope is the
+sample's own np.polyfit slope bit for bit.
 
 Numerics run in numpy extended precision (np.longdouble, 64-bit mantissa
 on x86).  Plain double precision loses the c^2-amplified quantities to
@@ -34,12 +38,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import lstsq as _lstsq  # numpy 1.x named it lstsq_m/lstsq_n
 
 from .group import GroupElement, GroupKind, element_distance, galilei_product, rotate
 
 LD = np.longdouble
 ETA = np.diag(np.array([1, -1, -1], dtype=LD))
 ETA.flags.writeable = False
+SIGN = np.array([[1], [-1], [-1]], dtype=LD)  # eta's diagonal as a column: eta @ m == SIGN * m
+SIGN.flags.writeable = False
 
 MATRIX_TOL = 1e-10  # Lorentz-invariant checks
 DEFAULT_C_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -66,7 +73,7 @@ def _largest(m) -> np.ndarray:
 def lorentz_defect(lam):
     """max |Lambda^T eta Lambda - eta|, per matrix of a stack."""
     lam = _as_matrices(lam)
-    return _floats(_largest(np.swapaxes(lam, -1, -2) @ ETA @ lam - ETA))
+    return _floats(_largest(np.swapaxes(lam, -1, -2) @ (SIGN * lam) - ETA))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +129,11 @@ def boost_matrix(v, c) -> np.ndarray:
     gm1 = b2 * g * g / (1 + g)  # gamma - 1 without cancellation
     L = np.empty(b2.shape + (3, 3), dtype=LD)
     L[..., 0, 0] = g
-    with np.errstate(invalid="ignore"):  # 0/0 at v = 0, where the identity is chosen
-        for i in range(2):
-            L[..., 0, i + 1] = L[..., i + 1, 0] = g * v[..., i] / c
-            for k in range(2):
-                L[..., i + 1, k + 1] = (1 if i == k else 0) + gm1 * v[..., i] * v[..., k] / v2
+    v2_or_1 = np.where(v2 == 0, 1, v2)  # no 0/0 at v = 0, where the identity is chosen
+    for i in range(2):
+        L[..., 0, i + 1] = L[..., i + 1, 0] = g * v[..., i] / c
+        for k in range(2):
+            L[..., i + 1, k + 1] = (1 if i == k else 0) + gm1 * v[..., i] * v[..., k] / v2_or_1
     return np.where((v2 == 0)[..., None, None], np.eye(3, dtype=LD), L)
 
 
@@ -257,11 +264,15 @@ class LimitExperiment:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """One sample's study: the least-squares slopes of log10 error and of
+    log10 |zeta| against log10 c (c^2 growth gives +2), values floored at 1e-300."""
+
     c_grid: tuple[float, ...]
     errors: tuple[float, ...]
     fitted_slope: float
     target: float
     zeta_magnitudes: tuple[float, ...]
+    growth_slope: float
 
 
 def convergence_study(
@@ -269,7 +280,7 @@ def convergence_study(
 ) -> list[ConvergenceReport]:
     """Evaluate every sample over the grid in one call; one report per sample.
 
-    Each report fits log error vs log c for its sample.
+    Both slopes of every sample come from one stacked fit.
     """
     nmant = np.finfo(LD).nmant
     if nmant <= np.finfo(np.float64).nmant:
@@ -281,22 +292,40 @@ def convergence_study(
         raise ValueError("c grid must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("c grid must be strictly increasing")
-    c = np.tile(np.array(grid, dtype=LD), (len(experiment.targets), 1))
+    samples = len(experiment.targets)
+    c = np.tile(np.array(grid, dtype=LD), (samples, 1))
     errors, zetas = experiment.evaluate(c)
+    slopes = _loglog_slopes(grid, np.concatenate([errors, zetas])).tolist()
     return [
-        ConvergenceReport(grid, tuple(errs), _loglog_slope(grid, errs), target, tuple(zs))
-        for target, errs, zs in zip(experiment.targets, errors.tolist(), zetas.tolist())
+        ConvergenceReport(grid, tuple(errs), slope, target, tuple(zs), growth)
+        for target, errs, zs, slope, growth in zip(
+            experiment.targets, errors.tolist(), zetas.tolist(), slopes[:samples], slopes[samples:]
+        )
     ]
 
 
-def _loglog_slope(c_grid, values) -> float:
-    """Least-squares slope of log10 value vs log10 c, values floored at 1e-300."""
-    return float(np.polyfit(np.log10(c_grid), np.log10(np.maximum(values, 1e-300)), 1)[0])
+def _loglog_slopes(c_grid, values) -> np.ndarray:
+    """Least-squares slope of log10 value vs log10 c for each row of values (K, grid).
 
-
-def growth_slope(report: ConvergenceReport) -> float:
-    """Fitted slope of log |zeta| vs log c (c^2 growth gives +2)."""
-    return _loglog_slope(report.c_grid, report.zeta_magnitudes)
+    These are np.polyfit(log10 c, log10 row, 1)'s steps, applied to every
+    row at once: the same scaled Vandermonde matrix and rcond, and the
+    gufunc np.linalg.lstsq calls, which makes one LAPACK gelsd call per
+    row.  So each slope equals that row's own np.polyfit slope bit for
+    bit; one call with K right-hand sides would round some differently.
+    A NaN or inf value gives a NaN slope for its row only.
+    """
+    x = np.log10(np.asarray(c_grid, dtype=np.float64))
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    y = np.log10(np.maximum(values, 1e-300))
+    sol, _, rank, _ = _lstsq(
+        np.broadcast_to(lhs, (len(y), *lhs.shape)), y[..., None], len(x) * np.finfo(np.float64).eps,
+        signature="ddd->ddid",
+    )
+    if not np.all(rank == 2):
+        raise ValueError("the c grid gives a rank-deficient slope fit")
+    return sol[:, 0, 0] / scale[0]
 
 
 def _samples(x, *tail) -> np.ndarray:

@@ -168,7 +168,7 @@ def test_criterion_08_mass_cocycle_limit():
         assert len(reports) == 20
         for rep in reports:
             assert abs(rep.fitted_slope - (-2.0)) <= 0.1
-            assert abs(contraction.growth_slope(rep) - 2.0) <= 0.1
+            assert abs(rep.growth_slope - 2.0) <= 0.1
 
 
 def test_criterion_09_contraction_diagram():

@@ -251,6 +251,30 @@ def test_group_nan_defects_fail_closed(capsys, monkeypatch, tau):
     assert names["associativity_exact_mode"]["pass"]
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_contract_nan_slopes_fail_closed(capsys, monkeypatch, value):
+    sample = contraction.sample_experiments
+
+    def poisoned(*args):
+        experiment = sample(*args)
+
+        def evaluate(c):
+            errors, zetas = experiment.evaluate(c)
+            errors[1, 2], zetas[2, -1] = value, value
+            return errors, zetas
+
+        return dataclasses.replace(experiment, evaluate=evaluate)
+
+    monkeypatch.setattr(contraction, "sample_experiments", poisoned)
+    code, out = run(capsys, "contract", "--experiment", "mass", "--samples", "3", "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for name in ("slope[1]", "zeta_growth[2]"):
+        assert math.isnan(checks[name]["defect"]) and not checks[name]["pass"]
+    assert math.isnan(checks["slope[1]"]["slope"])
+    assert all(c["pass"] for name, c in checks.items() if name not in ("slope[1]", "zeta_growth[2]"))
+
+
 @pytest.mark.parametrize("charges", [
     ("--m", "1e400"), ("--k", "1e400", "--m", "1"), ("--l", "1e400"), ("--k", "1", "--m", "1e-400"),
 ])

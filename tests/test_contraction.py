@@ -17,7 +17,6 @@ from galilei21.contraction import (
     convergence_study,
     decompose,
     diagram_experiment,
-    growth_slope,
     lorentz_defect,
     mass_cocycle_exponent,
     poincare_from_galilei,
@@ -48,6 +47,19 @@ def test_zero_velocity_boost_is_identity():
     assert np.array_equal(boost_matrix((0.0, 0.0), 5.0), np.eye(3))
 
 
+def test_zero_velocity_in_a_stack_raises_no_fp_flag():
+    rng = random.Random(3)
+    v = np.array([(0.0, 0.0), rand_vel(rng, c=4.0), (-0.0, 0.0), (0.0, -0.0), rand_vel(rng, c=4.0)])
+    c = np.array([5.0, 5.0, 7.0, 1e6, 4.5])
+    with np.errstate(all="raise"):  # no 0/0 is formed at v = 0
+        stacked = boost_matrix(v, c)
+        singles = [boost_matrix(vi, ci) for vi, ci in zip(v, c)]
+    for i, (vi, single) in enumerate(zip(v, singles)):
+        if not vi.any():
+            assert np.array_equal(stacked[i], np.eye(3)) and not np.signbit(stacked[i]).any()
+        assert np.array_equal(stacked[i], single) and np.array_equal(np.signbit(stacked[i]), np.signbit(single))
+
+
 def test_boost_matrix_textbook_values():
     # |v| = 3c/5 gives gamma = 5/4
     L = boost_matrix((3.0, 0.0), 5.0)
@@ -71,6 +83,23 @@ def test_boosts_and_rotations_are_lorentz():
         R = rotation_matrix(rng.uniform(-10, 10))
         assert lorentz_defect(R) < 1e-12
         assert lorentz_defect(L @ R) < 1e-10
+
+
+def test_lorentz_defect_matches_the_eta_product_form():
+    rng = np.random.default_rng(8)
+    v = rng.uniform(-0.6, 0.6, (60, 14, 2)) * rng.uniform(1, 1e6, (60, 14, 1))
+    c = np.hypot(v[..., 0], v[..., 1]) / rng.uniform(0.05, 0.99, (60, 14))
+    lam = boost_matrix(v, c) @ rotation_matrix(rng.uniform(-4, 4, (60, 14)))
+    eta_form = np.max(np.abs(np.swapaxes(lam, -1, -2) @ ETA @ lam - ETA), axis=(-2, -1)).astype(np.float64)
+    assert [x.hex() for x in lorentz_defect(lam).ravel().tolist()] == [
+        x.hex() for x in eta_form.ravel().tolist()]
+    # a NaN entry gives a NaN defect, an infinite one NaN or inf: each fails the check
+    lam[0, 0, 1, 2], lam[1, 3, 0, 0], lam[2, 5, 2, 1] = np.nan, np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        defects = lorentz_defect(lam)
+    assert math.isnan(defects[0, 0])
+    failing = ~(defects <= contraction.MATRIX_TOL)
+    assert failing[0, 0] and failing[1, 3] and failing[2, 5] and failing.sum() == 3
 
 
 def test_poincare_element_validation():
@@ -265,7 +294,7 @@ def test_mass_study_slope_and_zeta_growth():
     rng = random.Random(6)
     for rep in convergence_study(sample_experiments("mass", rng, 5, min(DEFAULT_C_GRID)), DEFAULT_C_GRID):
         assert rep.fitted_slope == pytest.approx(-2.0, abs=0.1)
-        assert growth_slope(rep) == pytest.approx(2.0, abs=0.1)
+        assert rep.growth_slope == pytest.approx(2.0, abs=0.1)
 
 
 def test_diagram_study_slope():
@@ -491,5 +520,26 @@ def test_family_matches_scalar_points_bit_for_bit(name, grid):
         assert [x.hex() for x in rep.errors] == [float(e).hex() for e, _ in points]
         assert [x.hex() for x in rep.zeta_magnitudes] == [float(z).hex() for _, z in points]
         errors = [float(e) for e, _ in points]
-        slope = float(np.polyfit(np.log10(grid), np.log10(np.maximum(errors, 1e-300)), 1)[0])
-        assert rep.fitted_slope.hex() == slope.hex() and rep.c_grid == grid
+        zetas = [float(z) for _, z in points]
+        assert rep.fitted_slope.hex() == _polyfit_slope(grid, errors).hex() and rep.c_grid == grid
+        assert rep.growth_slope.hex() == _polyfit_slope(grid, zetas).hex()
+
+
+def _polyfit_slope(grid, values):
+    return float(np.polyfit(np.log10(grid), np.log10(np.maximum(values, 1e-300)), 1)[0])
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_C_GRID, FINE_GRID, (1.0, 1.5, 1e9)], ids=["default", "logx2", "uneven"])
+def test_stacked_slopes_match_polyfit_bit_for_bit(grid):
+    rng = np.random.default_rng(len(grid))
+    values = 10.0 ** rng.uniform(-330.0, 5.0, (400, len(grid)))  # some under the 1e-300 floor
+    values[:50] *= np.asarray(grid) ** -2.0  # near the slopes the studies fit
+    values[50] = 0.0
+    values[51] = 3.5  # constant rows, as diagram's zero zetas
+    values[52, 1] = np.nan
+    values[53, -1] = np.inf
+    values[54] = np.inf
+    slopes = contraction._loglog_slopes(grid, values).tolist()
+    expected = [_polyfit_slope(grid, row) for row in values]
+    assert [x.hex() for x in slopes] == [x.hex() for x in expected]
+    assert [i for i, s in enumerate(slopes) if math.isnan(s)] == [52, 53, 54]
