@@ -33,6 +33,10 @@ then evaluate every sample at once, with the same floating-point
 operations as one scalar call per sample.  With theta = 0 the law is a
 polynomial, which `identity_certified` evaluates on `algebra.Poly` symbols.
 All values are immutable and all functions pure.
+
+`random_elements` draws the array elements' doubles from blocks of
+`getrandbits` words of CPython's MT19937 `random.Random`, decoded as
+`random()` decodes them, so they equal `random_element`'s draws bit for bit.
 """
 
 from __future__ import annotations
@@ -328,15 +332,39 @@ def random_element(rng) -> GroupElement:
     )
 
 
+BLOCK_DOUBLES = 1 << 16  # doubles decoded from one getrandbits call (1 MiB of words)
+
+
+def _random_doubles(rng, n: int) -> np.ndarray:
+    """The next `n` values of `rng.random()`, leaving `rng` where those calls would.
+
+    CPython's `random()` takes two MT19937 words a and b and returns
+    ((a >> 5) * 2**26 + (b >> 6)) * 2**-53, and `getrandbits(64 * n)` takes the
+    same 2n words with the first in the least-significant 32 bits.  So the words
+    decode to the same doubles, exactly; this relies on CPython's MT19937
+    `random.Random`, which the tests check on CPython 3.11-3.13.  The words are
+    drawn in blocks of BLOCK_DOUBLES, since `getrandbits` takes its bit count as
+    a C int: one call would overflow at 2**25 doubles.
+    """
+    words = np.empty(2 * n, dtype=np.uint32)
+    for start in range(0, 2 * n, 2 * BLOCK_DOUBLES):
+        size = min(2 * BLOCK_DOUBLES, 2 * n - start)
+        words[start:start + size] = np.frombuffer(
+            rng.getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
 def random_elements(rng, samples: int, count: int = 1) -> tuple:
     """`count` elements whose components are arrays of `samples` draws.
 
     Consumes `rng` exactly as `samples * count` calls of `random_element`
     would, the `count` elements of one sample drawn together, and gives
     the same values: entry i of element j is the (i * count + j)-th draw.
+    The doubles are decoded from blocks of Mersenne Twister words
+    (`_random_doubles`), which relies on CPython's `random.Random`.
     """
     hi = np.array([math.pi, 1.0, 1.0, 1.0, 1.0, 1.0, math.pi])
-    r = np.array([rng.random() for _ in range(samples * count * 7)]).reshape(samples, count, 7)
+    r = _random_doubles(rng, samples * count * 7).reshape(samples, count, 7)
     x = (-hi + (hi - -hi) * r).transpose(1, 2, 0).copy()  # rng.uniform(a, b): a + (b - a) * r
     return tuple(GroupElement(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6]) for c in x)
 

@@ -13,6 +13,7 @@ import galilei21.group as group_module
 from galilei21.algebra import ExtensionParams, Poly, random_params
 from galilei21.cli import _certified_exact_rows, _exact_worst, _group_rows, _zeta
 from galilei21.group import (
+    BLOCK_DOUBLES,
     IDENTITY,
     GroupElement,
     GroupKind,
@@ -415,13 +416,26 @@ def test_coboundary_zeta_squares_like_python_floats():
 
 
 def test_batched_sampler_consumes_the_stream_like_scalar_draws():
-    for samples, count in ((1, 1), (7, 2), (50, 3)):
-        a, b = random.Random(99), random.Random(99)
-        random_elements(a, samples, count)
-        for _ in range(samples * count):
-            random_element(b)
-        assert a.getstate() == b.getstate()
-        assert a.random() == b.random()
+    """The decoded Mersenne Twister words are the scalar draws, bit for bit, also
+    from an odd word offset (as cmd_group's stream is at inverse_round_trip) and
+    across more than one getrandbits block."""
+    over_a_block = BLOCK_DOUBLES // 14 + 1  # 2 elements of 7 doubles per sample
+    for odd in (False, True):
+        for samples, count in ((1, 1), (7, 2), (50, 3), (over_a_block, 2)):
+            a, b = random.Random(98), random.Random(98)
+            if odd:  # one 32-bit word, then one exact element's 6 randint pairs
+                for rng in (a, b):
+                    rng.getrandbits(32)
+                    skip_rational_draws(rng, 1)
+                assert a.getstate()[1][-1] % 2 == 1  # MT19937's index: 21 words drawn
+            batch = random_elements(a, samples, count)
+            scalar = [[random_element(b) for _ in range(count)] for _ in range(samples)]
+            assert a.getstate() == b.getstate()
+            for j, element in enumerate(batch):
+                for field in ("phase", "tau", "u", "v", "theta"):
+                    column = [getattr(sample[j], field) for sample in scalar]
+                    assert _bits(np.asarray(getattr(element, field)).T) == _bits(column)
+            assert a.random() == b.random()
 
 
 def test_batched_defects_fail_closed_per_sample():
