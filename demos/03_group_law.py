@@ -25,12 +25,8 @@ from galilei21 import (
     homomorphism_defect,
     inverse,
 )
-from galilei21.group import (
-    element_distance,
-    random_element,
-    random_rational_element,
-    worst_defect,
-)
+from galilei21.algebra import worst_defect
+from galilei21.group import element_distance, random_element, random_rational_element
 
 COV = GroupKind.COVERING
 params = ExtensionParams(k=Fraction(2), m=Fraction(1), l=Fraction(3))

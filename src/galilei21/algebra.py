@@ -16,8 +16,9 @@ brackets are
 for three rational charges (k, m, l).  All arithmetic is exact: scalars
 are `fractions.Fraction` and structure constants are stored as a dense
 rank-3 tuple tensor c[i][j][n] with [X_i, X_j] = sum_n c[i][j][n] X_n.
-With `Poly` charges they are polynomials in (k, m, l), so one evaluation
-proves the Jacobi identity for every charge set at once.
+With `Poly` charges they are polynomials in (k, m, l), and `==` between two
+such values is an identity in the charges, so one evaluation proves a check
+for every charge set at once.
 
 Every value in this module is immutable after construction (a `Poly` is
 never changed once built) and can be shared freely between threads.
@@ -25,7 +26,7 @@ never changed once built) and can be shared freely between threads.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -48,8 +49,9 @@ def _as_rational(x) -> Fraction:
 class Poly(dict):
     """A polynomial over Fraction in commuting symbols: it maps each monomial,
     the sorted tuple of its symbols (repeated for a power), to a nonzero
-    coefficient, so zero is the empty, falsy Poly.  Floats raise TypeError,
-    and so does a division other than by a monomial that divides every term."""
+    coefficient, so zero is the empty, falsy Poly and ``==`` is polynomial
+    equality.  Floats raise TypeError, and so does a division other than by a
+    monomial that divides every term."""
 
     def __init__(self, terms):
         """From {monomial: coefficient}, or from a number as a constant."""
@@ -102,6 +104,17 @@ class Poly(dict):
     def __rtruediv__(self, other) -> "Poly":
         return Poly(other) / self
 
+    def __eq__(self, other):
+        """Equal as polynomials, an int or a Fraction counting as a constant.
+        Nothing else is compared: a float or a str is never equal to a Poly."""
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
+        return dict.__eq__(self, Poly(other))  # both canonical
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
 
 @dataclass(frozen=True)
 class ExtensionParams:
@@ -127,7 +140,8 @@ class LieAlgebra:
     The tensor is not validated on construction; use
     :func:`antisymmetry_defect` and :func:`jacobi_defect` to certify
     that it actually defines a Lie algebra.  ``==`` is exact structural
-    equality: the same labels and identical tensors.
+    equality: the same labels and equal tensors, which with `Poly` entries
+    is an identity in their symbols.
     """
 
     labels: tuple[str, ...]
@@ -219,15 +233,6 @@ def jacobi_defect(alg: LieAlgebra) -> Fraction:
     return max(map(abs, jacobi_entries(alg)), default=_ZERO)
 
 
-@functools.cache
-def jacobi_certified() -> bool:
-    """True when g_(k,m,l)'s Jacobi tensor is zero as a polynomial in the charges,
-    which proves jacobi_defect(make_galilei_algebra(p)) == 0 for every p.
-    Computed once per process."""
-    charges = ExtensionParams(*(Poly.symbol(name) for name in ("k", "m", "l")))
-    return not any(jacobi_entries(make_galilei_algebra(charges)))
-
-
 def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> tuple:
     """Exact inverse by Gauss-Jordan elimination; raises on singular or
     non-square input."""
@@ -307,25 +312,34 @@ def eliminate_k_change(params: ExtensionParams) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
-@functools.cache
-def k_removal_certified() -> bool:
-    """True when eliminate_k_change takes g_(k,m,l) onto g_(0,m,l) as polynomials
-    in m, l and s = k/(2m), the charges being k = 2 m s: that proves it for every
-    charge set with m != 0.  Computed once per process.
+def removes_k(params: ExtensionParams) -> bool:
+    """True when `eliminate_k_change` takes g_(k,m,l) exactly onto g_(0,m,l); m != 0.
 
-    It runs the numeric path itself on Poly charges: invert_matrix divides only
-    by its pivots, which are 1 here, and k/(2m) is the exact division 2ms/(2m).
+    At `Poly` charges (2ms, m, l) it runs unchanged and decides the identity in
+    m, l and s = k/(2m): invert_matrix divides only by its pivots, which are 1
+    here, and k/(2m) is the exact division 2ms/(2m).
     """
-    m, l, s = (Poly.symbol(name) for name in ("m", "l", "s"))
-    params = ExtensionParams(2 * m * s, m, l)
     removed = apply_basis_change(make_galilei_algebra(params), eliminate_k_change(params))
-    target = make_galilei_algebra(ExtensionParams(0, m, l))
-    return not any(
-        a - b
-        for plane_a, plane_b in zip(removed.tensor, target.tensor)
-        for row_a, row_b in zip(plane_a, plane_b)
-        for a, b in zip(row_a, row_b)
-    )
+    return removed == make_galilei_algebra(ExtensionParams(0, params.m, params.l))
+
+
+def worst_defect(defects, zero):
+    """Largest of `defects`, or `zero` when none exceeds it; fails closed.
+
+    Ties keep the earlier value, so an all-zero exact set returns `zero`
+    with its type (a Fraction stays a Fraction).  A NaN or +-inf defect,
+    or zero, makes the result NaN, which no `< tol` or `== 0` test
+    accepts; builtin max() would drop a NaN that is not the first value.
+    Every defect is consumed, so a seeded caller draws the same samples
+    whether or not one of them fails.
+    """
+    worst, finite = zero, True
+    for d in defects:
+        if d > worst:
+            worst = d
+        elif not d > -math.inf:  # NaN or -inf
+            finite = False
+    return worst if finite and -math.inf < worst < math.inf else math.nan
 
 
 def random_rational(rng, nonzero: bool = False) -> Fraction:

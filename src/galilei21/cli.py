@@ -23,8 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra, contraction, enveloping, group
-from .algebra import ExtensionParams, Poly
-from .group import worst_defect
+from .algebra import ExtensionParams, Poly, worst_defect
 
 DEGREE_CAP = 6
 
@@ -114,13 +113,14 @@ def cmd_verify_algebra(opts) -> tuple:
     params = ExtensionParams(opts.k, opts.m, opts.l)
     alg = algebra.make_galilei_algebra(params)
     rng = random.Random(opts.seed)
-    anti, jac = algebra.antisymmetry_defect(alg), algebra.jacobi_defect(alg)
+    # The two Jacobi rows and the two k-removal rows read their check's certificate;
+    # only a failed one checks the given charges and samples.  The draws then keep
+    # their order, and when both hold none is made, as nothing reads rng after.
+    jacobi_ok, removal_ok = _certified("jacobi"), _certified("k_removal")
+    anti = algebra.antisymmetry_defect(alg)
+    jac = Fraction(0) if jacobi_ok else algebra.jacobi_defect(alg)
     checks = [_check("antisymmetry", anti, anti == 0), _check("jacobi", jac, jac == 0)]
 
-    # Both random-charge rows are certified at symbolic charges, once per process.
-    # Only a failed certificate samples; the draws then keep their order, and
-    # when both hold none is made, as nothing reads rng after these rows.
-    jacobi_ok, removal_ok = algebra.jacobi_certified(), algebra.k_removal_certified()
     drawn = [] if jacobi_ok and removal_ok else [algebra.random_params(rng) for _ in range(opts.samples)]
     boundary = [
         ExtensionParams(0, 0, 0),
@@ -133,19 +133,16 @@ def cmd_verify_algebra(opts) -> tuple:
     )
     checks.append(_check("jacobi_random_charges", worst, worst == 0))
 
-    removes_k = lambda p: (
-        algebra.apply_basis_change(algebra.make_galilei_algebra(p), algebra.eliminate_k_change(p))
-        == algebra.make_galilei_algebra(ExtensionParams(0, p.m, p.l)))
     if params.m == 0:
         checks.append(_skip("k_removal", "m=0: hypothesis violated; skipped"))
     else:
-        ok = removes_k(params)
+        ok = removal_ok or algebra.removes_k(params)
         checks.append(_check("k_removal", Fraction(0 if ok else 1), ok))
     if removal_ok:
         bad = 0
     else:
         draws = (algebra.random_params(rng, nonzero_m=True) for _ in range(min(opts.samples, 50)))
-        bad = sum(not removes_k(p) for p in draws)
+        bad = sum(not algebra.removes_k(p) for p in draws)
     checks.append(_check("k_removal_random_charges", Fraction(bad), bad == 0))
     return checks, None
 
@@ -229,7 +226,7 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
 
     A bound of None asks for an exactly zero defect on Fraction elements, and
     gives the `sides` that defect compares.  The charges may be `Poly`s, as
-    `_certified_exact_rows` passes them.  The other rows' defects take
+    `_certified` passes them.  The other rows' defects take
     float elements, or numpy arrays of samples, and return a float or an array.
     """
     cov, ext = group.GroupKind.COVERING, group.GroupKind.EXTENDED
@@ -266,19 +263,22 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
 
 
 @functools.cache
-def _certified_exact_rows() -> frozenset:
-    """Names of the exact rows of `_group_rows` certified at every charge set,
-    built once per process from the rows at symbolic charges (2ms, m, l).
+def _certified(row: str) -> bool:
+    """True when the exact row named `row` holds at every charge set: the row's own
+    check, run once per process, on first use, at the symbolic charges (2ms, m, l).
 
-    Their sides are then polynomials in m, l, s and the coordinates: eliminate_k_map
-    divides k = 2ms by 2m, exactly, to s = k/(2m).  A zero difference proves the
-    homomorphism at every (k, m, l) with m != 0, and associativity at every
-    charge set, since a polynomial in k that vanishes at k = 2ms is zero.
+    Equality there is an identity in m, l and s (and the group rows' coordinates).
+    It proves the check wherever m != 0, at s = k/(2m), and at m = 0 too for a row
+    that does not divide by m, as a polynomial in k that vanishes at k = 2ms is zero.
     """
     m, l, s = (Poly.symbol(name) for name in ("m", "l", "s"))
-    rows = _group_rows(ExtensionParams(2 * m * s, m, l), 1, 0.0)
-    return frozenset(name for name, _, _, arity, _, bound, sides in rows
-                     if bound is None and group.identity_certified(sides, arity))
+    charges = ExtensionParams(2 * m * s, m, l)
+    if row == "jacobi":
+        return not any(algebra.jacobi_entries(algebra.make_galilei_algebra(charges)))
+    if row == "k_removal":
+        return algebra.removes_k(charges)
+    ((_, _, _, arity, _, _, sides),) = (r for r in _group_rows(charges, 1, 0.0) if r[0] == row)
+    return group.identity_certified(sides, arity)
 
 
 def _exact_worst(rng, count: int, arity: int, defect, certified: bool) -> Fraction:
@@ -307,7 +307,7 @@ def cmd_group(opts) -> tuple:
         if note:
             checks.append(_skip(name, note))
         elif bound is None:  # Fraction elements: certified once per process, else sampled
-            worst = _exact_worst(rng, count, arity, defect, name in _certified_exact_rows())
+            worst = _exact_worst(rng, count, arity, defect, _certified(name))
             checks.append(_check(name, worst, worst == 0))
         else:  # float elements, every sample in one call on numpy arrays
             with np.errstate(all="ignore"):  # a NaN or inf fails the row, silently as floats do

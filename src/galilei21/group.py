@@ -31,7 +31,8 @@ the usual double-precision trigonometry applies.  A component may also
 be a float64 numpy array with one entry per sample: the same functions
 then evaluate every sample at once, with the same floating-point
 operations as one scalar call per sample.  With theta = 0 the law is a
-polynomial, which `identity_certified` evaluates on `algebra.Poly` symbols.
+polynomial, which `identity_certified` evaluates on `algebra.Poly` symbols
+and compares with `==`.
 All values are immutable and all functions pure.
 
 `random_elements` draws the array elements' doubles from blocks of
@@ -50,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import ExtensionParams, Poly
+from .algebra import ExtensionParams, Poly, worst_defect
 
 TWO_PI = 2 * math.pi
 HALF = Fraction(1, 2)
@@ -187,25 +188,6 @@ def angle_distance(a, b):
     return abs((d + math.pi) % TWO_PI - math.pi)  # a Fraction d + pi is a float
 
 
-def worst_defect(defects, zero):
-    """Largest of `defects`, or `zero` when none exceeds it; fails closed.
-
-    Ties keep the earlier value, so an all-zero exact set returns `zero`
-    with its type (a Fraction stays a Fraction).  A NaN or +-inf defect,
-    or zero, makes the result NaN, which no `< tol` or `== 0` test
-    accepts; builtin max() would drop a NaN that is not the first value.
-    Every defect is consumed, so a seeded caller draws the same samples
-    whether or not one of them fails.
-    """
-    worst, finite = zero, True
-    for d in defects:
-        if d > worst:
-            worst = d
-        elif not d > -math.inf:  # NaN or -inf
-            finite = False
-    return worst if finite and -math.inf < worst < math.inf else math.nan
-
-
 def worst_per_sample(defects: tuple, zero):
     """`worst_defect` of one sample's defects, taken per entry when some
     of them are numpy arrays of samples (the result is then an array)."""
@@ -312,8 +294,7 @@ def identity_certified(sides: Callable[..., tuple], arity: int) -> bool:
     distance exactly zero, at every input `random_rational_element` can draw."""
     symbols = lambda i: [Poly.symbol(f"{n}{i}") for n in ("phase", "tau", "u1", "u2", "v1", "v2")]
     left, right = sides(*(_exact_element(symbols(i)) for i in range(arity)))
-    coordinates = lambda g: (g.phase, g.tau, *g.u, *g.v, g.theta)
-    return not any(a - b for a, b in zip(coordinates(left), coordinates(right)))
+    return left == right
 
 
 # --- sampling ------------------------------------------------------------------

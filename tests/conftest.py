@@ -1,21 +1,16 @@
 import pytest
 
-from galilei21 import algebra, cli
+from galilei21 import cli
 
-# Every certificate the package computes once per process.  A test that
-# corrupts the law it proves must see it computed anew, so each test starts
-# and ends with none cached.  The functions are taken here, at import, so a
-# test that replaces one of them by a stub cannot hide it from the teardown.
-CERTIFICATES = (algebra.jacobi_certified, algebra.k_removal_certified, cli._certified_exact_rows)
-
-
-def clear_certificates():
-    for certificate in CERTIFICATES:
-        certificate.cache_clear()
+# The one cache of certificates the package computes once per process.  A test
+# that corrupts the law a certificate proves must see it computed anew, so each
+# test starts and ends with none cached.  The function is taken here, at import,
+# so a test that replaces it by a stub cannot hide it from the teardown.
+CERTIFIED = cli._certified
 
 
 @pytest.fixture(autouse=True)
 def fresh_certificates():
-    clear_certificates()
+    CERTIFIED.cache_clear()
     yield
-    clear_certificates()
+    CERTIFIED.cache_clear()

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from galilei21 import algebra
+from galilei21 import algebra, cli
 from galilei21.algebra import (
     ExtensionParams,
     LieAlgebra,
@@ -14,10 +14,8 @@ from galilei21.algebra import (
     apply_basis_change,
     eliminate_k_change,
     invert_matrix,
-    jacobi_certified,
     jacobi_defect,
     jacobi_entries,
-    k_removal_certified,
     make_galilei_algebra,
     random_params,
 )
@@ -96,6 +94,32 @@ def test_poly_arithmetic_and_zero_test():
         x * 0.5  # floats never enter an exact polynomial
 
 
+def test_poly_equality_is_polynomial_equality():
+    m = Poly.symbol("m")
+    assert 2 * m == m * 2 and not 2 * m != m * 2
+    assert Poly(0) == F(0) and F(0) == Poly(0) and Poly(0) == 0 and 0 == Poly(0)
+    assert Poly(1) != Poly.symbol("m") and not Poly(1) == Poly.symbol("m")
+    assert Poly(F(3, 2)) == F(3, 2) and Poly(F(3, 2)) != 1
+    pairs = [(Poly(0), 0), (Poly(0), 0.0), (m, m), (m, 2 * m), (Poly(3), "3"), (Poly(3), 3.0),
+             (Poly(F(1, 2)), F(1, 2))]
+    for a, b in pairs:
+        assert (a != b) is not (a == b) and (b != a) is not (b == a), (a, b)
+    # a float or a str is not compared, and is not parsed as _as_rational parses a str
+    for other in (0.0, 3.0, "3", "0"):
+        assert Poly(3).__eq__(other) is NotImplemented and Poly(3).__ne__(other) is NotImplemented
+        assert not Poly(3) == other and Poly(3) != other and not Poly(0) == other
+
+
+def test_algebra_equality_at_poly_entries_is_an_identity():
+    m, l = Poly.symbol("m"), Poly.symbol("l")
+    symbolic = make_galilei_algebra(ExtensionParams(2 * m - m, m, l + 0))
+    assert symbolic == make_galilei_algebra(ExtensionParams(m, m, l))
+    constant = make_galilei_algebra(ExtensionParams(Poly(1), Poly(F(2)), Poly(0)))
+    assert constant == galg(1, 2, 0) and galg(1, 2, 0) == constant
+    assert constant != galg(1, 2, 3) and not constant == galg(1, 3, 0)
+    assert symbolic != galg(1, 2, 0)
+
+
 def test_poly_exact_division():
     m, s = Poly.symbol("m"), Poly.symbol("s")
     assert (2 * m * s) / (2 * m) == s
@@ -119,7 +143,7 @@ def _at(x, values):
 
 
 def test_k_removal_certificate_is_the_sampled_check_for_all_charges(monkeypatch):
-    assert k_removal_certified()
+    assert cli._certified("k_removal")
     # the symbolic basis change, at s = k/(2m), is the one each charge set gets
     m, l, s = (Poly.symbol(name) for name in ("m", "l", "s"))
     symbolic = ExtensionParams(2 * m * s, m, l)
@@ -133,12 +157,12 @@ def test_k_removal_certificate_is_the_sampled_check_for_all_charges(monkeypatch)
                      for plane in changed.tensor) == numeric.tensor
     real = algebra.eliminate_k_change
     monkeypatch.setattr(algebra, "eliminate_k_change", lambda p: real(ExtensionParams(-p.k, p.m, p.l)))
-    k_removal_certified.cache_clear()  # the certificate above proved the unflipped shift
-    assert not k_removal_certified()
+    cli._certified.cache_clear()  # the certificate above proved the unflipped shift
+    assert not cli._certified("k_removal")
 
 
 def test_jacobi_certificate_is_the_sampled_check_for_all_charges(monkeypatch):
-    assert jacobi_certified()
+    assert cli._certified("jacobi")
     # the entries at symbolic charges are the entries at any rational charge set
     rng = random.Random(41)
     for _ in range(5):
@@ -146,8 +170,8 @@ def test_jacobi_certificate_is_the_sampled_check_for_all_charges(monkeypatch):
         assert jacobi_defect(make_galilei_algebra(p)) == 0
         assert not any(jacobi_entries(make_galilei_algebra(p)))
     monkeypatch.setattr(algebra, "make_galilei_algebra", charge_on_m_h)
-    jacobi_certified.cache_clear()  # the certificate above proved the uncorrupted law
-    assert not jacobi_certified()
+    cli._certified.cache_clear()  # the certificate above proved the uncorrupted law
+    assert not cli._certified("jacobi")
     assert jacobi_defect(charge_on_m_h(ExtensionParams(1, 2, 3))) != 0
 
 
@@ -155,7 +179,7 @@ def test_failed_jacobi_certificate_reports_the_sampled_defect(tmp_path, monkeypa
     monkeypatch.setattr(algebra, "make_galilei_algebra", charge_on_m_h)
     argv = ["verify-algebra", "--k=1/2", "--m=2", "--l=-3", "--samples=30", "--format=json"]
     assert main([*argv, f"--out={tmp_path / 'fallback.json'}"]) == 1
-    monkeypatch.setattr(algebra, "jacobi_certified", lambda: False)
+    monkeypatch.setattr(cli, "_certified", lambda row: False)
     assert main([*argv, f"--out={tmp_path / 'sampled.json'}"]) == 1
     fallback = (tmp_path / "fallback.json").read_bytes()
     assert fallback == (tmp_path / "sampled.json").read_bytes()
@@ -170,7 +194,7 @@ def test_wrong_k_removal_fails_verify_algebra(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     argv = ["verify-algebra", "--k", "1", "--m", "2", "--l", "3", "--samples", "60", "--format=json"]
     assert main([*argv, f"--out={out}"]) == 1
-    assert not k_removal_certified()
+    assert not cli._certified("k_removal")
     rows = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert (rows["k_removal"]["defect"], rows["k_removal_random_charges"]["defect"]) == ("1", "45")
     assert not rows["k_removal"]["pass"] and not rows["k_removal_random_charges"]["pass"]

@@ -345,10 +345,7 @@ def _reports(tmp_path, cases, tag):
 
 
 def _sample_only(monkeypatch):
-    monkeypatch.setattr(algebra, "jacobi_certified", lambda: False)
-    monkeypatch.setattr(algebra, "k_removal_certified", lambda: False)
-    monkeypatch.setattr(group, "identity_certified", lambda sides, arity: False)
-    cli._certified_exact_rows.cache_clear()  # it may hold the real certificates
+    monkeypatch.setattr(cli, "_certified", lambda row: False)
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -361,8 +358,8 @@ def test_certified_reports_equal_sampled_reports(tmp_path, monkeypatch):
     _count_calls(monkeypatch, calls, algebra, "apply_basis_change")
     _count_calls(monkeypatch, calls, group, "random_rational_element")
     certified = _reports(tmp_path, CERTIFIED_CASES, "certified")
-    # three formats of one verify-algebra case: its k_removal row, and one symbolic run
-    assert calls == {"apply_basis_change": 3 + 1}
+    # only the one symbolic run: the own k_removal row reads the certificate too
+    assert calls == {"apply_basis_change": 1}
     calls.clear()
     _sample_only(monkeypatch)
     assert _reports(tmp_path, CERTIFIED_CASES, "sampled") == certified
@@ -371,6 +368,26 @@ def test_certified_reports_equal_sampled_reports(tmp_path, monkeypatch):
     # 60 samples of 3 (associativity) and of 2 (homomorphism, m != 0) elements per group report
     assert calls == {"apply_basis_change": 3 * (1 + 30),
                      "random_rational_element": 3 * (300 + 300 + 180)}
+
+
+@pytest.mark.parametrize("argv, rows, builds", [
+    (("verify-algebra", "--k=1/2", "--m=2", "--samples=30"), ("jacobi", "k_removal"),
+     {"jacobi_entries": 1, "removes_k": 1}),
+    (("group", "--k=2", "--m=0", "--samples=20"), ("associativity_exact_mode",), {"identity_certified": 1}),
+    (("group", "--k=2", "--m=1/3", "--samples=20"),
+     ("associativity_exact_mode", "k_removal_homomorphism_exact"), {"identity_certified": 2}),
+    (("casimir", "--k=1", "--m=2"), (), {}),
+], ids=["verify-algebra", "group_m=0", "group", "casimir"])
+def test_reports_build_only_the_certificates_they_read_once(tmp_path, monkeypatch, argv, rows, builds):
+    calls = collections.Counter()
+    for module, name in ((algebra, "jacobi_entries"), (algebra, "removes_k"), (group, "identity_certified")):
+        _count_calls(monkeypatch, calls, module, name)
+    for _ in range(3):
+        assert main([*argv, f"--out={tmp_path / 'report.txt'}"]) == 0
+    assert calls == builds and cli._certified.cache_info().misses == len(rows)
+    for row in rows:  # each row read was built by the reports: reading it again builds nothing
+        assert cli._certified(row)
+    assert calls == builds and cli._certified.cache_info().misses == len(rows)
 
 
 def _scalar_random_elements(rng, samples, count=1):

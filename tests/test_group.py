@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import galilei21.group as group_module
-from galilei21.algebra import ExtensionParams, Poly, random_params
-from galilei21.cli import _certified_exact_rows, _exact_worst, _group_rows, _zeta
+from galilei21.algebra import ExtensionParams, Poly, random_params, worst_defect
+from galilei21.cli import _certified, _exact_worst, _group_rows, _zeta
 from galilei21.group import (
     BLOCK_DOUBLES,
     IDENTITY,
@@ -36,7 +36,6 @@ from galilei21.group import (
     rational_draws,
     rotate,
     skip_rational_draws,
-    worst_defect,
     worst_per_sample,
 )
 
@@ -506,7 +505,7 @@ def test_exact_rows_are_certified_and_draw_what_sampling_draws(params):
         ["k_removal_homomorphism_exact"] if params.m != 0 else [])
     for name, _, count, arity, defect, _, sides in exact:
         assert identity_certified(sides, arity), name  # at this charge set too
-        assert name in _certified_exact_rows(), name
+        assert _certified(name), name
         certified_rng, sampled_rng = random.Random(7), random.Random(7)
         certified = _exact_worst(certified_rng, count, arity, defect, True)
         sampled = _exact_worst(sampled_rng, count, arity, defect, False)
@@ -557,12 +556,12 @@ def _extra_k_phase_term(m):
 ], ids=["cocycle_coefficient", "extra_k_term", "k_map_sign"])
 def test_failed_certificate_falls_back_to_the_sampled_defect(monkeypatch, row, mutate):
     mutate(monkeypatch)
-    assert row not in _certified_exact_rows()  # at symbolic charges
+    assert not _certified(row)  # at symbolic charges
     rows = [r for r in _group_rows(REGIMES[0], 60, TOL) if r[0] == row]
     (_, _, count, arity, defect, _, sides), = rows
     assert not identity_certified(sides, arity)
     rng, reference_rng = random.Random(8), random.Random(8)
-    worst = _exact_worst(rng, count, arity, defect, row in _certified_exact_rows())
+    worst = _exact_worst(rng, count, arity, defect, _certified(row))
     draw = lambda: [random_rational_element(reference_rng) for _ in range(arity)]
     sampled = worst_defect([F(defect(*draw())) for _ in range(count)], F(0))
     assert worst == sampled > 0
