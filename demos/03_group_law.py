@@ -24,9 +24,10 @@ from galilei21 import (
     eliminate_k_map,
     homomorphism_defect,
     inverse,
+    random_elements,
 )
 from galilei21.algebra import worst_defect
-from galilei21.group import element_distance, random_element, random_rational_element
+from galilei21.group import element_distance, random_rational_element
 
 COV = GroupKind.COVERING
 params = ExtensionParams(k=Fraction(2), m=Fraction(1), l=Fraction(3))
@@ -42,16 +43,11 @@ print(f"  boost then time step   (m term): {cocycle_exponent(COV, params, boost,
 print(f"  boost then other boost (k term): {cocycle_exponent(COV, params, boost, side_boost):+.3f}")
 print(f"  rotation then time step (l term): {cocycle_exponent(COV, params, spin, step):+.3f}")
 
-# the cocycle condition, checked numerically (worst_defect turns a NaN
-# or inf defect into NaN, so a broken law can never look associative)...
+# the cocycle condition, checked numerically on 2000 random triples at once,
+# as numpy arrays (worst_defect turns a NaN or inf defect into NaN, so a
+# broken law can never look associative)...
 rng = random.Random(0)
-worst = worst_defect(
-    (
-        associativity_defect(COV, params, random_element(rng), random_element(rng), random_element(rng))
-        for _ in range(2000)
-    ),
-    0.0,
-)
+worst = worst_defect(associativity_defect(COV, params, *random_elements(rng, 2000, 3)).tolist(), 0.0)
 print(f"\nassociativity defect over 2000 random triples: {worst:.2e}")
 
 # ...and exactly, on rational elements with no rotation angle
@@ -67,18 +63,16 @@ worst_exact = worst_defect(
 )
 print(f"exact-mode defect over 200 rational triples:   {worst_exact} (a Fraction)")
 
-g = random_element(rng)
+(g,) = random_elements(rng, 1)
 gi = inverse(COV, params, g)
-print(f"round trip to the identity: {element_distance(compose(COV, params, g, gi), GroupElement()):.2e}")
+print(f"round trip to the identity: {element_distance(compose(COV, params, g, gi), GroupElement())[0]:.2e}")
 
 # a coboundary shift rewrites the phase bookkeeping without breaking the law
 xi = lambda a, b: cocycle_exponent(COV, params, a, b)
 shifted = apply_coboundary(xi, lambda e: 0.4 * e.v[0] * e.u[0] - e.tau * e.theta)
 twist = lambda a, b: compose_with_exponent(a, b, shifted)
-triples = [[random_element(rng) for _ in range(3)] for _ in range(500)]
-worst = worst_defect(
-    (element_distance(twist(twist(a, b), c), twist(a, twist(b, c))) for a, b, c in triples), 0.0
-)
+a, b, c = random_elements(rng, 500, 3)
+worst = worst_defect(element_distance(twist(twist(a, b), c), twist(a, twist(b, c))).tolist(), 0.0)
 print(f"shifted-law associativity defect:              {worst:.2e}")
 
 # on the group, k can be removed just like in the algebra: shift the
@@ -86,11 +80,6 @@ print(f"shifted-law associativity defect:              {worst:.2e}")
 p_k = ExtensionParams(Fraction(2), Fraction(1), 0)
 p_0 = ExtensionParams(0, Fraction(1), 0)
 phi = lambda e: eliminate_k_map(p_k, e)
-worst = worst_defect(
-    (
-        homomorphism_defect(GroupKind.EXTENDED, p_k, p_0, phi, random_element(rng), random_element(rng))
-        for _ in range(2000)
-    ),
-    0.0,
-)
+g, h = random_elements(rng, 2000, 2)
+worst = worst_defect(homomorphism_defect(GroupKind.EXTENDED, p_k, p_0, phi, g, h).tolist(), 0.0)
 print(f"k-removal homomorphism defect:                 {worst:.2e}")

@@ -43,6 +43,7 @@ from .contraction import (
 from .enveloping import (
     NOPoly,
     boost_momentum_cross,
+    casimir_invariants,
     centralizer_basis,
     internal_angular_momentum,
     internal_energy,

@@ -132,6 +132,14 @@ class ExtensionParams:
     def __repr__(self):
         return f"ExtensionParams(k={self.k}, m={self.m}, l={self.l})"
 
+    @property
+    def k_shift(self):
+        """s = k/(2m), the boost shift N_i -> N_i + s eps_ij P_j that removes k;
+        m != 0.  Plain division, so at `Poly` charges (2ms, m, l) it is s."""
+        if self.m == 0:
+            raise ValueError("m = 0: the charge k cannot be shifted away")
+        return self.k / (2 * self.m)
+
 
 @dataclass(frozen=True)
 class LieAlgebra:
@@ -297,15 +305,13 @@ def eliminate_k_change(params: ExtensionParams) -> tuple:
     """Matrix of the basis change N_i -> N_i + (k/2m) eps_ij P_j removing the
     boost-boost charge, a tuple of rows for `apply_basis_change`.
 
-    Requires m != 0.  Applying it to g_(k,m,l) yields an algebra
-    structurally equal to g_(0,m,l); the shift direction is frozen by a
-    regression test against that structural equality.
+    Requires m != 0 (`ExtensionParams.k_shift`).  Applying it to g_(k,m,l)
+    yields an algebra structurally equal to g_(0,m,l); the shift direction is
+    frozen by a regression test against that structural equality.
     """
-    if params.m == 0:
-        raise ValueError("m = 0: the charge k cannot be shifted away")
+    shift = params.k_shift
     dim = len(GALILEI_LABELS)
     idx = {lbl: i for i, lbl in enumerate(GALILEI_LABELS)}
-    shift = params.k / (2 * params.m)
     rows = [[_ONE if i == j else _ZERO for j in range(dim)] for i in range(dim)]
     rows[idx["N1"]][idx["P2"]] = shift
     rows[idx["N2"]][idx["P1"]] = -shift
@@ -317,7 +323,7 @@ def removes_k(params: ExtensionParams) -> bool:
 
     At `Poly` charges (2ms, m, l) it runs unchanged and decides the identity in
     m, l and s = k/(2m): invert_matrix divides only by its pivots, which are 1
-    here, and k/(2m) is the exact division 2ms/(2m).
+    here, and `k_shift` is the exact division 2ms/(2m).
     """
     removed = apply_basis_change(make_galilei_algebra(params), eliminate_k_change(params))
     return removed == make_galilei_algebra(ExtensionParams(0, params.m, params.l))

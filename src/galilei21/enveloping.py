@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ExtensionParams, LieAlgebra, antisymmetry_defect, jacobi_entries
+from .algebra import ExtensionParams, LieAlgebra, Poly, _as_rational, antisymmetry_defect, jacobi_entries
 
 GEN_NAMES = ("N1", "N2", "P1", "P2", "H", "M")
 NGEN = len(GEN_NAMES)
@@ -55,6 +55,13 @@ N1, N2, P1, P2, H, M = range(NGEN)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _coefficient(x) -> Fraction:
+    """An exact rational coefficient; a float or a `Poly` raises TypeError."""
+    if isinstance(x, Poly):
+        raise TypeError("an enveloping coefficient is a rational, not a Poly")
+    return _as_rational(x)
 
 
 class NOPoly:
@@ -71,7 +78,7 @@ class NOPoly:
                         and all(type(g) is int and 0 <= g < NGEN for g in word)
                         and list(word) == sorted(word)):
                     raise ValueError(f"not a sorted word of generator indices: {word!r}")
-                co = co if isinstance(co, Fraction) else Fraction(co)
+                co = co if isinstance(co, Fraction) else _coefficient(co)
                 if co:
                     cleaned[word] = co
         self.terms = cleaned
@@ -83,7 +90,7 @@ class NOPoly:
 
     @classmethod
     def scalar(cls, value) -> "NOPoly":
-        return cls({(): Fraction(value)})
+        return cls({(): _coefficient(value)})
 
     # ring-module structure (multiplication needs an algebra: see no_mul)
     def __add__(self, other: "NOPoly") -> "NOPoly":
@@ -102,7 +109,7 @@ class NOPoly:
         return NOPoly({m: -c for m, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "NOPoly":
-        s = Fraction(scalar)
+        s = _coefficient(scalar)
         return NOPoly({m: s * c for m, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -266,8 +273,20 @@ def momentum_squared() -> NOPoly:
 
 
 def boost_momentum_cross() -> NOPoly:
-    """N1 P2 - N2 P1 (invariant only when both m = 0 and k = 0)."""
+    """N1 P2 - N2 P1, central only when m = 0 and k = 0.  At m = 0, l = 0 the
+    central element is N1 P2 - N2 P1 + k H for every k (`casimir_invariants`)."""
     return NOPoly({(N1, P2): _ONE, (N2, P1): -_ONE})
+
+
+def casimir_invariants(params: ExtensionParams) -> tuple[NOPoly, ...]:
+    """The regime's commuting degree-2 invariants, the Casimir table: with 1 they
+    span the degree-2 centralizer, and `casimir` expects the degree <= d one to
+    have as many elements as their products, C(d // 2 + g, g) for g of them."""
+    if params.m != 0:
+        return (internal_energy(params), internal_angular_momentum(params)) if params.l == 0 else ()
+    if params.k == 0 or params.l == 0:
+        return momentum_squared(), boost_momentum_cross() + params.k * NOPoly.generator("H")
+    return (momentum_squared(),)
 
 
 # --- bounded-degree centralizer ----------------------------------------------

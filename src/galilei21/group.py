@@ -37,7 +37,7 @@ All values are immutable and all functions pure.
 
 `random_elements` draws the array elements' doubles from blocks of
 `getrandbits` words of CPython's MT19937 `random.Random`, decoded as
-`random()` decodes them, so they equal `random_element`'s draws bit for bit.
+`random()` decodes them, so they equal scalar `rng.uniform` draws bit for bit.
 """
 
 from __future__ import annotations
@@ -247,13 +247,11 @@ def apply_coboundary(
 def eliminate_k_map(params: ExtensionParams, g: GroupElement) -> GroupElement:
     """Reparametrization u -> u + (k/2m)(v2, -v1) taking G_(k,m) onto G_(0,m).
 
-    Requires m != 0.  With the shift in this direction the map Phi obeys
-    compose_(0,m)(Phi g, Phi h) = Phi(compose_(k,m)(g, h)); the sign is
-    frozen by the homomorphism regression test.
+    Requires m != 0 (`ExtensionParams.k_shift`).  With the shift in this
+    direction the map Phi obeys compose_(0,m)(Phi g, Phi h) = Phi(compose_(k,m)(g, h));
+    the sign is frozen by the homomorphism regression test.
     """
-    if params.m == 0:
-        raise ValueError("m = 0: the charge k cannot be shifted away")
-    lam = params.k / (2 * params.m)
+    lam = params.k_shift
     if lam == 0:
         return g
     if _batched(*g.v):
@@ -300,19 +298,6 @@ def identity_certified(sides: Callable[..., tuple], arity: int) -> bool:
 # --- sampling ------------------------------------------------------------------
 
 
-def random_element(rng) -> GroupElement:
-    """Random element from a seeded `random.Random` (float mode): phase and
-    theta in [-pi, pi], tau, u and v in [-1, 1]."""
-    r = lambda: rng.uniform(-1.0, 1.0)
-    return GroupElement(
-        phase=rng.uniform(-math.pi, math.pi),
-        tau=r(),
-        u=(r(), r()),
-        v=(r(), r()),
-        theta=rng.uniform(-math.pi, math.pi),
-    )
-
-
 BLOCK_DOUBLES = 1 << 16  # doubles decoded from one getrandbits call (1 MiB of words)
 
 
@@ -338,9 +323,11 @@ def _random_doubles(rng, n: int) -> np.ndarray:
 def random_elements(rng, samples: int, count: int = 1) -> tuple:
     """`count` elements whose components are arrays of `samples` draws.
 
-    Consumes `rng` exactly as `samples * count` calls of `random_element`
-    would, the `count` elements of one sample drawn together, and gives
-    the same values: entry i of element j is the (i * count + j)-th draw.
+    A scalar element is seven `rng.uniform` calls: phase, tau, u1, u2, v1, v2,
+    theta, with phase and theta in [-pi, pi] and the rest in [-1, 1].  This
+    consumes `rng` exactly as `samples * count` such elements would, the
+    `count` elements of one sample drawn together, and gives the same values:
+    entry i of element j is the (i * count + j)-th scalar element.
     The doubles are decoded from blocks of Mersenne Twister words
     (`_random_doubles`), which relies on CPython's `random.Random`.
     """

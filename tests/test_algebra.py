@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from galilei21 import algebra, cli
+from galilei21 import algebra, cli, group
 from galilei21.algebra import (
     ExtensionParams,
     LieAlgebra,
@@ -232,8 +232,14 @@ def test_k_removal_shift_coefficients():
 
 
 def test_k_removal_requires_mass():
-    with pytest.raises(ValueError):
-        eliminate_k_change(ExtensionParams(1, 0, 0))
+    # k_shift is the one k/(2m), and the one m = 0 guard behind both maps
+    m, l, s = (Poly.symbol(name) for name in ("m", "l", "s"))
+    assert ExtensionParams(2 * m * s, m, l).k_shift == s
+    assert ExtensionParams(3, F(-5, 4), 7).k_shift == F(-6, 5)
+    shifts = (lambda p: p.k_shift, eliminate_k_change, lambda p: group.eliminate_k_map(p, group.IDENTITY))
+    for shift in shifts:
+        with pytest.raises(ValueError, match=r"^m = 0: the charge k cannot be shifted away$"):
+            shift(ExtensionParams(1, 0, 0))
 
 
 def test_k_removal_random_charges():

@@ -10,6 +10,7 @@ import pytest
 
 from galilei21 import algebra, cli, contraction, enveloping, group
 from galilei21.cli import build_parser, main
+from scalar_sampler import random_element
 
 
 def run(capsys, *argv):
@@ -233,6 +234,20 @@ def test_centralizer_dimension_is_gated_in_every_regime(capsys, monkeypatch, cha
     assert code == 1 and check["defect"] == str(dim + 1) and not check["pass"]
 
 
+@pytest.mark.parametrize("charges,failing", [
+    (("--k=-2/3", "--m", "0", "--l", "0"), {"centralizer_dimension"}),
+    (("--k", "0", "--m", "0", "--l", "7/2"), {"central[boost_momentum_cross]", "centralizer_dimension"}),
+    (("--k", "3/2", "--m", "2", "--l", "0"), {"central[internal_angular_momentum]", "centralizer_dimension"}),
+])
+def test_casimir_expectations_read_the_table(capsys, monkeypatch, charges, failing):
+    # a table that misses its last invariant must fail the rows it backs
+    real = enveloping.casimir_invariants
+    monkeypatch.setattr(enveloping, "casimir_invariants", lambda params: real(params)[:-1])
+    code, out = run(capsys, "casimir", *charges, "--max-degree", "2", "--format", "json")
+    assert code == 1
+    assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == failing
+
+
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
 def test_group_nan_defects_fail_closed(capsys, monkeypatch, tau):
     draw = group.random_elements
@@ -391,8 +406,8 @@ def test_reports_build_only_the_certificates_they_read_once(tmp_path, monkeypatc
 
 
 def _scalar_random_elements(rng, samples, count=1):
-    """group.random_elements as stacked scalar random_element calls: the reference."""
-    draws = [[group.random_element(rng) for _ in range(count)] for _ in range(samples)]
+    """group.random_elements as stacked scalar `random_element` calls: the reference."""
+    draws = [[random_element(rng) for _ in range(count)] for _ in range(samples)]
     x = np.array([[(g.phase, g.tau, *g.u, *g.v, g.theta) for g in row] for row in draws])
     return tuple(group.GroupElement(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6])
                  for c in x.transpose(1, 2, 0).copy())

@@ -3,7 +3,7 @@ import hashlib
 import random
 import weakref
 from fractions import Fraction as F
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ import galilei21.enveloping as enveloping_module
 from galilei21.algebra import (
     ExtensionParams,
     LieAlgebra,
+    Poly,
     jacobi_defect,
     make_galilei_algebra,
     random_params,
@@ -24,6 +25,7 @@ from galilei21.enveloping import (
     _eliminate,
     _integer_rows,
     boost_momentum_cross,
+    casimir_invariants,
     centralizer_basis,
     exact_nullspace,
     in_span,
@@ -36,7 +38,7 @@ from galilei21.enveloping import (
     no_commutators,
     no_mul,
 )
-from galilei21.cli import _expected_dimension, main
+from galilei21.cli import main
 
 ALG = make_galilei_algebra(ExtensionParams(F(5), F(2), F(0)))
 N1 = NOPoly.generator("N1")
@@ -137,6 +139,16 @@ def test_nopoly_rejects_a_key_that_is_not_a_sorted_word():
         with pytest.raises(ValueError):
             NOPoly({key: 1})
     assert NOPoly({(2, 3): 1}) == no_mul(ALG, P1, P2)
+
+
+def test_nopoly_coefficients_fail_closed():
+    # a float would be stored as its binary value, 0.1 as 3602879701896397/2**55
+    for bad in (0.1, 1.0, float("nan"), Poly.symbol("k")):
+        for build in (lambda x: NOPoly({(0,): x}), NOPoly.scalar, lambda x: x * P1):
+            with pytest.raises(TypeError):
+                build(bad)
+    assert NOPoly({(0,): "1/3"}) == F(1, 3) * N1 == NOPoly({(0,): F(1, 3)})
+    assert NOPoly.scalar(2) == 2 * ONE
 
 
 def _exponents(word):
@@ -334,6 +346,31 @@ CENTRALIZER_TABLE = [
 ]
 
 
+def _table_dimension(params, degree):
+    """The dimension `casimir` expects: the products of degree <= `degree` of
+    the regime's g invariants."""
+    g = len(casimir_invariants(params))
+    return comb(degree // 2 + g, g)
+
+
+@pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
+def test_casimir_table_is_central_and_spans_the_degree_2_centralizer(params, dims):
+    alg = make_galilei_algebra(params)
+    table = casimir_invariants(params)
+    assert all(is_central(alg, c) for c in table)
+    basis = centralizer_basis(alg, 2)
+    assert all(in_span((ONE, *table), b) for b in basis)
+    assert all(in_span(basis, c) for c in (ONE, *table))
+
+
+def test_casimir_table_covers_m_0_l_0_k_nonzero():
+    # the cross invariant there needs the k H term, which N1 P2 - N2 P1 lacks
+    params = ExtensionParams(F(-2, 3), F(0), F(0))
+    cross, p_squared = NOPoly({(4,): 2, (0, 3): -3, (1, 2): 3}), NOPoly({(2, 2): 1, (3, 3): 1})
+    assert centralizer_basis(make_galilei_algebra(params), 2) == (ONE, cross, p_squared)
+    assert casimir_invariants(params) == (p_squared, F(-1, 3) * cross)
+
+
 @pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
 def test_centralizer_table_from_rightmost_first_oracle(params, dims):
     alg = make_galilei_algebra(params)
@@ -341,14 +378,14 @@ def test_centralizer_table_from_rightmost_first_oracle(params, dims):
         oracle = _oracle_centralizer(alg, degree)
         assert len(oracle) == dim, degree
         assert centralizer_basis(alg, degree) == oracle, degree
-        assert _expected_dimension(params, degree) == dim, degree
+        assert _table_dimension(params, degree) == dim, degree
 
 
 @pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
 def test_centralizer_table_at_degree_6(params, dims):
     # the top of the CLI's degree range, without the (slower) oracle
     assert len(centralizer_basis(make_galilei_algebra(params), 6)) == dims[6]
-    assert _expected_dimension(params, 6) == dims[6]
+    assert _table_dimension(params, 6) == dims[6]
 
 
 # sha256 of `casimir --format=json` at degrees 0..4 for each CENTRALIZER_TABLE

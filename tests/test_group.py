@@ -30,7 +30,6 @@ from galilei21.group import (
     homomorphism_defect,
     identity_certified,
     inverse,
-    random_element,
     random_elements,
     random_rational_element,
     rational_draws,
@@ -38,6 +37,7 @@ from galilei21.group import (
     skip_rational_draws,
     worst_per_sample,
 )
+from scalar_sampler import random_element
 
 EXT = GroupKind.EXTENDED
 COV = GroupKind.COVERING
