@@ -13,8 +13,9 @@ pair X Y with Y X + [X, Y]; every rewrite either removes an inversion at
 fixed degree or lowers the degree, so the process terminates.  The
 leftmost out-of-order pair is rewritten first; confluence is certified
 by the associativity tests rather than assumed.  Each top-level call
-(`no_mul`, `no_commutators`, `is_central`, `centralizer_basis`) builds
-one memo of normal forms for all of its products; nothing refers back to
+(`no_mul`, `no_commutators`, `is_central`, `centralizer_basis`) takes the
+charges (k, m, l) and builds one memo of normal forms over
+`make_galilei_algebra` for all of its products; nothing refers back to
 the memo, so it is freed by the time the call returns, and nothing is
 kept between calls.
 
@@ -27,9 +28,10 @@ and `_product` divides by D**n once per pair of terms.
 
 The bounded-degree centralizer search solves [g, X] = 0 in exact integer
 arithmetic, with rows for g in {N1, H, M} only: [N1,H] = P1, [M,N1] = N2
-and [N2,H] = P2, so by Jacobi X then commutes with all six generators and
-the kernel is unchanged.  An algebra whose brackets do not show this gets
-the rows of all six.  Each column of the system, a monomial of length n,
+and [N2,H] = P2 at every charge set, so by Jacobi, which holds identically
+in the charges, X then commutes with all six generators and the kernel is
+unchanged (tests/test_enveloping.py proves both premises at symbolic
+charges).  Each column of the system, a monomial of length n,
 is scaled by D**(max degree - n), so every row is integral.  The
 eliminator takes the rows sparsest first, so the early pivots are short
 and the many redundant rows reduce to zero against them cheaply.  The
@@ -47,7 +49,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ExtensionParams, LieAlgebra, Poly, _as_rational, antisymmetry_defect, jacobi_entries
+from .algebra import ExtensionParams, Poly, _as_rational, make_galilei_algebra
 
 GEN_NAMES = ("N1", "N2", "P1", "P2", "H", "M")
 NGEN = len(GEN_NAMES)
@@ -92,7 +94,7 @@ class NOPoly:
     def scalar(cls, value) -> "NOPoly":
         return cls({(): _coefficient(value)})
 
-    # ring-module structure (multiplication needs an algebra: see no_mul)
+    # ring-module structure (multiplication needs the charges: see no_mul)
     def __add__(self, other: "NOPoly") -> "NOPoly":
         out = dict(self.terms)
         for mono, co in other.terms.items():
@@ -148,19 +150,16 @@ class NOPoly:
 
 
 class _NormalOrderer(dict):
-    """Memo of normal forms over `alg`, in integers: orderer[word] is
+    """Memo of normal forms over g_(k,m,l), in integers: orderer[word] is
     {sorted word: n} with sum n * mono = D**len(word) * (word in normal
     order), for any word of generator indices, computed on its first lookup.
-    D (`den`) is the least common denominator of the structure constants."""
+    D (`den`) is the least common denominator of the structure constants,
+    read from the tensor of `make_galilei_algebra(params)`."""
 
-    def __init__(self, alg: LieAlgebra):
-        try:
-            e_idx = alg.index("E")
-            gen_idx = [alg.index(n) for n in GEN_NAMES]
-        except KeyError as exc:
-            raise ValueError(
-                "enveloping products need the extended Galilei basis labels"
-            ) from exc
+    def __init__(self, params: ExtensionParams):
+        alg = make_galilei_algebra(params)
+        e_idx = alg.index("E")
+        gen_idx = [alg.index(n) for n in GEN_NAMES]
         # a rewrite drops the word by one letter (generator term) or two
         # (scalar), so the numerators gain den or den**2
         self.den = den = lcm(*(c.denominator for a in gen_idx for b in gen_idx
@@ -170,17 +169,9 @@ class _NormalOrderer(dict):
         for a in range(NGEN):
             for b in range(NGEN):
                 row = alg.tensor[gen_idx[a]][gen_idx[b]]
-                terms = []
-                for n, cn in enumerate(row):
-                    if n == e_idx or not cn:
-                        continue
-                    if n not in gen_idx:
-                        raise ValueError(
-                            "bracket leaves the generator span; cannot "
-                            "normal-order over this algebra"
-                        )
-                    terms.append((gen_idx.index(n), int(cn * den)))
-                self.table[(a, b)] = (int(row[e_idx] * den * den), tuple(terms))
+                terms = tuple((gen_idx.index(n), int(cn * den))
+                              for n, cn in enumerate(row) if n != e_idx and cn)
+                self.table[(a, b)] = (int(row[e_idx] * den * den), terms)
 
     def __missing__(self, word: tuple) -> dict:
         for i in range(len(word) - 1):
@@ -211,24 +202,24 @@ def _product(normal_form: _NormalOrderer, p: NOPoly, q: NOPoly) -> NOPoly:
     return NOPoly(out)
 
 
-def no_mul(alg: LieAlgebra, p: NOPoly, q: NOPoly) -> NOPoly:
+def no_mul(params: ExtensionParams, p: NOPoly, q: NOPoly) -> NOPoly:
     """Product of p and q in the enveloping algebra, in normal order."""
-    return _product(_NormalOrderer(alg), p, q)
+    return _product(_NormalOrderer(params), p, q)
 
 
-def no_commutators(alg: LieAlgebra, pairs: Iterable[tuple[NOPoly, NOPoly]]) -> list[NOPoly]:
+def no_commutators(params: ExtensionParams, pairs: Iterable[tuple[NOPoly, NOPoly]]) -> list[NOPoly]:
     """[p, q] for each pair (p, q), all normal-ordered by one orderer."""
-    normal_form = _NormalOrderer(alg)
+    normal_form = _NormalOrderer(params)
     return [_product(normal_form, p, q) - _product(normal_form, q, p) for p, q in pairs]
 
 
-def no_commutator(alg: LieAlgebra, p: NOPoly, q: NOPoly) -> NOPoly:
-    return no_commutators(alg, [(p, q)])[0]
+def no_commutator(params: ExtensionParams, p: NOPoly, q: NOPoly) -> NOPoly:
+    return no_commutators(params, [(p, q)])[0]
 
 
-def is_central(alg: LieAlgebra, p: NOPoly) -> bool:
+def is_central(params: ExtensionParams, p: NOPoly) -> bool:
     """True iff p commutes with every generator N1, N2, P1, P2, H, M."""
-    return not any(no_commutators(alg, [(p, NOPoly.generator(name)) for name in GEN_NAMES]))
+    return not any(no_commutators(params, [(p, NOPoly.generator(name)) for name in GEN_NAMES]))
 
 
 # --- the invariants from the Casimir table ----------------------------------
@@ -377,27 +368,15 @@ def exact_nullspace(
     return basis
 
 
-def _three_generate(alg: LieAlgebra) -> bool:
-    """True when `alg` is a Lie algebra with E central whose brackets [N1,H],
-    [M,N1], [N2,H] are nonzero multiples of P1, N2, P2 modulo E: then what
-    commutes with N1, H and M in the enveloping algebra commutes with all six
-    generators (Jacobi)."""
-    i, t, gens = alg.index, alg.tensor, [alg.index(n) for n in GEN_NAMES]
-    chain = (("N1", "H", "P1"), ("M", "N1", "N2"), ("N2", "H", "P2"))
-    return (not antisymmetry_defect(alg) and not any(any(t[i("E")][g]) for g in gens)
-            and all([n for n in gens if t[i(x)][i(y)][n]] == [i(z)] for x, y, z in chain)
-            and not any(jacobi_entries(alg)))
-
-
-def _centralizer_rows(alg: LieAlgebra, monos: Sequence[tuple]) -> Iterable[dict[int, int]]:
-    """The rows of [g, sum_m x_m X^m] = 0 over `monos`, one per (g, monomial of
-    the commutator), each scaled by D**(max degree + 1) to integers.  The
-    memo of normal forms is freed on return, before the elimination needs
-    its memory."""
-    normal_form = _NormalOrderer(alg)
+def _centralizer_rows(params: ExtensionParams, monos: Sequence[tuple]) -> Iterable[dict[int, int]]:
+    """The rows of [g, sum_m x_m X^m] = 0 over `monos` for g in {N1, H, M}, one
+    per (g, monomial of the commutator), each scaled by D**(max degree + 1) to
+    integers.  The memo of normal forms is freed on return, before the
+    elimination needs its memory."""
+    normal_form = _NormalOrderer(params)
     max_degree = len(monos[-1])
     rows: dict[tuple, dict[int, int]] = {}
-    for g in (N1, H, M) if _three_generate(alg) else range(NGEN):
+    for g in (N1, H, M):
         for col, w in enumerate(monos):
             left, right = normal_form[(g,) + w], normal_form[w + (g,)]
             scale = normal_form.den ** (max_degree - len(w))
@@ -408,17 +387,17 @@ def _centralizer_rows(alg: LieAlgebra, monos: Sequence[tuple]) -> Iterable[dict[
     return rows.values()
 
 
-def centralizer_basis(alg: LieAlgebra, max_degree: int) -> tuple[NOPoly, ...]:
+def centralizer_basis(params: ExtensionParams, max_degree: int) -> tuple[NOPoly, ...]:
     """A basis of the degree <= max_degree polynomials commuting with every generator.
 
-    The kernel of the exact linear system [g, sum_m x_m X^m] = 0
-    over the graded monomial list, for g in {N1, H, M} if `_three_generate`,
-    else for all six.  Scalars are always present, so the basis is never empty.
+    The kernel of the exact linear system [g, sum_m x_m X^m] = 0 over the
+    graded monomial list, for g in {N1, H, M}, which generate the other three
+    at every charge set.  Scalars are always present, so the basis is never empty.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     monos = monomials_up_to(max_degree)
-    kernel = exact_nullspace(_centralizer_rows(alg, monos), len(monos))
+    kernel = exact_nullspace(_centralizer_rows(params, monos), len(monos))
     return tuple(NOPoly({monos[i]: c for i, c in enumerate(vec) if c}) for vec in kernel)
 
 

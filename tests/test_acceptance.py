@@ -65,28 +65,26 @@ def test_criterion_03_casimir_table():
             # l = 0, m != 0: both invariants exactly central
             p = algebra.random_params(rng, nonzero_m=True)
             p0 = ExtensionParams(p.k, p.m, 0)
-            alg = algebra.make_galilei_algebra(p0)
-            assert enveloping.is_central(alg, enveloping.internal_energy(p0))
-            assert enveloping.is_central(alg, enveloping.internal_angular_momentum(p0))
+            assert enveloping.is_central(p0, enveloping.internal_energy(p0))
+            assert enveloping.is_central(p0, enveloping.internal_angular_momentum(p0))
         for _ in range(20):
             # m = 0, k = 0: momentum square and cross invariant
             l = algebra.random_rational(rng)
-            alg = algebra.make_galilei_algebra(ExtensionParams(0, 0, l))
-            assert enveloping.is_central(alg, enveloping.momentum_squared())
-            assert enveloping.is_central(alg, enveloping.boost_momentum_cross())
+            p = ExtensionParams(0, 0, l)
+            assert enveloping.is_central(p, enveloping.momentum_squared())
+            assert enveloping.is_central(p, enveloping.boost_momentum_cross())
         for _ in range(20):
             # m = 0, k != 0: the cross invariant dies
             k = algebra.random_rational(rng, nonzero=True)
-            alg = algebra.make_galilei_algebra(ExtensionParams(k, 0, algebra.random_rational(rng)))
-            assert enveloping.is_central(alg, enveloping.momentum_squared())
-            assert not enveloping.is_central(alg, enveloping.boost_momentum_cross())
+            p = ExtensionParams(k, 0, algebra.random_rational(rng))
+            assert enveloping.is_central(p, enveloping.momentum_squared())
+            assert not enveloping.is_central(p, enveloping.boost_momentum_cross())
         for _ in range(20):
             # l != 0: the defect of the internal energy measures l exactly
             p = ExtensionParams(
                 algebra.random_rational(rng), algebra.random_rational(rng, True), algebra.random_rational(rng, True))
-            alg = algebra.make_galilei_algebra(p)
             com = enveloping.no_commutator(
-                alg, enveloping.NOPoly.generator("M"), enveloping.internal_energy(p)
+                p, enveloping.NOPoly.generator("M"), enveloping.internal_energy(p)
             )
             assert com == enveloping.NOPoly.scalar(p.l)
 
@@ -97,13 +95,13 @@ def test_criterion_04_bounded_degree_centralizer():
         for _ in range(10):
             p = ExtensionParams(
                 algebra.random_rational(rng), algebra.random_rational(rng, True), algebra.random_rational(rng, True))
-            basis = enveloping.centralizer_basis(algebra.make_galilei_algebra(p), 3)
+            basis = enveloping.centralizer_basis(p, 3)
             assert len(basis) == 1
             assert enveloping.in_span(basis, enveloping.NOPoly.scalar(1))
         for _ in range(10):
             p = algebra.random_params(rng, nonzero_m=True)
             p = ExtensionParams(p.k, p.m, 0)
-            basis = enveloping.centralizer_basis(algebra.make_galilei_algebra(p), 2)
+            basis = enveloping.centralizer_basis(p, 2)
             assert len(basis) == 3
             assert enveloping.in_span(basis, enveloping.NOPoly.scalar(1))
             assert enveloping.in_span(basis, enveloping.internal_energy(p))

@@ -194,10 +194,18 @@ def test_non_positive_c_grid_is_one_line_config_error(capfd, grid):
     assert not caught
 
 
+@pytest.mark.parametrize("experiment", ["thomas", "mass"])
+def test_contract_overflow_fails_without_warnings(capfd, experiment):
+    # c^2 overflows a double on this grid: NaN slopes fail the rows, silently
+    argv = ["contract", f"--experiment={experiment}", "--c-grid", "1e300:1e308:logx10", "--samples", "2"]
+    assert main(argv) == 1
+    assert capfd.readouterr().err == ""
+
+
 def test_casimir_builds_one_orderer_for_its_candidate_checks(capsys, monkeypatch):
     built = []
     orderer = enveloping._NormalOrderer
-    monkeypatch.setattr(enveloping, "_NormalOrderer", lambda alg: built.append(alg) or orderer(alg))
+    monkeypatch.setattr(enveloping, "_NormalOrderer", lambda params: built.append(params) or orderer(params))
     code, out = run(capsys, "casimir", "--k", "5", "--m", "2", "--l", "0", "--max-degree", "2")
     assert code == 0 and "overall: PASS" in out
     assert len(built) == 2  # the candidate checks, then the centralizer search
@@ -225,8 +233,8 @@ def test_centralizer_dimension_is_gated_in_every_regime(capsys, monkeypatch, cha
     # one basis element too many must fail the report
     real = enveloping.centralizer_basis
 
-    def one_too_many(alg, d):
-        return real(alg, d) + (enveloping.NOPoly.scalar(1),)
+    def one_too_many(params, d):
+        return real(params, d) + (enveloping.NOPoly.scalar(1),)
 
     monkeypatch.setattr(enveloping, "centralizer_basis", one_too_many)
     code, out = run(capsys, *argv)
@@ -246,6 +254,21 @@ def test_casimir_expectations_read_the_table(capsys, monkeypatch, charges, faili
     code, out = run(capsys, "casimir", *charges, "--max-degree", "2", "--format", "json")
     assert code == 1
     assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == failing
+
+
+def test_casimir_checks_each_unnamed_table_entry(capsys, monkeypatch):
+    # at m = 0, l = 0, k != 0 the table's N x P + k H equals no named candidate
+    argv = ("casimir", "--k=-2/3", "--m", "0", "--l", "0", "--max-degree", "2", "--format", "json")
+    code, out = run(capsys, *argv)
+    rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 0 and rows["central[casimir_invariants[1]]"]["note"] == "expected central"
+    # a wrong entry, N x P - k H, must fail its row, though the count still holds
+    cross, h = enveloping.boost_momentum_cross(), enveloping.NOPoly.generator("H")
+    monkeypatch.setattr(enveloping, "casimir_invariants",
+                        lambda params: (enveloping.momentum_squared(), cross - params.k * h))
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == {"central[casimir_invariants[1]]"}
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
