@@ -45,6 +45,7 @@ from .enveloping import (
     boost_momentum_cross,
     casimir_invariants,
     centralizer_basis,
+    generator_brackets,
     internal_angular_momentum,
     internal_energy,
     is_central,

@@ -162,16 +162,10 @@ def cmd_casimir(opts) -> tuple:
     candidates.update((f"casimir_invariants[{i}]", entry) for i, entry in enumerate(table)
                       if entry not in candidates.values())
     names = sorted(candidates)
-    gens = [enveloping.NOPoly.generator(gen) for gen in enveloping.GEN_NAMES]
-    pairs = [(candidates[name], gen) for name in names for gen in gens]
-    if params.m != 0:
-        # the commutator of the rotation generator with the internal energy
-        # measures the time-rotation charge exactly
-        pairs.append((enveloping.NOPoly.generator("M"), candidates["internal_energy"]))
-    coms = enveloping.no_commutators(params, pairs)  # one normal orderer for every check
-    for i, name in enumerate(names):
-        row = coms[i * len(gens):(i + 1) * len(gens)]
-        defect = worst_defect((com.max_abs_coefficient() for com in row), Fraction(0))
+    # [g, p] = -[p, g], so each defect is that of the candidate's commutators
+    brackets = dict(zip(names, enveloping.generator_brackets(params, [candidates[n] for n in names])))
+    for name in names:
+        defect = worst_defect((com.max_abs_coefficient() for com in brackets[name]), Fraction(0))
         expected = candidates[name] in table
         checks.append(
             _check(
@@ -180,7 +174,9 @@ def cmd_casimir(opts) -> tuple:
             )
         )
     if params.m != 0:
-        ok = coms[-1] == enveloping.NOPoly.scalar(params.l)
+        # the commutator of the rotation generator with the internal energy
+        # measures the time-rotation charge exactly
+        ok = brackets["internal_energy"][enveloping.M] == enveloping.NOPoly.scalar(params.l)
         checks.append(_check("energy_defect_equals_l", Fraction(0 if ok else 1), ok))
 
     basis = enveloping.centralizer_basis(params, opts.max_degree)

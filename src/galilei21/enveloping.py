@@ -13,8 +13,9 @@ pair X Y with Y X + [X, Y]; every rewrite either removes an inversion at
 fixed degree or lowers the degree, so the process terminates.  The
 leftmost out-of-order pair is rewritten first; confluence is certified
 by the associativity tests rather than assumed.  Each top-level call
-(`no_mul`, `no_commutators`, `is_central`, `centralizer_basis`) takes the
-charges (k, m, l) and builds one memo of normal forms over
+(`no_mul`, `no_commutators`, `generator_brackets`, `is_central`,
+`centralizer_basis`) takes the charges (k, m, l) and builds one memo of
+normal forms over
 `make_galilei_algebra` for all of its products; nothing refers back to
 the memo, so it is freed by the time the call returns, and nothing is
 kept between calls.
@@ -26,20 +27,29 @@ rewrite that drops the word by one letter (a generator term) or two (a
 scalar) multiplies by its constant times D or D**2, which is an integer,
 and `_product` divides by D**n once per pair of terms.
 
+A commutator with a generator g is not the difference of two products:
+the orderer's `bracket` applies the derivation rule [g, X^w] =
+sum_i X^(w<i) [g, w_i] X^(w>i) to a sorted word w, so the leading terms
+of g X^w and X^w g, which cancel, are never formed, and only the words
+with one letter replaced by a bracket term get normal-ordered.
+`generator_brackets` gives the six [g, p] of each candidate invariant
+this way, and `is_central` reads them.
+
 The bounded-degree centralizer search solves [g, X] = 0 in exact integer
-arithmetic, with rows for g in {N1, H, M} only: [N1,H] = P1, [M,N1] = N2
-and [N2,H] = P2 at every charge set, so by Jacobi, which holds identically
-in the charges, X then commutes with all six generators and the kernel is
-unchanged (tests/test_enveloping.py proves both premises at symbolic
-charges).  Each column of the system, a monomial of length n,
-is scaled by D**(max degree - n), so every row is integral.  The
-eliminator takes the rows sparsest first, so the early pivots are short
-and the many redundant rows reduce to zero against them cheaply.  The
-order cannot change a basis: the pivot columns are the leading columns
-of the row space, and each null vector is the unique solution with 1 in
-its free column and 0 in the other free columns, scaled by the least
-common multiple of its denominators.  No floating point enters this
-module.
+arithmetic, with rows for g in {N1, H, M} only, read from `bracket`:
+[N1,H] = P1, [M,N1] = N2 and [N2,H] = P2 at every charge set, so by
+Jacobi, which holds identically in the charges, X then commutes with all
+six generators and the kernel is unchanged (tests/test_enveloping.py
+proves both premises at symbolic charges).  Each column of the system, a
+monomial of length n, is scaled by D**(max degree - n), so every row is
+integral.  The eliminator takes the rows sparsest first, so the early
+pivots are short and the many redundant rows reduce to zero against
+them cheaply; a pivot row with one entry sets its column to 0, and the
+later rows drop that column before they reduce.  Neither changes a
+basis: the pivot columns are the leading columns of the row space, and
+each null vector is the unique solution with 1 in its free column and 0
+in the other free columns, scaled by the least common multiple of its
+denominators.  No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -191,6 +201,23 @@ class _NormalOrderer(dict):
         self[word] = out
         return out
 
+    def bracket(self, g: int, word: tuple) -> dict:
+        """{sorted word: n} with sum n * mono = D**(len(word) + 1) * [g, word]
+        for a sorted word, by the derivation rule [g, X^w] = sum_i X^(w<i)
+        [g, w_i] X^(w>i): a scalar bracket leaves the sorted word without w_i,
+        and only the nearly sorted words with w_i replaced are ordered."""
+        out: dict[tuple, int] = {}
+        for i, x in enumerate(word):
+            scalar, terms = self.table[(g, x)]  # (0, ()) for x == g
+            head, tail = word[:i], word[i + 1:]
+            if scalar:
+                rest = head + tail
+                out[rest] = out.get(rest, 0) + scalar * self.den ** len(rest)
+            for h, ch in terms:
+                for mono, co in self[head + (h,) + tail].items():
+                    out[mono] = out.get(mono, 0) + ch * co
+        return {m: c for m, c in out.items() if c}
+
 
 def _product(normal_form: _NormalOrderer, p: NOPoly, q: NOPoly) -> NOPoly:
     out: dict[tuple, Fraction] = {}
@@ -217,9 +244,27 @@ def no_commutator(params: ExtensionParams, p: NOPoly, q: NOPoly) -> NOPoly:
     return no_commutators(params, [(p, q)])[0]
 
 
+def generator_brackets(params: ExtensionParams, polys: Iterable[NOPoly]) -> list[tuple[NOPoly, ...]]:
+    """([N1, p], [N2, p], [P1, p], [P2, p], [H, p], [M, p]) for each p, all
+    from one orderer's `bracket`."""
+    normal_form = _NormalOrderer(params)
+    out = []
+    for p in polys:
+        row = []
+        for g in range(NGEN):
+            com: dict[tuple, Fraction] = {}
+            for w, c in p.terms.items():
+                f = c / normal_form.den ** (len(w) + 1)
+                for mono, co in normal_form.bracket(g, w).items():
+                    com[mono] = com.get(mono, _ZERO) + f * co
+            row.append(NOPoly(com))
+        out.append(tuple(row))
+    return out
+
+
 def is_central(params: ExtensionParams, p: NOPoly) -> bool:
     """True iff p commutes with every generator N1, N2, P1, P2, H, M."""
-    return not any(no_commutators(params, [(p, NOPoly.generator(name)) for name in GEN_NAMES]))
+    return not any(generator_brackets(params, [p])[0])
 
 
 # --- the invariants from the Casimir table ----------------------------------
@@ -304,10 +349,13 @@ def _integer_rows(rows: Iterable[Mapping[int, Fraction]]) -> list[dict]:
 
 def _eliminate(rows: list[dict]) -> dict[int, dict]:
     """Fraction-free forward elimination, sparsest row first; returns
-    {pivot column: row}."""
+    {pivot column: row}.  A pivot row with one entry says its column is 0,
+    so later rows drop that column before they reduce: the row space, and
+    with it every pivot column, is unchanged."""
     pivots: dict[int, dict] = {}
+    zero: set[int] = set()
     for row in sorted(rows, key=len):
-        row = dict(row)
+        row = {j: v for j, v in row.items() if j not in zero}
         while row:
             col = min(row)
             pivot = pivots.get(col)
@@ -316,6 +364,8 @@ def _eliminate(rows: list[dict]) -> dict[int, dict]:
                     row = {j: -v for j, v in row.items()}
                 g = gcd(*row.values())
                 pivots[col] = {j: v // g for j, v in row.items()}
+                if len(row) == 1:
+                    zero.add(col)
                 break
             a, b = pivot[col], row[col]
             new = {}
@@ -370,20 +420,17 @@ def exact_nullspace(
 
 def _centralizer_rows(params: ExtensionParams, monos: Sequence[tuple]) -> Iterable[dict[int, int]]:
     """The rows of [g, sum_m x_m X^m] = 0 over `monos` for g in {N1, H, M}, one
-    per (g, monomial of the commutator), each scaled by D**(max degree + 1) to
-    integers.  The memo of normal forms is freed on return, before the
-    elimination needs its memory."""
+    per (g, monomial of the commutator), from the orderer's `bracket`, each
+    scaled by D**(max degree + 1) to integers.  The memo of normal forms is
+    freed on return, before the elimination needs its memory."""
     normal_form = _NormalOrderer(params)
     max_degree = len(monos[-1])
     rows: dict[tuple, dict[int, int]] = {}
     for g in (N1, H, M):
         for col, w in enumerate(monos):
-            left, right = normal_form[(g,) + w], normal_form[w + (g,)]
             scale = normal_form.den ** (max_degree - len(w))
-            for rmono in {**left, **right}:
-                co = left.get(rmono, 0) - right.get(rmono, 0)
-                if co:
-                    rows.setdefault((g, rmono), {})[col] = co * scale
+            for rmono, co in normal_form.bracket(g, w).items():
+                rows.setdefault((g, rmono), {})[col] = co * scale
     return rows.values()
 
 

@@ -5,12 +5,8 @@ timings.  Every tolerance is fixed here, not configurable.
 """
 
 import contextlib
-import math
 import random
 import time
-from fractions import Fraction as F
-
-import pytest
 
 from galilei21 import algebra, contraction, enveloping, group
 from galilei21.algebra import ExtensionParams

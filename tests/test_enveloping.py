@@ -27,6 +27,7 @@ from galilei21.enveloping import (
     casimir_invariants,
     centralizer_basis,
     exact_nullspace,
+    generator_brackets,
     in_span,
     internal_angular_momentum,
     internal_energy,
@@ -551,6 +552,46 @@ def test_nullspace_of_degree_4_system_is_independent_of_row_order(params, dims):
 MIXED_DENOMINATORS = ExtensionParams(F(-9, 5), F(7, 6), F(2, 9))
 
 
+# an integer charge set, D = 90, and m = 0
+BRACKET_PARAMS = [PARAMS, MIXED_DENOMINATORS, ExtensionParams(F(-2, 3), F(0), F(3, 4))]
+
+
+@pytest.mark.parametrize("params", BRACKET_PARAMS)
+def test_orderer_bracket_is_the_difference_of_the_two_products(params):
+    # the derivation rule against g X^w - X^w g, each word normal-ordered in full
+    orderer, nf = enveloping_module._NormalOrderer(params), enveloping_module._NormalOrderer(params)
+    for g in range(len(GEN_NAMES)):
+        for word in monomials_up_to(5):
+            left, right = nf[(g,) + word], nf[word + (g,)]
+            diff = {mono: left.get(mono, 0) - right.get(mono, 0) for mono in {**left, **right}}
+            assert orderer.bracket(g, word) == {mono: c for mono, c in diff.items() if c}, (g, word)
+
+
+def test_generator_brackets_agree_with_no_commutators():
+    rng = random.Random(10)
+    gens = [NOPoly.generator(name) for name in GEN_NAMES]
+    for params in BRACKET_PARAMS:
+        polys = [rand_poly(rng, max_degree=3, nterms=4) for _ in range(8)] + [NOPoly(), ONE]
+        expected = no_commutators(params, [(g, p) for p in polys for g in gens])
+        got = generator_brackets(params, polys)
+        assert [len(row) for row in got] == [len(gens)] * len(polys)
+        assert [com for row in got for com in row] == expected, params
+
+
+def test_one_entry_row_made_by_a_reduction_retires_its_column():
+    # {0: 1, 1: 2} reduces against the pivot {0: 1, 1: 1}, which holds column 1,
+    # to the one-entry row {1: 1}; the later rows drop column 1 before they
+    # reduce, and the reduction by {0: 1, 1: 1} brings it back into one of them
+    rows = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(2)}, {0: F(2), 1: F(5), 2: F(3)},
+            {1: F(-1, 2), 2: F(1), 3: F(4), 4: F(1, 3)}, {0: F(3), 2: F(1), 3: F(-2), 4: F(1), 5: F(7)}]
+    pivots = _eliminate(_integer_rows(rows))
+    assert 1 in pivots[0] and pivots[1] == {1: 1}
+    basis = exact_nullspace(rows, 6)
+    assert len(basis) == 6 - _fraction_rank(rows) > 0
+    for vec in basis:
+        assert all(sum(co * vec[j] for j, co in row.items()) == 0 for row in rows)
+
+
 def test_oracle_agrees_with_no_mul():
     rng = random.Random(7)
     for params in (ExtensionParams(F(3, 2), F(2), F(1, 3)), MIXED_DENOMINATORS):
@@ -618,6 +659,7 @@ def test_orderers_are_freed_without_the_cycle_collector(monkeypatch):
     calls = {
         "no_mul": lambda: no_mul(PARAMS, P1, N1),
         "no_commutators": lambda: no_commutators(PARAMS, [(N1, c1), (M, c1)]),
+        "generator_brackets": lambda: generator_brackets(PARAMS, [c1]),
         "is_central": lambda: is_central(PARAMS, c1),
         "centralizer_basis": lambda: centralizer_basis(PARAMS, 2),
     }
