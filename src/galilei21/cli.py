@@ -6,7 +6,7 @@ configuration problem.  All randomness is seeded, so a fixed
 
 Rational charges are given as exact strings on the command line
 (``--k 1/2``); grids as ``lo:hi:logxF`` (multiply by F from lo until hi)
-or an explicit comma list.
+or an explicit comma list, of at most GRID_CAP points.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from . import algebra, contraction, enveloping, group
 from .algebra import ExtensionParams, Poly, worst_defect
 
 DEGREE_CAP = 6
+GRID_CAP = 1000  # c grid points
 
 
 def _rational(text: str) -> Fraction:
@@ -77,16 +78,21 @@ def _c_grid(text: str) -> tuple:
                 raise ValueError("grid must be positive and growing")
             grid = []
             c = lo
-            while c <= hi * (1 + 1e-9):
+            # one point past the cap is enough to reject the grid
+            while c <= hi * (1 + 1e-9) and len(grid) <= GRID_CAP:
+                if not math.isfinite(c):
+                    raise ValueError("a grid point overflows a double")
                 grid.append(c)
                 c *= factor
             if not grid:
                 raise ValueError("the range holds no grid point")
-            return tuple(grid)
-        grid = tuple(_finite(x) for x in text.split(","))
-        if not all(c > 0 for c in grid):
-            raise ValueError("grid must be positive")
-        return grid
+        else:
+            grid = [_finite(x) for x in text.split(",")]
+            if not all(c > 0 for c in grid):
+                raise ValueError("grid must be positive")
+        if len(grid) > GRID_CAP:
+            raise ValueError(f"the grid has more than {GRID_CAP} points")
+        return tuple(grid)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad c grid {text!r}: {exc}") from exc
 

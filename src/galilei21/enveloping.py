@@ -42,14 +42,21 @@ Jacobi, which holds identically in the charges, X then commutes with all
 six generators and the kernel is unchanged (tests/test_enveloping.py
 proves both premises at symbolic charges).  Each column of the system, a
 monomial of length n, is scaled by D**(max degree - n), so every row is
-integral.  The eliminator takes the rows sparsest first, so the early
-pivots are short and the many redundant rows reduce to zero against
-them cheaply; a pivot row with one entry sets its column to 0, and the
-later rows drop that column before they reduce.  Neither changes a
-basis: the pivot columns are the leading columns of the row space, and
-each null vector is the unique solution with 1 in its free column and 0
-in the other free columns, scaled by the least common multiple of its
-denominators.  No floating point enters this module.
+integral, and the search stays in integers from the bracket to the
+basis: `exact_nullspace` takes integer rows and returns each null vector
+as a sparse {column: int}, which `centralizer_basis` reads as a `NOPoly`.
+`in_span`, the one caller with rational coefficients, first scales them
+all by one common denominator.  A row need not be primitive: dividing it
+by a positive constant leaves every pivot row the same, and every
+reduced row too once its gcd is divided out.  The eliminator takes the
+rows sparsest first, so the early pivots are short and the many
+redundant rows reduce to zero against them cheaply; a pivot row with one
+entry sets its column to 0, and the later rows drop that column before
+they reduce.  Neither changes a basis: the pivot columns are the leading
+columns of the row space, and each null vector is the unique solution
+with 1 in its free column and 0 in the other free columns, scaled by the
+least common multiple of its denominators.  No floating point enters
+this module.
 """
 
 from __future__ import annotations
@@ -126,9 +133,6 @@ class NOPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NOPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -334,28 +338,16 @@ def monomials_up_to(max_degree: int) -> list[tuple]:
             for word in itertools.combinations_with_replacement(range(NGEN), total)]
 
 
-def _integer_rows(rows: Iterable[Mapping[int, Fraction]]) -> list[dict]:
-    """Clear denominators and common factors, and drop zero entries and rows
-    (gcd is 0 only for those); keeps elimination in Z."""
-    out = []
-    for row in rows:
-        den = lcm(*(c.denominator for c in row.values()))
-        ints = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
-        g = gcd(*ints.values())
-        if g:
-            out.append({j: v // g for j, v in ints.items() if v})
-    return out
-
-
-def _eliminate(rows: list[dict]) -> dict[int, dict]:
-    """Fraction-free forward elimination, sparsest row first; returns
-    {pivot column: row}.  A pivot row with one entry says its column is 0,
-    so later rows drop that column before they reduce: the row space, and
-    with it every pivot column, is unchanged."""
+def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict]:
+    """Fraction-free forward elimination of integer rows, sparsest row first;
+    returns {pivot column: primitive row}.  Zero entries are dropped.  A
+    pivot row with one entry says its column is 0, so later rows drop that
+    column before they reduce: the row space, and with it every pivot
+    column, is unchanged."""
     pivots: dict[int, dict] = {}
     zero: set[int] = set()
     for row in sorted(rows, key=len):
-        row = {j: v for j, v in row.items() if j not in zero}
+        row = {j: v for j, v in row.items() if v and j not in zero}
         while row:
             col = min(row)
             pivot = pivots.get(col)
@@ -387,17 +379,17 @@ def _eliminate(rows: list[dict]) -> dict[int, dict]:
     return pivots
 
 
-def exact_nullspace(
-    rows: Iterable[Mapping[int, Fraction]], ncols: int
-) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : A x = 0} over the rationals, one vector per free column.
+def exact_nullspace(rows: Iterable[Mapping[int, int]], ncols: int) -> list[dict[int, int]]:
+    """Basis of {x : A x = 0} over the rationals for integer rows A, one
+    vector per free column.
 
     Elimination is fraction-free (integer cross-multiplication with gcd
     reduction), and so is back-substitution: numerators over one common
-    denominator.  Each vector is the primitive integer multiple (as
-    `Fraction`s) of the solution with a 1 in its free column.
+    denominator.  Each vector is the primitive integer multiple of the
+    solution with a 1 in its free column, as a sparse {column: int}.  A
+    non-integer entry in a row that does not reduce to zero raises TypeError.
     """
-    pivots = _eliminate(_integer_rows(rows))
+    pivots = _eliminate(rows)
     pivot_cols = sorted(pivots, reverse=True)
     basis = []
     for free in range(ncols):
@@ -414,7 +406,7 @@ def exact_nullspace(
                 if row[col] != g:
                     vec = {j: c * (row[col] // g) for j, c in vec.items()}
                 vec[col] = -s // g
-        basis.append(tuple(Fraction(vec[j]) if j in vec else _ZERO for j in range(ncols)))
+        basis.append(vec)
     return basis
 
 
@@ -445,22 +437,17 @@ def centralizer_basis(params: ExtensionParams, max_degree: int) -> tuple[NOPoly,
         raise ValueError("max_degree must be non-negative")
     monos = monomials_up_to(max_degree)
     kernel = exact_nullspace(_centralizer_rows(params, monos), len(monos))
-    return tuple(NOPoly({monos[i]: c for i, c in enumerate(vec) if c}) for vec in kernel)
+    return tuple(NOPoly({monos[j]: c for j, c in vec.items()}) for vec in kernel)
 
 
 def in_span(polys: Sequence[NOPoly], p: NOPoly) -> bool:
     """Exact membership of p in the linear span of `polys`."""
-    support = sorted({m for q in polys for m in q.terms} | set(p.terms))
-    # solve sum_j x_j polys[j] = p by elimination on the augmented columns
-    aug = len(polys)
-    rows = []
-    for m in support:
-        row = {j: q.terms.get(m, _ZERO) for j, q in enumerate(polys) if m in q.terms}
-        if m in p.terms:
-            row[aug] = p.terms[m]
-        if row:
-            rows.append(row)
-    pivots = _eliminate(_integer_rows(rows))
+    # solve sum_j x_j polys[j] = p by elimination on the augmented columns,
+    # every coefficient times one common denominator, so the rows are integers
+    columns = (*polys, p)
+    den = lcm(*(c.denominator for q in columns for c in q.terms.values()))
+    support = sorted({m for q in columns for m in q.terms})
+    pivots = _eliminate([{j: int(q.terms[m] * den) for j, q in enumerate(columns) if m in q.terms}
+                         for m in support])
     # inconsistent iff some pivot sits in the augmented column
-    return all(col != aug for col in pivots)
-
+    return len(polys) not in pivots

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import dataclasses
 import hashlib
@@ -192,6 +193,25 @@ def test_non_positive_c_grid_is_one_line_config_error(capfd, grid):
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert "positive" in err and "SVD" not in err and "RuntimeWarning" not in err
     assert not caught
+
+
+@pytest.mark.parametrize("grid,reason", [
+    ("1e2:1e6:logx1.001", "the grid has more than 1000 points"),  # about 9,215 points
+    ("1e2:1e6:logx1.0000000001", "the grid has more than 1000 points"),  # about 9e10 points
+    (",".join(["1e3"] * 1001), "the grid has more than 1000 points"),
+    ("1e300:1.7976931348623157e308:logx10", "a grid point overflows a double"),  # the bound is inf
+])
+def test_long_or_overflowing_c_grid_is_one_line_config_error(capfd, grid, reason):
+    assert main(["contract", "--experiment=thomas", f"--c-grid={grid}"]) == 2
+    assert capfd.readouterr().err == f"configuration error: argument --c-grid: bad c grid {grid!r}: {reason}\n"
+
+
+def test_c_grid_of_exactly_the_cap_is_accepted():
+    assert cli._c_grid(f"1:{2.0 ** (cli.GRID_CAP - 1)!r}:logx2") == tuple(2.0 ** n for n in range(cli.GRID_CAP))
+    assert len(cli._c_grid(",".join(["1e3"] * cli.GRID_CAP))) == cli.GRID_CAP
+    with pytest.raises(argparse.ArgumentTypeError, match="more than 1000 points"):
+        cli._c_grid(f"1:{2.0 ** cli.GRID_CAP!r}:logx2")
+    assert main(["contract", "--experiment=thomas", "--grid-cap=2000"]) == 2  # not an option
 
 
 @pytest.mark.parametrize("experiment", ["thomas", "mass"])

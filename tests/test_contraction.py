@@ -16,7 +16,6 @@ from galilei21.contraction import (
     contract_element,
     convergence_study,
     decompose,
-    diagram_experiment,
     lorentz_defect,
     mass_cocycle_exponent,
     poincare_from_galilei,

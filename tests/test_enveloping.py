@@ -22,7 +22,6 @@ from galilei21.enveloping import (
     GEN_NAMES,
     NOPoly,
     _eliminate,
-    _integer_rows,
     boost_momentum_cross,
     casimir_invariants,
     centralizer_basis,
@@ -48,6 +47,16 @@ P2 = NOPoly.generator("P2")
 H = NOPoly.generator("H")
 M = NOPoly.generator("M")
 ONE = NOPoly.scalar(1)
+
+
+def _integral(rows):
+    """Each row times the lcm of its denominators: the integer rows that
+    `exact_nullspace` and `_eliminate` take, with the same row space."""
+    out = []
+    for row in rows:
+        den = lcm(*(F(c).denominator for c in row.values()))
+        out.append({j: int(c * den) for j, c in row.items()})
+    return out
 
 
 def rand_poly(rng, max_degree=2, nterms=3):
@@ -322,8 +331,8 @@ def _oracle_centralizer(alg, max_degree):
             for m, co in com.items():
                 if co:
                     rows.setdefault((g, m), {})[col] = co
-    kernel = exact_nullspace(rows.values(), len(monos))
-    return tuple(NOPoly({monos[i]: c for i, c in enumerate(v) if c}) for v in kernel)
+    kernel = exact_nullspace(_integral(rows.values()), len(monos))
+    return tuple(NOPoly({monos[j]: c for j, c in v.items()}) for v in kernel)
 
 
 # centralizer dimension at degrees 0..6, one charge set per regime
@@ -377,7 +386,7 @@ def test_centralizer_table_at_degree_6(params, dims):
     assert _table_dimension(params, 6) == dims[6]
 
 
-# sha256 of `casimir --format=json` at degrees 0..4 for each CENTRALIZER_TABLE
+# sha256 of `casimir --format=json` at degrees 0..6 for each CENTRALIZER_TABLE
 # charge set; the reports print the basis, so this pins its reprs
 CASIMIR_JSON_SHA256 = [
     (
@@ -386,6 +395,8 @@ CASIMIR_JSON_SHA256 = [
         "d7bdf1885a92f83288703c8c0ce92c7efd0768535eb30ac9de15364fefb4dcf8",
         "6ed5cc8ad1954a8342bbbe2e339f6a879acc4f60f541a48391b9fe4953773786",
         "a7de1b04da52c16b8aa848d1f96d699239899deff949520fd4f441fecbf04574",
+        "e8959cf7901f7a7babe2efe7425003ec41d2a7e9ae57cf7320c29c5442063516",
+        "25deff7ee28d91d5a445502c52e6903866deb3951e8fbd75b9d0961f2485e938",
     ),
     (
         "fc0537188b8c564fead090479c21665cd9d8f114dc8b24889e257ad61dcec189",
@@ -393,6 +404,8 @@ CASIMIR_JSON_SHA256 = [
         "3b160d391395bcb089ac2d6debc10c476586690bc68255490dd43213c8630968",
         "25c253b9e2a68aa4a685a8e4625896abfd46fe2768c33b1b3db91c67f59535b6",
         "07a2c79f684ac9297b07945e96b5d56ccf9ad73639a901ab603bf5cbe6a74e7b",
+        "c79f9ae2e85859207ef89d4bf3924b1ba0809945623c5f2db69c28eda9ffc939",
+        "c47fabab11f797f13ff0a6cb4d5e2c24ffa87eed3dc45434474f2eb7f58a536f",
     ),
     (
         "8c9fcd2dd42463a67f715ce9703c2c5f8b76b6273cf3f6ad1961bb65bd94803a",
@@ -400,6 +413,8 @@ CASIMIR_JSON_SHA256 = [
         "54c6fb21ba3b05409d40555cada58e8a705071aeda6369fd974933e677a40958",
         "25c04de47d85942f2dae299f87aeef33e758719889806e24ab4054820c7dd8e5",
         "a894b6b27d498260adbfa13780916e7f76056998b9cb2ab00080bdddf0739a07",
+        "bbf6b9af0df14d94b0770d4d49979678ba18b11b64f519f1b35fdc9db1451ac6",
+        "fbae9a14125f7cd3d39e6b68113fa4ef462d5e706fdb07754d36e4843a25a7d6",
     ),
     (
         "0894e7f9dbb1ba2d87d55bede00fd20106b07e25529b1e148796f64e441f5c87",
@@ -407,6 +422,8 @@ CASIMIR_JSON_SHA256 = [
         "4e18b2a0ba31dfc4d20ca4fc2e1f5e3b8f01e4735d481ad58c0f659374b0e454",
         "59051de892fc338a010da78d316592b60e43a2932cfba884853f90d4ebd1c1f8",
         "b673bf3936fc6886717b4239f9f8b7d1f340255833170ebdfbec701b05825829",
+        "727a40d1e1e924bd391a7a3378024d6776aff6f429a86c2b45c5491a282790f8",
+        "99abcadeecc4e80e8f04f7f469e2ee65de489a39eba4343e32a9cf59be79409c",
     ),
     (
         "ee44577b991afb9f7bb31f097470f05faacc7af09a3e37d8aebb54977317af45",
@@ -414,6 +431,8 @@ CASIMIR_JSON_SHA256 = [
         "5e8196031a0bd563391ea6e5c02bcb3cf8b2a1dccc7f5e3e386d371a7eedf7cd",
         "9eb119371de172068d0f9e7dcaafe72f57cb615bb45f060f455941956a3d89aa",
         "737700ea209761c79d336e105275d54e53704f9419a10748dd0b23177b4a1162",
+        "ebf50ff00503e7bc2014a4548d2d22bbad50c17658f063fe5f8d3231b97477c7",
+        "16700e6d24b875f0830d75502c38c971a7c4885fce759f330983e798593a8b3d",
     ),
 ]
 
@@ -449,8 +468,9 @@ def test_three_generator_rows_give_the_six_generator_basis_at_degree_5(params):
 
 def _reference_nullspace(rows, ncols):
     """exact_nullspace with back-substitution in Fraction sums, as it was written
-    before the integer back-substitution: a test-only reference."""
-    pivots = _eliminate(_integer_rows(rows))
+    before the integer back-substitution, its vectors in the same sparse
+    integer form: a test-only reference."""
+    pivots = _eliminate(_integral(rows))
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -463,7 +483,7 @@ def _reference_nullspace(rows, ncols):
             if s:
                 vec[col] = -s / row[col]
         den = lcm(*(c.denominator for c in vec if c)) if any(vec) else 1
-        basis.append(tuple(c * den for c in vec))
+        basis.append({j: int(c * den) for j, c in enumerate(vec) if c})
     return basis
 
 
@@ -480,18 +500,28 @@ def test_exact_nullspace_matches_fraction_back_substitution():
             cols = rng.sample(used, rng.randint(1, len(used)))
             rows.append({j: F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)) for j in cols})
         rng.shuffle(rows)
-        got = exact_nullspace(rows, ncols)
+        got = exact_nullspace(_integral(rows), ncols)
         assert got == _reference_nullspace(rows, ncols)
-        assert all(type(c) is F for vec in got for c in vec)
+        assert all(type(c) is int for vec in got for c in vec.values())
 
 
 def test_explicit_zero_entries_are_dropped():
-    assert exact_nullspace([{0: F(0)}], 1) == [(F(1),)]
-    assert exact_nullspace([{0: F(0), 1: F(1)}], 2) == [(F(1), F(0))]  # a zero never pivots
+    assert exact_nullspace([{0: 0}], 1) == [{0: 1}]
+    assert exact_nullspace([{0: 0, 1: 1}], 2) == [{0: 1}]  # a zero never pivots
     zero_term = NOPoly()
     zero_term.terms = {(0,) * len(GEN_NAMES): F(0)}  # a zero stored past the constructor
     assert in_span([zero_term], NOPoly())
     assert not in_span([zero_term], ONE)
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: F(1, 2)}],
+    [{0: F(2)}],  # an integral Fraction is not an int either
+    [{0: 1, 1: 2}, {0: 1, 2: F(1, 2)}],  # independent once reduced
+])
+def test_rational_row_raises_rather_than_returning_a_basis(rows):
+    with pytest.raises(TypeError):
+        exact_nullspace(rows, 3)
 
 
 def _commutator_rows(params, degree):
@@ -510,8 +540,8 @@ def _six_row_centralizer(params, degree):
     """The basis from the rows of all six generators, and how many rows they are."""
     monos = monomials_up_to(degree)
     rows = _commutator_rows(params, degree)
-    kernel = exact_nullspace(rows, len(monos))
-    return tuple(NOPoly({monos[i]: c for i, c in enumerate(v) if c}) for v in kernel), len(rows)
+    kernel = exact_nullspace(_integral(rows), len(monos))
+    return tuple(NOPoly({monos[j]: c for j, c in v.items()}) for v in kernel), len(rows)
 
 
 def _fraction_rank(rows):
@@ -535,17 +565,17 @@ def _fraction_rank(rows):
 def test_nullspace_of_degree_4_system_is_independent_of_row_order(params, dims):
     rows = _commutator_rows(params, 4)
     ncols = len(monomials_up_to(4))
-    basis = exact_nullspace(rows, ncols)
+    basis = exact_nullspace(_integral(rows), ncols)
     assert len(basis) == dims[4] == ncols - _fraction_rank(rows)
     for vec in basis:
-        assert all(sum(co * vec[j] for j, co in row.items()) == 0 for row in rows)
+        assert all(sum(co * vec.get(j, 0) for j, co in row.items()) == 0 for row in rows)
     for seed in range(3):
         # the same row space: rows shuffled and each scaled by a nonzero rational
         rng = random.Random(seed)
         scales = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in rows]
         moved = [{j: co * scale for j, co in row.items()} for row, scale in zip(rows, scales)]
         rng.shuffle(moved)
-        assert exact_nullspace(moved, ncols) == basis, seed
+        assert exact_nullspace(_integral(moved), ncols) == basis, seed
 
 
 # charges whose denominators 5, 6, 9 make the orderer's common denominator 90
@@ -584,12 +614,12 @@ def test_one_entry_row_made_by_a_reduction_retires_its_column():
     # reduce, and the reduction by {0: 1, 1: 1} brings it back into one of them
     rows = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(2)}, {0: F(2), 1: F(5), 2: F(3)},
             {1: F(-1, 2), 2: F(1), 3: F(4), 4: F(1, 3)}, {0: F(3), 2: F(1), 3: F(-2), 4: F(1), 5: F(7)}]
-    pivots = _eliminate(_integer_rows(rows))
+    pivots = _eliminate(_integral(rows))
     assert 1 in pivots[0] and pivots[1] == {1: 1}
-    basis = exact_nullspace(rows, 6)
+    basis = exact_nullspace(_integral(rows), 6)
     assert len(basis) == 6 - _fraction_rank(rows) > 0
     for vec in basis:
-        assert all(sum(co * vec[j] for j, co in row.items()) == 0 for row in rows)
+        assert all(sum(co * vec.get(j, 0) for j, co in row.items()) == 0 for row in rows)
 
 
 def test_oracle_agrees_with_no_mul():
