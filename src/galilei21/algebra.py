@@ -347,15 +347,3 @@ def worst_defect(defects, zero):
             finite = False
     return worst if finite and -math.inf < worst < math.inf else math.nan
 
-
-def random_rational(rng, nonzero: bool = False) -> Fraction:
-    """Small random rational p/q, |p| <= 6 and 1 <= q <= 4, from a seeded `random.Random`."""
-    while True:
-        num = rng.randint(-6, 6)
-        if num or not nonzero:
-            return Fraction(num, rng.randint(1, 4))
-
-
-def random_params(rng, nonzero_m: bool = False) -> ExtensionParams:
-    """Random charges (k, m, l), each drawn by `random_rational`, m nonzero on request."""
-    return ExtensionParams(random_rational(rng), random_rational(rng, nonzero_m), random_rational(rng))

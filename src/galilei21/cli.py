@@ -38,6 +38,7 @@ def _rational(text: str) -> Fraction:
 
 def _int_in(lo: int, hi: float = math.inf):
     """An argparse type: an integer from lo to hi."""
+    bounds = f"from {lo} to {hi}" if hi < math.inf else f">= {lo}"
 
     def parse(text: str) -> int:
         try:
@@ -45,7 +46,7 @@ def _int_in(lo: int, hi: float = math.inf):
                 return int(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected an integer from {lo} to {hi}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
 
     return parse
 
@@ -108,6 +109,11 @@ def _check(name: str, defect, passed: bool, note: str | None = None) -> dict:
     return row
 
 
+def _holds(name: str, ok: bool) -> dict:
+    """The row of an exact check that holds or not: defect 0 or 1."""
+    return _check(name, Fraction(0 if ok else 1), ok)
+
+
 def _skip(name: str, note: str) -> dict:
     return {"name": name, "defect": None, "pass": True, "note": note}
 
@@ -118,38 +124,20 @@ def _skip(name: str, note: str) -> dict:
 def cmd_verify_algebra(opts) -> tuple:
     params = ExtensionParams(opts.k, opts.m, opts.l)
     alg = algebra.make_galilei_algebra(params)
-    rng = random.Random(opts.seed)
-    # The two Jacobi rows and the two k-removal rows read their check's certificate;
-    # only a failed one checks the given charges and samples.  The draws then keep
-    # their order, and when both hold none is made, as nothing reads rng after.
+    # Each Jacobi and k-removal row reads its check's certificate, proved once per
+    # process for every charge set; only when that fails does the row run the same
+    # check at the given charges.  The *_random_charges rows claim every charge set,
+    # so they report the certificate itself.
     jacobi_ok, removal_ok = _certified("jacobi"), _certified("k_removal")
     anti = algebra.antisymmetry_defect(alg)
     jac = Fraction(0) if jacobi_ok else algebra.jacobi_defect(alg)
-    checks = [_check("antisymmetry", anti, anti == 0), _check("jacobi", jac, jac == 0)]
-
-    drawn = [] if jacobi_ok and removal_ok else [algebra.random_params(rng) for _ in range(opts.samples)]
-    boundary = [
-        ExtensionParams(0, 0, 0),
-        ExtensionParams(0, params.m, params.l),
-        ExtensionParams(params.k, 0, params.l),
-        ExtensionParams(params.k, params.m, 0),
-    ]
-    worst = Fraction(0) if jacobi_ok else worst_defect(
-        (algebra.jacobi_defect(algebra.make_galilei_algebra(p)) for p in boundary + drawn), Fraction(0)
-    )
-    checks.append(_check("jacobi_random_charges", worst, worst == 0))
-
+    checks = [_check("antisymmetry", anti, anti == 0), _check("jacobi", jac, jac == 0),
+              _holds("jacobi_random_charges", jacobi_ok)]
     if params.m == 0:
         checks.append(_skip("k_removal", "m=0: hypothesis violated; skipped"))
     else:
-        ok = removal_ok or algebra.removes_k(params)
-        checks.append(_check("k_removal", Fraction(0 if ok else 1), ok))
-    if removal_ok:
-        bad = 0
-    else:
-        draws = (algebra.random_params(rng, nonzero_m=True) for _ in range(min(opts.samples, 50)))
-        bad = sum(not algebra.removes_k(p) for p in draws)
-    checks.append(_check("k_removal_random_charges", Fraction(bad), bad == 0))
+        checks.append(_holds("k_removal", removal_ok or algebra.removes_k(params)))
+    checks.append(_holds("k_removal_random_charges", removal_ok))
     return checks, None
 
 
@@ -183,7 +171,7 @@ def cmd_casimir(opts) -> tuple:
         # the commutator of the rotation generator with the internal energy
         # measures the time-rotation charge exactly
         ok = brackets["internal_energy"][enveloping.M] == enveloping.NOPoly.scalar(params.l)
-        checks.append(_check("energy_defect_equals_l", Fraction(0 if ok else 1), ok))
+        checks.append(_holds("energy_defect_equals_l", ok))
 
     basis = enveloping.centralizer_basis(params, opts.max_degree)
     g = len(table)  # the basis counts the products of degree <= d of g invariants
@@ -208,16 +196,16 @@ def _zeta(g):
 
 
 def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
-    """The group suite: (name, skip note, samples, elements per sample, defect, bound, sides).
+    """The group suite: (name, skip note, samples, elements per sample, law, bound).
 
-    A bound of None asks for an exactly zero defect on Fraction elements, and
-    gives the `sides` that defect compares.  The charges may be `Poly`s, as
-    `_certified` passes them.  The other rows' defects take
-    float elements, or numpy arrays of samples, and return a float or an array.
+    A bound of None marks an exact row: its law gives the two sides of an
+    identity, which `group.identity_certified` proves as polynomials.  The
+    charges may be `Poly`s, as `_certified` passes them.  The other rows' laws
+    are defects: they take float elements, or numpy arrays of samples, and
+    return a float or an array.
     """
     cov, ext = group.GroupKind.COVERING, group.GroupKind.EXTENDED
     assoc = lambda kind: lambda g, h, f: group.associativity_defect(kind, params, g, h, f)
-    assoc_sides = lambda g, h, f: group.associativity_sides(cov, params, g, h, f)
 
     def round_trip(g):
         gi = group.inverse(cov, params, g)
@@ -227,7 +215,6 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
     p_k, p_0 = ExtensionParams(params.k, params.m, 0), ExtensionParams(0, params.m, 0)
     phi = lambda g: group.eliminate_k_map(p_k, g)
     hom = lambda g, h: group.homomorphism_defect(ext, p_k, p_0, phi, g, h)
-    hom_sides = lambda g, h: group.homomorphism_sides(ext, p_k, p_0, phi, g, h)
 
     shifted = group.apply_coboundary(lambda g, h: group.cocycle_exponent(cov, params, g, h), _zeta)
     twist = lambda g, h: group.compose_with_exponent(g, h, shifted)
@@ -236,15 +223,17 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
     l_note = "l != 0 lives on the covering only" if params.l != 0 else None
     m_note = "m=0: hypothesis violated; skipped" if params.m == 0 else None
     rows = [
-        ("associativity_covering", None, n, 3, assoc(cov), tol, None),
-        ("associativity_extended", l_note, n, 3, assoc(ext), tol, None),
-        ("associativity_exact_mode", None, min(n, 200), 3, assoc(cov), None, assoc_sides),
-        ("inverse_round_trip", None, min(n, 200), 1, round_trip, tol, None),
-        ("k_removal_homomorphism", m_note, n, 2, hom, tol, None),
+        ("associativity_covering", None, n, 3, assoc(cov), tol),
+        ("associativity_extended", l_note, n, 3, assoc(ext), tol),
+        ("associativity_exact_mode", None, min(n, 200), 3,
+         lambda g, h, f: group.associativity_sides(cov, params, g, h, f), None),
+        ("inverse_round_trip", None, min(n, 200), 1, round_trip, tol),
+        ("k_removal_homomorphism", m_note, n, 2, hom, tol),
     ]
     if params.m != 0:
-        rows.append(("k_removal_homomorphism_exact", None, min(n, 200), 2, hom, None, hom_sides))
-    rows.append(("coboundary_invariance", None, min(n, 300), 3, coboundary, 10 * tol, None))
+        rows.append(("k_removal_homomorphism_exact", None, min(n, 200), 2,
+                     lambda g, h: group.homomorphism_sides(ext, p_k, p_0, phi, g, h), None))
+    rows.append(("coboundary_invariance", None, min(n, 300), 3, coboundary, 10 * tol))
     return rows
 
 
@@ -263,18 +252,8 @@ def _certified(row: str) -> bool:
         return not any(algebra.jacobi_entries(algebra.make_galilei_algebra(charges)))
     if row == "k_removal":
         return algebra.removes_k(charges)
-    ((_, _, _, arity, _, _, sides),) = (r for r in _group_rows(charges, 1, 0.0) if r[0] == row)
+    ((_, _, _, arity, sides, _),) = (r for r in _group_rows(charges, 1, 0.0) if r[0] == row)
     return group.identity_certified(sides, arity)
-
-
-def _exact_worst(rng, count: int, arity: int, defect, certified: bool) -> Fraction:
-    """Worst defect of `count` exact samples: zero when the row is `certified`,
-    with the samples' draws still replayed, as later rows read on from `rng`."""
-    if certified:
-        group.skip_rational_draws(rng, count * arity)
-        return Fraction(0)
-    draw = lambda: (group.random_rational_element(rng) for _ in range(arity))
-    return worst_defect((Fraction(defect(*draw())) for _ in range(count)), Fraction(0))
 
 
 def cmd_group(opts) -> tuple:
@@ -289,15 +268,15 @@ def cmd_group(opts) -> tuple:
             raise ValueError(f"{name} is too large for a float") from None
     checks = []
     rows = _group_rows(params, opts.samples, opts.tolerance)
-    for name, note, count, arity, defect, bound, sides in rows:
+    for name, note, count, arity, law, bound in rows:
         if note:
             checks.append(_skip(name, note))
-        elif bound is None:  # Fraction elements: certified once per process, else sampled
-            worst = _exact_worst(rng, count, arity, defect, _certified(name))
-            checks.append(_check(name, worst, worst == 0))
+        elif bound is None:  # exact: certified once per process, else proved at these charges
+            group.skip_rational_draws(rng, count * arity)  # the later rows read on from here
+            checks.append(_holds(name, _certified(name) or group.identity_certified(law, arity)))
         else:  # float elements, every sample in one call on numpy arrays
             with np.errstate(all="ignore"):  # a NaN or inf fails the row, silently as floats do
-                defects = defect(*group.random_elements(rng, count, arity))
+                defects = law(*group.random_elements(rng, count, arity))
             worst = worst_defect(defects.tolist(), 0.0)
             checks.append(_check(name, worst, worst < bound))
     return checks, None
@@ -408,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-algebra", help="Jacobi, antisymmetry and charge-removal suites")
     common(p)
     p.add_argument("--samples", type=positive, default=200,
-                   help="charge sets drawn by the sampled fallback, run only when a certificate fails")
+                   help="read by no row, as every row is exact; kept so that existing command lines run")
     p.set_defaults(func=lambda opts: cmd_verify_algebra(opts))
 
     p = sub.add_parser("casimir", help="invariant table and bounded-degree centralizer")

@@ -289,7 +289,7 @@ def _exact_element(q) -> GroupElement:
 def identity_certified(sides: Callable[..., tuple], arity: int) -> bool:
     """True when `sides` of `arity` elements with symbolic phase, tau, u and v
     and theta = 0 agree as polynomials.  That proves the sides equal, and their
-    distance exactly zero, at every input `random_rational_element` can draw."""
+    distance exactly zero, at every rational phase, tau, u and v."""
     symbols = lambda i: [Poly.symbol(f"{n}{i}") for n in ("phase", "tau", "u1", "u2", "v1", "v2")]
     left, right = sides(*(_exact_element(symbols(i)) for i in range(arity)))
     return left == right
@@ -337,13 +337,8 @@ def random_elements(rng, samples: int, count: int = 1) -> tuple:
     return tuple(GroupElement(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6]) for c in x)
 
 
-def rational_draws(rng, count: int) -> list:
-    """The (numerator, denominator) draws of `count` exact-mode elements' coordinates."""
-    return [(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(6 * count)]
-
-
 def skip_rational_draws(rng, count: int) -> None:
-    """Advance `rng` as `rational_draws(rng, count)` does, building no draw.
+    """Advance `rng` as `count` calls of `random_rational_element` do, building no draw.
 
     CPython's randint(-4, 4) and randint(1, 4) are _randbelow_with_getrandbits
     of 9 and 4: getrandbits(4) until it is below 9, getrandbits(3) until below 4.
@@ -357,5 +352,6 @@ def skip_rational_draws(rng, count: int) -> None:
 
 
 def random_rational_element(rng) -> GroupElement:
-    """Random element with Fraction components and theta = 0 (exact mode)."""
-    return _exact_element([Fraction(*draw) for draw in rational_draws(rng, 1)])
+    """Random element with theta = 0 (exact mode): phase, tau, u1, u2, v1 and v2
+    each a Fraction p/q drawn as randint(-4, 4), then randint(1, 4)."""
+    return _exact_element([Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(6)])

@@ -1,8 +1,24 @@
-"""The scalar float sampler: the reference that `group.random_elements` must match."""
+"""The tests' scalar samplers: seeded charges, and the float element that
+`group.random_elements` must match."""
 
 import math
+from fractions import Fraction
 
+from galilei21.algebra import ExtensionParams
 from galilei21.group import GroupElement
+
+
+def random_rational(rng, nonzero: bool = False) -> Fraction:
+    """Small random rational p/q, |p| <= 6 and 1 <= q <= 4, from a seeded `random.Random`."""
+    while True:
+        num = rng.randint(-6, 6)
+        if num or not nonzero:
+            return Fraction(num, rng.randint(1, 4))
+
+
+def random_params(rng, nonzero_m: bool = False) -> ExtensionParams:
+    """Random charges (k, m, l), each drawn by `random_rational`, m nonzero on request."""
+    return ExtensionParams(random_rational(rng), random_rational(rng, nonzero_m), random_rational(rng))
 
 
 def random_element(rng) -> GroupElement:

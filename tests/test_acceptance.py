@@ -11,6 +11,7 @@ import time
 from galilei21 import algebra, contraction, enveloping, group
 from galilei21.algebra import ExtensionParams
 from galilei21.cli import main as cli_main
+from scalar_sampler import random_params, random_rational
 
 
 @contextlib.contextmanager
@@ -31,11 +32,11 @@ def test_criterion_01_jacobi_identity():
         rng = random.Random(2024)
         cases = [
             ExtensionParams(0, 0, 0),
-            ExtensionParams(0, algebra.random_rational(rng, nonzero=True), algebra.random_rational(rng)),
-            ExtensionParams(algebra.random_rational(rng, nonzero=True), 0, algebra.random_rational(rng)),
-            ExtensionParams(algebra.random_rational(rng, nonzero=True), algebra.random_rational(rng, nonzero=True), 0),
+            ExtensionParams(0, random_rational(rng, nonzero=True), random_rational(rng)),
+            ExtensionParams(random_rational(rng, nonzero=True), 0, random_rational(rng)),
+            ExtensionParams(random_rational(rng, nonzero=True), random_rational(rng, nonzero=True), 0),
         ]
-        cases += [algebra.random_params(rng) for _ in range(200)]
+        cases += [random_params(rng) for _ in range(200)]
         for p in cases:
             alg = algebra.make_galilei_algebra(p)
             assert algebra.jacobi_defect(alg) == 0
@@ -46,7 +47,7 @@ def test_criterion_02_charge_removal_isomorphism():
     with criterion(2, "k-removal basis change lands on g_(0,m,l), 50 charges", 1.0):
         rng = random.Random(2025)
         for _ in range(50):
-            p = algebra.random_params(rng, nonzero_m=True)
+            p = random_params(rng, nonzero_m=True)
             moved = algebra.apply_basis_change(
                 algebra.make_galilei_algebra(p), algebra.eliminate_k_change(p)
             )
@@ -59,26 +60,26 @@ def test_criterion_03_casimir_table():
         rng = random.Random(2026)
         for _ in range(20):
             # l = 0, m != 0: both invariants exactly central
-            p = algebra.random_params(rng, nonzero_m=True)
+            p = random_params(rng, nonzero_m=True)
             p0 = ExtensionParams(p.k, p.m, 0)
             assert enveloping.is_central(p0, enveloping.internal_energy(p0))
             assert enveloping.is_central(p0, enveloping.internal_angular_momentum(p0))
         for _ in range(20):
             # m = 0, k = 0: momentum square and cross invariant
-            l = algebra.random_rational(rng)
+            l = random_rational(rng)
             p = ExtensionParams(0, 0, l)
             assert enveloping.is_central(p, enveloping.momentum_squared())
             assert enveloping.is_central(p, enveloping.boost_momentum_cross())
         for _ in range(20):
             # m = 0, k != 0: the cross invariant dies
-            k = algebra.random_rational(rng, nonzero=True)
-            p = ExtensionParams(k, 0, algebra.random_rational(rng))
+            k = random_rational(rng, nonzero=True)
+            p = ExtensionParams(k, 0, random_rational(rng))
             assert enveloping.is_central(p, enveloping.momentum_squared())
             assert not enveloping.is_central(p, enveloping.boost_momentum_cross())
         for _ in range(20):
             # l != 0: the defect of the internal energy measures l exactly
             p = ExtensionParams(
-                algebra.random_rational(rng), algebra.random_rational(rng, True), algebra.random_rational(rng, True))
+                random_rational(rng), random_rational(rng, True), random_rational(rng, True))
             com = enveloping.no_commutator(
                 p, enveloping.NOPoly.generator("M"), enveloping.internal_energy(p)
             )
@@ -90,12 +91,12 @@ def test_criterion_04_bounded_degree_centralizer():
         rng = random.Random(2027)
         for _ in range(10):
             p = ExtensionParams(
-                algebra.random_rational(rng), algebra.random_rational(rng, True), algebra.random_rational(rng, True))
+                random_rational(rng), random_rational(rng, True), random_rational(rng, True))
             basis = enveloping.centralizer_basis(p, 3)
             assert len(basis) == 1
             assert enveloping.in_span(basis, enveloping.NOPoly.scalar(1))
         for _ in range(10):
-            p = algebra.random_params(rng, nonzero_m=True)
+            p = random_params(rng, nonzero_m=True)
             p = ExtensionParams(p.k, p.m, 0)
             basis = enveloping.centralizer_basis(p, 2)
             assert len(basis) == 3
@@ -108,7 +109,7 @@ def test_criterion_05_group_cocycle_condition():
     with criterion(5, "associativity: 1000 triples x 20 charge sets x both kinds", 10.0):
         rng = random.Random(2028)
         for _ in range(20):
-            p = algebra.random_params(rng)
+            p = random_params(rng)
             p_ext = ExtensionParams(p.k, p.m, 0)
             # 1000 triples as arrays, drawn as 1000 x 3 calls of random_element would be
             g, h, f = group.random_elements(rng, 1000, 3)
@@ -116,7 +117,7 @@ def test_criterion_05_group_cocycle_condition():
             assert (group.associativity_defect(group.GroupKind.EXTENDED, p_ext, g, h, f) < 1e-12).all()
         # exact rational mode is exactly associative
         for _ in range(5):
-            p = algebra.random_params(rng)
+            p = random_params(rng)
             for _ in range(40):
                 g, h, f = (group.random_rational_element(rng) for _ in range(3))
                 d = group.associativity_defect(group.GroupKind.COVERING, p, g, h, f)
@@ -127,7 +128,7 @@ def test_criterion_06_group_charge_removal():
     with criterion(6, "k-removal map is a homomorphism, 1000 pairs x 10 charges", 5.0):
         rng = random.Random(2029)
         for _ in range(10):
-            p = algebra.random_params(rng, nonzero_m=True)
+            p = random_params(rng, nonzero_m=True)
             p_k = ExtensionParams(p.k, p.m, 0)
             p_0 = ExtensionParams(0, p.m, 0)
             phi = lambda g: group.eliminate_k_map(p_k, g)

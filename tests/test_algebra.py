@@ -17,9 +17,9 @@ from galilei21.algebra import (
     jacobi_defect,
     jacobi_entries,
     make_galilei_algebra,
-    random_params,
 )
 from galilei21.cli import main
+from scalar_sampler import random_params
 
 
 def galg(k, m, l):
@@ -175,29 +175,36 @@ def test_jacobi_certificate_is_the_sampled_check_for_all_charges(monkeypatch):
     assert jacobi_defect(charge_on_m_h(ExtensionParams(1, 2, 3))) != 0
 
 
-def test_failed_jacobi_certificate_reports_the_sampled_defect(tmp_path, monkeypatch):
+def _verify_rows(tmp_path, *charges):
+    """The exit status and the rows, by name, of a JSON verify-algebra report."""
+    out = tmp_path / "report.json"
+    code = main(["verify-algebra", *charges, "--format=json", f"--out={out}"])
+    return code, {c["name"]: (c["defect"], c["pass"]) for c in json.loads(out.read_text())["checks"]}
+
+
+def test_failed_jacobi_certificate_checks_the_given_charges(tmp_path, monkeypatch):
     monkeypatch.setattr(algebra, "make_galilei_algebra", charge_on_m_h)
-    argv = ["verify-algebra", "--k=1/2", "--m=2", "--l=-3", "--samples=30", "--format=json"]
-    assert main([*argv, f"--out={tmp_path / 'fallback.json'}"]) == 1
-    monkeypatch.setattr(cli, "_certified", lambda row: False)
-    assert main([*argv, f"--out={tmp_path / 'sampled.json'}"]) == 1
-    fallback = (tmp_path / "fallback.json").read_bytes()
-    assert fallback == (tmp_path / "sampled.json").read_bytes()
-    row = {c["name"]: c for c in json.loads(fallback)["checks"]}["jacobi_random_charges"]
-    assert row["defect"] != "0" and not row["pass"]
+    code, rows = _verify_rows(tmp_path, "--k=1/2", "--m=2", "--l=-3")
+    assert code == 1
+    assert rows["jacobi"] == (str(jacobi_defect(charge_on_m_h(ExtensionParams(F(1, 2), 2, -3)))), False)
+    assert rows["jacobi"][0] != "0" and rows["jacobi_random_charges"] == ("1", False)
+    # at k = 0 the corrupted law is the true one: the given charges pass, the claim
+    # over every charge set still fails
+    code, rows = _verify_rows(tmp_path, "--k=0", "--m=2", "--l=-3")
+    assert code == 1 and rows["jacobi"] == ("0", True) and rows["jacobi_random_charges"] == ("1", False)
 
 
 def test_wrong_k_removal_fails_verify_algebra(tmp_path, monkeypatch):
     real = algebra.eliminate_k_change
     # the shift -k/(2m) in place of k/(2m)
     monkeypatch.setattr(algebra, "eliminate_k_change", lambda p: real(ExtensionParams(-p.k, p.m, p.l)))
-    out = tmp_path / "report.json"
-    argv = ["verify-algebra", "--k", "1", "--m", "2", "--l", "3", "--samples", "60", "--format=json"]
-    assert main([*argv, f"--out={out}"]) == 1
+    code, rows = _verify_rows(tmp_path, "--k", "1", "--m", "2", "--l", "3", "--samples", "60")
+    assert code == 1
     assert not cli._certified("k_removal")
-    rows = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-    assert (rows["k_removal"]["defect"], rows["k_removal_random_charges"]["defect"]) == ("1", "45")
-    assert not rows["k_removal"]["pass"] and not rows["k_removal_random_charges"]["pass"]
+    assert rows["k_removal"] == rows["k_removal_random_charges"] == ("1", False)
+    # the flipped shift is the true one at k = 0
+    code, rows = _verify_rows(tmp_path, "--k=0", "--m=2", "--l=3")
+    assert code == 1 and rows["k_removal"] == ("0", True) and rows["k_removal_random_charges"] == ("1", False)
 
 
 def test_corrupted_tensor_detection():

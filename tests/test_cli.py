@@ -4,14 +4,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 import warnings
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from galilei21 import algebra, cli, contraction, enveloping, group
 from galilei21.cli import build_parser, main
-from scalar_sampler import random_element
+from scalar_sampler import random_element, random_params
 
 
 def run(capsys, *argv):
@@ -347,6 +349,11 @@ def test_bad_samples_is_config_error(capsys):
     assert main(["group", "--samples", "0"]) == 2
 
 
+def test_unbounded_integer_option_names_its_lower_bound(capfd):
+    assert main(["group", "--samples", "0"]) == 2
+    assert capfd.readouterr() == ("", "configuration error: argument --samples: expected an integer >= 1, got '0'\n")
+
+
 def test_unknown_experiment_is_config_error(capsys):
     assert main(["contract", "--experiment", "warp"]) == 2
 
@@ -402,13 +409,40 @@ def _reports(tmp_path, cases, tag):
     return out
 
 
-def _sample_only(monkeypatch):
-    monkeypatch.setattr(cli, "_certified", lambda row: False)
-
-
 def _count_calls(monkeypatch, calls, module, name):
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or real(*args))
+
+
+def _sampled_rows(argv) -> tuple:
+    """Each exact row's defects at the samples a seeded sampler draws for `argv`
+    (verify-algebra's boundary and random charge sets, group's rational elements),
+    drawn from the report's seed in the report's order, and each float row's
+    worst defect on the samples that follow in the same stream."""
+    opts = build_parser().parse_args(list(argv))
+    params = algebra.ExtensionParams(opts.k, opts.m, opts.l)
+    rng = random.Random(opts.seed)
+    if opts.command == "verify-algebra":
+        boundary = [algebra.ExtensionParams(0, 0, 0), algebra.ExtensionParams(0, params.m, params.l),
+                    algebra.ExtensionParams(params.k, 0, params.l), algebra.ExtensionParams(params.k, params.m, 0)]
+        charges = boundary + [random_params(rng) for _ in range(opts.samples)]
+        removals = [random_params(rng, nonzero_m=True) for _ in range(min(opts.samples, 50))]
+        return {
+            "jacobi": [algebra.jacobi_defect(algebra.make_galilei_algebra(params))],
+            "jacobi_random_charges": [algebra.jacobi_defect(algebra.make_galilei_algebra(p)) for p in charges],
+            "k_removal": [F(not algebra.removes_k(params))],
+            "k_removal_random_charges": [F(not algebra.removes_k(p)) for p in removals],
+        }, {}
+    defects, worst = {}, {}
+    for name, note, count, arity, law, bound in cli._group_rows(params, opts.samples, opts.tolerance):
+        if note:
+            continue
+        if bound is None:
+            draw = lambda: [group.random_rational_element(rng) for _ in range(arity)]
+            defects[name] = [group.element_distance(*law(*draw())) for _ in range(count)]
+        else:
+            worst[name] = algebra.worst_defect(law(*group.random_elements(rng, count, arity)).tolist(), 0.0)
+    return defects, worst
 
 
 def test_certified_reports_equal_sampled_reports(tmp_path, monkeypatch):
@@ -418,14 +452,17 @@ def test_certified_reports_equal_sampled_reports(tmp_path, monkeypatch):
     certified = _reports(tmp_path, CERTIFIED_CASES, "certified")
     # only the one symbolic run: the own k_removal row reads the certificate too
     assert calls == {"apply_basis_change": 1}
-    calls.clear()
-    _sample_only(monkeypatch)
-    assert _reports(tmp_path, CERTIFIED_CASES, "sampled") == certified
     assert {code for code, _ in certified} == {0}
-    # the sampled rows ran: 30 charge sets per verify-algebra report, and
-    # 60 samples of 3 (associativity) and of 2 (homomorphism, m != 0) elements per group report
-    assert calls == {"apply_basis_change": 3 * (1 + 30),
-                     "random_rational_element": 3 * (300 + 300 + 180)}
+    monkeypatch.undo()
+    for i, argv in enumerate(CERTIFIED_CASES):
+        sampled, worst = _sampled_rows(argv)
+        assert len(sampled) == (4 if argv[0] == "verify-algebra" else 1 + ("--m" in argv))
+        for name, defects in sampled.items():  # the sampler finds no defect the certificate missed
+            assert all(d == 0 and type(d) is F for d in defects), (argv, name)
+        rows = {c["name"]: c["defect"] for c in json.loads(certified[3 * i][1])["checks"]}
+        assert {name: rows[name] for name in sampled} == dict.fromkeys(sampled, "0")
+        # the float rows after an exact one read the stream its samples left
+        assert {name: rows[name] for name in worst} == worst
 
 
 @pytest.mark.parametrize("argv, rows, builds", [

@@ -15,8 +15,6 @@ from galilei21.algebra import (
     Poly,
     jacobi_entries,
     make_galilei_algebra,
-    random_params,
-    random_rational,
 )
 from galilei21.enveloping import (
     GEN_NAMES,
@@ -38,6 +36,7 @@ from galilei21.enveloping import (
     no_mul,
 )
 from galilei21.cli import main
+from scalar_sampler import random_params, random_rational
 
 PARAMS = ExtensionParams(F(5), F(2), F(0))
 N1 = NOPoly.generator("N1")

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import warnings
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import galilei21.group as group_module
-from galilei21.algebra import ExtensionParams, Poly, random_params, worst_defect
-from galilei21.cli import _certified, _exact_worst, _group_rows, _zeta
+from galilei21.algebra import ExtensionParams, Poly, worst_defect
+from galilei21.cli import _certified, _group_rows, _zeta, main
 from galilei21.group import (
     BLOCK_DOUBLES,
     IDENTITY,
@@ -32,12 +33,11 @@ from galilei21.group import (
     inverse,
     random_elements,
     random_rational_element,
-    rational_draws,
     rotate,
     skip_rational_draws,
     worst_per_sample,
 )
-from scalar_sampler import random_element
+from scalar_sampler import random_element, random_params
 
 EXT = GroupKind.EXTENDED
 COV = GroupKind.COVERING
@@ -390,7 +390,7 @@ def test_batched_law_matches_scalar_law_bit_for_bit(params):
     equal the scalar calls' defects on the same draws, bit for bit."""
     float_rows = [row for row in _group_rows(params, 400, TOL) if not row[1] and row[5]]
     assert len(float_rows) == 5 - (params.l != 0) - (params.m == 0)
-    for seed, (name, _, _, arity, defect, _, _) in enumerate(float_rows):
+    for seed, (name, _, _, arity, defect, _) in enumerate(float_rows):
         batch_rng, scalar_rng = random.Random(seed), random.Random(seed)
         batch = random_elements(batch_rng, 400, arity)
         samples = [[random_element(scalar_rng) for _ in range(arity)] for _ in range(400)]
@@ -503,19 +503,20 @@ def test_exact_rows_are_certified_and_draw_what_sampling_draws(params):
     exact = [row for row in _group_rows(params, 60, TOL) if row[5] is None]
     assert [row[0] for row in exact] == ["associativity_exact_mode"] + (
         ["k_removal_homomorphism_exact"] if params.m != 0 else [])
-    for name, _, count, arity, defect, _, sides in exact:
+    for name, _, count, arity, sides, _ in exact:
         assert identity_certified(sides, arity), name  # at this charge set too
         assert _certified(name), name
-        certified_rng, sampled_rng = random.Random(7), random.Random(7)
-        certified = _exact_worst(certified_rng, count, arity, defect, True)
-        sampled = _exact_worst(sampled_rng, count, arity, defect, False)
-        assert certified == sampled == 0 and type(certified) is type(sampled) is F
-        assert certified_rng.getstate() == sampled_rng.getstate(), name
+        skipped_rng, sampled_rng = random.Random(7), random.Random(7)
+        skip_rational_draws(skipped_rng, count * arity)  # what cmd_group draws for the row
+        for _ in range(count):
+            d = element_distance(*sides(*(random_rational_element(sampled_rng) for _ in range(arity))))
+            assert d == 0 and type(d) is F, name
+        assert skipped_rng.getstate() == sampled_rng.getstate(), name
 
 
 def test_rational_draws_consume_the_stream_like_drawing_the_elements():
     a, b = random.Random(12), random.Random(12)
-    rational_draws(a, 25)
+    skip_rational_draws(a, 25)
     for _ in range(25):
         random_rational_element(b)
     assert a.getstate() == b.getstate()
@@ -524,12 +525,16 @@ def test_rational_draws_consume_the_stream_like_drawing_the_elements():
 @pytest.mark.parametrize("seed", [0, 12, 8191])
 @pytest.mark.parametrize("count", [0, 1, 37, 1000])
 def test_skipped_draws_leave_the_stream_where_rational_draws_do(seed, count):
-    """The replay relies on how CPython's randint draws (via getrandbits)."""
+    """The replay relies on how CPython's randint draws (via getrandbits): an exact
+    element is six (randint(-4, 4), randint(1, 4)) pairs."""
     a, b = random.Random(seed), random.Random(seed)
-    rational_draws(a, count)
+    draws = [(a.randint(-4, 4), a.randint(1, 4)) for _ in range(6 * count)]
     skip_rational_draws(b, count)
     assert a.getstate() == b.getstate()
     assert a.random() == b.random()
+    a = random.Random(seed)
+    elements = [random_rational_element(a) for _ in range(count)]
+    assert [x for g in elements for x in (g.phase, g.tau, *g.u, *g.v)] == [F(*d) for d in draws]
 
 
 def _wrong_cocycle_coefficient(m):
@@ -544,25 +549,38 @@ def _flipped_k_map(m):
 
 def _extra_k_phase_term(m):
     original = group_module.cocycle_exponent
-    # + k (v x u'), whose coboundary at (g, h, f) is -k tau_f (v_g x v_h), not zero
-    m.setattr(group_module, "cocycle_exponent",
-              lambda kind, p, g, h: original(kind, p, g, h) + p.k * cross(g.v, h.u))
+
+    def xi(kind, p, g, h):
+        # + k (v x u'), whose coboundary at (g, h, f) is -k tau_f (v_g x v_h), not zero;
+        # a float k on numpy arrays of samples, as the law's own terms take it
+        k = float(p.k) if isinstance(g.v[0], np.ndarray) else p.k
+        return original(kind, p, g, h) + k * cross(g.v, h.u)
+
+    m.setattr(group_module, "cocycle_exponent", xi)
 
 
-@pytest.mark.parametrize("row, mutate", [
-    ("associativity_exact_mode", _wrong_cocycle_coefficient),
-    ("associativity_exact_mode", _extra_k_phase_term),
-    ("k_removal_homomorphism_exact", _flipped_k_map),
-], ids=["cocycle_coefficient", "extra_k_term", "k_map_sign"])
-def test_failed_certificate_falls_back_to_the_sampled_defect(monkeypatch, row, mutate):
+def _group_report(tmp_path, *argv):
+    out = tmp_path / "report.json"
+    code = main(["group", *argv, "--samples=60", "--seed=8", "--format=json", f"--out={out}"])
+    return code, out.read_text()
+
+
+@pytest.mark.parametrize("row, mutate, k, holds", [
+    ("associativity_exact_mode", _wrong_cocycle_coefficient, "-3/2", False),
+    ("associativity_exact_mode", _extra_k_phase_term, "-3/2", False),
+    ("k_removal_homomorphism_exact", _flipped_k_map, "-3/2", False),
+    ("associativity_exact_mode", _extra_k_phase_term, "0", True),
+], ids=["cocycle_coefficient", "extra_k_term", "k_map_sign", "extra_k_term_at_k=0"])
+def test_failed_certificate_checks_the_given_charges(tmp_path, monkeypatch, row, mutate, k, holds):
+    """A row whose certificate fails proves its identity at the given charges, where
+    it may hold: at k = 0 the extra term vanishes, and the report is the intact one."""
+    intact = _group_report(tmp_path, f"--k={k}", "--m=5/3")
     mutate(monkeypatch)
+    _certified.cache_clear()  # the intact report proved the unmutated law
     assert not _certified(row)  # at symbolic charges
-    rows = [r for r in _group_rows(REGIMES[0], 60, TOL) if r[0] == row]
-    (_, _, count, arity, defect, _, sides), = rows
-    assert not identity_certified(sides, arity)
-    rng, reference_rng = random.Random(8), random.Random(8)
-    worst = _exact_worst(rng, count, arity, defect, _certified(row))
-    draw = lambda: [random_rational_element(reference_rng) for _ in range(arity)]
-    sampled = worst_defect([F(defect(*draw())) for _ in range(count)], F(0))
-    assert worst == sampled > 0
-    assert rng.getstate() == reference_rng.getstate()
+    code, text = _group_report(tmp_path, f"--k={k}", "--m=5/3")
+    rows = {c["name"]: (c["defect"], c["pass"]) for c in json.loads(text)["checks"]}
+    if holds:
+        assert (code, text) == intact and rows[row] == ("0", True)
+    else:
+        assert code == 1 and rows[row] == ("1", False)
