@@ -3,10 +3,10 @@
 Elements are {Lambda, a} with a 3x3 Lorentz matrix (indices 0..2, metric
 eta = diag(+1, -1, -1)) and a translation 3-vector, carried together
 with the speed of light c used to interpret them.  Every Lorentz matrix
-factors as Lambda = L(v) R(theta) with
+factors as Lambda = L(v) R(theta) with, for beta = v / c,
 
-    L(v):  L00 = gamma, L0i = Li0 = gamma v_i / c,
-           Lik = delta_ik + (gamma - 1) v_i v_k / v^2,
+    L(v):  L00 = gamma, L0i = Li0 = gamma beta_i,
+           Lik = delta_ik + gamma^2 / (1 + gamma) beta_i beta_k,
     R(theta) embedded as the SO(2) block [[cos, sin], [-sin, cos]].
 
 Composing two boosts is not a boost; the residual angle delta_theta is
@@ -23,12 +23,10 @@ least-squares call.  That call runs np.polyfit's steps with the LAPACK
 solve made once per sample, as np.polyfit makes it, so each slope is the
 sample's own np.polyfit slope bit for bit.
 
-Numerics run in numpy extended precision (np.longdouble, 64-bit mantissa
-on x86).  Plain double precision loses the c^2-amplified quantities to
-rounding near the top of the default grid c = 1e6: the gamma - 1 stored
-in a unit-scale matrix entry only retains about eps/ (v^2/2c^2) ~ 1e-4
-relative accuracy there, which drowns the O(1/c^2) signal being fitted.
-So `convergence_study` raises ValueError where np.longdouble is only double.
+Numerics run in float64, and nothing the limits fit is found by
+subtracting nearly equal numbers (N. J. Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., ch. 1): boosts are built from beta alone,
+and the mass coboundary and the Wigner angle have cancellation-free forms.
 """
 
 from __future__ import annotations
@@ -42,38 +40,33 @@ from numpy.linalg._umath_linalg import lstsq as _lstsq  # numpy 1.x named it lst
 
 from .group import GroupElement, GroupKind, element_distance, galilei_product, rotate
 
-LD = np.longdouble
-ETA = np.diag(np.array([1, -1, -1], dtype=LD))
+ETA = np.diag([1.0, -1.0, -1.0])
 ETA.flags.writeable = False
-SIGN = np.array([[1], [-1], [-1]], dtype=LD)  # eta's diagonal as a column: eta @ m == SIGN * m
+SIGN = np.array([[1.0], [-1.0], [-1.0]])  # eta's diagonal as a column: eta @ m == SIGN * m
 SIGN.flags.writeable = False
+FLIP = SIGN * SIGN.T  # eta m eta == FLIP * m: the time row and column change sign
+FLIP.flags.writeable = False
 
 MATRIX_TOL = 1e-10  # Lorentz-invariant checks
 DEFAULT_C_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
 
 
 def _as_matrices(m) -> np.ndarray:
-    out = np.array(m, dtype=LD)
+    out = np.array(m, dtype=np.float64)
     if out.shape[-2:] != (3, 3):
         raise ValueError("expected a 3x3 matrix")
     return out
 
 
-def _floats(x):
-    """x rounded to double: a float for one value, a float64 array for a stack."""
-    out = np.asarray(x).astype(np.float64)
-    return float(out) if out.ndim == 0 else out
-
-
 def _largest(m) -> np.ndarray:
-    """max |entry| of each 3x3 matrix, rounded to double."""
-    return np.max(np.abs(m), axis=(-2, -1)).astype(np.float64)
+    """max |entry| of each 3x3 matrix."""
+    return np.max(np.abs(m), axis=(-2, -1))
 
 
 def lorentz_defect(lam):
     """max |Lambda^T eta Lambda - eta|, per matrix of a stack."""
     lam = _as_matrices(lam)
-    return _floats(_largest(np.swapaxes(lam, -1, -2) @ (SIGN * lam) - ETA))
+    return _largest(np.swapaxes(lam, -1, -2) @ (SIGN * lam) - ETA)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,15 +83,14 @@ class PoincareElement:
 
     def __post_init__(self):
         lam = _as_matrices(self.lam)
-        a = np.array(self.a, dtype=LD)
+        a = np.array(self.a, dtype=np.float64)
         if a.shape[-1:] != (3,):
             raise ValueError("translation must be a 3-vector")
         shape = np.broadcast_shapes(lam.shape[:-2], a.shape[:-1], np.shape(self.c))
         # read-only, so the element stays immutable
         lam, a = np.broadcast_to(lam, shape + (3, 3)), np.broadcast_to(a, shape + (3,))
-        c = _floats(np.broadcast_to(self.c, shape))
-        if isinstance(c, np.ndarray):
-            c.flags.writeable = False
+        c = np.array(np.broadcast_to(self.c, shape), dtype=np.float64)
+        c.flags.writeable = False
         # negated tests over every entry, so that NaN entries fail every check
         if not np.all(c > 0):
             raise ValueError("c must be positive")
@@ -106,42 +98,42 @@ class PoincareElement:
             raise ValueError("matrix is not a Lorentz transformation")
         if not np.all(lam[..., 0, 0] >= 1 - MATRIX_TOL):
             raise ValueError("matrix is not orthochronous")
-        if not np.all(np.abs(np.linalg.det(lam.astype(np.float64)) - 1.0) <= MATRIX_TOL):
+        if not np.all(np.abs(np.linalg.det(lam) - 1.0) <= MATRIX_TOL):
             raise ValueError("matrix is not proper")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", float(c) if c.ndim == 0 else c)
 
 
 def boost_matrix(v, c) -> np.ndarray:
     """Pure boost L(v); requires c > 0 and |v| < c.  v = 0 gives the identity.
 
-    v is (..., 2) and c broadcasts against v[..., 0].
+    v is (..., 2) and c broadcasts against v[..., 0].  Only beta = v / c enters:
+    no v^2 or c^2 is formed, and gamma - 1 is beta^2 gamma^2 / (1 + gamma).
     """
-    v, c = np.asarray(v, dtype=LD), np.asarray(c, dtype=LD)
+    c = np.asarray(c, dtype=np.float64)
     if not np.all(c > 0):
         raise ValueError("c must be positive")
-    v2 = v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]  # the sum v @ v forms
-    b2 = v2 / (c * c)
+    b = np.asarray(v, dtype=np.float64) / c[..., None] + 0.0  # -0.0 + 0.0 is +0.0: v = 0 gives the identity
+    b2 = b[..., 0] * b[..., 0] + b[..., 1] * b[..., 1]
     if not np.all(b2 < 1):
         raise ValueError("|v| must be smaller than c")
     g = 1 / np.sqrt(1 - b2)
-    gm1 = b2 * g * g / (1 + g)  # gamma - 1 without cancellation
-    L = np.empty(b2.shape + (3, 3), dtype=LD)
+    k = g * g / (1 + g)  # (gamma - 1) / beta^2
+    L = np.empty(g.shape + (3, 3))
     L[..., 0, 0] = g
-    v2_or_1 = np.where(v2 == 0, 1, v2)  # no 0/0 at v = 0, where the identity is chosen
     for i in range(2):
-        L[..., 0, i + 1] = L[..., i + 1, 0] = g * v[..., i] / c
-        for k in range(2):
-            L[..., i + 1, k + 1] = (1 if i == k else 0) + gm1 * v[..., i] * v[..., k] / v2_or_1
-    return np.where((v2 == 0)[..., None, None], np.eye(3, dtype=LD), L)
+        L[..., 0, i + 1] = L[..., i + 1, 0] = g * b[..., i]
+        for j in range(2):
+            L[..., i + 1, j + 1] = (1 if i == j else 0) + k * b[..., i] * b[..., j]
+    return L
 
 
 def rotation_matrix(theta) -> np.ndarray:
     """R(theta) embedded in 3x3 form (time row/column untouched)."""
-    th = np.asarray(theta, dtype=LD)
+    th = np.asarray(theta, dtype=np.float64)
     cos, sin = np.cos(th), np.sin(th)
-    R = np.zeros(th.shape + (3, 3), dtype=LD)
+    R = np.zeros(th.shape + (3, 3))
     R[..., 0, 0] = 1
     R[..., 1, 1] = R[..., 2, 2] = cos
     R[..., 1, 2] = sin
@@ -149,48 +141,65 @@ def rotation_matrix(theta) -> np.ndarray:
     return R
 
 
-def _decompose_lorentz(lam, c) -> tuple[np.ndarray, LD]:
-    lam, c = _as_matrices(lam), np.asarray(c, dtype=LD)
+def _decompose_lorentz(lam, c):
+    """(v, theta, L(v), R(theta)) with lam = L(v) R(theta).
+
+    L(-v) = eta L(v) eta, so each boost is built once.  The residual
+    L(-v) lam must be R(theta), else lam was no Lorentz map.
+    """
+    lam, c = _as_matrices(lam), np.asarray(c, dtype=np.float64)
     if not np.all(lam[..., 0, 0] >= 1 - MATRIX_TOL):
         raise ValueError("matrix is not orthochronous")
     v = c[..., None] * lam[..., 1:, 0] / lam[..., 0, :1]
-    residual = boost_matrix(-v, c) @ lam
+    boost = boost_matrix(v, c)
+    residual = (FLIP * boost) @ lam
     theta = np.arctan2(residual[..., 1, 2], residual[..., 1, 1])
-    # the residual must be a pure rotation, else the input was no Lorentz map
-    if not np.all(_largest(residual - rotation_matrix(theta)) <= MATRIX_TOL):
+    rot = rotation_matrix(theta)
+    if not np.all(_largest(residual - rot) <= MATRIX_TOL):
         raise ValueError("residual is not a rotation: invariants violated")
-    return v, theta
+    return v, theta, boost, rot
 
 
-def decompose(p: PoincareElement) -> tuple[np.ndarray, LD]:
+def decompose(p: PoincareElement) -> tuple[np.ndarray, np.ndarray]:
     """(v, theta) with p.lam = L(v) R(theta), v of shape (..., 2); reconstruction is checked."""
-    v, theta = _decompose_lorentz(p.lam, p.c)
-    recon = boost_matrix(v, p.c) @ rotation_matrix(theta)
-    if not np.all(_largest(recon - p.lam) <= MATRIX_TOL):
+    v, theta, boost, rot = _decompose_lorentz(p.lam, p.c)
+    if not np.all(_largest(boost @ rot - p.lam) <= MATRIX_TOL):
         raise ValueError("decomposition failed to reconstruct the input")
     return v, theta
 
 
-def compose_boosts(v, w, c) -> tuple[np.ndarray, LD]:
+def _wigner_angle(l1, l2) -> np.ndarray:
+    """delta with l1 l2 = L(v'') R(delta), for boosts l1 and l2, in closed form.
+
+    With gamma_i and p_i = gamma_i v_i / c from the time rows, tan(delta / 2)
+    = (p1 x p2) / ((1 + gamma1) (1 + gamma2) + p1 . p2), whose denominator
+    exceeds gamma1 gamma2 - |p1| |p2| > 0: delta is in (-pi, pi), and nothing cancels.
+    """
+    (g1, x1, y1), (g2, x2, y2) = np.moveaxis(l1[..., 0, :], -1, 0), np.moveaxis(l2[..., 0, :], -1, 0)
+    return 2 * np.arctan2(x1 * y2 - y1 * x2, (1 + g1) * (1 + g2) + x1 * x2 + y1 * y2)
+
+
+def compose_boosts(v, w, c) -> tuple[np.ndarray, np.ndarray]:
     """L(v) L(w) = L(v'') R(delta); returns (v'', delta).
 
-    delta is the Wigner rotation angle; for c -> infinity it approaches
-    (v x w) / (2 c^2).
+    v'' is read from the product's time column, and delta is the Wigner
+    angle (`_wigner_angle`); for c -> infinity it approaches (v x w) / (2 c^2).
     """
-    prod = boost_matrix(v, c) @ boost_matrix(w, c)
-    return _decompose_lorentz(prod, c)
+    l1, l2 = boost_matrix(v, c), boost_matrix(w, c)
+    col = l1 @ l2[..., :1]  # L(v) L(w) e_0
+    return np.asarray(c)[..., None] * col[..., 1:, 0] / col[..., :1, 0], _wigner_angle(l1, l2)
 
 
 def thomas_target(v, w):
     """(v x w) / 2, the limit of c^2 times the Wigner angle."""
-    v, w = np.asarray(v, dtype=LD), np.asarray(w, dtype=LD)
-    return _floats((v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]) / 2)
+    v, w = np.asarray(v, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    return (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]) / 2
 
 
 def poincare_from_galilei(tau, u, v, theta, c) -> PoincareElement:
     """Element with Lambda = L(v) R(theta) and a = (c tau, u1, u2)."""
     lam = boost_matrix(v, c) @ rotation_matrix(theta)
-    c, tau, u = np.asarray(c, dtype=LD), np.asarray(tau, dtype=LD), np.asarray(u, dtype=LD)
+    c, tau, u = (np.asarray(x, dtype=np.float64) for x in (c, tau, u))
     a = np.stack(np.broadcast_arrays(c * tau, u[..., 0], u[..., 1]), axis=-1)
     return PoincareElement(lam, a, c)
 
@@ -205,44 +214,37 @@ def poincare_product(g: PoincareElement, h: PoincareElement) -> PoincareElement:
 def contract_element(p: PoincareElement) -> GroupElement:
     """Galilei coordinates (phase 0, tau = a0/c, u, v, theta) of p."""
     v, theta = decompose(p)
-    return GroupElement(
-        phase=0.0,
-        tau=_floats(p.a[..., 0] / np.asarray(p.c, dtype=LD)),
-        u=(_floats(p.a[..., 1]), _floats(p.a[..., 2])),
-        v=(_floats(v[..., 0]), _floats(v[..., 1])),
-        theta=_floats(theta),
-    )
+    (a0, u1, u2), (v1, v2) = np.moveaxis(p.a, -1, 0), np.moveaxis(v, -1, 0)  # scalars for one element
+    return GroupElement(phase=0.0, tau=a0 / p.c, u=(u1, u2), v=(v1, v2), theta=theta)
 
 
 def mass_cocycle_exponent(g: PoincareElement, h: PoincareElement):
     """Coboundary of zeta = c a^0 evaluated on the pair (g, h).
 
-    delta-zeta(g, h) = c (Lambda^0_mu a'^mu + a^0) - c a^0 - c a'^0,
-    straight from the matrices.  With a^0 = c tau this approaches
-    v^2/2 tau' + v . R u' as c grows.
+    delta-zeta(g, h) = c (Lambda^0_mu a'^mu + a^0) - c a^0 - c a'^0
+                     = c [(Lambda^00 - 1) a'^0 + Lambda^0i a'^i],
+    with Lambda^00 - 1 = sum_i (Lambda^0i)^2 / (Lambda^00 + 1), as row 0 of a
+    Lorentz matrix has unit eta-norm: no term of size c a'^0 is subtracted.
+    With a^0 = c tau this approaches v^2/2 tau' + v . R u' as c grows.
     """
     if not np.all(g.c == h.c):
         raise ValueError("elements carry different c")
-    c = np.asarray(g.c, dtype=LD)
-    row_a = (g.lam[..., None, 0, :] @ h.a[..., None])[..., 0, 0]  # Lambda^0_mu a'^mu
-    return c * (row_a + g.a[..., 0]) - c * g.a[..., 0] - c * h.a[..., 0]
+    row, a = g.lam[..., 0, :], h.a
+    excess = (row[..., 1] * row[..., 1] + row[..., 2] * row[..., 2]) / (row[..., 0] + 1)
+    return g.c * (excess * a[..., 0] + row[..., 1] * a[..., 1] + row[..., 2] * a[..., 2])
 
 
 def rotation_cocycle_exponent(lam1, lam2, c):
     """Coboundary of zeta = c^2 theta(Lambda) on the pair (lam1, lam2).
 
-    The angle mismatch theta(L L') - theta(L) - theta(L') is reduced to
-    (-pi, pi] before scaling by c^2, which removes the branch ambiguity
-    of the angle function.
+    lam1 lam2 = L(v1) R1 L(v2) R2 = L(v1) [R1 L(v2) R1^T] R1 R2, where the
+    bracket is the boost L(R1 v2).  So theta(lam1 lam2) - theta1 - theta2 is,
+    modulo 2 pi, the Wigner angle of that pair, which is found with no angle difference.
     """
-    c, lam1, lam2 = np.asarray(c, dtype=LD), _as_matrices(lam1), _as_matrices(lam2)
-    _, th1 = _decompose_lorentz(lam1, c)
-    _, th2 = _decompose_lorentz(lam2, c)
-    _, th12 = _decompose_lorentz(lam1 @ lam2, c)
-    delta = th12 - th1 - th2
-    two_pi = 2 * LD(np.pi)
-    delta = delta - two_pi * np.floor((delta + LD(np.pi)) / two_pi)
-    return c * c * delta
+    _, _, boost1, rot1 = _decompose_lorentz(lam1, c)
+    _, _, boost2, _ = _decompose_lorentz(lam2, c)
+    c = np.asarray(c, dtype=np.float64)
+    return c * c * _wigner_angle(boost1, rot1 @ boost2 @ np.swapaxes(rot1, -1, -2))
 
 
 # --- convergence studies -------------------------------------------------------
@@ -282,9 +284,6 @@ def convergence_study(
 
     Both slopes of every sample come from one stacked fit.
     """
-    nmant = np.finfo(LD).nmant
-    if nmant <= np.finfo(np.float64).nmant:
-        raise ValueError(f"np.longdouble has a {nmant}-bit mantissa; the fits need more than 52")
     grid = tuple(float(c) for c in c_grid)
     if len(grid) < 3:
         raise ValueError("need at least 3 grid points to fit a slope")
@@ -293,7 +292,7 @@ def convergence_study(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("c grid must be strictly increasing")
     samples = len(experiment.targets)
-    c = np.tile(np.array(grid, dtype=LD), (samples, 1))
+    c = np.tile(np.array(grid), (samples, 1))
     errors, zetas = experiment.evaluate(c)
     slopes = _loglog_slopes(grid, np.concatenate([errors, zetas])).tolist()
     return [
@@ -346,9 +345,8 @@ def thomas_experiment(v, vp, theta) -> LimitExperiment:
 
     def evaluate(c):
         _, delta = compose_boosts(v, w, c)
-        _, th = _decompose_lorentz(boost_matrix(v, c) @ rotation_matrix(theta), c)
-        errors = np.abs((c * c * delta).astype(np.float64) - target)
-        return errors, np.abs((c * c * th).astype(np.float64))
+        _, th, _, _ = _decompose_lorentz(boost_matrix(v, c) @ rotation_matrix(theta), c)
+        return np.abs(c * c * delta - target), np.abs(c * c * th)
 
     return LimitExperiment("thomas", tuple(target[:, 0].tolist()), evaluate)
 
@@ -369,8 +367,8 @@ def mass_experiment(v, theta, tau_p, u_p) -> LimitExperiment:
     def evaluate(c):
         g = poincare_from_galilei(0.0, (0.0, 0.0), v, theta, c)
         h = poincare_from_galilei(tau_p, u_p, (0.0, 0.0), 0.0, c)
-        errors = np.abs(mass_cocycle_exponent(g, h).astype(np.float64) - target)
-        return errors, np.abs((c * poincare_product(g, h).a[..., 0]).astype(np.float64))
+        errors = np.abs(mass_cocycle_exponent(g, h) - target)
+        return errors, np.abs(c * poincare_product(g, h).a[..., 0])
 
     return LimitExperiment("mass", tuple(target[:, 0].tolist()), evaluate)
 
