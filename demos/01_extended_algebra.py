@@ -44,9 +44,11 @@ print(f"\nantisymmetry defect: {antisymmetry_defect(alg)}")
 print(f"jacobi defect:       {jacobi_defect(alg)}")
 
 # shifting N_i by (k/2m) eps_ij P_j removes k entirely: the algebras with
-# charges (k, m, l) and (0, m, l) are isomorphic whenever m != 0
+# charges (k, m, l) and (0, m, l) are isomorphic whenever m != 0; the shift
+# back by -k/(2m) is its inverse
 change = eliminate_k_change(params)
-moved = apply_basis_change(alg, change)
+undo = eliminate_k_change(ExtensionParams(-params.k, params.m, params.l))
+moved = apply_basis_change(alg, change, undo)
 target = make_galilei_algebra(ExtensionParams(0, params.m, params.l))
 print(f"\nafter the boost shift, structurally equal to g_(0,m,l): "
       f"{moved == target}")

@@ -241,38 +241,30 @@ def jacobi_defect(alg: LieAlgebra) -> Fraction:
     return max(map(abs, jacobi_entries(alg)), default=_ZERO)
 
 
-def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> tuple:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular or
-    non-square input."""
-    dim = len(matrix)
-    if any(len(row) != dim for row in matrix):
-        raise ValueError("dimension mismatch")
-    aug = [
-        [_as_rational(matrix[i][j]) for j in range(dim)]
-        + [_ONE if i == j else _ZERO for j in range(dim)]
-        for i in range(dim)
-    ]
-    for col in range(dim):
-        piv = next((r for r in range(col, dim) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(dim):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[dim:]) for row in aug)
+def apply_basis_change(
+    alg: LieAlgebra, T: Sequence[Sequence[Fraction]], T_inv: Sequence[Sequence[Fraction]]
+) -> LieAlgebra:
+    """Structure constants of `alg` rewritten in the basis X_i' = sum_j T[i][j] X_j.
 
-
-def apply_basis_change(alg: LieAlgebra, T: Sequence[Sequence[Fraction]]) -> LieAlgebra:
-    """Structure constants of `alg` rewritten in the basis X_i' = sum_j T[i][j] X_j,
-    for an invertible matrix T."""
+    `T_inv` is the inverse of T.  T.T_inv = I is checked exactly, which with
+    `Poly` entries is an identity in their symbols; a mismatch raises ValueError.
+    """
     dim = alg.dim
-    if len(T) != dim:
+    if any(len(M) != dim or any(len(row) != dim for row in M) for M in (T, T_inv)):
         raise ValueError("dimension mismatch")
-    Tinv = invert_matrix(T)
+
+    def times(row, M):
+        """row.M, skipping zero entries."""
+        acc = [_ZERO] * dim
+        for a, x in enumerate(row):
+            if x:
+                for kk, w in enumerate(M[a]):
+                    if w:
+                        acc[kk] += x * w
+        return acc
+
+    if any(times(T[i], T_inv) != [int(i == j) for j in range(dim)] for i in range(dim)):
+        raise ValueError("T_inv is not the inverse of T")
     rows = _nonzero_rows(alg)
     out = _zero_tensor(dim)
     for i in range(dim):
@@ -290,20 +282,16 @@ def apply_basis_change(alg: LieAlgebra, T: Sequence[Sequence[Fraction]]) -> LieA
                     f = tia * tjb
                     for n, cn in rows[a][b]:
                         acc[n] += f * cn
-            # re-express in the new basis: X_n = sum_k Tinv[n][k] X_k'
-            dest = out[i][j]
-            for n, v in enumerate(acc):
-                if v:
-                    for kk in range(dim):
-                        w = Tinv[n][kk]
-                        if w:
-                            dest[kk] += v * w
+            # re-express in the new basis: X_n = sum_k T_inv[n][k] X_k'
+            out[i][j] = times(acc, T_inv)
     return LieAlgebra(alg.labels, _freeze_tensor(out))
 
 
 def eliminate_k_change(params: ExtensionParams) -> tuple:
     """Matrix of the basis change N_i -> N_i + (k/2m) eps_ij P_j removing the
-    boost-boost charge, a tuple of rows for `apply_basis_change`.
+    boost-boost charge, a tuple of rows for `apply_basis_change`.  The shift
+    moves N_i only by P's, which it fixes, so its inverse is the shift by
+    -k/(2m): the matrix at charges (-k, m, l).
 
     Requires m != 0 (`ExtensionParams.k_shift`).  Applying it to g_(k,m,l)
     yields an algebra structurally equal to g_(0,m,l); the shift direction is
@@ -322,10 +310,11 @@ def removes_k(params: ExtensionParams) -> bool:
     """True when `eliminate_k_change` takes g_(k,m,l) exactly onto g_(0,m,l); m != 0.
 
     At `Poly` charges (2ms, m, l) it runs unchanged and decides the identity in
-    m, l and s = k/(2m): invert_matrix divides only by its pivots, which are 1
-    here, and `k_shift` is the exact division 2ms/(2m).
+    m, l and s = k/(2m): `k_shift` is the exact division 2ms/(2m), and the
+    inverse is the closed form `eliminate_k_change` at (-k, m, l), no division.
     """
-    removed = apply_basis_change(make_galilei_algebra(params), eliminate_k_change(params))
+    inverse = eliminate_k_change(ExtensionParams(-params.k, params.m, params.l))
+    removed = apply_basis_change(make_galilei_algebra(params), eliminate_k_change(params), inverse)
     return removed == make_galilei_algebra(ExtensionParams(0, params.m, params.l))
 
 

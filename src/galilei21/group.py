@@ -337,20 +337,6 @@ def random_elements(rng, samples: int, count: int = 1) -> tuple:
     return tuple(GroupElement(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6]) for c in x)
 
 
-def skip_rational_draws(rng, count: int) -> None:
-    """Advance `rng` as `count` calls of `random_rational_element` do, building no draw.
-
-    CPython's randint(-4, 4) and randint(1, 4) are _randbelow_with_getrandbits
-    of 9 and 4: getrandbits(4) until it is below 9, getrandbits(3) until below 4.
-    """
-    bits = rng.getrandbits
-    for _ in range(6 * count):
-        while bits(4) >= 9:
-            pass
-        while bits(3) >= 4:
-            pass
-
-
 def random_rational_element(rng) -> GroupElement:
     """Random element with theta = 0 (exact mode): phase, tau, u1, u2, v1 and v2
     each a Fraction p/q drawn as randint(-4, 4), then randint(1, 4)."""

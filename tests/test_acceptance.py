@@ -48,8 +48,9 @@ def test_criterion_02_charge_removal_isomorphism():
         rng = random.Random(2025)
         for _ in range(50):
             p = random_params(rng, nonzero_m=True)
+            inverse = algebra.eliminate_k_change(ExtensionParams(-p.k, p.m, p.l))
             moved = algebra.apply_basis_change(
-                algebra.make_galilei_algebra(p), algebra.eliminate_k_change(p)
+                algebra.make_galilei_algebra(p), algebra.eliminate_k_change(p), inverse
             )
             target = algebra.make_galilei_algebra(ExtensionParams(0, p.m, p.l))
             assert moved == target

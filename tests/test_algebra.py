@@ -13,7 +13,6 @@ from galilei21.algebra import (
     antisymmetry_defect,
     apply_basis_change,
     eliminate_k_change,
-    invert_matrix,
     jacobi_defect,
     jacobi_entries,
     make_galilei_algebra,
@@ -24,6 +23,12 @@ from scalar_sampler import random_params
 
 def galg(k, m, l):
     return make_galilei_algebra(ExtensionParams(F(k), F(m), F(l)))
+
+
+def shift_k_away(p):
+    """g_(k,m,l) in the basis of `eliminate_k_change`, with its closed-form inverse."""
+    inverse = eliminate_k_change(ExtensionParams(-p.k, p.m, p.l))
+    return apply_basis_change(make_galilei_algebra(p), eliminate_k_change(p), inverse)
 
 
 def test_bracket_table_matches_definition():
@@ -147,12 +152,12 @@ def test_k_removal_certificate_is_the_sampled_check_for_all_charges(monkeypatch)
     # the symbolic basis change, at s = k/(2m), is the one each charge set gets
     m, l, s = (Poly.symbol(name) for name in ("m", "l", "s"))
     symbolic = ExtensionParams(2 * m * s, m, l)
-    changed = apply_basis_change(make_galilei_algebra(symbolic), eliminate_k_change(symbolic))
+    changed = shift_k_away(symbolic)
     rng = random.Random(43)
     for _ in range(5):
         p = random_params(rng, nonzero_m=True)
         values = {"m": p.m, "l": p.l, "s": p.k / (2 * p.m)}
-        numeric = apply_basis_change(make_galilei_algebra(p), eliminate_k_change(p))
+        numeric = shift_k_away(p)
         assert tuple(tuple(tuple(_at(x, values) for x in row) for row in plane)
                      for plane in changed.tensor) == numeric.tensor
     real = algebra.eliminate_k_change
@@ -222,7 +227,7 @@ def test_corrupted_tensor_detection():
 
 def test_k_removal_maps_onto_k_zero_algebra():
     alg = galg(1, 2, 0)
-    changed = apply_basis_change(alg, eliminate_k_change(ExtensionParams(1, 2, 0)))
+    changed = shift_k_away(ExtensionParams(1, 2, 0))
     assert changed == galg(0, 2, 0)
     assert alg != galg(0, 2, 0)
     assert jacobi_defect(changed) == 0
@@ -253,49 +258,47 @@ def test_k_removal_random_charges():
     rng = random.Random(23)
     for _ in range(50):
         p = random_params(rng, nonzero_m=True)
-        changed = apply_basis_change(make_galilei_algebra(p), eliminate_k_change(p))
+        changed = shift_k_away(p)
         target = make_galilei_algebra(ExtensionParams(0, p.m, p.l))
         assert changed == target
+
+
+def _diagonal(dim, entries):
+    """The identity matrix of size dim, with entries {index: value} on its diagonal."""
+    return [[entries.get(i, F(1)) if i == j else F(0) for j in range(dim)] for i in range(dim)]
 
 
 def test_boost_scaling_rescales_central_charge():
     # N_i -> 2 N_i doubles [N_i, P_j] = m delta_ij E
     alg = galg(0, 3, 0)
-    rows = [
-        [F(1) if i == j else F(0) for j in range(alg.dim)] for i in range(alg.dim)
-    ]
-    rows[alg.index("N1")][alg.index("N1")] = F(2)
-    rows[alg.index("N2")][alg.index("N2")] = F(2)
-    out = apply_basis_change(alg, rows)
+    boosts = (alg.index("N1"), alg.index("N2"))
+    scale = _diagonal(alg.dim, dict.fromkeys(boosts, F(2)))
+    unscale = _diagonal(alg.dim, dict.fromkeys(boosts, F(1, 2)))
+    out = apply_basis_change(alg, scale, unscale)
     row = out.tensor[out.index("N1")][out.index("P1")]
     assert row[out.index("E")] == F(6)
+    assert apply_basis_change(out, unscale, scale) == alg
 
 
 def test_basis_change_round_trip_and_singular_rejection():
-    rng = random.Random(5)
-    alg = galg(F(1, 2), F(-3), F(2))
-    for _ in range(5):
-        while True:
-            m = [
-                [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dim)]
-                for _ in range(alg.dim)
-            ]
-            try:
-                inv = invert_matrix(m)
-                break
-            except ValueError:
-                continue
-        assert apply_basis_change(apply_basis_change(alg, m), inv) == alg
-    singular = [[F(0)] * alg.dim for _ in range(alg.dim)]
-    with pytest.raises(ValueError):
-        apply_basis_change(alg, singular)
+    # the shift and its closed-form inverse, at symbolic charges (2ms, m, l) too
+    m, l, s = (Poly.symbol(name) for name in ("m", "l", "s"))
+    for p in (ExtensionParams(2 * m * s, m, l), ExtensionParams(F(1, 2), F(-3), F(2))):
+        shift, back = eliminate_k_change(p), eliminate_k_change(ExtensionParams(-p.k, p.m, p.l))
+        alg = make_galilei_algebra(p)
+        assert apply_basis_change(apply_basis_change(alg, shift, back), back, shift) == alg
+        # a shift is not its own inverse, and no matrix inverts a singular one
+        for T, wrong in ((shift, shift), ([[F(0)] * alg.dim] * alg.dim, back)):
+            with pytest.raises(ValueError, match="^T_inv is not the inverse of T$"):
+                apply_basis_change(alg, T, wrong)
 
 
 def test_basis_change_rejects_a_non_square_matrix():
     alg = galg(1, 2, 0)
+    identity = _diagonal(alg.dim, {})
     wide = [[F(i == j) for j in range(alg.dim + 1)] for i in range(alg.dim)]  # identity, one column more
     for matrix in ([[1] * 3] * alg.dim, wide):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            apply_basis_change(alg, matrix)
+            apply_basis_change(alg, matrix, identity)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            invert_matrix(matrix)
+            apply_basis_change(alg, identity, matrix)

@@ -416,9 +416,10 @@ def _count_calls(monkeypatch, calls, module, name):
 
 def _sampled_rows(argv) -> tuple:
     """Each exact row's defects at the samples a seeded sampler draws for `argv`
-    (verify-algebra's boundary and random charge sets, group's rational elements),
-    drawn from the report's seed in the report's order, and each float row's
-    worst defect on the samples that follow in the same stream."""
+    (verify-algebra's boundary and random charge sets, group's rational elements,
+    `--samples` of them per row, from a stream of their own), and each group float
+    row's worst defect on `random_elements` drawn in row order from the report's
+    seed, with no draws between rows."""
     opts = build_parser().parse_args(list(argv))
     params = algebra.ExtensionParams(opts.k, opts.m, opts.l)
     rng = random.Random(opts.seed)
@@ -433,13 +434,13 @@ def _sampled_rows(argv) -> tuple:
             "k_removal": [F(not algebra.removes_k(params))],
             "k_removal_random_charges": [F(not algebra.removes_k(p)) for p in removals],
         }, {}
-    defects, worst = {}, {}
+    defects, worst, exact_rng = {}, {}, random.Random(opts.seed)
     for name, note, count, arity, law, bound in cli._group_rows(params, opts.samples, opts.tolerance):
         if note:
             continue
         if bound is None:
-            draw = lambda: [group.random_rational_element(rng) for _ in range(arity)]
-            defects[name] = [group.element_distance(*law(*draw())) for _ in range(count)]
+            draw = lambda: [group.random_rational_element(exact_rng) for _ in range(arity)]
+            defects[name] = [group.element_distance(*law(*draw())) for _ in range(opts.samples)]
         else:
             worst[name] = algebra.worst_defect(law(*group.random_elements(rng, count, arity)).tolist(), 0.0)
     return defects, worst
@@ -461,7 +462,7 @@ def test_certified_reports_equal_sampled_reports(tmp_path, monkeypatch):
             assert all(d == 0 and type(d) is F for d in defects), (argv, name)
         rows = {c["name"]: c["defect"] for c in json.loads(certified[3 * i][1])["checks"]}
         assert {name: rows[name] for name in sampled} == dict.fromkeys(sampled, "0")
-        # the float rows after an exact one read the stream its samples left
+        # the float rows read one stream, in row order: an exact row draws nothing
         assert {name: rows[name] for name in worst} == worst
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import galilei21.cli as cli_module
 import galilei21.group as group_module
 from galilei21.algebra import ExtensionParams, Poly, worst_defect
 from galilei21.cli import _certified, _group_rows, _zeta, main
@@ -34,7 +35,6 @@ from galilei21.group import (
     random_elements,
     random_rational_element,
     rotate,
-    skip_rational_draws,
     worst_per_sample,
 )
 from scalar_sampler import random_element, random_params
@@ -405,9 +405,10 @@ def test_batched_law_matches_scalar_law_bit_for_bit(params):
 
 
 def test_coboundary_zeta_squares_like_python_floats():
-    # numpy's a ** 2 is a plain square and differs from a Python float's
-    # x ** 2 (libm pow) on about 1 input in 1000; such a last-bit change in
-    # zeta is rounded away before it reaches a defect, so compare zeta itself
+    # zeta squares by a product, one IEEE operation on floats and on arrays
+    # alike (a ** 2 is libm pow on a float, a plain square on an array); a
+    # last-bit change in zeta is rounded away before it reaches a defect, so
+    # compare zeta itself
     rng = random.Random(22)
     (batch,) = random_elements(rng, 20000)
     rng = random.Random(22)
@@ -416,17 +417,15 @@ def test_coboundary_zeta_squares_like_python_floats():
 
 def test_batched_sampler_consumes_the_stream_like_scalar_draws():
     """The decoded Mersenne Twister words are the scalar draws, bit for bit, also
-    from an odd word offset (as cmd_group's stream is at inverse_round_trip) and
-    across more than one getrandbits block."""
+    from an odd word offset and across more than one getrandbits block."""
     over_a_block = BLOCK_DOUBLES // 14 + 1  # 2 elements of 7 doubles per sample
     for odd in (False, True):
         for samples, count in ((1, 1), (7, 2), (50, 3), (over_a_block, 2)):
             a, b = random.Random(98), random.Random(98)
-            if odd:  # one 32-bit word, then one exact element's 6 randint pairs
+            if odd:  # one 32-bit word
                 for rng in (a, b):
                     rng.getrandbits(32)
-                    skip_rational_draws(rng, 1)
-                assert a.getstate()[1][-1] % 2 == 1  # MT19937's index: 21 words drawn
+                assert a.getstate()[1][-1] == 1  # MT19937's index: 1 word drawn
             batch = random_elements(a, samples, count)
             scalar = [[random_element(b) for _ in range(count)] for _ in range(samples)]
             assert a.getstate() == b.getstate()
@@ -499,41 +498,49 @@ def test_symbolic_law_evaluates_to_the_exact_law():
 
 
 @pytest.mark.parametrize("params", REGIMES, ids=["l=0", "l!=0", "m=0"])
-def test_exact_rows_are_certified_and_draw_what_sampling_draws(params):
+def test_exact_rows_are_certified_and_take_no_samples(params):
     exact = [row for row in _group_rows(params, 60, TOL) if row[5] is None]
     assert [row[0] for row in exact] == ["associativity_exact_mode"] + (
         ["k_removal_homomorphism_exact"] if params.m != 0 else [])
+    rng = random.Random(7)
     for name, _, count, arity, sides, _ in exact:
+        assert count is None, name  # an exact row takes no samples
         assert identity_certified(sides, arity), name  # at this charge set too
         assert _certified(name), name
-        skipped_rng, sampled_rng = random.Random(7), random.Random(7)
-        skip_rational_draws(skipped_rng, count * arity)  # what cmd_group draws for the row
-        for _ in range(count):
-            d = element_distance(*sides(*(random_rational_element(sampled_rng) for _ in range(arity))))
+        for _ in range(60):  # the sampled check the certificate stands for
+            d = element_distance(*sides(*(random_rational_element(rng) for _ in range(arity))))
             assert d == 0 and type(d) is F, name
-        assert skipped_rng.getstate() == sampled_rng.getstate(), name
 
 
-def test_rational_draws_consume_the_stream_like_drawing_the_elements():
-    a, b = random.Random(12), random.Random(12)
-    skip_rational_draws(a, 25)
-    for _ in range(25):
-        random_rational_element(b)
-    assert a.getstate() == b.getstate()
+@pytest.mark.parametrize("params", REGIMES, ids=["l=0", "l!=0", "m=0"])
+def test_group_draws_only_the_float_rows_doubles(params, tmp_path, monkeypatch):
+    """cmd_group's stream gives the float rows' doubles, 64 bits each, and an
+    exact row takes no getrandbits word."""
+    bits = []
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            bits.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(cli_module.random, "Random", CountingRandom)
+    charges = [f"--{name}={getattr(params, name)}" for name in ("k", "m", "l")]
+    assert main(["group", *charges, "--samples=60", f"--out={tmp_path / 'r.txt'}"]) == 0
+    floats = [row for row in _group_rows(params, 60, TOL) if not row[1] and row[5] is not None]
+    assert sum(bits) == sum(64 * 7 * count * arity for _, _, count, arity, _, _ in floats)
 
 
 @pytest.mark.parametrize("seed", [0, 12, 8191])
 @pytest.mark.parametrize("count", [0, 1, 37, 1000])
 def test_skipped_draws_leave_the_stream_where_rational_draws_do(seed, count):
-    """The replay relies on how CPython's randint draws (via getrandbits): an exact
-    element is six (randint(-4, 4), randint(1, 4)) pairs."""
+    """An exact element is six (randint(-4, 4), randint(1, 4)) pairs: drawing those
+    pairs leaves the stream where drawing the elements does, and they are the
+    elements' coordinates."""
     a, b = random.Random(seed), random.Random(seed)
     draws = [(a.randint(-4, 4), a.randint(1, 4)) for _ in range(6 * count)]
-    skip_rational_draws(b, count)
+    elements = [random_rational_element(b) for _ in range(count)]
     assert a.getstate() == b.getstate()
     assert a.random() == b.random()
-    a = random.Random(seed)
-    elements = [random_rational_element(a) for _ in range(count)]
     assert [x for g in elements for x in (g.phase, g.tau, *g.u, *g.v)] == [F(*d) for d in draws]
 
 
