@@ -18,12 +18,8 @@ This script prints the convergence tables; the fitted slope -2 is the
 import random
 
 from galilei21 import compose_boosts, convergence_study, thomas_target
-from galilei21.contraction import (
-    DEFAULT_C_GRID,
-    mass_experiment,
-    sample_experiments,
-    thomas_experiment,
-)
+from galilei21.cli import DEFAULT_C_GRID
+from galilei21.contraction import mass_experiment, sample_experiments, thomas_experiment
 
 # composing two non-parallel boosts leaves a residual rotation
 v, w = (1.0, 0.0), (0.0, 1.0)

@@ -20,13 +20,24 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import algebra, contraction, enveloping, group
+from . import algebra, enveloping
 from .algebra import ExtensionParams, Poly, worst_defect
 
 DEGREE_CAP = 6
 GRID_CAP = 1000  # c grid points
+EXPERIMENT_NAMES = ("thomas", "mass", "diagram")
+DEFAULT_C_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
+
+
+def _numeric() -> None:
+    """Import numpy and the two layers that use it, `group` and `contraction`, as
+    globals of this module.  Only the `group` and `contract` suites call this, so
+    `verify-algebra` and `casimir` never load numpy.  The three load together: the
+    first `group` or `contract` report of a process pays for all, no later one for any."""
+    global np, contraction, group
+    import numpy as np
+
+    from . import contraction, group
 
 
 def _rational(text: str) -> Fraction:
@@ -198,6 +209,7 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
     The other rows' laws are defects: they take float elements, or numpy arrays
     of samples, and return a float or an array.
     """
+    _numeric()
     cov, ext = group.GroupKind.COVERING, group.GroupKind.EXTENDED
     assoc = lambda kind: lambda g, h, f: group.associativity_defect(kind, params, g, h, f)
 
@@ -251,6 +263,7 @@ def _certified(row: str) -> bool:
 
 
 def cmd_group(opts) -> tuple:
+    _numeric()
     rng = random.Random(opts.seed)
     params = ExtensionParams(opts.k, opts.m, opts.l)
     # the float rows convert these charges; one too large for a float is bad input
@@ -276,6 +289,7 @@ def cmd_group(opts) -> tuple:
 
 
 def cmd_contract(opts) -> tuple:
+    _numeric()
     rng = random.Random(opts.seed)
     grid = opts.c_grid
     with np.errstate(all="ignore"):  # an overflow gives a NaN slope, which fails its row
@@ -397,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contract", help="large-c limit experiments with slope fits")
     common(p, charges=False)
-    p.add_argument("--experiment", choices=contraction.EXPERIMENT_NAMES, required=True)
-    p.add_argument("--c-grid", type=_c_grid, default=contraction.DEFAULT_C_GRID, dest="c_grid")
+    p.add_argument("--experiment", choices=EXPERIMENT_NAMES, required=True)
+    p.add_argument("--c-grid", type=_c_grid, default=DEFAULT_C_GRID, dest="c_grid")
     p.add_argument("--samples", type=positive, default=20)
     p.add_argument("--tolerance", type=_tolerance, default=0.1,
                    help="allowed deviation of the fitted slope from -2")

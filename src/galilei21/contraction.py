@@ -48,7 +48,6 @@ FLIP = SIGN * SIGN.T  # eta m eta == FLIP * m: the time row and column change si
 FLIP.flags.writeable = False
 
 MATRIX_TOL = 1e-10  # Lorentz-invariant checks
-DEFAULT_C_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
 
 
 def _as_matrices(m) -> np.ndarray:
@@ -395,9 +394,6 @@ def diagram_experiment(data_g, data_h) -> LimitExperiment:
         return element_distance(left, right, GroupKind.EXTENDED), np.zeros(c.shape)
 
     return LimitExperiment("diagram", (0.0,) * len(data_g[0]), evaluate)
-
-
-EXPERIMENT_NAMES = ("thomas", "mass", "diagram")
 
 
 def sample_experiments(name: str, rng, samples: int, c_min: float) -> LimitExperiment:

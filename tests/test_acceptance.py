@@ -10,6 +10,7 @@ import time
 
 from galilei21 import algebra, contraction, enveloping, group
 from galilei21.algebra import ExtensionParams
+from galilei21.cli import DEFAULT_C_GRID
 from galilei21.cli import main as cli_main
 from scalar_sampler import random_params, random_rational
 
@@ -142,7 +143,7 @@ def test_criterion_06_group_charge_removal():
                 assert d == 0 and not isinstance(d, float)
 
 
-GRID = contraction.DEFAULT_C_GRID
+GRID = DEFAULT_C_GRID
 
 
 def test_criterion_07_wigner_angle_limit():

@@ -111,7 +111,7 @@ def test_contract_csv_rows(capsys):
     lines = out.splitlines()
     rows = [line.split(",") for line in lines[lines.index("sample,c,error,zeta_magnitude") + 1:]]
     # one row per (sample, grid point), the grid in order within each sample
-    expected = [(i, c) for i in range(2) for c in contraction.DEFAULT_C_GRID]
+    expected = [(i, c) for i in range(2) for c in cli.DEFAULT_C_GRID]
     assert [(int(r[0]), float(r[1])) for r in rows] == expected
     assert all(len(r) == 4 and float(r[2]) >= 0 and float(r[3]) > 0 for r in rows)
 

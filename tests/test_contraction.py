@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from galilei21 import contraction
+from galilei21.cli import DEFAULT_C_GRID, EXPERIMENT_NAMES
 from galilei21.contraction import (
-    DEFAULT_C_GRID,
     ETA,
     PoincareElement,
     boost_matrix,
@@ -301,8 +301,16 @@ def test_thomas_zeta_tracks_rotation_angle():
 
 
 def test_sample_experiments_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown experiment"):
         sample_experiments("nope", random.Random(0), 1, 100.0)
+
+
+def test_sample_experiments_builds_every_parser_choice():
+    # the parser's choices are defined in cli, apart from this layer, so that
+    # building the parser needs no numpy
+    for name in EXPERIMENT_NAMES:
+        experiment = sample_experiments(name, random.Random(0), 3, 100.0)
+        assert experiment.name == name and len(experiment.targets) == 3
 
 
 def test_limit_reproduces_group_cocycle_k_term():
