@@ -318,9 +318,19 @@ def cmd_contract(opts) -> tuple:
 # --- report assembly ----------------------------------------------------------
 
 
+# The check rows in one call of the C encoder (an indent forces the Python one).
+# Every row is a flat dict of scalars (`_check`, `_skip`, `cmd_contract`'s merge) and
+# JSON escapes control characters, so "},\n      {" can only be a row boundary.
+_ROWS = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def _render(report: dict, rows, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if fmt == "json":  # exactly json.dumps(report, sort_keys=True, indent=2) + "\n"
+        head = json.dumps({k: v for k, v in report.items() if k != "checks"}, sort_keys=True, indent=2)
+        checks = _ROWS.encode(report["checks"])
+        if report["checks"]:
+            checks = "[\n    {\n      " + checks[2:-2].replace("},\n      {", "\n    },\n    {\n      ") + "\n    }\n  ]"
+        return '{\n  "checks": ' + checks + "," + head[1:] + "\n"
     if fmt == "csv":
         lines = ["command,seed,params,check,defect,pass"]
         cfg = report["config"]

@@ -10,9 +10,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galilei21 import algebra, cli, contraction, enveloping, group
-from galilei21.cli import build_parser, main
+from galilei21.cli import EXPERIMENT_NAMES, build_parser, main
 from scalar_sampler import random_element, random_params
 
 
@@ -389,6 +391,67 @@ def test_reports_are_byte_identical(tmp_path, capsys):
             assert main([*case, "--format", fmt, "--out", str(a)]) == 0
             assert main([*case, "--format", fmt, "--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+
+# Strings that escapes, separators or the row boundary of `_render` could be confused with.
+_TRICKY = st.lists(
+    st.sampled_from(['"', "\\", "\n", "},\n      {", "\u00e9", "\u221e", "\x00", "\u2028"]) | st.text(max_size=4)
+).map("".join)
+_DEFECTS = (st.none() | st.fractions().map(str) | st.floats()
+            | st.sampled_from([0.0, -0.0, 5e-324, 1e-310, math.nan, math.inf, -math.inf]))
+_CHECK_ROWS = st.lists(st.fixed_dictionaries(
+    {"name": _TRICKY, "defect": _DEFECTS, "pass": st.booleans()},
+    optional={"note": _TRICKY, "slope": st.floats(), "target": st.floats()},
+), max_size=40)
+_CONFIG = st.fixed_dictionaries(
+    {"seed": st.integers(), "samples": st.integers(1, 10**6)},
+    optional={"k": st.fractions().map(str), "experiment": st.sampled_from(EXPERIMENT_NAMES),
+              "tolerance": st.floats(0, 1), "c_grid": st.lists(st.floats(1e-300, 1e308), min_size=1, max_size=20)},
+)
+_MANY_ROWS = [{"name": f"slope[{i}]", "defect": i / 7, "pass": i % 3 > 0, "slope": -2 + i / 1e3, "target": 0.0}
+              for i in range(120)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["verify-algebra", "casimir", "group", "contract"]), config=_CONFIG,
+       checks=_CHECK_ROWS, passed=st.booleans())
+@example(command="group", config={"seed": 0, "samples": 1}, checks=[], passed=True)
+@example(command="contract", config={"seed": 1, "samples": 60, "c_grid": [1e2, 2e2]}, checks=_MANY_ROWS,
+         passed=False)
+def test_json_render_is_json_dumps_with_indent(command, config, checks, passed):
+    report = {"command": command, "config": config, "checks": checks, "pass": passed}
+    assert cli._render(report, None, "json") == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+# The console argvs of the CI workflow that write a report, with their exit status.
+CI_REPORTS = {
+    "verify-algebra": 0,
+    "verify-algebra --k 1 --m 2 --l 3 --samples 5": 0,
+    "verify-algebra --k 1 --m 0": 0,
+    "verify-algebra --k=-1/2 --m=3 --l=2": 0,
+    "casimir --max-degree 4": 0,
+    "casimir --k 3/2 --m 2 --l 1/3 --max-degree 6": 0,
+    "casimir --k=-2/3 --m=0 --l=0 --max-degree 4": 0,
+    "casimir --k=-9/5 --m=7/6 --l=2/9 --max-degree 5": 0,
+    "group --k=3/2 --m=-5/4 --samples 1000": 0,
+    "group --k=2 --m=0 --samples 200": 0,
+    "group --k=1/2 --m=3 --l=-2 --samples 200": 0,
+    "group --k=1 --m=1 --samples=2 --tolerance=0": 1,
+    "contract --experiment thomas --samples 2": 0,
+    "contract --experiment mass --c-grid 1e2:1e6:logx2 --samples 60": 0,
+    "contract --experiment diagram --c-grid 1e2:1e6:logx2 --samples 60": 0,
+    "contract --experiment mass --c-grid 1e300:1e308:logx10 --samples 2": 1,  # NaN defects
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CI_REPORTS))
+def test_console_json_reports_are_json_dumps_with_indent(tmp_path, monkeypatch, argv):
+    reports, render = [], cli._render
+    monkeypatch.setattr(cli, "_render", lambda report, rows, fmt: reports.append(report) or render(report, rows, fmt))
+    path = tmp_path / "report.json"
+    assert main([*argv.split(), "--format", "json", "--out", str(path)]) == CI_REPORTS[argv]
+    (report,) = reports
+    assert path.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 CERTIFIED_CASES = [

@@ -107,8 +107,27 @@ def test_poincare_element_validation():
         PoincareElement(2 * np.eye(3), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         PoincareElement(np.diag([-1.0, -1.0, 1.0]), np.zeros(3), 1.0)  # not orthochronous
+    with pytest.raises(ValueError, match="not proper"):  # Lorentz and orthochronous, det -1
+        PoincareElement(np.diag([1.0, 1.0, -1.0]), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         PoincareElement(np.eye(3), np.zeros(3), -2.0)
+
+
+def test_cofactor_determinant_matches_lapack():
+    eps = np.finfo(np.float64).eps
+    m = np.array([[2.0, -1.0, 0.5], [0.25, 3.0, -1.0], [1.0, 0.5, 1.5]])  # det 9.9375, exact in binary
+    assert contraction._det(m) == 9.9375
+    assert abs(np.linalg.det(m) - 9.9375) <= 4 * eps * 9.9375
+    rng = np.random.default_rng(26)
+    v = rng.uniform(-0.6, 0.6, (60, 14, 2)) * rng.uniform(1, 1e6, (60, 14, 1))
+    c = np.hypot(v[..., 0], v[..., 1]) / rng.uniform(0.05, 0.99, (60, 14))
+    lam = boost_matrix(v, c) @ rotation_matrix(rng.uniform(-4, 4, (60, 14)))
+    for stack in (lam, lam[7], lam[7, 3], lam * np.array([1.0, 1.0, -1.0])):  # the last one improper
+        det = contraction._det(stack)
+        assert det.shape == stack.shape[:-2]
+        # in ulps of the cofactor products, whose size is that of gamma^2 (gamma up to about 7 here)
+        scale = np.max(np.abs(stack), axis=(-2, -1)) ** 2
+        assert np.all(np.abs(det - np.linalg.det(stack)) <= 4 * eps * scale)
 
 
 def test_decompose_pure_rotation():
@@ -430,6 +449,9 @@ def test_stack_with_one_nan_matrix_fails_closed():
         PoincareElement(lam, a, c)
     lam[3] = np.diag([-1.0, -1.0, 1.0])
     with pytest.raises(ValueError, match="not orthochronous"):
+        PoincareElement(lam, a, c)
+    lam[3] = np.diag([1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="not proper"):
         PoincareElement(lam, a, c)
 
 
