@@ -27,7 +27,7 @@ from galilei21 import (
     random_elements,
 )
 from galilei21.algebra import worst_defect
-from galilei21.group import element_distance, random_rational_element
+from galilei21.group import element_distance
 
 COV = GroupKind.COVERING
 params = ExtensionParams(k=Fraction(2), m=Fraction(1), l=Fraction(3))
@@ -50,7 +50,14 @@ rng = random.Random(0)
 worst = worst_defect(associativity_defect(COV, params, *random_elements(rng, 2000, 3)).tolist(), 0.0)
 print(f"\nassociativity defect over 2000 random triples: {worst:.2e}")
 
-# ...and exactly, on rational elements with no rotation angle
+
+# ...and exactly, on rational elements with no rotation angle: phase, tau,
+# u and v each a small fraction p/q
+def random_rational_element(rng):
+    q = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(6)]
+    return GroupElement(q[0], q[1], (q[2], q[3]), (q[4], q[5]), Fraction(0))
+
+
 worst_exact = worst_defect(
     (
         associativity_defect(

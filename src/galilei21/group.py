@@ -30,10 +30,11 @@ components compose in exact rational arithmetic; with float components
 the usual double-precision trigonometry applies.  A component may also
 be a float64 numpy array with one entry per sample: the same functions
 then evaluate every sample at once, with the same floating-point
-operations as one scalar call per sample.  With theta = 0 the law is a
-polynomial, which `identity_certified` evaluates on `algebra.Poly` symbols
-and compares with `==`.
-All values are immutable and all functions pure.
+operations as one scalar call per sample.  An element's (cos theta,
+sin theta) is computed on its first rotation and kept with the element
+(`GroupElement.rotation`).  With theta = 0 the law is a polynomial, which
+`identity_certified` evaluates on `algebra.Poly` symbols and compares with
+`==`.  All values are immutable and all functions pure.
 
 `random_elements` draws the array elements' doubles from blocks of
 `getrandbits` words of CPython's MT19937 `random.Random`, decoded as
@@ -74,6 +75,11 @@ class GroupElement:
         object.__setattr__(self, "u", tuple(self.u))
         object.__setattr__(self, "v", tuple(self.v))
 
+    @functools.cached_property
+    def rotation(self):
+        """`_cos_sin(theta)`, kept with the element; not a field, so not in ==, hash or repr."""
+        return _cos_sin(self.theta)
+
 
 IDENTITY = GroupElement()
 
@@ -86,18 +92,31 @@ def _batched(*values) -> bool:
     return False
 
 
+def _cos_sin(theta):
+    """(cos theta, sin theta), or None at an exact theta == 0, which keeps exact
+    scalars exact; a NaN or +-inf scalar theta gives NaN, as np.cos does on arrays."""
+    if isinstance(theta, np.ndarray):
+        return np.cos(theta), np.sin(theta)
+    if theta == 0:
+        return None
+    if not math.isfinite(theta):  # math.cos raises here
+        return math.nan, math.nan
+    return math.cos(theta), math.sin(theta)
+
+
+def _rotated(cs, vec: tuple) -> tuple:
+    """Apply the rotation whose `_cos_sin` is cs."""
+    if cs is None:
+        return (vec[0], vec[1])
+    c, s = cs
+    return (c * vec[0] + s * vec[1], -s * vec[0] + c * vec[1])
+
+
 def rotate(theta, vec: tuple) -> tuple:
     """Apply R(theta); the theta == 0 branch keeps exact scalars exact, and a
-    NaN or +-inf theta gives NaN components on scalars as on arrays."""
-    if isinstance(theta, np.ndarray):
-        c, s = np.cos(theta), np.sin(theta)
-    elif theta == 0:
-        return (vec[0], vec[1])
-    elif not math.isfinite(theta):  # math.cos raises here; NaN, as np.cos gives
-        c = s = math.nan
-    else:
-        c, s = math.cos(theta), math.sin(theta)
-    return (c * vec[0] + s * vec[1], -s * vec[0] + c * vec[1])
+    NaN or +-inf theta gives NaN components on scalars as on arrays.  The group
+    law reads an element's own `rotation` instead, computed once per element."""
+    return _rotated(_cos_sin(theta), vec)
 
 
 def cross(a: tuple, b: tuple):
@@ -122,8 +141,8 @@ def cocycle_exponent(
 ):
     """Phase increment xi(g, h) of the product beyond phase_g + phase_h."""
     _check_kind(kind, params)
-    ru = rotate(g.theta, h.u)
-    rv = rotate(g.theta, h.v)
+    ru = _rotated(g.rotation, h.u)
+    rv = _rotated(g.rotation, h.v)
     m, half_k, l, half = params.m, params.k * HALF, params.l, HALF
     if _batched(*g.v, g.theta, h.tau, *ru, *rv):
         # Fraction * float is float(q) * x, so floats give the scalar
@@ -136,8 +155,8 @@ def cocycle_exponent(
 
 
 def _base_product(g: GroupElement, h: GroupElement, phase) -> GroupElement:
-    ru = rotate(g.theta, h.u)
-    rv = rotate(g.theta, h.v)
+    ru = _rotated(g.rotation, h.u)
+    rv = _rotated(g.rotation, h.v)
     return GroupElement(
         phase=phase,
         tau=g.tau + h.tau,
@@ -169,9 +188,9 @@ def galilei_product(g: GroupElement, h: GroupElement) -> GroupElement:
 def inverse(kind: GroupKind, params: ExtensionParams, g: GroupElement) -> GroupElement:
     """Two-sided inverse under the twisted law (phases modulo 2*pi)."""
     _check_kind(kind, params)
-    rminus = lambda w: rotate(-g.theta, w)
-    v_inv = rminus((-g.v[0], -g.v[1]))
-    u_inv = rminus((g.v[0] * g.tau - g.u[0], g.v[1] * g.tau - g.u[1]))
+    rminus = _cos_sin(-g.theta)
+    v_inv = _rotated(rminus, (-g.v[0], -g.v[1]))
+    u_inv = _rotated(rminus, (g.v[0] * g.tau - g.u[0], g.v[1] * g.tau - g.u[1]))
     partial = GroupElement(phase=0, tau=-g.tau, u=u_inv, v=v_inv, theta=-g.theta)
     xi = cocycle_exponent(kind, params, g, partial)
     return GroupElement(
@@ -335,9 +354,3 @@ def random_elements(rng, samples: int, count: int = 1) -> tuple:
     r = _random_doubles(rng, samples * count * 7).reshape(samples, count, 7)
     x = (-hi + (hi - -hi) * r).transpose(1, 2, 0).copy()  # rng.uniform(a, b): a + (b - a) * r
     return tuple(GroupElement(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6]) for c in x)
-
-
-def random_rational_element(rng) -> GroupElement:
-    """Random element with theta = 0 (exact mode): phase, tau, u1, u2, v1 and v2
-    each a Fraction p/q drawn as randint(-4, 4), then randint(1, 4)."""
-    return _exact_element([Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(6)])

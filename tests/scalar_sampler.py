@@ -1,5 +1,5 @@
-"""The tests' scalar samplers: seeded charges, and the float element that
-`group.random_elements` must match."""
+"""The tests' scalar samplers: seeded charges, exact elements, and the float
+element that `group.random_elements` must match."""
 
 import math
 from fractions import Fraction
@@ -32,3 +32,10 @@ def random_element(rng) -> GroupElement:
         v=(r(), r()),
         theta=rng.uniform(-math.pi, math.pi),
     )
+
+
+def random_rational_element(rng) -> GroupElement:
+    """Random element with theta = 0 (exact mode): phase, tau, u1, u2, v1 and v2
+    each a Fraction p/q drawn as randint(-4, 4), then randint(1, 4)."""
+    q = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(6)]
+    return GroupElement(q[0], q[1], (q[2], q[3]), (q[4], q[5]), Fraction(0))

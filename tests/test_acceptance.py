@@ -12,7 +12,7 @@ from galilei21 import algebra, contraction, enveloping, group
 from galilei21.algebra import ExtensionParams
 from galilei21.cli import DEFAULT_C_GRID
 from galilei21.cli import main as cli_main
-from scalar_sampler import random_params, random_rational
+from scalar_sampler import random_params, random_rational, random_rational_element
 
 
 @contextlib.contextmanager
@@ -121,7 +121,7 @@ def test_criterion_05_group_cocycle_condition():
         for _ in range(5):
             p = random_params(rng)
             for _ in range(40):
-                g, h, f = (group.random_rational_element(rng) for _ in range(3))
+                g, h, f = (random_rational_element(rng) for _ in range(3))
                 d = group.associativity_defect(group.GroupKind.COVERING, p, g, h, f)
                 assert d == 0 and not isinstance(d, float)
 
@@ -138,7 +138,7 @@ def test_criterion_06_group_charge_removal():
             d = group.homomorphism_defect(group.GroupKind.EXTENDED, p_k, p_0, phi, g, h)
             assert d.shape == (1000,) and (d < 1e-12).all()
             for _ in range(40):
-                g, h = group.random_rational_element(rng), group.random_rational_element(rng)
+                g, h = random_rational_element(rng), random_rational_element(rng)
                 d = group.homomorphism_defect(group.GroupKind.EXTENDED, p_k, p_0, phi, g, h)
                 assert d == 0 and not isinstance(d, float)
 

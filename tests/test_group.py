@@ -33,11 +33,10 @@ from galilei21.group import (
     identity_certified,
     inverse,
     random_elements,
-    random_rational_element,
     rotate,
     worst_per_sample,
 )
-from scalar_sampler import random_element, random_params
+from scalar_sampler import random_element, random_params, random_rational_element
 
 EXT = GroupKind.EXTENDED
 COV = GroupKind.COVERING
@@ -348,7 +347,43 @@ def test_rotation_matrix_convention():
     assert x == pytest.approx((0.0, -1.0), abs=1e-15)
     y = rotate(math.pi / 2, (0.0, 1.0))
     assert y == pytest.approx((1.0, 0.0), abs=1e-15)
-    assert rotate(0, (F(1, 2), F(3))) == (F(1, 2), F(3))
+    x = rotate(0, (F(1, 2), F(3)))
+    assert x == (F(1, 2), F(3)) and all(type(c) is F for c in x)
+
+
+def test_rotation_is_the_trigonometry_of_theta_bit_for_bit():
+    theta = np.array([-math.pi, -0.5, 1e-300, 0.7, 3.0])
+    c, s = GroupElement(theta=theta).rotation
+    assert c.tobytes() == np.cos(theta).tobytes() and s.tobytes() == np.sin(theta).tobytes()
+    for x in theta.tolist():
+        assert GroupElement(theta=x).rotation == (math.cos(x), math.sin(x))
+
+
+def test_rotation_keeps_exact_zero_exact_and_fails_closed():
+    assert GroupElement(theta=0).rotation is None and GroupElement(theta=F(0)).rotation is None
+    for value in (math.nan, math.inf, -math.inf):
+        assert all(math.isnan(c) for c in GroupElement(theta=value).rotation)
+
+
+def test_reading_the_rotation_leaves_the_element_unchanged():
+    g = random_element(random.Random(21))
+    fresh = dataclasses.replace(g)
+    assert g.rotation == (math.cos(g.theta), math.sin(g.theta))
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(g)] == ["phase", "tau", "u", "v", "theta"]
+
+
+def test_a_product_computes_each_factors_rotation_once(monkeypatch):
+    calls = []
+    real = group_module._cos_sin
+    monkeypatch.setattr(group_module, "_cos_sin", lambda theta: calls.append(theta) or real(theta))
+    p = ExtensionParams(F(3), F(1), F(2))
+    g, h, f = random_elements(random.Random(22), 50, 3)
+    associativity_defect(COV, p, g, h, f)
+    assert len(calls) == 3  # g, h and gh; the right factors f and hf are never rotated by
+    calls.clear()
+    inverse(COV, p, g)  # g's own rotation is kept: only -theta is computed, once for both vectors
+    assert len(calls) == 1 and calls[0].tobytes() == (-g.theta).tobytes()
 
 
 @settings(max_examples=50)
