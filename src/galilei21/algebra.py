@@ -216,10 +216,11 @@ def antisymmetry_defect(alg: LieAlgebra) -> Fraction:
     dim = alg.dim
     for i in range(dim):
         for j in range(i, dim):
-            for n in range(dim):
-                d = abs(alg.tensor[i][j][n] + alg.tensor[j][i][n])
-                if d > worst:
-                    worst = d
+            for x, y in zip(alg.tensor[i][j], alg.tensor[j][i]):
+                if x or y:  # two zeros add to no defect
+                    d = abs(x + y)
+                    if d > worst:
+                        worst = d
     return worst
 
 

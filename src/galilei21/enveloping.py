@@ -15,10 +15,9 @@ leftmost out-of-order pair is rewritten first; confluence is certified
 by the associativity tests rather than assumed.  Each top-level call
 (`no_mul`, `no_commutators`, `generator_brackets`, `is_central`,
 `centralizer_basis`) takes the charges (k, m, l) and builds one memo of
-normal forms over
-`make_galilei_algebra` for all of its products; nothing refers back to
-the memo, so it is freed by the time the call returns, and nothing is
-kept between calls.
+normal forms over `make_galilei_algebra` for all of its products;
+nothing refers back to the memo, so it is freed by the time the call
+returns, and nothing is kept between calls.
 
 The memo holds integers, not fractions: with D the least common
 denominator of the structure constants, the normal form of a word of
@@ -35,35 +34,41 @@ with one letter replaced by a bracket term get normal-ordered.
 `generator_brackets` gives the six [g, p] of each candidate invariant
 this way, and `is_central` reads them.
 
-The bounded-degree centralizer search solves [g, X] = 0 in exact integer
-arithmetic, with rows for g in {N1, H, M} only, read from `bracket`:
-[N1,H] = P1, [M,N1] = N2 and [N2,H] = P2 at every charge set, so by
-Jacobi, which holds identically in the charges, X then commutes with all
-six generators and the kernel is unchanged (tests/test_enveloping.py
-proves both premises at symbolic charges).  Each column of the system, a
-monomial of length n, is scaled by D**(max degree - n), so every row is
-integral, and the search stays in integers from the bracket to the
-basis: `exact_nullspace` takes integer rows and returns each null vector
-as a sparse {column: int}, which `centralizer_basis` reads as a `NOPoly`.
-`in_span`, the one caller with rational coefficients, first scales them
-all by one common denominator.  A row need not be primitive: dividing it
-by a positive constant leaves every pivot row the same, and every
-reduced row too once its gcd is divided out.  The eliminator takes the
-rows sparsest first, so the early pivots are short and the many
-redundant rows reduce to zero against them cheaply; a pivot row with one
-entry sets its column to 0, and the later rows drop that column before
-they reduce.  Neither changes a basis: the pivot columns are the leading
-columns of the row space, and each null vector is the unique solution
-with 1 in its free column and 0 in the other free columns, scaled by the
-least common multiple of its denominators.  No floating point enters
-this module.
+The bounded-degree centralizer search works in the symmetric algebra:
+the symmetrization beta: S(g) -> U(g) is an isomorphism of g-modules
+that keeps the filtration (Dixmier, Enveloping Algebras, 2.4.10), and
+it passes to the quotients by (E - 1) as E is central.  So the degree
+<= d centralizer is beta of the kernel of ad_g on commutative
+polynomials, whose rows need no normal ordering (`_centralizer_rows`),
+for g in {N1, H, M} only: [N1,H] = P1, [M,N1] = N2 and [N2,H] = P2 at
+every charge set, so by Jacobi X then commutes with all six generators
+(tests/test_enveloping.py proves both premises at symbolic charges).
+Each canonical kernel vector's largest column is its free column, and
+beta(w) is w plus shorter words, which come earlier in the graded
+column order: the kernel in U has the same free columns, and beta(v_f)
+cleared at the earlier free columns and divided by its content is
+`exact_nullspace`'s vector of [g, X] = 0 in normal-ordered words.
+
+`exact_nullspace` takes integer rows and returns each null vector as a
+sparse {column: int}; `in_span`, the one caller with rational
+coefficients, first scales them all by one common denominator.  A row
+need not be primitive: dividing it by a positive constant leaves every
+pivot row the same, and every reduced row too once its gcd is divided
+out.  The eliminator takes the rows sparsest first, so the early pivots
+are short and the many redundant rows reduce to zero against them
+cheaply; a pivot row with one entry sets its column to 0, and the later
+rows drop that column before they reduce.  Neither changes a basis: the
+pivot columns are the leading columns of the row space, and each null
+vector is the unique solution with 1 in its free column and 0 in the
+other free columns, scaled by the least common multiple of its
+denominators.  No floating point enters this module.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import ExtensionParams, Poly, _as_rational, make_galilei_algebra
@@ -172,20 +177,22 @@ class _NormalOrderer(dict):
 
     def __init__(self, params: ExtensionParams):
         alg = make_galilei_algebra(params)
-        e_idx = alg.index("E")
-        gen_idx = [alg.index(n) for n in GEN_NAMES]
+        gen_of = {alg.index(n): g for g, n in enumerate(GEN_NAMES)}  # E maps to None
+        # the nonzero entries c of [g_a, g_b] = sum_n c X_n, with n the generator or None for E
+        entries = [(gen_of[i], gen_of[j], gen_of.get(n), c) for i in gen_of for j in gen_of
+                   for n, c in enumerate(alg.tensor[i][j]) if c]
         # a rewrite drops the word by one letter (generator term) or two
         # (scalar), so the numerators gain den or den**2
-        self.den = den = lcm(*(c.denominator for a in gen_idx for b in gen_idx
-                               for c in alg.tensor[a][b]))
+        self.den = den = lcm(*(c.denominator for *_, c in entries))
         # [g_a, g_b] = scalar*1 + sum of generator terms, E evaluated to 1
-        self.table = {}
-        for a in range(NGEN):
-            for b in range(NGEN):
-                row = alg.tensor[gen_idx[a]][gen_idx[b]]
-                terms = tuple((gen_idx.index(n), int(cn * den))
-                              for n, cn in enumerate(row) if n != e_idx and cn)
-                self.table[(a, b)] = (int(row[e_idx] * den * den), terms)
+        self.table = {(a, b): (0, ()) for a in range(NGEN) for b in range(NGEN)}
+        for a, b, n, c in entries:
+            scalar, terms = self.table[(a, b)]
+            if n is None:
+                scalar = c.numerator * (den * den // c.denominator)
+            else:
+                terms += ((n, c.numerator * (den // c.denominator)),)
+            self.table[(a, b)] = (scalar, terms)
 
     def __missing__(self, word: tuple) -> dict:
         for i in range(len(word) - 1):
@@ -410,34 +417,80 @@ def exact_nullspace(rows: Iterable[Mapping[int, int]], ncols: int) -> list[dict[
     return basis
 
 
-def _centralizer_rows(params: ExtensionParams, monos: Sequence[tuple]) -> Iterable[dict[int, int]]:
-    """The rows of [g, sum_m x_m X^m] = 0 over `monos` for g in {N1, H, M}, one
-    per (g, monomial of the commutator), from the orderer's `bracket`, each
-    scaled by D**(max degree + 1) to integers.  The memo of normal forms is
-    freed on return, before the elimination needs its memory."""
-    normal_form = _NormalOrderer(params)
-    max_degree = len(monos[-1])
+def _centralizer_rows(normal_form: _NormalOrderer, monos: Sequence[tuple]) -> Iterable[dict[int, int]]:
+    """The rows of ad_g(sum_w x_w w) = 0 in S(g)/(E - 1) for g in {N1, H, M},
+    times D**(max degree + 1), one per (g, word): ad_g(x^a rest) =
+    a x^(a-1) rest [g, x], with [g, x] from the orderer's `table`."""
+    den, max_degree = normal_form.den, len(monos[-1])
+    brackets = [[] for _ in range(NGEN)]  # [g, x] as (g, word, coefficient) for each letter x
+    for x, g in itertools.product(range(NGEN), (N1, H, M)):
+        scalar, terms = normal_form.table[(g, x)]
+        brackets[x] += [(g, (), scalar * den ** max(max_degree - 1, 0))] * bool(scalar)
+        brackets[x] += [(g, (h,), ch * den ** max_degree) for h, ch in terms]
     rows: dict[tuple, dict[int, int]] = {}
-    for g in (N1, H, M):
-        for col, w in enumerate(monos):
-            scale = normal_form.den ** (max_degree - len(w))
-            for rmono, co in normal_form.bracket(g, w).items():
-                rows.setdefault((g, rmono), {})[col] = co * scale
+    for col, w in enumerate(monos):
+        for i, x in enumerate(w):
+            if i and w[i - 1] == x:
+                continue
+            a, rest = w.count(x), w[:i] + w[i + 1:]
+            for g, word, c in brackets[x]:
+                row = rows.setdefault((g, tuple(sorted(rest + word))), {})
+                row[col] = row.get(col, 0) + a * c
     return rows.values()
 
 
-def centralizer_basis(params: ExtensionParams, max_degree: int) -> tuple[NOPoly, ...]:
-    """A basis of the degree <= max_degree polynomials commuting with every generator.
+def _symmetrized(normal_form: _NormalOrderer, words: Iterable[tuple]) -> dict[tuple, dict]:
+    """{w: {sorted word: n}}, sum n * mono = len(w)! D**len(w) beta(w), for
+    `words` and their sub-words, shortest first, by beta(w) = (1/len(w))
+    sum_x a_x x beta(w - x) over the distinct letters x of w."""
+    den = normal_form.den
+    todo, layer = set(words), set(words)
+    while layer:
+        layer = {w[:i] + w[i + 1:] for w in layer for i in range(len(w))} - todo
+        todo |= layer
+    out = {(): {(): 1}}
+    for w in sorted(todo - {()}, key=len):
+        n, acc = len(w), {}
+        for i, x in enumerate(w):
+            if i and w[i - 1] == x:
+                continue
+            for u, c in out[w[:i] + w[i + 1:]].items():
+                f = w.count(x) * c * den ** (n - 1 - len(u))  # to the memo's scale D**n
+                for mono, co in normal_form[(x,) + u].items():
+                    acc[mono] = acc.get(mono, 0) + f * co
+        # acc = D**n sum_x a_x x (n - 1)! D**(n - 1) beta(w - x) = D**(n - 1) n! D**n beta(w)
+        scale = den ** (n - 1)
+        if any(c % scale for c in acc.values()):
+            raise ArithmeticError(f"the symmetrization of {w!r} is not integral")
+        out[w] = {mono: c // scale for mono, c in acc.items() if c}
+    return out
 
-    The kernel of the exact linear system [g, sum_m x_m X^m] = 0 over the
-    graded monomial list, for g in {N1, H, M}, which generate the other three
-    at every charge set.  Scalars are always present, so the basis is never empty.
-    """
+
+def centralizer_basis(params: ExtensionParams, max_degree: int) -> tuple[NOPoly, ...]:
+    """A basis of the degree <= max_degree polynomials commuting with every
+    generator, from the symmetric algebra (see the module docstring).
+    Scalars are always present, so the basis is never empty."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     monos = monomials_up_to(max_degree)
-    kernel = exact_nullspace(_centralizer_rows(params, monos), len(monos))
-    return tuple(NOPoly({monos[j]: c for j, c in vec.items()}) for vec in kernel)
+    normal_form = _NormalOrderer(params)
+    kernel = exact_nullspace(_centralizer_rows(normal_form, monos), len(monos))
+    beta = _symmetrized(normal_form, {monos[j] for vec in kernel for j in vec})
+    basis: list[tuple[tuple, dict]] = []  # (free word, vector) in normal-ordered words
+    for vec in kernel:
+        out: dict[tuple, int] = {}  # beta(vec) times max_degree! D**max_degree
+        for j, c in vec.items():
+            n = len(monos[j])
+            f = c * factorial(max_degree) // factorial(n) * normal_form.den ** (max_degree - n)
+            for mono, co in beta[monos[j]].items():
+                out[mono] = out.get(mono, 0) + f * co
+        for prev_free, prev in basis:  # clear the earlier free columns
+            if out.get(prev_free):
+                e, p = out[prev_free], prev[prev_free]
+                out = {mono: p * out.get(mono, 0) - e * prev.get(mono, 0) for mono in out.keys() | prev.keys()}
+        g = gcd(*out.values())
+        basis.append((monos[max(vec)], {mono: c // g for mono, c in out.items() if c}))
+    return tuple(NOPoly(vec) for _, vec in basis)
 
 
 def in_span(polys: Sequence[NOPoly], p: NOPoly) -> bool:

@@ -225,6 +225,21 @@ def test_corrupted_tensor_detection():
     assert antisymmetry_defect(bad2) != 0
 
 
+def test_antisymmetry_defect_matches_the_dense_formula_on_corrupted_tensors():
+    # the defect skips the pairs of zero entries; against every pair summed
+    rng = random.Random(29)
+    for _ in range(200):
+        alg = make_galilei_algebra(random_params(rng))
+        for _ in range(rng.randint(0, 4)):
+            i, j, n = (rng.randrange(alg.dim) for _ in range(3))
+            value = F(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.8 else alg.tensor[j][i][n]
+            alg = _with_entry(alg, i, j, n, value)
+        t = alg.tensor
+        dense = max(abs(t[i][j][n] + t[j][i][n]) for i in range(alg.dim) for j in range(alg.dim) for n in range(alg.dim))
+        defect = antisymmetry_defect(alg)
+        assert defect == dense and type(defect) is F
+
+
 def test_k_removal_maps_onto_k_zero_algebra():
     alg = galg(1, 2, 0)
     changed = shift_k_away(ExtensionParams(1, 2, 0))

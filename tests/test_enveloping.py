@@ -1,9 +1,10 @@
 import gc
 import hashlib
+import itertools
 import random
 import weakref
 from fractions import Fraction as F
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -462,7 +463,8 @@ def test_three_generator_premise_holds_at_symbolic_charges():
 def test_three_generator_rows_give_the_six_generator_basis_at_degree_5(params):
     basis, six_rows = _six_row_centralizer(params, 5)
     assert centralizer_basis(params, 5) == basis
-    assert len(enveloping_module._centralizer_rows(params, monomials_up_to(5))) < six_rows
+    orderer = enveloping_module._NormalOrderer(params)
+    assert len(enveloping_module._centralizer_rows(orderer, monomials_up_to(5))) < six_rows
 
 
 def _reference_nullspace(rows, ncols):
@@ -700,3 +702,100 @@ def test_orderers_are_freed_without_the_cycle_collector(monkeypatch):
             assert len(built) == 1 and built[0]() is None, name
     finally:
         gc.enable()
+
+
+def _fraction_table(params):
+    """The orderer's (den, table) as it was built before, with `Fraction`
+    products over every tensor entry: a test-only reference."""
+    alg = make_galilei_algebra(params)
+    e_idx = alg.index("E")
+    gen_idx = [alg.index(n) for n in GEN_NAMES]
+    den = lcm(*(c.denominator for a in gen_idx for b in gen_idx for c in alg.tensor[a][b]))
+    table = {}
+    for a in range(len(GEN_NAMES)):
+        for b in range(len(GEN_NAMES)):
+            row = alg.tensor[gen_idx[a]][gen_idx[b]]
+            terms = tuple((gen_idx.index(n), int(cn * den)) for n, cn in enumerate(row) if n != e_idx and cn)
+            table[(a, b)] = (int(row[e_idx] * den * den), terms)
+    return den, table
+
+
+@pytest.mark.parametrize("params", [*BRACKET_PARAMS, ExtensionParams(0, 0, 0), ExtensionParams(F(-6), F(1, 4), 0)])
+def test_orderer_table_is_the_fraction_built_table(params):
+    orderer = enveloping_module._NormalOrderer(params)
+    den, table = _fraction_table(params)
+    assert orderer.den == den and type(orderer.den) is int
+    assert list(orderer.table.items()) == list(table.items())
+    assert all(type(c) is int for scalar, terms in orderer.table.values() for c in (scalar, *dict(terms).values()))
+
+
+def _commutative_ad(brackets, g, s):
+    """ad_g s for a commutative polynomial s = {sorted word: coefficient} in
+    S(g)/(E - 1), a letter at a time: at each position i, w_i replaced by
+    [g, w_i].  A test-only reference that shares no code with the rows."""
+    out = {}
+    for w, c in s.items():
+        for i in range(len(w)):
+            for word, co in brackets[(g, w[i])]:
+                image = tuple(sorted(w[:i] + w[i + 1:] + word))
+                out[image] = out.get(image, F(0)) + c * co
+    return {w: c for w, c in out.items() if c}
+
+
+def _beta(params, s):
+    """The symmetrization of a commutative polynomial s, from `_symmetrized`."""
+    orderer = enveloping_module._NormalOrderer(params)
+    sym = enveloping_module._symmetrized(orderer, s)
+    out = {}
+    for w, c in s.items():
+        f = F(c) / (factorial(len(w)) * orderer.den ** len(w))
+        for mono, co in sym[w].items():
+            out[mono] = out.get(mono, F(0)) + f * co
+    return NOPoly(out)
+
+
+@pytest.mark.parametrize("params", BRACKET_PARAMS)
+def test_symmetrization_is_the_mean_over_orderings(params):
+    # beta(w) = (1/n!) sum over the orderings of w of their products in U(g),
+    # each normal-ordered by the rightmost-first oracle
+    brackets = _bracket_table(make_galilei_algebra(params))
+    for w in monomials_up_to(4):
+        orderings = set(itertools.permutations(w))
+        mean = {}
+        for word in orderings:
+            for mono, co in _rightmost_normal_form(brackets, word).items():
+                mean[mono] = mean.get(mono, F(0)) + co / len(orderings)
+        assert _beta(params, {w: 1}) == NOPoly(mean), w
+
+
+@pytest.mark.parametrize("params", BRACKET_PARAMS)
+def test_symmetrization_is_equivariant(params):
+    # beta(ad_g s) = g beta(s) - beta(s) g for every generator g
+    brackets = _bracket_table(make_galilei_algebra(params))
+    rng = random.Random(43)
+    monos = monomials_up_to(4)
+    for _ in range(12):
+        s = {rng.choice(monos): F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)}
+        b = _beta(params, s)
+        for g, name in enumerate(GEN_NAMES):
+            gen = NOPoly.generator(name)
+            assert _beta(params, _commutative_ad(brackets, g, s)) == no_mul(params, gen, b) - no_mul(params, b, gen)
+
+
+def test_symmetrization_division_is_exact():
+    orderer = enveloping_module._NormalOrderer(MIXED_DENOMINATORS)
+    sym = enveloping_module._symmetrized(orderer, monomials_up_to(4))
+    assert set(sym) == set(monomials_up_to(4))
+    assert all(type(c) is int for nf in sym.values() for c in nf.values())
+    # the leading term of n! D**n beta(w) is n! D**n w
+    assert all(sym[w][w] == factorial(len(w)) * 90 ** len(w) for w in sym)
+
+
+def test_centralizer_basis_matches_the_oracle_on_random_charges():
+    # every fourth set as drawn; the others with l, m or both set to 0, so the
+    # kernels of all four Casimir regimes get symmetrized
+    rng = random.Random(47)
+    for i in range(20):
+        p = random_params(rng)
+        p = [p, ExtensionParams(p.k, p.m, 0), ExtensionParams(p.k, 0, p.l), ExtensionParams(p.k, 0, 0)][i % 4]
+        assert centralizer_basis(p, 4) == _oracle_centralizer(make_galilei_algebra(p), 4), p
