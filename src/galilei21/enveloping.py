@@ -49,24 +49,30 @@ column order: the kernel in U has the same free columns, and beta(v_f)
 cleared at the earlier free columns and divided by its content is
 `exact_nullspace`'s vector of [g, X] = 0 in normal-ordered words.
 
-`exact_nullspace` takes integer rows and returns each null vector as a
-sparse {column: int}; `in_span`, the one caller with rational
-coefficients, first scales them all by one common denominator.  A row
-need not be primitive: dividing it by a positive constant leaves every
-pivot row the same, and every reduced row too once its gcd is divided
-out.  The eliminator takes the rows sparsest first, so the early pivots
-are short and the many redundant rows reduce to zero against them
-cheaply; a pivot row with one entry sets its column to 0, and the later
-rows drop that column before they reduce.  Neither changes a basis: the
-pivot columns are the leading columns of the row space, and each null
-vector is the unique solution with 1 in its free column and 0 in the
-other free columns, scaled by the least common multiple of its
-denominators.  No floating point enters this module.
+`exact_nullspace` takes rows of int entries (anything else raises
+TypeError before any work) and returns each null vector as a sparse
+{column: int}; `in_span`, the one caller with rational coefficients,
+first scales them all by one common denominator.  The eliminator first
+peels singletons (structured Gaussian elimination; LaMacchia and Odlyzko,
+CRYPTO '90): a row with one nonzero entry sets its column j to 0, so j
+is struck from every row, through a column -> rows index, until no row
+has one entry left.  As e_j is in the row space, each peeled j is a
+leading column, with pivot row {j: 1}, and the leading columns of the
+struck rows that remain, reduced fraction-free sparsest first, make up
+the rank.  Back-substitution visits, per free column, only the pivot
+rows that hold a column already set, largest pivot first from a work
+list kept sorted.  None of this changes a basis: the pivot columns are
+the leading columns of the row space, and each null vector is the unique
+solution with 1 in its free column and 0 in the other free columns,
+scaled by the least common multiple of its denominators.  No floating
+point enters this module.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import insort
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -346,43 +352,54 @@ def monomials_up_to(max_degree: int) -> list[tuple]:
 
 
 def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict]:
-    """Fraction-free forward elimination of integer rows, sparsest row first;
-    returns {pivot column: primitive row}.  Zero entries are dropped.  A
-    pivot row with one entry says its column is 0, so later rows drop that
-    column before they reduce: the row space, and with it every pivot
-    column, is unchanged."""
+    """Fraction-free forward elimination of integer rows; returns {pivot
+    column: primitive row}.  Zero entries are dropped, and any entry that
+    is not an int raises TypeError.  Singletons are peeled first (see the
+    module docstring); the rows left reduce sparsest first, and a one-entry
+    pivot row made by a reduction retires its column from the later rows."""
+    rows = list(rows)
+    holding = defaultdict(list)  # column -> the rows with a nonzero entry there
+    # per row, the count and the sum of its nonzero entries' unpeeled columns:
+    # the sum is the column itself once one is left
+    live, colsum = list(map(len, rows)), list(map(sum, rows))
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if type(v) is not int:
+                raise TypeError("exact elimination takes int entries")
+            if v:
+                holding[j].append(i)
+            else:
+                live[i] -= 1
+                colsum[i] -= j
     pivots: dict[int, dict] = {}
-    zero: set[int] = set()
-    for row in sorted(rows, key=len):
-        row = {j: v for j, v in row.items() if v and j not in zero}
+    singles = [i for i, n in enumerate(live) if n == 1]
+    while singles:
+        i = singles.pop()
+        if live[i]:  # not emptied since by peeling its column from another row
+            col = colsum[i]
+            pivots[col] = {col: 1}
+            for k in holding[col]:
+                live[k] -= 1
+                colsum[k] -= col
+                if live[k] == 1:
+                    singles.append(k)
+    zero = set(pivots)
+    for i in sorted((i for i, n in enumerate(live) if n), key=live.__getitem__):
+        row = {j: v for j, v in rows[i].items() if v and j not in zero}
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                if row[col] < 0:
-                    row = {j: -v for j, v in row.items()}
-                g = gcd(*row.values())
+                g = gcd(*row.values()) if row[col] > 0 else -gcd(*row.values())
                 pivots[col] = {j: v // g for j, v in row.items()}
                 if len(row) == 1:
                     zero.add(col)
                 break
             a, b = pivot[col], row[col]
-            new = {}
-            for j, v in row.items():
-                w = a * v - b * pivot.get(j, 0)
-                if w:
-                    new[j] = w
-            for j, pv in pivot.items():
-                if j not in row:
-                    w = -b * pv
-                    if w:
-                        new[j] = w
+            new = {j: w for j in row.keys() | pivot.keys() if (w := a * row.get(j, 0) - b * pivot.get(j, 0))}
             # drop the shared content so the integers stay small
-            if new:
-                g = gcd(*new.values())
-                if g > 1:
-                    new = {j: v // g for j, v in new.items()}
-            row = new
+            g = gcd(*new.values())
+            row = {j: v // g for j, v in new.items()} if g > 1 else new
     return pivots
 
 
@@ -393,19 +410,25 @@ def exact_nullspace(rows: Iterable[Mapping[int, int]], ncols: int) -> list[dict[
     Elimination is fraction-free (integer cross-multiplication with gcd
     reduction), and so is back-substitution: numerators over one common
     denominator.  Each vector is the primitive integer multiple of the
-    solution with a 1 in its free column, as a sparse {column: int}.  A
-    non-integer entry in a row that does not reduce to zero raises TypeError.
+    solution with a 1 in its free column, as a sparse {column: int}.  An
+    entry that is not an int raises TypeError.
     """
     pivots = _eliminate(rows)
-    pivot_cols = sorted(pivots, reverse=True)
+    holders = defaultdict(list)  # column -> the pivot columns of the rows holding it
+    for col, row in pivots.items():
+        for j in row.keys() - {col}:
+            holders[j].append(col)
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
         # the nonzero numerators; each rescale is the least that keeps them
-        # integers, so the common denominator ends as the lcm of the solution's
-        vec = {free: 1}
-        for col in pivot_cols:  # descending: later pivots are already final
+        # integers, so the common denominator ends as the lcm of the solution's.
+        # Only rows holding a set column are visited, largest pivot first; a
+        # row queued by two of its columns sums to 0 the second time, as solved
+        vec, todo = {free: 1}, sorted(holders[free])
+        while todo:
+            col = todo.pop()
             row = pivots[col]
             s = sum(v * vec[j] for j, v in row.items() if j in vec)
             if s:
@@ -413,6 +436,8 @@ def exact_nullspace(rows: Iterable[Mapping[int, int]], ncols: int) -> list[dict[
                 if row[col] != g:
                     vec = {j: c * (row[col] // g) for j, c in vec.items()}
                 vec[col] = -s // g
+                for pivot_col in holders[col]:
+                    insort(todo, pivot_col)
         basis.append(vec)
     return basis
 
@@ -420,21 +445,25 @@ def exact_nullspace(rows: Iterable[Mapping[int, int]], ncols: int) -> list[dict[
 def _centralizer_rows(normal_form: _NormalOrderer, monos: Sequence[tuple]) -> Iterable[dict[int, int]]:
     """The rows of ad_g(sum_w x_w w) = 0 in S(g)/(E - 1) for g in {N1, H, M},
     times D**(max degree + 1), one per (g, word): ad_g(x^a rest) =
-    a x^(a-1) rest [g, x], with [g, x] from the orderer's `table`."""
+    a x^(a-1) rest [g, x], with [g, x] from the orderer's `table`, keyed by g
+    and the word's exponents as base max degree + 1 digits, step[x] apart."""
     den, max_degree = normal_form.den, len(monos[-1])
-    brackets = [[] for _ in range(NGEN)]  # [g, x] as (g, word, coefficient) for each letter x
+    step = [(max_degree + 1) ** x for x in range(NGEN + 1)]  # step[NGEN] counts g
+    brackets = [[] for _ in range(NGEN)]  # [g, x] as (key shift, coefficient) for each letter x
     for x, g in itertools.product(range(NGEN), (N1, H, M)):
         scalar, terms = normal_form.table[(g, x)]
-        brackets[x] += [(g, (), scalar * den ** max(max_degree - 1, 0))] * bool(scalar)
-        brackets[x] += [(g, (h,), ch * den ** max_degree) for h, ch in terms]
-    rows: dict[tuple, dict[int, int]] = {}
+        shift = g * step[NGEN] - step[x]
+        brackets[x] += [(shift, scalar * den ** max(max_degree - 1, 0))] * bool(scalar)
+        brackets[x] += [(shift + step[h], ch * den ** max_degree) for h, ch in terms]
+    rows: dict[int, dict[int, int]] = {}
     for col, w in enumerate(monos):
+        key = sum(map(step.__getitem__, w))
         for i, x in enumerate(w):
             if i and w[i - 1] == x:
                 continue
-            a, rest = w.count(x), w[:i] + w[i + 1:]
-            for g, word, c in brackets[x]:
-                row = rows.setdefault((g, tuple(sorted(rest + word))), {})
+            a = w.count(x)
+            for shift, c in brackets[x]:
+                row = rows.setdefault(key + shift, {})
                 row[col] = row.get(col, 0) + a * c
     return rows.values()
 

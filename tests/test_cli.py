@@ -433,6 +433,7 @@ CI_REPORTS = {
     "casimir --k 3/2 --m 2 --l 1/3 --max-degree 6": 0,
     "casimir --k=3/2 --m=2 --l=0 --max-degree 6": 0,
     "casimir --k=5/2 --m=0 --l=-3 --max-degree 6": 0,
+    "casimir --k=0 --m=0 --l=0 --max-degree 6": 0,
     "casimir --k=-2/3 --m=0 --l=0 --max-degree 4": 0,
     "casimir --k=-9/5 --m=7/6 --l=2/9 --max-degree 5": 0,
     "group --k=3/2 --m=-5/4 --samples 1000": 0,

@@ -342,6 +342,7 @@ CENTRALIZER_TABLE = [
     (ExtensionParams(F(0), F(0), F(7, 2)), (1, 1, 3, 3, 6, 6, 10)),  # m = 0, k = 0
     (ExtensionParams(F(-2, 3), F(0), F(0)), (1, 1, 3, 3, 6, 6, 10)),  # m = 0, l = 0
     (ExtensionParams(F(5, 2), F(0), F(-3)), (1, 1, 2, 2, 3, 3, 4)),  # m = 0, k, l != 0
+    (ExtensionParams(F(0), F(0), F(0)), (1, 1, 3, 3, 6, 6, 10)),  # every charge 0, D = 1
 ]
 
 
@@ -434,6 +435,15 @@ CASIMIR_JSON_SHA256 = [
         "ebf50ff00503e7bc2014a4548d2d22bbad50c17658f063fe5f8d3231b97477c7",
         "16700e6d24b875f0830d75502c38c971a7c4885fce759f330983e798593a8b3d",
     ),
+    (
+        "ff9c2a066feeaef7cc14b76014de71d9847e2d7a9045365d8a0b9da39a409d4a",
+        "30cacadb6fd57e849bf8a96e0ebc19140f4f1a63e6b72468bf90f7e7692d8429",
+        "a4b59bc942e1f079519890768381350313dce2d46c80ba54e05e738b3d922148",
+        "2693182986e70f56647703a027174e635f400902bee1c83abb6c2b27ba525a12",
+        "b76ad7fc3774f381066f11d7419c5c3308830243955e1c0b475923796f3e3454",
+        "80d610476a1a13dd9d8043875a18ec66791d3c6a7bad5d02cc3bac9dde3bbb60",
+        "5b16c3bc15617350639061f8e291447852066ab1edaa5cff06f05517b3d9560c",
+    ),
 ]
 
 
@@ -468,24 +478,62 @@ def test_three_generator_rows_give_the_six_generator_basis_at_degree_5(params):
 
 
 def _reference_nullspace(rows, ncols):
-    """exact_nullspace with back-substitution in Fraction sums, as it was written
-    before the integer back-substitution, its vectors in the same sparse
-    integer form: a test-only reference."""
-    pivots = _eliminate(_integral(rows))
+    """Null space by plain Gauss-Jordan elimination of the dense matrix in
+    `Fraction`s, each vector scaled to `exact_nullspace`'s sparse primitive
+    integer form: a test-only reference that shares nothing with `_eliminate`."""
+    matrix = [[F(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    pivots = []  # pivots[i] is the leading column of reduced row i
+    for col in range(ncols):
+        rank = len(pivots)
+        lead = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
+        if lead is None:
+            continue
+        matrix[rank], matrix[lead] = matrix[lead], matrix[rank]
+        top = [v / matrix[rank][col] for v in matrix[rank]]
+        matrix[rank] = top
+        for i, row in enumerate(matrix):
+            if i != rank and row[col]:
+                matrix[i] = [v - row[col] * t for v, t in zip(row, top)]
+        pivots.append(col)
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = [F(0)] * ncols
-        vec[free] = F(1)
-        for col in sorted(pivots, reverse=True):
-            row = pivots[col]
-            s = sum((F(v) * vec[j] for j, v in row.items() if j != col), F(0))
-            if s:
-                vec[col] = -s / row[col]
-        den = lcm(*(c.denominator for c in vec if c)) if any(vec) else 1
-        basis.append({j: int(c * den) for j, c in enumerate(vec) if c})
+        vec = {free: F(1)}
+        vec.update({col: -matrix[i][free] for i, col in enumerate(pivots) if matrix[i][free]})
+        den = lcm(*(c.denominator for c in vec.values()))
+        basis.append({j: int(c * den) for j, c in vec.items()})
     return basis
+
+
+def _random_row(rng, cols):
+    return {j: F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)) for j in cols}
+
+
+def _structured_system(rng, kind):
+    """(rows, ncols) of one of three shapes the uniform draws seldom give:
+    independent blocks on disjoint columns, more columns than the rows can
+    pin (several free columns), or chains where each row holds one new
+    column beside columns of earlier rows, so it is a singleton only once
+    those are peeled."""
+    ncols = rng.randint(4, 14)
+    cols = rng.sample(range(ncols), ncols)
+    if kind == "blocks":
+        cuts = sorted(rng.sample(range(1, ncols), rng.randint(1, 2)))
+        rows = []
+        for block in (cols[a:b] for a, b in zip([0, *cuts], [*cuts, ncols])):
+            for _ in range(rng.randint(1, len(block) + 1)):
+                rows.append(_random_row(rng, rng.sample(block, rng.randint(1, len(block)))))
+    elif kind == "free":
+        rows = [_random_row(rng, rng.sample(cols, rng.randint(2, 4))) for _ in range(rng.randint(1, ncols // 2))]
+    else:
+        chain = cols[:rng.randint(2, ncols)]
+        rows = [_random_row(rng, [chain[0]])]
+        for i, col in enumerate(chain[1:], 1):
+            rows.append(_random_row(rng, [col, *rng.sample(chain[:i], rng.randint(1, min(i, 3)))]))
+        rows += [_random_row(rng, rng.sample(cols, rng.randint(2, 4))) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rows)
+    return rows, ncols
 
 
 def test_exact_nullspace_matches_fraction_back_substitution():
@@ -493,17 +541,23 @@ def test_exact_nullspace_matches_fraction_back_substitution():
     assert exact_nullspace([], 0) == [] == _reference_nullspace([], 0)
     assert exact_nullspace([], 3) == _reference_nullspace([], 3)  # no rows: all free
     assert exact_nullspace([{}, {}], 2) == _reference_nullspace([], 2)  # empty rows skipped
+    cases = []
     for _ in range(300):
         ncols = rng.randint(1, 12)
         used = rng.sample(range(ncols), rng.randint(1, ncols))  # the rest: all-zero columns
         rows = [{} for _ in range(rng.randint(0, 2))]
         for _ in range(rng.randint(0, ncols + 2)):
-            cols = rng.sample(used, rng.randint(1, len(used)))
-            rows.append({j: F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)) for j in cols})
+            rows.append(_random_row(rng, rng.sample(used, rng.randint(1, len(used)))))
         rng.shuffle(rows)
+        cases.append((rows, ncols))
+    cases += [_structured_system(rng, kind) for kind in ("blocks", "free", "chain") for _ in range(100)]
+    for rows, ncols in cases:
         got = exact_nullspace(_integral(rows), ncols)
         assert got == _reference_nullspace(rows, ncols)
         assert all(type(c) is int for vec in got for c in vec.values())
+    # the drawn shapes: several free columns, and chains that the peel settles
+    assert all(len(exact_nullspace(_integral(rows), ncols)) >= 2 for rows, ncols in cases[400:500])
+    assert all(sum(p == {c: 1} for c, p in _eliminate(_integral(rows)).items()) >= 2 for rows, _ in cases[500:])
 
 
 def test_explicit_zero_entries_are_dropped():
@@ -523,6 +577,23 @@ def test_explicit_zero_entries_are_dropped():
 def test_rational_row_raises_rather_than_returning_a_basis(rows):
     with pytest.raises(TypeError):
         exact_nullspace(rows, 3)
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: 1, 1: 1}, {0: 2, 1: F(2)}],  # its row reduces to zero
+    [{0: 1, 1: F(0)}],  # a zero entry, dropped if it were an int
+    [{0: 0.0}],
+    [{0: 1}, {0: 3, 1: 1.5}],  # a float left alone in its row once column 0 is peeled
+    [{0: True}],  # a bool is not an int entry either
+    [{0: 2, 1: False}],
+])
+def test_every_entry_that_is_not_an_int_raises(rows):
+    with pytest.raises(TypeError):
+        exact_nullspace(rows, 2)
+    with pytest.raises(TypeError):
+        _eliminate(rows)
+    with pytest.raises(TypeError):
+        _eliminate(iter(rows))  # checked up front, from a one-shot iterable too
 
 
 def _commutator_rows(params, degree):
@@ -607,6 +678,31 @@ def test_generator_brackets_agree_with_no_commutators():
         got = generator_brackets(params, polys)
         assert [len(row) for row in got] == [len(gens)] * len(polys)
         assert [com for row in got for com in row] == expected, params
+
+
+def test_a_row_is_peeled_once_two_earlier_peels_leave_it_one_entry():
+    # {0: -7} peels column 0, which leaves {1: 4} of the second row, and
+    # peeling column 1 leaves {2: 5} of the first; the rest reduce
+    rows = [{2: 5, 0: 1, 1: -3}, {1: 4, 0: 2}, {0: -7}, {2: 1, 3: 2, 4: 1}, {3: 1, 4: -1, 5: 3}]
+    pivots = _eliminate(rows)
+    assert {col: pivots[col] for col in (0, 1, 2)} == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+    assert pivots[3] == {3: 2, 4: 1} and sorted(pivots) == [0, 1, 2, 3, 4]
+    assert exact_nullspace(rows, 6) == _reference_nullspace(rows, 6) == [{5: 1, 4: 2, 3: -1}]
+
+
+def test_an_explicit_zero_entry_is_not_live():
+    # {0: 0, 1: 3} holds one live entry, and so does the second row once
+    # column 1 is peeled; neither zero enters a pivot row
+    rows = [{0: 0, 1: 3}, {1: 2, 2: 0, 3: 5}, {0: 1, 2: 1, 3: 1}]
+    assert _eliminate(rows) == {1: {1: 1}, 3: {3: 1}, 0: {0: 1, 2: 1}}
+    assert exact_nullspace(rows, 4) == _reference_nullspace(rows, 4) == [{2: 1, 0: -1}]
+    assert _eliminate([{0: 0}, {1: 0, 2: 0}]) == {}
+
+
+def test_rows_of_peeled_columns_only_add_no_pivot():
+    rows = [{0: 4}, {1: -1}, {0: 3, 1: 2}, {1: 5, 0: -5}, {2: 1, 3: 1}]
+    assert _eliminate(rows) == {0: {0: 1}, 1: {1: 1}, 2: {2: 1, 3: 1}}
+    assert exact_nullspace(rows, 4) == _reference_nullspace(rows, 4) == [{3: 1, 2: -1}]
 
 
 def test_one_entry_row_made_by_a_reduction_retires_its_column():
