@@ -15,11 +15,12 @@ measures such limits on grids of c values and fits the decay rate.
 
 Every function takes one element or a stack: matrices (..., 3, 3),
 velocities (..., 2), angles and c values (...), broadcast together.  A
-stack gets the same floating-point operations as one call per entry, and
-every check runs on every entry.  `convergence_study` evaluates a family
-of samples over a (samples, grid) array of c values in one call, and fits
-the log-log slopes of every sample's errors and zetas in one stacked
-least-squares call.  That call runs np.polyfit's steps with the LAPACK
+stack gets the same floating-point operations as one call per entry.
+Every distinct matrix is checked once, before broadcasting, and each
+check is one reduction over the stack.  `convergence_study` evaluates a
+family of samples over a (samples, grid) array of c values in one call,
+and fits the log-log slopes of every sample's errors and zetas in one
+stacked least-squares call.  That call runs np.polyfit's steps with the LAPACK
 solve made once per sample, as np.polyfit makes it, so each slope is the
 sample's own np.polyfit slope bit for bit.
 
@@ -57,9 +58,9 @@ def _as_matrices(m) -> np.ndarray:
     return out
 
 
-def _largest(m) -> np.ndarray:
-    """max |entry| of each 3x3 matrix."""
-    return np.max(np.abs(m), axis=(-2, -1))
+def _within_tol(m) -> bool:
+    """max |entry| <= MATRIX_TOL over the whole stack: one reduction, NaN fails, empty passes."""
+    return bool(np.max(np.abs(m), initial=0.0) <= MATRIX_TOL)
 
 
 def _det(m) -> np.ndarray:
@@ -68,10 +69,14 @@ def _det(m) -> np.ndarray:
     return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
 
 
+def _lorentz_residual(lam) -> np.ndarray:
+    """Lambda^T eta Lambda - eta, per matrix of a stack."""
+    return np.swapaxes(lam, -1, -2) @ (SIGN * lam) - ETA
+
+
 def lorentz_defect(lam):
     """max |Lambda^T eta Lambda - eta|, per matrix of a stack."""
-    lam = _as_matrices(lam)
-    return _largest(np.swapaxes(lam, -1, -2) @ (SIGN * lam) - ETA)
+    return np.max(np.abs(_lorentz_residual(_as_matrices(lam))), axis=(-2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +85,10 @@ class PoincareElement:
 
     lam (..., 3, 3), a (..., 3) and c broadcast to common leading axes; c
     is a float for one element and a float64 array for a stack.  Building
-    checks c > 0 and, for every matrix, at MATRIX_TOL: the Lorentz defect,
-    orthochronous (Lambda^00 >= 1), proper (det = 1 by cofactors, `_det`).
+    checks c > 0 on the broadcast c and, at MATRIX_TOL, every distinct
+    matrix once, before lam is broadcast: the Lorentz defect, orthochronous
+    (Lambda^00 >= 1), proper (det = 1 by cofactors, `_det`); each check is
+    one reduction over the stack.
     """
 
     lam: np.ndarray
@@ -94,19 +101,20 @@ class PoincareElement:
         if a.shape[-1:] != (3,):
             raise ValueError("translation must be a 3-vector")
         shape = np.broadcast_shapes(lam.shape[:-2], a.shape[:-1], np.shape(self.c))
-        # read-only, so the element stays immutable
-        lam, a = np.broadcast_to(lam, shape + (3, 3)), np.broadcast_to(a, shape + (3,))
         c = np.array(np.broadcast_to(self.c, shape), dtype=np.float64)
         c.flags.writeable = False
-        # negated tests over every entry, so that NaN entries fail every check
+        # negated tests, so that NaN entries fail every check; lam is checked
+        # before it is broadcast, so each distinct matrix once
         if not np.all(c > 0):
             raise ValueError("c must be positive")
-        if not np.all(lorentz_defect(lam) <= MATRIX_TOL):
+        if not _within_tol(_lorentz_residual(lam)):
             raise ValueError("matrix is not a Lorentz transformation")
         if not np.all(lam[..., 0, 0] >= 1 - MATRIX_TOL):
             raise ValueError("matrix is not orthochronous")
-        if not np.all(np.abs(_det(lam) - 1.0) <= MATRIX_TOL):
+        if not _within_tol(_det(lam) - 1.0):
             raise ValueError("matrix is not proper")
+        # read-only, so the element stays immutable
+        lam, a = np.broadcast_to(lam, shape + (3, 3)), np.broadcast_to(a, shape + (3,))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", float(c) if c.ndim == 0 else c)
@@ -162,7 +170,7 @@ def _decompose_lorentz(lam, c):
     residual = (FLIP * boost) @ lam
     theta = np.arctan2(residual[..., 1, 2], residual[..., 1, 1])
     rot = rotation_matrix(theta)
-    if not np.all(_largest(residual - rot) <= MATRIX_TOL):
+    if not _within_tol(residual - rot):
         raise ValueError("residual is not a rotation: invariants violated")
     return v, theta, boost, rot
 
@@ -170,7 +178,7 @@ def _decompose_lorentz(lam, c):
 def decompose(p: PoincareElement) -> tuple[np.ndarray, np.ndarray]:
     """(v, theta) with p.lam = L(v) R(theta), v of shape (..., 2); reconstruction is checked."""
     v, theta, boost, rot = _decompose_lorentz(p.lam, p.c)
-    if not np.all(_largest(boost @ rot - p.lam) <= MATRIX_TOL):
+    if not _within_tol(boost @ rot - p.lam):
         raise ValueError("decomposition failed to reconstruct the input")
     return v, theta
 
@@ -203,12 +211,15 @@ def thomas_target(v, w):
     return (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]) / 2
 
 
+def _translation(tau, u, c) -> np.ndarray:
+    """a = (c tau, u1, u2), broadcast to common leading axes."""
+    c, tau, u = (np.asarray(x, dtype=np.float64) for x in (c, tau, u))
+    return np.stack(np.broadcast_arrays(c * tau, u[..., 0], u[..., 1]), axis=-1)
+
+
 def poincare_from_galilei(tau, u, v, theta, c) -> PoincareElement:
     """Element with Lambda = L(v) R(theta) and a = (c tau, u1, u2)."""
-    lam = boost_matrix(v, c) @ rotation_matrix(theta)
-    c, tau, u = (np.asarray(x, dtype=np.float64) for x in (c, tau, u))
-    a = np.stack(np.broadcast_arrays(c * tau, u[..., 0], u[..., 1]), axis=-1)
-    return PoincareElement(lam, a, c)
+    return PoincareElement(boost_matrix(v, c) @ rotation_matrix(theta), _translation(tau, u, c), c)
 
 
 def poincare_product(g: PoincareElement, h: PoincareElement) -> PoincareElement:
@@ -351,8 +362,9 @@ def thomas_experiment(v, vp, theta) -> LimitExperiment:
     target = thomas_target(v, w)
 
     def evaluate(c):
-        _, delta = compose_boosts(v, w, c)
-        _, th, _, _ = _decompose_lorentz(boost_matrix(v, c) @ rotation_matrix(theta), c)
+        l1 = boost_matrix(v, c)
+        delta = _wigner_angle(l1, boost_matrix(w, c))  # compose_boosts' angle, with L(v) built once
+        _, th, _, _ = _decompose_lorentz(l1 @ rotation_matrix(theta), c)
         return np.abs(c * c * delta - target), np.abs(c * c * th)
 
     return LimitExperiment("thomas", tuple(target[:, 0].tolist()), evaluate)
@@ -363,7 +375,8 @@ def mass_experiment(v, theta, tau_p, u_p) -> LimitExperiment:
 
     Each argument holds one value per sample, or one sample's value.  The
     target is v^2/2 tau' + v . R(theta) u'; zeta = c a^0 evaluated on the
-    product grows like c^2 tau'.
+    product grows like c^2 tau'.  The translation is the element
+    {1, (c tau', u'1, u'2)}, built with the identity as its matrix.
     """
     v, theta, tau_p, u_p = _samples(v, 2), _samples(theta), _samples(tau_p), _samples(u_p, 2)
     ru = rotate(theta, (u_p[..., 0], u_p[..., 1]))
@@ -373,7 +386,7 @@ def mass_experiment(v, theta, tau_p, u_p) -> LimitExperiment:
 
     def evaluate(c):
         g = poincare_from_galilei(0.0, (0.0, 0.0), v, theta, c)
-        h = poincare_from_galilei(tau_p, u_p, (0.0, 0.0), 0.0, c)
+        h = PoincareElement(np.eye(3), _translation(tau_p, u_p, c), c)
         errors = np.abs(mass_cocycle_exponent(g, h) - target)
         return errors, np.abs(c * poincare_product(g, h).a[..., 0])
 

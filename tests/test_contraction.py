@@ -477,6 +477,81 @@ def test_stack_with_one_superluminal_or_nan_velocity_fails_closed():
             poincare_from_galilei(1.0, (0.0, 0.0), w, 0.3, c)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (2 * np.eye(3), "not a Lorentz transformation"),
+    (np.diag([-1.0, -1.0, 1.0]), "not orthochronous"),
+    (np.diag([1.0, 1.0, -1.0]), "not proper"),
+    (np.where(np.eye(3, dtype=bool), 1.0, np.nan), "not a Lorentz transformation"),
+])
+def test_one_matrix_broadcast_over_a_c_array_fails_closed(bad, message):
+    # the matrix is checked at its own shape, before it is broadcast to (3,), (2, 4) or (0,)
+    for c in (np.array([1.0, 2.0, 3.0]), np.full((2, 4), 5.0), np.array([])):
+        with pytest.raises(ValueError, match=message):
+            PoincareElement(bad, np.zeros(3), c)
+        with pytest.raises(ValueError, match=message):
+            PoincareElement(bad, np.zeros(c.shape + (3,)), c)
+    p = PoincareElement(np.eye(3), np.zeros(3), np.array([1.0, 2.0, 3.0]))
+    assert p.lam.shape == (3, 3, 3) and p.a.shape == (3, 3) and not p.lam.flags.writeable
+
+
+def test_one_reduction_check_agrees_with_the_per_matrix_defect():
+    tol = contraction.MATRIX_TOL
+    rng = np.random.default_rng(30)
+    v = rng.uniform(-0.6, 0.6, (60, 14, 2)) * rng.uniform(1, 1e6, (60, 14, 1))
+    c = np.hypot(v[..., 0], v[..., 1]) / rng.uniform(0.05, 0.99, (60, 14))
+    lam = boost_matrix(v, c) @ rotation_matrix(rng.uniform(-4, 4, (60, 14)))
+    # Lambda^00 scaled by 1 + d gives a defect near 2 d at [0, 0]: d sweeps across tol / 2
+    steps = tol / 2 * (1 + np.linspace(-1e-4, 1e-4, 41))
+    stacks = [lam, lam[7], lam[7, 3], np.empty((0, 3, 3))]
+    for d in steps:
+        near = np.repeat(np.eye(3)[None], 5, axis=0)
+        near[rng.integers(5), 0, 0] += d
+        stacks.append(near)
+    for bad in (np.nan, np.inf, -np.inf):
+        hit = lam.copy()
+        hit[rng.integers(60), rng.integers(14), rng.integers(3), rng.integers(3)] = bad
+        stacks.append(hit)
+    verdicts = []
+    with np.errstate(invalid="ignore"):  # an infinite entry makes inf - inf
+        for m in stacks:
+            per_matrix = bool(np.all(lorentz_defect(m) <= tol))
+            assert contraction._within_tol(contraction._lorentz_residual(m)) == per_matrix
+            verdicts.append(per_matrix)
+            if per_matrix:  # the element's first matrix check agrees
+                PoincareElement(m, np.zeros(3), 1.0)
+            else:
+                with pytest.raises(ValueError, match="not a Lorentz transformation"):
+                    PoincareElement(m, np.zeros(3), 1.0)
+    assert True in verdicts[4:-3] and False in verdicts[4:-3]  # the sweep lands on both sides of tol
+    assert verdicts[-3:] == [False] * 3 and verdicts[:4] == [True] * 4
+    # entries at and just either side of the tolerance, and the empty stack
+    for x, expected in ((tol, True), (np.nextafter(tol, 0), True), (np.nextafter(tol, 1), False),
+                        (-tol, True), (-np.nextafter(tol, 1), False), (np.nan, False), (-np.inf, False)):
+        m = np.zeros((4, 2, 3, 3))
+        m[3, 1, 2, 0] = x
+        assert contraction._within_tol(m) is expected
+    assert contraction._within_tol(np.zeros((0, 3, 3))) is True
+
+
+def test_mass_translation_is_the_element_poincare_from_galilei_builds(monkeypatch):
+    pairs = []
+    original = contraction.mass_cocycle_exponent
+    monkeypatch.setattr(contraction, "mass_cocycle_exponent", lambda g, h: pairs.append((g, h)) or original(g, h))
+    rng = np.random.default_rng(30)
+    v, theta = rng.uniform(-50.0, 50.0, (5, 2)), rng.uniform(-3.0, 3.0, 5)
+    tau_p, u_p = rng.uniform(0.5, 2.0, 5), rng.uniform(-2.0, 2.0, (5, 2))
+    tau_p[0], u_p[1] = 0.0, (-0.0, 0.0)
+    experiment = contraction.mass_experiment(v, theta, tau_p, u_p)
+    c = np.tile(np.array(FINE_GRID), (5, 1))
+    experiment.evaluate(c)
+    (_, h), = pairs
+    reference = poincare_from_galilei(tau_p[:, None], u_p[:, None, :], (0.0, 0.0), 0.0, c)
+    assert h.a.shape == reference.a.shape and h.a.tobytes() == reference.a.tobytes()
+    assert h.c.tobytes() == reference.c.tobytes()
+    assert np.array_equal(h.lam, np.broadcast_to(np.eye(3), c.shape + (3, 3)))
+    assert not np.any(np.signbit(h.lam))
+
+
 # The draws and per-point formulas of one scalar experiment per sample: each
 # sample's factory arguments in draw order, and its (error, zeta) at one c.
 def _draw(name, rng, c_min):
