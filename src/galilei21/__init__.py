@@ -6,8 +6,8 @@ Four layers:
   extended algebra over exact rationals, with Jacobi checks and the
   basis change that removes the boost-boost charge.
 * :mod:`galilei21.enveloping` - normal-ordered enveloping algebra,
-  the invariant (Casimir) table, and an exact bounded-degree
-  centralizer search.
+  the invariant (Casimir) table, and the exact bounded-degree
+  centralizer, of which the table's products are a basis.
 * :mod:`galilei21.group` - the twisted group law, cocycle and
   coboundary machinery, and the group-level charge removal map.
 * :mod:`galilei21.contraction` - planar Poincare numerics showing how

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import algebra, enveloping
 from .algebra import ExtensionParams, Poly, worst_defect
 
-DEGREE_CAP = 6
+DEGREE_CAP = 10
 GRID_CAP = 1000  # c grid points
 EXPERIMENT_NAMES = ("thomas", "mass", "diagram")
 DEFAULT_C_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -184,13 +184,19 @@ def cmd_casimir(opts) -> tuple:
         ok = brackets["internal_energy"][enveloping.M] == enveloping.NOPoly.scalar(params.l)
         checks.append(_holds("energy_defect_equals_l", ok))
 
+    # the table's products are a basis of the degree <= d centralizer when they
+    # are central (each entry is), independent, and the centralizer's dimension
+    # many (the enveloping module docstring)
     basis = enveloping.centralizer_basis(params, opts.max_degree)
-    g = len(table)  # the basis counts the products of degree <= d of g invariants
-    checks.append(
-        _check("centralizer_dimension", Fraction(len(basis)),
-               len(basis) == math.comb(opts.max_degree // 2 + g, g),
-               note=f"basis: {'; '.join(repr(e) for e in basis)}")
-    )
+    rank = enveloping.rank(basis)
+    dimension = enveloping.centralizer_dimension(params, opts.max_degree)
+    central = not any(any(brackets[name]) for name in names if candidates[name] in table)
+    ok = central and len(basis) == rank == dimension
+    note = f"basis: {'; '.join(repr(e) for e in basis)}"
+    if not ok:
+        note += (f" ({len(basis)} products of rank {rank}, centralizer dimension {dimension}"
+                 f"{'' if central else ', a table entry not central'})")
+    checks.append(_check("centralizer_dimension", Fraction(len(basis)), ok, note=note))
     return checks, None
 
 

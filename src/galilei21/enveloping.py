@@ -14,10 +14,10 @@ fixed degree or lowers the degree, so the process terminates.  The
 leftmost out-of-order pair is rewritten first; confluence is certified
 by the associativity tests rather than assumed.  Each top-level call
 (`no_mul`, `no_commutators`, `generator_brackets`, `is_central`,
-`centralizer_basis`) takes the charges (k, m, l) and builds one memo of
-normal forms over `make_galilei_algebra` for all of its products;
-nothing refers back to the memo, so it is freed by the time the call
-returns, and nothing is kept between calls.
+`centralizer_basis`, `centralizer_dimension`) takes the charges (k, m, l)
+and builds at most one memo of normal forms over `make_galilei_algebra`
+for all of its products; nothing refers back to the memo, so it is freed
+by the time the call returns, and nothing is kept between calls.
 
 The memo holds integers, not fractions: with D the least common
 denominator of the structure constants, the normal form of a word of
@@ -34,47 +34,44 @@ with one letter replaced by a bracket term get normal-ordered.
 `generator_brackets` gives the six [g, p] of each candidate invariant
 this way, and `is_central` reads them.
 
-The bounded-degree centralizer search works in the symmetric algebra:
-the symmetrization beta: S(g) -> U(g) is an isomorphism of g-modules
-that keeps the filtration (Dixmier, Enveloping Algebras, 2.4.10), and
-it passes to the quotients by (E - 1) as E is central.  So the degree
-<= d centralizer is beta of the kernel of ad_g on commutative
-polynomials, whose rows need no normal ordering (`_centralizer_rows`),
-for g in {N1, H, M} only: [N1,H] = P1, [M,N1] = N2 and [N2,H] = P2 at
-every charge set, so by Jacobi X then commutes with all six generators
-(tests/test_enveloping.py proves both premises at symbolic charges).
-Each canonical kernel vector's largest column is its free column, and
-beta(w) is w plus shorter words, which come earlier in the graded
-column order: the kernel in U has the same free columns, and beta(v_f)
-cleared at the earlier free columns and divided by its content is
-`exact_nullspace`'s vector of [g, X] = 0 in normal-ordered words.
+The degree <= d centralizer is not searched for; the Casimir table's
+products are proved to be a basis of it, with no symmetrization:
+1. Its dimension is that of the degree <= d kernel of ad_g on the
+   symmetric algebra S(g)/(E - 1), as the symmetrization S(g) -> U(g) is
+   an isomorphism of g-modules that keeps the filtration (Dixmier,
+   Enveloping Algebras, 2.4.10) and passes to the quotients by (E - 1),
+   E being central.  Commutative rows need no normal ordering
+   (`_centralizer_rows`), and g in {N1, H, M} suffices: [N1,H] = P1,
+   [M,N1] = N2 and [N2,H] = P2 at every charge set, so by Jacobi X then
+   commutes with all six generators (tests/test_enveloping.py proves both
+   premises at symbolic charges).  `centralizer_dimension` is the number
+   of columns minus the rank, with no back-substitution.
+2. `centralizer_basis` gives the products of degree <= d of the table's
+   degree-2 entries, built by one orderer's `_product`.  They are central
+   when each entry is, which `casimir`'s `central[...]` rows show.
+3. `rank` counts the independent ones by the same elimination, on integer
+   rows scaled by one common denominator, as `in_span` does.
+4. If all are independent and they are as many as the dimension of step
+   1, they are a basis: `casimir`'s `centralizer_dimension` row passes only
+   then.
 
-`exact_nullspace` takes rows of int entries (anything else raises
-TypeError before any work) and returns each null vector as a sparse
-{column: int}; `in_span`, the one caller with rational coefficients,
-first scales them all by one common denominator.  The eliminator first
-peels singletons (structured Gaussian elimination; LaMacchia and Odlyzko,
+`_eliminate` is the one exact elimination.  It takes rows of int entries
+(anything else raises TypeError before any work) and first peels
+singletons (structured Gaussian elimination; LaMacchia and Odlyzko,
 CRYPTO '90): a row with one nonzero entry sets its column j to 0, so j
 is struck from every row, through a column -> rows index, until no row
 has one entry left.  As e_j is in the row space, each peeled j is a
 leading column, with pivot row {j: 1}, and the leading columns of the
 struck rows that remain, reduced fraction-free sparsest first, make up
-the rank.  Back-substitution visits, per free column, only the pivot
-rows that hold a column already set, largest pivot first from a work
-list kept sorted.  None of this changes a basis: the pivot columns are
-the leading columns of the row space, and each null vector is the unique
-solution with 1 in its free column and 0 in the other free columns,
-scaled by the least common multiple of its denominators.  No floating
-point enters this module.
+the rank.  No floating point enters this module.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import ExtensionParams, Poly, _as_rational, make_galilei_algebra
@@ -403,45 +400,6 @@ def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict]:
     return pivots
 
 
-def exact_nullspace(rows: Iterable[Mapping[int, int]], ncols: int) -> list[dict[int, int]]:
-    """Basis of {x : A x = 0} over the rationals for integer rows A, one
-    vector per free column.
-
-    Elimination is fraction-free (integer cross-multiplication with gcd
-    reduction), and so is back-substitution: numerators over one common
-    denominator.  Each vector is the primitive integer multiple of the
-    solution with a 1 in its free column, as a sparse {column: int}.  An
-    entry that is not an int raises TypeError.
-    """
-    pivots = _eliminate(rows)
-    holders = defaultdict(list)  # column -> the pivot columns of the rows holding it
-    for col, row in pivots.items():
-        for j in row.keys() - {col}:
-            holders[j].append(col)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        # the nonzero numerators; each rescale is the least that keeps them
-        # integers, so the common denominator ends as the lcm of the solution's.
-        # Only rows holding a set column are visited, largest pivot first; a
-        # row queued by two of its columns sums to 0 the second time, as solved
-        vec, todo = {free: 1}, sorted(holders[free])
-        while todo:
-            col = todo.pop()
-            row = pivots[col]
-            s = sum(v * vec[j] for j, v in row.items() if j in vec)
-            if s:
-                g = gcd(s, row[col])
-                if row[col] != g:
-                    vec = {j: c * (row[col] // g) for j, c in vec.items()}
-                vec[col] = -s // g
-                for pivot_col in holders[col]:
-                    insort(todo, pivot_col)
-        basis.append(vec)
-    return basis
-
-
 def _centralizer_rows(normal_form: _NormalOrderer, monos: Sequence[tuple]) -> Iterable[dict[int, int]]:
     """The rows of ad_g(sum_w x_w w) = 0 in S(g)/(E - 1) for g in {N1, H, M},
     times D**(max degree + 1), one per (g, word): ad_g(x^a rest) =
@@ -468,68 +426,56 @@ def _centralizer_rows(normal_form: _NormalOrderer, monos: Sequence[tuple]) -> It
     return rows.values()
 
 
-def _symmetrized(normal_form: _NormalOrderer, words: Iterable[tuple]) -> dict[tuple, dict]:
-    """{w: {sorted word: n}}, sum n * mono = len(w)! D**len(w) beta(w), for
-    `words` and their sub-words, shortest first, by beta(w) = (1/len(w))
-    sum_x a_x x beta(w - x) over the distinct letters x of w."""
-    den = normal_form.den
-    todo, layer = set(words), set(words)
-    while layer:
-        layer = {w[:i] + w[i + 1:] for w in layer for i in range(len(w))} - todo
-        todo |= layer
-    out = {(): {(): 1}}
-    for w in sorted(todo - {()}, key=len):
-        n, acc = len(w), {}
-        for i, x in enumerate(w):
-            if i and w[i - 1] == x:
-                continue
-            for u, c in out[w[:i] + w[i + 1:]].items():
-                f = w.count(x) * c * den ** (n - 1 - len(u))  # to the memo's scale D**n
-                for mono, co in normal_form[(x,) + u].items():
-                    acc[mono] = acc.get(mono, 0) + f * co
-        # acc = D**n sum_x a_x x (n - 1)! D**(n - 1) beta(w - x) = D**(n - 1) n! D**n beta(w)
-        scale = den ** (n - 1)
-        if any(c % scale for c in acc.values()):
-            raise ArithmeticError(f"the symmetrization of {w!r} is not integral")
-        out[w] = {mono: c // scale for mono, c in acc.items() if c}
-    return out
-
-
 def centralizer_basis(params: ExtensionParams, max_degree: int) -> tuple[NOPoly, ...]:
-    """A basis of the degree <= max_degree polynomials commuting with every
-    generator, from the symmetric algebra (see the module docstring).
-    Scalars are always present, so the basis is never empty."""
+    """The products of degree <= max_degree of the `casimir_invariants`
+    entries, each of degree 2, in graded order: 1, C1, C2, C1^2, C1 C2, ...
+    They are a basis of the degree <= max_degree centralizer when the
+    entries are central, `rank` finds them independent and they are
+    `centralizer_dimension` many (see the module docstring); `casimir`
+    checks all three."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+    table = casimir_invariants(params)
+    products = {(): NOPoly.scalar(1)}  # keyed by the sorted word of table indices
+    if max_degree >= 2:
+        products.update(((i,), entry) for i, entry in enumerate(table))
+    # an entry is in normal order already, so only a product of two or more
+    # needs the orderer: below degree 4 none is built
+    longer = [word for n in range(2, max_degree // 2 + 1)
+              for word in itertools.combinations_with_replacement(range(len(table)), n)]
+    if longer:
+        normal_form = _NormalOrderer(params)
+        for word in longer:
+            products[word] = _product(normal_form, products[word[:-1]], table[word[-1]])
+    return tuple(products.values())
+
+
+def centralizer_dimension(params: ExtensionParams, max_degree: int) -> int:
+    """The dimension of the degree <= max_degree centralizer: columns minus
+    the rank of the ad-system in the symmetric algebra (module docstring)."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     monos = monomials_up_to(max_degree)
-    normal_form = _NormalOrderer(params)
-    kernel = exact_nullspace(_centralizer_rows(normal_form, monos), len(monos))
-    beta = _symmetrized(normal_form, {monos[j] for vec in kernel for j in vec})
-    basis: list[tuple[tuple, dict]] = []  # (free word, vector) in normal-ordered words
-    for vec in kernel:
-        out: dict[tuple, int] = {}  # beta(vec) times max_degree! D**max_degree
-        for j, c in vec.items():
-            n = len(monos[j])
-            f = c * factorial(max_degree) // factorial(n) * normal_form.den ** (max_degree - n)
-            for mono, co in beta[monos[j]].items():
-                out[mono] = out.get(mono, 0) + f * co
-        for prev_free, prev in basis:  # clear the earlier free columns
-            if out.get(prev_free):
-                e, p = out[prev_free], prev[prev_free]
-                out = {mono: p * out.get(mono, 0) - e * prev.get(mono, 0) for mono in out.keys() | prev.keys()}
-        g = gcd(*out.values())
-        basis.append((monos[max(vec)], {mono: c // g for mono, c in out.items() if c}))
-    return tuple(NOPoly(vec) for _, vec in basis)
+    return len(monos) - len(_eliminate(_centralizer_rows(_NormalOrderer(params), monos)))
+
+
+def _pivot_columns(polys: Sequence[NOPoly]) -> dict[int, dict]:
+    """`_eliminate` on one row per word, column j holding the word's
+    coefficient in polys[j], every coefficient times one common denominator,
+    so the rows are integers.  Column j is a pivot column iff polys[j] is
+    outside the span of polys[:j]."""
+    den = lcm(*(c.denominator for q in polys for c in q.terms.values()))
+    support = sorted({m for q in polys for m in q.terms})
+    return _eliminate([{j: int(q.terms[m] * den) for j, q in enumerate(polys) if m in q.terms}
+                       for m in support])
+
+
+def rank(polys: Sequence[NOPoly]) -> int:
+    """The dimension of the linear span of `polys`, exactly."""
+    return len(_pivot_columns(polys))
 
 
 def in_span(polys: Sequence[NOPoly], p: NOPoly) -> bool:
     """Exact membership of p in the linear span of `polys`."""
-    # solve sum_j x_j polys[j] = p by elimination on the augmented columns,
-    # every coefficient times one common denominator, so the rows are integers
-    columns = (*polys, p)
-    den = lcm(*(c.denominator for q in columns for c in q.terms.values()))
-    support = sorted({m for q in columns for m in q.terms})
-    pivots = _eliminate([{j: int(q.terms[m] * den) for j, q in enumerate(columns) if m in q.terms}
-                         for m in support])
-    # inconsistent iff some pivot sits in the augmented column
-    return len(polys) not in pivots
+    # p is outside the span iff its column, the last, is a pivot column
+    return len(polys) not in _pivot_columns((*polys, p))

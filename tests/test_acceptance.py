@@ -95,13 +95,14 @@ def test_criterion_04_bounded_degree_centralizer():
             p = ExtensionParams(
                 random_rational(rng), random_rational(rng, True), random_rational(rng, True))
             basis = enveloping.centralizer_basis(p, 3)
-            assert len(basis) == 1
+            assert len(basis) == 1 == enveloping.centralizer_dimension(p, 3)
             assert enveloping.in_span(basis, enveloping.NOPoly.scalar(1))
         for _ in range(10):
             p = random_params(rng, nonzero_m=True)
             p = ExtensionParams(p.k, p.m, 0)
             basis = enveloping.centralizer_basis(p, 2)
-            assert len(basis) == 3
+            assert len(basis) == 3 == enveloping.rank(basis) == enveloping.centralizer_dimension(p, 2)
+            assert all(enveloping.is_central(p, b) for b in basis)
             assert enveloping.in_span(basis, enveloping.NOPoly.scalar(1))
             assert enveloping.in_span(basis, enveloping.internal_energy(p))
             assert enveloping.in_span(basis, enveloping.internal_angular_momentum(p))

@@ -148,9 +148,8 @@ def test_degree_cap_enforced(capsys):
     cases = [
         (["group", "--samples=0"], "--samples"),
         (["contract", "--experiment=mass", "--samples=0"], "--samples"),
-        (["casimir", "--max-degree=7"], "--max-degree"),
-        (["casimir", "--max-degree=9"], "--max-degree"),
-        (["casimir", "--max-degree", "9"], "--max-degree"),
+        (["casimir", "--max-degree=11"], "--max-degree"),
+        (["casimir", "--max-degree", "11"], "--max-degree"),
         (["casimir", "--max-degree=-1"], "--max-degree"),
         (["casimir", "--max-degree", "-1"], "--max-degree"),
     ] + [
@@ -232,7 +231,7 @@ def test_casimir_builds_one_orderer_for_its_candidate_checks(capsys, monkeypatch
     monkeypatch.setattr(enveloping, "_NormalOrderer", lambda params: built.append(params) or orderer(params))
     code, out = run(capsys, "casimir", "--k", "5", "--m", "2", "--l", "0", "--max-degree", "2")
     assert code == 0 and "overall: PASS" in out
-    assert len(built) == 2  # the candidate checks, then the centralizer search
+    assert len(built) == 2  # the candidate checks, then the centralizer's dimension
 
 
 def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
@@ -248,6 +247,7 @@ def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
     (("--k", "1", "--m", "2", "--l", "0"), 4, 6),
     (("--k", "3/2", "--m", "2", "--l", "0"), 6, 10),
     (("--k", "2", "--m", "0", "--l", "1"), 6, 4),
+    (("--k", "3/2", "--m", "2", "--l", "0"), 10, 21),
 ])
 def test_centralizer_dimension_is_gated_in_every_regime(capsys, monkeypatch, charges, degree, dim):
     argv = ["casimir", *charges, "--max-degree", str(degree), "--format", "json"]
@@ -264,6 +264,18 @@ def test_centralizer_dimension_is_gated_in_every_regime(capsys, monkeypatch, cha
     code, out = run(capsys, *argv)
     check = {c["name"]: c for c in json.loads(out)["checks"]}["centralizer_dimension"]
     assert code == 1 and check["defect"] == str(dim + 1) and not check["pass"]
+    assert check["note"].endswith(f" ({dim + 1} products of rank {dim}, centralizer dimension {dim})")
+
+    # as must a repeated element in place of the last, where the count holds
+    def one_repeated(params, d):
+        basis = real(params, d)
+        return basis[:-1] + basis[:1]
+
+    monkeypatch.setattr(enveloping, "centralizer_basis", one_repeated)
+    code, out = run(capsys, *argv)
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["centralizer_dimension"]
+    assert code == 1 and check["defect"] == str(dim) and not check["pass"]
+    assert check["note"].endswith(f" ({dim} products of rank {dim - 1}, centralizer dimension {dim})")
 
 
 @pytest.mark.parametrize("charges,failing", [
@@ -277,7 +289,12 @@ def test_casimir_expectations_read_the_table(capsys, monkeypatch, charges, faili
     monkeypatch.setattr(enveloping, "casimir_invariants", lambda params: real(params)[:-1])
     code, out = run(capsys, "casimir", *charges, "--max-degree", "2", "--format", "json")
     assert code == 1
-    assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == failing
+    checks = json.loads(out)["checks"]
+    assert {c["name"] for c in checks if not c["pass"]} == failing
+    # the note gives both counts: the products left, one fewer than the dimension
+    row = {c["name"]: c for c in checks}["centralizer_dimension"]
+    n = int(row["defect"])
+    assert row["note"].endswith(f" ({n} products of rank {n}, centralizer dimension {n + 1})")
 
 
 def test_casimir_checks_each_unnamed_table_entry(capsys, monkeypatch):
@@ -286,13 +303,33 @@ def test_casimir_checks_each_unnamed_table_entry(capsys, monkeypatch):
     code, out = run(capsys, *argv)
     rows = {c["name"]: c for c in json.loads(out)["checks"]}
     assert code == 0 and rows["central[casimir_invariants[1]]"]["note"] == "expected central"
-    # a wrong entry, N x P - k H, must fail its row, though the count still holds
+    # a wrong entry, N x P - k H, must fail its row, and the centralizer's,
+    # though rank and count still hold
     cross, h = enveloping.boost_momentum_cross(), enveloping.NOPoly.generator("H")
     monkeypatch.setattr(enveloping, "casimir_invariants",
                         lambda params: (enveloping.momentum_squared(), cross - params.k * h))
     code, out = run(capsys, *argv)
     assert code == 1
-    assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == {"central[casimir_invariants[1]]"}
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert {name for name, c in checks.items() if not c["pass"]} == {
+        "central[casimir_invariants[1]]", "centralizer_dimension"}
+    assert checks["centralizer_dimension"]["note"].endswith(
+        " (3 products of rank 3, centralizer dimension 3, a table entry not central)")
+
+
+def test_casimir_fails_a_non_central_table_entry_at_nonzero_mass(capsys, monkeypatch):
+    # P1^2 in place of the internal energy: its products are as many as the
+    # centralizer's dimension and independent, but not central
+    argv = ("casimir", "--k", "3/2", "--m", "2", "--l", "0", "--max-degree", "4", "--format", "json")
+    p1_squared = enveloping.NOPoly({(enveloping.P1, enveloping.P1): 1})
+    real = enveloping.casimir_invariants
+    monkeypatch.setattr(enveloping, "casimir_invariants", lambda params: (p1_squared, real(params)[1]))
+    code, out = run(capsys, *argv)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1 and checks["central[casimir_invariants[0]]"]["pass"] is False
+    row = checks["centralizer_dimension"]
+    assert row["defect"] == "6" and not row["pass"]
+    assert row["note"].endswith(" (6 products of rank 6, centralizer dimension 6, a table entry not central)")
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
@@ -366,7 +403,7 @@ GOLDEN_JSON = {
     ("verify-algebra", "--k", "1", "--m", "2", "--l", "3", "--seed", "5"):
         "41e9fbf589387af9ecf123f79d2353707c225d0293654814c1f3b232e8b52deb",
     ("casimir", "--k", "5", "--m", "2", "--l", "0", "--seed", "5"):
-        "3f02ec5ba824ff7af9bda751a789b90e89b234319619291cd8f13cf8c520c5ae",
+        "aac679d6a20e36cf82c09b19620da3cc6d5f6a7671492076f32d0cf608c9b714",
 }
 
 
@@ -434,6 +471,7 @@ CI_REPORTS = {
     "casimir --k=3/2 --m=2 --l=0 --max-degree 6": 0,
     "casimir --k=5/2 --m=0 --l=-3 --max-degree 6": 0,
     "casimir --k=0 --m=0 --l=0 --max-degree 6": 0,
+    "casimir --k=3/2 --m=2 --l=0 --max-degree 10": 0,
     "casimir --k=-2/3 --m=0 --l=0 --max-degree 4": 0,
     "casimir --k=-9/5 --m=7/6 --l=2/9 --max-degree 5": 0,
     "group --k=3/2 --m=-5/4 --samples 1000": 0,

@@ -1,10 +1,11 @@
 import gc
 import hashlib
 import itertools
+import json
 import random
 import weakref
 from fractions import Fraction as F
-from math import comb, factorial, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from galilei21.enveloping import (
     boost_momentum_cross,
     casimir_invariants,
     centralizer_basis,
-    exact_nullspace,
+    centralizer_dimension,
     generator_brackets,
     in_span,
     internal_angular_momentum,
@@ -35,6 +36,7 @@ from galilei21.enveloping import (
     no_commutator,
     no_commutators,
     no_mul,
+    rank,
 )
 from galilei21.cli import main
 from scalar_sampler import random_params, random_rational
@@ -51,7 +53,7 @@ ONE = NOPoly.scalar(1)
 
 def _integral(rows):
     """Each row times the lcm of its denominators: the integer rows that
-    `exact_nullspace` and `_eliminate` take, with the same row space."""
+    `_eliminate` takes, with the same row space."""
     out = []
     for row in rows:
         den = lcm(*(F(c).denominator for c in row.values()))
@@ -269,6 +271,8 @@ def test_centralizer_all_charges_active_is_trivial():
 def test_centralizer_rejects_negative_degree():
     with pytest.raises(ValueError):
         centralizer_basis(PARAMS, -1)
+    with pytest.raises(ValueError):
+        centralizer_dimension(PARAMS, -1)
 
 
 def test_centrality_survives_charge_removal_substitution():
@@ -319,30 +323,69 @@ def _rightmost_normal_form(brackets, word):
     return {m: c for m, c in done.items() if c}
 
 
-def _oracle_centralizer(alg, max_degree):
-    brackets = _bracket_table(alg)
+def _fraction_pivots(rows):
+    """The leading columns of the row space, by plain Gaussian elimination in
+    `Fraction`s: a test-only reference that shares nothing with `_eliminate`."""
+    pivots = {}
+    for row in rows:
+        row = {j: F(v) for j, v in row.items() if v}
+        while row and min(row) in pivots:
+            col = min(row)
+            f = row[col] / pivots[col][col]
+            for j, v in pivots[col].items():
+                row[j] = row.get(j, F(0)) - f * v
+            row = {j: v for j, v in row.items() if v}
+        if row:
+            pivots[min(row)] = row
+    return set(pivots)
+
+
+def _fraction_rank(rows):
+    return len(_fraction_pivots(rows))
+
+
+def _oracle_commutator(brackets, g, p):
+    """[g, p] in normal-ordered words, by the rightmost-first oracle."""
+    com = {}
+    for word, c in p.terms.items():
+        for sign, product in ((1, (g,) + word), (-1, word + (g,))):
+            for m, co in _rightmost_normal_form(brackets, product).items():
+                com[m] = com.get(m, F(0)) + sign * c * co
+    return {m: c for m, c in com.items() if c}
+
+
+def _oracle_dimension(brackets, max_degree):
+    """The degree <= max_degree centralizer's dimension: columns minus the
+    rank of [g, X] = 0 for all six generators, every product ordered by the
+    rightmost-first oracle and the rank taken in `Fraction`s."""
     monos = monomials_up_to(max_degree)
     rows = {}
     for g in range(len(GEN_NAMES)):
         for col, word in enumerate(monos):
-            com = _rightmost_normal_form(brackets, (g,) + word)
-            for m, co in _rightmost_normal_form(brackets, word + (g,)).items():
-                com[m] = com.get(m, F(0)) - co
-            for m, co in com.items():
-                if co:
-                    rows.setdefault((g, m), {})[col] = co
-    kernel = exact_nullspace(_integral(rows.values()), len(monos))
-    return tuple(NOPoly({monos[j]: c for j, c in v.items()}) for v in kernel)
+            for m, co in _oracle_commutator(brackets, g, NOPoly({word: 1})).items():
+                rows.setdefault((g, m), {})[col] = co
+    return len(monos) - _fraction_rank(rows.values())
 
 
-# centralizer dimension at degrees 0..6, one charge set per regime
+def _assert_products_match_the_oracle(params, max_degree):
+    """The table's products are the centralizer by the oracle alone: each
+    commutes with all six generators, they are independent, and they are as
+    many as the oracle's dimension.  Returns that dimension."""
+    brackets = _bracket_table(make_galilei_algebra(params))  # read off the tensor
+    basis = centralizer_basis(params, max_degree)
+    assert not any(_oracle_commutator(brackets, g, p) for p in basis for g in range(len(GEN_NAMES)))
+    assert _fraction_rank([p.terms for p in basis]) == len(basis) == _oracle_dimension(brackets, max_degree)
+    return len(basis)
+
+
+# centralizer dimension at degrees 0..10, one charge set per regime
 CENTRALIZER_TABLE = [
-    (ExtensionParams(F(3, 2), F(2), F(0)), (1, 1, 3, 3, 6, 6, 10)),  # m != 0, l = 0
-    (ExtensionParams(F(3, 2), F(2), F(1, 3)), (1, 1, 1, 1, 1, 1, 1)),  # m != 0, l != 0
-    (ExtensionParams(F(0), F(0), F(7, 2)), (1, 1, 3, 3, 6, 6, 10)),  # m = 0, k = 0
-    (ExtensionParams(F(-2, 3), F(0), F(0)), (1, 1, 3, 3, 6, 6, 10)),  # m = 0, l = 0
-    (ExtensionParams(F(5, 2), F(0), F(-3)), (1, 1, 2, 2, 3, 3, 4)),  # m = 0, k, l != 0
-    (ExtensionParams(F(0), F(0), F(0)), (1, 1, 3, 3, 6, 6, 10)),  # every charge 0, D = 1
+    (ExtensionParams(F(3, 2), F(2), F(0)), (1, 1, 3, 3, 6, 6, 10, 10, 15, 15, 21)),  # m != 0, l = 0
+    (ExtensionParams(F(3, 2), F(2), F(1, 3)), (1,) * 11),  # m != 0, l != 0
+    (ExtensionParams(F(0), F(0), F(7, 2)), (1, 1, 3, 3, 6, 6, 10, 10, 15, 15, 21)),  # m = 0, k = 0
+    (ExtensionParams(F(-2, 3), F(0), F(0)), (1, 1, 3, 3, 6, 6, 10, 10, 15, 15, 21)),  # m = 0, l = 0
+    (ExtensionParams(F(5, 2), F(0), F(-3)), (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6)),  # m = 0, k, l != 0
+    (ExtensionParams(F(0), F(0), F(0)), (1, 1, 3, 3, 6, 6, 10, 10, 15, 15, 21)),  # every charge 0, D = 1
 ]
 
 
@@ -353,6 +396,14 @@ def _table_dimension(params, degree):
     return comb(degree // 2 + g, g)
 
 
+def _assert_proved(params, degree, dim):
+    """The proof `casimir` runs: the table is central, and its products are
+    independent and as many as the centralizer's dimension."""
+    assert all(is_central(params, c) for c in casimir_invariants(params))
+    basis = centralizer_basis(params, degree)
+    assert rank(basis) == len(basis) == centralizer_dimension(params, degree) == dim == _table_dimension(params, degree)
+
+
 @pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
 def test_casimir_table_is_central_and_spans_the_degree_2_centralizer(params, dims):
     table = casimir_invariants(params)
@@ -360,44 +411,52 @@ def test_casimir_table_is_central_and_spans_the_degree_2_centralizer(params, dim
     basis = centralizer_basis(params, 2)
     assert all(in_span((ONE, *table), b) for b in basis)
     assert all(in_span(basis, c) for c in (ONE, *table))
+    assert centralizer_dimension(params, 2) == dims[2]
 
 
 def test_casimir_table_covers_m_0_l_0_k_nonzero():
     # the cross invariant there needs the k H term, which N1 P2 - N2 P1 lacks
     params = ExtensionParams(F(-2, 3), F(0), F(0))
     cross, p_squared = NOPoly({(4,): 2, (0, 3): -3, (1, 2): 3}), NOPoly({(2, 2): 1, (3, 3): 1})
-    assert centralizer_basis(params, 2) == (ONE, cross, p_squared)
+    basis, expected = centralizer_basis(params, 2), (ONE, cross, p_squared)
+    assert all(in_span(basis, e) for e in expected) and all(in_span(expected, b) for b in basis)
+    assert len(basis) == 3
     assert casimir_invariants(params) == (p_squared, F(-1, 3) * cross)
 
 
 @pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
 def test_centralizer_table_from_rightmost_first_oracle(params, dims):
-    alg = make_galilei_algebra(params)  # the oracle reads the brackets off the tensor
     for degree, dim in enumerate(dims[:6]):
-        oracle = _oracle_centralizer(alg, degree)
-        assert len(oracle) == dim, degree
-        assert centralizer_basis(params, degree) == oracle, degree
-        assert _table_dimension(params, degree) == dim, degree
+        assert _assert_products_match_the_oracle(params, degree) == dim, degree
+        assert centralizer_dimension(params, degree) == dim == _table_dimension(params, degree), degree
 
 
 @pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
 def test_centralizer_table_at_degree_6(params, dims):
-    # the top of the CLI's degree range, without the (slower) oracle
-    assert len(centralizer_basis(params, 6)) == dims[6]
-    assert _table_dimension(params, 6) == dims[6]
+    # the oracle is too slow here: the proof alone
+    _assert_proved(params, 6, dims[6])
 
 
-# sha256 of `casimir --format=json` at degrees 0..6 for each CENTRALIZER_TABLE
-# charge set; the reports print the basis, so this pins its reprs
+@pytest.mark.parametrize("degree", [8, 10])
+@pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
+def test_centralizer_table_by_proof_to_the_degree_cap(params, dims, degree):
+    _assert_proved(params, degree, dims[degree])
+
+
+# sha256 of `casimir --format=json` at GOLDEN_DEGREES for each CENTRALIZER_TABLE
+# charge set; the reports print the basis, so this pins its reprs, and
+# test_casimir_notes_are_the_no_mul_products rebuilds those notes on their own
+GOLDEN_DEGREES = (0, 1, 2, 3, 4, 5, 6, 8)
 CASIMIR_JSON_SHA256 = [
     (
         "8b7aa8da81149df00312d02ea892ce3c78894166c87c0868d2233369e7c67d94",
         "5585a13355e9f344ad89c67492c902a9591f9f2cc61001e4939481266da9e404",
-        "d7bdf1885a92f83288703c8c0ce92c7efd0768535eb30ac9de15364fefb4dcf8",
-        "6ed5cc8ad1954a8342bbbe2e339f6a879acc4f60f541a48391b9fe4953773786",
-        "a7de1b04da52c16b8aa848d1f96d699239899deff949520fd4f441fecbf04574",
-        "e8959cf7901f7a7babe2efe7425003ec41d2a7e9ae57cf7320c29c5442063516",
-        "25deff7ee28d91d5a445502c52e6903866deb3951e8fbd75b9d0961f2485e938",
+        "b7d516e9d1e0bc7796616ec9203fbab6b307c107aa87f7d735e30643aeb40831",
+        "1fe60ea2660483e07ece4a2143feea0451c253a51e60438c64f6d24139f77eb8",
+        "dfb1a3f74c1a301afd4309219489d8083c4bcf2f07c4dcb96217f8f9d31a1743",
+        "69d325c4740206344840d0f56788556b1226a179b939f9f5557c442e996b7d50",
+        "a74fb6090a303ce89030f242beebcb680a94611a1117032ce0f26b1c0bb60fb5",
+        "c7f72b9a3f19eb2a975d8cbeb29e5c955aa910c569dbf8d2f31e69c388c9dd82",
     ),
     (
         "fc0537188b8c564fead090479c21665cd9d8f114dc8b24889e257ad61dcec189",
@@ -407,24 +466,27 @@ CASIMIR_JSON_SHA256 = [
         "07a2c79f684ac9297b07945e96b5d56ccf9ad73639a901ab603bf5cbe6a74e7b",
         "c79f9ae2e85859207ef89d4bf3924b1ba0809945623c5f2db69c28eda9ffc939",
         "c47fabab11f797f13ff0a6cb4d5e2c24ffa87eed3dc45434474f2eb7f58a536f",
+        "7c97c63d8b9d68c0e23b5891cccba9e78932f090dac0f8c3cd70d28edeff7fc2",
     ),
     (
         "8c9fcd2dd42463a67f715ce9703c2c5f8b76b6273cf3f6ad1961bb65bd94803a",
         "b7fb0a97b4b1dae4e6d54e60d80ae52a428625e2738d4f2c06ff924c7334fc62",
-        "54c6fb21ba3b05409d40555cada58e8a705071aeda6369fd974933e677a40958",
-        "25c04de47d85942f2dae299f87aeef33e758719889806e24ab4054820c7dd8e5",
-        "a894b6b27d498260adbfa13780916e7f76056998b9cb2ab00080bdddf0739a07",
-        "bbf6b9af0df14d94b0770d4d49979678ba18b11b64f519f1b35fdc9db1451ac6",
-        "fbae9a14125f7cd3d39e6b68113fa4ef462d5e706fdb07754d36e4843a25a7d6",
+        "4d279a777525a711816e9f607092f39539be2d00c30ae35c038fe48e25b07118",
+        "dec3caf0038285472042d8386d45adc9ff77d7242a0f3d7051c7ff0cac01ce35",
+        "2f60ac82d88eaf81135527a949a2f94ecfee34a2e3ccbcf6878c9ebcc4835e0e",
+        "f15ab24f53b261c4114f60788f0af96b368b83df9cfde0b9365d1601f1eb8b5a",
+        "d6544814d1b0cd22d6787a3478f46797a5675a2d0d15d523bc7985cee3226359",
+        "93411f79ce179b63ddea2a0e233c740002d063873dedd5e8a430e60bdbf6ea2b",
     ),
     (
         "0894e7f9dbb1ba2d87d55bede00fd20106b07e25529b1e148796f64e441f5c87",
         "911ac8d51daffd04181af15d01658a147e235de23fe5cfd13992f14be63be7e7",
-        "4e18b2a0ba31dfc4d20ca4fc2e1f5e3b8f01e4735d481ad58c0f659374b0e454",
-        "59051de892fc338a010da78d316592b60e43a2932cfba884853f90d4ebd1c1f8",
-        "b673bf3936fc6886717b4239f9f8b7d1f340255833170ebdfbec701b05825829",
-        "727a40d1e1e924bd391a7a3378024d6776aff6f429a86c2b45c5491a282790f8",
-        "99abcadeecc4e80e8f04f7f469e2ee65de489a39eba4343e32a9cf59be79409c",
+        "fba66468470de71f72194e88fdaf457a2d6e4cb77c67e817ee56a4165b7a1b46",
+        "6f39e750bda007dea0fb1d109481436db0f816a4a8cebd920be99fa8e94d090e",
+        "26bab35d6d99fc5380c5b24445de2ea23300e3727e3a7f81804d6459889c4a5b",
+        "e5e1e936a87e267e0cc42f31497152d64ab7855906a86caa81c6d311f02c2ec8",
+        "39d5cfc056e7375a4539e2880831d55a624f99d65d91d6ce0c6c56336a4db9bd",
+        "f9928c2b5b38edc62ead37e60d128605a381511d4936faff5ab6de6ab4be6c4a",
     ),
     (
         "ee44577b991afb9f7bb31f097470f05faacc7af09a3e37d8aebb54977317af45",
@@ -434,26 +496,48 @@ CASIMIR_JSON_SHA256 = [
         "737700ea209761c79d336e105275d54e53704f9419a10748dd0b23177b4a1162",
         "ebf50ff00503e7bc2014a4548d2d22bbad50c17658f063fe5f8d3231b97477c7",
         "16700e6d24b875f0830d75502c38c971a7c4885fce759f330983e798593a8b3d",
+        "1de0ff8fb42c4e7db30ac024a39eed76ee3695761e42597e18e67d97c545fa7e",
     ),
     (
         "ff9c2a066feeaef7cc14b76014de71d9847e2d7a9045365d8a0b9da39a409d4a",
         "30cacadb6fd57e849bf8a96e0ebc19140f4f1a63e6b72468bf90f7e7692d8429",
-        "a4b59bc942e1f079519890768381350313dce2d46c80ba54e05e738b3d922148",
-        "2693182986e70f56647703a027174e635f400902bee1c83abb6c2b27ba525a12",
-        "b76ad7fc3774f381066f11d7419c5c3308830243955e1c0b475923796f3e3454",
-        "80d610476a1a13dd9d8043875a18ec66791d3c6a7bad5d02cc3bac9dde3bbb60",
-        "5b16c3bc15617350639061f8e291447852066ab1edaa5cff06f05517b3d9560c",
+        "e56a455602c31a9839624edad1fededaa9e417d4144ff13057c171d6dd7ed671",
+        "61b2e6382b7f9e98aef5ca3db954195670f1a3147e87f8805218e3668aea90c4",
+        "48cb9bb5270090cb4b2b5c3f4fe8163737aebda60dc657ac2dd6ed935a40bd0e",
+        "53fc454ccda8b7ab1908652850d4c72e5f3f43f169dd12b594086e8cb50f2bd2",
+        "5632e4ae255285e04f8c5c015a19535b1a368078134a7244af9317fd721ac678",
+        "a666c0059c51cdb4d4606c6e280365f3b170b0500989a1a04a9de029318f7153",
     ),
 ]
 
 
+def _casimir_report(tmp_path, params, degree):
+    path = tmp_path / "report.json"
+    argv = ["casimir", f"--k={params.k}", f"--m={params.m}", f"--l={params.l}", f"--max-degree={degree}"]
+    assert main([*argv, "--format", "json", "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("params,digests", zip([p for p, _ in CENTRALIZER_TABLE], CASIMIR_JSON_SHA256))
 def test_casimir_reports_match_golden_digest(tmp_path, params, digests):
-    path = tmp_path / "report.json"
-    for degree, digest in enumerate(digests):
-        argv = ["casimir", f"--k={params.k}", f"--m={params.m}", f"--l={params.l}", f"--max-degree={degree}"]
-        assert main([*argv, "--format", "json", "--out", str(path)]) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, degree
+    for degree, digest in zip(GOLDEN_DEGREES, digests, strict=True):
+        assert hashlib.sha256(_casimir_report(tmp_path, params, degree)).hexdigest() == digest, degree
+
+
+@pytest.mark.parametrize("params", [params for params, _ in CENTRALIZER_TABLE])
+def test_casimir_notes_are_the_no_mul_products(tmp_path, params):
+    # each note rebuilt from `no_mul` products of the table, one orderer per
+    # product, in graded order: 1, C1, C2, C1^2, C1 C2, C2^2, ...
+    table = casimir_invariants(params)
+    for degree in GOLDEN_DEGREES:
+        products = {(): ONE}
+        for n in range(1, degree // 2 + 1):
+            for word in itertools.combinations_with_replacement(range(len(table)), n):
+                products[word] = no_mul(params, products[word[:-1]], table[word[-1]])
+        report = json.loads(_casimir_report(tmp_path, params, degree))
+        row = {c["name"]: c for c in report["checks"]}["centralizer_dimension"]
+        assert row == {"name": "centralizer_dimension", "defect": str(len(products)), "pass": True,
+                       "note": "basis: " + "; ".join(map(repr, products.values()))}, degree
 
 
 def test_three_generator_premise_holds_at_symbolic_charges():
@@ -471,39 +555,12 @@ def test_three_generator_premise_holds_at_symbolic_charges():
 
 @pytest.mark.parametrize("params", [params for params, _ in CENTRALIZER_TABLE])
 def test_three_generator_rows_give_the_six_generator_basis_at_degree_5(params):
-    basis, six_rows = _six_row_centralizer(params, 5)
-    assert centralizer_basis(params, 5) == basis
+    dimension, six_rows = _six_row_centralizer(params, 5)
+    basis = centralizer_basis(params, 5)
+    assert centralizer_dimension(params, 5) == dimension == len(basis) == _fraction_rank([p.terms for p in basis])
+    assert all(is_central(params, p) for p in basis)
     orderer = enveloping_module._NormalOrderer(params)
     assert len(enveloping_module._centralizer_rows(orderer, monomials_up_to(5))) < six_rows
-
-
-def _reference_nullspace(rows, ncols):
-    """Null space by plain Gauss-Jordan elimination of the dense matrix in
-    `Fraction`s, each vector scaled to `exact_nullspace`'s sparse primitive
-    integer form: a test-only reference that shares nothing with `_eliminate`."""
-    matrix = [[F(row.get(j, 0)) for j in range(ncols)] for row in rows]
-    pivots = []  # pivots[i] is the leading column of reduced row i
-    for col in range(ncols):
-        rank = len(pivots)
-        lead = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
-        if lead is None:
-            continue
-        matrix[rank], matrix[lead] = matrix[lead], matrix[rank]
-        top = [v / matrix[rank][col] for v in matrix[rank]]
-        matrix[rank] = top
-        for i, row in enumerate(matrix):
-            if i != rank and row[col]:
-                matrix[i] = [v - row[col] * t for v, t in zip(row, top)]
-        pivots.append(col)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = {free: F(1)}
-        vec.update({col: -matrix[i][free] for i, col in enumerate(pivots) if matrix[i][free]})
-        den = lcm(*(c.denominator for c in vec.values()))
-        basis.append({j: int(c * den) for j, c in vec.items()})
-    return basis
 
 
 def _random_row(rng, cols):
@@ -536,11 +593,20 @@ def _structured_system(rng, kind):
     return rows, ncols
 
 
-def test_exact_nullspace_matches_fraction_back_substitution():
+def _assert_pivots_match(rows, pivots):
+    """`_eliminate`'s pivots for `rows` against the `Fraction` reference: the
+    same leading columns, and each pivot row primitive, led by a positive
+    entry, and in the row space."""
+    assert set(pivots) == _fraction_pivots(rows)
+    for col, row in pivots.items():
+        assert min(row) == col and row[col] > 0 and gcd(*row.values()) == 1
+        assert all(type(v) is int and v for v in row.values())
+    assert _fraction_rank([*rows, *pivots.values()]) == len(pivots)
+
+
+def test_eliminate_rank_matches_fraction_rank():
     rng = random.Random(41)
-    assert exact_nullspace([], 0) == [] == _reference_nullspace([], 0)
-    assert exact_nullspace([], 3) == _reference_nullspace([], 3)  # no rows: all free
-    assert exact_nullspace([{}, {}], 2) == _reference_nullspace([], 2)  # empty rows skipped
+    assert _eliminate([]) == {} == _eliminate([{}, {}])  # no rows, empty rows
     cases = []
     for _ in range(300):
         ncols = rng.randint(1, 12)
@@ -552,21 +618,32 @@ def test_exact_nullspace_matches_fraction_back_substitution():
         cases.append((rows, ncols))
     cases += [_structured_system(rng, kind) for kind in ("blocks", "free", "chain") for _ in range(100)]
     for rows, ncols in cases:
-        got = exact_nullspace(_integral(rows), ncols)
-        assert got == _reference_nullspace(rows, ncols)
-        assert all(type(c) is int for vec in got for c in vec.values())
-    # the drawn shapes: several free columns, and chains that the peel settles
-    assert all(len(exact_nullspace(_integral(rows), ncols)) >= 2 for rows, ncols in cases[400:500])
+        _assert_pivots_match(rows, _eliminate(_integral(rows)))
+    # the drawn shapes: several non-pivot columns, and chains that the peel settles
+    assert all(ncols - len(_eliminate(_integral(rows))) >= 2 for rows, ncols in cases[400:500])
     assert all(sum(p == {c: 1} for c, p in _eliminate(_integral(rows)).items()) >= 2 for rows, _ in cases[500:])
 
 
 def test_explicit_zero_entries_are_dropped():
-    assert exact_nullspace([{0: 0}], 1) == [{0: 1}]
-    assert exact_nullspace([{0: 0, 1: 1}], 2) == [{0: 1}]  # a zero never pivots
+    assert _eliminate([{0: 0}]) == {}
+    assert _eliminate([{0: 0, 1: 1}]) == {1: {1: 1}}  # a zero never pivots
     zero_term = NOPoly()
     zero_term.terms = {(0,) * len(GEN_NAMES): F(0)}  # a zero stored past the constructor
     assert in_span([zero_term], NOPoly())
     assert not in_span([zero_term], ONE)
+    assert rank([zero_term]) == 0
+
+
+def test_rank_matches_fraction_rank():
+    # rational coefficients, with rational combinations of earlier polys
+    rng = random.Random(42)
+    for _ in range(40):
+        polys = [rand_poly(rng, max_degree=3, nterms=rng.randint(1, 4)) for _ in range(rng.randint(0, 5))]
+        for _ in range(rng.randint(0, 3) if polys else 0):
+            a, b = rng.choice(polys), rng.choice(polys)
+            polys.append(F(rng.randint(-5, 5), rng.randint(1, 7)) * a + F(rng.randint(1, 5), rng.randint(2, 7)) * b)
+        rng.shuffle(polys)
+        assert rank(polys) == _fraction_rank([p.terms for p in polys])
 
 
 @pytest.mark.parametrize("rows", [
@@ -576,7 +653,7 @@ def test_explicit_zero_entries_are_dropped():
 ])
 def test_rational_row_raises_rather_than_returning_a_basis(rows):
     with pytest.raises(TypeError):
-        exact_nullspace(rows, 3)
+        _eliminate(rows)
 
 
 @pytest.mark.parametrize("rows", [
@@ -588,8 +665,6 @@ def test_rational_row_raises_rather_than_returning_a_basis(rows):
     [{0: 2, 1: False}],
 ])
 def test_every_entry_that_is_not_an_int_raises(rows):
-    with pytest.raises(TypeError):
-        exact_nullspace(rows, 2)
     with pytest.raises(TypeError):
         _eliminate(rows)
     with pytest.raises(TypeError):
@@ -609,45 +684,27 @@ def _commutator_rows(params, degree):
 
 
 def _six_row_centralizer(params, degree):
-    """The basis from the rows of all six generators, and how many rows they are."""
-    monos = monomials_up_to(degree)
+    """The centralizer's dimension from the rows of all six generators, by
+    `_fraction_rank`, and how many rows they are."""
     rows = _commutator_rows(params, degree)
-    kernel = exact_nullspace(_integral(rows), len(monos))
-    return tuple(NOPoly({monos[j]: c for j, c in v.items()}) for v in kernel), len(rows)
-
-
-def _fraction_rank(rows):
-    """Rank by plain Gaussian elimination in `Fraction`s: a test-only reference
-    that shares nothing with `_eliminate`."""
-    pivots = {}
-    for row in rows:
-        row = {j: F(v) for j, v in row.items() if v}
-        while row and min(row) in pivots:
-            col = min(row)
-            f = row[col] / pivots[col][col]
-            for j, v in pivots[col].items():
-                row[j] = row.get(j, F(0)) - f * v
-            row = {j: v for j, v in row.items() if v}
-        if row:
-            pivots[min(row)] = row
-    return len(pivots)
+    return len(monomials_up_to(degree)) - _fraction_rank(rows), len(rows)
 
 
 @pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
 def test_nullspace_of_degree_4_system_is_independent_of_row_order(params, dims):
+    # the null space's dimension and its non-free columns, the pivot columns
     rows = _commutator_rows(params, 4)
     ncols = len(monomials_up_to(4))
-    basis = exact_nullspace(_integral(rows), ncols)
-    assert len(basis) == dims[4] == ncols - _fraction_rank(rows)
-    for vec in basis:
-        assert all(sum(co * vec.get(j, 0) for j, co in row.items()) == 0 for row in rows)
+    pivots = _eliminate(_integral(rows))
+    assert ncols - len(pivots) == dims[4] == ncols - _fraction_rank(rows)
+    _assert_pivots_match(rows, pivots)
     for seed in range(3):
         # the same row space: rows shuffled and each scaled by a nonzero rational
         rng = random.Random(seed)
         scales = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in rows]
         moved = [{j: co * scale for j, co in row.items()} for row, scale in zip(rows, scales)]
         rng.shuffle(moved)
-        assert exact_nullspace(_integral(moved), ncols) == basis, seed
+        assert set(_eliminate(_integral(moved))) == set(pivots), seed
 
 
 # charges whose denominators 5, 6, 9 make the orderer's common denominator 90
@@ -687,7 +744,7 @@ def test_a_row_is_peeled_once_two_earlier_peels_leave_it_one_entry():
     pivots = _eliminate(rows)
     assert {col: pivots[col] for col in (0, 1, 2)} == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
     assert pivots[3] == {3: 2, 4: 1} and sorted(pivots) == [0, 1, 2, 3, 4]
-    assert exact_nullspace(rows, 6) == _reference_nullspace(rows, 6) == [{5: 1, 4: 2, 3: -1}]
+    _assert_pivots_match(rows, pivots)
 
 
 def test_an_explicit_zero_entry_is_not_live():
@@ -695,14 +752,14 @@ def test_an_explicit_zero_entry_is_not_live():
     # column 1 is peeled; neither zero enters a pivot row
     rows = [{0: 0, 1: 3}, {1: 2, 2: 0, 3: 5}, {0: 1, 2: 1, 3: 1}]
     assert _eliminate(rows) == {1: {1: 1}, 3: {3: 1}, 0: {0: 1, 2: 1}}
-    assert exact_nullspace(rows, 4) == _reference_nullspace(rows, 4) == [{2: 1, 0: -1}]
+    _assert_pivots_match(rows, _eliminate(rows))
     assert _eliminate([{0: 0}, {1: 0, 2: 0}]) == {}
 
 
 def test_rows_of_peeled_columns_only_add_no_pivot():
     rows = [{0: 4}, {1: -1}, {0: 3, 1: 2}, {1: 5, 0: -5}, {2: 1, 3: 1}]
     assert _eliminate(rows) == {0: {0: 1}, 1: {1: 1}, 2: {2: 1, 3: 1}}
-    assert exact_nullspace(rows, 4) == _reference_nullspace(rows, 4) == [{3: 1, 2: -1}]
+    _assert_pivots_match(rows, _eliminate(rows))
 
 
 def test_one_entry_row_made_by_a_reduction_retires_its_column():
@@ -713,10 +770,8 @@ def test_one_entry_row_made_by_a_reduction_retires_its_column():
             {1: F(-1, 2), 2: F(1), 3: F(4), 4: F(1, 3)}, {0: F(3), 2: F(1), 3: F(-2), 4: F(1), 5: F(7)}]
     pivots = _eliminate(_integral(rows))
     assert 1 in pivots[0] and pivots[1] == {1: 1}
-    basis = exact_nullspace(_integral(rows), 6)
-    assert len(basis) == 6 - _fraction_rank(rows) > 0
-    for vec in basis:
-        assert all(sum(co * vec.get(j, 0) for j, co in row.items()) == 0 for row in rows)
+    assert len(pivots) < 6
+    _assert_pivots_match(rows, pivots)
 
 
 def test_oracle_agrees_with_no_mul():
@@ -751,7 +806,8 @@ def test_enveloping_keeps_no_algebra_alive():
     # the charges name the algebra; charges used by no other test, as a cache
     # keyed on equal charges given earlier would hold those, not these
     params = ExtensionParams(F(11, 7), F(-5, 3), F(13, 4))
-    centralizer_basis(params, 2)
+    centralizer_basis(params, 4)
+    centralizer_dimension(params, 2)
     no_mul(params, no_mul(params, P1, N1), H)
     ref = weakref.ref(params)
     del params
@@ -788,7 +844,8 @@ def test_orderers_are_freed_without_the_cycle_collector(monkeypatch):
         "no_commutators": lambda: no_commutators(PARAMS, [(N1, c1), (M, c1)]),
         "generator_brackets": lambda: generator_brackets(PARAMS, [c1]),
         "is_central": lambda: is_central(PARAMS, c1),
-        "centralizer_basis": lambda: centralizer_basis(PARAMS, 2),
+        "centralizer_basis": lambda: centralizer_basis(PARAMS, 4),  # two or more entries per product
+        "centralizer_dimension": lambda: centralizer_dimension(PARAMS, 2),
     }
     gc.disable()
     try:
@@ -839,15 +896,23 @@ def _commutative_ad(brackets, g, s):
 
 
 def _beta(params, s):
-    """The symmetrization of a commutative polynomial s, from `_symmetrized`."""
-    orderer = enveloping_module._NormalOrderer(params)
-    sym = enveloping_module._symmetrized(orderer, s)
-    out = {}
-    for w, c in s.items():
-        f = F(c) / (factorial(len(w)) * orderer.den ** len(w))
-        for mono, co in sym[w].items():
-            out[mono] = out.get(mono, F(0)) + f * co
-    return NOPoly(out)
+    """The symmetrization of a commutative polynomial s, by the recursion
+    beta(w) = (1/n) sum_x a_x x beta(w - x) over the distinct letters x of a
+    word w of length n, a_x the multiplicity of x: a test-only reference for
+    the g-module isomorphism S(g) -> U(g) that `centralizer_dimension` rests on."""
+    orderer, memo = enveloping_module._NormalOrderer(params), {(): ONE}
+
+    def beta(w):
+        if w not in memo:
+            acc = NOPoly()
+            for x in dict.fromkeys(w):
+                i = w.index(x)
+                left = enveloping_module._product(orderer, NOPoly.generator(GEN_NAMES[x]), beta(w[:i] + w[i + 1:]))
+                acc = acc + w.count(x) * left
+            memo[w] = F(1, len(w)) * acc
+        return memo[w]
+
+    return sum((F(c) * beta(w) for w, c in s.items()), NOPoly())
 
 
 @pytest.mark.parametrize("params", BRACKET_PARAMS)
@@ -878,20 +943,11 @@ def test_symmetrization_is_equivariant(params):
             assert _beta(params, _commutative_ad(brackets, g, s)) == no_mul(params, gen, b) - no_mul(params, b, gen)
 
 
-def test_symmetrization_division_is_exact():
-    orderer = enveloping_module._NormalOrderer(MIXED_DENOMINATORS)
-    sym = enveloping_module._symmetrized(orderer, monomials_up_to(4))
-    assert set(sym) == set(monomials_up_to(4))
-    assert all(type(c) is int for nf in sym.values() for c in nf.values())
-    # the leading term of n! D**n beta(w) is n! D**n w
-    assert all(sym[w][w] == factorial(len(w)) * 90 ** len(w) for w in sym)
-
-
 def test_centralizer_basis_matches_the_oracle_on_random_charges():
-    # every fourth set as drawn; the others with l, m or both set to 0, so the
-    # kernels of all four Casimir regimes get symmetrized
+    # every fourth set as drawn; the others with l, m or both set to 0, so
+    # all four Casimir regimes get checked
     rng = random.Random(47)
     for i in range(20):
         p = random_params(rng)
         p = [p, ExtensionParams(p.k, p.m, 0), ExtensionParams(p.k, 0, p.l), ExtensionParams(p.k, 0, 0)][i % 4]
-        assert centralizer_basis(p, 4) == _oracle_centralizer(make_galilei_algebra(p), 4), p
+        assert _assert_products_match_the_oracle(p, 4) == centralizer_dimension(p, 4), p
