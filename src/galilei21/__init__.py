@@ -30,8 +30,8 @@ _EXPORTS = {
         poincare_from_galilei poincare_product rotation_cocycle_exponent rotation_matrix
         thomas_target""",
     "enveloping": """NOPoly boost_momentum_cross casimir_invariants centralizer_basis
-        generator_brackets internal_angular_momentum internal_energy is_central
-        momentum_squared no_commutator no_commutators no_mul""",
+        generator_brackets internal_angular_momentum internal_energy momentum_squared
+        no_mul""",
     "group": """IDENTITY GroupElement GroupKind apply_coboundary associativity_defect
         cocycle_exponent compose compose_with_exponent eliminate_k_map homomorphism_defect
         inverse random_elements""",

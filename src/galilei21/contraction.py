@@ -74,11 +74,6 @@ def _lorentz_residual(lam) -> np.ndarray:
     return np.swapaxes(lam, -1, -2) @ (SIGN * lam) - ETA
 
 
-def lorentz_defect(lam):
-    """max |Lambda^T eta Lambda - eta|, per matrix of a stack."""
-    return np.max(np.abs(_lorentz_residual(_as_matrices(lam))), axis=(-2, -1))
-
-
 @dataclass(frozen=True, eq=False)
 class PoincareElement:
     """{Lambda, a} at c; proper orthochronous, validated on build.

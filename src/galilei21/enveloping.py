@@ -13,11 +13,11 @@ pair X Y with Y X + [X, Y]; every rewrite either removes an inversion at
 fixed degree or lowers the degree, so the process terminates.  The
 leftmost out-of-order pair is rewritten first; confluence is certified
 by the associativity tests rather than assumed.  Each top-level call
-(`no_mul`, `no_commutators`, `generator_brackets`, `is_central`,
-`centralizer_basis`, `centralizer_dimension`) takes the charges (k, m, l)
-and builds at most one memo of normal forms over `make_galilei_algebra`
-for all of its products; nothing refers back to the memo, so it is freed
-by the time the call returns, and nothing is kept between calls.
+(`no_mul`, `generator_brackets`, `centralizer_basis`,
+`centralizer_dimension`) takes the charges (k, m, l) and builds at most
+one memo of normal forms over `make_galilei_algebra` for all of its
+products; nothing refers back to the memo, so it is freed by the time
+the call returns, and nothing is kept between calls.
 
 The memo holds integers, not fractions: with D the least common
 denominator of the structure constants, the normal form of a word of
@@ -31,8 +31,8 @@ the orderer's `bracket` applies the derivation rule [g, X^w] =
 sum_i X^(w<i) [g, w_i] X^(w>i) to a sorted word w, so the leading terms
 of g X^w and X^w g, which cancel, are never formed, and only the words
 with one letter replaced by a bracket term get normal-ordered.
-`generator_brackets` gives the six [g, p] of each candidate invariant
-this way, and `is_central` reads them.
+`generator_brackets`, the module's one commutator, gives the six [g, p]
+of each candidate invariant this way.
 
 The degree <= d centralizer is not searched for; the Casimir table's
 products are proved to be a basis of it, with no symmetrization:
@@ -50,7 +50,7 @@ products are proved to be a basis of it, with no symmetrization:
    degree-2 entries, built by one orderer's `_product`.  They are central
    when each entry is, which `casimir`'s `central[...]` rows show.
 3. `rank` counts the independent ones by the same elimination, on integer
-   rows scaled by one common denominator, as `in_span` does.
+   rows scaled by one common denominator.
 4. If all are independent and they are as many as the dimension of step
    1, they are a basis: `casimir`'s `centralizer_dimension` row passes only
    then.
@@ -248,16 +248,6 @@ def no_mul(params: ExtensionParams, p: NOPoly, q: NOPoly) -> NOPoly:
     return _product(_NormalOrderer(params), p, q)
 
 
-def no_commutators(params: ExtensionParams, pairs: Iterable[tuple[NOPoly, NOPoly]]) -> list[NOPoly]:
-    """[p, q] for each pair (p, q), all normal-ordered by one orderer."""
-    normal_form = _NormalOrderer(params)
-    return [_product(normal_form, p, q) - _product(normal_form, q, p) for p, q in pairs]
-
-
-def no_commutator(params: ExtensionParams, p: NOPoly, q: NOPoly) -> NOPoly:
-    return no_commutators(params, [(p, q)])[0]
-
-
 def generator_brackets(params: ExtensionParams, polys: Iterable[NOPoly]) -> list[tuple[NOPoly, ...]]:
     """([N1, p], [N2, p], [P1, p], [P2, p], [H, p], [M, p]) for each p, all
     from one orderer's `bracket`."""
@@ -274,11 +264,6 @@ def generator_brackets(params: ExtensionParams, polys: Iterable[NOPoly]) -> list
             row.append(NOPoly(com))
         out.append(tuple(row))
     return out
-
-
-def is_central(params: ExtensionParams, p: NOPoly) -> bool:
-    """True iff p commutes with every generator N1, N2, P1, P2, H, M."""
-    return not any(generator_brackets(params, [p])[0])
 
 
 # --- the invariants from the Casimir table ----------------------------------
@@ -459,23 +444,12 @@ def centralizer_dimension(params: ExtensionParams, max_degree: int) -> int:
     return len(monos) - len(_eliminate(_centralizer_rows(_NormalOrderer(params), monos)))
 
 
-def _pivot_columns(polys: Sequence[NOPoly]) -> dict[int, dict]:
-    """`_eliminate` on one row per word, column j holding the word's
-    coefficient in polys[j], every coefficient times one common denominator,
-    so the rows are integers.  Column j is a pivot column iff polys[j] is
-    outside the span of polys[:j]."""
+def rank(polys: Sequence[NOPoly]) -> int:
+    """The dimension of the linear span of `polys`, exactly: `_eliminate` on
+    one row per word, column j holding the word's coefficient in polys[j],
+    every coefficient times one common denominator, so the rows are
+    integers.  p is in the span iff rank((*polys, p)) == rank(polys)."""
     den = lcm(*(c.denominator for q in polys for c in q.terms.values()))
     support = sorted({m for q in polys for m in q.terms})
-    return _eliminate([{j: int(q.terms[m] * den) for j, q in enumerate(polys) if m in q.terms}
-                       for m in support])
-
-
-def rank(polys: Sequence[NOPoly]) -> int:
-    """The dimension of the linear span of `polys`, exactly."""
-    return len(_pivot_columns(polys))
-
-
-def in_span(polys: Sequence[NOPoly], p: NOPoly) -> bool:
-    """Exact membership of p in the linear span of `polys`."""
-    # p is outside the span iff its column, the last, is a pivot column
-    return len(polys) not in _pivot_columns((*polys, p))
+    return len(_eliminate([{j: int(q.terms[m] * den) for j, q in enumerate(polys) if m in q.terms}
+                           for m in support]))

@@ -15,7 +15,6 @@ from galilei21.contraction import (
     contract_element,
     convergence_study,
     decompose,
-    lorentz_defect,
     mass_cocycle_exponent,
     poincare_from_galilei,
     poincare_product,
@@ -33,6 +32,11 @@ from galilei21.group import (
     galilei_product,
     rotate,
 )
+
+
+def lorentz_defect(lam):
+    """max |Lambda^T eta Lambda - eta|, per matrix of a stack, from the residual the element checks."""
+    return np.max(np.abs(contraction._lorentz_residual(contraction._as_matrices(lam))), axis=(-2, -1))
 
 
 def rand_vel(rng, lo=0.1, hi=0.9, c=1.0):
