@@ -19,15 +19,14 @@ stack gets the same floating-point operations as one call per entry.
 Every distinct matrix is checked once, before broadcasting, and each
 check is one reduction over the stack.  `convergence_study` evaluates a
 family of samples over a (samples, grid) array of c values in one call,
-and fits the log-log slopes of every sample's errors and zetas in one
-stacked least-squares call.  That call runs np.polyfit's steps with the LAPACK
-solve made once per sample, as np.polyfit makes it, so each slope is the
-sample's own np.polyfit slope bit for bit.
+and fits the log-log slopes of every sample's errors and zetas row by row
+with the centred least-squares formula.
 
 Numerics run in float64, and nothing the limits fit is found by
 subtracting nearly equal numbers (N. J. Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., ch. 1): boosts are built from beta alone,
-and the mass coboundary and the Wigner angle have cancellation-free forms.
+Numerical Algorithms, 2nd ed., ch. 1-3): boosts are built from beta alone,
+the mass coboundary and the Wigner angle have cancellation-free forms, and
+the slope fit centres its data before it forms any product.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.linalg._umath_linalg import lstsq as _lstsq  # numpy 1.x named it lstsq_m/lstsq_n
 
 from .group import GroupElement, GroupKind, element_distance, galilei_product, rotate
 
@@ -293,10 +291,8 @@ class ConvergenceReport:
 def convergence_study(
     experiment: LimitExperiment, c_grid: Sequence[float]
 ) -> list[ConvergenceReport]:
-    """Evaluate every sample over the grid in one call; one report per sample.
-
-    Both slopes of every sample come from one stacked fit.
-    """
+    """Evaluate every sample over the grid in one call and fit both slopes of
+    every sample in one more (`_loglog_slopes`); one report per sample."""
     grid = tuple(float(c) for c in c_grid)
     if len(grid) < 3:
         raise ValueError("need at least 3 grid points to fit a slope")
@@ -319,25 +315,18 @@ def convergence_study(
 def _loglog_slopes(c_grid, values) -> np.ndarray:
     """Least-squares slope of log10 value vs log10 c for each row of values (K, grid).
 
-    These are np.polyfit(log10 c, log10 row, 1)'s steps, applied to every
-    row at once: the same scaled Vandermonde matrix and rcond, and the
-    gufunc np.linalg.lstsq calls, which makes one LAPACK gelsd call per
-    row.  So each slope equals that row's own np.polyfit slope bit for
-    bit; one call with K right-hand sides would round some differently.
-    A NaN or inf value gives a NaN slope for its row only.
+    s = sum (x - mean x)(y - mean y) / sum (x - mean x)^2, row by row: the
+    centred form sums no large terms that cancel, and a row of zeros gives
+    exactly 0.  A NaN or inf value gives a NaN slope for its row only.
     """
     x = np.log10(np.asarray(c_grid, dtype=np.float64))
-    lhs = np.vander(x, 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    y = np.log10(np.maximum(values, 1e-300))
-    sol, _, rank, _ = _lstsq(
-        np.broadcast_to(lhs, (len(y), *lhs.shape)), y[..., None], len(x) * np.finfo(np.float64).eps,
-        signature="ddd->ddid",
-    )
-    if not np.all(rank == 2):
+    xc = x - x.mean()
+    sxx = xc @ xc
+    if not sxx > 0:  # the grid's log10 values are all one double
         raise ValueError("the c grid gives a rank-deficient slope fit")
-    return sol[:, 0, 0] / scale[0]
+    y = np.log10(np.maximum(values, 1e-300))
+    with np.errstate(invalid="ignore"):  # a row with an inf meets inf - inf: its slope is NaN
+        return ((y - y.mean(axis=1, keepdims=True)) * xc).sum(axis=1) / sxx
 
 
 def _samples(x, *tail) -> np.ndarray:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 import warnings
 from fractions import Fraction as F
@@ -388,9 +389,29 @@ def test_bad_samples_is_config_error(capsys):
     assert main(["group", "--samples", "0"]) == 2
 
 
-def test_unbounded_integer_option_names_its_lower_bound(capfd):
+def test_samples_option_names_its_bounds(capfd):
     assert main(["group", "--samples", "0"]) == 2
-    assert capfd.readouterr() == ("", "configuration error: argument --samples: expected an integer >= 1, got '0'\n")
+    assert capfd.readouterr() == ("", "configuration error: argument --samples: expected an integer from 1 to 1000, got '0'\n")
+
+
+@pytest.mark.parametrize("command", [["group"], ["verify-algebra"], ["contract", "--experiment=diagram"]])
+def test_samples_above_the_cap_exit_2_before_any_work(capfd, monkeypatch, command):
+    for name in ("cmd_group", "cmd_verify_algebra", "cmd_contract"):
+        monkeypatch.setattr(cli, name, lambda opts: pytest.fail("a command ran"))
+    assert main([*command, "--samples", "1000000000000000"]) == 2
+    assert capfd.readouterr() == ("", "configuration error: argument --samples: expected an integer "
+                                      "from 1 to 1000, got '1000000000000000'\n")
+
+
+def test_samples_at_the_cap_run():
+    assert main(["contract", "--experiment=thomas", f"--samples={cli.SAMPLES_CAP}", "--out", os.devnull]) == 0
+
+
+def test_rank_deficient_c_grid_exits_2(capfd):
+    # three consecutive doubles at 1e300 share one log10 value: no slope can be fitted
+    grid = "1e+300,1.0000000000000002e+300,1.0000000000000003e+300"
+    assert main(["contract", "--experiment", "thomas", "--c-grid", grid]) == 2
+    assert capfd.readouterr() == ("", "configuration error: the c grid gives a rank-deficient slope fit\n")
 
 
 def test_unknown_experiment_is_config_error(capsys):

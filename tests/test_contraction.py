@@ -614,18 +614,62 @@ def test_family_matches_scalar_points_bit_for_bit(name, grid):
         points = [_scalar_point(name, args, c) for c in grid]
         assert [x.hex() for x in rep.errors] == [float(e).hex() for e, _ in points]
         assert [x.hex() for x in rep.zeta_magnitudes] == [float(z).hex() for _, z in points]
-        errors = [float(e) for e, _ in points]
-        zetas = [float(z) for _, z in points]
-        assert rep.fitted_slope.hex() == _polyfit_slope(grid, errors).hex() and rep.c_grid == grid
-        assert rep.growth_slope.hex() == _polyfit_slope(grid, zetas).hex()
+        assert rep.c_grid == grid
+        _assert_exact_slope(grid, rep.errors, rep.fitted_slope)
+        _assert_exact_slope(grid, rep.zeta_magnitudes, rep.growth_slope)
+        if name == "diagram":
+            assert rep.growth_slope == 0.0  # its zetas are a constant row
 
 
-def _polyfit_slope(grid, values):
-    return float(np.polyfit(np.log10(grid), np.log10(np.maximum(values, 1e-300)), 1)[0])
+# --- an exact oracle for the slope fit -------------------------------------------
+# The fit reads x = log10 c and y = log10 max(value, 1e-300) as doubles, and forms
+# s = Sxy / Sxx with Sxy = sum xc yc and Sxx = sum xc^2, xc = x - mean x, yc = y - mean y.
+# Here xc, yc and s are exact Fractions of those same doubles.  With u = 2^-53 and
+# gamma_k = k u / (1 - k u) (Higham, ch. 3), the float fit
+#   - centres at computed means, off the exact ones by |dx| <= gamma_n mean|x| and
+#     |dy| <= gamma_n mean|y|, since a mean is a sum of n terms and one division;
+#   - so sums products of the exact X = xc - dx and Y = yc - dy, which are
+#     P = Sxy + n dx dy and Q = Sxx + n dx^2 >= Sxx;
+#   - rounds each X, Y, product and sum: P^ = P + e, |e| <= g A, with g = gamma_(n+2)
+#     and A = sum |X Y| <= sum |xc yc| + |dx| sum |yc| + |dy| sum |xc| + n |dx dy|,
+#     and Q^ = Q (1 + f), |f| <= g;
+#   - and divides once: s^ = (P^ / Q^)(1 + d), |d| <= u.
+# Hence |s^ - P/Q| <= (g (1 + u) A + (u + g) |P|) / ((1 - g) Sxx), and
+# |P/Q - s| = n |dx| |dy - s dx| / Q <= n |dx| (|dy| + |s| |dx|) / Sxx.  To first
+# order the bound is (n + 3) u |s| + (n + 2) u sum |xc yc| / Sxx.
+
+_U = Fraction(1, 2 ** 53)
+
+
+def _gamma(k):
+    return k * _U / (1 - k * _U)
+
+
+def _exact_slope_and_bound(grid, row):
+    """(exact least-squares slope, largest error the float fit may make) of one row."""
+    x = [Fraction(v) for v in np.log10(np.asarray(grid, dtype=np.float64)).tolist()]
+    y = [Fraction(v) for v in np.log10(np.maximum(np.asarray(row, dtype=np.float64), 1e-300)).tolist()]
+    n, xm, ym = len(x), sum(x) / len(x), sum(y) / len(y)
+    xc, yc = [v - xm for v in x], [v - ym for v in y]
+    sxx = sum(a * a for a in xc)
+    sxy = sum(a * b for a, b in zip(xc, yc))
+    s = sxy / sxx
+    dx, dy = (_gamma(n) * sum(abs(v) for v in z) / n for z in (x, y))
+    A = (sum(abs(a * b) for a, b in zip(xc, yc)) + dx * sum(abs(b) for b in yc)
+         + dy * sum(abs(a) for a in xc) + n * dx * dy)
+    g = _gamma(n + 2)
+    bound = ((g * (1 + _U) * A + (_U + g) * (abs(sxy) + n * dx * dy)) / ((1 - g) * sxx)
+             + n * dx * (dy + abs(s) * dx) / sxx)
+    return s, bound
+
+
+def _assert_exact_slope(grid, row, slope):
+    s, bound = _exact_slope_and_bound(grid, row)
+    assert abs(Fraction(slope) - s) <= bound, (slope, float(s), float(bound))
 
 
 @pytest.mark.parametrize("grid", [DEFAULT_C_GRID, FINE_GRID, (1.0, 1.5, 1e9)], ids=["default", "logx2", "uneven"])
-def test_stacked_slopes_match_polyfit_bit_for_bit(grid):
+def test_stacked_slopes_match_the_exact_least_squares_slope(grid):
     rng = np.random.default_rng(len(grid))
     values = 10.0 ** rng.uniform(-330.0, 5.0, (400, len(grid)))  # some under the 1e-300 floor
     values[:50] *= np.asarray(grid) ** -2.0  # near the slopes the studies fit
@@ -635,9 +679,40 @@ def test_stacked_slopes_match_polyfit_bit_for_bit(grid):
     values[53, -1] = np.inf
     values[54] = np.inf
     slopes = contraction._loglog_slopes(grid, values).tolist()
-    expected = [_polyfit_slope(grid, row) for row in values]
-    assert [x.hex() for x in slopes] == [x.hex() for x in expected]
     assert [i for i, s in enumerate(slopes) if math.isnan(s)] == [52, 53, 54]
+    assert slopes[50] == slopes[51] == 0.0
+    # a row's slope does not depend on the rows stacked with it
+    assert [x.hex() for x in slopes] == [contraction._loglog_slopes(grid, row[None])[0].hex() for row in values]
+    for row, slope in zip(np.delete(values, [52, 53, 54], axis=0), np.delete(slopes, [52, 53, 54])):
+        _assert_exact_slope(grid, row, float(slope))
+
+
+def _above(c, k):
+    """The k-th double above c."""
+    for _ in range(k):
+        c = math.nextafter(c, math.inf)
+    return c
+
+
+@pytest.mark.parametrize("grid, fits", [
+    ((1e300, _above(1e300, 1), _above(1e300, 2)), False),
+    ((1.0, _above(1.0, 1), _above(1.0, 2)), True),
+    ((1e300, 1e300 + 1e286, 1e300 + 2e286), False),
+    ((1e300, 1e300 + 1e284, 1e300 + 2e284), False),
+    ((1e10, 1e10 + 1e-5, 1e10 + 2e-5), False),
+    ((1e10, 1e10 + 1e-3, 1e10 + 2e-3), True),
+    (DEFAULT_C_GRID, True),
+], ids=["1e300-ulps", "1-ulps", "1e300-by-1e286", "1e300-by-1e284", "1e10-by-1e-5", "1e10-by-1e-3", "default"])
+def test_a_grid_of_one_log10_value_is_rank_deficient(grid, fits):
+    # the fit needs two distinct log10 c doubles: log10(1 + 2^-52) is not 0, while
+    # log10 maps 1e300 and the doubles just above it, or 1e10 + 1e-5, onto one double
+    assert (len(set(np.log10(grid).tolist())) > 1) == fits
+    values = np.arange(1.0, len(grid) + 1)[None, :]
+    if fits:
+        assert math.isfinite(contraction._loglog_slopes(grid, values)[0])
+    else:
+        with pytest.raises(ValueError, match="^the c grid gives a rank-deficient slope fit$"):
+            contraction._loglog_slopes(grid, values)
 
 
 # --- an exact oracle for the float64 limits --------------------------------------
