@@ -17,7 +17,9 @@ This script prints the convergence tables; the fitted slope -2 is the
 
 import random
 
-from galilei21 import compose_boosts, convergence_study, thomas_target
+from galilei21 import (
+    ExtensionParams, GroupElement, GroupKind, cocycle_exponent, compose_boosts, convergence_study,
+)
 from galilei21.cli import DEFAULT_C_GRID
 from galilei21.contraction import mass_experiment, sample_experiments, thomas_experiment
 
@@ -27,7 +29,9 @@ for c in (10.0, 100.0, 1000.0):
     _, angle = compose_boosts(v, w, c)
     print(f"c = {c:6.0f}: Wigner angle = {float(angle):.3e}, "
           f"c^2 * angle = {float(c * c * angle):.6f}")
-print(f"predicted limit (v x w)/2 = {thomas_target(v, w)}\n")
+# minus the group cocycle's k term at k = 1: the sign convention of the phase
+limit = -cocycle_exponent(GroupKind.EXTENDED, ExtensionParams(1, 0, 0), GroupElement(v=v), GroupElement(v=w))
+print(f"predicted limit (v x w)/2 = {limit}\n")
 
 def show(experiment, grid=DEFAULT_C_GRID):
     (report,) = convergence_study(experiment, grid)  # one sample, one report

@@ -27,8 +27,7 @@ _EXPORTS = {
         eliminate_k_change jacobi_defect make_galilei_algebra""",
     "contraction": """ConvergenceReport LimitExperiment PoincareElement boost_matrix
         compose_boosts contract_element convergence_study decompose mass_cocycle_exponent
-        poincare_from_galilei poincare_product rotation_cocycle_exponent rotation_matrix
-        thomas_target""",
+        poincare_from_galilei poincare_product rotation_cocycle_exponent rotation_matrix""",
     "enveloping": """NOPoly boost_momentum_cross casimir_invariants centralizer_basis
         generator_brackets internal_angular_momentum internal_energy momentum_squared
         no_mul""",

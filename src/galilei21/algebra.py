@@ -39,7 +39,7 @@ _ONE = Fraction(1)
 
 
 def _as_rational(x) -> Fraction:
-    if isinstance(x, (Fraction, Poly)):
+    if isinstance(x, Fraction) or type(x) is Poly:  # a Poly subclass is no charge
         return x
     if isinstance(x, int) or isinstance(x, str):
         return Fraction(x)
@@ -51,11 +51,11 @@ class Poly(dict):
     the sorted tuple of its symbols (repeated for a power), to a nonzero
     coefficient, so zero is the empty, falsy Poly and ``==`` is polynomial
     equality.  Floats raise TypeError, and so does a division other than by a
-    monomial that divides every term."""
+    monomial that divides every term; operands and results take ``type(self)``."""
 
     def __init__(self, terms):
         """From {monomial: coefficient}, or from a number as a constant."""
-        terms = terms if isinstance(terms, dict) else {(): _as_rational(terms)}
+        terms = terms if type(terms) in (dict, Poly) else {(): _as_rational(terms)}
         super().__init__((mono, c) for mono, c in terms.items() if c)
 
     @staticmethod
@@ -64,16 +64,16 @@ class Poly(dict):
 
     def __add__(self, other) -> "Poly":
         terms = dict(self)
-        for mono, c in Poly(other).items():
+        for mono, c in type(self)(other).items():
             terms[mono] = terms.get(mono, _ZERO) + c
-        return Poly(terms)
+        return type(self)(terms)
 
     def __mul__(self, other) -> "Poly":
         terms: dict = {}
-        for (ma, a), (mb, b) in product(self.items(), Poly(other).items()):
+        for (ma, a), (mb, b) in product(self.items(), type(self)(other).items()):
             mono = tuple(sorted(ma + mb))
             terms[mono] = terms.get(mono, _ZERO) + a * b
-        return Poly(terms)
+        return type(self)(terms)
 
     __radd__, __rmul__ = __add__, __mul__
 
@@ -81,13 +81,13 @@ class Poly(dict):
         return self * -1
 
     def __sub__(self, other) -> "Poly":
-        return self + -Poly(other)
+        return self + -type(self)(other)
 
     def __rsub__(self, other) -> "Poly":
         return -self + other
 
     def __truediv__(self, other) -> "Poly":
-        divisor = Poly(other)
+        divisor = type(self)(other)
         if len(divisor) != 1:
             raise TypeError("a Poly divides only by a nonzero monomial")
         ((mono, c),) = divisor.items()
@@ -99,17 +99,18 @@ class Poly(dict):
                     raise TypeError(f"{mono} does not divide {ma}")
                 rest.remove(name)
             terms[tuple(rest)] = a / c
-        return Poly(terms)
+        return type(self)(terms)
 
     def __rtruediv__(self, other) -> "Poly":
-        return Poly(other) / self
+        return type(self)(other) / self
 
     def __eq__(self, other):
-        """Equal as polynomials, an int or a Fraction counting as a constant.
-        Nothing else is compared: a float or a str is never equal to a Poly."""
+        """Equal as polynomials of one type, an int or a Fraction counting as a
+        constant.  Nothing else is compared: a float or a str is never equal to a Poly."""
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        return dict.__eq__(self, Poly(other))  # both canonical
+        other = other if isinstance(other, Poly) else type(self)(other)  # no copy of a Poly
+        return type(other) is type(self) and dict.__eq__(self, other)  # both canonical
 
     def __ne__(self, other):
         equal = self.__eq__(other)

@@ -182,7 +182,7 @@ def cmd_casimir(opts) -> tuple:
     if params.m != 0:
         # the commutator of the rotation generator with the internal energy
         # measures the time-rotation charge exactly
-        ok = brackets["internal_energy"][enveloping.M] == enveloping.NOPoly.scalar(params.l)
+        ok = brackets["internal_energy"][enveloping.M] == params.l  # a rational is a constant NOPoly
         checks.append(_holds("energy_defect_equals_l", ok))
 
     # the table's products are a basis of the degree <= d centralizer when they
@@ -365,16 +365,9 @@ def _render(report: dict, rows, fmt: str) -> str:
 
 
 def _config_dict(opts) -> dict:
-    cfg = {}
-    for key in ("k", "m", "l"):
-        if hasattr(opts, key):
-            cfg[key] = str(getattr(opts, key))
-    for key in ("seed", "samples", "max_degree", "tolerance", "experiment"):
-        if hasattr(opts, key):
-            cfg[key] = getattr(opts, key)
-    if hasattr(opts, "c_grid"):
-        cfg["c_grid"] = list(opts.c_grid)
-    return cfg
+    """The parsed options a report echoes: a charge as its str, the c grid as a list."""
+    return {key: str(v) if isinstance(v, Fraction) else list(v) if isinstance(v, tuple) else v
+            for key, v in vars(opts).items() if key not in ("command", "func", "format", "out")}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -11,7 +11,8 @@ factors as Lambda = L(v) R(theta) with, for beta = v / c,
 
 Composing two boosts is not a boost; the residual angle delta_theta is
 the Wigner rotation, which shrinks as (v x w) / (2 c^2).  The module
-measures such limits on grids of c values and fits the decay rate.
+measures such limits on grids of c values and fits the decay rate; each
+limit's target is minus the k or m term of `group.cocycle_exponent`.
 
 Every function takes one element or a stack: matrices (..., 3, 3),
 velocities (..., 2), angles and c values (...), broadcast together.  A
@@ -37,7 +38,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .group import GroupElement, GroupKind, element_distance, galilei_product, rotate
+from .algebra import ExtensionParams
+from .group import GroupElement, GroupKind, cocycle_exponent, element_distance, galilei_product, rotate
 
 ETA = np.diag([1.0, -1.0, -1.0])
 ETA.flags.writeable = False
@@ -198,12 +200,6 @@ def compose_boosts(v, w, c) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(c)[..., None] * col[..., 1:, 0] / col[..., :1, 0], _wigner_angle(l1, l2)
 
 
-def thomas_target(v, w):
-    """(v x w) / 2, the limit of c^2 times the Wigner angle."""
-    v, w = np.asarray(v, dtype=np.float64), np.asarray(w, dtype=np.float64)
-    return (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]) / 2
-
-
 def _translation(tau, u, c) -> np.ndarray:
     """a = (c tau, u1, u2), broadcast to common leading axes."""
     c, tau, u = (np.asarray(x, dtype=np.float64) for x in (c, tau, u))
@@ -335,15 +331,17 @@ def _samples(x, *tail) -> np.ndarray:
 
 
 def thomas_experiment(v, vp, theta) -> LimitExperiment:
-    """Wigner angle of L(v) L(R(theta) v') against (v x R v')/2.
+    """c^2 times the Wigner angle of L(v) L(R(theta) v') against (v x R v')/2,
+    minus the k term of `group.cocycle_exponent` at k = 1, g = (v, theta), h = (v').
 
     v and vp are velocities (samples, 2) and theta angles (samples,), or
     the values of one sample.  zeta here is c^2 theta(Lambda) of the
     first factor L(v) R(theta), which diverges like c^2 whenever theta != 0.
     """
     v, vp, theta = _samples(v, 2), _samples(vp, 2), _samples(theta)
-    w = np.stack(rotate(theta, (vp[..., 0], vp[..., 1])), axis=-1)
-    target = thomas_target(v, w)
+    g, h = GroupElement(v=(v[..., 0], v[..., 1]), theta=theta), GroupElement(v=(vp[..., 0], vp[..., 1]))
+    target = -cocycle_exponent(GroupKind.EXTENDED, ExtensionParams(1, 0, 0), g, h)
+    w = np.stack(rotate(theta, h.v), axis=-1)
 
     def evaluate(c):
         l1 = boost_matrix(v, c)
@@ -358,15 +356,15 @@ def mass_experiment(v, theta, tau_p, u_p) -> LimitExperiment:
     """delta-zeta of a boost-rotation against a translation (tau', u').
 
     Each argument holds one value per sample, or one sample's value.  The
-    target is v^2/2 tau' + v . R(theta) u'; zeta = c a^0 evaluated on the
+    target v^2/2 tau' + v . R(theta) u' is minus the m term of `group.cocycle_exponent`
+    at m = 1, g = (v, theta), h = (tau', u'); zeta = c a^0 evaluated on the
     product grows like c^2 tau'.  The translation is the element
     {1, (c tau', u'1, u'2)}, built with the identity as its matrix.
     """
     v, theta, tau_p, u_p = _samples(v, 2), _samples(theta), _samples(tau_p), _samples(u_p, 2)
-    ru = rotate(theta, (u_p[..., 0], u_p[..., 1]))
-    v0, v1 = v[..., 0], v[..., 1]
-    # np.float_power is libm pow, as a Python float's ** 2 is; an array's ** 2 is not
-    target = (np.float_power(v0, 2) + np.float_power(v1, 2)) / 2 * tau_p + v0 * ru[0] + v1 * ru[1]
+    g = GroupElement(v=(v[..., 0], v[..., 1]), theta=theta)
+    target = -cocycle_exponent(GroupKind.EXTENDED, ExtensionParams(0, 1, 0), g,
+                               GroupElement(tau=tau_p, u=(u_p[..., 0], u_p[..., 1])))
 
     def evaluate(c):
         g = poincare_from_galilei(0.0, (0.0, 0.0), v, theta, c)

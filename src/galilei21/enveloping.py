@@ -3,8 +3,8 @@
 A monomial is a sorted word of generator indices into GEN_NAMES, so
 (0, 0, 3, 4) is N1^2 P2 H: the generators stand in the fixed sequence
 N1 N2 P1 P2 H M, and these words are the Poincare-Birkhoff-Witt basis
-(Dixmier, Enveloping Algebras, ch. 2).  A polynomial is a sparse map from
-such words to rational coefficients.  The central element E
+(Dixmier, Enveloping Algebras, ch. 2).  A polynomial, `NOPoly`, is a `Poly`
+over such words, with its sums and equality.  The central element E
 of the underlying algebra is evaluated to the scalar unit, so brackets
 like [N1, P1] = m E contribute plain numbers when products are reordered.
 
@@ -87,30 +87,26 @@ _ONE = Fraction(1)
 def _coefficient(x) -> Fraction:
     """An exact rational coefficient; a float or a `Poly` raises TypeError."""
     if isinstance(x, Poly):
-        raise TypeError("an enveloping coefficient is a rational, not a Poly")
+        raise TypeError(f"an enveloping coefficient is a rational, not a {type(x).__name__}")
     return _as_rational(x)
 
 
-class NOPoly:
-    """Normal-ordered polynomial: sparse {sorted word: Fraction}, no zeros stored."""
+class NOPoly(Poly):
+    """Normal-ordered polynomial: a `Poly` over sorted words, rational coefficients.
+    Its product with a NOPoly needs the charges (`no_mul`), and it is not divided."""
 
-    __slots__ = ("terms",)
+    def __init__(self, terms=_ZERO):
+        """From {sorted word: rational}, or from a rational as a constant; zero by default."""
+        for word, co in (terms if type(terms) in (dict, NOPoly) else {(): terms}).items():
+            # an unsorted word would stand for a different element
+            if not (isinstance(word, tuple)
+                    and all(type(g) is int and 0 <= g < NGEN for g in word)
+                    and list(word) == sorted(word)):
+                raise ValueError(f"not a sorted word of generator indices: {word!r}")
+            co = co if isinstance(co, Fraction) else _coefficient(co)
+            if co:
+                self[word] = co
 
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        cleaned = {}
-        if terms:
-            for word, co in terms.items():
-                # an unsorted word would stand for a different element
-                if not (isinstance(word, tuple)
-                        and all(type(g) is int and 0 <= g < NGEN for g in word)
-                        and list(word) == sorted(word)):
-                    raise ValueError(f"not a sorted word of generator indices: {word!r}")
-                co = co if isinstance(co, Fraction) else _coefficient(co)
-                if co:
-                    cleaned[word] = co
-        self.terms = cleaned
-
-    # construction helpers
     @classmethod
     def generator(cls, name: str) -> "NOPoly":
         return cls({(GEN_NAMES.index(name),): _ONE})
@@ -119,41 +115,28 @@ class NOPoly:
     def scalar(cls, value) -> "NOPoly":
         return cls({(): _coefficient(value)})
 
-    # ring-module structure (multiplication needs the charges: see no_mul)
-    def __add__(self, other: "NOPoly") -> "NOPoly":
-        out = dict(self.terms)
-        for mono, co in other.terms.items():
-            out[mono] = out.get(mono, _ZERO) + co
-        return NOPoly(out)
+    @property
+    def terms(self) -> "NOPoly":
+        """The polynomial itself, as its {word: coefficient} mapping (a read-only alias)."""
+        return self
 
-    def __sub__(self, other: "NOPoly") -> "NOPoly":
-        out = dict(self.terms)
-        for mono, co in other.terms.items():
-            out[mono] = out.get(mono, _ZERO) - co
-        return NOPoly(out)
+    def __mul__(self, other) -> "NOPoly":
+        return Poly.__mul__(self, _coefficient(other))  # a rational only
 
-    def __neg__(self) -> "NOPoly":
-        return NOPoly({m: -c for m, c in self.terms.items()})
+    def __truediv__(self, other):
+        raise TypeError("a NOPoly is not divided; multiply it by a rational")
 
-    def __rmul__(self, scalar) -> "NOPoly":
-        s = _coefficient(scalar)
-        return NOPoly({m: s * c for m, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NOPoly) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    __rmul__, __rtruediv__ = __mul__, __truediv__
 
     def max_abs_coefficient(self) -> Fraction:
-        return max((abs(c) for c in self.terms.values()), default=_ZERO)
+        return max((abs(c) for c in self.values()), default=_ZERO)
 
     def __repr__(self):
-        if not self.terms:
+        if not self:
             return "0"
         parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            co = self.terms[word]
+        for word in sorted(self, key=lambda w: (len(w), w)):
+            co = self[word]
             factors = [
                 f"{GEN_NAMES[g]}^{word.count(g)}" if word.count(g) > 1 else GEN_NAMES[g]
                 for g in dict.fromkeys(word)
@@ -235,8 +218,8 @@ class _NormalOrderer(dict):
 
 def _product(normal_form: _NormalOrderer, p: NOPoly, q: NOPoly) -> NOPoly:
     out: dict[tuple, Fraction] = {}
-    for w1, c1 in p.terms.items():
-        for w2, c2 in q.terms.items():
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
             f = c1 * c2 / normal_form.den ** (len(w1) + len(w2))
             for mono, co in normal_form[w1 + w2].items():
                 out[mono] = out.get(mono, _ZERO) + f * co
@@ -257,7 +240,7 @@ def generator_brackets(params: ExtensionParams, polys: Iterable[NOPoly]) -> list
         row = []
         for g in range(NGEN):
             com: dict[tuple, Fraction] = {}
-            for w, c in p.terms.items():
+            for w, c in p.items():
                 f = c / normal_form.den ** (len(w) + 1)
                 for mono, co in normal_form.bracket(g, w).items():
                     com[mono] = com.get(mono, _ZERO) + f * co
@@ -449,7 +432,7 @@ def rank(polys: Sequence[NOPoly]) -> int:
     one row per word, column j holding the word's coefficient in polys[j],
     every coefficient times one common denominator, so the rows are
     integers.  p is in the span iff rank((*polys, p)) == rank(polys)."""
-    den = lcm(*(c.denominator for q in polys for c in q.terms.values()))
-    support = sorted({m for q in polys for m in q.terms})
-    return len(_eliminate([{j: int(q.terms[m] * den) for j, q in enumerate(polys) if m in q.terms}
+    den = lcm(*(c.denominator for q in polys for c in q.values()))
+    support = sorted({m for q in polys for m in q})
+    return len(_eliminate([{j: int(q[m] * den) for j, q in enumerate(polys) if m in q}
                            for m in support]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from galilei21 import contraction
+from galilei21.algebra import ExtensionParams
 from galilei21.cli import DEFAULT_C_GRID, EXPERIMENT_NAMES
 from galilei21.contraction import (
     ETA,
@@ -22,16 +23,18 @@ from galilei21.contraction import (
     rotation_matrix,
     sample_experiments,
     thomas_experiment,
-    thomas_target,
 )
 from galilei21.group import (
     GroupElement,
     GroupKind,
     angle_distance,
+    cocycle_exponent,
     element_distance,
     galilei_product,
     rotate,
 )
+
+K_UNIT, M_UNIT = ExtensionParams(1, 0, 0), ExtensionParams(0, 1, 0)  # the limits' unit charges
 
 
 def lorentz_defect(lam):
@@ -179,9 +182,10 @@ def test_wigner_angle_antisymmetry():
 
 
 def test_thomas_target_values():
-    assert thomas_target((1.0, 0.0), (0.0, 1.0)) == 0.5
-    assert thomas_target((2.0, 0.0), (0.0, 1.0)) == 1.0
-    assert thomas_target((1.0, 2.0), (0.5, 1.0)) == 0.0  # parallel
+    # the thomas target, minus the group's k term at k = 1, is (v x v')/2 at theta = 0
+    assert thomas_experiment((1.0, 0.0), (0.0, 1.0), 0.0).targets == (0.5,)
+    assert thomas_experiment((2.0, 0.0), (0.0, 1.0), 0.0).targets == (1.0,)
+    assert thomas_experiment((1.0, 2.0), (0.5, 1.0), 0.0).targets == (0.0,)  # parallel
 
 
 def test_boost_rotation_regrouping_identity():
@@ -240,7 +244,7 @@ def test_rotation_cocycle_matches_thomas_limit():
     b = rotation_cocycle_exponent(
         rotation_matrix(th) @ boost_matrix(rv, c), boost_matrix(vp, c) , c
     )
-    assert float(a) == pytest.approx(thomas_target(v, rv), rel=1e-4)
+    assert float(a) == pytest.approx(_half_cross(v, rv), rel=1e-4)
 
 
 def test_contract_identity_and_translation():
@@ -414,7 +418,8 @@ def test_stacks_match_single_calls_entry_by_entry():
         "mass": mass_cocycle_exponent(g, h),
         "rotation_cocycle": rotation_cocycle_exponent(g.lam, h.lam, c),
         "lorentz": lorentz_defect(g.lam),
-        "target": thomas_target(v, v2),
+        "k_term": cocycle_exponent(GroupKind.EXTENDED, K_UNIT, GroupElement(v=(v[:, 0], v[:, 1])),
+                                   GroupElement(v=(v2[:, 0], v2[:, 1]))),
     }
     (v_dec, theta_dec), con = decompose(g), contract_element(poincare_product(g, h))
     for i, (ci, row, row2) in enumerate(zip(c, rows, rows2)):
@@ -427,7 +432,8 @@ def test_stacks_match_single_calls_entry_by_entry():
             "mass": mass_cocycle_exponent(gi, hi),
             "rotation_cocycle": rotation_cocycle_exponent(gi.lam, hi.lam, ci),
             "lorentz": lorentz_defect(gi.lam),
-            "target": thomas_target(row[2], row2[2]),
+            "k_term": cocycle_exponent(GroupKind.EXTENDED, K_UNIT, GroupElement(v=row[2]),
+                                       GroupElement(v=row2[2])),
         }
         for key, value in single.items():
             assert np.array_equal(stacked[key][i], value), key
@@ -556,6 +562,60 @@ def test_mass_translation_is_the_element_poincare_from_galilei_builds(monkeypatc
     assert not np.any(np.signbit(h.lam))
 
 
+# Independent references for the limits' targets, which `contraction` reads from
+# `group.cocycle_exponent`: (v x w)/2, and the mass limit written out by hand.
+def _half_cross(v, w):
+    """(v x w) / 2, the limit of c^2 times the Wigner angle of L(v) L(w)."""
+    return (v[0] * w[1] - v[1] * w[0]) / 2
+
+
+def _hand_mass(v, ru, tau_p):
+    """v^2/2 tau' + v . ru, squaring by libm pow (a Python float's ** 2)."""
+    return (v[0] ** 2 + v[1] ** 2) / 2 * tau_p + v[0] * ru[0] + v[1] * ru[1]
+
+
+# The group's m term and the hand form evaluate one exact value E on the same
+# doubles v, tau' and r = R(theta) u' (both rotate by the same cos and sin).  With
+# S = |v|^2 |tau'| / 2 + |v1 r1| + |v2 r2| and gamma_k = k u / (1 - k u) (Higham,
+# ch. 3; no underflow at these magnitudes):
+#   - the group forms ((v1 v1 + v2 v2) * 1/2 * tau') + (v1 r1 + v2 r2): a term meets
+#     at most 4 roundings (the halving is exact), so it is within gamma_4 S of E;
+#   - the hand form squares by pow, within 1 ulp (a factor 1 + d, |d| <= 2u, as two
+#     roundings), then adds, halves, scales by tau' and adds twice: gamma_6 S.
+# Hence |group - hand| <= (gamma_4 + gamma_6) S.
+MASS_BOUND = Fraction(4, 2 ** 53 - 4) + Fraction(6, 2 ** 53 - 6)
+
+
+def test_group_cocycle_terms_match_the_hand_references():
+    rng = random.Random(34)
+    n = 5000
+    v, vp = ([rand_vel(rng, lo=0.0, hi=0.8, c=100.0) for _ in range(n)] for _ in range(2))
+    u_p = [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(n)]
+    theta, tau_p = [rng.uniform(-3.0, 3.0) for _ in range(n)], [rng.uniform(0.5, 2.0) for _ in range(n)]
+    columns = [np.array(x) for x in (v, vp, u_p, theta, tau_p)]
+    g = GroupElement(v=(columns[0][:, 0], columns[0][:, 1]), theta=columns[3])
+    k_terms = -cocycle_exponent(GroupKind.EXTENDED, K_UNIT, g, GroupElement(v=(columns[1][:, 0], columns[1][:, 1])))
+    m_terms = -cocycle_exponent(GroupKind.EXTENDED, M_UNIT, g,
+                                GroupElement(tau=columns[4], u=(columns[2][:, 0], columns[2][:, 1])))
+    worst = Fraction(0)
+    for i in range(n):
+        gi = GroupElement(v=v[i], theta=theta[i])
+        k = -cocycle_exponent(GroupKind.EXTENDED, K_UNIT, gi, GroupElement(v=vp[i]))
+        m = -cocycle_exponent(GroupKind.EXTENDED, M_UNIT, gi, GroupElement(tau=tau_p[i], u=u_p[i]))
+        # the array call gives the scalar call's doubles
+        assert (k.hex(), m.hex()) == (float(k_terms[i]).hex(), float(m_terms[i]).hex())
+        # the k term is (v x R v')/2 bit for bit: the same products, halved exactly
+        assert k.hex() == _half_cross(v[i], rotate(theta[i], vp[i])).hex()
+        ru = rotate(theta[i], u_p[i])
+        (v1, v2), (r1, r2) = (map(Fraction, x) for x in (v[i], ru))
+        t = Fraction(tau_p[i])
+        scale = (v1 * v1 + v2 * v2) * abs(t) / 2 + abs(v1 * r1) + abs(v2 * r2)
+        share = abs(Fraction(m) - Fraction(_hand_mass(v[i], ru, tau_p[i]))) / scale
+        assert share <= MASS_BOUND, (i, float(share / MASS_BOUND))
+        worst = max(worst, share)
+    assert 0 < worst  # the two forms do differ in the last bits
+
+
 # The draws and per-point formulas of one scalar experiment per sample: each
 # sample's factory arguments in draw order, and its (error, zeta) at one c.
 def _draw(name, rng, c_min):
@@ -577,21 +637,30 @@ def _draw(name, rng, c_min):
     return (*data(), *data())
 
 
+def _scalar_target(name, args):
+    """The family's target for one sample's draw, from scalar `cocycle_exponent` calls."""
+    if name == "thomas":
+        v, vp, theta = args
+        return -cocycle_exponent(GroupKind.EXTENDED, K_UNIT, GroupElement(v=v, theta=theta), GroupElement(v=vp))
+    if name == "mass":
+        v, theta, tau_p, u_p = args
+        return -cocycle_exponent(GroupKind.EXTENDED, M_UNIT, GroupElement(v=v, theta=theta),
+                                 GroupElement(tau=tau_p, u=u_p))
+    return 0.0
+
+
 def _scalar_point(name, args, c):
     if name == "thomas":
         v, vp, theta = args
-        w = rotate(theta, vp)
-        _, delta = compose_boosts(v, w, c)
+        _, delta = compose_boosts(v, rotate(theta, vp), c)
         _, th, _, _ = contraction._decompose_lorentz(boost_matrix(v, c) @ rotation_matrix(theta), c)
-        return abs(c * c * delta - thomas_target(v, w)), abs(c * c * th)
+        return abs(c * c * delta - _scalar_target(name, args)), abs(c * c * th)
     if name == "mass":
         v, theta, tau_p, u_p = args
-        ru = rotate(theta, u_p)
-        target = float((v[0] ** 2 + v[1] ** 2) / 2 * tau_p + v[0] * ru[0] + v[1] * ru[1])
         g = poincare_from_galilei(0.0, (0.0, 0.0), v, theta, c)
         h = poincare_from_galilei(tau_p, u_p, (0.0, 0.0), 0.0, c)
         zeta = abs(c * poincare_product(g, h).a[0])
-        return abs(float(mass_cocycle_exponent(g, h)) - target), zeta
+        return abs(float(mass_cocycle_exponent(g, h)) - _scalar_target(name, args)), zeta
     g, h = poincare_from_galilei(*args[:4], c), poincare_from_galilei(*args[4:], c)
     left = contract_element(poincare_product(g, h))
     right = galilei_product(contract_element(g), contract_element(h))
@@ -614,7 +683,7 @@ def test_family_matches_scalar_points_bit_for_bit(name, grid):
         points = [_scalar_point(name, args, c) for c in grid]
         assert [x.hex() for x in rep.errors] == [float(e).hex() for e, _ in points]
         assert [x.hex() for x in rep.zeta_magnitudes] == [float(z).hex() for _, z in points]
-        assert rep.c_grid == grid
+        assert rep.c_grid == grid and rep.target.hex() == float(_scalar_target(name, args)).hex()
         _assert_exact_slope(grid, rep.errors, rep.fitted_slope)
         _assert_exact_slope(grid, rep.zeta_magnitudes, rep.growth_slope)
         if name == "diagram":

@@ -159,6 +159,26 @@ def test_nopoly_coefficients_fail_closed():
     assert NOPoly.scalar(2) == 2 * ONE
 
 
+def test_nopoly_arithmetic_is_polys_and_fails_closed():
+    p, q, r = N1 + F(1, 2) * P2, H - M, F(-3, 4)
+    for bad in (lambda: p * q, lambda: p / 2, lambda: 2 / p, lambda: p * 0.5, lambda: 0.5 * p,
+                lambda: p / q, lambda: p + 0.5, lambda: p + Poly.symbol("k"), lambda: Poly.symbol("k") + p,
+                lambda: Poly.symbol("k") * p, lambda: NOPoly({(0,): Poly.symbol("k")}),
+                lambda: ExtensionParams(NOPoly.generator("N1"), 1, 0)):
+        with pytest.raises(TypeError):
+            bad()
+    # a rational operand is a constant: these raised AttributeError before NOPoly was a Poly
+    constant = NOPoly({(): r})
+    assert type(p + r) is type(r + p) is type(p - r) is type(sum([p, q])) is type(p * r) is NOPoly
+    assert p + r == r + p == NOPoly({(0,): 1, (3,): F(1, 2), (): r}) and p - r == p + constant * -1
+    assert r - p == -p + constant and sum([p, q]) == p + q and p * r == r * p == NOPoly({(0,): r, (3,): r / 2})
+    assert NOPoly.scalar(r) == r and NOPoly.scalar(2) == 2 and NOPoly() == 0 and not NOPoly()
+    assert p != Poly({(0,): 1, (3,): F(1, 2)}) and Poly({}) != NOPoly() and NOPoly() != 0.0
+    with pytest.raises(AttributeError):
+        p.terms = {}  # the terms name is read-only: it is the polynomial itself
+    assert p.terms is p
+
+
 def _exponents(word):
     return tuple(word.count(g) for g in range(len(GEN_NAMES)))
 
@@ -625,7 +645,7 @@ def test_explicit_zero_entries_are_dropped():
     assert _eliminate([{0: 0}]) == {}
     assert _eliminate([{0: 0, 1: 1}]) == {1: {1: 1}}  # a zero never pivots
     zero_term = NOPoly()
-    zero_term.terms = {(0,) * len(GEN_NAMES): F(0)}  # a zero stored past the constructor
+    zero_term[(0,) * len(GEN_NAMES)] = F(0)  # a zero stored past the constructor, through the dict API
     assert in_span([zero_term], NOPoly())
     assert not in_span([zero_term], ONE)
     assert rank([zero_term]) == 0
