@@ -20,17 +20,16 @@ With `Poly` charges they are polynomials in (k, m, l), and `==` between two
 such values is an identity in the charges, so one evaluation proves a check
 for every charge set at once.
 
-Every value in this module is immutable after construction (a `Poly` is
-never changed once built) and can be shared freely between threads.
+Every value here is immutable once built (a `Poly` is never changed, a record
+refuses to set or delete a field) and can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
 
 GALILEI_LABELS = ("E", "H", "P1", "P2", "N1", "N2", "M")
 
@@ -117,18 +116,40 @@ class Poly(dict):
         return equal if equal is NotImplemented else not equal
 
 
-@dataclass(frozen=True)
-class ExtensionParams:
+class _Record:
+    """An immutable record of the fields its subclass lists in ``__slots__``.
+    Like a frozen dataclass it equals only a record of its own class with equal
+    fields, and hashes by them: both go through ``__reduce__``."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ExtensionParams(_Record):
     """The three central charges (k, m, l) of the extended algebra."""
 
-    k: Fraction
-    m: Fraction
-    l: Fraction
+    __slots__ = ("k", "m", "l")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", _as_rational(self.k))
-        object.__setattr__(self, "m", _as_rational(self.m))
-        object.__setattr__(self, "l", _as_rational(self.l))
+    def __init__(self, k: Fraction, m: Fraction, l: Fraction):
+        super().__init__(_as_rational(k), _as_rational(m), _as_rational(l))
 
     def __repr__(self):
         return f"ExtensionParams(k={self.k}, m={self.m}, l={self.l})"
@@ -142,8 +163,7 @@ class ExtensionParams:
         return self.k / (2 * self.m)
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(_Record):
     """A finite-dimensional algebra given by labels and a bracket tensor.
 
     The tensor is not validated on construction; use
@@ -153,8 +173,13 @@ class LieAlgebra:
     is an identity in their symbols.
     """
 
-    labels: tuple[str, ...]
-    tensor: tuple  # tensor[i][j][n] = coefficient of X_n in [X_i, X_j]
+    __slots__ = ("labels", "tensor")  # tensor[i][j][n] = coefficient of X_n in [X_i, X_j]
+
+    def __init__(self, labels: tuple[str, ...], tensor: tuple):
+        super().__init__(labels, tensor)
+
+    def __repr__(self):
+        return f"LieAlgebra(labels={self.labels!r}, tensor={self.tensor!r})"
 
     @property
     def dim(self) -> int:

@@ -70,9 +70,9 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 from .algebra import ExtensionParams, Poly, _as_rational, make_galilei_algebra
 

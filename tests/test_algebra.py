@@ -1,6 +1,9 @@
+import copy
 import json
 import math
+import pickle
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +21,7 @@ from galilei21.algebra import (
     make_galilei_algebra,
 )
 from galilei21.cli import main
+from galilei21.enveloping import NOPoly
 from scalar_sampler import random_params
 
 
@@ -317,3 +321,81 @@ def test_basis_change_rejects_a_non_square_matrix():
             apply_basis_change(alg, matrix, identity)
         with pytest.raises(ValueError, match="dimension mismatch"):
             apply_basis_change(alg, identity, matrix)
+
+
+# ExtensionParams and LieAlgebra are plain immutable records; they keep a
+# frozen dataclass's value semantics
+TENSOR = (((F(0),), (F(1),)), ((F(-1),), (F(0),)))
+RECORDS = {
+    ExtensionParams: (((F(3, 2), 2, "-1/3"), {"k": "3/2", "m": F(2), "l": F(-1, 3)}), ("k", "m", "l")),
+    LieAlgebra: (((("X", "Y"), TENSOR), {"labels": ("X", "Y"), "tensor": TENSOR}), ("labels", "tensor")),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS)
+def test_records_build_by_position_and_keyword(cls):
+    (args, kwargs), fields = RECORDS[cls]
+    by_position, by_keyword = cls(*args), cls(**kwargs)
+    assert by_position == by_keyword and not by_position != by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    assert [getattr(by_position, name) for name in fields] == [getattr(by_keyword, name) for name in fields]
+    for bad in (args[:-1], args + args[-1:]):
+        with pytest.raises(TypeError):
+            cls(*bad)
+
+
+def test_extension_params_charges_become_fractions():
+    p = ExtensionParams(3, "-5/4", F(1, 3))
+    assert all(type(c) is F for c in (p.k, p.m, p.l)) and (p.k, p.m, p.l) == (3, F(-5, 4), F(1, 3))
+    assert type(ExtensionParams(Poly.symbol("k"), 1, 0).k) is Poly
+    for bad in (0.5, NOPoly.generator("N1"), None):
+        with pytest.raises(TypeError):
+            ExtensionParams(1, bad, 0)
+
+
+def test_records_equal_only_a_record_of_their_own_class():
+    p, alg = ExtensionParams(1, 2, 0), LieAlgebra(("X", "Y"), TENSOR)
+    assert p != ExtensionParams(1, 2, 3) and alg != LieAlgebra(("X", "Z"), TENSOR)
+    for record, other in ((p, (F(1), F(2), F(0))), (alg, (("X", "Y"), TENSOR)), (p, alg), (alg, p)):
+        assert not record == other and record != other and not other == record
+    # a copy is an equal record; equal values of one class are one dict key
+    assert copy.copy(p) == copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p
+    assert {p: 1, ExtensionParams("1", F(2), 0): 2} == {p: 2}
+
+
+def test_records_with_poly_charges_compare_but_do_not_hash():
+    k = Poly.symbol("k")
+    p = ExtensionParams(k, 1, 0)
+    assert p == ExtensionParams(k, 1, 0) and make_galilei_algebra(p) == make_galilei_algebra(p)
+    for record in (p, make_galilei_algebra(p)):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+@pytest.mark.parametrize(
+    "record, field", [(ExtensionParams(1, 2, 0), "k"), (LieAlgebra(("X", "Y"), TENSOR), "tensor")]
+)
+def test_record_fields_cannot_be_assigned_or_deleted(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.other = 1
+    assert getattr(record, field) is before
+
+
+def test_records_take_weak_references():
+    for record in (ExtensionParams(1, 2, 0), LieAlgebra(("X", "Y"), TENSOR)):
+        assert weakref.ref(record)() is record
+
+
+def test_record_reprs_are_pinned():
+    assert repr(ExtensionParams(F(3, 2), 2, "-1/3")) == "ExtensionParams(k=3/2, m=2, l=-1/3)"
+    poly_charged = ExtensionParams(Poly.symbol("k"), 1, 0)
+    assert repr(poly_charged) == "ExtensionParams(k={('k',): Fraction(1, 1)}, m=1, l=0)"
+    assert repr(LieAlgebra(("X", "Y"), TENSOR)) == (
+        "LieAlgebra(labels=('X', 'Y'), tensor=(((Fraction(0, 1),), (Fraction(1, 1),)),"
+        " ((Fraction(-1, 1),), (Fraction(0, 1),))))"
+    )

@@ -90,3 +90,27 @@ def test_exact_suites_and_demos_run_without_numpy():
         capture_output=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": path}, timeout=600,
     )
     assert done.returncode == 0, done.stderr.decode()
+
+
+# Start-up: in a fresh interpreter with no site hook (-S) and only src/ on the
+# path, the exact suites load no module they do not use: neither numpy nor
+# dataclasses (which imports inspect, dis and ast) nor typing.
+UNUSED_AT_START = ("dataclasses", "inspect", "typing", "numpy")
+EXACT_START = f"""
+import os, sys
+from galilei21 import cli
+
+cli.build_parser()
+for argv in (["verify-algebra"], ["casimir", "--max-degree=4"], ["casimir", "--k=0", "--m=0", "--l=2"]):
+    assert cli.main(argv + ["--out", os.devnull]) == 0, argv
+loaded = [name for name in {UNUSED_AT_START!r} if name in sys.modules]
+assert not loaded, loaded
+"""
+
+
+def test_exact_suites_start_without_dataclasses_inspect_typing_or_numpy():
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", EXACT_START],
+        capture_output=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr.decode()
