@@ -3,11 +3,12 @@
 The central object is the seven-dimensional extension of the planar
 (two space dimensions plus time) Galilei algebra.  Its basis is
 
-    E, H, P1, P2, N1, N2, M
+    N1, N2, P1, P2, H, M, E
 
-where E is central, H generates time translations, P_i space
-translations, N_i boosts and M rotations.  With eps_12 = +1 the nonzero
-brackets are
+where N_i generate boosts, P_i space translations, H time translations,
+M rotations, and E, central and last, is the enveloping algebra's unit,
+whose words are over the first six in this order.  With eps_12 = +1 the
+nonzero brackets are
 
     [N_i, H]  = P_i            [N_i, N_j] = k eps_ij E
     [M,  P_i] = eps_ij P_j     [N_i, P_j] = m delta_ij E
@@ -31,7 +32,8 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import product
 
-GALILEI_LABELS = ("E", "H", "P1", "P2", "N1", "N2", "M")
+GALILEI_LABELS = ("N1", "N2", "P1", "P2", "H", "M", "E")
+_INDEX = {lbl: i for i, lbl in enumerate(GALILEI_LABELS)}
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -202,14 +204,13 @@ def _zero_tensor(dim: int) -> list:
 
 def make_galilei_algebra(params: ExtensionParams) -> LieAlgebra:
     """The extended planar Galilei algebra g_(k,m,l); the charges may be `Poly`s."""
-    idx = {lbl: i for i, lbl in enumerate(GALILEI_LABELS)}
     c = _zero_tensor(len(GALILEI_LABELS))
 
     def put(a: str, b: str, result: Mapping[str, Fraction]):
-        ia, ib = idx[a], idx[b]
+        ia, ib = _INDEX[a], _INDEX[b]
         for lbl, co in result.items():
-            c[ia][ib][idx[lbl]] = co
-            c[ib][ia][idx[lbl]] = -co
+            c[ia][ib][_INDEX[lbl]] = co
+            c[ib][ia][_INDEX[lbl]] = -co
 
     put("N1", "H", {"P1": _ONE})
     put("N2", "H", {"P2": _ONE})
@@ -326,10 +327,9 @@ def eliminate_k_change(params: ExtensionParams) -> tuple:
     """
     shift = params.k_shift
     dim = len(GALILEI_LABELS)
-    idx = {lbl: i for i, lbl in enumerate(GALILEI_LABELS)}
     rows = [[_ONE if i == j else _ZERO for j in range(dim)] for i in range(dim)]
-    rows[idx["N1"]][idx["P2"]] = shift
-    rows[idx["N2"]][idx["P1"]] = -shift
+    rows[_INDEX["N1"]][_INDEX["P2"]] = shift
+    rows[_INDEX["N2"]][_INDEX["P1"]] = -shift
     return tuple(tuple(r) for r in rows)
 
 

@@ -5,9 +5,9 @@ configuration problem.  All randomness is seeded, so a fixed
 (command, options) pair produces byte-identical reports.
 
 Rational charges are given as exact strings on the command line
-(``--k 1/2``); grids as ``lo:hi:logxF`` (multiply by F from lo until hi)
-or an explicit comma list, of at most GRID_CAP points; ``--samples`` is at
-most SAMPLES_CAP.
+(``--k 1/2``), of at most DIGITS_CAP digits above and below the line; grids
+as ``lo:hi:logxF`` (multiply by F from lo until hi) or an explicit comma
+list, of at most GRID_CAP points; ``--samples`` is at most SAMPLES_CAP.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from . import algebra, enveloping
 from .algebra import ExtensionParams, Poly, worst_defect
 
 DEGREE_CAP = 10
+# per charge, above and below the line: a casimir coefficient at DEGREE_CAP has about
+# DEGREE_CAP * DIGITS_CAP digits, within the 4300 that Python turns into a str
+DIGITS_CAP = 4200 // DEGREE_CAP
 GRID_CAP = 1000  # c grid points
 SAMPLES_CAP = 1000  # every --samples; at the cap, diagram on GRID_CAP points peaks at 0.8 GB RSS (x86-64)
 EXPERIMENT_NAMES = ("thomas", "mass", "diagram")
@@ -43,10 +46,18 @@ def _numeric() -> None:
 
 
 def _rational(text: str) -> Fraction:
+    """An argparse type: an exact rational with at most DIGITS_CAP digits above and
+    below the line.  `Fraction` forms 10**exponent first, so an exponent past
+    DIGITS_CAP plus the text's length, which puts any value but 0 past the cap,
+    is refused before it runs."""
+    exponent = re.search(r"[eE]([-+]?[\d_]+)\s*$", text)
     try:
-        return Fraction(text)
+        value = None if exponent and abs(int(exponent[1])) > DIGITS_CAP + len(text) else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+    if value is None or max(abs(value.numerator), value.denominator) >= 10**DIGITS_CAP:
+        raise argparse.ArgumentTypeError(f"more than {DIGITS_CAP} digits above or below the line: {text!r}")
+    return value
 
 
 def _int_in(lo: int, hi: int):
@@ -392,24 +403,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     samples = _int_in(1, SAMPLES_CAP)
+    unread = "read by no row, as every row is exact; kept so that existing command lines run"
 
-    def common(p, charges=True):
+    def common(p, charges=True, seed_help=None):
         if charges:
             p.add_argument("--k", type=_rational, default=Fraction(0))
             p.add_argument("--m", type=_rational, default=Fraction(0))
             p.add_argument("--l", type=_rational, default=Fraction(0))
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--format", choices=("json", "csv", "human"), default="human")
         p.add_argument("--out", default=None, help="write the report to this path")
 
     p = sub.add_parser("verify-algebra", help="Jacobi, antisymmetry and charge-removal suites")
-    common(p)
-    p.add_argument("--samples", type=samples, default=200,
-                   help="read by no row, as every row is exact; kept so that existing command lines run")
+    common(p, seed_help=unread)
+    p.add_argument("--samples", type=samples, default=200, help=unread)
     p.set_defaults(func=lambda opts: cmd_verify_algebra(opts))
 
     p = sub.add_parser("casimir", help="invariant table and bounded-degree centralizer")
-    common(p)
+    common(p, seed_help=unread)
     p.add_argument("--max-degree", type=_int_in(0, DEGREE_CAP), default=2, dest="max_degree")
     p.set_defaults(func=lambda opts: cmd_casimir(opts))
 

@@ -1,12 +1,12 @@
 """Normal-ordered enveloping algebra of the extended Galilei algebra.
 
-A monomial is a sorted word of generator indices into GEN_NAMES, so
-(0, 0, 3, 4) is N1^2 P2 H: the generators stand in the fixed sequence
-N1 N2 P1 P2 H M, and these words are the Poincare-Birkhoff-Witt basis
-(Dixmier, Enveloping Algebras, ch. 2).  A polynomial, `NOPoly`, is a `Poly`
-over such words, with its sums and equality.  The central element E
-of the underlying algebra is evaluated to the scalar unit, so brackets
-like [N1, P1] = m E contribute plain numbers when products are reordered.
+A monomial is a sorted word of indices into the algebra's own basis,
+GEN_NAMES = N1 N2 P1 P2 H M, so (0, 0, 3, 4) is N1^2 P2 H, and these words
+are the Poincare-Birkhoff-Witt basis (Dixmier, Enveloping Algebras, ch. 2).
+A polynomial, `NOPoly`, is a `Poly` over such words, with its sums and
+equality.  The last basis element, the central E, is evaluated to the
+scalar unit, so brackets like [N1, P1] = m E contribute plain numbers
+when products are reordered.
 
 Products are normalized by repeatedly replacing an adjacent out-of-order
 pair X Y with Y X + [X, Y]; every rewrite either removes an inversion at
@@ -15,7 +15,7 @@ leftmost out-of-order pair is rewritten first; confluence is certified
 by the associativity tests rather than assumed.  Each top-level call
 (`no_mul`, `generator_brackets`, `centralizer_basis`,
 `centralizer_dimension`) takes the charges (k, m, l) and builds at most
-one memo of normal forms over `make_galilei_algebra` for all of its
+one memo of normal forms, over `make_galilei_algebra(params)`, for all its
 products; nothing refers back to the memo, so it is freed by the time
 the call returns, and nothing is kept between calls.
 
@@ -74,9 +74,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import ExtensionParams, Poly, _as_rational, make_galilei_algebra
+from .algebra import GALILEI_LABELS, ExtensionParams, LieAlgebra, Poly, _as_rational, make_galilei_algebra
 
-GEN_NAMES = ("N1", "N2", "P1", "P2", "H", "M")
+GEN_NAMES = GALILEI_LABELS[:-1]  # E, the last basis element, is the unit
 NGEN = len(GEN_NAMES)
 N1, N2, P1, P2, H, M = range(NGEN)
 
@@ -155,26 +155,25 @@ class NOPoly(Poly):
 
 
 class _NormalOrderer(dict):
-    """Memo of normal forms over g_(k,m,l), in integers: orderer[word] is
-    {sorted word: n} with sum n * mono = D**len(word) * (word in normal
-    order), for any word of generator indices, computed on its first lookup.
-    D (`den`) is the least common denominator of the structure constants,
-    read from the tensor of `make_galilei_algebra(params)`."""
+    """Memo of normal forms over a `LieAlgebra` whose last basis element is a
+    central unit, evaluated to 1, in integers: orderer[word] is {sorted word: n}
+    with sum n * mono = D**len(word) * (word in normal order), for any word of
+    indices into the algebra's other basis elements, computed on its first
+    lookup.  D (`den`) is the least common denominator of their brackets."""
 
-    def __init__(self, params: ExtensionParams):
-        alg = make_galilei_algebra(params)
-        gen_of = {alg.index(n): g for g, n in enumerate(GEN_NAMES)}  # E maps to None
-        # the nonzero entries c of [g_a, g_b] = sum_n c X_n, with n the generator or None for E
-        entries = [(gen_of[i], gen_of[j], gen_of.get(n), c) for i in gen_of for j in gen_of
-                   for n, c in enumerate(alg.tensor[i][j]) if c]
+    def __init__(self, alg: LieAlgebra):
+        unit = alg.dim - 1
+        # the nonzero entries c of [X_a, X_b] = sum_n c X_n between generators
+        entries = [(a, b, n, c) for a in range(unit) for b in range(unit)
+                   for n, c in enumerate(alg.tensor[a][b]) if c]
         # a rewrite drops the word by one letter (generator term) or two
         # (scalar), so the numerators gain den or den**2
         self.den = den = lcm(*(c.denominator for *_, c in entries))
-        # [g_a, g_b] = scalar*1 + sum of generator terms, E evaluated to 1
-        self.table = {(a, b): (0, ()) for a in range(NGEN) for b in range(NGEN)}
+        # [X_a, X_b] = scalar*1 + sum of generator terms, the unit evaluated to 1
+        self.table = {(a, b): (0, ()) for a in range(unit) for b in range(unit)}
         for a, b, n, c in entries:
             scalar, terms = self.table[(a, b)]
-            if n is None:
+            if n == unit:
                 scalar = c.numerator * (den * den // c.denominator)
             else:
                 terms += ((n, c.numerator * (den // c.denominator)),)
@@ -228,13 +227,13 @@ def _product(normal_form: _NormalOrderer, p: NOPoly, q: NOPoly) -> NOPoly:
 
 def no_mul(params: ExtensionParams, p: NOPoly, q: NOPoly) -> NOPoly:
     """Product of p and q in the enveloping algebra, in normal order."""
-    return _product(_NormalOrderer(params), p, q)
+    return _product(_NormalOrderer(make_galilei_algebra(params)), p, q)
 
 
 def generator_brackets(params: ExtensionParams, polys: Iterable[NOPoly]) -> list[tuple[NOPoly, ...]]:
     """([N1, p], [N2, p], [P1, p], [P2, p], [H, p], [M, p]) for each p, all
     from one orderer's `bracket`."""
-    normal_form = _NormalOrderer(params)
+    normal_form = _NormalOrderer(make_galilei_algebra(params))
     out = []
     for p in polys:
         row = []
@@ -412,7 +411,7 @@ def centralizer_basis(params: ExtensionParams, max_degree: int) -> tuple[NOPoly,
     longer = [word for n in range(2, max_degree // 2 + 1)
               for word in itertools.combinations_with_replacement(range(len(table)), n)]
     if longer:
-        normal_form = _NormalOrderer(params)
+        normal_form = _NormalOrderer(make_galilei_algebra(params))
         for word in longer:
             products[word] = _product(normal_form, products[word[:-1]], table[word[-1]])
     return tuple(products.values())
@@ -424,7 +423,7 @@ def centralizer_dimension(params: ExtensionParams, max_degree: int) -> int:
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     monos = monomials_up_to(max_degree)
-    return len(monos) - len(_eliminate(_centralizer_rows(_NormalOrderer(params), monos)))
+    return len(monos) - len(_eliminate(_centralizer_rows(_NormalOrderer(make_galilei_algebra(params)), monos)))
 
 
 def rank(polys: Sequence[NOPoly]) -> int:

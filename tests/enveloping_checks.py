@@ -3,12 +3,13 @@ difference p q - q p, a reference that shares nothing with the orderer's
 `bracket`; centrality as `casimir` reads it, from `generator_brackets`; and
 span membership by `rank`."""
 
+from galilei21.algebra import make_galilei_algebra
 from galilei21.enveloping import _NormalOrderer, _product, generator_brackets, rank
 
 
 def commutators(params, pairs):
     """[p, q] = p q - q p for each pair (p, q), both products by one orderer."""
-    normal_form = _NormalOrderer(params)
+    normal_form = _NormalOrderer(make_galilei_algebra(params))
     return [_product(normal_form, p, q) - _product(normal_form, q, p) for p, q in pairs]
 
 

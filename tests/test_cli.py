@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import time
 import warnings
 from fractions import Fraction as F
 
@@ -229,10 +230,20 @@ def test_contract_overflow_fails_without_warnings(capfd, experiment):
 def test_casimir_builds_one_orderer_for_its_candidate_checks(capsys, monkeypatch):
     built = []
     orderer = enveloping._NormalOrderer
-    monkeypatch.setattr(enveloping, "_NormalOrderer", lambda params: built.append(params) or orderer(params))
+    monkeypatch.setattr(enveloping, "_NormalOrderer", lambda alg: built.append(alg) or orderer(alg))
     code, out = run(capsys, "casimir", "--k", "5", "--m", "2", "--l", "0", "--max-degree", "2")
     assert code == 0 and "overall: PASS" in out
-    assert len(built) == 2  # the candidate checks, then the centralizer's dimension
+    # the candidate checks, then the centralizer's dimension, each over the algebra of the charges
+    assert built == [algebra.make_galilei_algebra(algebra.ExtensionParams(5, 2, 0))] * 2
+
+
+@pytest.mark.parametrize("argv", [["verify-algebra", "--k=1", "--m=2", "--l=3"],
+                                  ["casimir", "--k=3/2", "--m=2", "--max-degree=4"]])
+def test_seed_is_read_by_no_exact_row(capsys, argv):
+    # neither command draws anything: two seeds differ only in the echoed config
+    first, second = (json.loads(run(capsys, *argv, f"--seed={seed}", "--format=json")[1]) for seed in (1, 8191))
+    assert (first["config"].pop("seed"), second["config"].pop("seed")) == (1, 8191)
+    assert first == second
 
 
 def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
@@ -383,6 +394,45 @@ def test_charge_too_large_for_a_float_is_config_error(capsys, charges):
     assert main(["group", *charges]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("configuration error:") and err.count("\n") == 1
+    assert "too large for a float" in err
+
+
+CAP = cli.DIGITS_CAP
+
+
+@pytest.mark.parametrize("value", [
+    f"1e{CAP}", f"-1e-{CAP}", f"0.{'0' * CAP}1e{2 * CAP + 1}", f"1/1{'0' * CAP}", f"-{'9' * CAP}1/7",
+    "1e10000000", "1e100000000", "-1e-100000000", f"1e{'9' * 5000}",
+])
+@pytest.mark.parametrize("flag", ["--k", "--m", "--l"])
+@pytest.mark.parametrize("command", ["verify-algebra", "casimir", "group"])
+def test_a_charge_past_the_digit_cap_is_one_line_config_error(capfd, monkeypatch, command, flag, value):
+    # Fraction would expand 1e100000000 for minutes: the exponent is read first
+    for name in ("cmd_verify_algebra", "cmd_casimir", "cmd_group"):
+        monkeypatch.setattr(cli, name, lambda opts: pytest.fail("a command ran"))
+    start = time.perf_counter()
+    assert main([command, f"{flag}={value}"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capfd.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith(f"configuration error: argument {flag}: ")
+
+
+@pytest.mark.parametrize("flag", ["--k", "--m", "--l"])
+def test_a_charge_at_the_digit_cap_runs_and_is_echoed(capsys, flag):
+    for value in (f"1e{CAP - 1}", f"-1e-{CAP - 1}", f"-{'9' * CAP}/{'9' * (CAP - 1)}7", f"0.{'0' * CAP}1e{2 * CAP}"):
+        code, out = run(capsys, "verify-algebra", "--m=1", f"{flag}={value}", "--format=json")
+        assert code == 0 and json.loads(out)["config"][flag[2:]] == str(F(value)), value
+
+
+def test_a_casimir_report_at_the_digit_cap_and_the_degree_cap_renders(capsys):
+    # (k/m)**5 has about DEGREE_CAP * DIGITS_CAP digits above and below the line,
+    # within Python's 4300-digit limit on converting an int to a str
+    nines = 10**CAP - 1
+    k, m = F(-nines, nines - 2), F(nines - 6, nines - 8)
+    code, out = run(capsys, "casimir", f"--k={k}", f"--m={m}", f"--max-degree={cli.DEGREE_CAP}", "--format=json")
+    assert code == 0 and json.loads(out)["pass"]
+    h5 = -(k / m) ** 5  # the coefficient of H^5 in C2^5, C2 = M - ... - (k/m) H
+    assert f"{h5}*H^5" in out and len(str(h5.denominator)) > 9 * CAP
 
 
 def test_bad_samples_is_config_error(capsys):

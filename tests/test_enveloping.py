@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import galilei21.enveloping as enveloping_module
 from galilei21.algebra import (
+    GALILEI_LABELS,
     ExtensionParams,
     Poly,
     jacobi_entries,
@@ -570,13 +571,23 @@ def test_three_generator_premise_holds_at_symbolic_charges():
     assert all(entry == 0 for entry in jacobi_entries(alg))
 
 
+def test_words_index_the_algebra_basis_whose_last_element_is_the_central_unit():
+    # the orderer reads alg.tensor[a][b] for generators a, b and evaluates the
+    # last basis element to 1: that needs one order, and E last and central
+    assert GEN_NAMES == GALILEI_LABELS[:-1] and GALILEI_LABELS[-1] == "E"
+    alg = make_galilei_algebra(ExtensionParams(*(Poly.symbol(n) for n in "kml")))
+    assert alg.labels == GALILEI_LABELS
+    unit = alg.dim - 1
+    assert all(alg.tensor[unit][b][n] == 0 == alg.tensor[b][unit][n] for b in range(alg.dim) for n in range(alg.dim))
+
+
 @pytest.mark.parametrize("params", [params for params, _ in CENTRALIZER_TABLE])
 def test_three_generator_rows_give_the_six_generator_basis_at_degree_5(params):
     dimension, six_rows = _six_row_centralizer(params, 5)
     basis = centralizer_basis(params, 5)
     assert centralizer_dimension(params, 5) == dimension == len(basis) == _fraction_rank([p.terms for p in basis])
     assert all(central(params, p) for p in basis)
-    orderer = enveloping_module._NormalOrderer(params)
+    orderer = enveloping_module._NormalOrderer(make_galilei_algebra(params))
     assert len(enveloping_module._centralizer_rows(orderer, monomials_up_to(5))) < six_rows
 
 
@@ -735,7 +746,8 @@ BRACKET_PARAMS = [PARAMS, MIXED_DENOMINATORS, ExtensionParams(F(-2, 3), F(0), F(
 @pytest.mark.parametrize("params", BRACKET_PARAMS)
 def test_orderer_bracket_is_the_difference_of_the_two_products(params):
     # the derivation rule against g X^w - X^w g, each word normal-ordered in full
-    orderer, nf = enveloping_module._NormalOrderer(params), enveloping_module._NormalOrderer(params)
+    alg = make_galilei_algebra(params)
+    orderer, nf = enveloping_module._NormalOrderer(alg), enveloping_module._NormalOrderer(alg)
     for g in range(len(GEN_NAMES)):
         for word in monomials_up_to(5):
             left, right = nf[(g,) + word], nf[word + (g,)]
@@ -804,7 +816,7 @@ def test_oracle_agrees_with_no_mul():
 
 
 def test_normal_orderer_memo_holds_integer_numerators():
-    orderer = enveloping_module._NormalOrderer(MIXED_DENOMINATORS)
+    orderer = enveloping_module._NormalOrderer(make_galilei_algebra(MIXED_DENOMINATORS))
     assert orderer.den == 90
     rng = random.Random(8)
     for _ in range(30):
@@ -849,8 +861,8 @@ def test_shared_orderer_gives_the_per_product_commutators():
 def test_orderers_are_freed_without_the_cycle_collector(monkeypatch):
     built, real = [], enveloping_module._NormalOrderer
 
-    def spy(params):
-        orderer = real(params)
+    def spy(alg):
+        orderer = real(alg)
         built.append(weakref.ref(orderer))
         return orderer
 
@@ -890,7 +902,7 @@ def _fraction_table(params):
 
 @pytest.mark.parametrize("params", [*BRACKET_PARAMS, ExtensionParams(0, 0, 0), ExtensionParams(F(-6), F(1, 4), 0)])
 def test_orderer_table_is_the_fraction_built_table(params):
-    orderer = enveloping_module._NormalOrderer(params)
+    orderer = enveloping_module._NormalOrderer(make_galilei_algebra(params))
     den, table = _fraction_table(params)
     assert orderer.den == den and type(orderer.den) is int
     assert list(orderer.table.items()) == list(table.items())
@@ -915,7 +927,7 @@ def _beta(params, s):
     beta(w) = (1/n) sum_x a_x x beta(w - x) over the distinct letters x of a
     word w of length n, a_x the multiplicity of x: a test-only reference for
     the g-module isomorphism S(g) -> U(g) that `centralizer_dimension` rests on."""
-    orderer, memo = enveloping_module._NormalOrderer(params), {(): ONE}
+    orderer, memo = enveloping_module._NormalOrderer(make_galilei_algebra(params)), {(): ONE}
 
     def beta(w):
         if w not in memo:
