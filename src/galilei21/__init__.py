@@ -31,9 +31,8 @@ _EXPORTS = {
     "enveloping": """NOPoly boost_momentum_cross casimir_invariants centralizer_basis
         generator_brackets internal_angular_momentum internal_energy momentum_squared
         no_mul""",
-    "group": """IDENTITY GroupElement GroupKind apply_coboundary associativity_defect
-        cocycle_exponent compose compose_with_exponent eliminate_k_map homomorphism_defect
-        inverse random_elements""",
+    "group": """IDENTITY GroupElement GroupKind apply_coboundary cocycle_exponent compose
+        compose_with_exponent eliminate_k_map inverse random_elements""",
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

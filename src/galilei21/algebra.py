@@ -238,17 +238,10 @@ def _nonzero_rows(alg: LieAlgebra) -> list:
 
 
 def antisymmetry_defect(alg: LieAlgebra) -> Fraction:
-    """max |c[i][j][n] + c[j][i][n]|; zero iff the tensor is antisymmetric."""
-    worst = _ZERO
-    dim = alg.dim
-    for i in range(dim):
-        for j in range(i, dim):
-            for x, y in zip(alg.tensor[i][j], alg.tensor[j][i]):
-                if x or y:  # two zeros add to no defect
-                    d = abs(x + y)
-                    if d > worst:
-                        worst = d
-    return worst
+    """max |c[i][j][n] + c[j][i][n]| over pairs not both zero; zero iff antisymmetric."""
+    dim, c = alg.dim, alg.tensor
+    return worst_defect((abs(x + y) for i in range(dim) for j in range(i, dim)
+                         for x, y in zip(c[i][j], c[j][i]) if x or y), _ZERO)
 
 
 def jacobi_entries(alg: LieAlgebra):
@@ -266,7 +259,7 @@ def jacobi_entries(alg: LieAlgebra):
 
 def jacobi_defect(alg: LieAlgebra) -> Fraction:
     """max over (i,j,k,n) of |sum_m (c_ijm c_mkn + c_jkm c_min + c_kim c_mjn)|."""
-    return max(map(abs, jacobi_entries(alg)), default=_ZERO)
+    return worst_defect(map(abs, jacobi_entries(alg)), _ZERO)
 
 
 def apply_basis_change(

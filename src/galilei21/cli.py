@@ -182,7 +182,7 @@ def cmd_casimir(opts) -> tuple:
     # [g, p] = -[p, g], so each defect is that of the candidate's commutators
     brackets = dict(zip(names, enveloping.generator_brackets(params, [candidates[n] for n in names])))
     for name in names:
-        defect = worst_defect((com.max_abs_coefficient() for com in brackets[name]), Fraction(0))
+        defect = worst_defect((abs(c) for com in brackets[name] for c in com.values()), Fraction(0))
         expected = candidates[name] in table
         checks.append(
             _check(
@@ -225,11 +225,13 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
     gives the two sides of an identity, which `group.identity_certified` proves
     as polynomials.  The charges may be `Poly`s, as `_certified` passes them.
     The other rows' laws are defects: they take float elements, or numpy arrays
-    of samples, and return a float or an array.
+    of samples, and return a float or an array.  An identity's float row is the
+    `element_distance` of the same two sides that its exact row certifies.
     """
     _numeric()
     cov, ext = group.GroupKind.COVERING, group.GroupKind.EXTENDED
-    assoc = lambda kind: lambda g, h, f: group.associativity_defect(kind, params, g, h, f)
+    assoc = lambda kind: lambda g, h, f: group.associativity_sides(kind, params, g, h, f)
+    distance = lambda kind, sides: lambda *gs: group.element_distance(*sides(*gs), kind)
 
     def round_trip(g):
         gi = group.inverse(cov, params, g)
@@ -238,7 +240,7 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
 
     p_k, p_0 = ExtensionParams(params.k, params.m, 0), ExtensionParams(0, params.m, 0)
     phi = lambda g: group.eliminate_k_map(p_k, g)
-    hom = lambda g, h: group.homomorphism_defect(ext, p_k, p_0, phi, g, h)
+    hom = lambda g, h: group.homomorphism_sides(ext, p_k, p_0, phi, g, h)
 
     shifted = group.apply_coboundary(lambda g, h: group.cocycle_exponent(cov, params, g, h), _zeta)
     twist = lambda g, h: group.compose_with_exponent(g, h, shifted)
@@ -247,16 +249,14 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
     l_note = "l != 0 lives on the covering only" if params.l != 0 else None
     m_note = "m=0: hypothesis violated; skipped" if params.m == 0 else None
     rows = [
-        ("associativity_covering", None, n, 3, assoc(cov), tol),
-        ("associativity_extended", l_note, n, 3, assoc(ext), tol),
-        ("associativity_exact_mode", None, None, 3,
-         lambda g, h, f: group.associativity_sides(cov, params, g, h, f), None),
+        ("associativity_covering", None, n, 3, distance(cov, assoc(cov)), tol),
+        ("associativity_extended", l_note, n, 3, distance(ext, assoc(ext)), tol),
+        ("associativity_exact_mode", None, None, 3, assoc(cov), None),
         ("inverse_round_trip", None, min(n, 200), 1, round_trip, tol),
-        ("k_removal_homomorphism", m_note, n, 2, hom, tol),
+        ("k_removal_homomorphism", m_note, n, 2, distance(ext, hom), tol),
     ]
     if params.m != 0:
-        rows.append(("k_removal_homomorphism_exact", None, None, 2,
-                     lambda g, h: group.homomorphism_sides(ext, p_k, p_0, phi, g, h), None))
+        rows.append(("k_removal_homomorphism_exact", None, None, 2, hom, None))
     rows.append(("coboundary_invariance", None, min(n, 300), 3, coboundary, 10 * tol))
     return rows
 
@@ -383,11 +383,12 @@ def _config_dict(opts) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line in one line, as every configuration error is,
-    and reads a token like ``-1/2`` as a value, as argparse reads ``-2``."""
+    and reads a token that starts with a minus and a digit (``-1/2``, ``-1e-5``,
+    ``-.5``) as a value, as argparse reads ``-2``; the option's type judges it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(2, f"configuration error: {message}\n")

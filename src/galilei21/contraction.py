@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ExtensionParams
-from .group import GroupElement, GroupKind, cocycle_exponent, element_distance, galilei_product, rotate
+from .group import GroupElement, GroupKind, _rotated, cocycle_exponent, element_distance, galilei_product
 
 ETA = np.diag([1.0, -1.0, -1.0])
 ETA.flags.writeable = False
@@ -341,7 +341,7 @@ def thomas_experiment(v, vp, theta) -> LimitExperiment:
     v, vp, theta = _samples(v, 2), _samples(vp, 2), _samples(theta)
     g, h = GroupElement(v=(v[..., 0], v[..., 1]), theta=theta), GroupElement(v=(vp[..., 0], vp[..., 1]))
     target = -cocycle_exponent(GroupKind.EXTENDED, ExtensionParams(1, 0, 0), g, h)
-    w = np.stack(rotate(theta, h.v), axis=-1)
+    w = np.stack(_rotated(g.rotation, h.v), axis=-1)  # g.rotation, cached by cocycle_exponent
 
     def evaluate(c):
         l1 = boost_matrix(v, c)

@@ -128,9 +128,6 @@ class NOPoly(Poly):
 
     __rmul__, __rtruediv__ = __mul__, __truediv__
 
-    def max_abs_coefficient(self) -> Fraction:
-        return max((abs(c) for c in self.values()), default=_ZERO)
-
     def __repr__(self):
         if not self:
             return "0"
@@ -215,14 +212,15 @@ class _NormalOrderer(dict):
         return {m: c for m, c in out.items() if c}
 
 
-def _product(normal_form: _NormalOrderer, p: NOPoly, q: NOPoly) -> NOPoly:
+def _product(normal_form: _NormalOrderer, p: Poly, q: Poly) -> Poly:
+    """p q in normal order, of p's type: a plain `Poly` for another algebra's words."""
     out: dict[tuple, Fraction] = {}
     for w1, c1 in p.items():
         for w2, c2 in q.items():
             f = c1 * c2 / normal_form.den ** (len(w1) + len(w2))
             for mono, co in normal_form[w1 + w2].items():
                 out[mono] = out.get(mono, _ZERO) + f * co
-    return NOPoly(out)
+    return type(p)(out)
 
 
 def no_mul(params: ExtensionParams, p: NOPoly, q: NOPoly) -> NOPoly:

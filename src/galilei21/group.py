@@ -105,18 +105,11 @@ def _cos_sin(theta):
 
 
 def _rotated(cs, vec: tuple) -> tuple:
-    """Apply the rotation whose `_cos_sin` is cs."""
+    """Apply R(theta) by its `_cos_sin` cs, such as an element's `rotation`."""
     if cs is None:
         return (vec[0], vec[1])
     c, s = cs
     return (c * vec[0] + s * vec[1], -s * vec[0] + c * vec[1])
-
-
-def rotate(theta, vec: tuple) -> tuple:
-    """Apply R(theta); the theta == 0 branch keeps exact scalars exact, and a
-    NaN or +-inf theta gives NaN components on scalars as on arrays.  The group
-    law reads an element's own `rotation` instead, computed once per element."""
-    return _rotated(_cos_sin(theta), vec)
 
 
 def cross(a: tuple, b: tuple):
@@ -238,13 +231,6 @@ def associativity_sides(
             compose(kind, params, g, compose(kind, params, h, f)))
 
 
-def associativity_defect(
-    kind: GroupKind, params: ExtensionParams, g: GroupElement, h: GroupElement, f: GroupElement
-):
-    """Executable 2-cocycle condition: distance of (gh)f from g(hf)."""
-    return element_distance(*associativity_sides(kind, params, g, h, f), kind)
-
-
 def apply_coboundary(
     xi: Callable[[GroupElement, GroupElement], object],
     zeta: Callable[[GroupElement], object],
@@ -290,14 +276,6 @@ def homomorphism_sides(
 ) -> tuple:
     """The two sides compose_b(map g, map h) and map(compose_a(g, h))."""
     return compose(kind, params_b, mapping(g), mapping(h)), mapping(compose(kind, params_a, g, h))
-
-
-def homomorphism_defect(
-    kind: GroupKind, params_a: ExtensionParams, params_b: ExtensionParams,
-    mapping: Callable[[GroupElement], GroupElement], g: GroupElement, h: GroupElement,
-):
-    """Distance of compose_b(map g, map h) from map(compose_a(g, h))."""
-    return element_distance(*homomorphism_sides(kind, params_a, params_b, mapping, g, h), kind)
 
 
 def _exact_element(q) -> GroupElement:

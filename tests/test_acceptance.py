@@ -116,18 +116,20 @@ def test_criterion_05_group_cocycle_condition():
             p_ext = ExtensionParams(p.k, p.m, 0)
             # 1000 triples as arrays, drawn as 1000 x 3 calls of random_element would be
             g, h, f = group.random_elements(rng, 1000, 3)
-            assert (group.associativity_defect(group.GroupKind.COVERING, p, g, h, f) < 1e-12).all()
-            assert (group.associativity_defect(group.GroupKind.EXTENDED, p_ext, g, h, f) < 1e-12).all()
+            for kind, charges in ((group.GroupKind.COVERING, p), (group.GroupKind.EXTENDED, p_ext)):
+                d = group.element_distance(*group.associativity_sides(kind, charges, g, h, f), kind)
+                assert (d < 1e-12).all()
         # exact rational mode is exactly associative
         for _ in range(5):
             p = random_params(rng)
             for _ in range(40):
                 g, h, f = (random_rational_element(rng) for _ in range(3))
-                d = group.associativity_defect(group.GroupKind.COVERING, p, g, h, f)
+                d = group.element_distance(*group.associativity_sides(group.GroupKind.COVERING, p, g, h, f))
                 assert d == 0 and not isinstance(d, float)
 
 
 def test_criterion_06_group_charge_removal():
+    EXT = group.GroupKind.EXTENDED
     with criterion(6, "k-removal map is a homomorphism, 1000 pairs x 10 charges", 5.0):
         rng = random.Random(2029)
         for _ in range(10):
@@ -135,12 +137,13 @@ def test_criterion_06_group_charge_removal():
             p_k = ExtensionParams(p.k, p.m, 0)
             p_0 = ExtensionParams(0, p.m, 0)
             phi = lambda g: group.eliminate_k_map(p_k, g)
+            sides = lambda g, h: group.homomorphism_sides(EXT, p_k, p_0, phi, g, h)
             g, h = group.random_elements(rng, 1000, 2)
-            d = group.homomorphism_defect(group.GroupKind.EXTENDED, p_k, p_0, phi, g, h)
+            d = group.element_distance(*sides(g, h), EXT)
             assert d.shape == (1000,) and (d < 1e-12).all()
             for _ in range(40):
                 g, h = random_rational_element(rng), random_rational_element(rng)
-                d = group.homomorphism_defect(group.GroupKind.EXTENDED, p_k, p_0, phi, g, h)
+                d = group.element_distance(*sides(g, h), EXT)
                 assert d == 0 and not isinstance(d, float)
 
 

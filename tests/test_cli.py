@@ -131,9 +131,10 @@ def test_bad_rational_is_config_error(capsys):
 
 @pytest.mark.parametrize("flag", ["--k", "--m", "--l"])
 def test_negative_fraction_as_a_separate_token(capsys, flag):
-    separate = run(capsys, "casimir", flag, "-1/2", "--format", "json")
-    assert separate == run(capsys, "casimir", f"{flag}=-1/2", "--format", "json")
-    assert json.loads(separate[1])["config"][flag[2:]] == "-1/2"
+    for value in ("-1/2", "-1e-5", "-1.5e3", "-1E2"):  # a fraction, and exponent forms
+        separate = run(capsys, "casimir", flag, value, "--format", "json")
+        assert separate == run(capsys, "casimir", f"{flag}={value}", "--format", "json")
+        assert separate[0] == 0 and json.loads(separate[1])["config"][flag[2:]] == str(F(value))
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
@@ -157,13 +158,14 @@ def test_degree_cap_enforced(capsys):
     ] + [
         ([*command, "--tolerance", tolerance], "--tolerance")
         for command in (["group"], ["contract", "--experiment=mass"])
-        for tolerance in ("nan", "inf", "-1")
+        for tolerance in ("nan", "inf", "-1", "-1e-3")  # a separate token, judged by _tolerance
     ]
     for argv, option in cases:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith(f"configuration error: argument {option}:")
+        assert option != "--tolerance" or "expected a finite number >= 0" in captured.err
 
 
 def test_zero_tolerance_is_accepted_and_fails(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from galilei21 import contraction
+from galilei21 import contraction, group
 from galilei21.algebra import ExtensionParams
 from galilei21.cli import DEFAULT_C_GRID, EXPERIMENT_NAMES
 from galilei21.contraction import (
@@ -31,10 +31,14 @@ from galilei21.group import (
     cocycle_exponent,
     element_distance,
     galilei_product,
-    rotate,
 )
 
 K_UNIT, M_UNIT = ExtensionParams(1, 0, 0), ExtensionParams(0, 1, 0)  # the limits' unit charges
+
+
+def rotate(theta, vec):
+    """R(theta) vec, as the group law applies an element's own rotation."""
+    return group._rotated(GroupElement(theta=theta).rotation, vec)
 
 
 def lorentz_defect(lam):

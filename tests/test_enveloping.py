@@ -15,6 +15,7 @@ import galilei21.enveloping as enveloping_module
 from galilei21.algebra import (
     GALILEI_LABELS,
     ExtensionParams,
+    LieAlgebra,
     Poly,
     jacobi_entries,
     make_galilei_algebra,
@@ -753,6 +754,21 @@ def test_orderer_bracket_is_the_difference_of_the_two_products(params):
             left, right = nf[(g,) + word], nf[word + (g,)]
             diff = {mono: left.get(mono, 0) - right.get(mono, 0) for mono in {**left, **right}}
             assert orderer.bracket(g, word) == {mono: c for mono, c in diff.items() if c}, (g, word)
+
+
+def test_product_keeps_the_type_of_its_words():
+    # the Heisenberg algebra (x, p, E), [x, p] = E: its words are plain Polys, and
+    # p x = x p - E comes back as one, with no Galilei names
+    zero, unit = (F(0),) * 3, (F(0), F(0), F(1))
+    minus = tuple(-c for c in unit)
+    tensor = ((zero, unit, zero), (minus, zero, zero), (zero, zero, zero))  # tensor[i][j] = [X_i, X_j]
+    orderer = enveloping_module._NormalOrderer(LieAlgebra(("x", "p", "E"), tensor))
+    px = enveloping_module._product(orderer, Poly({(1,): 1}), Poly({(0,): 1}))
+    assert type(px) is Poly and px == Poly({(0, 1): 1, (): -1})
+    # over g_(k,m,l), a NOPoly product stays a NOPoly
+    galilei = enveloping_module._NormalOrderer(make_galilei_algebra(PARAMS))
+    product = enveloping_module._product(galilei, NOPoly.generator("P1"), NOPoly.generator("N1"))
+    assert type(product) is NOPoly and product == no_mul(PARAMS, NOPoly.generator("P1"), NOPoly.generator("N1"))
 
 
 def test_generator_brackets_agree_with_the_product_difference():

@@ -19,9 +19,10 @@ from galilei21.group import (
     IDENTITY,
     GroupElement,
     GroupKind,
+    _rotated,
     angle_distance,
     apply_coboundary,
-    associativity_defect,
+    associativity_sides,
     cocycle_exponent,
     compose,
     compose_with_exponent,
@@ -29,11 +30,10 @@ from galilei21.group import (
     element_distance,
     eliminate_k_map,
     galilei_product,
-    homomorphism_defect,
+    homomorphism_sides,
     identity_certified,
     inverse,
     random_elements,
-    rotate,
     worst_per_sample,
 )
 from scalar_sampler import random_element, random_params, random_rational_element
@@ -134,8 +134,8 @@ def test_associativity_float_mode():
         p_ext = ExtensionParams(p.k, p.m, F(0))
         for _ in range(50):
             g, h, f = (random_element(rng) for _ in range(3))
-            assert associativity_defect(COV, p, g, h, f) < TOL
-            assert associativity_defect(EXT, p_ext, g, h, f) < TOL
+            assert element_distance(*associativity_sides(COV, p, g, h, f), COV) < TOL
+            assert element_distance(*associativity_sides(EXT, p_ext, g, h, f), EXT) < TOL
 
 
 def test_associativity_exact_mode():
@@ -144,7 +144,7 @@ def test_associativity_exact_mode():
         p = random_params(rng)
         for _ in range(20):
             g, h, f = (random_rational_element(rng) for _ in range(3))
-            d = associativity_defect(COV, p, g, h, f)
+            d = element_distance(*associativity_sides(COV, p, g, h, f), COV)
             assert d == 0 and not isinstance(d, float)
 
 
@@ -240,7 +240,7 @@ def test_charge_removal_is_homomorphism_float():
     phi = lambda g: eliminate_k_map(p_k, g)
     for _ in range(200):
         g, h = random_element(rng), random_element(rng)
-        assert homomorphism_defect(EXT, p_k, p_0, phi, g, h) < TOL
+        assert element_distance(*homomorphism_sides(EXT, p_k, p_0, phi, g, h), EXT) < TOL
 
 
 def test_charge_removal_is_homomorphism_exact():
@@ -252,7 +252,7 @@ def test_charge_removal_is_homomorphism_exact():
         phi = lambda g: eliminate_k_map(p_k, g)
         for _ in range(20):
             g, h = random_rational_element(rng), random_rational_element(rng)
-            d = homomorphism_defect(EXT, p_k, p_0, phi, g, h)
+            d = element_distance(*homomorphism_sides(EXT, p_k, p_0, phi, g, h), EXT)
             assert d == 0 and not isinstance(d, float)
 
 
@@ -270,7 +270,7 @@ def test_charge_removal_wrong_sign_fails():
 
     rng = random.Random(16)
     defects = [
-        homomorphism_defect(EXT, p_k, p_0, bad, random_element(rng), random_element(rng))
+        element_distance(*homomorphism_sides(EXT, p_k, p_0, bad, random_element(rng), random_element(rng)), EXT)
         for _ in range(100)
     ]
     assert all(math.isfinite(d) for d in defects)
@@ -283,7 +283,7 @@ def test_identity_map_between_equal_charges():
     rng = random.Random(17)
     for _ in range(20):
         g, h = random_element(rng), random_element(rng)
-        assert homomorphism_defect(EXT, p, p, lambda x: x, g, h) == 0
+        assert element_distance(*homomorphism_sides(EXT, p, p, lambda x: x, g, h), EXT) == 0
 
 
 def test_worst_defect_fails_closed():
@@ -307,7 +307,7 @@ def test_nan_time_translation_fails_associativity():
     g, h, f = (random_element(rng) for _ in range(3))
     g = GroupElement(phase=g.phase, tau=math.nan, u=g.u, v=g.v, theta=g.theta)
     for kind in (COV, EXT):
-        d = associativity_defect(kind, p, g, h, f)
+        d = element_distance(*associativity_sides(kind, p, g, h, f), kind)
         assert math.isnan(d)
         assert not d < TOL
 
@@ -326,12 +326,13 @@ def test_non_finite_input_gives_nan_on_scalars_as_on_arrays(field, value):
     )
     for kind in (COV, EXT):
         with np.errstate(all="ignore"):
-            batched = associativity_defect(kind, p, g, h, f)
+            batched = element_distance(*associativity_sides(kind, p, g, h, f), kind)
         assert batched[0] < TOL and math.isnan(batched[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert associativity_defect(kind, p, at(g, 0), at(h, 0), at(f, 0)) == batched[0]
-            assert math.isnan(associativity_defect(kind, p, at(g, 1), at(h, 1), at(f, 1)))
+            defect = lambda i: element_distance(*associativity_sides(kind, p, at(g, i), at(h, i), at(f, i)), kind)
+            assert defect(0) == batched[0]
+            assert math.isnan(defect(1))
 
 
 def test_angle_distance_folds():
@@ -342,7 +343,8 @@ def test_angle_distance_folds():
 
 
 def test_rotation_matrix_convention():
-    # R(theta) = [[cos, sin], [-sin, cos]]
+    # R(theta) = [[cos, sin], [-sin, cos]], applied by an element's own rotation
+    rotate = lambda theta, vec: _rotated(GroupElement(theta=theta).rotation, vec)
     x = rotate(math.pi / 2, (1.0, 0.0))
     assert x == pytest.approx((0.0, -1.0), abs=1e-15)
     y = rotate(math.pi / 2, (0.0, 1.0))
@@ -379,7 +381,7 @@ def test_a_product_computes_each_factors_rotation_once(monkeypatch):
     monkeypatch.setattr(group_module, "_cos_sin", lambda theta: calls.append(theta) or real(theta))
     p = ExtensionParams(F(3), F(1), F(2))
     g, h, f = random_elements(random.Random(22), 50, 3)
-    associativity_defect(COV, p, g, h, f)
+    element_distance(*associativity_sides(COV, p, g, h, f), COV)
     assert len(calls) == 3  # g, h and gh; the right factors f and hf are never rotated by
     calls.clear()
     inverse(COV, p, g)  # g's own rotation is kept: only -theta is computed, once for both vectors
@@ -478,7 +480,7 @@ def test_batched_defects_fail_closed_per_sample():
     g = GroupElement(phase=g.phase, tau=tau, u=g.u, v=g.v, theta=g.theta)
     with np.errstate(all="ignore"):
         for kind in (COV, EXT):
-            d = associativity_defect(kind, p, g, h, f)
+            d = element_distance(*associativity_sides(kind, p, g, h, f), kind)
             assert d[0] < TOL and np.isnan(d[1:]).all()
     worst = worst_per_sample((np.array([0.0, 1.0, math.inf]), np.array([2.0, math.nan, 0.0])), 0.0)
     assert worst[0] == 2.0 and np.isnan(worst[1:]).all()
@@ -490,7 +492,7 @@ def test_one_law_for_exact_scalars_and_arrays():
     p = ExtensionParams(F(1, 2), F(3), F(0))
     rng = random.Random(20)
     g, h, f = (random_rational_element(rng) for _ in range(3))
-    d = associativity_defect(COV, p, g, h, f)
+    d = element_distance(*associativity_sides(COV, p, g, h, f), COV)
     assert d == 0 and isinstance(d, F)
     assert isinstance(cocycle_exponent(COV, p, g, h), F)
     # an array element composed with the scalar identity stays float64
@@ -626,3 +628,28 @@ def test_failed_certificate_checks_the_given_charges(tmp_path, monkeypatch, row,
         assert (code, text) == intact and rows[row] == ("0", True)
     else:
         assert code == 1 and rows[row] == ("1", False)
+
+
+def _right_side_moved(real):
+    """`real`'s two sides with the right one moved by tau -> tau + 1: a false identity."""
+
+    def sides(*args):
+        left, right = real(*args)
+        return left, dataclasses.replace(right, tau=right.tau + 1)
+
+    return sides
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("associativity_sides", {"associativity_covering", "associativity_extended", "associativity_exact_mode"}),
+    ("homomorphism_sides", {"k_removal_homomorphism", "k_removal_homomorphism_exact"}),
+])
+def test_float_and_exact_rows_read_one_sides_function(tmp_path, monkeypatch, name, failing):
+    """An identity's float rows and its exact row read the same two sides, so a
+    false identity there fails all of them, and no other row."""
+    monkeypatch.setattr(group_module, name, _right_side_moved(getattr(group_module, name)))
+    _certified.cache_clear()
+    code, text = _group_report(tmp_path, "--k=-3/2", "--m=5/3")
+    rows = {c["name"]: c["pass"] for c in json.loads(text)["checks"]}
+    assert len(rows) == 7 and code == 1
+    assert {row for row, ok in rows.items() if not ok} == failing
