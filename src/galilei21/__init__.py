@@ -28,9 +28,9 @@ _EXPORTS = {
     "contraction": """ConvergenceReport LimitExperiment PoincareElement boost_matrix
         compose_boosts contract_element convergence_study decompose mass_cocycle_exponent
         poincare_from_galilei poincare_product rotation_cocycle_exponent rotation_matrix""",
-    "enveloping": """NOPoly boost_momentum_cross casimir_invariants centralizer_basis
-        generator_brackets internal_angular_momentum internal_energy momentum_squared
-        no_mul""",
+    "enveloping": """NOPoly NormalOrderer boost_momentum_cross casimir_invariants
+        centralizer_basis generator_brackets internal_angular_momentum internal_energy
+        momentum_squared""",
     "group": """IDENTITY GroupElement GroupKind apply_coboundary cocycle_exponent compose
         compose_with_exponent eliminate_k_map inverse random_elements""",
 }

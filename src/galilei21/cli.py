@@ -167,6 +167,7 @@ def cmd_verify_algebra(opts) -> tuple:
 def cmd_casimir(opts) -> tuple:
     params = ExtensionParams(opts.k, opts.m, opts.l)
     table = enveloping.casimir_invariants(params)
+    normal_form = enveloping.NormalOrderer(algebra.make_galilei_algebra(params))
     checks = []
     candidates = {
         "momentum_squared": enveloping.momentum_squared(),
@@ -180,7 +181,7 @@ def cmd_casimir(opts) -> tuple:
                       if entry not in candidates.values())
     names = sorted(candidates)
     # [g, p] = -[p, g], so each defect is that of the candidate's commutators
-    brackets = dict(zip(names, enveloping.generator_brackets(params, [candidates[n] for n in names])))
+    brackets = dict(zip(names, enveloping.generator_brackets(normal_form, [candidates[n] for n in names])))
     for name in names:
         defect = worst_defect((abs(c) for com in brackets[name] for c in com.values()), Fraction(0))
         expected = candidates[name] in table
@@ -199,9 +200,9 @@ def cmd_casimir(opts) -> tuple:
     # the table's products are a basis of the degree <= d centralizer when they
     # are central (each entry is), independent, and the centralizer's dimension
     # many (the enveloping module docstring)
-    basis = enveloping.centralizer_basis(params, opts.max_degree)
+    basis = enveloping.centralizer_basis(normal_form, table, opts.max_degree)
     rank = enveloping.rank(basis)
-    dimension = enveloping.centralizer_dimension(params, opts.max_degree)
+    dimension = enveloping.centralizer_dimension(normal_form, opts.max_degree)
     central = not any(any(brackets[name]) for name in names if candidates[name] in table)
     ok = central and len(basis) == rank == dimension
     note = f"basis: {'; '.join(repr(e) for e in basis)}"

@@ -12,12 +12,13 @@ Products are normalized by repeatedly replacing an adjacent out-of-order
 pair X Y with Y X + [X, Y]; every rewrite either removes an inversion at
 fixed degree or lowers the degree, so the process terminates.  The
 leftmost out-of-order pair is rewritten first; confluence is certified
-by the associativity tests rather than assumed.  Each top-level call
-(`no_mul`, `generator_brackets`, `centralizer_basis`,
-`centralizer_dimension`) takes the charges (k, m, l) and builds at most
-one memo of normal forms, over `make_galilei_algebra(params)`, for all its
-products; nothing refers back to the memo, so it is freed by the time
-the call returns, and nothing is kept between calls.
+by the associativity tests rather than assumed.  The memo of normal forms
+is a `NormalOrderer`, built by its owner over
+`make_galilei_algebra(params)` and passed to `generator_brackets`,
+`centralizer_basis` and `centralizer_dimension` as their first argument:
+`casimir` builds one per report, which all three share.  None of them
+keeps a reference to it, and this module keeps nothing, so it is freed
+with its owner's last reference.
 
 The memo holds integers, not fractions: with D the least common
 denominator of the structure constants, the normal form of a word of
@@ -47,8 +48,8 @@ products are proved to be a basis of it, with no symmetrization:
    premises at symbolic charges).  `centralizer_dimension` is the number
    of columns minus the rank, with no back-substitution.
 2. `centralizer_basis` gives the products of degree <= d of the table's
-   degree-2 entries, built by one orderer's `_product`.  They are central
-   when each entry is, which `casimir`'s `central[...]` rows show.
+   degree-2 entries, built by the given orderer's `_product`.  They are
+   central when each entry is, which `casimir`'s `central[...]` rows show.
 3. `rank` counts the independent ones by the same elimination, on integer
    rows scaled by one common denominator.
 4. If all are independent and they are as many as the dimension of step
@@ -74,7 +75,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import GALILEI_LABELS, ExtensionParams, LieAlgebra, Poly, _as_rational, make_galilei_algebra
+from .algebra import GALILEI_LABELS, ExtensionParams, LieAlgebra, Poly, _as_rational
 
 GEN_NAMES = GALILEI_LABELS[:-1]  # E, the last basis element, is the unit
 NGEN = len(GEN_NAMES)
@@ -93,7 +94,8 @@ def _coefficient(x) -> Fraction:
 
 class NOPoly(Poly):
     """Normal-ordered polynomial: a `Poly` over sorted words, rational coefficients.
-    Its product with a NOPoly needs the charges (`no_mul`), and it is not divided."""
+    It multiplies by a rational only (a product of two needs the brackets, which
+    a `NormalOrderer` holds), and it is not divided."""
 
     def __init__(self, terms=_ZERO):
         """From {sorted word: rational}, or from a rational as a constant; zero by default."""
@@ -109,16 +111,14 @@ class NOPoly(Poly):
 
     @classmethod
     def generator(cls, name: str) -> "NOPoly":
+        if name not in GEN_NAMES:
+            raise ValueError(f"not a generator: {name!r}; the generators are {', '.join(GEN_NAMES)}, "
+                             "and E is the unit, NOPoly.scalar(1)")
         return cls({(GEN_NAMES.index(name),): _ONE})
 
     @classmethod
     def scalar(cls, value) -> "NOPoly":
         return cls({(): _coefficient(value)})
-
-    @property
-    def terms(self) -> "NOPoly":
-        """The polynomial itself, as its {word: coefficient} mapping (a read-only alias)."""
-        return self
 
     def __mul__(self, other) -> "NOPoly":
         return Poly.__mul__(self, _coefficient(other))  # a rational only
@@ -151,12 +151,13 @@ class NOPoly(Poly):
         return out
 
 
-class _NormalOrderer(dict):
+class NormalOrderer(dict):
     """Memo of normal forms over a `LieAlgebra` whose last basis element is a
     central unit, evaluated to 1, in integers: orderer[word] is {sorted word: n}
     with sum n * mono = D**len(word) * (word in normal order), for any word of
     indices into the algebra's other basis elements, computed on its first
-    lookup.  D (`den`) is the least common denominator of their brackets."""
+    lookup.  D (`den`) is the least common denominator of their brackets.
+    `NormalOrderer(make_galilei_algebra(params))` orders U(g_(k,m,l))."""
 
     def __init__(self, alg: LieAlgebra):
         unit = alg.dim - 1
@@ -212,7 +213,7 @@ class _NormalOrderer(dict):
         return {m: c for m, c in out.items() if c}
 
 
-def _product(normal_form: _NormalOrderer, p: Poly, q: Poly) -> Poly:
+def _product(normal_form: NormalOrderer, p: Poly, q: Poly) -> Poly:
     """p q in normal order, of p's type: a plain `Poly` for another algebra's words."""
     out: dict[tuple, Fraction] = {}
     for w1, c1 in p.items():
@@ -223,15 +224,9 @@ def _product(normal_form: _NormalOrderer, p: Poly, q: Poly) -> Poly:
     return type(p)(out)
 
 
-def no_mul(params: ExtensionParams, p: NOPoly, q: NOPoly) -> NOPoly:
-    """Product of p and q in the enveloping algebra, in normal order."""
-    return _product(_NormalOrderer(make_galilei_algebra(params)), p, q)
-
-
-def generator_brackets(params: ExtensionParams, polys: Iterable[NOPoly]) -> list[tuple[NOPoly, ...]]:
+def generator_brackets(normal_form: NormalOrderer, polys: Iterable[NOPoly]) -> list[tuple[NOPoly, ...]]:
     """([N1, p], [N2, p], [P1, p], [P2, p], [H, p], [M, p]) for each p, all
-    from one orderer's `bracket`."""
-    normal_form = _NormalOrderer(make_galilei_algebra(params))
+    from the orderer's `bracket`."""
     out = []
     for p in polys:
         row = []
@@ -365,7 +360,7 @@ def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict]:
     return pivots
 
 
-def _centralizer_rows(normal_form: _NormalOrderer, monos: Sequence[tuple]) -> Iterable[dict[int, int]]:
+def _centralizer_rows(normal_form: NormalOrderer, monos: Sequence[tuple]) -> Iterable[dict[int, int]]:
     """The rows of ad_g(sum_w x_w w) = 0 in S(g)/(E - 1) for g in {N1, H, M},
     times D**(max degree + 1), one per (g, word): ad_g(x^a rest) =
     a x^(a-1) rest [g, x], with [g, x] from the orderer's `table`, keyed by g
@@ -391,37 +386,32 @@ def _centralizer_rows(normal_form: _NormalOrderer, monos: Sequence[tuple]) -> It
     return rows.values()
 
 
-def centralizer_basis(params: ExtensionParams, max_degree: int) -> tuple[NOPoly, ...]:
-    """The products of degree <= max_degree of the `casimir_invariants`
-    entries, each of degree 2, in graded order: 1, C1, C2, C1^2, C1 C2, ...
-    They are a basis of the degree <= max_degree centralizer when the
-    entries are central, `rank` finds them independent and they are
-    `centralizer_dimension` many (see the module docstring); `casimir`
-    checks all three."""
+def centralizer_basis(normal_form: NormalOrderer, table: Sequence[NOPoly], max_degree: int) -> tuple[NOPoly, ...]:
+    """The products of degree <= max_degree of the table's entries, each of
+    degree 2 (`casimir_invariants`), in graded order: 1, C1, C2, C1^2, C1 C2,
+    ..., multiplied by the orderer.  They are a basis of the degree <=
+    max_degree centralizer when the entries are central, `rank` finds them
+    independent and they are `centralizer_dimension` many (see the module
+    docstring); `casimir` checks all three."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    table = casimir_invariants(params)
     products = {(): NOPoly.scalar(1)}  # keyed by the sorted word of table indices
     if max_degree >= 2:
         products.update(((i,), entry) for i, entry in enumerate(table))
-    # an entry is in normal order already, so only a product of two or more
-    # needs the orderer: below degree 4 none is built
-    longer = [word for n in range(2, max_degree // 2 + 1)
-              for word in itertools.combinations_with_replacement(range(len(table)), n)]
-    if longer:
-        normal_form = _NormalOrderer(make_galilei_algebra(params))
-        for word in longer:
+    # an entry is in normal order already: only a product of two or more is ordered
+    for n in range(2, max_degree // 2 + 1):
+        for word in itertools.combinations_with_replacement(range(len(table)), n):
             products[word] = _product(normal_form, products[word[:-1]], table[word[-1]])
     return tuple(products.values())
 
 
-def centralizer_dimension(params: ExtensionParams, max_degree: int) -> int:
+def centralizer_dimension(normal_form: NormalOrderer, max_degree: int) -> int:
     """The dimension of the degree <= max_degree centralizer: columns minus
     the rank of the ad-system in the symmetric algebra (module docstring)."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     monos = monomials_up_to(max_degree)
-    return len(monos) - len(_eliminate(_centralizer_rows(_NormalOrderer(make_galilei_algebra(params)), monos)))
+    return len(monos) - len(_eliminate(_centralizer_rows(normal_form, monos)))
 
 
 def rank(polys: Sequence[NOPoly]) -> int:

@@ -229,14 +229,21 @@ def test_contract_overflow_fails_without_warnings(capfd, experiment):
     assert capfd.readouterr().err == ""
 
 
-def test_casimir_builds_one_orderer_for_its_candidate_checks(capsys, monkeypatch):
-    built = []
-    orderer = enveloping._NormalOrderer
-    monkeypatch.setattr(enveloping, "_NormalOrderer", lambda alg: built.append(alg) or orderer(alg))
-    code, out = run(capsys, "casimir", "--k", "5", "--m", "2", "--l", "0", "--max-degree", "2")
+@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("charges", [("3/2", "2", "0"), ("3/2", "2", "1/3"), ("0", "0", "7/2"),
+                                     ("-2/3", "0", "0"), ("5/2", "0", "-3")])
+def test_casimir_builds_one_orderer_per_report(capsys, monkeypatch, charges, degree):
+    built, real = [], enveloping.NormalOrderer
+    monkeypatch.setattr(enveloping, "NormalOrderer", lambda alg: built.append(alg) or real(alg))
+    k, m, l = charges
+    code, out = run(capsys, "casimir", f"--k={k}", f"--m={m}", f"--l={l}", f"--max-degree={degree}")
     assert code == 0 and "overall: PASS" in out
-    # the candidate checks, then the centralizer's dimension, each over the algebra of the charges
-    assert built == [algebra.make_galilei_algebra(algebra.ExtensionParams(5, 2, 0))] * 2
+    # the candidate checks, the products and the centralizer's dimension share
+    # one orderer, over the algebra of the charges
+    assert built == [algebra.make_galilei_algebra(algebra.ExtensionParams(F(k), F(m), F(l)))]
+    built.clear()
+    assert run(capsys, "verify-algebra", f"--k={k}", f"--m={m}", f"--l={l}")[0] == 0
+    assert built == []
 
 
 @pytest.mark.parametrize("argv", [["verify-algebra", "--k=1", "--m=2", "--l=3"],
@@ -271,8 +278,8 @@ def test_centralizer_dimension_is_gated_in_every_regime(capsys, monkeypatch, cha
     # one basis element too many must fail the report
     real = enveloping.centralizer_basis
 
-    def one_too_many(params, d):
-        return real(params, d) + (enveloping.NOPoly.scalar(1),)
+    def one_too_many(normal_form, table, d):
+        return real(normal_form, table, d) + (enveloping.NOPoly.scalar(1),)
 
     monkeypatch.setattr(enveloping, "centralizer_basis", one_too_many)
     code, out = run(capsys, *argv)
@@ -281,8 +288,8 @@ def test_centralizer_dimension_is_gated_in_every_regime(capsys, monkeypatch, cha
     assert check["note"].endswith(f" ({dim + 1} products of rank {dim}, centralizer dimension {dim})")
 
     # as must a repeated element in place of the last, where the count holds
-    def one_repeated(params, d):
-        basis = real(params, d)
+    def one_repeated(normal_form, table, d):
+        basis = real(normal_form, table, d)
         return basis[:-1] + basis[:1]
 
     monkeypatch.setattr(enveloping, "centralizer_basis", one_repeated)

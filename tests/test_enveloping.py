@@ -23,6 +23,7 @@ from galilei21.algebra import (
 from galilei21.enveloping import (
     GEN_NAMES,
     NOPoly,
+    NormalOrderer,
     _eliminate,
     boost_momentum_cross,
     casimir_invariants,
@@ -33,11 +34,10 @@ from galilei21.enveloping import (
     internal_energy,
     momentum_squared,
     monomials_up_to,
-    no_mul,
     rank,
 )
 from galilei21.cli import main
-from enveloping_checks import central, commutator, commutators, in_span
+from enveloping_checks import central, commutator, commutators, in_span, no_mul, orderer_at, table_basis
 from scalar_sampler import random_params, random_rational
 
 PARAMS = ExtensionParams(F(5), F(2), F(0))
@@ -149,6 +149,10 @@ def test_nopoly_rejects_a_key_that_is_not_a_sorted_word():
         with pytest.raises(ValueError):
             NOPoly({key: 1})
     assert NOPoly({(2, 3): 1}) == no_mul(PARAMS, P1, P2)
+    # E is no generator but the unit, and an unknown name says which are
+    for name in ("E", "X", "n1", ""):
+        with pytest.raises(ValueError, match=r"the generators are N1, N2, P1, P2, H, M, and E is the unit"):
+            NOPoly.generator(name)
 
 
 def test_nopoly_coefficients_fail_closed():
@@ -176,9 +180,7 @@ def test_nopoly_arithmetic_is_polys_and_fails_closed():
     assert r - p == -p + constant and sum([p, q]) == p + q and p * r == r * p == NOPoly({(0,): r, (3,): r / 2})
     assert NOPoly.scalar(r) == r and NOPoly.scalar(2) == 2 and NOPoly() == 0 and not NOPoly()
     assert p != Poly({(0,): 1, (3,): F(1, 2)}) and Poly({}) != NOPoly() and NOPoly() != 0.0
-    with pytest.raises(AttributeError):
-        p.terms = {}  # the terms name is read-only: it is the polynomial itself
-    assert p.terms is p
+    assert not hasattr(p, "terms")  # the polynomial is its own {word: coefficient} mapping
 
 
 def _exponents(word):
@@ -210,8 +212,8 @@ def test_scalars_are_central():
 
 def test_internal_energy_coefficients():
     c1 = internal_energy(ExtensionParams(F(3), F(2), F(0)))
-    assert c1.terms[(2, 2)] == F(-1, 4)
-    assert c1.terms[(4,)] == F(1)
+    assert c1[(2, 2)] == F(-1, 4)
+    assert c1[(4,)] == F(1)
     with pytest.raises(ValueError):
         internal_energy(ExtensionParams(F(1), F(0), F(0)))
 
@@ -266,12 +268,12 @@ def test_centrality_defect_identities():
 
 
 def test_centralizer_degree_zero():
-    assert centralizer_basis(ExtensionParams(1, 1, 1), 0) == (ONE,)
+    assert table_basis(ExtensionParams(1, 1, 1), 0) == (ONE,)
 
 
 def test_centralizer_degree_two_spans_invariants():
     p = ExtensionParams(F(5), F(2), F(0))
-    cb = centralizer_basis(p, 2)
+    cb = table_basis(p, 2)
     assert len(cb) == 3
     assert in_span(cb, ONE)
     assert in_span(cb, internal_energy(p))
@@ -282,16 +284,16 @@ def test_centralizer_degree_two_spans_invariants():
 
 
 def test_centralizer_all_charges_active_is_trivial():
-    cb = centralizer_basis(ExtensionParams(F(2), F(1), F(1)), 3)
+    cb = table_basis(ExtensionParams(F(2), F(1), F(1)), 3)
     assert len(cb) == 1
     assert in_span(cb, ONE)
 
 
 def test_centralizer_rejects_negative_degree():
     with pytest.raises(ValueError):
-        centralizer_basis(PARAMS, -1)
+        centralizer_basis(orderer_at(PARAMS), casimir_invariants(PARAMS), -1)
     with pytest.raises(ValueError):
-        centralizer_dimension(PARAMS, -1)
+        centralizer_dimension(orderer_at(PARAMS), -1)
 
 
 def test_centrality_survives_charge_removal_substitution():
@@ -366,7 +368,7 @@ def _fraction_rank(rows):
 def _oracle_commutator(brackets, g, p):
     """[g, p] in normal-ordered words, by the rightmost-first oracle."""
     com = {}
-    for word, c in p.terms.items():
+    for word, c in p.items():
         for sign, product in ((1, (g,) + word), (-1, word + (g,))):
             for m, co in _rightmost_normal_form(brackets, product).items():
                 com[m] = com.get(m, F(0)) + sign * c * co
@@ -391,9 +393,9 @@ def _assert_products_match_the_oracle(params, max_degree):
     commutes with all six generators, they are independent, and they are as
     many as the oracle's dimension.  Returns that dimension."""
     brackets = _bracket_table(make_galilei_algebra(params))  # read off the tensor
-    basis = centralizer_basis(params, max_degree)
+    basis = table_basis(params, max_degree)
     assert not any(_oracle_commutator(brackets, g, p) for p in basis for g in range(len(GEN_NAMES)))
-    assert _fraction_rank([p.terms for p in basis]) == len(basis) == _oracle_dimension(brackets, max_degree)
+    assert _fraction_rank(basis) == len(basis) == _oracle_dimension(brackets, max_degree)
     return len(basis)
 
 
@@ -419,25 +421,26 @@ def _assert_proved(params, degree, dim):
     """The proof `casimir` runs: the table is central, and its products are
     independent and as many as the centralizer's dimension."""
     assert all(central(params, c) for c in casimir_invariants(params))
-    basis = centralizer_basis(params, degree)
-    assert rank(basis) == len(basis) == centralizer_dimension(params, degree) == dim == _table_dimension(params, degree)
+    basis = table_basis(params, degree)
+    dimension = centralizer_dimension(orderer_at(params), degree)
+    assert rank(basis) == len(basis) == dimension == dim == _table_dimension(params, degree)
 
 
 @pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
 def test_casimir_table_is_central_and_spans_the_degree_2_centralizer(params, dims):
     table = casimir_invariants(params)
     assert all(central(params, c) for c in table)
-    basis = centralizer_basis(params, 2)
+    basis = table_basis(params, 2)
     assert all(in_span((ONE, *table), b) for b in basis)
     assert all(in_span(basis, c) for c in (ONE, *table))
-    assert centralizer_dimension(params, 2) == dims[2]
+    assert centralizer_dimension(orderer_at(params), 2) == dims[2]
 
 
 def test_casimir_table_covers_m_0_l_0_k_nonzero():
     # the cross invariant there needs the k H term, which N1 P2 - N2 P1 lacks
     params = ExtensionParams(F(-2, 3), F(0), F(0))
     cross, p_squared = NOPoly({(4,): 2, (0, 3): -3, (1, 2): 3}), NOPoly({(2, 2): 1, (3, 3): 1})
-    basis, expected = centralizer_basis(params, 2), (ONE, cross, p_squared)
+    basis, expected = table_basis(params, 2), (ONE, cross, p_squared)
     assert all(in_span(basis, e) for e in expected) and all(in_span(expected, b) for b in basis)
     assert len(basis) == 3
     assert casimir_invariants(params) == (p_squared, F(-1, 3) * cross)
@@ -447,7 +450,7 @@ def test_casimir_table_covers_m_0_l_0_k_nonzero():
 def test_centralizer_table_from_rightmost_first_oracle(params, dims):
     for degree, dim in enumerate(dims[:6]):
         assert _assert_products_match_the_oracle(params, degree) == dim, degree
-        assert centralizer_dimension(params, degree) == dim == _table_dimension(params, degree), degree
+        assert centralizer_dimension(orderer_at(params), degree) == dim == _table_dimension(params, degree), degree
 
 
 @pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
@@ -585,10 +588,10 @@ def test_words_index_the_algebra_basis_whose_last_element_is_the_central_unit():
 @pytest.mark.parametrize("params", [params for params, _ in CENTRALIZER_TABLE])
 def test_three_generator_rows_give_the_six_generator_basis_at_degree_5(params):
     dimension, six_rows = _six_row_centralizer(params, 5)
-    basis = centralizer_basis(params, 5)
-    assert centralizer_dimension(params, 5) == dimension == len(basis) == _fraction_rank([p.terms for p in basis])
+    basis = table_basis(params, 5)
+    assert centralizer_dimension(orderer_at(params), 5) == dimension == len(basis) == _fraction_rank(basis)
     assert all(central(params, p) for p in basis)
-    orderer = enveloping_module._NormalOrderer(make_galilei_algebra(params))
+    orderer = NormalOrderer(make_galilei_algebra(params))
     assert len(enveloping_module._centralizer_rows(orderer, monomials_up_to(5))) < six_rows
 
 
@@ -672,7 +675,7 @@ def test_rank_matches_fraction_rank():
             a, b = rng.choice(polys), rng.choice(polys)
             polys.append(F(rng.randint(-5, 5), rng.randint(1, 7)) * a + F(rng.randint(1, 5), rng.randint(2, 7)) * b)
         rng.shuffle(polys)
-        assert rank(polys) == _fraction_rank([p.terms for p in polys])
+        assert rank(polys) == _fraction_rank(polys)
 
 
 @pytest.mark.parametrize("rows", [
@@ -707,7 +710,7 @@ def _commutator_rows(params, degree):
     pairs = [(NOPoly.generator(g), NOPoly({mono: 1})) for g in GEN_NAMES for mono in monos]
     rows = {}
     for i, com in enumerate(commutators(params, pairs)):
-        for mono, co in com.terms.items():
+        for mono, co in com.items():
             rows.setdefault((i // len(monos), mono), {})[i % len(monos)] = co
     return list(rows.values())
 
@@ -748,7 +751,7 @@ BRACKET_PARAMS = [PARAMS, MIXED_DENOMINATORS, ExtensionParams(F(-2, 3), F(0), F(
 def test_orderer_bracket_is_the_difference_of_the_two_products(params):
     # the derivation rule against g X^w - X^w g, each word normal-ordered in full
     alg = make_galilei_algebra(params)
-    orderer, nf = enveloping_module._NormalOrderer(alg), enveloping_module._NormalOrderer(alg)
+    orderer, nf = NormalOrderer(alg), NormalOrderer(alg)
     for g in range(len(GEN_NAMES)):
         for word in monomials_up_to(5):
             left, right = nf[(g,) + word], nf[word + (g,)]
@@ -762,11 +765,11 @@ def test_product_keeps_the_type_of_its_words():
     zero, unit = (F(0),) * 3, (F(0), F(0), F(1))
     minus = tuple(-c for c in unit)
     tensor = ((zero, unit, zero), (minus, zero, zero), (zero, zero, zero))  # tensor[i][j] = [X_i, X_j]
-    orderer = enveloping_module._NormalOrderer(LieAlgebra(("x", "p", "E"), tensor))
+    orderer = NormalOrderer(LieAlgebra(("x", "p", "E"), tensor))
     px = enveloping_module._product(orderer, Poly({(1,): 1}), Poly({(0,): 1}))
     assert type(px) is Poly and px == Poly({(0, 1): 1, (): -1})
     # over g_(k,m,l), a NOPoly product stays a NOPoly
-    galilei = enveloping_module._NormalOrderer(make_galilei_algebra(PARAMS))
+    galilei = NormalOrderer(make_galilei_algebra(PARAMS))
     product = enveloping_module._product(galilei, NOPoly.generator("P1"), NOPoly.generator("N1"))
     assert type(product) is NOPoly and product == no_mul(PARAMS, NOPoly.generator("P1"), NOPoly.generator("N1"))
 
@@ -777,7 +780,7 @@ def test_generator_brackets_agree_with_the_product_difference():
     for params in BRACKET_PARAMS:
         polys = [rand_poly(rng, max_degree=3, nterms=4) for _ in range(8)] + [NOPoly(), ONE]
         expected = commutators(params, [(g, p) for p in polys for g in gens])
-        got = generator_brackets(params, polys)
+        got = generator_brackets(orderer_at(params), polys)
         assert [len(row) for row in got] == [len(gens)] * len(polys)
         assert [com for row in got for com in row] == expected, params
 
@@ -832,7 +835,7 @@ def test_oracle_agrees_with_no_mul():
 
 
 def test_normal_orderer_memo_holds_integer_numerators():
-    orderer = enveloping_module._NormalOrderer(make_galilei_algebra(MIXED_DENOMINATORS))
+    orderer = NormalOrderer(make_galilei_algebra(MIXED_DENOMINATORS))
     assert orderer.den == 90
     rng = random.Random(8)
     for _ in range(30):
@@ -851,8 +854,8 @@ def test_enveloping_keeps_no_algebra_alive():
     # the charges name the algebra; charges used by no other test, as a cache
     # keyed on equal charges given earlier would hold those, not these
     params = ExtensionParams(F(11, 7), F(-5, 3), F(13, 4))
-    centralizer_basis(params, 4)
-    centralizer_dimension(params, 2)
+    table_basis(params, 4)
+    centralizer_dimension(orderer_at(params), 2)
     no_mul(params, no_mul(params, P1, N1), H)
     ref = weakref.ref(params)
     del params
@@ -867,37 +870,65 @@ def test_shared_orderer_gives_the_per_product_commutators():
     # charges used by no other test, as in test_enveloping_keeps_no_algebra_alive
     params = ExtensionParams(F(-7, 5), F(11, 6), F(2, 9))
     commutators(params, pairs)
-    generator_brackets(params, [internal_energy(params)])
+    generator_brackets(orderer_at(params), [internal_energy(params)])
     ref = weakref.ref(params)
     del params
     gc.collect()
     assert ref() is None
 
 
-def test_orderers_are_freed_without_the_cycle_collector(monkeypatch):
-    built, real = [], enveloping_module._NormalOrderer
+def test_orderers_are_freed_without_the_cycle_collector(monkeypatch, tmp_path):
+    built, real = [], enveloping_module.NormalOrderer
 
     def spy(alg):
         orderer = real(alg)
         built.append(weakref.ref(orderer))
         return orderer
 
-    monkeypatch.setattr(enveloping_module, "_NormalOrderer", spy)
-    c1 = internal_energy(ExtensionParams(F(5), F(2), F(0)))
+    monkeypatch.setattr(enveloping_module, "NormalOrderer", spy)
+    table = casimir_invariants(PARAMS)
     calls = {
-        "no_mul": lambda: no_mul(PARAMS, P1, N1),
-        "generator_brackets": lambda: generator_brackets(PARAMS, [c1]),
-        "centralizer_basis": lambda: centralizer_basis(PARAMS, 4),  # two or more entries per product
-        "centralizer_dimension": lambda: centralizer_dimension(PARAMS, 2),
+        "generator_brackets": lambda nf: generator_brackets(nf, [table[0]]),
+        "centralizer_basis": lambda nf: centralizer_basis(nf, table, 4),  # two or more entries per product
+        "centralizer_dimension": lambda nf: centralizer_dimension(nf, 2),
     }
     gc.disable()
     try:
+        # a report's one orderer is gone when main returns
+        argv = ["casimir", f"--k={PARAMS.k}", f"--m={PARAMS.m}", f"--l={PARAMS.l}", "--max-degree=4"]
+        assert main([*argv, "--out", str(tmp_path / "report.txt")]) == 0
+        assert len(built) == 1 and built[0]() is None
+        # and no entry point keeps the orderer it is given, nor does its result
         for name, call in calls.items():
-            built.clear()
-            call()
-            assert len(built) == 1 and built[0]() is None, name
+            normal_form = real(make_galilei_algebra(PARAMS))
+            ref, result = weakref.ref(normal_form), call(normal_form)
+            del normal_form
+            assert ref() is None and result is not None, name
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("params", [*(params for params, _ in CENTRALIZER_TABLE), MIXED_DENOMINATORS])
+def test_entry_points_on_one_shared_orderer_equal_fresh_orderers(params):
+    # the three entry points of a casimir report, on the candidates it checks,
+    # in either order on one orderer, against a fresh orderer per call
+    table = casimir_invariants(params)
+    candidates = [*table, momentum_squared(), boost_momentum_cross()]
+    if params.m != 0:
+        candidates += [internal_energy(params), internal_angular_momentum(params)]
+    calls = {
+        "generator_brackets": lambda nf: generator_brackets(nf, candidates),
+        "centralizer_basis": lambda nf: centralizer_basis(nf, table, 5),
+        "centralizer_dimension": lambda nf: centralizer_dimension(nf, 5),
+    }
+    fresh = {name: call(orderer_at(params)) for name, call in calls.items()}
+    memos = []
+    for order in (list(calls), list(reversed(calls))):
+        shared = orderer_at(params)
+        assert {name: calls[name](shared) for name in order} == fresh, order
+        memos.append(dict(shared))
+    # the memo fills with the same normal forms whichever call comes first
+    assert memos[0] == memos[1] and memos[0]
 
 
 def _fraction_table(params):
@@ -918,7 +949,7 @@ def _fraction_table(params):
 
 @pytest.mark.parametrize("params", [*BRACKET_PARAMS, ExtensionParams(0, 0, 0), ExtensionParams(F(-6), F(1, 4), 0)])
 def test_orderer_table_is_the_fraction_built_table(params):
-    orderer = enveloping_module._NormalOrderer(make_galilei_algebra(params))
+    orderer = NormalOrderer(make_galilei_algebra(params))
     den, table = _fraction_table(params)
     assert orderer.den == den and type(orderer.den) is int
     assert list(orderer.table.items()) == list(table.items())
@@ -943,7 +974,7 @@ def _beta(params, s):
     beta(w) = (1/n) sum_x a_x x beta(w - x) over the distinct letters x of a
     word w of length n, a_x the multiplicity of x: a test-only reference for
     the g-module isomorphism S(g) -> U(g) that `centralizer_dimension` rests on."""
-    orderer, memo = enveloping_module._NormalOrderer(make_galilei_algebra(params)), {(): ONE}
+    orderer, memo = NormalOrderer(make_galilei_algebra(params)), {(): ONE}
 
     def beta(w):
         if w not in memo:
@@ -993,4 +1024,4 @@ def test_centralizer_basis_matches_the_oracle_on_random_charges():
     for i in range(20):
         p = random_params(rng)
         p = [p, ExtensionParams(p.k, p.m, 0), ExtensionParams(p.k, 0, p.l), ExtensionParams(p.k, 0, 0)][i % 4]
-        assert _assert_products_match_the_oracle(p, 4) == centralizer_dimension(p, 4), p
+        assert _assert_products_match_the_oracle(p, 4) == centralizer_dimension(orderer_at(p), 4), p
