@@ -8,17 +8,22 @@ Rational charges are given as exact strings on the command line
 (``--k 1/2``), of at most DIGITS_CAP digits above and below the line; grids
 as ``lo:hi:logxF`` (multiply by F from lo until hi) or an explicit comma
 list, of at most GRID_CAP points; ``--samples`` is at most SAMPLES_CAP.
+
+Options (`_COMMANDS`) are read by their exact names only, as ``--opt=value`` or
+``--opt value``, the last occurrence winning; a token that starts with a minus
+and a digit (``-1/2``, ``-.5``) is a value.  ``--help`` prints the usage and
+exits 0; a bad command line exits 2 with one ``configuration error: ...`` line.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import random
 import re
 import sys
+import types
 from fractions import Fraction
 
 from . import algebra, enveloping
@@ -45,8 +50,12 @@ def _numeric() -> None:
     from . import contraction, group
 
 
+class OptionError(ValueError):
+    """An option value that its type refuses: ``argument --X: <message>``."""
+
+
 def _rational(text: str) -> Fraction:
-    """An argparse type: an exact rational with at most DIGITS_CAP digits above and
+    """An option type: an exact rational with at most DIGITS_CAP digits above and
     below the line.  `Fraction` forms 10**exponent first, so an exponent past
     DIGITS_CAP plus the text's length, which puts any value but 0 past the cap,
     is refused before it runs."""
@@ -54,14 +63,14 @@ def _rational(text: str) -> Fraction:
     try:
         value = None if exponent and abs(int(exponent[1])) > DIGITS_CAP + len(text) else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+        raise OptionError(f"not an exact rational: {text!r}") from exc
     if value is None or max(abs(value.numerator), value.denominator) >= 10**DIGITS_CAP:
-        raise argparse.ArgumentTypeError(f"more than {DIGITS_CAP} digits above or below the line: {text!r}")
+        raise OptionError(f"more than {DIGITS_CAP} digits above or below the line: {text!r}")
     return value
 
 
 def _int_in(lo: int, hi: int):
-    """An argparse type: an integer from lo to hi."""
+    """An option type: an integer from lo to hi."""
 
     def parse(text: str) -> int:
         try:
@@ -69,7 +78,7 @@ def _int_in(lo: int, hi: int):
                 return int(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected an integer from {lo} to {hi}, got {text!r}")
+        raise OptionError(f"expected an integer from {lo} to {hi}, got {text!r}")
 
     return parse
 
@@ -82,13 +91,13 @@ def _finite(text: str) -> float:
 
 
 def _tolerance(text: str) -> float:
-    """An argparse type: a finite number >= 0."""
+    """An option type: a finite number >= 0."""
     try:
         if _finite(text) >= 0:
             return float(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    raise OptionError(f"expected a finite number >= 0, got {text!r}")
 
 
 def _c_grid(text: str) -> tuple:
@@ -118,7 +127,7 @@ def _c_grid(text: str) -> tuple:
             raise ValueError(f"the grid has more than {GRID_CAP} points")
         return tuple(grid)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad c grid {text!r}: {exc}") from exc
+        raise OptionError(f"bad c grid {text!r}: {exc}") from exc
 
 
 def _check(name: str, defect, passed: bool, note: str | None = None) -> dict:
@@ -379,68 +388,107 @@ def _render(report: dict, rows, fmt: str) -> str:
 def _config_dict(opts) -> dict:
     """The parsed options a report echoes: a charge as its str, the c grid as a list."""
     return {key: str(v) if isinstance(v, Fraction) else list(v) if isinstance(v, tuple) else v
-            for key, v in vars(opts).items() if key not in ("command", "func", "format", "out")}
+            for key, v in vars(opts).items() if key not in ("command", "format", "out")}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line in one line, as every configuration error is,
-    and reads a token that starts with a minus and a digit (``-1/2``, ``-1e-5``,
-    ``-.5``) as a value, as argparse reads ``-2``; the option's type judges it."""
+_REQUIRED = object()  # the default of an option that must be given
+_CHARGES = {f"--{c}": (_rational, Fraction(0), f"the charge {c}, an exact rational") for c in "kml"}
+_SAMPLES = _int_in(1, SAMPLES_CAP)
+_COMMON = {"--seed": (int, 0, "the seed of the samples, which no exact row reads"),
+           "--format": (("json", "csv", "human"), "human", "the report's format"),
+           "--out": (str, None, "write the report to this path")}
+# Each command's help line and options, {flag: (type or tuple of choices, default, help)};
+# an option's dest is its flag without the two dashes, "-" read as "_".
+_COMMANDS = {
+    "verify-algebra": ("Jacobi, antisymmetry and charge-removal suites", {
+        **_CHARGES, "--samples": (_SAMPLES, 200, "read by no row, as every row is exact"), **_COMMON}),
+    "casimir": ("invariant table and bounded-degree centralizer", {
+        **_CHARGES, "--max-degree": (_int_in(0, DEGREE_CAP), 2, f"the centralizer's degree bound, 0 to {DEGREE_CAP}"),
+        **_COMMON}),
+    "group": ("cocycle, inverse, coboundary and isomorphism suites", {
+        **_CHARGES, "--samples": (_SAMPLES, 1000, f"samples per float row, 1 to {SAMPLES_CAP}"),
+        "--tolerance": (_tolerance, 1e-12, "the bound on a float row's defect"), **_COMMON}),
+    "contract": ("large-c limit experiments with slope fits", {
+        "--experiment": (EXPERIMENT_NAMES, _REQUIRED, "the experiment"),
+        "--c-grid": (_c_grid, DEFAULT_C_GRID, f"the c values, lo:hi:logxF or a comma list of at most {GRID_CAP}"),
+        "--samples": (_SAMPLES, 20, f"samples per experiment, 1 to {SAMPLES_CAP}"),
+        "--tolerance": (_tolerance, 0.1, "allowed deviation of the fitted slope from -2"), **_COMMON}),
+}
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
-    def error(self, message):
-        self.exit(2, f"configuration error: {message}\n")
+def _help(command: str | None) -> None:
+    """Prints the usage of the program (command None) or of one command, from `_COMMANDS`; exits 0."""
+    if command is None:
+        lines = ["usage: galilei21 COMMAND [--OPTION=VALUE ...]", "",
+                 "verification suites for the extended planar Galilei group", "",
+                 "commands (galilei21 COMMAND --help lists its options):"]
+        lines += [f"  {name:16}{about}" for name, (about, _) in _COMMANDS.items()]
+    else:
+        about, options = _COMMANDS[command]
+        lines = [f"usage: galilei21 {command} [--OPTION=VALUE ...]", "", about, "", "options:",
+                 "  -h, --help", "      show this help and exit"]
+        for flag, (kind, default, text) in options.items():
+            lines.append(f"  {flag}={'|'.join(kind) if isinstance(kind, tuple) else flag[2:].upper()}")
+            if default is _REQUIRED:
+                text += " (required)"
+            elif default is not None:
+                text += f" (default {','.join(map(str, default)) if isinstance(default, tuple) else default})"
+            lines.append(f"      {text}")
+    print("\n".join(lines))
+    raise SystemExit(0)
+
+
+class _Parser:
+    """Reads a command line by `_COMMANDS` into a namespace of the command and its
+    every option, given or default.  As argparse does, it raises SystemExit: 0 after
+    the usage on stdout, 2 after one configuration error line on stderr."""
+
+    def parse_args(self, argv=None) -> types.SimpleNamespace:
+        try:
+            return self._read(sys.argv[1:] if argv is None else list(argv))
+        except OptionError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
+
+    @staticmethod
+    def _read(args: list) -> types.SimpleNamespace:
+        command, tokens = args[0] if args else None, iter(args[1:])
+        if command in ("-h", "--help"):
+            _help(None)
+        if command not in _COMMANDS:
+            given = "no command" if command is None else f"unknown command {command!r}"
+            raise OptionError(f"{given}; choose from {', '.join(_COMMANDS)}")
+        options = _COMMANDS[command][1]
+        values = {flag: default for flag, (_, default, _) in options.items()}
+        for token in tokens:
+            if token in ("-h", "--help"):
+                _help(command)
+            flag, joined, text = token.partition("=")
+            if flag not in options:
+                raise OptionError(f"unrecognized argument: {token}")
+            if not joined:
+                text = next(tokens, None)
+                # an option, not a value such as -1/2, -.5 or -
+                if text is None or re.match(r"-(?!\.?\d|$)", text):
+                    raise OptionError(f"argument {flag}: expected one value")
+            kind = options[flag][0]
+            if isinstance(kind, tuple) and text not in kind:
+                raise OptionError(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+            try:
+                values[flag] = text if isinstance(kind, tuple) else kind(text)
+            except OptionError as exc:
+                raise OptionError(f"argument {flag}: {exc}") from None
+            except ValueError:
+                raise OptionError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
+        if missing := [flag for flag, value in values.items() if value is _REQUIRED]:
+            raise OptionError(f"the following arguments are required: {', '.join(missing)}")
+        return types.SimpleNamespace(command=command, **{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (parsing leaves it unchanged);
-    each command is looked up when it runs, so a wrapper set on the module applies."""
-    parser = _Parser(
-        prog="galilei21",
-        description="verification suites for the extended planar Galilei group",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    samples = _int_in(1, SAMPLES_CAP)
-    unread = "read by no row, as every row is exact; kept so that existing command lines run"
-
-    def common(p, charges=True, seed_help=None):
-        if charges:
-            p.add_argument("--k", type=_rational, default=Fraction(0))
-            p.add_argument("--m", type=_rational, default=Fraction(0))
-            p.add_argument("--l", type=_rational, default=Fraction(0))
-        p.add_argument("--seed", type=int, default=0, help=seed_help)
-        p.add_argument("--format", choices=("json", "csv", "human"), default="human")
-        p.add_argument("--out", default=None, help="write the report to this path")
-
-    p = sub.add_parser("verify-algebra", help="Jacobi, antisymmetry and charge-removal suites")
-    common(p, seed_help=unread)
-    p.add_argument("--samples", type=samples, default=200, help=unread)
-    p.set_defaults(func=lambda opts: cmd_verify_algebra(opts))
-
-    p = sub.add_parser("casimir", help="invariant table and bounded-degree centralizer")
-    common(p, seed_help=unread)
-    p.add_argument("--max-degree", type=_int_in(0, DEGREE_CAP), default=2, dest="max_degree")
-    p.set_defaults(func=lambda opts: cmd_casimir(opts))
-
-    p = sub.add_parser("group", help="cocycle, inverse, coboundary and isomorphism suites")
-    common(p)
-    p.add_argument("--samples", type=samples, default=1000)
-    p.add_argument("--tolerance", type=_tolerance, default=1e-12)
-    p.set_defaults(func=lambda opts: cmd_group(opts))
-
-    p = sub.add_parser("contract", help="large-c limit experiments with slope fits")
-    common(p, charges=False)
-    p.add_argument("--experiment", choices=EXPERIMENT_NAMES, required=True)
-    p.add_argument("--c-grid", type=_c_grid, default=DEFAULT_C_GRID, dest="c_grid")
-    p.add_argument("--samples", type=samples, default=20)
-    p.add_argument("--tolerance", type=_tolerance, default=0.1,
-                   help="allowed deviation of the fitted slope from -2")
-    p.set_defaults(func=lambda opts: cmd_contract(opts))
-    return parser
+def build_parser() -> _Parser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
+    return _Parser()
 
 
 def main(argv=None) -> int:
@@ -449,7 +497,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        checks, rows = opts.func(opts)
+        # looked up when it runs, so a wrapper set on the module applies
+        checks, rows = globals()["cmd_" + opts.command.replace("-", "_")](opts)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

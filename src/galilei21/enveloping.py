@@ -156,10 +156,12 @@ class NormalOrderer(dict):
     central unit, evaluated to 1, in integers: orderer[word] is {sorted word: n}
     with sum n * mono = D**len(word) * (word in normal order), for any word of
     indices into the algebra's other basis elements, computed on its first
-    lookup.  D (`den`) is the least common denominator of their brackets.
-    `NormalOrderer(make_galilei_algebra(params))` orders U(g_(k,m,l))."""
+    lookup.  D (`den`) is the least common denominator of their brackets, and
+    `labels` are the algebra's.  `NormalOrderer(make_galilei_algebra(params))`
+    orders U(g_(k,m,l))."""
 
     def __init__(self, alg: LieAlgebra):
+        self.labels = alg.labels
         unit = alg.dim - 1
         # the nonzero entries c of [X_a, X_b] = sum_n c X_n between generators
         entries = [(a, b, n, c) for a in range(unit) for b in range(unit)
@@ -224,9 +226,16 @@ def _product(normal_form: NormalOrderer, p: Poly, q: Poly) -> Poly:
     return type(p)(out)
 
 
+def _require_galilei(normal_form: NormalOrderer) -> None:
+    if normal_form.labels != GALILEI_LABELS:  # the callers loop over the six Galilei generators
+        raise ValueError(f"an orderer over {', '.join(normal_form.labels)}: this needs the six Galilei "
+                         f"generators {', '.join(GEN_NAMES)} and the unit E")
+
+
 def generator_brackets(normal_form: NormalOrderer, polys: Iterable[NOPoly]) -> list[tuple[NOPoly, ...]]:
     """([N1, p], [N2, p], [P1, p], [P2, p], [H, p], [M, p]) for each p, all
     from the orderer's `bracket`."""
+    _require_galilei(normal_form)
     out = []
     for p in polys:
         row = []
@@ -408,6 +417,7 @@ def centralizer_basis(normal_form: NormalOrderer, table: Sequence[NOPoly], max_d
 def centralizer_dimension(normal_form: NormalOrderer, max_degree: int) -> int:
     """The dimension of the degree <= max_degree centralizer: columns minus
     the rank of the ad-system in the symmetric algebra (module docstring)."""
+    _require_galilei(normal_form)
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     monos = monomials_up_to(max_degree)

@@ -1,14 +1,17 @@
-import argparse
 import collections
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import random
+import re
+import shlex
 import time
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galilei21 import algebra, cli, contraction, enveloping, group
+from cli_reference import build_reference_parser
 from galilei21.cli import EXPERIMENT_NAMES, build_parser, main
 from scalar_sampler import random_element, random_params, random_rational_element
 
@@ -147,6 +151,110 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
     assert run(capsys, "casimir", "--format", "json") == first  # defaults, not the last values
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _workload_argvs() -> list:
+    """The canary and every benchmark workload's argument vectors at seeds 1-3 and 8191."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [workloads.CANARY] + [argv for name in workloads.WORKLOADS for seed in (1, 2, 3, 8191)
+                                 for argv in workloads.generate(name, seed)]
+
+
+def _documented_argvs() -> list:
+    """Every ``galilei21`` command line of the README and of the CI workflow, as the
+    shell splits it (a line whose arguments hold a shell variable is left out)."""
+    text = (ROOT / "README.md").read_text() + (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    heads = (re.split(r"[|>]", args)[0] for args in re.findall(r"(?m)^\s*galilei21\b(.*)", text))
+    return [shlex.split(head) for head in heads if "$" not in head]
+
+
+def _parsed(parser, argv, capsys):
+    """What a parser makes of argv: the exit code of a help request or a refusal, which
+    writes one configuration error line, or else every parsed option with its type."""
+    try:
+        opts = parser.parse_args(list(argv))
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        if exc.code == 0:
+            assert out.startswith("usage: ") and err == "", argv
+        else:
+            assert out == "" and err.startswith("configuration error: ") and err.count("\n") == 1, (argv, err)
+        return exc.code
+    return {key: (type(v), v) for key, v in vars(opts).items() if key != "func"}
+
+
+# The one difference from the argparse reference: it takes a unique prefix of an option.
+PREFIX_ARGVS = [["casimir", "--max=4"]]
+
+PARSED_ARGVS = [
+    # joined and separate values, negative values as separate tokens, the last occurrence winning
+    ["casimir", "--k", "-1/2", "--m=2", "--l", "-.5", "--max-degree", "3"],
+    ["verify-algebra", "--k=-1e-5", "--m", "-1E2", "--samples", "7", "--seed", "-3"],
+    ["group", "--k", "1", "--k=2", "--k", "-3/4", "--samples=5", "--samples", "6", "--tolerance", "0"],
+    ["contract", "--experiment", "mass", "--experiment=thomas", "--c-grid", "1,10,100", "--tolerance=.5", "--out", "-"],
+    ["contract", "--c-grid=1e2:1e4:logx10", "--experiment=diagram", "--format", "csv", "--format=json"],
+    ["casimir", "--out=a=b", "--max-degree", "-0", "--seed", "-12", "--m", "-0", "--l=-7/3"],
+    ["group", "--help"], ["contract", "-h", "--samples=0"], ["-h"], ["--help"],
+]
+
+
+def test_parser_matches_the_argparse_reference(capsys):
+    reference, parser = build_reference_parser(), build_parser()
+    argvs = _workload_argvs() + _documented_argvs() + PARSED_ARGVS
+    assert len(argvs) > 300 and PREFIX_ARGVS[0] in argvs  # the CI runs the prefix, expecting exit 2
+    for argv in argvs:
+        if argv not in PREFIX_ARGVS:
+            assert _parsed(parser, argv, capsys) == _parsed(reference, argv, capsys), argv
+
+
+# (argv, whether the two parsers' messages agree): each is refused with one line
+REFUSED_ARGVS = [
+    (["casimir", "--degree-cap", "9"], False),  # an unknown option
+    (["casimir", "extra"], False),  # a value where an option belongs
+    (["casimir", "--k"], False),  # a missing value
+    (["casimir", "--k", "--m", "1"], False),  # an option where a value belongs
+    (["casimir", "--format", "xml"], False),  # a bad choice
+    (["group", "--seed", "1.5"], True),  # a bad type
+    (["group", "--samples=0"], True),  # a value its type refuses
+    (["verify-algebra", "--k", "-x"], False),  # a minus without a digit is no value
+    (["contract", "--samples", "3"], False),  # no --experiment
+    ([], False),  # no command
+    (["fit", "--k=1"], False),  # an unknown command
+]
+
+
+@pytest.mark.parametrize("argv,same_message", REFUSED_ARGVS)
+def test_parser_refuses_what_the_reference_refuses_in_one_line(capsys, argv, same_message):
+    errors = []
+    for parser in (build_reference_parser(), build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and err.startswith("configuration error: ") and err.count("\n") == 1
+        errors.append(err)
+    assert main(argv) == 2 and capsys.readouterr() == ("", errors[1])
+    assert not same_message or errors[0] == errors[1] and errors[1].startswith("configuration error: argument --")
+
+
+def test_a_prefix_of_an_option_is_refused(capsys):
+    assert build_reference_parser().parse_args(["casimir", "--max=4"]).max_degree == 4
+    assert main(["casimir", "--max=4"]) == 2
+    assert capsys.readouterr() == ("", "configuration error: unrecognized argument: --max=4\n")
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_is_built_from_the_table_and_exits_0(capsys, command):
+    for flag in ("-h", "--help"):
+        assert main([flag] if command is None else [command, "--format=json", flag, "--k=x"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith(f"usage: galilei21 {command or 'COMMAND'} ")
+        about, names = cli._COMMANDS[command] if command else ("", cli._COMMANDS)
+        assert about in out and all(re.search(rf"(?m)^  {name}[ =]", out) for name in names), out
+
+
 def test_degree_cap_enforced(capsys):
     cases = [
         (["group", "--samples=0"], "--samples"),
@@ -216,7 +324,7 @@ def test_long_or_overflowing_c_grid_is_one_line_config_error(capfd, grid, reason
 def test_c_grid_of_exactly_the_cap_is_accepted():
     assert cli._c_grid(f"1:{2.0 ** (cli.GRID_CAP - 1)!r}:logx2") == tuple(2.0 ** n for n in range(cli.GRID_CAP))
     assert len(cli._c_grid(",".join(["1e3"] * cli.GRID_CAP))) == cli.GRID_CAP
-    with pytest.raises(argparse.ArgumentTypeError, match="more than 1000 points"):
+    with pytest.raises(cli.OptionError, match="more than 1000 points"):
         cli._c_grid(f"1:{2.0 ** cli.GRID_CAP!r}:logx2")
     assert main(["contract", "--experiment=thomas", "--grid-cap=2000"]) == 2  # not an option
 

@@ -759,19 +759,37 @@ def test_orderer_bracket_is_the_difference_of_the_two_products(params):
             assert orderer.bracket(g, word) == {mono: c for mono, c in diff.items() if c}, (g, word)
 
 
+def _heisenberg_orderer() -> NormalOrderer:
+    """The orderer of the Heisenberg algebra (x, p, E), [x, p] = E."""
+    zero, unit = (F(0),) * 3, (F(0), F(0), F(1))
+    tensor = ((zero, unit, zero), (tuple(-c for c in unit), zero, zero), (zero, zero, zero))
+    return NormalOrderer(LieAlgebra(("x", "p", "E"), tensor))
+
+
 def test_product_keeps_the_type_of_its_words():
     # the Heisenberg algebra (x, p, E), [x, p] = E: its words are plain Polys, and
     # p x = x p - E comes back as one, with no Galilei names
-    zero, unit = (F(0),) * 3, (F(0), F(0), F(1))
-    minus = tuple(-c for c in unit)
-    tensor = ((zero, unit, zero), (minus, zero, zero), (zero, zero, zero))  # tensor[i][j] = [X_i, X_j]
-    orderer = NormalOrderer(LieAlgebra(("x", "p", "E"), tensor))
+    orderer = _heisenberg_orderer()
     px = enveloping_module._product(orderer, Poly({(1,): 1}), Poly({(0,): 1}))
     assert type(px) is Poly and px == Poly({(0, 1): 1, (): -1})
     # over g_(k,m,l), a NOPoly product stays a NOPoly
     galilei = NormalOrderer(make_galilei_algebra(PARAMS))
     product = enveloping_module._product(galilei, NOPoly.generator("P1"), NOPoly.generator("N1"))
     assert type(product) is NOPoly and product == no_mul(PARAMS, NOPoly.generator("P1"), NOPoly.generator("N1"))
+
+
+def test_galilei_entry_points_refuse_an_orderer_of_another_algebra():
+    # both loop over the six Galilei generators: another algebra's orderer is
+    # refused in one line that names them, not with a KeyError from its table
+    nf = _heisenberg_orderer()
+    message = "an orderer over x, p, E: this needs the six Galilei generators N1, N2, P1, P2, H, M and the unit E"
+    for call in (lambda: centralizer_dimension(nf, 2), lambda: generator_brackets(nf, [Poly({(0,): F(1)})]),
+                 lambda: generator_brackets(nf, [])):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message and type(exc.value) is ValueError
+    assert nf == {}  # refused before any word is ordered
+    assert centralizer_dimension(orderer_at(PARAMS), 0) == 1  # the Galilei orderer is taken
 
 
 def test_generator_brackets_agree_with_the_product_difference():

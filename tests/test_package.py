@@ -94,8 +94,9 @@ def test_exact_suites_and_demos_run_without_numpy():
 
 # Start-up: in a fresh interpreter with no site hook (-S) and only src/ on the
 # path, the exact suites load no module they do not use: neither numpy nor
-# dataclasses (which imports inspect, dis and ast) nor typing.
-UNUSED_AT_START = ("dataclasses", "inspect", "typing", "numpy")
+# dataclasses (which imports inspect, dis and ast) nor typing, nor argparse
+# (which imports gettext, and builds its help with gettext lookups).
+UNUSED_AT_START = ("dataclasses", "inspect", "typing", "numpy", "argparse", "gettext")
 EXACT_START = f"""
 import os, sys
 from galilei21 import cli
