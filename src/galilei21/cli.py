@@ -103,10 +103,10 @@ def _tolerance(text: str) -> float:
 def _c_grid(text: str) -> tuple:
     try:
         if ":" in text:
-            lo_s, hi_s, step = text.split(":")
-            if not step.startswith("logx"):
-                raise ValueError("step must look like logx10")
-            lo, hi, factor = _finite(lo_s), _finite(hi_s), _finite(step[4:])
+            fields = text.split(":")
+            if len(fields) != 3 or not fields[2].startswith("logx") or fields[2] == "logx":
+                raise ValueError("a range must look like lo:hi:logxF")
+            lo, hi, factor = _finite(fields[0]), _finite(fields[1]), _finite(fields[2][4:])
             if lo <= 0 or factor <= 1:
                 raise ValueError("grid must be positive and growing")
             grid = []

@@ -10,9 +10,11 @@ factors as Lambda = L(v) R(theta) with, for beta = v / c,
     R(theta) embedded as the SO(2) block [[cos, sin], [-sin, cos]].
 
 Composing two boosts is not a boost; the residual angle delta_theta is
-the Wigner rotation, which shrinks as (v x w) / (2 c^2).  The module
-measures such limits on grids of c values and fits the decay rate; each
-limit's target is minus the k or m term of `group.cocycle_exponent`.
+the Wigner rotation, which shrinks as (v x w) / (2 c^2).  `decompose` is
+the one path from Lambda back to (v, theta), and the coboundaries of
+zeta = c a^0 and zeta = c^2 theta(Lambda) take the same pair of elements.
+The module measures such limits on grids of c values and fits the decay
+rate; each limit's target is minus the k or m term of `group.cocycle_exponent`.
 
 Every function takes one element or a stack: matrices (..., 3, 3),
 velocities (..., 2), angles and c values (...), broadcast together.  A
@@ -151,28 +153,19 @@ def rotation_matrix(theta) -> np.ndarray:
     return R
 
 
-def _decompose_lorentz(lam, c):
-    """(v, theta, L(v), R(theta)) with lam = L(v) R(theta).
+def decompose(p: PoincareElement) -> tuple[np.ndarray, np.ndarray]:
+    """(v, theta) with p.lam = L(v) R(theta), v of shape (..., 2).
 
-    L(-v) = eta L(v) eta, so each boost is built once.  The residual
-    L(-v) lam must be R(theta), else lam was no Lorentz map.
+    L(-v) = eta L(v) eta, so the boost is built once.  The residual
+    L(-v) Lambda must be R(theta), and L(v) R(theta) must give back Lambda.
     """
-    lam, c = _as_matrices(lam), np.asarray(c, dtype=np.float64)
-    if not np.all(lam[..., 0, 0] >= 1 - MATRIX_TOL):
-        raise ValueError("matrix is not orthochronous")
-    v = c[..., None] * lam[..., 1:, 0] / lam[..., 0, :1]
-    boost = boost_matrix(v, c)
-    residual = (FLIP * boost) @ lam
+    v = np.asarray(p.c)[..., None] * p.lam[..., 1:, 0] / p.lam[..., 0, :1]
+    boost = boost_matrix(v, p.c)
+    residual = (FLIP * boost) @ p.lam
     theta = np.arctan2(residual[..., 1, 2], residual[..., 1, 1])
     rot = rotation_matrix(theta)
     if not _within_tol(residual - rot):
         raise ValueError("residual is not a rotation: invariants violated")
-    return v, theta, boost, rot
-
-
-def decompose(p: PoincareElement) -> tuple[np.ndarray, np.ndarray]:
-    """(v, theta) with p.lam = L(v) R(theta), v of shape (..., 2); reconstruction is checked."""
-    v, theta, boost, rot = _decompose_lorentz(p.lam, p.c)
     if not _within_tol(boost @ rot - p.lam):
         raise ValueError("decomposition failed to reconstruct the input")
     return v, theta
@@ -211,11 +204,17 @@ def poincare_from_galilei(tau, u, v, theta, c) -> PoincareElement:
     return PoincareElement(boost_matrix(v, c) @ rotation_matrix(theta), _translation(tau, u, c), c)
 
 
-def poincare_product(g: PoincareElement, h: PoincareElement) -> PoincareElement:
-    """{Lambda, a} {Lambda', a'} = {Lambda Lambda', Lambda a' + a}."""
+def _common_c(g: PoincareElement, h: PoincareElement):
+    """The c that g and h both carry; a pair with different c is refused."""
     if not np.all(g.c == h.c):
         raise ValueError("elements carry different c")
-    return PoincareElement(g.lam @ h.lam, (g.lam @ h.a[..., None])[..., 0] + g.a, g.c)
+    return g.c
+
+
+def poincare_product(g: PoincareElement, h: PoincareElement) -> PoincareElement:
+    """{Lambda, a} {Lambda', a'} = {Lambda Lambda', Lambda a' + a}."""
+    c = _common_c(g, h)
+    return PoincareElement(g.lam @ h.lam, (g.lam @ h.a[..., None])[..., 0] + g.a, c)
 
 
 def contract_element(p: PoincareElement) -> GroupElement:
@@ -234,24 +233,24 @@ def mass_cocycle_exponent(g: PoincareElement, h: PoincareElement):
     Lorentz matrix has unit eta-norm: no term of size c a'^0 is subtracted.
     With a^0 = c tau this approaches v^2/2 tau' + v . R u' as c grows.
     """
-    if not np.all(g.c == h.c):
-        raise ValueError("elements carry different c")
+    c = _common_c(g, h)
     row, a = g.lam[..., 0, :], h.a
     excess = (row[..., 1] * row[..., 1] + row[..., 2] * row[..., 2]) / (row[..., 0] + 1)
-    return g.c * (excess * a[..., 0] + row[..., 1] * a[..., 1] + row[..., 2] * a[..., 2])
+    return c * (excess * a[..., 0] + row[..., 1] * a[..., 1] + row[..., 2] * a[..., 2])
 
 
-def rotation_cocycle_exponent(lam1, lam2, c):
-    """Coboundary of zeta = c^2 theta(Lambda) on the pair (lam1, lam2).
+def rotation_cocycle_exponent(g: PoincareElement, h: PoincareElement):
+    """Coboundary of zeta = c^2 theta(Lambda) evaluated on the pair (g, h).
 
-    lam1 lam2 = L(v1) R1 L(v2) R2 = L(v1) [R1 L(v2) R1^T] R1 R2, where the
-    bracket is the boost L(R1 v2).  So theta(lam1 lam2) - theta1 - theta2 is,
-    modulo 2 pi, the Wigner angle of that pair, which is found with no angle difference.
+    With Lambda = L(v) R and Lambda' = L(v') R' (`decompose`),
+    Lambda Lambda' = L(v) [R L(v') R^T] R R', where the bracket is the boost
+    L(R v').  So theta(Lambda Lambda') - theta - theta' is, modulo 2 pi, the
+    Wigner angle of that pair, which is found with no angle difference.
     """
-    _, _, boost1, rot1 = _decompose_lorentz(lam1, c)
-    _, _, boost2, _ = _decompose_lorentz(lam2, c)
-    c = np.asarray(c, dtype=np.float64)
-    return c * c * _wigner_angle(boost1, rot1 @ boost2 @ np.swapaxes(rot1, -1, -2))
+    c = _common_c(g, h)
+    (v, theta), (vp, _) = decompose(g), decompose(h)
+    rot = rotation_matrix(theta)
+    return c * c * _wigner_angle(boost_matrix(v, c), rot @ boost_matrix(vp, c) @ np.swapaxes(rot, -1, -2))
 
 
 # --- convergence studies -------------------------------------------------------
@@ -335,8 +334,9 @@ def thomas_experiment(v, vp, theta) -> LimitExperiment:
     minus the k term of `group.cocycle_exponent` at k = 1, g = (v, theta), h = (v').
 
     v and vp are velocities (samples, 2) and theta angles (samples,), or
-    the values of one sample.  zeta here is c^2 theta(Lambda) of the
-    first factor L(v) R(theta), which diverges like c^2 whenever theta != 0.
+    the values of one sample.  The Wigner angle is `compose_boosts`'.  zeta
+    here is c^2 theta(Lambda) of the first factor Lambda = L(v) R(theta),
+    the sample's own theta, which diverges like c^2 whenever theta != 0.
     """
     v, vp, theta = _samples(v, 2), _samples(vp, 2), _samples(theta)
     g, h = GroupElement(v=(v[..., 0], v[..., 1]), theta=theta), GroupElement(v=(vp[..., 0], vp[..., 1]))
@@ -344,10 +344,8 @@ def thomas_experiment(v, vp, theta) -> LimitExperiment:
     w = np.stack(_rotated(g.rotation, h.v), axis=-1)  # g.rotation, cached by cocycle_exponent
 
     def evaluate(c):
-        l1 = boost_matrix(v, c)
-        delta = _wigner_angle(l1, boost_matrix(w, c))  # compose_boosts' angle, with L(v) built once
-        _, th, _, _ = _decompose_lorentz(l1 @ rotation_matrix(theta), c)
-        return np.abs(c * c * delta - target), np.abs(c * c * th)
+        _, delta = compose_boosts(v, w, c)
+        return np.abs(c * c * delta - target), np.abs(c * c * theta)
 
     return LimitExperiment("thomas", tuple(target[:, 0].tolist()), evaluate)
 

@@ -315,6 +315,10 @@ def test_non_positive_c_grid_is_one_line_config_error(capfd, grid):
     ("1e2:1e6:logx1.0000000001", "the grid has more than 1000 points"),  # about 9e10 points
     (",".join(["1e3"] * 1001), "the grid has more than 1000 points"),
     ("1e300:1.7976931348623157e308:logx10", "a grid point overflows a double"),  # the bound is inf
+    ("1e2:1e6", "a range must look like lo:hi:logxF"),
+    ("1e2:1e6:logx2:3", "a range must look like lo:hi:logxF"),
+    ("1e2:1e6:logx", "a range must look like lo:hi:logxF"),
+    ("1e2:1e6:x10", "a range must look like lo:hi:logxF"),
 ])
 def test_long_or_overflowing_c_grid_is_one_line_config_error(capfd, grid, reason):
     assert main(["contract", "--experiment=thomas", f"--c-grid={grid}"]) == 2

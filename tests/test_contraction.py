@@ -46,6 +46,11 @@ def lorentz_defect(lam):
     return np.max(np.abs(contraction._lorentz_residual(contraction._as_matrices(lam))), axis=(-2, -1))
 
 
+def at_origin(lam, c):
+    """The element {lam, 0} at c."""
+    return PoincareElement(lam, np.zeros(3), c)
+
+
 def rand_vel(rng, lo=0.1, hi=0.9, c=1.0):
     speed = rng.uniform(lo, hi) * c
     ang = rng.uniform(0, 2 * math.pi)
@@ -229,26 +234,49 @@ def test_mass_cocycle_limits():
 
 def test_rotation_cocycle_vanishes_on_rotations():
     c = 100.0
-    out = rotation_cocycle_exponent(rotation_matrix(1.0), rotation_matrix(-2.5), c)
+    out = rotation_cocycle_exponent(at_origin(rotation_matrix(1.0), c), at_origin(rotation_matrix(-2.5), c))
     assert abs(float(out)) < 1e-9 * c * c
 
 
 def test_rotation_cocycle_matches_thomas_limit():
     c = 10000.0
     v, vp = (1.0, 0.0), (0.0, 1.0)
-    out = rotation_cocycle_exponent(boost_matrix(v, c), boost_matrix(vp, c), c)
+    out = rotation_cocycle_exponent(at_origin(boost_matrix(v, c), c), at_origin(boost_matrix(vp, c), c))
     assert float(out) == pytest.approx(0.5, rel=1e-6)
     # boost-then-rotation vs rotation-then-boost agree in the limit
     th = 0.7
     a = rotation_cocycle_exponent(
-        boost_matrix(v, c) @ rotation_matrix(th), boost_matrix(vp, c), c
+        at_origin(boost_matrix(v, c) @ rotation_matrix(th), c), at_origin(boost_matrix(vp, c), c)
     )
     rv = (math.cos(th) * vp[0] + math.sin(th) * vp[1],
           -math.sin(th) * vp[0] + math.cos(th) * vp[1])
     b = rotation_cocycle_exponent(
-        rotation_matrix(th) @ boost_matrix(rv, c), boost_matrix(vp, c) , c
+        at_origin(rotation_matrix(th) @ boost_matrix(rv, c), c), at_origin(boost_matrix(vp, c), c)
     )
     assert float(a) == pytest.approx(_half_cross(v, rv), rel=1e-4)
+
+
+def test_pair_functions_refuse_elements_with_different_c():
+    g = poincare_from_galilei(0.5, (1.0, 0.0), (3.0, 4.0), 0.3, 100.0)
+    other_c = poincare_from_galilei(0.5, (1.0, 0.0), (3.0, 4.0), 0.3, 200.0)
+    one_entry_off = poincare_from_galilei(0.5, (1.0, 0.0), (3.0, 4.0), 0.3, np.array([100.0, 200.0]))
+    for pair in (poincare_product, mass_cocycle_exponent, rotation_cocycle_exponent):
+        pair(g, g)
+        for h in (other_c, one_entry_off):
+            with pytest.raises(ValueError, match="elements carry different c"):
+                pair(g, h)
+            with pytest.raises(ValueError, match="elements carry different c"):
+                pair(h, g)
+
+
+def test_an_element_decompose_cannot_reconstruct_has_no_rotation_cocycle():
+    # valid at MATRIX_TOL, but at beta = 0.99999 L(v) R(theta) misses it by more
+    g = poincare_from_galilei(0.0, (0.0, 0.0), (0.99999, 0.0), 0.3, 1.0)
+    h = poincare_from_galilei(0.0, (0.0, 0.0), (0.0, 0.5), 0.0, 1.0)
+    for refused in (lambda: decompose(g), lambda: rotation_cocycle_exponent(g, h),
+                    lambda: rotation_cocycle_exponent(h, g)):
+        with pytest.raises(ValueError, match="failed to reconstruct the input"):
+            refused()
 
 
 def test_contract_identity_and_translation():
@@ -358,7 +386,7 @@ def test_limit_reproduces_group_cocycle_k_term():
         v, vp = rand_vel(rng, hi=3.0, c=1.0), rand_vel(rng, hi=3.0, c=1.0)
         th = rng.uniform(-1.5, 1.5)
         limit = rotation_cocycle_exponent(
-            boost_matrix(v, c) @ rotation_matrix(th), boost_matrix(vp, c), c
+            at_origin(boost_matrix(v, c) @ rotation_matrix(th), c), at_origin(boost_matrix(vp, c), c)
         )
         xi = cocycle_exponent(
             GroupKind.EXTENDED,
@@ -396,7 +424,7 @@ def test_single_element_calls_keep_their_values():
     assert contract_element(p) == GroupElement(
         phase=0.0, tau=2.1490974055545693, u=(44.04170172494955, 59.485136412293144),
         v=(25.33460774958431, 56.37475009941609), theta=0.5447140254352391)
-    assert _digits(rotation_cocycle_exponent(g.lam, h.lam, 100.0)) == "4.471402543523891e+02"
+    assert _digits(rotation_cocycle_exponent(g, h)) == "4.471402543523891e+02"
     assert lorentz_defect(p.lam) == 6.661338147750939e-16 and p.c == 100.0
 
 
@@ -420,7 +448,7 @@ def test_stacks_match_single_calls_entry_by_entry():
         "product": poincare_product(g, h).lam,
         "wigner": compose_boosts(v, v2, c)[1],
         "mass": mass_cocycle_exponent(g, h),
-        "rotation_cocycle": rotation_cocycle_exponent(g.lam, h.lam, c),
+        "rotation_cocycle": rotation_cocycle_exponent(g, h),
         "lorentz": lorentz_defect(g.lam),
         "k_term": cocycle_exponent(GroupKind.EXTENDED, K_UNIT, GroupElement(v=(v[:, 0], v[:, 1])),
                                    GroupElement(v=(v2[:, 0], v2[:, 1]))),
@@ -434,7 +462,7 @@ def test_stacks_match_single_calls_entry_by_entry():
             "product": poincare_product(gi, hi).lam,
             "wigner": compose_boosts(row[2], row2[2], ci)[1],
             "mass": mass_cocycle_exponent(gi, hi),
-            "rotation_cocycle": rotation_cocycle_exponent(gi.lam, hi.lam, ci),
+            "rotation_cocycle": rotation_cocycle_exponent(gi, hi),
             "lorentz": lorentz_defect(gi.lam),
             "k_term": cocycle_exponent(GroupKind.EXTENDED, K_UNIT, GroupElement(v=row[2]),
                                        GroupElement(v=row2[2])),
@@ -657,8 +685,7 @@ def _scalar_point(name, args, c):
     if name == "thomas":
         v, vp, theta = args
         _, delta = compose_boosts(v, rotate(theta, vp), c)
-        _, th, _, _ = contraction._decompose_lorentz(boost_matrix(v, c) @ rotation_matrix(theta), c)
-        return abs(c * c * delta - _scalar_target(name, args)), abs(c * c * th)
+        return abs(c * c * delta - _scalar_target(name, args)), abs(c * c * theta)
     if name == "mass":
         v, theta, tau_p, u_p = args
         g = poincare_from_galilei(0.0, (0.0, 0.0), v, theta, c)
@@ -877,7 +904,7 @@ def _oracle_shares(grid):
             ref, w = 2 * math.atan(tan_half), _rotated(s1, v2)
             boost, rotation = contraction.boost_matrix, contraction.rotation_matrix
             out = contraction.rotation_cocycle_exponent(
-                boost(v1f, c) @ rotation(th1), boost(v2f, c) @ rotation(th2), c)
+                at_origin(boost(v1f, c) @ rotation(th1), c), at_origin(boost(v2f, c) @ rotation(th2), c))
             cases["rotation"] = (abs(float(out) - c * c * ref),
                                  C * C * Fraction(ref) - (v1[0] * w[1] - v1[1] * w[0]) / 2)
             # the mass coboundary of (L1 R1, 0) and (1, (c tau', u')) against v^2/2 tau' + v . R u'
