@@ -84,7 +84,10 @@ def _int_in(lo: int, hi: int):
 
 
 def _finite(text: str) -> float:
-    x = float(text)
+    try:
+        x = float(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a number") from None
     if not math.isfinite(x):
         raise ValueError(f"{text!r} is not finite")
     return x

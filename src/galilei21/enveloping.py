@@ -24,8 +24,8 @@ The memo holds integers, not fractions: with D the least common
 denominator of the structure constants, the normal form of a word of
 length n is stored as the integer numerators of D**n times it.  A
 rewrite that drops the word by one letter (a generator term) or two (a
-scalar) multiplies by its constant times D or D**2, which is an integer,
-and `_product` divides by D**n once per pair of terms.
+scalar) multiplies by its constant times D or D**2, which is an integer;
+`_product` and `generator_brackets` sum in ints and divide once per word.
 
 A commutator with a generator g is not the difference of two products:
 the orderer's `bracket` applies the derivation rule [g, X^w] =
@@ -60,7 +60,8 @@ products are proved to be a basis of it, with no symmetrization:
 (anything else raises TypeError before any work) and first peels
 singletons (structured Gaussian elimination; LaMacchia and Odlyzko,
 CRYPTO '90): a row with one nonzero entry sets its column j to 0, so j
-is struck from every row, through a column -> rows index, until no row
+is struck from every row, through a column -> rows index (built with the
+rows by `_centralizer_rows`, by `_eliminate` for others), until no row
 has one entry left.  As e_j is in the row space, each peeled j is a
 leading column, with pivot row {j: 1}, and the leading columns of the
 struck rows that remain, reduced fraction-free sparsest first, make up
@@ -215,15 +216,25 @@ class NormalOrderer(dict):
         return {m: c for m, c in out.items() if c}
 
 
+def _numerators(p: Poly, den: int) -> tuple[list[tuple[tuple, int]], int]:
+    """([(word, n)], q) with p = sum n word / q, all ints, q = lcm(p's denominators) * den**deg(p)."""
+    d, top = lcm(*(c.denominator for c in p.values())), max(map(len, p), default=0)
+    return [(w, c.numerator * (d // c.denominator) * den ** (top - len(w))) for w, c in p.items()], d * den**top
+
+
+def _quotient(cls: type, parts: Iterable[tuple[int, dict]], q: int) -> Poly:
+    """cls(sum of n * nf / q over (n, nf) in parts), the sums in ints: one division per word."""
+    out: dict[tuple, int] = {}
+    for n, nf in parts:
+        for mono, co in nf.items():
+            out[mono] = out.get(mono, 0) + n * co
+    return cls({m: Fraction(c, q) for m, c in out.items() if c})
+
+
 def _product(normal_form: NormalOrderer, p: Poly, q: Poly) -> Poly:
     """p q in normal order, of p's type: a plain `Poly` for another algebra's words."""
-    out: dict[tuple, Fraction] = {}
-    for w1, c1 in p.items():
-        for w2, c2 in q.items():
-            f = c1 * c2 / normal_form.den ** (len(w1) + len(w2))
-            for mono, co in normal_form[w1 + w2].items():
-                out[mono] = out.get(mono, _ZERO) + f * co
-    return type(p)(out)
+    (ps, pq), (qs, qq) = _numerators(p, normal_form.den), _numerators(q, normal_form.den)
+    return _quotient(type(p), ((n1 * n2, normal_form[w1 + w2]) for w1, n1 in ps for w2, n2 in qs), pq * qq)
 
 
 def _require_galilei(normal_form: NormalOrderer) -> None:
@@ -238,15 +249,9 @@ def generator_brackets(normal_form: NormalOrderer, polys: Iterable[NOPoly]) -> l
     _require_galilei(normal_form)
     out = []
     for p in polys:
-        row = []
-        for g in range(NGEN):
-            com: dict[tuple, Fraction] = {}
-            for w, c in p.items():
-                f = c / normal_form.den ** (len(w) + 1)
-                for mono, co in normal_form.bracket(g, w).items():
-                    com[mono] = com.get(mono, _ZERO) + f * co
-            row.append(NOPoly(com))
-        out.append(tuple(row))
+        terms, q = _numerators(p, normal_form.den)
+        out.append(tuple(_quotient(NOPoly, ((n, normal_form.bracket(g, w)) for w, n in terms), q * normal_form.den)
+                         for g in range(NGEN)))
     return out
 
 
@@ -323,20 +328,21 @@ def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict]:
     is not an int raises TypeError.  Singletons are peeled first (see the
     module docstring); the rows left reduce sparsest first, and a one-entry
     pivot row made by a reduction retires its column from the later rows."""
-    rows = list(rows)
-    holding = defaultdict(list)  # column -> the rows with a nonzero entry there
-    # per row, the count and the sum of its nonzero entries' unpeeled columns:
-    # the sum is the column itself once one is left
+    kept, holding = [], defaultdict(list)  # column -> the rows with a nonzero entry there
+    for row in rows:
+        if any(type(v) is not int for v in row.values()):
+            raise TypeError("exact elimination takes int entries")
+        kept.append({j: v for j, v in row.items() if v})
+        for j in kept[-1]:
+            holding[j].append(len(kept) - 1)
+    return _peel_and_reduce(kept, holding)
+
+
+def _peel_and_reduce(rows: list[dict[int, int]], holding) -> dict[int, dict]:
+    """`_eliminate` on rows of nonzero ints, holding[j] listing the rows with an entry in column j."""
+    # per row, the count and the sum of its unpeeled columns: the sum is the
+    # column itself once one is left
     live, colsum = list(map(len, rows)), list(map(sum, rows))
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            if type(v) is not int:
-                raise TypeError("exact elimination takes int entries")
-            if v:
-                holding[j].append(i)
-            else:
-                live[i] -= 1
-                colsum[i] -= j
     pivots: dict[int, dict] = {}
     singles = [i for i, n in enumerate(live) if n == 1]
     while singles:
@@ -351,7 +357,7 @@ def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict]:
                     singles.append(k)
     zero = set(pivots)
     for i in sorted((i for i, n in enumerate(live) if n), key=live.__getitem__):
-        row = {j: v for j, v in rows[i].items() if v and j not in zero}
+        row = {j: v for j, v in rows[i].items() if j not in zero}
         while row:
             col = min(row)
             pivot = pivots.get(col)
@@ -369,11 +375,13 @@ def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict]:
     return pivots
 
 
-def _centralizer_rows(normal_form: NormalOrderer, monos: Sequence[tuple]) -> Iterable[dict[int, int]]:
+def _centralizer_rows(normal_form: NormalOrderer, monos: Sequence[tuple]) -> tuple[list[dict], list[list[int]]]:
     """The rows of ad_g(sum_w x_w w) = 0 in S(g)/(E - 1) for g in {N1, H, M},
     times D**(max degree + 1), one per (g, word): ad_g(x^a rest) =
     a x^(a-1) rest [g, x], with [g, x] from the orderer's `table`, keyed by g
-    and the word's exponents as base max degree + 1 digits, step[x] apart."""
+    and the word's exponents as base max degree + 1 digits, step[x] apart.
+    With them, holding[col] lists the rows that column col enters.  Each entry
+    is the multiplicity of x times a [g, x] coefficient, checked to be an int."""
     den, max_degree = normal_form.den, len(monos[-1])
     step = [(max_degree + 1) ** x for x in range(NGEN + 1)]  # step[NGEN] counts g
     brackets = [[] for _ in range(NGEN)]  # [g, x] as (key shift, coefficient) for each letter x
@@ -382,17 +390,28 @@ def _centralizer_rows(normal_form: NormalOrderer, monos: Sequence[tuple]) -> Ite
         shift = g * step[NGEN] - step[x]
         brackets[x] += [(shift, scalar * den ** max(max_degree - 1, 0))] * bool(scalar)
         brackets[x] += [(shift + step[h], ch * den ** max_degree) for h, ch in terms]
-    rows: dict[int, dict[int, int]] = {}
+    if any(type(c) is not int for terms in brackets for _, c in terms):
+        raise TypeError("exact elimination takes int entries")
+    rows, place, holding = [], {}, []  # place: row key -> index in rows
     for col, w in enumerate(monos):
-        key = sum(map(step.__getitem__, w))
+        key, hold = sum(map(step.__getitem__, w)), []
+        holding.append(hold)
         for i, x in enumerate(w):
             if i and w[i - 1] == x:
                 continue
             a = w.count(x)
             for shift, c in brackets[x]:
-                row = rows.setdefault(key + shift, {})
-                row[col] = row.get(col, 0) + a * c
-    return rows.values()
+                if (r := place.get(key + shift)) is None:
+                    place[key + shift] = r = len(rows)
+                    rows.append({})
+                row, v = rows[r], a * c
+                if col in row:  # only if [g, x] holds x for two letters; none does in g_(k,m,l)
+                    v += row.pop(col)
+                    hold.remove(r)
+                if v:
+                    row[col] = v
+                    hold.append(r)
+    return rows, holding
 
 
 def centralizer_basis(normal_form: NormalOrderer, table: Sequence[NOPoly], max_degree: int) -> tuple[NOPoly, ...]:
@@ -421,7 +440,7 @@ def centralizer_dimension(normal_form: NormalOrderer, max_degree: int) -> int:
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     monos = monomials_up_to(max_degree)
-    return len(monos) - len(_eliminate(_centralizer_rows(normal_form, monos)))
+    return len(monos) - len(_peel_and_reduce(*_centralizer_rows(normal_form, monos)))
 
 
 def rank(polys: Sequence[NOPoly]) -> int:
@@ -431,5 +450,5 @@ def rank(polys: Sequence[NOPoly]) -> int:
     integers.  p is in the span iff rank((*polys, p)) == rank(polys)."""
     den = lcm(*(c.denominator for q in polys for c in q.values()))
     support = sorted({m for q in polys for m in q})
-    return len(_eliminate([{j: int(q[m] * den) for j, q in enumerate(polys) if m in q}
-                           for m in support]))
+    return len(_eliminate([{j: c.numerator * (den // c.denominator) for j, q in enumerate(polys)
+                            if (c := q.get(m)) is not None} for m in support]))

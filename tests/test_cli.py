@@ -319,6 +319,10 @@ def test_non_positive_c_grid_is_one_line_config_error(capfd, grid):
     ("1e2:1e6:logx2:3", "a range must look like lo:hi:logxF"),
     ("1e2:1e6:logx", "a range must look like lo:hi:logxF"),
     ("1e2:1e6:x10", "a range must look like lo:hi:logxF"),
+    # an entry that is not a number is named, not passed on in float()'s words
+    ("abc,1,2", "'abc' is not a number"),
+    ("1e2:abc:logx2", "'abc' is not a number"),
+    ("1e2:1e6:logxabc", "'abc' is not a number"),
 ])
 def test_long_or_overflowing_c_grid_is_one_line_config_error(capfd, grid, reason):
     assert main(["contract", "--experiment=thomas", f"--c-grid={grid}"]) == 2

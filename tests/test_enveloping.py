@@ -25,6 +25,7 @@ from galilei21.enveloping import (
     NOPoly,
     NormalOrderer,
     _eliminate,
+    _product,
     boost_momentum_cross,
     casimir_invariants,
     centralizer_basis,
@@ -37,7 +38,17 @@ from galilei21.enveloping import (
     rank,
 )
 from galilei21.cli import main
-from enveloping_checks import central, commutator, commutators, in_span, no_mul, orderer_at, table_basis
+from enveloping_checks import (
+    central,
+    commutator,
+    commutators,
+    fraction_generator_brackets,
+    fraction_product,
+    in_span,
+    no_mul,
+    orderer_at,
+    table_basis,
+)
 from scalar_sampler import random_params, random_rational
 
 PARAMS = ExtensionParams(F(5), F(2), F(0))
@@ -592,7 +603,8 @@ def test_three_generator_rows_give_the_six_generator_basis_at_degree_5(params):
     assert centralizer_dimension(orderer_at(params), 5) == dimension == len(basis) == _fraction_rank(basis)
     assert all(central(params, p) for p in basis)
     orderer = NormalOrderer(make_galilei_algebra(params))
-    assert len(enveloping_module._centralizer_rows(orderer, monomials_up_to(5))) < six_rows
+    rows, _ = enveloping_module._centralizer_rows(orderer, monomials_up_to(5))
+    assert 0 < len(rows) < six_rows
 
 
 def _random_row(rng, cols):
@@ -1043,3 +1055,153 @@ def test_centralizer_basis_matches_the_oracle_on_random_charges():
         p = random_params(rng)
         p = [p, ExtensionParams(p.k, p.m, 0), ExtensionParams(p.k, 0, p.l), ExtensionParams(p.k, 0, 0)][i % 4]
         assert _assert_products_match_the_oracle(p, 4) == centralizer_dimension(orderer_at(p), 4), p
+
+
+# --- the integer sums against the Fraction references -----------------------
+
+
+def _fraction_table_basis(normal_form, table, max_degree):
+    """The table's products as `centralizer_basis` orders them, each by
+    `fraction_product`."""
+    products = {(): ONE}
+    if max_degree >= 2:
+        products.update(((i,), entry) for i, entry in enumerate(table))
+    for n in range(2, max_degree // 2 + 1):
+        for word in itertools.combinations_with_replacement(range(len(table)), n):
+            products[word] = fraction_product(normal_form, products[word[:-1]], table[word[-1]])
+    return tuple(products.values())
+
+
+def _assert_identical(got, want):
+    """Equal, with equal reprs, and of one type, element by element."""
+    assert got == want and repr(got) == repr(want)
+    assert [type(p) for p in got] == [type(p) for p in want]
+
+
+def _rational_poly(rng, max_degree, nterms):
+    """Coefficients with denominators up to 12, so a poly's common one is often past 90."""
+    monos = monomials_up_to(max_degree)
+    return NOPoly({rng.choice(monos): F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(nterms)})
+
+
+def _random_regimes(rng, count):
+    """`count` charge sets with denominators up to 11, each in the four Casimir regimes."""
+    out = []
+    for _ in range(count):
+        k, m, l = (F(rng.choice([-1, 1]) * rng.randint(1, 13), rng.randint(1, 11)) for _ in range(3))
+        out += [ExtensionParams(k, m, l), ExtensionParams(k, m, 0), ExtensionParams(k, 0, l), ExtensionParams(k, 0, 0)]
+    return out
+
+
+# a 420-digit charge set, at m != 0, l = 0, where the table has two entries
+LONG_CHARGES = ExtensionParams(F(10**419 + 1, 3), F(-(10**419 + 3), 7), F(0))
+INTEGER_SUM_PARAMS = [
+    *(params for params, _ in CENTRALIZER_TABLE),
+    MIXED_DENOMINATORS,
+    ExtensionParams(F(-9, 5), F(7, 6), F(0)),
+    ExtensionParams(F(-9, 5), F(0), F(0)),
+    ExtensionParams(F(-9, 10), F(7, 9), F(0)),  # D = 90 with two table entries
+    LONG_CHARGES,
+    *_random_regimes(random.Random(51), 5),
+]
+
+
+def test_integer_sum_charges_cover_the_regimes_and_large_denominators():
+    assert {(params.m != 0, params.l != 0) for params in INTEGER_SUM_PARAMS} == {(1, 1), (1, 0), (0, 1), (0, 0)}
+    # products of table entries over a common denominator past 90
+    assert max(orderer_at(params).den for params in INTEGER_SUM_PARAMS if casimir_invariants(params)) >= 90
+    assert len(str(LONG_CHARGES.k.numerator)) == 420
+
+
+@pytest.mark.parametrize("params", INTEGER_SUM_PARAMS)
+def test_integer_sums_equal_the_fraction_references(params):
+    # `_product`, `generator_brackets`, `centralizer_basis` and `rank` against
+    # the `Fraction` sums, each on its own orderer, at degrees 0 to 6
+    nf, ref = orderer_at(params), orderer_at(params)
+    table = casimir_invariants(params)
+    for degree in range(7):
+        basis = centralizer_basis(nf, table, degree)
+        _assert_identical(basis, _fraction_table_basis(ref, table, degree))
+        assert rank(basis) == _fraction_rank(basis) == len(basis)
+    rng = random.Random(str(params))
+    polys = [_rational_poly(rng, 3, rng.randint(1, 5)) for _ in range(6)] + [NOPoly(), ONE, *table]
+    pairs = [(p, q) for p in polys for q in polys[:4]]
+    _assert_identical([_product(nf, p, q) for p, q in pairs], [fraction_product(ref, p, q) for p, q in pairs])
+    candidates = [*polys, momentum_squared(), boost_momentum_cross()]
+    _assert_identical(generator_brackets(nf, candidates), fraction_generator_brackets(ref, candidates))
+    # a rank below the count: rational combinations of earlier polys
+    spans = polys + [F(rng.randint(1, 9), rng.randint(1, 97)) * p + F(-1, rng.randint(1, 13)) * q for p, q in pairs[:3]]
+    assert rank(spans) == _fraction_rank(spans)
+
+
+def _index_eliminate_builds(monkeypatch, rows):
+    """The (rows, index) that `_eliminate(rows)` hands to `_peel_and_reduce`."""
+    handed = []
+
+    def spy(kept, holding):
+        handed.append((kept, holding))
+        return {}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enveloping_module, "_peel_and_reduce", spy)
+        _eliminate(rows)
+    return handed[0]
+
+
+def _assert_rows_come_with_their_index(monkeypatch, nf, degree):
+    """The builder's index is the one `_eliminate` builds from its rows, every
+    entry a nonzero int, and both give the same pivots.  Returns the rows."""
+    monos = monomials_up_to(degree)
+    rows, holding = enveloping_module._centralizer_rows(nf, monos)
+    assert all(type(v) is int and v for row in rows for v in row.values())
+    kept, index = _index_eliminate_builds(monkeypatch, rows)
+    assert kept == rows and len(holding) == len(monos)
+    # the same rows per column, each once; their order does not move the peel
+    assert [sorted(h) for h in holding] == [index.get(col, []) for col in range(len(monos))]
+    assert enveloping_module._peel_and_reduce(rows, holding) == _eliminate(rows)
+    return rows
+
+
+@pytest.mark.parametrize("params", [*(params for params, _ in CENTRALIZER_TABLE), MIXED_DENOMINATORS])
+def test_centralizer_rows_come_with_the_index_eliminate_builds(monkeypatch, params):
+    nf = orderer_at(params)
+    for degree in range(7):
+        rows = _assert_rows_come_with_their_index(monkeypatch, nf, degree)
+        assert centralizer_dimension(nf, degree) == len(monomials_up_to(degree)) - len(_eliminate(rows))
+
+
+def test_a_column_entering_a_row_twice_is_indexed_once_and_dropped_at_zero(monkeypatch):
+    # no [g, x] of g_(k,m,l) holds x; with [N1, P1] = P1 and [N1, P2] = c P2, the
+    # column of P1 P2 enters N1's row of P1 P2 from both letters, and at c = -1
+    # the two terms cancel; the rows are the commutative ad-system's all the same
+    n1, p1, p2 = (GEN_NAMES.index(name) for name in ("N1", "P1", "P2"))
+    for c in (-1, 2):
+        nf = orderer_at(ExtensionParams(0, 0, 0))  # D = 1: the rows are the ad-system unscaled
+        nf.table[(n1, p1)], nf.table[(n1, p2)] = (0, ((p1, 1),)), (0, ((p2, c),))
+        rows = _assert_rows_come_with_their_index(monkeypatch, nf, 4)
+        brackets = {key: [((), s)] * bool(s) + [((h,), co) for h, co in terms] for key, (s, terms) in nf.table.items()}
+        expected = {}
+        for col, w in enumerate(monomials_up_to(4)):
+            for g in (n1, GEN_NAMES.index("H"), GEN_NAMES.index("M")):
+                for image, co in _commutative_ad(brackets, g, {w: 1}).items():
+                    expected.setdefault((g, image), {})[col] = co
+        assert sorted(sorted(row.items()) for row in rows if row) == sorted(sorted(r.items()) for r in expected.values())
+
+
+@pytest.mark.parametrize("kind", [F, float])
+@pytest.mark.parametrize("pair", [("N1", "P1"), ("N1", "N2"), ("H", "N1"), ("M", "P2")])
+def test_a_table_coefficient_that_is_not_an_int_raises_before_any_elimination(monkeypatch, pair, kind):
+    # an integral Fraction, or a float, in a bracket the rows read
+    nf = orderer_at(ExtensionParams(F(3), F(2), F(0)))
+    key = tuple(GEN_NAMES.index(name) for name in pair)
+    scalar, terms = nf.table[key]
+    assert scalar or terms
+    nf.table[key] = (kind(scalar) if scalar else 0, tuple((h, kind(co)) for h, co in terms))
+
+    def eliminated(*args):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(enveloping_module, "_peel_and_reduce", eliminated)
+    monkeypatch.setattr(enveloping_module, "_eliminate", eliminated)
+    with pytest.raises(TypeError, match="exact elimination takes int entries"):
+        centralizer_dimension(nf, 4)
