@@ -12,7 +12,10 @@ group, while zeta itself blows up:
   powered by the Wigner rotation of composed boosts.
 
 This script prints the convergence tables; the fitted slope -2 is the
-1/c^2 decay of the mismatch.
+1/c^2 decay of the mismatch.  `convergence_study` returns one record for
+a whole family of samples: its targets and slopes hold one entry per
+sample, its errors and |zeta| one row per sample over the c grid.  Each
+family here holds one sample.
 """
 
 import random
@@ -34,15 +37,15 @@ limit = -cocycle_exponent(GroupKind.EXTENDED, ExtensionParams(1, 0, 0), GroupEle
 print(f"predicted limit (v x w)/2 = {limit}\n")
 
 def show(experiment, grid=DEFAULT_C_GRID):
-    (report,) = convergence_study(experiment, grid)  # one sample, one report
-    print(f"{experiment.name}: target value {report.target:+.4f}, "
-          f"fitted error slope {report.fitted_slope:+.3f}")
+    study = convergence_study(experiment, grid)  # one report for the family, here of one sample
+    (target,), (slope,), (growth,) = study.targets, study.fitted_slopes, study.growth_slopes
+    print(f"{experiment.name}: target value {target:+.4f}, fitted error slope {slope:+.3f}")
     print("        c          error   |zeta|")
-    for c, err, zeta in zip(report.c_grid, report.errors, report.zeta_magnitudes):
+    (errors,), (zetas,) = study.errors, study.zeta_magnitudes  # the one sample's rows
+    for c, err, zeta in zip(study.c_grid, errors, zetas):
         print(f"  {c:9.0f}  {err:12.3e}  {zeta:9.3e}")
-    if any(report.zeta_magnitudes):
-        print(f"  zeta growth slope: {report.growth_slope:+.3f} "
-              "(the trivializing function diverges)")
+    if any(zetas):
+        print(f"  zeta growth slope: {growth:+.3f} (the trivializing function diverges)")
     print()
 
 show(thomas_experiment((40.0, 10.0), (-5.0, 45.0), 0.8))

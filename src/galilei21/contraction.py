@@ -21,9 +21,9 @@ velocities (..., 2), angles and c values (...), broadcast together.  A
 stack gets the same floating-point operations as one call per entry.
 Every distinct matrix is checked once, before broadcasting, and each
 check is one reduction over the stack.  `convergence_study` evaluates a
-family of samples over a (samples, grid) array of c values in one call,
-and fits the log-log slopes of every sample's errors and zetas row by row
-with the centred least-squares formula.
+family of samples on the (1, grid) row of c values in one call, fits the
+log-log slopes of every sample's errors and zetas row by row with the
+centred least-squares formula, and returns the family's arrays as one report.
 
 Numerics run in float64, and nothing the limits fit is found by
 subtracting nearly equal numbers (N. J. Higham, Accuracy and Stability of
@@ -43,12 +43,17 @@ import numpy as np
 from .algebra import ExtensionParams
 from .group import GroupElement, GroupKind, _rotated, cocycle_exponent, element_distance, galilei_product
 
-ETA = np.diag([1.0, -1.0, -1.0])
-ETA.flags.writeable = False
-SIGN = np.array([[1.0], [-1.0], [-1.0]])  # eta's diagonal as a column: eta @ m == SIGN * m
-SIGN.flags.writeable = False
-FLIP = SIGN * SIGN.T  # eta m eta == FLIP * m: the time row and column change sign
-FLIP.flags.writeable = False
+
+def _read_only(x) -> np.ndarray:
+    """A float64 copy of x that cannot be written to."""
+    out = np.array(x, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+ETA = _read_only(np.diag([1.0, -1.0, -1.0]))
+SIGN = _read_only([[1.0], [-1.0], [-1.0]])  # eta's diagonal as a column: eta @ m == SIGN * m
+FLIP = _read_only(SIGN * SIGN.T)  # eta m eta == FLIP * m: the time row and column change sign
 
 MATRIX_TOL = 1e-10  # Lorentz-invariant checks
 
@@ -98,8 +103,7 @@ class PoincareElement:
         if a.shape[-1:] != (3,):
             raise ValueError("translation must be a 3-vector")
         shape = np.broadcast_shapes(lam.shape[:-2], a.shape[:-1], np.shape(self.c))
-        c = np.array(np.broadcast_to(self.c, shape), dtype=np.float64)
-        c.flags.writeable = False
+        c = _read_only(np.broadcast_to(self.c, shape))
         # negated tests, so that NaN entries fail every check; lam is checked
         # before it is broadcast, so each distinct matrix once
         if not np.all(c > 0):
@@ -256,38 +260,43 @@ def rotation_cocycle_exponent(g: PoincareElement, h: PoincareElement):
 # --- convergence studies -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitExperiment:
-    """A family of scalar limits, one per sample.
-
-    `evaluate` maps a (samples, grid) array of c values to the errors,
-    which should decay, and the zeta magnitudes, which may grow: two
-    float64 arrays of that shape.
-    """
+    """A family of scalar limits, one per sample, with its read-only (samples,)
+    array of targets.  `evaluate` maps the (1, grid) row of c values to the
+    errors, which should decay, and the zeta magnitudes, which may grow: two
+    float64 arrays (samples, grid), the row broadcast against the samples."""
 
     name: str
-    targets: tuple[float, ...]
+    targets: np.ndarray
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
+    def __post_init__(self):
+        object.__setattr__(self, "targets", _read_only(self.targets))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    """One sample's study: the least-squares slopes of log10 error and of
-    log10 |zeta| against log10 c (c^2 growth gives +2), values floored at 1e-300."""
+    """A family's study, in read-only float64 arrays: c_grid (grid,), targets
+    (samples,), errors and zeta_magnitudes (samples, grid), and the least-squares
+    slopes (samples,) of log10 error (fitted_slopes) and of log10 |zeta|
+    (growth_slopes; c^2 growth gives +2) against log10 c, values floored at 1e-300."""
 
-    c_grid: tuple[float, ...]
-    errors: tuple[float, ...]
-    fitted_slope: float
-    target: float
-    zeta_magnitudes: tuple[float, ...]
-    growth_slope: float
+    c_grid: np.ndarray
+    targets: np.ndarray
+    errors: np.ndarray
+    zeta_magnitudes: np.ndarray
+    fitted_slopes: np.ndarray
+    growth_slopes: np.ndarray
+
+    def __post_init__(self):
+        for name, value in list(vars(self).items()):
+            object.__setattr__(self, name, _read_only(value))
 
 
-def convergence_study(
-    experiment: LimitExperiment, c_grid: Sequence[float]
-) -> list[ConvergenceReport]:
+def convergence_study(experiment: LimitExperiment, c_grid: Sequence[float]) -> ConvergenceReport:
     """Evaluate every sample over the grid in one call and fit both slopes of
-    every sample in one more (`_loglog_slopes`); one report per sample."""
+    every sample in one more (`_loglog_slopes`): one report for the family."""
     grid = tuple(float(c) for c in c_grid)
     if len(grid) < 3:
         raise ValueError("need at least 3 grid points to fit a slope")
@@ -295,16 +304,9 @@ def convergence_study(
         raise ValueError("c grid must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("c grid must be strictly increasing")
-    samples = len(experiment.targets)
-    c = np.tile(np.array(grid), (samples, 1))
-    errors, zetas = experiment.evaluate(c)
-    slopes = _loglog_slopes(grid, np.concatenate([errors, zetas])).tolist()
-    return [
-        ConvergenceReport(grid, tuple(errs), slope, target, tuple(zs), growth)
-        for target, errs, zs, slope, growth in zip(
-            experiment.targets, errors.tolist(), zetas.tolist(), slopes[:samples], slopes[samples:]
-        )
-    ]
+    errors, zetas = experiment.evaluate(np.array([grid]))
+    slopes = _loglog_slopes(grid, np.concatenate([errors, zetas]))
+    return ConvergenceReport(grid, experiment.targets, errors, zetas, *np.split(slopes, 2))
 
 
 def _loglog_slopes(c_grid, values) -> np.ndarray:
@@ -347,7 +349,7 @@ def thomas_experiment(v, vp, theta) -> LimitExperiment:
         _, delta = compose_boosts(v, w, c)
         return np.abs(c * c * delta - target), np.abs(c * c * theta)
 
-    return LimitExperiment("thomas", tuple(target[:, 0].tolist()), evaluate)
+    return LimitExperiment("thomas", target[:, 0], evaluate)
 
 
 def mass_experiment(v, theta, tau_p, u_p) -> LimitExperiment:
@@ -370,7 +372,7 @@ def mass_experiment(v, theta, tau_p, u_p) -> LimitExperiment:
         errors = np.abs(mass_cocycle_exponent(g, h) - target)
         return errors, np.abs(c * poincare_product(g, h).a[..., 0])
 
-    return LimitExperiment("mass", tuple(target[:, 0].tolist()), evaluate)
+    return LimitExperiment("mass", target[:, 0], evaluate)
 
 
 def diagram_experiment(data_g, data_h) -> LimitExperiment:
@@ -382,19 +384,17 @@ def diagram_experiment(data_g, data_h) -> LimitExperiment:
     the Galilei product of the contractions; there is no trivializing
     function in play, so zeta_magnitude is 0.
     """
-    data_g, data_h = (
-        (_samples(tau), _samples(u, 2), _samples(v, 2), _samples(theta))
-        for tau, u, v, theta in (data_g, data_h)
-    )
+    data_g, data_h = ((_samples(tau), _samples(u, 2), _samples(v, 2), _samples(theta))
+                      for tau, u, v, theta in (data_g, data_h))
 
     def evaluate(c):
-        g = poincare_from_galilei(*data_g, c)
-        h = poincare_from_galilei(*data_h, c)
+        g, h = (poincare_from_galilei(*data, c) for data in (data_g, data_h))
         left = contract_element(poincare_product(g, h))
         right = galilei_product(contract_element(g), contract_element(h))
-        return element_distance(left, right, GroupKind.EXTENDED), np.zeros(c.shape)
+        errors = element_distance(left, right, GroupKind.EXTENDED)
+        return errors, np.zeros(errors.shape)
 
-    return LimitExperiment("diagram", (0.0,) * len(data_g[0]), evaluate)
+    return LimitExperiment("diagram", np.zeros(len(data_g[0])), evaluate)
 
 
 def sample_experiments(name: str, rng, samples: int, c_min: float) -> LimitExperiment:
@@ -412,12 +412,8 @@ def sample_experiments(name: str, rng, samples: int, c_min: float) -> LimitExper
         ang = rng.uniform(0.0, 2 * math.pi)
         return (speed * math.cos(ang), speed * math.sin(ang))
 
-    data = lambda: (
-        rng.uniform(0.5, 2.0),
-        (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)),
-        rand_vel(),
-        rng.uniform(-1.5, 1.5),
-    )
+    data = lambda: (rng.uniform(0.5, 2.0), (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)), rand_vel(),
+                    rng.uniform(-1.5, 1.5))
     families = {  # factory taking per-sample columns, and one sample's draw
         "thomas": (thomas_experiment, lambda: (rand_vel(), rand_vel(), rng.uniform(0.2, 3.0))),
         "mass": (mass_experiment, lambda: (

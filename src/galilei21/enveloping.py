@@ -437,6 +437,9 @@ def centralizer_dimension(normal_form: NormalOrderer, max_degree: int) -> int:
     """The dimension of the degree <= max_degree centralizer: columns minus
     the rank of the ad-system in the symmetric algebra (module docstring)."""
     _require_galilei(normal_form)
+    t, d = normal_form.table, normal_form.den  # the rows' g in {N1, H, M} generate g by these brackets
+    if (t[N1, H], t[M, N1], t[N2, H]) != ((0, ((P1, d),)), (0, ((N2, d),)), (0, ((P2, d),))):
+        raise ValueError("the centralizer rows need [N1, H] = P1, [M, N1] = N2 and [N2, H] = P2")
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     monos = monomials_up_to(max_degree)

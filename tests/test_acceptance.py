@@ -8,6 +8,8 @@ import contextlib
 import random
 import time
 
+import numpy as np
+
 from galilei21 import algebra, contraction, enveloping, group
 from galilei21.algebra import ExtensionParams
 from galilei21.cli import DEFAULT_C_GRID
@@ -154,32 +156,29 @@ def test_criterion_07_wigner_angle_limit():
     with criterion(7, "Wigner angle: slope -2 and limit agreement, 20 draws", 5.0):
         rng = random.Random(2030)
         family = contraction.sample_experiments("thomas", rng, 20, min(GRID))
-        reports = contraction.convergence_study(family, GRID)
-        assert len(reports) == 20
-        for rep in reports:
-            assert abs(rep.fitted_slope - (-2.0)) <= 0.1
-            assert rep.errors[-1] <= 1e-3 * abs(rep.target)
+        study = contraction.convergence_study(family, GRID)
+        assert study.errors.shape == (20, len(GRID))
+        assert np.all(np.abs(study.fitted_slopes - (-2.0)) <= 0.1)
+        assert np.all(study.errors[:, -1] <= 1e-3 * np.abs(study.targets))
 
 
 def test_criterion_08_mass_cocycle_limit():
     with criterion(8, "mass coboundary: slope -2, zeta diverges like c^2", 5.0):
         rng = random.Random(2031)
         family = contraction.sample_experiments("mass", rng, 20, min(GRID))
-        reports = contraction.convergence_study(family, GRID)
-        assert len(reports) == 20
-        for rep in reports:
-            assert abs(rep.fitted_slope - (-2.0)) <= 0.1
-            assert abs(rep.growth_slope - 2.0) <= 0.1
+        study = contraction.convergence_study(family, GRID)
+        assert study.errors.shape == (20, len(GRID))
+        assert np.all(np.abs(study.fitted_slopes - (-2.0)) <= 0.1)
+        assert np.all(np.abs(study.growth_slopes - 2.0) <= 0.1)
 
 
 def test_criterion_09_contraction_diagram():
     with criterion(9, "contract/compose diagram closes at rate 1/c^2", 10.0):
         rng = random.Random(2032)
         family = contraction.sample_experiments("diagram", rng, 20, min(GRID))
-        reports = contraction.convergence_study(family, GRID)
-        assert len(reports) == 20
-        for rep in reports:
-            assert abs(rep.fitted_slope - (-2.0)) <= 0.1
+        study = contraction.convergence_study(family, GRID)
+        assert study.errors.shape == (20, len(GRID))
+        assert np.all(np.abs(study.fitted_slopes - (-2.0)) <= 0.1)
 
 
 def test_criterion_10_cli_determinism(tmp_path):

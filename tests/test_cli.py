@@ -22,6 +22,7 @@ from galilei21 import algebra, cli, contraction, enveloping, group
 from cli_reference import build_reference_parser
 from galilei21.cli import EXPERIMENT_NAMES, build_parser, main
 from scalar_sampler import random_element, random_params, random_rational_element
+from test_contraction import _draw, _scalar_point
 
 
 def run(capsys, *argv):
@@ -110,18 +111,20 @@ def test_contract_thomas(capsys):
     assert any(c["name"].startswith("slope[") for c in report["checks"])
 
 
-def test_contract_csv_rows(capsys):
-    code, out = run(
-        capsys, "contract", "--experiment", "mass", "--samples", "2",
-        "--seed", "7", "--format", "csv",
-    )
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_contract_csv_rows(capsys, name):
+    samples, seed, grid = 3, 7, cli.DEFAULT_C_GRID
+    code, out = run(capsys, "contract", "--experiment", name, "--samples", str(samples),
+                    "--seed", str(seed), "--format", "csv")
     assert code == 0
     lines = out.splitlines()
-    rows = [line.split(",") for line in lines[lines.index("sample,c,error,zeta_magnitude") + 1:]]
-    # one row per (sample, grid point), the grid in order within each sample
-    expected = [(i, c) for i in range(2) for c in cli.DEFAULT_C_GRID]
-    assert [(int(r[0]), float(r[1])) for r in rows] == expected
-    assert all(len(r) == 4 and float(r[2]) >= 0 and float(r[3]) > 0 for r in rows)
+    rows = lines[lines.index("sample,c,error,zeta_magnitude") + 1:]
+    # one row per (sample, grid point), the grid in order within each sample, and
+    # each error and zeta bit for bit the sample's scalar evaluation at that c
+    rng = random.Random(seed)
+    draws = [_draw(name, rng, min(grid)) for _ in range(samples)]
+    points = [(i, c, *_scalar_point(name, args, c)) for i, args in enumerate(draws) for c in grid]
+    assert rows == [f"{i},{c!r},{float(err)!r},{float(zeta)!r}" for i, c, err, zeta in points]
 
 
 def test_contract_single_grid_point_is_config_error(capsys):

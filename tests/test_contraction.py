@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from galilei21.algebra import ExtensionParams
 from galilei21.cli import DEFAULT_C_GRID, EXPERIMENT_NAMES
 from galilei21.contraction import (
     ETA,
+    LimitExperiment,
     PoincareElement,
     boost_matrix,
     compose_boosts,
@@ -192,9 +194,9 @@ def test_wigner_angle_antisymmetry():
 
 def test_thomas_target_values():
     # the thomas target, minus the group's k term at k = 1, is (v x v')/2 at theta = 0
-    assert thomas_experiment((1.0, 0.0), (0.0, 1.0), 0.0).targets == (0.5,)
-    assert thomas_experiment((2.0, 0.0), (0.0, 1.0), 0.0).targets == (1.0,)
-    assert thomas_experiment((1.0, 2.0), (0.5, 1.0), 0.0).targets == (0.0,)  # parallel
+    assert thomas_experiment((1.0, 0.0), (0.0, 1.0), 0.0).targets.tolist() == [0.5]
+    assert thomas_experiment((2.0, 0.0), (0.0, 1.0), 0.0).targets.tolist() == [1.0]
+    assert thomas_experiment((1.0, 2.0), (0.5, 1.0), 0.0).targets.tolist() == [0.0]  # parallel
 
 
 def test_boost_rotation_regrouping_identity():
@@ -331,23 +333,23 @@ def test_convergence_study_guards():
 
 def test_thomas_study_slope_and_limit():
     rng = random.Random(5)
-    for rep in convergence_study(sample_experiments("thomas", rng, 5, min(DEFAULT_C_GRID)), DEFAULT_C_GRID):
-        assert rep.fitted_slope == pytest.approx(-2.0, abs=0.1)
-        # at the top of the grid the limit value is reached to 1e-3 relative
-        assert rep.errors[-1] < 1e-3 * abs(rep.target)
+    study = convergence_study(sample_experiments("thomas", rng, 5, min(DEFAULT_C_GRID)), DEFAULT_C_GRID)
+    assert study.fitted_slopes.tolist() == pytest.approx([-2.0] * 5, abs=0.1)
+    # at the top of the grid the limit value is reached to 1e-3 relative
+    assert np.all(study.errors[:, -1] < 1e-3 * np.abs(study.targets))
 
 
 def test_mass_study_slope_and_zeta_growth():
     rng = random.Random(6)
-    for rep in convergence_study(sample_experiments("mass", rng, 5, min(DEFAULT_C_GRID)), DEFAULT_C_GRID):
-        assert rep.fitted_slope == pytest.approx(-2.0, abs=0.1)
-        assert rep.growth_slope == pytest.approx(2.0, abs=0.1)
+    study = convergence_study(sample_experiments("mass", rng, 5, min(DEFAULT_C_GRID)), DEFAULT_C_GRID)
+    assert study.fitted_slopes.tolist() == pytest.approx([-2.0] * 5, abs=0.1)
+    assert study.growth_slopes.tolist() == pytest.approx([2.0] * 5, abs=0.1)
 
 
 def test_diagram_study_slope():
     rng = random.Random(7)
-    for rep in convergence_study(sample_experiments("diagram", rng, 5, min(DEFAULT_C_GRID)), DEFAULT_C_GRID):
-        assert rep.fitted_slope == pytest.approx(-2.0, abs=0.1)
+    study = convergence_study(sample_experiments("diagram", rng, 5, min(DEFAULT_C_GRID)), DEFAULT_C_GRID)
+    assert study.fitted_slopes.tolist() == pytest.approx([-2.0] * 5, abs=0.1)
 
 
 def test_thomas_zeta_tracks_rotation_angle():
@@ -706,19 +708,42 @@ FINE_GRID = tuple(1e2 * 2.0 ** k for k in range(14))  # --c-grid 1e2:1e6:logx2
 def test_family_matches_scalar_points_bit_for_bit(name, grid):
     seed, samples = 40 + len(grid), 6
     rng, oracle_rng = random.Random(seed), random.Random(seed)
-    reports = convergence_study(sample_experiments(name, rng, samples, min(grid)), grid)
+    study = convergence_study(sample_experiments(name, rng, samples, min(grid)), grid)
     draws = [_draw(name, oracle_rng, min(grid)) for _ in range(samples)]
     assert rng.getstate() == oracle_rng.getstate()
-    assert len(reports) == samples
-    for rep, args in zip(reports, draws):
+    assert study.c_grid.tolist() == list(grid)
+    assert study.errors.shape == study.zeta_magnitudes.shape == (samples, len(grid))
+    assert study.targets.shape == study.fitted_slopes.shape == study.growth_slopes.shape == (samples,)
+    columns = (study.targets, study.errors, study.zeta_magnitudes, study.fitted_slopes, study.growth_slopes)
+    for args, target, errors, zetas, fitted, growth in zip(draws, *(c.tolist() for c in columns)):
         points = [_scalar_point(name, args, c) for c in grid]
-        assert [x.hex() for x in rep.errors] == [float(e).hex() for e, _ in points]
-        assert [x.hex() for x in rep.zeta_magnitudes] == [float(z).hex() for _, z in points]
-        assert rep.c_grid == grid and rep.target.hex() == float(_scalar_target(name, args)).hex()
-        _assert_exact_slope(grid, rep.errors, rep.fitted_slope)
-        _assert_exact_slope(grid, rep.zeta_magnitudes, rep.growth_slope)
+        assert [x.hex() for x in errors] == [float(e).hex() for e, _ in points]
+        assert [x.hex() for x in zetas] == [float(z).hex() for _, z in points]
+        assert target.hex() == float(_scalar_target(name, args)).hex()
+        _assert_exact_slope(grid, errors, fitted)
+        _assert_exact_slope(grid, zetas, growth)
         if name == "diagram":
-            assert rep.growth_slope == 0.0  # its zetas are a constant row
+            assert growth == 0.0  # its zetas are a constant row
+
+
+def test_study_records_hold_read_only_arrays():
+    experiment = sample_experiments("mass", random.Random(3), 4, min(DEFAULT_C_GRID))
+    study = convergence_study(experiment, DEFAULT_C_GRID)
+    for record, names in ((experiment, ["targets"]), (study, [f.name for f in dataclasses.fields(study)])):
+        for name in names:
+            array = getattr(record, name)
+            assert isinstance(array, np.ndarray) and array.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, names[0], None)
+        assert record == record and record != dataclasses.replace(record)  # compared by identity
+    assert study.targets.tolist() == experiment.targets.tolist()
+    # the record keeps its own copy: a caller's array is neither frozen nor read through
+    targets = np.array([1.0, 2.0])
+    record = LimitExperiment("own", targets, experiment.evaluate)
+    targets[0] = 5.0
+    assert record.targets.tolist() == [1.0, 2.0]
 
 
 # --- an exact oracle for the slope fit -------------------------------------------

@@ -804,6 +804,25 @@ def test_galilei_entry_points_refuse_an_orderer_of_another_algebra():
     assert centralizer_dimension(orderer_at(PARAMS), 0) == 1  # the Galilei orderer is taken
 
 
+def test_centralizer_dimension_refuses_galilei_labels_without_its_three_brackets():
+    # the rows use g in {N1, H, M} alone, sound where [N1, H] = P1, [M, N1] = N2 and
+    # [N2, H] = P2.  Over the Galilei labels with [N2, P1] = E the only bracket, the
+    # degree <= 1 centralizer is 1, N1, P2, H, M: dimension 5, where the rows count 7
+    dim = len(GALILEI_LABELS)
+    tensor = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    n2, p1, e = (GALILEI_LABELS.index(x) for x in ("N2", "P1", "E"))
+    tensor[n2][p1][e], tensor[p1][n2][e] = F(1), F(-1)
+    nf = NormalOrderer(LieAlgebra(GALILEI_LABELS, tuple(tuple(map(tuple, plane)) for plane in tensor)))
+    brackets = generator_brackets(nf, [NOPoly.generator(name) for name in GEN_NAMES])
+    assert [name for name, row in zip(GEN_NAMES, brackets) if not any(row)] == ["N1", "P2", "H", "M"]
+    with pytest.raises(ValueError) as exc:
+        centralizer_dimension(nf, 1)
+    assert str(exc.value) == "the centralizer rows need [N1, H] = P1, [M, N1] = N2 and [N2, H] = P2"
+    # every g_(k,m,l) has the three brackets, at any common denominator of its charges
+    for params in (ExtensionParams(0, 0, 0), ExtensionParams(F(-9, 5), F(7, 6), F(2, 9))):
+        assert centralizer_dimension(orderer_at(params), 1) == 1  # the scalars alone
+
+
 def test_generator_brackets_agree_with_the_product_difference():
     rng = random.Random(10)
     gens = [NOPoly.generator(name) for name in GEN_NAMES]
