@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ExtensionParams
-from .group import GroupElement, GroupKind, _rotated, cocycle_exponent, element_distance, galilei_product
+from .group import GroupElement, GroupKind, _rotated_factor, cocycle_exponent, element_distance, galilei_product
 
 
 def _read_only(x) -> np.ndarray:
@@ -56,6 +56,9 @@ SIGN = _read_only([[1.0], [-1.0], [-1.0]])  # eta's diagonal as a column: eta @ 
 FLIP = _read_only(SIGN * SIGN.T)  # eta m eta == FLIP * m: the time row and column change sign
 
 MATRIX_TOL = 1e-10  # Lorentz-invariant checks
+# |v|/c of a boost at most (gamma about 22): the checks hold entries up to gamma^2 to the
+# absolute MATRIX_TOL, which from beta = 0.99995 on refuses many of the layer's own L(v) R(theta)
+MAX_BETA = 0.999
 
 
 def _as_matrices(m) -> np.ndarray:
@@ -122,7 +125,7 @@ class PoincareElement:
 
 
 def boost_matrix(v, c) -> np.ndarray:
-    """Pure boost L(v); requires c > 0 and |v| < c.  v = 0 gives the identity.
+    """Pure boost L(v); requires c > 0 and |v| <= MAX_BETA c.  v = 0 gives the identity.
 
     v is (..., 2) and c broadcasts against v[..., 0].  Only beta = v / c enters:
     no v^2 or c^2 is formed, and gamma - 1 is beta^2 gamma^2 / (1 + gamma).
@@ -132,8 +135,8 @@ def boost_matrix(v, c) -> np.ndarray:
         raise ValueError("c must be positive")
     b = np.asarray(v, dtype=np.float64) / c[..., None] + 0.0  # -0.0 + 0.0 is +0.0: v = 0 gives the identity
     b2 = b[..., 0] * b[..., 0] + b[..., 1] * b[..., 1]
-    if not np.all(b2 < 1):
-        raise ValueError("|v| must be smaller than c")
+    if not np.all(b2 <= MAX_BETA * MAX_BETA):
+        raise ValueError(f"|v|/c must be at most {MAX_BETA}")
     g = 1 / np.sqrt(1 - b2)
     k = g * g / (1 + g)  # (gamma - 1) / beta^2
     L = np.empty(g.shape + (3, 3))
@@ -342,8 +345,9 @@ def thomas_experiment(v, vp, theta) -> LimitExperiment:
     """
     v, vp, theta = _samples(v, 2), _samples(vp, 2), _samples(theta)
     g, h = GroupElement(v=(v[..., 0], v[..., 1]), theta=theta), GroupElement(v=(vp[..., 0], vp[..., 1]))
-    target = -cocycle_exponent(GroupKind.EXTENDED, ExtensionParams(1, 0, 0), g, h)
-    w = np.stack(_rotated(g.rotation, h.v), axis=-1)  # g.rotation, cached by cocycle_exponent
+    rotated = _rotated_factor(g, h)
+    target = -cocycle_exponent(GroupKind.EXTENDED, ExtensionParams(1, 0, 0), g, h, rotated)
+    w = np.stack(rotated[1], axis=-1)  # R(theta) v'
 
     def evaluate(c):
         _, delta = compose_boosts(v, w, c)

@@ -32,7 +32,9 @@ be a float64 numpy array with one entry per sample: the same functions
 then evaluate every sample at once, with the same floating-point
 operations as one scalar call per sample.  An element's (cos theta,
 sin theta) is computed on its first rotation and kept with the element
-(`GroupElement.rotation`).  With theta = 0 the law is a polynomial, which
+(`GroupElement.rotation`), and a product rotates u' and v' by it once, for
+its phase and its coordinates alike, also when its exponent is shifted by a
+coboundary (`compose`'s zeta).  With theta = 0 the law is a polynomial, which
 `identity_certified` evaluates on `algebra.Poly` symbols and compares with
 `==`.  All values are immutable and all functions pure.
 
@@ -72,8 +74,9 @@ class GroupElement:
     theta: object = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "v", tuple(self.v))
+        if type(self.u) is not tuple or type(self.v) is not tuple:  # a product's tuples are not copied
+            object.__setattr__(self, "u", tuple(self.u))
+            object.__setattr__(self, "v", tuple(self.v))
 
     @functools.cached_property
     def rotation(self):
@@ -109,7 +112,7 @@ def _rotated(cs, vec: tuple) -> tuple:
     if cs is None:
         return (vec[0], vec[1])
     c, s = cs
-    return (c * vec[0] + s * vec[1], -s * vec[0] + c * vec[1])
+    return (c * vec[0] + s * vec[1], c * vec[1] - s * vec[0])  # -s x + c y, with no -s formed
 
 
 def cross(a: tuple, b: tuple):
@@ -123,19 +126,19 @@ def dot(a: tuple, b: tuple):
 
 def _check_kind(kind: GroupKind, params: ExtensionParams):
     if kind is GroupKind.EXTENDED and params.l != 0:
-        raise ValueError(
-            "l != 0 does not integrate on the Galilei group itself; "
-            "use GroupKind.COVERING"
-        )
+        raise ValueError("l != 0 does not integrate on the Galilei group itself; use GroupKind.COVERING")
 
 
-def cocycle_exponent(
-    kind: GroupKind, params: ExtensionParams, g: GroupElement, h: GroupElement
-):
-    """Phase increment xi(g, h) of the product beyond phase_g + phase_h."""
+def _rotated_factor(g: GroupElement, h: GroupElement) -> tuple:
+    """(R(theta) u', R(theta) v'): h's vectors rotated by g's angle, once per product."""
+    return _rotated(g.rotation, h.u), _rotated(g.rotation, h.v)
+
+
+def cocycle_exponent(kind: GroupKind, params: ExtensionParams, g: GroupElement, h: GroupElement, rotated=None):
+    """Phase increment xi(g, h) of the product beyond phase_g + phase_h;
+    `rotated` is `_rotated_factor(g, h)` when the caller has it."""
     _check_kind(kind, params)
-    ru = _rotated(g.rotation, h.u)
-    rv = _rotated(g.rotation, h.v)
+    ru, rv = _rotated_factor(g, h) if rotated is None else rotated
     m, half_k, l, half = params.m, params.k * HALF, params.l, HALF
     if _batched(*g.v, g.theta, h.tau, *ru, *rv):
         # Fraction * float is float(q) * x, so floats give the scalar
@@ -147,35 +150,34 @@ def cocycle_exponent(
     return xi
 
 
-def _base_product(g: GroupElement, h: GroupElement, phase) -> GroupElement:
-    ru = _rotated(g.rotation, h.u)
-    rv = _rotated(g.rotation, h.v)
-    return GroupElement(
-        phase=phase,
-        tau=g.tau + h.tau,
-        u=(ru[0] + g.v[0] * h.tau + g.u[0], ru[1] + g.v[1] * h.tau + g.u[1]),
-        v=(rv[0] + g.v[0], rv[1] + g.v[1]),
-        theta=g.theta + h.theta,
-    )
+def _base_product(g: GroupElement, h: GroupElement, rotated: tuple, phase) -> GroupElement:
+    (ru, rv), (v1, v2) = rotated, g.v
+    return GroupElement(phase, g.tau + h.tau, (ru[0] + v1 * h.tau + g.u[0], ru[1] + v2 * h.tau + g.u[1]),
+                        (rv[0] + v1, rv[1] + v2), g.theta + h.theta)
 
 
-def compose(
-    kind: GroupKind, params: ExtensionParams, g: GroupElement, h: GroupElement
-) -> GroupElement:
-    xi = cocycle_exponent(kind, params, g, h)
-    return _base_product(g, h, g.phase + h.phase + xi)
+def compose(kind: GroupKind, params: ExtensionParams, g: GroupElement, h: GroupElement,
+            zeta: Callable[[GroupElement], object] | None = None) -> GroupElement:
+    """g h under the law of (kind, params), or, given zeta, under that law with its
+    exponent shifted by zeta's coboundary, as `apply_coboundary` shifts it.  h's u
+    and v are rotated once, and a shifted product builds its coordinates once."""
+    rotated = _rotated_factor(g, h)
+    xi = cocycle_exponent(kind, params, g, h, rotated)  # a module global, so a wrapper applies
+    if zeta is None:
+        return _base_product(g, h, rotated, g.phase + h.phase + xi)
+    gh = _base_product(g, h, rotated, g.phase + h.phase)
+    return GroupElement(gh.phase + (xi + zeta(gh) - zeta(g) - zeta(h)), gh.tau, gh.u, gh.v, gh.theta)
 
 
-def compose_with_exponent(
-    g: GroupElement, h: GroupElement, xi: Callable[[GroupElement, GroupElement], object]
-) -> GroupElement:
+def compose_with_exponent(g: GroupElement, h: GroupElement,
+                          xi: Callable[[GroupElement, GroupElement], object]) -> GroupElement:
     """The group law twisted by an arbitrary phase pair-function."""
-    return _base_product(g, h, g.phase + h.phase + xi(g, h))
+    return _base_product(g, h, _rotated_factor(g, h), g.phase + h.phase + xi(g, h))
 
 
 def galilei_product(g: GroupElement, h: GroupElement) -> GroupElement:
     """Underlying product with no phase twist (phase components still add)."""
-    return _base_product(g, h, g.phase + h.phase)
+    return _base_product(g, h, _rotated_factor(g, h), g.phase + h.phase)
 
 
 def inverse(kind: GroupKind, params: ExtensionParams, g: GroupElement) -> GroupElement:
@@ -206,8 +208,8 @@ def worst_per_sample(defects: tuple, zero):
     if not _batched(zero, *defects):
         return worst_defect(defects, zero)
     worst = functools.reduce(np.maximum, defects, zero)  # NaN propagates
-    finite = functools.reduce(np.logical_and, (d > -math.inf for d in defects), True)
-    return np.where(finite & np.isfinite(worst), worst, math.nan)
+    least = functools.reduce(np.minimum, defects, math.inf)  # -inf is not finite either
+    return np.where((least > -math.inf) & np.isfinite(worst), worst, math.nan)
 
 
 def element_distance(a: GroupElement, b: GroupElement, kind: GroupKind = GroupKind.COVERING):
@@ -298,23 +300,23 @@ def identity_certified(sides: Callable[..., tuple], arity: int) -> bool:
 BLOCK_DOUBLES = 1 << 16  # doubles decoded from one getrandbits call (1 MiB of words)
 
 
-def _random_doubles(rng, n: int) -> np.ndarray:
-    """The next `n` values of `rng.random()`, leaving `rng` where those calls would.
+def _random_integers(rng, n: int) -> np.ndarray:
+    """The next `n` values of `rng.random()` times 2**53, integers below 2**53, as
+    uint64; `rng` is left where those calls would leave it.
 
     CPython's `random()` takes two MT19937 words a and b and returns
     ((a >> 5) * 2**26 + (b >> 6)) * 2**-53, and `getrandbits(64 * n)` takes the
     same 2n words with the first in the least-significant 32 bits.  So the words
-    decode to the same doubles, exactly; this relies on CPython's MT19937
+    decode to the same values, exactly; this relies on CPython's MT19937
     `random.Random`, which the tests check on CPython 3.11-3.13.  The words are
     drawn in blocks of BLOCK_DOUBLES, since `getrandbits` takes its bit count as
     a C int: one call would overflow at 2**25 doubles.
     """
-    words = np.empty(2 * n, dtype=np.uint32)
-    for start in range(0, 2 * n, 2 * BLOCK_DOUBLES):
-        size = min(2 * BLOCK_DOUBLES, 2 * n - start)
-        words[start:start + size] = np.frombuffer(
-            rng.getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4")
-    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    pairs = np.empty(n, dtype="<u8")  # a in the low 32 bits, b in the high ones
+    for start in range(0, n, BLOCK_DOUBLES):
+        size = min(BLOCK_DOUBLES, n - start)
+        pairs[start:start + size] = np.frombuffer(rng.getrandbits(64 * size).to_bytes(8 * size, "little"), "<u8")
+    return (pairs & 0xFFFFFFE0) << 21 | pairs >> 38  # (a >> 5) << 26 | b >> 6
 
 
 def random_elements(rng, samples: int, count: int = 1) -> tuple:
@@ -325,10 +327,13 @@ def random_elements(rng, samples: int, count: int = 1) -> tuple:
     consumes `rng` exactly as `samples * count` such elements would, the
     `count` elements of one sample drawn together, and gives the same values:
     entry i of element j is the (i * count + j)-th scalar element.
-    The doubles are decoded from blocks of Mersenne Twister words
-    (`_random_doubles`), which relies on CPython's `random.Random`.
+    The draws are decoded from blocks of Mersenne Twister words
+    (`_random_integers`), which relies on CPython's `random.Random`.
     """
-    hi = np.array([math.pi, 1.0, 1.0, 1.0, 1.0, 1.0, math.pi])
-    r = _random_doubles(rng, samples * count * 7).reshape(samples, count, 7)
-    x = (-hi + (hi - -hi) * r).transpose(1, 2, 0).copy()  # rng.uniform(a, b): a + (b - a) * r
+    hi = np.array([math.pi, 1.0, 1.0, 1.0, 1.0, 1.0, math.pi])[:, None]
+    n = _random_integers(rng, samples * count * 7).reshape(samples, count, 7).transpose(1, 2, 0)
+    # rng.uniform(a, b) is a + (b - a) * r, r = n * 2**-53; n is exact as a double and
+    # (b - a) * 2**-53 is exact, so (b - a) * r is one rounded product of the two
+    x = np.multiply(n, (hi - -hi) * 2.0**-53, out=np.empty((count, 7, samples)))
+    x += -hi
     return tuple(GroupElement(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6]) for c in x)

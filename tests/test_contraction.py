@@ -272,13 +272,45 @@ def test_pair_functions_refuse_elements_with_different_c():
 
 
 def test_an_element_decompose_cannot_reconstruct_has_no_rotation_cocycle():
-    # valid at MATRIX_TOL, but at beta = 0.99999 L(v) R(theta) misses it by more
-    g = poincare_from_galilei(0.0, (0.0, 0.0), (0.99999, 0.0), 0.3, 1.0)
+    # valid at MATRIX_TOL, but at beta = 0.99999, past MAX_BETA, where L(v) R(theta)
+    # misses it by more: built here from gamma, as boost_matrix refuses the speed
+    beta = 0.99999
+    gamma = 1 / math.sqrt(1 - beta * beta)
+    boost = np.array([[gamma, gamma * beta, 0.0], [gamma * beta, gamma, 0.0], [0.0, 0.0, 1.0]])
+    g = PoincareElement(boost @ rotation_matrix(0.3), np.zeros(3), 1.0)
     h = poincare_from_galilei(0.0, (0.0, 0.0), (0.0, 0.5), 0.0, 1.0)
     for refused in (lambda: decompose(g), lambda: rotation_cocycle_exponent(g, h),
                     lambda: rotation_cocycle_exponent(h, g)):
-        with pytest.raises(ValueError, match="failed to reconstruct the input"):
+        with pytest.raises(ValueError, match=r"\|v\|/c must be at most 0.999"):
             refused()
+
+
+@pytest.mark.parametrize("c", [1.0, 1e2, 1e6])
+def test_boosts_past_the_speed_bound_are_refused_and_those_below_it_reconstruct(c):
+    """64 directions x 16 angles: below MAX_BETA every L(v) R(theta) builds and
+    decomposes back to (v, theta); past it, and near beta = 1, where the MATRIX_TOL
+    checks would refuse some of them as improper or not reconstructed, each
+    is refused with the speed bound's own message."""
+    assert contraction.MAX_BETA == 0.999
+    phi = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)[:, None]
+    theta = np.broadcast_to(np.linspace(-math.pi, math.pi, 16, endpoint=False), (64, 16))
+    direction = np.broadcast_to(np.stack([np.cos(phi), np.sin(phi)], axis=-1), (64, 16, 2))
+    for beta in (0.5, 0.99, 0.998, 0.9989):
+        v = beta * c * direction
+        v_back, theta_back = decompose(poincare_from_galilei(0.0, (0.0, 0.0), v, theta, c))
+        assert np.max(np.abs(v_back - v)) <= 1e-9 * c
+        assert np.max(angle_distance(theta_back, theta)) <= 1e-9
+    message = r"^\|v\|/c must be at most 0\.999$"
+    for beta in (0.9991, 0.9995, 0.9998, 0.9999, 0.99995, 0.99999):
+        v = beta * c * direction
+        for point in v.reshape(-1, 2):
+            with pytest.raises(ValueError, match=message):
+                boost_matrix(point, c)
+        v = np.where(np.arange(64)[:, None, None] == 17, v, 0.5 * c * direction)  # one direction past it
+        for refused in (lambda: poincare_from_galilei(0.0, (0.0, 0.0), v, theta, c),
+                        lambda: compose_boosts(v, np.zeros(2), c)):
+            with pytest.raises(ValueError, match=message):
+                refused()
 
 
 def test_contract_identity_and_translation():
@@ -515,9 +547,9 @@ def test_stack_with_one_superluminal_or_nan_velocity_fails_closed():
     for bad in ((10.0, 0.0), (6.0, -8.0), (30.0, 1.0), (math.nan, 0.0)):
         w = v.copy()
         w[2] = bad
-        with pytest.raises(ValueError, match="smaller than c"):
+        with pytest.raises(ValueError, match="must be at most 0.999"):
             boost_matrix(w, c)
-        with pytest.raises(ValueError, match="smaller than c"):
+        with pytest.raises(ValueError, match="must be at most 0.999"):
             poincare_from_galilei(1.0, (0.0, 0.0), w, 0.3, c)
 
 

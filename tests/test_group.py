@@ -301,6 +301,25 @@ def test_worst_defect_keeps_exact_type():
     assert zero == 0 and isinstance(zero, F)
 
 
+@pytest.mark.parametrize("defects", [
+    [0.0, math.nan, 1e-13], [math.nan], [1e-13, math.inf, 0.0], [0.0] * 500, [3e-13], [2.0],
+], ids=["nan", "nan_only", "inf", "zeros", "one_sample", "one_failing_sample"])
+def test_float_row_reduction_fails_closed_as_the_per_sample_aggregate(tmp_path, monkeypatch, defects):
+    """cmd_group reduces a row's defect array with numpy's max before worst_defect:
+    the row gets the value and type that worst_defect gives on every sample's defect."""
+    expected = worst_defect(defects, 0.0)
+    seen = []
+    real_check = cli_module._check
+    monkeypatch.setattr(cli_module, "_group_rows", lambda params, n, tol: [
+        ("row", None, len(defects), 1, lambda g: np.array(defects), 1e-12)])
+    monkeypatch.setattr(cli_module, "_check", lambda *a: seen.append(a[1]) or real_check(*a))
+    code = main(["group", "--k=1", "--m=1", f"--out={tmp_path / 'r.txt'}"])
+    (worst,) = seen
+    assert type(worst) is type(expected) is float
+    assert worst == expected or math.isnan(worst) and math.isnan(expected)
+    assert code == (0 if expected < 1e-12 else 1)  # the canary's exit 1: tests/test_cli.py
+
+
 def test_nan_time_translation_fails_associativity():
     p = ExtensionParams(F(1), F(2), F(0))
     rng = random.Random(18)
@@ -386,6 +405,32 @@ def test_a_product_computes_each_factors_rotation_once(monkeypatch):
     calls.clear()
     inverse(COV, p, g)  # g's own rotation is kept: only -theta is computed, once for both vectors
     assert len(calls) == 1 and calls[0].tobytes() == (-g.theta).tobytes()
+    # a product rotates h's u and v once and hands them to its phase and its
+    # coordinates; a coboundary-shifted product rotates no more
+    rotated = []
+    real_rotated = group_module._rotated
+    monkeypatch.setattr(group_module, "_rotated", lambda cs, vec: rotated.append(vec) or real_rotated(cs, vec))
+    counts = []
+    for product in (lambda: compose(COV, p, g, h), lambda: compose(COV, p, g, h, _zeta),
+                    lambda: associativity_sides(COV, p, g, h, f)):
+        rotated.clear()
+        product()
+        counts.append(len(rotated))
+    assert counts == [2, 2, 8]
+    (coboundary,) = [row[4] for row in _group_rows(p, 50, TOL) if row[0] == "coboundary_invariance"]
+    rotated.clear()
+    coboundary(g, h, f)
+    assert len(rotated) == 8  # four shifted products
+
+
+def test_shifted_product_is_the_twisted_law_of_the_shifted_exponent_bit_for_bit():
+    p = ExtensionParams(F(-5, 3), F(-5, 4), F(7, 2))
+    shifted = apply_coboundary(lambda g, h: cocycle_exponent(COV, p, g, h), _zeta)
+    g, h = random_elements(random.Random(24), 300, 2)
+    for a, b in ((g, h), (h, g), (g, g)):
+        fast, twisted = compose(COV, p, a, b, _zeta), compose_with_exponent(a, b, shifted)
+        for field in ("phase", "tau", "u", "v", "theta"):
+            assert _bits(getattr(fast, field)) == _bits(getattr(twisted, field)), field
 
 
 @settings(max_examples=50)
@@ -594,11 +639,11 @@ def _flipped_k_map(m):
 def _extra_k_phase_term(m):
     original = group_module.cocycle_exponent
 
-    def xi(kind, p, g, h):
+    def xi(kind, p, g, h, rotated=None):
         # + k (v x u'), whose coboundary at (g, h, f) is -k tau_f (v_g x v_h), not zero;
         # a float k on numpy arrays of samples, as the law's own terms take it
         k = float(p.k) if isinstance(g.v[0], np.ndarray) else p.k
-        return original(kind, p, g, h) + k * cross(g.v, h.u)
+        return original(kind, p, g, h, rotated) + k * cross(g.v, h.u)
 
     m.setattr(group_module, "cocycle_exponent", xi)
 

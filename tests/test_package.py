@@ -59,7 +59,9 @@ def test_unknown_attribute_raises_attribute_error(name):
 NUMERIC = ("numpy", "galilei21.group", "galilei21.contraction")
 
 # Run in a fresh interpreter: the exact suites, in every Casimir regime, and the
-# exact demos load none of NUMERIC; the first group report loads all three.
+# exact demos load none of NUMERIC; the first group report loads all three.  No
+# group or contract report loads numpy.random, which would add about 6 MB of peak
+# RSS: the draws come from random.Random.
 EXACT_RUN = f"""
 import os, runpy, sys
 from galilei21 import cli
@@ -80,6 +82,8 @@ for demo in ("01_extended_algebra.py", "02_invariant_search.py"):
 assert not [name for name in NUMERIC if name in sys.modules], sys.modules.keys()
 assert cli.main(["group", "--k=1", "--m=1", "--samples=2", "--out", os.devnull]) == 0
 assert all(name in sys.modules for name in NUMERIC)
+assert cli.main(["contract", "--experiment=mass", "--samples=2", "--out", os.devnull]) == 0
+assert "numpy.random" not in sys.modules
 """
 
 
