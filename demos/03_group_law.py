@@ -16,10 +16,8 @@ from galilei21 import (
     ExtensionParams,
     GroupElement,
     GroupKind,
-    apply_coboundary,
     cocycle_exponent,
     compose,
-    compose_with_exponent,
     eliminate_k_map,
     inverse,
     random_elements,
@@ -74,9 +72,9 @@ gi = inverse(COV, params, g)
 print(f"round trip to the identity: {element_distance(compose(COV, params, g, gi), GroupElement())[0]:.2e}")
 
 # a coboundary shift rewrites the phase bookkeeping without breaking the law
-xi = lambda a, b: cocycle_exponent(COV, params, a, b)
-shifted = apply_coboundary(xi, lambda e: 0.4 * e.v[0] * e.u[0] - e.tau * e.theta)
-twist = lambda a, b: compose_with_exponent(a, b, shifted)
+# (zeta reads the coordinates tau, u, v, theta, never the phase)
+zeta = lambda e: 0.4 * e.v[0] * e.u[0] - e.tau * e.theta
+twist = lambda a, b: compose(COV, params, a, b, zeta)
 a, b, c = random_elements(rng, 500, 3)
 worst = worst_defect(element_distance(twist(twist(a, b), c), twist(a, twist(b, c))).tolist(), 0.0)
 print(f"shifted-law associativity defect:              {worst:.2e}")

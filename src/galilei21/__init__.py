@@ -8,8 +8,8 @@ Four layers:
 * :mod:`galilei21.enveloping` - normal-ordered enveloping algebra,
   the invariant (Casimir) table, and the exact bounded-degree
   centralizer, of which the table's products are a basis.
-* :mod:`galilei21.group` - the twisted group law, cocycle and
-  coboundary machinery, and the group-level charge removal map.
+* :mod:`galilei21.group` - the twisted group law, also shifted by a
+  coboundary, and the group-level charge removal map.
 * :mod:`galilei21.contraction` - planar Poincare numerics showing how
   the mass and Wigner-rotation cocycles emerge in the c -> infinity
   limit.
@@ -31,8 +31,8 @@ _EXPORTS = {
     "enveloping": """NOPoly NormalOrderer boost_momentum_cross casimir_invariants
         centralizer_basis generator_brackets internal_angular_momentum internal_energy
         momentum_squared""",
-    "group": """IDENTITY GroupElement GroupKind apply_coboundary cocycle_exponent compose
-        compose_with_exponent eliminate_k_map inverse random_elements""",
+    "group": """IDENTITY GroupElement GroupKind cocycle_exponent compose eliminate_k_map
+        inverse random_elements""",
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

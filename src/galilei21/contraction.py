@@ -124,6 +124,14 @@ class PoincareElement:
         object.__setattr__(self, "c", float(c) if c.ndim == 0 else c)
 
 
+def _speed_squared(b) -> np.ndarray:
+    """|beta|^2 of each beta = v / c of shape (..., 2), refused past MAX_BETA (a NaN too)."""
+    b2 = b[..., 0] * b[..., 0] + b[..., 1] * b[..., 1]
+    if not np.all(b2 <= MAX_BETA * MAX_BETA):
+        raise ValueError(f"|v|/c must be at most {MAX_BETA}")
+    return b2
+
+
 def boost_matrix(v, c) -> np.ndarray:
     """Pure boost L(v); requires c > 0 and |v| <= MAX_BETA c.  v = 0 gives the identity.
 
@@ -134,9 +142,7 @@ def boost_matrix(v, c) -> np.ndarray:
     if not np.all(c > 0):
         raise ValueError("c must be positive")
     b = np.asarray(v, dtype=np.float64) / c[..., None] + 0.0  # -0.0 + 0.0 is +0.0: v = 0 gives the identity
-    b2 = b[..., 0] * b[..., 0] + b[..., 1] * b[..., 1]
-    if not np.all(b2 <= MAX_BETA * MAX_BETA):
-        raise ValueError(f"|v|/c must be at most {MAX_BETA}")
+    b2 = _speed_squared(b)
     g = 1 / np.sqrt(1 - b2)
     k = g * g / (1 + g)  # (gamma - 1) / beta^2
     L = np.empty(g.shape + (3, 3))
@@ -219,9 +225,13 @@ def _common_c(g: PoincareElement, h: PoincareElement):
 
 
 def poincare_product(g: PoincareElement, h: PoincareElement) -> PoincareElement:
-    """{Lambda, a} {Lambda', a'} = {Lambda Lambda', Lambda a' + a}."""
+    """{Lambda, a} {Lambda', a'} = {Lambda Lambda', Lambda a' + a}; a product whose
+    boost |v''|/c, read from its time column as `decompose` reads it, is past
+    MAX_BETA is refused as `boost_matrix` refuses it."""
     c = _common_c(g, h)
-    return PoincareElement(g.lam @ h.lam, (g.lam @ h.a[..., None])[..., 0] + g.a, c)
+    lam = g.lam @ h.lam
+    _speed_squared(lam[..., 1:, 0] / lam[..., 0, :1])
+    return PoincareElement(lam, (g.lam @ h.a[..., None])[..., 0] + g.a, c)
 
 
 def contract_element(p: PoincareElement) -> GroupElement:

@@ -159,20 +159,16 @@ def _base_product(g: GroupElement, h: GroupElement, rotated: tuple, phase) -> Gr
 def compose(kind: GroupKind, params: ExtensionParams, g: GroupElement, h: GroupElement,
             zeta: Callable[[GroupElement], object] | None = None) -> GroupElement:
     """g h under the law of (kind, params), or, given zeta, under that law with its
-    exponent shifted by zeta's coboundary, as `apply_coboundary` shifts it.  h's u
-    and v are rotated once, and a shifted product builds its coordinates once."""
+    exponent shifted by zeta's coboundary to xi(g, h) + zeta(g h) - zeta(g) - zeta(h),
+    g h the untwisted product.  zeta reads only the coordinates (tau, u, v, theta),
+    never the phase, which is not a coordinate of the quotient the cocycle lives on.
+    h's u and v are rotated once, and a shifted product builds its coordinates once."""
     rotated = _rotated_factor(g, h)
     xi = cocycle_exponent(kind, params, g, h, rotated)  # a module global, so a wrapper applies
     if zeta is None:
         return _base_product(g, h, rotated, g.phase + h.phase + xi)
     gh = _base_product(g, h, rotated, g.phase + h.phase)
     return GroupElement(gh.phase + (xi + zeta(gh) - zeta(g) - zeta(h)), gh.tau, gh.u, gh.v, gh.theta)
-
-
-def compose_with_exponent(g: GroupElement, h: GroupElement,
-                          xi: Callable[[GroupElement, GroupElement], object]) -> GroupElement:
-    """The group law twisted by an arbitrary phase pair-function."""
-    return _base_product(g, h, _rotated_factor(g, h), g.phase + h.phase + xi(g, h))
 
 
 def galilei_product(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -231,24 +227,6 @@ def associativity_sides(
     """The two sides (gh)f and g(hf) of the 2-cocycle condition."""
     return (compose(kind, params, compose(kind, params, g, h), f),
             compose(kind, params, g, compose(kind, params, h, f)))
-
-
-def apply_coboundary(
-    xi: Callable[[GroupElement, GroupElement], object],
-    zeta: Callable[[GroupElement], object],
-) -> Callable[[GroupElement, GroupElement], object]:
-    """Shift a cocycle exponent by the coboundary of zeta.
-
-    Returns xi'(g, h) = xi(g, h) + zeta(g h) - zeta(g) - zeta(h), where
-    g h is the underlying product.  zeta must depend only on the group
-    coordinates (tau, u, v, theta), not on the phase, which is not a
-    coordinate of the quotient the cocycle lives on.
-    """
-
-    def shifted(g: GroupElement, h: GroupElement):
-        return xi(g, h) + zeta(galilei_product(g, h)) - zeta(g) - zeta(h)
-
-    return shifted
 
 
 def eliminate_k_map(params: ExtensionParams, g: GroupElement) -> GroupElement:

@@ -313,6 +313,23 @@ def test_boosts_past_the_speed_bound_are_refused_and_those_below_it_reconstruct(
                 refused()
 
 
+def test_a_product_past_the_speed_bound_is_refused_with_the_bounds_message():
+    """L(beta e1) L(beta e1) is a boost of 2 beta / (1 + beta^2): up to beta = 0.95
+    it builds and decomposes; from 0.98 on it is past MAX_BETA and refused, alone
+    or as one entry of a stack, with the message `boost_matrix` gives."""
+    boost = lambda v: poincare_from_galilei(0.0, (0.0, 0.0), v, 0.0, 1.0)
+    for beta in (0.9, 0.95):
+        v, theta = decompose(poincare_product(boost((beta, 0.0)), boost((beta, 0.0))))
+        assert v[0] == pytest.approx(2 * beta / (1 + beta * beta), rel=1e-12) and v[1] == 0 and theta == 0
+    message = r"^\|v\|/c must be at most 0\.999$"
+    for beta in (0.98, 0.99, 0.995, 0.999):
+        with pytest.raises(ValueError, match=message):
+            poincare_product(boost((beta, 0.0)), boost((beta, 0.0)))
+        stack = boost([(0.5, 0.0), (beta, 0.0), (0.0, 0.5)])
+        with pytest.raises(ValueError, match=message):
+            poincare_product(stack, stack)
+
+
 def test_contract_identity_and_translation():
     c = 50.0
     assert contract_element(

@@ -21,11 +21,9 @@ from galilei21.group import (
     GroupKind,
     _rotated,
     angle_distance,
-    apply_coboundary,
     associativity_sides,
     cocycle_exponent,
     compose,
-    compose_with_exponent,
     cross,
     element_distance,
     eliminate_k_map,
@@ -148,22 +146,19 @@ def test_associativity_exact_mode():
             assert d == 0 and not isinstance(d, float)
 
 
-def test_corrupted_law_fails_associativity():
+def test_corrupted_law_fails_associativity(monkeypatch):
     # dropping the rotation in front of u' breaks the cocycle identity
     p = ExtensionParams(0, 1, 0)
 
-    def bad_xi(g, h):
+    def bad_xi(kind, params, g, h, rotated=None):
         return -(g.v[0] ** 2 + g.v[1] ** 2) / 2 * h.tau - (
             g.v[0] * h.u[0] + g.v[1] * h.u[1]
         )
 
-    def defect(g, h, f):
-        left = compose_with_exponent(compose_with_exponent(g, h, bad_xi), f, bad_xi)
-        right = compose_with_exponent(g, compose_with_exponent(h, f, bad_xi), bad_xi)
-        return element_distance(left, right)
-
+    monkeypatch.setattr(group_module, "cocycle_exponent", bad_xi)
     rng = random.Random(8)
-    defects = [defect(*(random_element(rng) for _ in range(3))) for _ in range(50)]
+    defects = [element_distance(*associativity_sides(COV, p, *(random_element(rng) for _ in range(3))))
+               for _ in range(50)]
     assert all(math.isfinite(d) for d in defects)
     assert worst_defect(defects, 0.0) > 0.05
 
@@ -178,22 +173,27 @@ def test_covering_matches_extension_when_l_vanishes():
         assert element_distance(a, b, EXT) < TOL
 
 
+def _shifted_sides(params, zeta):
+    """The sides (gh)f and g(hf) under the covering law shifted by zeta's coboundary."""
+    twist = lambda a, b: compose(COV, params, a, b, zeta)
+    return lambda g, h, f: (twist(twist(g, h), f), twist(g, twist(h, f)))
+
+
 def test_zero_coboundary_keeps_xi():
     p = ExtensionParams(F(1), F(2), F(0))
-    xi = lambda g, h: cocycle_exponent(EXT, p, g, h)
-    shifted = apply_coboundary(xi, lambda g: 0)
     rng = random.Random(10)
     for _ in range(20):
         g, h = random_element(rng), random_element(rng)
-        assert shifted(g, h) == xi(g, h)
+        assert compose(EXT, p, g, h, lambda g: 0) == compose(EXT, p, g, h)
 
 
 def test_additive_zeta_has_zero_coboundary():
-    shifted = apply_coboundary(lambda g, h: 0, lambda g: 5.0 * g.tau)
+    p0 = ExtensionParams(0, 0, 0)
     rng = random.Random(11)
     for _ in range(20):
         g, h = random_element(rng), random_element(rng)
-        assert shifted(g, h) == pytest.approx(0.0, abs=1e-14)
+        shifted = compose(COV, p0, g, h, lambda g: 5.0 * g.tau)
+        assert shifted.phase == pytest.approx(galilei_product(g, h).phase, abs=1e-14)
 
 
 def test_coboundary_of_anything_is_a_cocycle():
@@ -204,24 +204,29 @@ def test_coboundary_of_anything_is_a_cocycle():
     ]
     rng = random.Random(12)
     for zeta in zetas:
-        xi = apply_coboundary(lambda g, h: 0, zeta)
+        sides = _shifted_sides(ExtensionParams(0, 0, 0), zeta)
         for _ in range(50):
-            g, h, f = (random_element(rng) for _ in range(3))
-            left = compose_with_exponent(compose_with_exponent(g, h, xi), f, xi)
-            right = compose_with_exponent(g, compose_with_exponent(h, f, xi), xi)
+            left, right = sides(*(random_element(rng) for _ in range(3)))
             assert element_distance(left, right) < 1e-11
 
 
 def test_coboundary_shift_of_group_law_stays_associative():
-    p = ExtensionParams(F(1), F(2), F(3))
-    xi = lambda g, h: cocycle_exponent(COV, p, g, h)
-    shifted = apply_coboundary(xi, lambda g: 0.7 * g.v[0] * g.u[0] - g.tau * g.theta)
+    sides = _shifted_sides(ExtensionParams(F(1), F(2), F(3)), lambda g: 0.7 * g.v[0] * g.u[0] - g.tau * g.theta)
     rng = random.Random(13)
     for _ in range(50):
-        g, h, f = (random_element(rng) for _ in range(3))
-        left = compose_with_exponent(compose_with_exponent(g, h, shifted), f, shifted)
-        right = compose_with_exponent(g, compose_with_exponent(h, f, shifted), shifted)
+        left, right = sides(*(random_element(rng) for _ in range(3)))
         assert element_distance(left, right) < 1e-11
+
+
+def test_a_rational_coboundary_shift_is_certified_associative():
+    """At the symbolic charges (2ms, m, l) a rational zeta of the coordinates leaves
+    the law associative as a polynomial identity; a zeta that reads the phase,
+    which is not a coordinate of the quotient, does not."""
+    m, l, s = (Poly.symbol(name) for name in ("m", "l", "s"))
+    charges = ExtensionParams(2 * m * s, m, l)
+    zeta = lambda g: F(37, 100) * g.v[0] * g.u[0] - F(11, 100) * g.tau * g.theta + F(1, 5) * g.v[1] * g.v[1]
+    assert identity_certified(_shifted_sides(charges, zeta), 3)
+    assert not identity_certified(_shifted_sides(charges, lambda g: g.phase * g.tau), 3)
 
 
 def test_charge_removal_fixes_boosts_and_small_elements():
@@ -425,10 +430,11 @@ def test_a_product_computes_each_factors_rotation_once(monkeypatch):
 
 def test_shifted_product_is_the_twisted_law_of_the_shifted_exponent_bit_for_bit():
     p = ExtensionParams(F(-5, 3), F(-5, 4), F(7, 2))
-    shifted = apply_coboundary(lambda g, h: cocycle_exponent(COV, p, g, h), _zeta)
     g, h = random_elements(random.Random(24), 300, 2)
     for a, b in ((g, h), (h, g), (g, g)):
-        fast, twisted = compose(COV, p, a, b, _zeta), compose_with_exponent(a, b, shifted)
+        gh = galilei_product(a, b)
+        phase = a.phase + b.phase + (cocycle_exponent(COV, p, a, b) + _zeta(gh) - _zeta(a) - _zeta(b))
+        fast, twisted = compose(COV, p, a, b, _zeta), GroupElement(phase, gh.tau, gh.u, gh.v, gh.theta)
         for field in ("phase", "tau", "u", "v", "theta"):
             assert _bits(getattr(fast, field)) == _bits(getattr(twisted, field)), field
 
