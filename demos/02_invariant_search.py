@@ -60,9 +60,10 @@ c1 = internal_energy(p4)
 print(f"  [M, internal energy] = {generator_brackets(orderer(p4), [c1])[0][M]}  "
       "(the defect equals l, so centrality fails)")
 
-# the dimension by exhaustive search: enumerate all monomials up to a degree
-# bound, impose commutation with every generator as an exact linear system,
-# and count the kernel; the basis: the products of the central invariants
+# the dimension by exhaustive search: enumerate the rotation-invariant
+# monomials up to a degree bound, impose commutation with every generator as
+# an exact linear system, and count the kernel; the basis: the products of
+# the central invariants
 print("\ncentralizer dimensions by exhaustive search, and bases of products:")
 for label, charges, degree in [
     ("m!=0, l=0, degree 2", (5, 2, 0), 2),
@@ -73,7 +74,7 @@ for label, charges, degree in [
     p = ExtensionParams(*map(Fraction, charges))
     normal_form = orderer(p)
     basis = centralizer_basis(normal_form, casimir_invariants(p), degree)
-    print(f"  {label}: dimension {centralizer_dimension(normal_form, degree)}; "
+    print(f"  {label}: dimension {centralizer_dimension(p, degree)}; "
           f"products below: {len(basis)}, of rank {rank(basis)}")
     for e in basis:
         print(f"      {e}")

@@ -214,7 +214,7 @@ def cmd_casimir(opts) -> tuple:
     # many (the enveloping module docstring)
     basis = enveloping.centralizer_basis(normal_form, table, opts.max_degree)
     rank = enveloping.rank(basis)
-    dimension = enveloping.centralizer_dimension(normal_form, opts.max_degree)
+    dimension = enveloping.centralizer_dimension(params, opts.max_degree)
     central = not any(any(brackets[name]) for name in names if candidates[name] in table)
     ok = central and len(basis) == rank == dimension
     note = f"basis: {'; '.join(repr(e) for e in basis)}"

@@ -14,11 +14,10 @@ fixed degree or lowers the degree, so the process terminates.  The
 leftmost out-of-order pair is rewritten first; confluence is certified
 by the associativity tests rather than assumed.  The memo of normal forms
 is a `NormalOrderer`, built by its owner over
-`make_galilei_algebra(params)` and passed to `generator_brackets`,
-`centralizer_basis` and `centralizer_dimension` as their first argument:
-`casimir` builds one per report, which all three share.  None of them
-keeps a reference to it, and this module keeps nothing, so it is freed
-with its owner's last reference.
+`make_galilei_algebra(params)` and passed to `generator_brackets` and
+`centralizer_basis` as their first argument: `casimir` builds one per
+report, which both share.  Neither keeps a reference to it, and this
+module keeps nothing, so it is freed with its owner's last reference.
 
 The memo holds integers, not fractions: with D the least common
 denominator of the structure constants, the normal form of a word of
@@ -41,12 +40,18 @@ products are proved to be a basis of it, with no symmetrization:
    symmetric algebra S(g)/(E - 1), as the symmetrization S(g) -> U(g) is
    an isomorphism of g-modules that keeps the filtration (Dixmier,
    Enveloping Algebras, 2.4.10) and passes to the quotients by (E - 1),
-   E being central.  Commutative rows need no normal ordering
-   (`_centralizer_rows`), and g in {N1, H, M} suffices: [N1,H] = P1,
-   [M,N1] = N2 and [N2,H] = P2 at every charge set, so by Jacobi X then
-   commutes with all six generators (tests/test_enveloping.py proves both
-   premises at symbolic charges).  `centralizer_dimension` is the number
-   of columns minus the rank, with no back-substitution.
+   E being central.  Commutative rows need no normal ordering, and two
+   facts keep them few.  The kernel is rotation-invariant: ad_M = R +
+   l d/dH, R rotating N and P, is iw(1 + nilpotent) on R's weight w != 0
+   part (over C), so invertible there.  And by Weyl's first fundamental
+   theorem for SO(2) (The Classical Groups, 1939, ch. II), a = N.N,
+   b = P.P, c = N.P and e = N x P generate the invariants of N and P, with
+   e^2 = ab - c^2, so a^i b^j c^p e^q H^h M^n, q in {0, 1}, span the
+   rotation-invariant subring: 48 columns, not 210 words, at d = 4.  X
+   there is central iff the `DERIVATIONS` ad_H, ad_M, D1 = P1 ad_N1 +
+   P2 ad_N2 and D2 = P1 ad_N2 - P2 ad_N1 kill it, as [N_i, H] = P_i, and
+   D1 = D2 = 0 gives (P1^2 + P2^2) ad_N_i = 0.  `centralizer_dimension`
+   is the number of columns minus the rank, with no back-substitution.
 2. `centralizer_basis` gives the products of degree <= d of the table's
    degree-2 entries, built by the given orderer's `_product`.  They are
    central when each entry is, which `casimir`'s `central[...]` rows show.
@@ -61,7 +66,7 @@ products are proved to be a basis of it, with no symmetrization:
 singletons (structured Gaussian elimination; LaMacchia and Odlyzko,
 CRYPTO '90): a row with one nonzero entry sets its column j to 0, so j
 is struck from every row, through a column -> rows index (built with the
-rows by `_centralizer_rows`, by `_eliminate` for others), until no row
+rows by `centralizer_dimension`, by `_eliminate` for others), until no row
 has one entry left.  As e_j is in the row space, each peeled j is a
 leading column, with pivot row {j: 1}, and the leading columns of the
 struck rows that remain, reduced fraction-free sparsest first, make up
@@ -237,16 +242,12 @@ def _product(normal_form: NormalOrderer, p: Poly, q: Poly) -> Poly:
     return _quotient(type(p), ((n1 * n2, normal_form[w1 + w2]) for w1, n1 in ps for w2, n2 in qs), pq * qq)
 
 
-def _require_galilei(normal_form: NormalOrderer) -> None:
-    if normal_form.labels != GALILEI_LABELS:  # the callers loop over the six Galilei generators
-        raise ValueError(f"an orderer over {', '.join(normal_form.labels)}: this needs the six Galilei "
-                         f"generators {', '.join(GEN_NAMES)} and the unit E")
-
-
 def generator_brackets(normal_form: NormalOrderer, polys: Iterable[NOPoly]) -> list[tuple[NOPoly, ...]]:
     """([N1, p], [N2, p], [P1, p], [P2, p], [H, p], [M, p]) for each p, all
     from the orderer's `bracket`."""
-    _require_galilei(normal_form)
+    if normal_form.labels != GALILEI_LABELS:  # the loop is over the six Galilei generators
+        raise ValueError(f"an orderer over {', '.join(normal_form.labels)}: this needs the six Galilei "
+                         f"generators {', '.join(GEN_NAMES)} and the unit E")
     out = []
     for p in polys:
         terms, q = _numerators(p, normal_form.den)
@@ -315,11 +316,16 @@ def casimir_invariants(params: ExtensionParams) -> tuple[NOPoly, ...]:
 
 # --- bounded-degree centralizer ----------------------------------------------
 
-
-def monomials_up_to(max_degree: int) -> list[tuple]:
-    """All sorted words of length <= max_degree, graded order."""
-    return [word for total in range(max_degree + 1)
-            for word in itertools.combinations_with_replacement(range(NGEN), total)]
+# a = N.N, b = P.P, c = N.P, e = N1 P2 - N2 P1, H and M; DERIVATIONS[d][x] is
+# d(x) as terms (n, charge, y) = n * charge * y, "1" standing for 1, the rest zero
+INVARIANTS = ("a", "b", "c", "e", "H", "M")
+DERIVATIONS = {
+    "ad_H": {"a": ((-2, "1", "c"),), "c": ((-1, "1", "b"),), "M": ((-1, "l", "1"),)},
+    "ad_M": {"H": ((1, "l", "1"),)},
+    "D1": {"a": ((-2, "k", "e"),), "b": ((2, "m", "b"),), "c": ((1, "m", "c"),),
+           "e": ((-1, "k", "b"), (1, "m", "e")), "H": ((1, "1", "b"),), "M": ((1, "1", "e"),)},
+    "D2": {"a": ((-2, "k", "c"),), "c": ((-1, "k", "b"), (-1, "m", "e")), "e": ((1, "m", "c"),), "M": ((1, "1", "c"),)},
+}
 
 
 def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict]:
@@ -375,45 +381,6 @@ def _peel_and_reduce(rows: list[dict[int, int]], holding) -> dict[int, dict]:
     return pivots
 
 
-def _centralizer_rows(normal_form: NormalOrderer, monos: Sequence[tuple]) -> tuple[list[dict], list[list[int]]]:
-    """The rows of ad_g(sum_w x_w w) = 0 in S(g)/(E - 1) for g in {N1, H, M},
-    times D**(max degree + 1), one per (g, word): ad_g(x^a rest) =
-    a x^(a-1) rest [g, x], with [g, x] from the orderer's `table`, keyed by g
-    and the word's exponents as base max degree + 1 digits, step[x] apart.
-    With them, holding[col] lists the rows that column col enters.  Each entry
-    is the multiplicity of x times a [g, x] coefficient, checked to be an int."""
-    den, max_degree = normal_form.den, len(monos[-1])
-    step = [(max_degree + 1) ** x for x in range(NGEN + 1)]  # step[NGEN] counts g
-    brackets = [[] for _ in range(NGEN)]  # [g, x] as (key shift, coefficient) for each letter x
-    for x, g in itertools.product(range(NGEN), (N1, H, M)):
-        scalar, terms = normal_form.table[(g, x)]
-        shift = g * step[NGEN] - step[x]
-        brackets[x] += [(shift, scalar * den ** max(max_degree - 1, 0))] * bool(scalar)
-        brackets[x] += [(shift + step[h], ch * den ** max_degree) for h, ch in terms]
-    if any(type(c) is not int for terms in brackets for _, c in terms):
-        raise TypeError("exact elimination takes int entries")
-    rows, place, holding = [], {}, []  # place: row key -> index in rows
-    for col, w in enumerate(monos):
-        key, hold = sum(map(step.__getitem__, w)), []
-        holding.append(hold)
-        for i, x in enumerate(w):
-            if i and w[i - 1] == x:
-                continue
-            a = w.count(x)
-            for shift, c in brackets[x]:
-                if (r := place.get(key + shift)) is None:
-                    place[key + shift] = r = len(rows)
-                    rows.append({})
-                row, v = rows[r], a * c
-                if col in row:  # only if [g, x] holds x for two letters; none does in g_(k,m,l)
-                    v += row.pop(col)
-                    hold.remove(r)
-                if v:
-                    row[col] = v
-                    hold.append(r)
-    return rows, holding
-
-
 def centralizer_basis(normal_form: NormalOrderer, table: Sequence[NOPoly], max_degree: int) -> tuple[NOPoly, ...]:
     """The products of degree <= max_degree of the table's entries, each of
     degree 2 (`casimir_invariants`), in graded order: 1, C1, C2, C1^2, C1 C2,
@@ -433,17 +400,50 @@ def centralizer_basis(normal_form: NormalOrderer, table: Sequence[NOPoly], max_d
     return tuple(products.values())
 
 
-def centralizer_dimension(normal_form: NormalOrderer, max_degree: int) -> int:
-    """The dimension of the degree <= max_degree centralizer: columns minus
-    the rank of the ad-system in the symmetric algebra (module docstring)."""
-    _require_galilei(normal_form)
-    t, d = normal_form.table, normal_form.den  # the rows' g in {N1, H, M} generate g by these brackets
-    if (t[N1, H], t[M, N1], t[N2, H]) != ((0, ((P1, d),)), (0, ((N2, d),)), (0, ((P2, d),))):
-        raise ValueError("the centralizer rows need [N1, H] = P1, [M, N1] = N2 and [N2, H] = P2")
+def centralizer_dimension(params: ExtensionParams, max_degree: int) -> int:
+    """The dimension of the degree <= max_degree centralizer at `params`: the
+    columns a^i b^j c^p e^q H^h M^n (module docstring) minus the rank of the
+    rows of the `DERIVATIONS`, one per (derivation, target), keyed by both as
+    base max degree + 2 digits, times the charges' common denominator D."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    monos = monomials_up_to(max_degree)
-    return len(monos) - len(_peel_and_reduce(*_centralizer_rows(normal_form, monos)))
+    charges = dict(zip("kml", map(_coefficient, (params.k, params.m, params.l))))
+    den = lcm(*(x.denominator for x in charges.values()))
+    scale = {"1": den, **{name: x.numerator * (den // x.denominator) for name, x in charges.items()}}
+    step = [(max_degree + 2) ** x for x in range(len(INVARIANTS) + 1)]  # step[-1] counts the derivation
+    at = {**dict(zip(INVARIANTS, step)), "1": 0}
+    # d(x) as (key shift, coefficient) for each letter x, in images[q] for a
+    # monomial with e^q: with q = 1 a term in e of x != e makes e^2 = ab - c^2
+    images = ([[] for _ in INVARIANTS], [[] for _ in INVARIANTS])
+    for d, table in enumerate(DERIVATIONS.values()):
+        for x, terms in table.items():
+            for factor, charge, y in terms:
+                co, shift = factor * scale[charge], d * step[-1] - at[x] + at[y]
+                images[0][INVARIANTS.index(x)].append((shift, co))
+                images[1][INVARIANTS.index(x)] += ([(shift, co)] if y != "e" or x == "e" else
+                                                   [(shift - at["e"] * 2 + at["a"] + at["b"], co),
+                                                    (shift - at["e"] * 2 + at["c"] * 2, -co)])
+    if any(type(co) is not int for image in images[0] for _, co in image):
+        raise TypeError("exact elimination takes int entries")
+    half = max_degree // 2
+    monos = [(i, j, p, q, h, n) for i in range(half + 1) for j in range(half + 1 - i) for p in range(half + 1 - i - j)
+             for q in range(min(2, half + 1 - i - j - p)) for h in range(max_degree + 1 - 2 * (i + j + p + q))
+             for n in range(max_degree + 1 - 2 * (i + j + p + q) - h)]
+    rows, place, holding = [], {}, []  # place: row key -> index in rows
+    for col, mono in enumerate(monos):
+        key, out = sum(map(int.__mul__, mono, step)), {}
+        for x, power in enumerate(mono):
+            for shift, co in images[mono[3]][x] if power else ():  # mono[3]: the power of e
+                out[key + shift] = out.get(key + shift, 0) + power * co
+        holding.append([])
+        for target, v in out.items():
+            if v:  # two letters' terms in one row may cancel
+                if (r := place.get(target)) is None:
+                    place[target] = r = len(rows)
+                    rows.append({})
+                rows[r][col] = v
+                holding[-1].append(r)
+    return len(monos) - len(_peel_and_reduce(rows, holding))
 
 
 def rank(polys: Sequence[NOPoly]) -> int:

@@ -357,8 +357,8 @@ def test_casimir_builds_one_orderer_per_report(capsys, monkeypatch, charges, deg
     k, m, l = charges
     code, out = run(capsys, "casimir", f"--k={k}", f"--m={m}", f"--l={l}", f"--max-degree={degree}")
     assert code == 0 and "overall: PASS" in out
-    # the candidate checks, the products and the centralizer's dimension share
-    # one orderer, over the algebra of the charges
+    # the candidate checks and the products share one orderer, over the algebra
+    # of the charges; the centralizer's dimension reads the charges alone
     assert built == [algebra.make_galilei_algebra(algebra.ExtensionParams(F(k), F(m), F(l)))]
     built.clear()
     assert run(capsys, "verify-algebra", f"--k={k}", f"--m={m}", f"--l={l}")[0] == 0

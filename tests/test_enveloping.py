@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import weakref
+from types import SimpleNamespace
 from fractions import Fraction as F
 from math import comb, gcd, lcm
 
@@ -34,20 +35,22 @@ from galilei21.enveloping import (
     internal_angular_momentum,
     internal_energy,
     momentum_squared,
-    monomials_up_to,
     rank,
 )
 from galilei21.cli import main
 from enveloping_checks import (
     central,
+    centralizer_rows,
     commutator,
     commutators,
     fraction_generator_brackets,
     fraction_product,
     in_span,
+    monomials_up_to,
     no_mul,
     orderer_at,
     table_basis,
+    word_centralizer_dimension,
 )
 from scalar_sampler import random_params, random_rational
 
@@ -304,7 +307,7 @@ def test_centralizer_rejects_negative_degree():
     with pytest.raises(ValueError):
         centralizer_basis(orderer_at(PARAMS), casimir_invariants(PARAMS), -1)
     with pytest.raises(ValueError):
-        centralizer_dimension(orderer_at(PARAMS), -1)
+        centralizer_dimension(PARAMS, -1)
 
 
 def test_centrality_survives_charge_removal_substitution():
@@ -433,7 +436,7 @@ def _assert_proved(params, degree, dim):
     independent and as many as the centralizer's dimension."""
     assert all(central(params, c) for c in casimir_invariants(params))
     basis = table_basis(params, degree)
-    dimension = centralizer_dimension(orderer_at(params), degree)
+    dimension = centralizer_dimension(params, degree)
     assert rank(basis) == len(basis) == dimension == dim == _table_dimension(params, degree)
 
 
@@ -444,7 +447,7 @@ def test_casimir_table_is_central_and_spans_the_degree_2_centralizer(params, dim
     basis = table_basis(params, 2)
     assert all(in_span((ONE, *table), b) for b in basis)
     assert all(in_span(basis, c) for c in (ONE, *table))
-    assert centralizer_dimension(orderer_at(params), 2) == dims[2]
+    assert centralizer_dimension(params, 2) == dims[2]
 
 
 def test_casimir_table_covers_m_0_l_0_k_nonzero():
@@ -461,7 +464,7 @@ def test_casimir_table_covers_m_0_l_0_k_nonzero():
 def test_centralizer_table_from_rightmost_first_oracle(params, dims):
     for degree, dim in enumerate(dims[:6]):
         assert _assert_products_match_the_oracle(params, degree) == dim, degree
-        assert centralizer_dimension(orderer_at(params), degree) == dim == _table_dimension(params, degree), degree
+        assert centralizer_dimension(params, degree) == dim == _table_dimension(params, degree), degree
 
 
 @pytest.mark.parametrize("params,dims", CENTRALIZER_TABLE)
@@ -574,8 +577,8 @@ def test_casimir_notes_are_the_no_mul_products(tmp_path, params):
 
 
 def test_three_generator_premise_holds_at_symbolic_charges():
-    # what centralizer_basis relies on to solve with the rows of N1, H, M only,
-    # as identities in k, m and l: a Lie algebra with E central whose brackets
+    # what the word oracle, `centralizer_rows`, relies on to solve with the rows of
+    # N1, H, M only, as identities in k, m and l: a Lie algebra with E central whose brackets
     # [N1,H], [M,N1], [N2,H] are exactly P1, N2, P2, so N1, H, M generate the rest
     alg = make_galilei_algebra(ExtensionParams(*(Poly.symbol(n) for n in "kml")))
     t, i, dim = alg.tensor, alg.index, alg.dim
@@ -600,10 +603,10 @@ def test_words_index_the_algebra_basis_whose_last_element_is_the_central_unit():
 def test_three_generator_rows_give_the_six_generator_basis_at_degree_5(params):
     dimension, six_rows = _six_row_centralizer(params, 5)
     basis = table_basis(params, 5)
-    assert centralizer_dimension(orderer_at(params), 5) == dimension == len(basis) == _fraction_rank(basis)
+    assert word_centralizer_dimension(params, 5) == dimension == len(basis) == _fraction_rank(basis)
     assert all(central(params, p) for p in basis)
     orderer = NormalOrderer(make_galilei_algebra(params))
-    rows, _ = enveloping_module._centralizer_rows(orderer, monomials_up_to(5))
+    rows, _ = centralizer_rows(orderer, monomials_up_to(5))
     assert 0 < len(rows) < six_rows
 
 
@@ -791,36 +794,16 @@ def test_product_keeps_the_type_of_its_words():
 
 
 def test_galilei_entry_points_refuse_an_orderer_of_another_algebra():
-    # both loop over the six Galilei generators: another algebra's orderer is
-    # refused in one line that names them, not with a KeyError from its table
+    # generator_brackets loops over the six Galilei generators: another algebra's
+    # orderer is refused in one line that names them, not with a KeyError from its table
     nf = _heisenberg_orderer()
     message = "an orderer over x, p, E: this needs the six Galilei generators N1, N2, P1, P2, H, M and the unit E"
-    for call in (lambda: centralizer_dimension(nf, 2), lambda: generator_brackets(nf, [Poly({(0,): F(1)})]),
-                 lambda: generator_brackets(nf, [])):
+    for call in (lambda: generator_brackets(nf, [Poly({(0,): F(1)})]), lambda: generator_brackets(nf, [])):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message and type(exc.value) is ValueError
     assert nf == {}  # refused before any word is ordered
-    assert centralizer_dimension(orderer_at(PARAMS), 0) == 1  # the Galilei orderer is taken
-
-
-def test_centralizer_dimension_refuses_galilei_labels_without_its_three_brackets():
-    # the rows use g in {N1, H, M} alone, sound where [N1, H] = P1, [M, N1] = N2 and
-    # [N2, H] = P2.  Over the Galilei labels with [N2, P1] = E the only bracket, the
-    # degree <= 1 centralizer is 1, N1, P2, H, M: dimension 5, where the rows count 7
-    dim = len(GALILEI_LABELS)
-    tensor = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    n2, p1, e = (GALILEI_LABELS.index(x) for x in ("N2", "P1", "E"))
-    tensor[n2][p1][e], tensor[p1][n2][e] = F(1), F(-1)
-    nf = NormalOrderer(LieAlgebra(GALILEI_LABELS, tuple(tuple(map(tuple, plane)) for plane in tensor)))
-    brackets = generator_brackets(nf, [NOPoly.generator(name) for name in GEN_NAMES])
-    assert [name for name, row in zip(GEN_NAMES, brackets) if not any(row)] == ["N1", "P2", "H", "M"]
-    with pytest.raises(ValueError) as exc:
-        centralizer_dimension(nf, 1)
-    assert str(exc.value) == "the centralizer rows need [N1, H] = P1, [M, N1] = N2 and [N2, H] = P2"
-    # every g_(k,m,l) has the three brackets, at any common denominator of its charges
-    for params in (ExtensionParams(0, 0, 0), ExtensionParams(F(-9, 5), F(7, 6), F(2, 9))):
-        assert centralizer_dimension(orderer_at(params), 1) == 1  # the scalars alone
+    assert generator_brackets(orderer_at(PARAMS), []) == []  # the Galilei orderer is taken
 
 
 def test_generator_brackets_agree_with_the_product_difference():
@@ -904,7 +887,7 @@ def test_enveloping_keeps_no_algebra_alive():
     # keyed on equal charges given earlier would hold those, not these
     params = ExtensionParams(F(11, 7), F(-5, 3), F(13, 4))
     table_basis(params, 4)
-    centralizer_dimension(orderer_at(params), 2)
+    centralizer_dimension(params, 2)
     no_mul(params, no_mul(params, P1, N1), H)
     ref = weakref.ref(params)
     del params
@@ -939,7 +922,6 @@ def test_orderers_are_freed_without_the_cycle_collector(monkeypatch, tmp_path):
     calls = {
         "generator_brackets": lambda nf: generator_brackets(nf, [table[0]]),
         "centralizer_basis": lambda nf: centralizer_basis(nf, table, 4),  # two or more entries per product
-        "centralizer_dimension": lambda nf: centralizer_dimension(nf, 2),
     }
     gc.disable()
     try:
@@ -959,8 +941,8 @@ def test_orderers_are_freed_without_the_cycle_collector(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("params", [*(params for params, _ in CENTRALIZER_TABLE), MIXED_DENOMINATORS])
 def test_entry_points_on_one_shared_orderer_equal_fresh_orderers(params):
-    # the three entry points of a casimir report, on the candidates it checks,
-    # in either order on one orderer, against a fresh orderer per call
+    # the two entry points of a casimir report that take its orderer, on the
+    # candidates it checks, in either order on one orderer, against a fresh orderer per call
     table = casimir_invariants(params)
     candidates = [*table, momentum_squared(), boost_momentum_cross()]
     if params.m != 0:
@@ -968,7 +950,6 @@ def test_entry_points_on_one_shared_orderer_equal_fresh_orderers(params):
     calls = {
         "generator_brackets": lambda nf: generator_brackets(nf, candidates),
         "centralizer_basis": lambda nf: centralizer_basis(nf, table, 5),
-        "centralizer_dimension": lambda nf: centralizer_dimension(nf, 5),
     }
     fresh = {name: call(orderer_at(params)) for name, call in calls.items()}
     memos = []
@@ -1073,7 +1054,7 @@ def test_centralizer_basis_matches_the_oracle_on_random_charges():
     for i in range(20):
         p = random_params(rng)
         p = [p, ExtensionParams(p.k, p.m, 0), ExtensionParams(p.k, 0, p.l), ExtensionParams(p.k, 0, 0)][i % 4]
-        assert _assert_products_match_the_oracle(p, 4) == centralizer_dimension(orderer_at(p), 4), p
+        assert _assert_products_match_the_oracle(p, 4) == centralizer_dimension(p, 4), p
 
 
 # --- the integer sums against the Fraction references -----------------------
@@ -1167,55 +1148,116 @@ def _index_eliminate_builds(monkeypatch, rows):
     return handed[0]
 
 
-def _assert_rows_come_with_their_index(monkeypatch, nf, degree):
-    """The builder's index is the one `_eliminate` builds from its rows, every
-    entry a nonzero int, and both give the same pivots.  Returns the rows."""
-    monos = monomials_up_to(degree)
-    rows, holding = enveloping_module._centralizer_rows(nf, monos)
+def _handed_rows(monkeypatch, params, degree):
+    """The (rows, holding) that `centralizer_dimension(params, degree)` hands
+    to `_peel_and_reduce`, and the dimension it returns."""
+    handed, real = [], enveloping_module._peel_and_reduce
+
+    def spy(rows, holding):
+        handed.append((rows, holding))
+        return real(rows, holding)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enveloping_module, "_peel_and_reduce", spy)
+        dimension = centralizer_dimension(params, degree)
+    return (*handed[0], dimension)
+
+
+SUBRING_GENERATORS = enveloping_module.INVARIANTS
+
+
+def _subring_basis(degree):
+    """a^i b^j c^p e^q H^h M^n, q in {0, 1}, of degree 2(i + j + p + q) + h + n
+    <= degree, as sorted words of the names in `SUBRING_GENERATORS`."""
+    weight = {"a": 2, "b": 2, "c": 2, "H": 1, "M": 1}
+    words = [w for n in range(degree + 1) for w in itertools.combinations_with_replacement(sorted(weight), n)]
+    return [w + ("e",) * q for w in words for q in (0, 1) if sum(map(weight.get, w)) + 2 * q <= degree]
+
+
+def _subring_rows(table, params, degree):
+    """The rows of the derivations in `table` over `_subring_basis(degree)`, in
+    `Fraction`s: each derivation applied to a `Poly` in the names a, b, c, e,
+    H, M by the product rule, e^2 rewritten as ab - c^2 until none is left.  A
+    test-only reference that shares no code with `centralizer_dimension`."""
+    value = {"1": F(1), "k": params.k, "m": params.m, "l": params.l}
+    basis, rows = _subring_basis(degree), {}
+    for col, word in enumerate(basis):
+        for d, cells in enumerate(table.values()):
+            image = Poly({})
+            for i, x in enumerate(word):
+                rest = Poly({word[:i] + word[i + 1:]: F(1)})
+                for n, charge, y in cells.get(x, ()):
+                    image = image + rest * (n * value[charge]) * (Poly.symbol(y) if y != "1" else 1)
+            while any(w.count("e") > 1 for w in image):
+                image = sum((Poly({w: c}) if w.count("e") < 2 else
+                             Poly({tuple(sorted(w[:w.index("e")] + w[w.index("e") + 2:])): c})
+                             * (Poly.symbol("a") * Poly.symbol("b") - Poly.symbol("c") * Poly.symbol("c"))
+                             for w, c in image.items()), Poly({}))
+            for target, co in image.items():
+                rows.setdefault((d, target), {})[col] = co
+    return basis, rows
+
+
+def _entries(rows):
+    """Each row's entries, sorted, in sorted order: the rows up to the order of their columns."""
+    return sorted(sorted(row.values()) for row in rows)
+
+
+def _assert_rows_come_with_their_index(monkeypatch, params, degree, table=None):
+    """The rows `centralizer_dimension` builds: every entry a nonzero int, its
+    index the one `_eliminate` builds from them, both giving the same pivots,
+    and the rows those of `_subring_rows` (of `table`, the package's by
+    default) times the charges' common denominator.  Returns the dimension."""
+    rows, holding, dimension = _handed_rows(monkeypatch, params, degree)
     assert all(type(v) is int and v for row in rows for v in row.values())
     kept, index = _index_eliminate_builds(monkeypatch, rows)
-    assert kept == rows and len(holding) == len(monos)
     # the same rows per column, each once; their order does not move the peel
-    assert [sorted(h) for h in holding] == [index.get(col, []) for col in range(len(monos))]
+    assert kept == rows and [sorted(h) for h in holding] == [index.get(col, []) for col in range(len(holding))]
     assert enveloping_module._peel_and_reduce(rows, holding) == _eliminate(rows)
-    return rows
+    basis, reference = _subring_rows(table or enveloping_module.DERIVATIONS, params, degree)
+    den = lcm(*(x.denominator for x in (params.k, params.m, params.l)))
+    assert len(holding) == len(basis)
+    assert _entries(rows) == _entries({j: den * v for j, v in row.items()} for row in reference.values())
+    assert dimension == len(holding) - len(_eliminate(rows)) == len(basis) - _fraction_rank(reference.values())
+    return dimension
 
 
 @pytest.mark.parametrize("params", [*(params for params, _ in CENTRALIZER_TABLE), MIXED_DENOMINATORS])
 def test_centralizer_rows_come_with_the_index_eliminate_builds(monkeypatch, params):
-    nf = orderer_at(params)
     for degree in range(7):
-        rows = _assert_rows_come_with_their_index(monkeypatch, nf, degree)
-        assert centralizer_dimension(nf, degree) == len(monomials_up_to(degree)) - len(_eliminate(rows))
+        _assert_rows_come_with_their_index(monkeypatch, params, degree)
+
+
+def test_subring_has_48_columns_at_degree_4_and_924_at_degree_10(monkeypatch):
+    assert [len(_subring_basis(d)) for d in (4, 10)] == [48, 924]
+    assert [len(monomials_up_to(d)) for d in (4, 10)] == [210, 8008]
+    assert [len(_handed_rows(monkeypatch, PARAMS, d)[1]) for d in (4, 10)] == [48, 924]
 
 
 def test_a_column_entering_a_row_twice_is_indexed_once_and_dropped_at_zero(monkeypatch):
-    # no [g, x] of g_(k,m,l) holds x; with [N1, P1] = P1 and [N1, P2] = c P2, the
-    # column of P1 P2 enters N1's row of P1 P2 from both letters, and at c = -1
-    # the two terms cancel; the rows are the commutative ad-system's all the same
-    n1, p1, p2 = (GEN_NAMES.index(name) for name in ("N1", "P1", "P2"))
-    for c in (-1, 2):
-        nf = orderer_at(ExtensionParams(0, 0, 0))  # D = 1: the rows are the ad-system unscaled
-        nf.table[(n1, p1)], nf.table[(n1, p2)] = (0, ((p1, 1),)), (0, ((p2, c),))
-        rows = _assert_rows_come_with_their_index(monkeypatch, nf, 4)
-        brackets = {key: [((), s)] * bool(s) + [((h,), co) for h, co in terms] for key, (s, terms) in nf.table.items()}
-        expected = {}
-        for col, w in enumerate(monomials_up_to(4)):
-            for g in (n1, GEN_NAMES.index("H"), GEN_NAMES.index("M")):
-                for image, co in _commutative_ad(brackets, g, {w: 1}).items():
-                    expected.setdefault((g, image), {})[col] = co
-        assert sorted(sorted(row.items()) for row in rows if row) == sorted(sorted(r.items()) for r in expected.values())
+    # in the column of ae, D1(a) = -2k e and D1(e) = -k b + m e both reach D1's row
+    # of ab, the first through e^2 = ab - c^2: -2k - k.  With D1(e) = 2k b + m e in
+    # its place the two terms cancel; the rows are the reference's all the same
+    params = ExtensionParams(F(3), F(2), F(0))
+    basis, reference = _subring_rows(enveloping_module.DERIVATIONS, params, 4)
+    ae, d1 = basis.index(("a", "e")), list(enveloping_module.DERIVATIONS).index("D1")
+    assert reference[(d1, ("a", "b"))][ae] == -9
+    assert _assert_rows_come_with_their_index(monkeypatch, params, 4) == 6
+    table = {**enveloping_module.DERIVATIONS,
+             "D1": {**enveloping_module.DERIVATIONS["D1"], "e": ((2, "k", "b"), (1, "m", "e"))}}
+    assert ae not in _subring_rows(table, params, 4)[1][(d1, ("a", "b"))]
+    monkeypatch.setattr(enveloping_module, "DERIVATIONS", table)
+    _assert_rows_come_with_their_index(monkeypatch, params, 4, table)
 
 
 @pytest.mark.parametrize("kind", [F, float])
-@pytest.mark.parametrize("pair", [("N1", "P1"), ("N1", "N2"), ("H", "N1"), ("M", "P2")])
+@pytest.mark.parametrize("pair", [("D1", "e"), ("ad_H", "a"), ("D2", "M"), ("ad_M", "H")])
 def test_a_table_coefficient_that_is_not_an_int_raises_before_any_elimination(monkeypatch, pair, kind):
-    # an integral Fraction, or a float, in a bracket the rows read
-    nf = orderer_at(ExtensionParams(F(3), F(2), F(0)))
-    key = tuple(GEN_NAMES.index(name) for name in pair)
-    scalar, terms = nf.table[key]
-    assert scalar or terms
-    nf.table[key] = (kind(scalar) if scalar else 0, tuple((h, kind(co)) for h, co in terms))
+    # an integral Fraction, or a float, in a (derivation, generator) cell the rows
+    # read; at l = 0 ad_M's term is a zero of the wrong type, refused all the same
+    derivation, x = pair
+    cells = enveloping_module.DERIVATIONS[derivation]
+    monkeypatch.setitem(cells, x, tuple((kind(n), charge, y) for n, charge, y in cells[x]))
 
     def eliminated(*args):
         raise AssertionError("an elimination ran")
@@ -1223,4 +1265,91 @@ def test_a_table_coefficient_that_is_not_an_int_raises_before_any_elimination(mo
     monkeypatch.setattr(enveloping_module, "_peel_and_reduce", eliminated)
     monkeypatch.setattr(enveloping_module, "_eliminate", eliminated)
     with pytest.raises(TypeError, match="exact elimination takes int entries"):
-        centralizer_dimension(nf, 4)
+        centralizer_dimension(ExtensionParams(F(3), F(2), F(0)), 4)
+
+
+def test_centralizer_dimension_refuses_bad_input_before_any_work(monkeypatch):
+    def eliminated(*args):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(enveloping_module, "_peel_and_reduce", eliminated)
+    for degree in (-1, -10):
+        with pytest.raises(ValueError, match="max_degree must be non-negative"):
+            centralizer_dimension(PARAMS, degree)
+    # a float charge gets past no ExtensionParams: these hold one as it would be read
+    symbolic = ExtensionParams(*(Poly.symbol(n) for n in "kml"))
+    for params in (symbolic, ExtensionParams(1, Poly.symbol("m"), 0), SimpleNamespace(k=0.5, m=F(1), l=F(0)),
+                   SimpleNamespace(k=F(1), m=F(1), l=float("nan"))):
+        with pytest.raises(TypeError):
+            centralizer_dimension(params, 2)
+
+
+@pytest.mark.parametrize("params", [*(params for params, _ in CENTRALIZER_TABLE), MIXED_DENOMINATORS, LONG_CHARGES])
+def test_centralizer_dimension_equals_the_word_oracle_to_the_degree_cap(params):
+    for degree in range(11):
+        assert centralizer_dimension(params, degree) == word_centralizer_dimension(params, degree), degree
+
+
+# --- the derivation table against the algebra, at symbolic charges -----------
+
+SYMBOLIC_ALGEBRA = make_galilei_algebra(ExtensionParams(*(Poly.symbol(n) for n in "kml")))
+
+
+def _ad(g, p):
+    """ad_g p in S(g)/(E - 1) for a `Poly` p in the generator names, the charges
+    k, m, l being scalars: the product rule, each [g, x] read off the tensor."""
+    t, i = SYMBOLIC_ALGEBRA.tensor, SYMBOLIC_ALGEBRA.index
+    out = Poly({})
+    for word, co in p.items():
+        for pos, x in enumerate(word):
+            if x in GEN_NAMES:
+                bracket = sum((c * (Poly.symbol(n) if n != "E" else 1)
+                               for n, c in zip(SYMBOLIC_ALGEBRA.labels, t[i(g)][i(x)]) if c), Poly({}))
+                out = out + Poly({word[:pos] + word[pos + 1:]: co}) * bracket
+    return out
+
+
+def _expanded(name):
+    """A generator of the rotation-invariant subring, or 1, in N, P, H and M."""
+    n1, n2, p1, p2 = (Poly.symbol(x) for x in ("N1", "N2", "P1", "P2"))
+    return {"a": n1 * n1 + n2 * n2, "b": p1 * p1 + p2 * p2, "c": n1 * p1 + n2 * p2, "e": n1 * p2 - n2 * p1,
+            "H": Poly.symbol("H"), "M": Poly.symbol("M"), "1": Poly(1)}[name]
+
+
+P1_, P2_ = Poly.symbol("P1"), Poly.symbol("P2")
+SUBRING_DERIVATIONS = {
+    "ad_H": lambda p: _ad("H", p),
+    "ad_M": lambda p: _ad("M", p),
+    "D1": lambda p: P1_ * _ad("N1", p) + P2_ * _ad("N2", p),
+    "D2": lambda p: P1_ * _ad("N2", p) - P2_ * _ad("N1", p),
+}
+
+
+def _table_holds(table):
+    """Whether each of the 4 x 6 cells of `table`, its terms n * charge * y summed
+    with the charges as symbols, is the derivation of that generator, expanded."""
+    return list(table) == list(SUBRING_DERIVATIONS) and all(
+        derive(_expanded(x)) == sum((n * (Poly.symbol(charge) if charge != "1" else 1) * _expanded(y)
+                                     for n, charge, y in table[name].get(x, ())), Poly({}))
+        for name, derive in SUBRING_DERIVATIONS.items() for x in SUBRING_GENERATORS)
+
+
+def test_derivation_table_is_ad_from_the_tensor_at_symbolic_charges():
+    assert SUBRING_GENERATORS == ("a", "b", "c", "e", "H", "M")
+    assert _table_holds(enveloping_module.DERIVATIONS)
+    # each derivation maps the subring into itself; ad_N1 alone does not (a -> 2k N2)
+    assert _ad("N1", _expanded("a")) == 2 * Poly.symbol("k") * Poly.symbol("N2")
+
+
+def _sign_flips():
+    """(derivation, generator, term index or None for the whole cell) for every
+    nonzero term of the table, and every cell of more than one term."""
+    return [(name, x, t) for name, cells in enveloping_module.DERIVATIONS.items() for x, terms in cells.items()
+            for t in [*range(len(terms)), *([None] if len(terms) > 1 else [])]]
+
+
+@pytest.mark.parametrize("name,x,term", _sign_flips())
+def test_flipping_any_sign_in_the_derivation_table_fails_it(name, x, term):
+    table = {d: dict(cells) for d, cells in enveloping_module.DERIVATIONS.items()}
+    table[name][x] = tuple((-n if term in (None, t) else n, charge, y) for t, (n, charge, y) in enumerate(table[name][x]))
+    assert not _table_holds(table)
