@@ -136,7 +136,7 @@ def _c_grid(text: str) -> tuple:
 def _check(name: str, defect, passed: bool, note: str | None = None) -> dict:
     row = {
         "name": name,
-        "defect": str(defect) if isinstance(defect, Fraction) else float(defect),
+        "defect": str(defect) if type(defect) is Fraction else float(defect),  # an exact type test: no ABC lookup
         "pass": bool(passed),
     }
     if note:

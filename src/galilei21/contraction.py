@@ -20,10 +20,10 @@ Every function takes one element or a stack: matrices (..., 3, 3),
 velocities (..., 2), angles and c values (...), broadcast together.  A
 stack gets the same floating-point operations as one call per entry.
 Every distinct matrix is checked once, before broadcasting, and each
-check is one reduction over the stack.  `convergence_study` evaluates a
-family of samples on the (1, grid) row of c values in one call, fits the
-log-log slopes of every sample's errors and zetas row by row with the
-centred least-squares formula, and returns the family's arrays as one report.
+check is one reduction over the stack.  `sample_experiments` decodes a family's
+draws at once, and `convergence_study` evaluates the family on the (1, grid) row
+of c values in one call, fits the log-log slopes of every sample's errors and
+zetas row by row with the centred least-squares formula, and returns one report.
 
 Numerics run in float64, and nothing the limits fit is found by
 subtracting nearly equal numbers (N. J. Higham, Accuracy and Stability of
@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ExtensionParams
-from .group import GroupElement, GroupKind, _rotated_factor, cocycle_exponent, element_distance, galilei_product
+from .group import (GroupElement, GroupKind, _random_integers, _rotated_factor, cocycle_exponent, element_distance,
+                    galilei_product)
 
 
 def _read_only(x) -> np.ndarray:
@@ -224,6 +225,11 @@ def _common_c(g: PoincareElement, h: PoincareElement):
     return g.c
 
 
+def _translated(g: PoincareElement, a_prime) -> np.ndarray:
+    """Lambda a' + a, the translation of g {Lambda', a'} for g = {Lambda, a}, whatever Lambda'."""
+    return (g.lam @ a_prime[..., None])[..., 0] + g.a
+
+
 def poincare_product(g: PoincareElement, h: PoincareElement) -> PoincareElement:
     """{Lambda, a} {Lambda', a'} = {Lambda Lambda', Lambda a' + a}; a product whose
     boost |v''|/c, read from its time column as `decompose` reads it, is past
@@ -231,7 +237,7 @@ def poincare_product(g: PoincareElement, h: PoincareElement) -> PoincareElement:
     c = _common_c(g, h)
     lam = g.lam @ h.lam
     _speed_squared(lam[..., 1:, 0] / lam[..., 0, :1])
-    return PoincareElement(lam, (g.lam @ h.a[..., None])[..., 0] + g.a, c)
+    return PoincareElement(lam, _translated(g, h.a), c)
 
 
 def contract_element(p: PoincareElement) -> GroupElement:
@@ -372,8 +378,8 @@ def mass_experiment(v, theta, tau_p, u_p) -> LimitExperiment:
     Each argument holds one value per sample, or one sample's value.  The
     target v^2/2 tau' + v . R(theta) u' is minus the m term of `group.cocycle_exponent`
     at m = 1, g = (v, theta), h = (tau', u'); zeta = c a^0 evaluated on the
-    product grows like c^2 tau'.  The translation is the element
-    {1, (c tau', u'1, u'2)}, built with the identity as its matrix.
+    product grows like c^2 tau'.  h is the translation {1, (c tau', u'1, u'2)}, so
+    g h has g's own matrix, and zeta is read from its translation (`_translated`).
     """
     v, theta, tau_p, u_p = _samples(v, 2), _samples(theta), _samples(tau_p), _samples(u_p, 2)
     g = GroupElement(v=(v[..., 0], v[..., 1]), theta=theta)
@@ -384,7 +390,7 @@ def mass_experiment(v, theta, tau_p, u_p) -> LimitExperiment:
         g = poincare_from_galilei(0.0, (0.0, 0.0), v, theta, c)
         h = PoincareElement(np.eye(3), _translation(tau_p, u_p, c), c)
         errors = np.abs(mass_cocycle_exponent(g, h) - target)
-        return errors, np.abs(c * poincare_product(g, h).a[..., 0])
+        return errors, np.abs(c * _translated(g, h.a)[..., 0])
 
     return LimitExperiment("mass", target[:, 0], evaluate)
 
@@ -411,34 +417,38 @@ def diagram_experiment(data_g, data_h) -> LimitExperiment:
     return LimitExperiment("diagram", np.zeros(len(data_g[0])), evaluate)
 
 
+# Each family's per-sample `rng.uniform` bounds in draw order, and its factory of the drawn
+# columns x and `velocity(i)`, from columns i (speed / c_min) and i + 1 (direction).
+_VELOCITY = ((0.4, 0.8), (0.0, 2 * math.pi))
+_POINT = ((0.5, 2.0), (-2.0, 2.0), (-2.0, 2.0), *_VELOCITY, (-1.5, 1.5))  # tau, u, v, theta
+_FAMILIES = {
+    "thomas": ((*_VELOCITY, *_VELOCITY, (0.2, 3.0)), lambda x, vel: thomas_experiment(vel(0), vel(2), x[4])),
+    "mass": ((*_VELOCITY, (-3.0, 3.0), (0.5, 2.0), (-2.0, 2.0), (-2.0, 2.0)),
+             lambda x, vel: mass_experiment(vel(0), x[2], x[3], x[4:6].T)),
+    "diagram": ((*_POINT, *_POINT), lambda x, vel: diagram_experiment((x[0], x[1:3].T, vel(3), x[5]),
+                                                                       (x[6], x[7:9].T, vel(9), x[11]))),
+}
+
+
 def sample_experiments(name: str, rng, samples: int, c_min: float) -> LimitExperiment:
     """Seeded random scenarios for one experiment family, as one experiment.
 
-    The draws are made sample by sample, in the order of the family's
-    factory arguments.  Speeds are drawn from [0.4, 0.8] * c_min: they
-    must stay below every grid point, and staying under 0.8 c_min keeps
-    the smallest-c point close enough to the asymptotic regime for a
-    clean slope fit.
+    The draws are decoded at once (`group._random_integers`), bit for bit scalar
+    `rng.uniform` draws made sample by sample in the order of the family's factory
+    arguments.  Speeds are drawn from [0.4, 0.8] * c_min: they must stay below every
+    grid point, and staying under 0.8 c_min keeps the smallest-c point close enough
+    to the asymptotic regime for a clean slope fit.
     """
-
-    def rand_vel():
-        speed = rng.uniform(0.4, 0.8) * c_min
-        ang = rng.uniform(0.0, 2 * math.pi)
-        return (speed * math.cos(ang), speed * math.sin(ang))
-
-    data = lambda: (rng.uniform(0.5, 2.0), (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)), rand_vel(),
-                    rng.uniform(-1.5, 1.5))
-    families = {  # factory taking per-sample columns, and one sample's draw
-        "thomas": (thomas_experiment, lambda: (rand_vel(), rand_vel(), rng.uniform(0.2, 3.0))),
-        "mass": (mass_experiment, lambda: (
-            rand_vel(), rng.uniform(-3.0, 3.0), rng.uniform(0.5, 2.0),
-            (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))),
-        "diagram": (lambda *c: diagram_experiment(c[:4], c[4:]), lambda: (*data(), *data())),
-    }
-    if name not in families:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown experiment {name!r}")
     if samples < 1:
         raise ValueError("samples must be positive")
-    factory, draw = families[name]
-    return factory(*zip(*(draw() for _ in range(samples))))
-
+    bounds, factory = _FAMILIES[name]
+    lo, hi = np.array(bounds).T[..., None]
+    n = _random_integers(rng, samples * len(bounds)).reshape(samples, len(bounds)).T
+    # rng.uniform(a, b) is a + (b - a) * r, r = n * 2**-53, with (b - a) * r one rounded
+    # product of the exact n and the exact (b - a) * 2**-53, as `group.random_elements` forms it
+    x = np.multiply(n, (hi - lo) * 2.0**-53, out=np.empty(n.shape))
+    x += lo
+    velocity = lambda i: (x[i] * c_min)[:, None] * np.stack((np.cos(x[i + 1]), np.sin(x[i + 1])), axis=-1)
+    return factory(x, velocity)

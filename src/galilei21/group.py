@@ -38,8 +38,8 @@ coboundary (`compose`'s zeta).  With theta = 0 the law is a polynomial, which
 `identity_certified` evaluates on `algebra.Poly` symbols and compares with
 `==`.  All values are immutable and all functions pure.
 
-`random_elements` draws the array elements' doubles from blocks of
-`getrandbits` words of CPython's MT19937 `random.Random`, decoded as
+`random_elements` and `contraction.sample_experiments` draw their doubles from
+blocks of `getrandbits` words of CPython's MT19937 `random.Random`, decoded as
 `random()` decodes them, so they equal scalar `rng.uniform` draws bit for bit.
 """
 

@@ -514,6 +514,48 @@ def test_contract_nan_slopes_fail_closed(capsys, monkeypatch, value):
     assert all(c["pass"] for name, c in checks.items() if name not in ("slope[1]", "zeta_growth[2]"))
 
 
+def test_mass_zeta_is_the_translation_of_the_full_product_on_the_workload_draws(monkeypatch):
+    pairs, exponent = [], contraction.mass_cocycle_exponent
+    monkeypatch.setattr(contraction, "mass_cocycle_exponent", lambda g, h: pairs.append((g, h)) or exponent(g, h))
+    argvs = [argv for argv in _workload_argvs() if "--experiment=mass" in argv]
+    assert len(argvs) == 32
+    for argv in argvs:
+        opts = build_parser().parse_args(argv)
+        c = np.array([opts.c_grid])
+        experiment = contraction.sample_experiments("mass", random.Random(opts.seed), opts.samples, min(opts.c_grid))
+        _, zetas = experiment.evaluate(c)
+        (g, h), = pairs
+        pairs.clear()
+        product = contraction.poincare_product(g, h)
+        assert product.lam.tobytes() == g.lam.tobytes()  # Lambda 1 is Lambda, sign bits included
+        assert contraction._translated(g, h.a).tobytes() == product.a.tobytes()
+        assert zetas.tobytes() == np.abs(c * product.a[..., 0]).tobytes()
+
+
+@pytest.mark.parametrize("column", ["tau", "u"])
+def test_contract_nan_translation_gives_nan_zetas_and_fails_its_rows(capsys, monkeypatch, column):
+    factory = contraction.mass_experiment
+
+    def poisoned(v, theta, tau_p, u_p):
+        tau_p, u_p = tau_p.copy(), u_p.copy()
+        if column == "tau":
+            tau_p[1] = math.nan
+        else:
+            u_p[1, 0] = math.nan
+        experiment = factory(v, theta, tau_p, u_p)
+        _, zetas = experiment.evaluate(np.array([cli.DEFAULT_C_GRID]))
+        assert np.isnan(zetas[1]).all() and not np.isnan(zetas[[0, 2]]).any()
+        return experiment
+
+    monkeypatch.setattr(contraction, "mass_experiment", poisoned)
+    code, out = run(capsys, "contract", "--experiment", "mass", "--samples", "3", "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for name in ("slope[1]", "zeta_growth[1]"):
+        assert math.isnan(checks[name]["defect"]) and not checks[name]["pass"]
+    assert all(c["pass"] for name, c in checks.items() if not name.endswith("[1]"))
+
+
 @pytest.mark.parametrize("charges", [
     ("--m", "1e400"), ("--k", "1e400", "--m", "1"), ("--l", "1e400"), ("--k", "1", "--m", "1e-400"),
 ])
@@ -680,6 +722,7 @@ CI_REPORTS = {
     "contract --experiment thomas --samples 2": 0,
     "contract --experiment mass --c-grid 1e2:1e6:logx2 --samples 60": 0,
     "contract --experiment diagram --c-grid 1e2:1e6:logx2 --samples 60": 0,
+    "contract --experiment diagram --samples 1000 --c-grid 1e2:1e6:logx2": 0,
     "contract --experiment mass --c-grid 1e300:1e308:logx10 --samples 2": 1,  # NaN defects
 }
 

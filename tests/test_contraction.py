@@ -8,7 +8,7 @@ import pytest
 
 from galilei21 import contraction, group
 from galilei21.algebra import ExtensionParams
-from galilei21.cli import DEFAULT_C_GRID, EXPERIMENT_NAMES
+from galilei21.cli import DEFAULT_C_GRID, EXPERIMENT_NAMES, SAMPLES_CAP
 from galilei21.contraction import (
     ETA,
     LimitExperiment,
@@ -773,6 +773,36 @@ def test_family_matches_scalar_points_bit_for_bit(name, grid):
         _assert_exact_slope(grid, zetas, growth)
         if name == "diagram":
             assert growth == 0.0  # its zetas are a constant row
+
+
+def _leaves(x) -> list:
+    """The entries of nested tuples, depth first: a draw's floats, or a factory's arrays."""
+    return [y for item in x for y in _leaves(item)] if isinstance(x, tuple) else [x]
+
+
+FACTORIES = {"thomas": "thomas_experiment", "mass": "mass_experiment", "diagram": "diagram_experiment"}
+
+
+@pytest.mark.parametrize("name", ["thomas", "mass", "diagram"])
+@pytest.mark.parametrize("samples, odd_start", [(60, False), (SAMPLES_CAP, False), (60, True)],
+                         ids=["workload", "cap", "odd-word-start"])
+def test_bulk_sampler_gives_the_scalar_draws_bit_for_bit(monkeypatch, name, samples, odd_start):
+    calls, factory = [], getattr(contraction, FACTORIES[name])
+    monkeypatch.setattr(contraction, FACTORIES[name], lambda *args: calls.append(args) or factory(*args))
+    rng, oracle_rng = random.Random(470 + samples), random.Random(470 + samples)
+    if odd_start:  # one 32-bit word drawn first: every later double's two words start at an odd word
+        assert rng.getrandbits(32) == oracle_rng.getrandbits(32)
+
+    def per_sample_draw(*args):
+        raise AssertionError("sample_experiments drew a double on its own")
+
+    rng.uniform = rng.random = per_sample_draw
+    sample_experiments(name, rng, samples, min(FINE_GRID))
+    draws = [_draw(name, oracle_rng, min(FINE_GRID)) for _ in range(samples)]
+    assert rng.getstate() == oracle_rng.getstate()
+    (args,) = calls
+    columns = np.concatenate([np.reshape(a, (samples, -1)) for a in _leaves(args)], axis=1)
+    assert [[x.hex() for x in row] for row in columns.tolist()] == [[x.hex() for x in _leaves(d)] for d in draws]
 
 
 def test_study_records_hold_read_only_arrays():
