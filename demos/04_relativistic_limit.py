@@ -21,7 +21,7 @@ family here holds one sample.
 import random
 
 from galilei21 import (
-    ExtensionParams, GroupElement, GroupKind, cocycle_exponent, compose_boosts, convergence_study,
+    ExtensionParams, GroupElement, cocycle_exponent, compose_boosts, convergence_study,
 )
 from galilei21.cli import DEFAULT_C_GRID
 from galilei21.contraction import mass_experiment, sample_experiments, thomas_experiment
@@ -33,7 +33,7 @@ for c in (10.0, 100.0, 1000.0):
     print(f"c = {c:6.0f}: Wigner angle = {float(angle):.3e}, "
           f"c^2 * angle = {float(c * c * angle):.6f}")
 # minus the group cocycle's k term at k = 1: the sign convention of the phase
-limit = -cocycle_exponent(GroupKind.EXTENDED, ExtensionParams(1, 0, 0), GroupElement(v=v), GroupElement(v=w))
+limit = -cocycle_exponent(ExtensionParams(1, 0, 0), GroupElement(v=v), GroupElement(v=w))
 print(f"predicted limit (v x w)/2 = {limit}\n")
 
 def show(experiment, grid=DEFAULT_C_GRID):

@@ -31,7 +31,7 @@ _EXPORTS = {
     "enveloping": """NOPoly NormalOrderer boost_momentum_cross casimir_invariants
         centralizer_basis generator_brackets internal_angular_momentum internal_energy
         momentum_squared""",
-    "group": """IDENTITY GroupElement GroupKind cocycle_exponent compose eliminate_k_map
+    "group": """IDENTITY GroupElement cocycle_exponent compose eliminate_k_map
         inverse random_elements""",
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ExtensionParams
-from .group import (GroupElement, GroupKind, _random_integers, _rotated_factor, cocycle_exponent, element_distance,
+from .group import (GroupElement, _random_integers, _rotated_factor, cocycle_exponent, element_distance,
                     galilei_product)
 
 
@@ -362,7 +362,7 @@ def thomas_experiment(v, vp, theta) -> LimitExperiment:
     v, vp, theta = _samples(v, 2), _samples(vp, 2), _samples(theta)
     g, h = GroupElement(v=(v[..., 0], v[..., 1]), theta=theta), GroupElement(v=(vp[..., 0], vp[..., 1]))
     rotated = _rotated_factor(g, h)
-    target = -cocycle_exponent(GroupKind.EXTENDED, ExtensionParams(1, 0, 0), g, h, rotated)
+    target = -cocycle_exponent(ExtensionParams(1, 0, 0), g, h, rotated)
     w = np.stack(rotated[1], axis=-1)  # R(theta) v'
 
     def evaluate(c):
@@ -383,8 +383,7 @@ def mass_experiment(v, theta, tau_p, u_p) -> LimitExperiment:
     """
     v, theta, tau_p, u_p = _samples(v, 2), _samples(theta), _samples(tau_p), _samples(u_p, 2)
     g = GroupElement(v=(v[..., 0], v[..., 1]), theta=theta)
-    target = -cocycle_exponent(GroupKind.EXTENDED, ExtensionParams(0, 1, 0), g,
-                               GroupElement(tau=tau_p, u=(u_p[..., 0], u_p[..., 1])))
+    target = -cocycle_exponent(ExtensionParams(0, 1, 0), g, GroupElement(tau=tau_p, u=(u_p[..., 0], u_p[..., 1])))
 
     def evaluate(c):
         g = poincare_from_galilei(0.0, (0.0, 0.0), v, theta, c)
@@ -400,7 +399,7 @@ def diagram_experiment(data_g, data_h) -> LimitExperiment:
 
     data_g and data_h are (tau, u, v, theta) tuples, each entry holding
     one value per sample or one sample's value.  The error is the largest
-    component distance (angles modulo 2*pi) between contract(g h) and
+    component distance (`element_distance`) between contract(g h) and
     the Galilei product of the contractions; there is no trivializing
     function in play, so zeta_magnitude is 0.
     """
@@ -411,7 +410,7 @@ def diagram_experiment(data_g, data_h) -> LimitExperiment:
         g, h = (poincare_from_galilei(*data, c) for data in (data_g, data_h))
         left = contract_element(poincare_product(g, h))
         right = galilei_product(contract_element(g), contract_element(h))
-        errors = element_distance(left, right, GroupKind.EXTENDED)
+        errors = element_distance(left, right)
         return errors, np.zeros(errors.shape)
 
     return LimitExperiment("diagram", np.zeros(len(data_g[0])), evaluate)
@@ -420,7 +419,9 @@ def diagram_experiment(data_g, data_h) -> LimitExperiment:
 # Each family's per-sample `rng.uniform` bounds in draw order, and its factory of the drawn
 # columns x and `velocity(i)`, from columns i (speed / c_min) and i + 1 (direction).
 _VELOCITY = ((0.4, 0.8), (0.0, 2 * math.pi))
-_POINT = ((0.5, 2.0), (-2.0, 2.0), (-2.0, 2.0), *_VELOCITY, (-1.5, 1.5))  # tau, u, v, theta
+# tau, u, v, theta; the theta bounds keep theta_g + theta_h inside (-pi, pi), where
+# `decompose`'s angle of the product is the sum itself, not wrapped, as c grows
+_POINT = ((0.5, 2.0), (-2.0, 2.0), (-2.0, 2.0), *_VELOCITY, (-1.5, 1.5))
 _FAMILIES = {
     "thomas": ((*_VELOCITY, *_VELOCITY, (0.2, 3.0)), lambda x, vel: thomas_experiment(vel(0), vel(2), x[4])),
     "mass": ((*_VELOCITY, (-3.0, 3.0), (0.5, 2.0), (-2.0, 2.0), (-2.0, 2.0)),

@@ -8,12 +8,13 @@ through
 
     R(theta) = [[cos theta, sin theta], [-sin theta, cos theta]].
 
-Two group laws are provided:
-
-* EXTENDED - the extension of the Galilei group itself, charges (k, m),
-  l must vanish; theta is an angle modulo 2*pi for equality purposes.
-* COVERING - the extension of the universal covering group, all three
-  charges act and theta lives on the whole real line.
+One group law serves the paper's groups: the extension of the universal
+covering group by the charges (k, m, l), which at l = 0 is the extension of
+the Galilei group itself by (k, m).  The law never reduces theta, which lives
+on the whole real line: a whole turn theta -> theta + 2*pi is the identity
+only at l = 0, as at l != 0 its commutator with a time translation tau' has
+the phase 2*pi*l*tau'.  So `element_distance` compares theta on the line and
+the phase modulo 2*pi.
 
 The product is
 
@@ -22,8 +23,9 @@ The product is
 
 with the phase increment
 
-    xi = -m (v^2/2 tau' + v . R(theta) u') - (k/2) (v x R(theta) v')
-         [+ l theta tau'   on the covering]
+    xi = -m (v^2/2 tau' + v . R(theta) u') - (k/2) (v x R(theta) v') + l theta tau',
+
+whose last term is added only at l != 0.
 
 Everything is written so that elements with theta = 0 and Fraction
 components compose in exact rational arithmetic; with float components
@@ -45,7 +47,6 @@ blocks of `getrandbits` words of CPython's MT19937 `random.Random`, decoded as
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from collections.abc import Callable
@@ -58,11 +59,6 @@ from .algebra import ExtensionParams, Poly, worst_defect
 
 TWO_PI = 2 * math.pi
 HALF = Fraction(1, 2)
-
-
-class GroupKind(enum.Enum):
-    EXTENDED = "extended"
-    COVERING = "covering"
 
 
 @dataclass(frozen=True)
@@ -124,20 +120,14 @@ def dot(a: tuple, b: tuple):
     return a[0] * b[0] + a[1] * b[1]
 
 
-def _check_kind(kind: GroupKind, params: ExtensionParams):
-    if kind is GroupKind.EXTENDED and params.l != 0:
-        raise ValueError("l != 0 does not integrate on the Galilei group itself; use GroupKind.COVERING")
-
-
 def _rotated_factor(g: GroupElement, h: GroupElement) -> tuple:
     """(R(theta) u', R(theta) v'): h's vectors rotated by g's angle, once per product."""
     return _rotated(g.rotation, h.u), _rotated(g.rotation, h.v)
 
 
-def cocycle_exponent(kind: GroupKind, params: ExtensionParams, g: GroupElement, h: GroupElement, rotated=None):
+def cocycle_exponent(params: ExtensionParams, g: GroupElement, h: GroupElement, rotated=None):
     """Phase increment xi(g, h) of the product beyond phase_g + phase_h;
     `rotated` is `_rotated_factor(g, h)` when the caller has it."""
-    _check_kind(kind, params)
     ru, rv = _rotated_factor(g, h) if rotated is None else rotated
     m, half_k, l, half = params.m, params.k * HALF, params.l, HALF
     if _batched(*g.v, g.theta, h.tau, *ru, *rv):
@@ -145,7 +135,7 @@ def cocycle_exponent(kind: GroupKind, params: ExtensionParams, g: GroupElement, 
         # law's values and keep Fractions out of numpy object arrays
         m, half_k, l, half = float(m), float(half_k), float(l), float(half)
     xi = -m * (dot(g.v, g.v) * half * h.tau + dot(g.v, ru)) - half_k * cross(g.v, rv)
-    if kind is GroupKind.COVERING:
+    if params.l != 0:  # at l = 0 no +-0 theta tau' is added, so floats are the l-free law's
         xi = xi + l * g.theta * h.tau
     return xi
 
@@ -156,15 +146,15 @@ def _base_product(g: GroupElement, h: GroupElement, rotated: tuple, phase) -> Gr
                         (rv[0] + v1, rv[1] + v2), g.theta + h.theta)
 
 
-def compose(kind: GroupKind, params: ExtensionParams, g: GroupElement, h: GroupElement,
+def compose(params: ExtensionParams, g: GroupElement, h: GroupElement,
             zeta: Callable[[GroupElement], object] | None = None) -> GroupElement:
-    """g h under the law of (kind, params), or, given zeta, under that law with its
+    """g h under the law of params, or, given zeta, under that law with its
     exponent shifted by zeta's coboundary to xi(g, h) + zeta(g h) - zeta(g) - zeta(h),
     g h the untwisted product.  zeta reads only the coordinates (tau, u, v, theta),
     never the phase, which is not a coordinate of the quotient the cocycle lives on.
     h's u and v are rotated once, and a shifted product builds its coordinates once."""
     rotated = _rotated_factor(g, h)
-    xi = cocycle_exponent(kind, params, g, h, rotated)  # a module global, so a wrapper applies
+    xi = cocycle_exponent(params, g, h, rotated)  # a module global, so a wrapper applies
     if zeta is None:
         return _base_product(g, h, rotated, g.phase + h.phase + xi)
     gh = _base_product(g, h, rotated, g.phase + h.phase)
@@ -176,14 +166,13 @@ def galilei_product(g: GroupElement, h: GroupElement) -> GroupElement:
     return _base_product(g, h, _rotated_factor(g, h), g.phase + h.phase)
 
 
-def inverse(kind: GroupKind, params: ExtensionParams, g: GroupElement) -> GroupElement:
+def inverse(params: ExtensionParams, g: GroupElement) -> GroupElement:
     """Two-sided inverse under the twisted law (phases modulo 2*pi)."""
-    _check_kind(kind, params)
     rminus = _cos_sin(-g.theta)
     v_inv = _rotated(rminus, (-g.v[0], -g.v[1]))
     u_inv = _rotated(rminus, (g.v[0] * g.tau - g.u[0], g.v[1] * g.tau - g.u[1]))
     partial = GroupElement(phase=0, tau=-g.tau, u=u_inv, v=v_inv, theta=-g.theta)
-    xi = cocycle_exponent(kind, params, g, partial)
+    xi = cocycle_exponent(params, g, partial)
     return GroupElement(
         phase=-g.phase - xi, tau=partial.tau, u=partial.u, v=partial.v,
         theta=partial.theta,
@@ -208,25 +197,18 @@ def worst_per_sample(defects: tuple, zero):
     return np.where((least > -math.inf) & np.isfinite(worst), worst, math.nan)
 
 
-def element_distance(a: GroupElement, b: GroupElement, kind: GroupKind = GroupKind.COVERING):
-    """Component-wise max distance; phase always mod 2*pi, theta too for EXTENDED."""
-    if kind is GroupKind.EXTENDED:
-        theta = angle_distance(a.theta, b.theta)
-    else:
-        theta = abs(a.theta - b.theta)
+def element_distance(a: GroupElement, b: GroupElement):
+    """Component-wise max distance; theta on the line, the phase modulo 2*pi."""
     return worst_per_sample(
         (abs(a.tau - b.tau), abs(a.u[0] - b.u[0]), abs(a.u[1] - b.u[1]),
-         abs(a.v[0] - b.v[0]), abs(a.v[1] - b.v[1]), theta),
+         abs(a.v[0] - b.v[0]), abs(a.v[1] - b.v[1]), abs(a.theta - b.theta)),
         angle_distance(a.phase, b.phase),
     )
 
 
-def associativity_sides(
-    kind: GroupKind, params: ExtensionParams, g: GroupElement, h: GroupElement, f: GroupElement
-) -> tuple:
+def associativity_sides(params: ExtensionParams, g: GroupElement, h: GroupElement, f: GroupElement) -> tuple:
     """The two sides (gh)f and g(hf) of the 2-cocycle condition."""
-    return (compose(kind, params, compose(kind, params, g, h), f),
-            compose(kind, params, g, compose(kind, params, h, f)))
+    return compose(params, compose(params, g, h), f), compose(params, g, compose(params, h, f))
 
 
 def eliminate_k_map(params: ExtensionParams, g: GroupElement) -> GroupElement:
@@ -251,11 +233,11 @@ def eliminate_k_map(params: ExtensionParams, g: GroupElement) -> GroupElement:
 
 
 def homomorphism_sides(
-    kind: GroupKind, params_a: ExtensionParams, params_b: ExtensionParams,
+    params_a: ExtensionParams, params_b: ExtensionParams,
     mapping: Callable[[GroupElement], GroupElement], g: GroupElement, h: GroupElement,
 ) -> tuple:
     """The two sides compose_b(map g, map h) and map(compose_a(g, h))."""
-    return compose(kind, params_b, mapping(g), mapping(h)), mapping(compose(kind, params_a, g, h))
+    return compose(params_b, mapping(g), mapping(h)), mapping(compose(params_a, g, h))
 
 
 def _exact_element(q) -> GroupElement:

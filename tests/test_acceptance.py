@@ -111,27 +111,26 @@ def test_criterion_04_bounded_degree_centralizer():
 
 
 def test_criterion_05_group_cocycle_condition():
-    with criterion(5, "associativity: 1000 triples x 20 charge sets x both kinds", 10.0):
+    with criterion(5, "associativity: 1000 triples x 20 charge sets, at their l and at l = 0", 10.0):
         rng = random.Random(2028)
         for _ in range(20):
             p = random_params(rng)
             p_ext = ExtensionParams(p.k, p.m, 0)
             # 1000 triples as arrays, drawn as 1000 x 3 calls of random_element would be
             g, h, f = group.random_elements(rng, 1000, 3)
-            for kind, charges in ((group.GroupKind.COVERING, p), (group.GroupKind.EXTENDED, p_ext)):
-                d = group.element_distance(*group.associativity_sides(kind, charges, g, h, f), kind)
+            for charges in (p, p_ext):
+                d = group.element_distance(*group.associativity_sides(charges, g, h, f))
                 assert (d < 1e-12).all()
         # exact rational mode is exactly associative
         for _ in range(5):
             p = random_params(rng)
             for _ in range(40):
                 g, h, f = (random_rational_element(rng) for _ in range(3))
-                d = group.element_distance(*group.associativity_sides(group.GroupKind.COVERING, p, g, h, f))
+                d = group.element_distance(*group.associativity_sides(p, g, h, f))
                 assert d == 0 and not isinstance(d, float)
 
 
 def test_criterion_06_group_charge_removal():
-    EXT = group.GroupKind.EXTENDED
     with criterion(6, "k-removal map is a homomorphism, 1000 pairs x 10 charges", 5.0):
         rng = random.Random(2029)
         for _ in range(10):
@@ -139,13 +138,13 @@ def test_criterion_06_group_charge_removal():
             p_k = ExtensionParams(p.k, p.m, 0)
             p_0 = ExtensionParams(0, p.m, 0)
             phi = lambda g: group.eliminate_k_map(p_k, g)
-            sides = lambda g, h: group.homomorphism_sides(EXT, p_k, p_0, phi, g, h)
+            sides = lambda g, h: group.homomorphism_sides(p_k, p_0, phi, g, h)
             g, h = group.random_elements(rng, 1000, 2)
-            d = group.element_distance(*sides(g, h), EXT)
+            d = group.element_distance(*sides(g, h))
             assert d.shape == (1000,) and (d < 1e-12).all()
             for _ in range(40):
                 g, h = random_rational_element(rng), random_rational_element(rng)
-                d = group.element_distance(*sides(g, h), EXT)
+                d = group.element_distance(*sides(g, h))
                 assert d == 0 and not isinstance(d, float)
 
 

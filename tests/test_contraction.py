@@ -28,7 +28,6 @@ from galilei21.contraction import (
 )
 from galilei21.group import (
     GroupElement,
-    GroupKind,
     angle_distance,
     cocycle_exponent,
     element_distance,
@@ -355,7 +354,7 @@ def test_contract_commutes_with_product_asymptotically():
             h = poincare_from_galilei(*data(), c)
             left = contract_element(poincare_product(g, h))
             right = galilei_product(contract_element(g), contract_element(h))
-            assert element_distance(left, right, GroupKind.EXTENDED) < 100.0 / c ** 2
+            assert element_distance(left, right) < 100.0 / c ** 2
 
 
 def test_nan_matrix_is_rejected():
@@ -396,6 +395,10 @@ def test_mass_study_slope_and_zeta_growth():
 
 
 def test_diagram_study_slope():
+    # the theta bounds keep theta_g + theta_h inside (-pi, pi): decompose's angle is the
+    # sum itself, so element_distance may compare the two sides' theta on the line
+    lo, hi = contraction._POINT[-1]
+    assert -math.pi < 2 * lo and 2 * hi < math.pi
     rng = random.Random(7)
     study = convergence_study(sample_experiments("diagram", rng, 5, min(DEFAULT_C_GRID)), DEFAULT_C_GRID)
     assert study.fitted_slopes.tolist() == pytest.approx([-2.0] * 5, abs=0.1)
@@ -429,7 +432,7 @@ def test_limit_reproduces_group_cocycle_k_term():
     from fractions import Fraction
 
     from galilei21.algebra import ExtensionParams
-    from galilei21.group import GroupElement, GroupKind, cocycle_exponent
+    from galilei21.group import GroupElement, cocycle_exponent
 
     rng = random.Random(8)
     c = 1e5
@@ -440,7 +443,6 @@ def test_limit_reproduces_group_cocycle_k_term():
             at_origin(boost_matrix(v, c) @ rotation_matrix(th), c), at_origin(boost_matrix(vp, c), c)
         )
         xi = cocycle_exponent(
-            GroupKind.EXTENDED,
             ExtensionParams(Fraction(1), Fraction(0), Fraction(0)),
             GroupElement(v=v, theta=th),
             GroupElement(v=vp),
@@ -501,8 +503,7 @@ def test_stacks_match_single_calls_entry_by_entry():
         "mass": mass_cocycle_exponent(g, h),
         "rotation_cocycle": rotation_cocycle_exponent(g, h),
         "lorentz": lorentz_defect(g.lam),
-        "k_term": cocycle_exponent(GroupKind.EXTENDED, K_UNIT, GroupElement(v=(v[:, 0], v[:, 1])),
-                                   GroupElement(v=(v2[:, 0], v2[:, 1]))),
+        "k_term": cocycle_exponent(K_UNIT, GroupElement(v=(v[:, 0], v[:, 1])), GroupElement(v=(v2[:, 0], v2[:, 1]))),
     }
     (v_dec, theta_dec), con = decompose(g), contract_element(poincare_product(g, h))
     for i, (ci, row, row2) in enumerate(zip(c, rows, rows2)):
@@ -515,8 +516,7 @@ def test_stacks_match_single_calls_entry_by_entry():
             "mass": mass_cocycle_exponent(gi, hi),
             "rotation_cocycle": rotation_cocycle_exponent(gi, hi),
             "lorentz": lorentz_defect(gi.lam),
-            "k_term": cocycle_exponent(GroupKind.EXTENDED, K_UNIT, GroupElement(v=row[2]),
-                                       GroupElement(v=row2[2])),
+            "k_term": cocycle_exponent(K_UNIT, GroupElement(v=row[2]), GroupElement(v=row2[2])),
         }
         for key, value in single.items():
             assert np.array_equal(stacked[key][i], value), key
@@ -677,14 +677,13 @@ def test_group_cocycle_terms_match_the_hand_references():
     theta, tau_p = [rng.uniform(-3.0, 3.0) for _ in range(n)], [rng.uniform(0.5, 2.0) for _ in range(n)]
     columns = [np.array(x) for x in (v, vp, u_p, theta, tau_p)]
     g = GroupElement(v=(columns[0][:, 0], columns[0][:, 1]), theta=columns[3])
-    k_terms = -cocycle_exponent(GroupKind.EXTENDED, K_UNIT, g, GroupElement(v=(columns[1][:, 0], columns[1][:, 1])))
-    m_terms = -cocycle_exponent(GroupKind.EXTENDED, M_UNIT, g,
-                                GroupElement(tau=columns[4], u=(columns[2][:, 0], columns[2][:, 1])))
+    k_terms = -cocycle_exponent(K_UNIT, g, GroupElement(v=(columns[1][:, 0], columns[1][:, 1])))
+    m_terms = -cocycle_exponent(M_UNIT, g, GroupElement(tau=columns[4], u=(columns[2][:, 0], columns[2][:, 1])))
     worst = Fraction(0)
     for i in range(n):
         gi = GroupElement(v=v[i], theta=theta[i])
-        k = -cocycle_exponent(GroupKind.EXTENDED, K_UNIT, gi, GroupElement(v=vp[i]))
-        m = -cocycle_exponent(GroupKind.EXTENDED, M_UNIT, gi, GroupElement(tau=tau_p[i], u=u_p[i]))
+        k = -cocycle_exponent(K_UNIT, gi, GroupElement(v=vp[i]))
+        m = -cocycle_exponent(M_UNIT, gi, GroupElement(tau=tau_p[i], u=u_p[i]))
         # the array call gives the scalar call's doubles
         assert (k.hex(), m.hex()) == (float(k_terms[i]).hex(), float(m_terms[i]).hex())
         # the k term is (v x R v')/2 bit for bit: the same products, halved exactly
@@ -724,11 +723,10 @@ def _scalar_target(name, args):
     """The family's target for one sample's draw, from scalar `cocycle_exponent` calls."""
     if name == "thomas":
         v, vp, theta = args
-        return -cocycle_exponent(GroupKind.EXTENDED, K_UNIT, GroupElement(v=v, theta=theta), GroupElement(v=vp))
+        return -cocycle_exponent(K_UNIT, GroupElement(v=v, theta=theta), GroupElement(v=vp))
     if name == "mass":
         v, theta, tau_p, u_p = args
-        return -cocycle_exponent(GroupKind.EXTENDED, M_UNIT, GroupElement(v=v, theta=theta),
-                                 GroupElement(tau=tau_p, u=u_p))
+        return -cocycle_exponent(M_UNIT, GroupElement(v=v, theta=theta), GroupElement(tau=tau_p, u=u_p))
     return 0.0
 
 
@@ -746,7 +744,7 @@ def _scalar_point(name, args, c):
     g, h = poincare_from_galilei(*args[:4], c), poincare_from_galilei(*args[4:], c)
     left = contract_element(poincare_product(g, h))
     right = galilei_product(contract_element(g), contract_element(h))
-    return element_distance(left, right, GroupKind.EXTENDED), 0.0
+    return element_distance(left, right), 0.0
 
 
 FINE_GRID = tuple(1e2 * 2.0 ** k for k in range(14))  # --c-grid 1e2:1e6:logx2

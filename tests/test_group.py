@@ -18,7 +18,6 @@ from galilei21.group import (
     BLOCK_DOUBLES,
     IDENTITY,
     GroupElement,
-    GroupKind,
     _rotated,
     angle_distance,
     associativity_sides,
@@ -36,8 +35,6 @@ from galilei21.group import (
 )
 from scalar_sampler import random_element, random_params, random_rational_element
 
-EXT = GroupKind.EXTENDED
-COV = GroupKind.COVERING
 TOL = 1e-12
 
 
@@ -46,9 +43,9 @@ def test_identity_is_neutral():
     p = ExtensionParams(F(3), F(1), F(2))
     for _ in range(20):
         g = random_element(rng)
-        for kind, params in ((COV, p), (EXT, ExtensionParams(F(3), F(1), F(0)))):
-            assert element_distance(compose(kind, params, IDENTITY, g), g, kind) < TOL
-            assert element_distance(compose(kind, params, g, IDENTITY), g, kind) < TOL
+        for params in (p, ExtensionParams(F(3), F(1), F(0))):
+            assert element_distance(compose(params, IDENTITY, g), g) < TOL
+            assert element_distance(compose(params, g, IDENTITY), g) < TOL
 
 
 def test_zero_charges_twist_nothing():
@@ -56,8 +53,8 @@ def test_zero_charges_twist_nothing():
     p0 = ExtensionParams(0, 0, 0)
     for _ in range(50):
         g, h = random_element(rng), random_element(rng)
-        assert cocycle_exponent(COV, p0, g, h) == 0
-        assert element_distance(compose(COV, p0, g, h), galilei_product(g, h)) == 0
+        assert cocycle_exponent(p0, g, h) == 0
+        assert element_distance(compose(p0, g, h), galilei_product(g, h)) == 0
 
 
 def test_boost_against_time_translation():
@@ -65,7 +62,7 @@ def test_boost_against_time_translation():
     p = ExtensionParams(1, 1, 0)
     g = GroupElement(v=(1.0, 0.0))
     h = GroupElement(tau=1.0)
-    out = compose(EXT, p, g, h)
+    out = compose(p, g, h)
     assert out.phase == pytest.approx(-0.5, abs=1e-15)
     assert out.u == pytest.approx((1.0, 0.0))
     assert out.v == (1.0, 0.0)
@@ -76,14 +73,14 @@ def test_boost_charge_term_isolated():
     p = ExtensionParams(2, 0, 0)
     g = GroupElement(v=(1.0, 0.0))
     h = GroupElement(v=(0.0, 1.0))
-    assert cocycle_exponent(EXT, p, g, h) == pytest.approx(-1.0, abs=1e-15)
+    assert cocycle_exponent(p, g, h) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_rotation_time_charge_term_isolated():
     p = ExtensionParams(0, 0, 3)
     g = GroupElement(theta=math.pi)
     h = GroupElement(tau=2.0)
-    assert cocycle_exponent(COV, p, g, h) == pytest.approx(6 * math.pi, abs=1e-12)
+    assert cocycle_exponent(p, g, h) == pytest.approx(6 * math.pi, abs=1e-12)
 
 
 def test_cocycle_is_normalized():
@@ -91,28 +88,30 @@ def test_cocycle_is_normalized():
     p = ExtensionParams(F(1), F(2), F(3))
     for _ in range(20):
         g = random_element(rng)
-        assert cocycle_exponent(COV, p, g, IDENTITY) == 0
-        assert cocycle_exponent(COV, p, IDENTITY, g) == 0
+        assert cocycle_exponent(p, g, IDENTITY) == 0
+        assert cocycle_exponent(p, IDENTITY, g) == 0
 
 
-def test_extension_kind_rejects_l():
-    with pytest.raises(ValueError):
-        compose(EXT, ExtensionParams(0, 0, 1), IDENTITY, IDENTITY)
-    with pytest.raises(ValueError):
-        inverse(EXT, ExtensionParams(0, 0, 1), IDENTITY)
+def test_one_law_takes_l_and_compares_theta_on_the_line():
+    """The law takes l != 0 with no choice of group, and a whole turn is no identity:
+    at l != 0 it twists a time translation by 2 pi l tau', so theta is compared on the line."""
+    p = ExtensionParams(0, 0, 1)
+    assert compose(p, IDENTITY, IDENTITY) == IDENTITY and inverse(p, IDENTITY) == IDENTITY
+    assert compose(p, GroupElement(theta=2 * math.pi), GroupElement(tau=1.0)).phase == 2 * math.pi
+    assert element_distance(GroupElement(theta=0.0), GroupElement(theta=2 * math.pi)) == 2 * math.pi
 
 
 def test_inverse_round_trip():
     rng = random.Random(4)
     p = ExtensionParams(F(2), F(-1), F(1, 2))
-    assert inverse(COV, p, IDENTITY) == IDENTITY
+    assert inverse(p, IDENTITY) == IDENTITY
     rot = GroupElement(theta=0.7)
-    assert inverse(COV, p, rot) == GroupElement(theta=-0.7)
+    assert inverse(p, rot) == GroupElement(theta=-0.7)
     for _ in range(100):
         g = random_element(rng)
-        gi = inverse(COV, p, g)
-        assert element_distance(compose(COV, p, g, gi), IDENTITY) < TOL
-        assert element_distance(compose(COV, p, gi, g), IDENTITY) < TOL
+        gi = inverse(p, g)
+        assert element_distance(compose(p, g, gi), IDENTITY) < TOL
+        assert element_distance(compose(p, gi, g), IDENTITY) < TOL
 
 
 def test_inverse_exact_mode():
@@ -120,9 +119,9 @@ def test_inverse_exact_mode():
     p = ExtensionParams(F(2), F(-1), F(1, 2))
     for _ in range(50):
         g = random_rational_element(rng)
-        gi = inverse(COV, p, g)
-        assert compose(COV, p, g, gi) == IDENTITY
-        assert compose(COV, p, gi, g) == IDENTITY
+        gi = inverse(p, g)
+        assert compose(p, g, gi) == IDENTITY
+        assert compose(p, gi, g) == IDENTITY
 
 
 def test_associativity_float_mode():
@@ -132,8 +131,8 @@ def test_associativity_float_mode():
         p_ext = ExtensionParams(p.k, p.m, F(0))
         for _ in range(50):
             g, h, f = (random_element(rng) for _ in range(3))
-            assert element_distance(*associativity_sides(COV, p, g, h, f), COV) < TOL
-            assert element_distance(*associativity_sides(EXT, p_ext, g, h, f), EXT) < TOL
+            assert element_distance(*associativity_sides(p, g, h, f)) < TOL
+            assert element_distance(*associativity_sides(p_ext, g, h, f)) < TOL
 
 
 def test_associativity_exact_mode():
@@ -142,7 +141,7 @@ def test_associativity_exact_mode():
         p = random_params(rng)
         for _ in range(20):
             g, h, f = (random_rational_element(rng) for _ in range(3))
-            d = element_distance(*associativity_sides(COV, p, g, h, f), COV)
+            d = element_distance(*associativity_sides(p, g, h, f))
             assert d == 0 and not isinstance(d, float)
 
 
@@ -150,32 +149,22 @@ def test_corrupted_law_fails_associativity(monkeypatch):
     # dropping the rotation in front of u' breaks the cocycle identity
     p = ExtensionParams(0, 1, 0)
 
-    def bad_xi(kind, params, g, h, rotated=None):
+    def bad_xi(params, g, h, rotated=None):
         return -(g.v[0] ** 2 + g.v[1] ** 2) / 2 * h.tau - (
             g.v[0] * h.u[0] + g.v[1] * h.u[1]
         )
 
     monkeypatch.setattr(group_module, "cocycle_exponent", bad_xi)
     rng = random.Random(8)
-    defects = [element_distance(*associativity_sides(COV, p, *(random_element(rng) for _ in range(3))))
+    defects = [element_distance(*associativity_sides(p, *(random_element(rng) for _ in range(3))))
                for _ in range(50)]
     assert all(math.isfinite(d) for d in defects)
     assert worst_defect(defects, 0.0) > 0.05
 
 
-def test_covering_matches_extension_when_l_vanishes():
-    rng = random.Random(9)
-    p = ExtensionParams(F(3, 2), F(-2), F(0))
-    for _ in range(100):
-        g, h = random_element(rng), random_element(rng)
-        a = compose(COV, p, g, h)
-        b = compose(EXT, p, g, h)
-        assert element_distance(a, b, EXT) < TOL
-
-
 def _shifted_sides(params, zeta):
-    """The sides (gh)f and g(hf) under the covering law shifted by zeta's coboundary."""
-    twist = lambda a, b: compose(COV, params, a, b, zeta)
+    """The sides (gh)f and g(hf) under the law shifted by zeta's coboundary."""
+    twist = lambda a, b: compose(params, a, b, zeta)
     return lambda g, h, f: (twist(twist(g, h), f), twist(g, twist(h, f)))
 
 
@@ -184,7 +173,7 @@ def test_zero_coboundary_keeps_xi():
     rng = random.Random(10)
     for _ in range(20):
         g, h = random_element(rng), random_element(rng)
-        assert compose(EXT, p, g, h, lambda g: 0) == compose(EXT, p, g, h)
+        assert compose(p, g, h, lambda g: 0) == compose(p, g, h)
 
 
 def test_additive_zeta_has_zero_coboundary():
@@ -192,7 +181,7 @@ def test_additive_zeta_has_zero_coboundary():
     rng = random.Random(11)
     for _ in range(20):
         g, h = random_element(rng), random_element(rng)
-        shifted = compose(COV, p0, g, h, lambda g: 5.0 * g.tau)
+        shifted = compose(p0, g, h, lambda g: 5.0 * g.tau)
         assert shifted.phase == pytest.approx(galilei_product(g, h).phase, abs=1e-14)
 
 
@@ -245,7 +234,7 @@ def test_charge_removal_is_homomorphism_float():
     phi = lambda g: eliminate_k_map(p_k, g)
     for _ in range(200):
         g, h = random_element(rng), random_element(rng)
-        assert element_distance(*homomorphism_sides(EXT, p_k, p_0, phi, g, h), EXT) < TOL
+        assert element_distance(*homomorphism_sides(p_k, p_0, phi, g, h)) < TOL
 
 
 def test_charge_removal_is_homomorphism_exact():
@@ -257,7 +246,7 @@ def test_charge_removal_is_homomorphism_exact():
         phi = lambda g: eliminate_k_map(p_k, g)
         for _ in range(20):
             g, h = random_rational_element(rng), random_rational_element(rng)
-            d = element_distance(*homomorphism_sides(EXT, p_k, p_0, phi, g, h), EXT)
+            d = element_distance(*homomorphism_sides(p_k, p_0, phi, g, h))
             assert d == 0 and not isinstance(d, float)
 
 
@@ -275,7 +264,7 @@ def test_charge_removal_wrong_sign_fails():
 
     rng = random.Random(16)
     defects = [
-        element_distance(*homomorphism_sides(EXT, p_k, p_0, bad, random_element(rng), random_element(rng)), EXT)
+        element_distance(*homomorphism_sides(p_k, p_0, bad, random_element(rng), random_element(rng)))
         for _ in range(100)
     ]
     assert all(math.isfinite(d) for d in defects)
@@ -288,7 +277,7 @@ def test_identity_map_between_equal_charges():
     rng = random.Random(17)
     for _ in range(20):
         g, h = random_element(rng), random_element(rng)
-        assert element_distance(*homomorphism_sides(EXT, p, p, lambda x: x, g, h), EXT) == 0
+        assert element_distance(*homomorphism_sides(p, p, lambda x: x, g, h)) == 0
 
 
 def test_worst_defect_fails_closed():
@@ -330,10 +319,9 @@ def test_nan_time_translation_fails_associativity():
     rng = random.Random(18)
     g, h, f = (random_element(rng) for _ in range(3))
     g = GroupElement(phase=g.phase, tau=math.nan, u=g.u, v=g.v, theta=g.theta)
-    for kind in (COV, EXT):
-        d = element_distance(*associativity_sides(kind, p, g, h, f), kind)
-        assert math.isnan(d)
-        assert not d < TOL
+    d = element_distance(*associativity_sides(p, g, h, f))
+    assert math.isnan(d)
+    assert not d < TOL
 
 
 @pytest.mark.parametrize("field", ["tau", "theta"])
@@ -348,15 +336,14 @@ def test_non_finite_input_gives_nan_on_scalars_as_on_arrays(field, value):
         float(e.phase[i]), float(e.tau[i]), (float(e.u[0][i]), float(e.u[1][i])),
         (float(e.v[0][i]), float(e.v[1][i])), float(e.theta[i]),
     )
-    for kind in (COV, EXT):
-        with np.errstate(all="ignore"):
-            batched = element_distance(*associativity_sides(kind, p, g, h, f), kind)
-        assert batched[0] < TOL and math.isnan(batched[1])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            defect = lambda i: element_distance(*associativity_sides(kind, p, at(g, i), at(h, i), at(f, i)), kind)
-            assert defect(0) == batched[0]
-            assert math.isnan(defect(1))
+    with np.errstate(all="ignore"):
+        batched = element_distance(*associativity_sides(p, g, h, f))
+    assert batched[0] < TOL and math.isnan(batched[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        defect = lambda i: element_distance(*associativity_sides(p, at(g, i), at(h, i), at(f, i)))
+        assert defect(0) == batched[0]
+        assert math.isnan(defect(1))
 
 
 def test_angle_distance_folds():
@@ -405,10 +392,10 @@ def test_a_product_computes_each_factors_rotation_once(monkeypatch):
     monkeypatch.setattr(group_module, "_cos_sin", lambda theta: calls.append(theta) or real(theta))
     p = ExtensionParams(F(3), F(1), F(2))
     g, h, f = random_elements(random.Random(22), 50, 3)
-    element_distance(*associativity_sides(COV, p, g, h, f), COV)
+    element_distance(*associativity_sides(p, g, h, f))
     assert len(calls) == 3  # g, h and gh; the right factors f and hf are never rotated by
     calls.clear()
-    inverse(COV, p, g)  # g's own rotation is kept: only -theta is computed, once for both vectors
+    inverse(p, g)  # g's own rotation is kept: only -theta is computed, once for both vectors
     assert len(calls) == 1 and calls[0].tobytes() == (-g.theta).tobytes()
     # a product rotates h's u and v once and hands them to its phase and its
     # coordinates; a coboundary-shifted product rotates no more
@@ -416,8 +403,8 @@ def test_a_product_computes_each_factors_rotation_once(monkeypatch):
     real_rotated = group_module._rotated
     monkeypatch.setattr(group_module, "_rotated", lambda cs, vec: rotated.append(vec) or real_rotated(cs, vec))
     counts = []
-    for product in (lambda: compose(COV, p, g, h), lambda: compose(COV, p, g, h, _zeta),
-                    lambda: associativity_sides(COV, p, g, h, f)):
+    for product in (lambda: compose(p, g, h), lambda: compose(p, g, h, _zeta),
+                    lambda: associativity_sides(p, g, h, f)):
         rotated.clear()
         product()
         counts.append(len(rotated))
@@ -433,8 +420,8 @@ def test_shifted_product_is_the_twisted_law_of_the_shifted_exponent_bit_for_bit(
     g, h = random_elements(random.Random(24), 300, 2)
     for a, b in ((g, h), (h, g), (g, g)):
         gh = galilei_product(a, b)
-        phase = a.phase + b.phase + (cocycle_exponent(COV, p, a, b) + _zeta(gh) - _zeta(a) - _zeta(b))
-        fast, twisted = compose(COV, p, a, b, _zeta), GroupElement(phase, gh.tau, gh.u, gh.v, gh.theta)
+        phase = a.phase + b.phase + (cocycle_exponent(p, a, b) + _zeta(gh) - _zeta(a) - _zeta(b))
+        fast, twisted = compose(p, a, b, _zeta), GroupElement(phase, gh.tau, gh.u, gh.v, gh.theta)
         for field in ("phase", "tau", "u", "v", "theta"):
             assert _bits(getattr(fast, field)) == _bits(getattr(twisted, field)), field
 
@@ -452,11 +439,11 @@ def test_pure_subgroup_composition_is_plain(tau, ux, vy, theta):
         GroupElement(u=(ux, 0.0)),
         GroupElement(theta=theta),
     ):
-        out = compose(COV, p, g, g)
+        out = compose(p, g, g)
         assert out.phase == 0
     # boosts against boosts only see the k term
     b1, b2 = GroupElement(v=(0.0, vy)), GroupElement(v=(0.0, vy))
-    assert cocycle_exponent(COV, p, b1, b2) == 0  # parallel boosts
+    assert cocycle_exponent(p, b1, b2) == 0  # parallel boosts
 
 
 # One charge set per cocycle regime: l = 0, l != 0 (covering only), m = 0.
@@ -530,9 +517,8 @@ def test_batched_defects_fail_closed_per_sample():
     tau = np.array([0.5, math.nan, math.inf, -math.inf])
     g = GroupElement(phase=g.phase, tau=tau, u=g.u, v=g.v, theta=g.theta)
     with np.errstate(all="ignore"):
-        for kind in (COV, EXT):
-            d = element_distance(*associativity_sides(kind, p, g, h, f), kind)
-            assert d[0] < TOL and np.isnan(d[1:]).all()
+        d = element_distance(*associativity_sides(p, g, h, f))
+        assert d[0] < TOL and np.isnan(d[1:]).all()
     worst = worst_per_sample((np.array([0.0, 1.0, math.inf]), np.array([2.0, math.nan, 0.0])), 0.0)
     assert worst[0] == 2.0 and np.isnan(worst[1:]).all()
     assert math.isnan(worst_per_sample((1.0, -math.inf), 0.0))  # scalars: worst_defect
@@ -543,14 +529,14 @@ def test_one_law_for_exact_scalars_and_arrays():
     p = ExtensionParams(F(1, 2), F(3), F(0))
     rng = random.Random(20)
     g, h, f = (random_rational_element(rng) for _ in range(3))
-    d = element_distance(*associativity_sides(COV, p, g, h, f), COV)
+    d = element_distance(*associativity_sides(p, g, h, f))
     assert d == 0 and isinstance(d, F)
-    assert isinstance(cocycle_exponent(COV, p, g, h), F)
+    assert isinstance(cocycle_exponent(p, g, h), F)
     # an array element composed with the scalar identity stays float64
     (a,) = random_elements(random.Random(21), 5)
-    out = compose(COV, p, IDENTITY, a)
+    out = compose(p, IDENTITY, a)
     assert all(x.dtype == np.float64 for x in (out.phase, out.tau, *out.u, *out.v, out.theta))
-    assert (element_distance(compose(COV, p, a, IDENTITY), a) < TOL).all()
+    assert (element_distance(compose(p, a, IDENTITY), a) < TOL).all()
 
 
 def _at(x, values):
@@ -577,7 +563,7 @@ def test_symbolic_law_evaluates_to_the_exact_law():
     for params in REGIMES:
         values = {n: F(rng.randint(-9, 9), rng.randint(1, 9)) for row in names for n in row}
         exact = [_exact_element([values[n] for n in row]) for row in names]
-        laws = [lambda g, h: compose(COV, params, g, h)]
+        laws = [lambda g, h: compose(params, g, h)]
         if params.m != 0:
             laws.append(lambda g, h: eliminate_k_map(params, g))
         for law in laws:
@@ -645,11 +631,11 @@ def _flipped_k_map(m):
 def _extra_k_phase_term(m):
     original = group_module.cocycle_exponent
 
-    def xi(kind, p, g, h, rotated=None):
+    def xi(p, g, h, rotated=None):
         # + k (v x u'), whose coboundary at (g, h, f) is -k tau_f (v_g x v_h), not zero;
         # a float k on numpy arrays of samples, as the law's own terms take it
         k = float(p.k) if isinstance(g.v[0], np.ndarray) else p.k
-        return original(kind, p, g, h, rotated) + k * cross(g.v, h.u)
+        return original(p, g, h, rotated) + k * cross(g.v, h.u)
 
     m.setattr(group_module, "cocycle_exponent", xi)
 
