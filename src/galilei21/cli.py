@@ -488,9 +488,8 @@ class _Parser:
         return types.SimpleNamespace(command=command, **{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
-@functools.cache
 def build_parser() -> _Parser:
-    """The command-line parser, built once per process (parsing leaves it unchanged)."""
+    """The command-line parser; it keeps no state, so parsing leaves it unchanged."""
     return _Parser()
 
 

@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ExtensionParams
-from .group import (GroupElement, _random_integers, _rotated_factor, cocycle_exponent, element_distance,
-                    galilei_product)
+from .group import GroupElement, _random_integers, _rotated_factor, cocycle_exponent, compose, element_distance
 
 
 def _read_only(x) -> np.ndarray:
@@ -400,8 +399,8 @@ def diagram_experiment(data_g, data_h) -> LimitExperiment:
     data_g and data_h are (tau, u, v, theta) tuples, each entry holding
     one value per sample or one sample's value.  The error is the largest
     component distance (`element_distance`) between contract(g h) and
-    the Galilei product of the contractions; there is no trivializing
-    function in play, so zeta_magnitude is 0.
+    the Galilei product of the contractions, `compose` at zero charges;
+    there is no trivializing function in play, so zeta_magnitude is 0.
     """
     data_g, data_h = ((_samples(tau), _samples(u, 2), _samples(v, 2), _samples(theta))
                       for tau, u, v, theta in (data_g, data_h))
@@ -409,7 +408,7 @@ def diagram_experiment(data_g, data_h) -> LimitExperiment:
     def evaluate(c):
         g, h = (poincare_from_galilei(*data, c) for data in (data_g, data_h))
         left = contract_element(poincare_product(g, h))
-        right = galilei_product(contract_element(g), contract_element(h))
+        right = compose(ExtensionParams(0, 0, 0), contract_element(g), contract_element(h))
         errors = element_distance(left, right)
         return errors, np.zeros(errors.shape)
 

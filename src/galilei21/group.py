@@ -25,7 +25,8 @@ with the phase increment
 
     xi = -m (v^2/2 tau' + v . R(theta) u') - (k/2) (v x R(theta) v') + l theta tau',
 
-whose last term is added only at l != 0.
+each of whose three terms is added only where its charge is nonzero: at
+(k, m, l) = (0, 0, 0) the law adds an exact 0 and is the untwisted product.
 
 Everything is written so that elements with theta = 0 and Fraction
 components compose in exact rational arithmetic; with float components
@@ -126,16 +127,19 @@ def _rotated_factor(g: GroupElement, h: GroupElement) -> tuple:
 
 
 def cocycle_exponent(params: ExtensionParams, g: GroupElement, h: GroupElement, rotated=None):
-    """Phase increment xi(g, h) of the product beyond phase_g + phase_h;
-    `rotated` is `_rotated_factor(g, h)` when the caller has it."""
+    """Phase increment xi(g, h) beyond phase_g + phase_h; `rotated` is `_rotated_factor(g, h)`
+    when the caller has it.  Each charge's term is formed only at a nonzero charge (a `Poly` is
+    nonzero), so at (0, 0, 0) xi is an exact `0`, also for array components: callers broadcast it."""
     ru, rv = _rotated_factor(g, h) if rotated is None else rotated
     m, half_k, l, half = params.m, params.k * HALF, params.l, HALF
     if _batched(*g.v, g.theta, h.tau, *ru, *rv):
         # Fraction * float is float(q) * x, so floats give the scalar
         # law's values and keep Fractions out of numpy object arrays
         m, half_k, l, half = float(m), float(half_k), float(l), float(half)
-    xi = -m * (dot(g.v, g.v) * half * h.tau + dot(g.v, ru)) - half_k * cross(g.v, rv)
-    if params.l != 0:  # at l = 0 no +-0 theta tau' is added, so floats are the l-free law's
+    xi = -m * (dot(g.v, g.v) * half * h.tau + dot(g.v, ru)) if params.m != 0 else 0
+    if params.k != 0:
+        xi = xi - half_k * cross(g.v, rv)
+    if params.l != 0:
         xi = xi + l * g.theta * h.tau
     return xi
 
@@ -159,11 +163,6 @@ def compose(params: ExtensionParams, g: GroupElement, h: GroupElement,
         return _base_product(g, h, rotated, g.phase + h.phase + xi)
     gh = _base_product(g, h, rotated, g.phase + h.phase)
     return GroupElement(gh.phase + (xi + zeta(gh) - zeta(g) - zeta(h)), gh.tau, gh.u, gh.v, gh.theta)
-
-
-def galilei_product(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Underlying product with no phase twist (phase components still add)."""
-    return _base_product(g, h, _rotated_factor(g, h), g.phase + h.phase)
 
 
 def inverse(params: ExtensionParams, g: GroupElement) -> GroupElement:

@@ -26,7 +26,6 @@ from galilei21.group import (
     cross,
     element_distance,
     eliminate_k_map,
-    galilei_product,
     homomorphism_sides,
     identity_certified,
     inverse,
@@ -52,9 +51,31 @@ def test_zero_charges_twist_nothing():
     rng = random.Random(2)
     p0 = ExtensionParams(0, 0, 0)
     for _ in range(50):
-        g, h = random_element(rng), random_element(rng)
-        assert cocycle_exponent(p0, g, h) == 0
-        assert element_distance(compose(p0, g, h), galilei_product(g, h)) == 0
+        assert cocycle_exponent(p0, random_element(rng), random_element(rng)) == 0
+    g, h = random_elements(random.Random(2), 300, 2)
+    xi = cocycle_exponent(p0, g, h)
+    assert type(xi) is int and xi == 0  # an exact 0, broadcast by the caller
+    # the untwisted product, written out: phases add, and h's u and v turn by g's angle
+    c, s = np.cos(g.theta), np.sin(g.theta)
+    ru, rv = ((c * w[0] + s * w[1], c * w[1] - s * w[0]) for w in (h.u, h.v))
+    untwisted = GroupElement(g.phase + h.phase, g.tau + h.tau,
+                             (ru[0] + g.v[0] * h.tau + g.u[0], ru[1] + g.v[1] * h.tau + g.u[1]),
+                             (rv[0] + g.v[0], rv[1] + g.v[1]), g.theta + h.theta)
+    gh = compose(p0, g, h)
+    for field in ("phase", "tau", "u", "v", "theta"):
+        assert _bits(getattr(gh, field)) == _bits(getattr(untwisted, field)), field
+
+
+@pytest.mark.parametrize("charges, formula", [((F(3, 2), 0, F(-2)), "dot"), ((0, F(-5, 4), F(-2)), "cross")])
+def test_a_zero_charge_forms_no_term(monkeypatch, charges, formula):
+    # at m = 0 the law forms no v . v or v . R u' (dot), at k = 0 no v x R v' (cross)
+    def refused(a, b):
+        raise AssertionError(f"{formula} formed at charges {charges}")
+
+    g, h = random_elements(random.Random(3), 300, 2)
+    expected = cocycle_exponent(ExtensionParams(*charges), g, h)
+    monkeypatch.setattr(group_module, formula, refused)
+    assert _bits(cocycle_exponent(ExtensionParams(*charges), g, h)) == _bits(expected)
 
 
 def test_boost_against_time_translation():
@@ -182,7 +203,7 @@ def test_additive_zeta_has_zero_coboundary():
     for _ in range(20):
         g, h = random_element(rng), random_element(rng)
         shifted = compose(p0, g, h, lambda g: 5.0 * g.tau)
-        assert shifted.phase == pytest.approx(galilei_product(g, h).phase, abs=1e-14)
+        assert shifted.phase == pytest.approx(g.phase + h.phase, abs=1e-14)
 
 
 def test_coboundary_of_anything_is_a_cocycle():
@@ -419,7 +440,7 @@ def test_shifted_product_is_the_twisted_law_of_the_shifted_exponent_bit_for_bit(
     p = ExtensionParams(F(-5, 3), F(-5, 4), F(7, 2))
     g, h = random_elements(random.Random(24), 300, 2)
     for a, b in ((g, h), (h, g), (g, g)):
-        gh = galilei_product(a, b)
+        gh = compose(ExtensionParams(0, 0, 0), a, b)
         phase = a.phase + b.phase + (cocycle_exponent(p, a, b) + _zeta(gh) - _zeta(a) - _zeta(b))
         fast, twisted = compose(p, a, b, _zeta), GroupElement(phase, gh.tau, gh.u, gh.v, gh.theta)
         for field in ("phase", "tau", "u", "v", "theta"):
