@@ -158,22 +158,12 @@ def _skip(name: str, note: str) -> dict:
 
 def cmd_verify_algebra(opts) -> tuple:
     params = ExtensionParams(opts.k, opts.m, opts.l)
-    alg = algebra.make_galilei_algebra(params)
-    # Each Jacobi and k-removal row reads its check's certificate, proved once per
-    # process for every charge set; only when that fails does the row run the same
-    # check at the given charges.  The *_random_charges rows claim every charge set,
-    # so they report the certificate itself.
-    jacobi_ok, removal_ok = _certified("jacobi"), _certified("k_removal")
-    anti = algebra.antisymmetry_defect(alg)
-    jac = Fraction(0) if jacobi_ok else algebra.jacobi_defect(alg)
-    checks = [_check("antisymmetry", anti, anti == 0), _check("jacobi", jac, jac == 0),
-              _holds("jacobi_random_charges", jacobi_ok)]
-    if params.m == 0:
-        checks.append(_skip("k_removal", "m=0: hypothesis violated; skipped"))
-    else:
-        checks.append(_holds("k_removal", removal_ok or algebra.removes_k(params)))
-    checks.append(_holds("k_removal_random_charges", removal_ok))
-    return checks, None
+    anti = algebra.antisymmetry_defect(algebra.make_galilei_algebra(params))
+    # the *_random_charges rows claim every charge set, so they report the certificate itself
+    return [_check("antisymmetry", anti, anti == 0), _exact("jacobi", params),
+            _holds("jacobi_random_charges", _certified("jacobi")),
+            _exact("k_removal", params) if params.m else _skip("k_removal", "m=0: hypothesis violated; skipped"),
+            _holds("k_removal_random_charges", _certified("k_removal"))], None
 
 
 def cmd_casimir(opts) -> tuple:
@@ -197,17 +187,12 @@ def cmd_casimir(opts) -> tuple:
     for name in names:
         defect = worst_defect((abs(c) for com in brackets[name] for c in com.values()), Fraction(0))
         expected = candidates[name] in table
-        checks.append(
-            _check(
-                f"central[{name}]", defect, (defect == 0) == expected,
-                note=f"expected {'central' if expected else 'non-central'}",
-            )
-        )
+        checks.append(_check(f"central[{name}]", defect, (defect == 0) == expected,
+                             note=f"expected {'central' if expected else 'non-central'}"))
     if params.m != 0:
-        # the commutator of the rotation generator with the internal energy
-        # measures the time-rotation charge exactly
-        ok = brackets["internal_energy"][enveloping.M] == params.l  # a rational is a constant NOPoly
-        checks.append(_holds("energy_defect_equals_l", ok))
+        # the internal energy commutes with every generator but M, and [M, it] is the
+        # time-rotation charge l, exactly (a rational is a constant NOPoly)
+        checks.append(_holds("energy_defect_equals_l", brackets["internal_energy"] == (0, 0, 0, 0, 0, params.l)))
 
     # the table's products are a basis of the degree <= d centralizer when they
     # are central (each entry is), independent, and the centralizer's dimension
@@ -231,30 +216,30 @@ def _zeta(g):
     return 0.37 * g.v[0] * g.u[0] - 0.11 * g.tau * g.theta + 0.2 * g.v[1] * g.v[1]
 
 
+def _sides(params: ExtensionParams) -> dict:
+    """{exact row: (its identity's two sides, their arity)}, at charges and of elements that may be `Poly`s."""
+    _numeric()
+    p_k, p_0 = ExtensionParams(params.k, params.m, 0), ExtensionParams(0, params.m, 0)
+    phi = lambda g: group.eliminate_k_map(p_k, g)
+    return {"associativity_exact_mode": (lambda g, h, f: group.associativity_sides(params, g, h, f), 3),
+            "k_removal_homomorphism_exact": (lambda g, h: group.homomorphism_sides(p_k, p_0, phi, g, h), 2)}
+
+
 def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
     """The group suite: (name, skip note, samples, elements per sample, law, bound).
 
-    A bound of None marks an exact row: it takes no samples (None), and its law
-    gives the two sides of an identity, which `group.identity_certified` proves
-    as polynomials.  The charges may be `Poly`s, as `_certified` passes them.
-    The other rows' laws are defects: they take float elements, or numpy arrays
-    of samples, and return a float or an array.  An identity's float row is the
-    `element_distance` of the same two sides that its exact row certifies.
-    The extension of the Galilei group itself is the one law at l = 0, so there
-    `associativity_extended` samples that law again on fresh draws.
+    An exact row carries only its name (`_exact` reports it).  A float row's law is
+    a defect of float elements, or of numpy arrays of samples; an identity's is the
+    `element_distance` of its `_sides`.  At l = 0 the extension of the Galilei group
+    itself is the one law, so `associativity_extended` samples it again on fresh draws.
     """
-    _numeric()
-    assoc = lambda g, h, f: group.associativity_sides(params, g, h, f)
+    (assoc, _), (hom, _) = _sides(params).values()
     distance = lambda sides: lambda *gs: group.element_distance(*sides(*gs))
 
     def round_trip(g):
         gi = group.inverse(params, g)
         to_identity = lambda a, b: group.element_distance(group.compose(params, a, b), group.IDENTITY)
         return group.worst_per_sample((to_identity(g, gi), to_identity(gi, g)), 0.0)
-
-    p_k, p_0 = ExtensionParams(params.k, params.m, 0), ExtensionParams(0, params.m, 0)
-    phi = lambda g: group.eliminate_k_map(p_k, g)
-    hom = lambda g, h: group.homomorphism_sides(p_k, p_0, phi, g, h)
 
     twist = lambda g, h: group.compose(params, g, h, _zeta)
     coboundary = lambda g, h, f: group.element_distance(twist(twist(g, h), f), twist(g, twist(h, f)))
@@ -264,33 +249,47 @@ def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
     rows = [
         ("associativity_covering", None, n, 3, distance(assoc), tol),
         ("associativity_extended", l_note, n, 3, distance(assoc), tol),
-        ("associativity_exact_mode", None, None, 3, assoc, None),
+        ("associativity_exact_mode", None, None, None, None, None),
         ("inverse_round_trip", None, min(n, 200), 1, round_trip, tol),
         ("k_removal_homomorphism", m_note, n, 2, distance(hom), tol),
     ]
     if params.m != 0:
-        rows.append(("k_removal_homomorphism_exact", None, None, 2, hom, None))
+        rows.append(("k_removal_homomorphism_exact", None, None, None, None, None))
     rows.append(("coboundary_invariance", None, min(n, 300), 3, coboundary, 10 * tol))
     return rows
 
 
+def _identity(row: str, params: ExtensionParams) -> bool:
+    """A group identity's claim: its two sides agree as polynomials."""
+    sides, arity = _sides(params)[row]  # imports group
+    return group.identity_certified(sides, arity)
+
+
+# Each exact row's claim at given charges; it looks up its layer's functions when it runs
+_CLAIMS = {
+    "jacobi": lambda params: not any(algebra.jacobi_entries(algebra.make_galilei_algebra(params))),
+    "k_removal": lambda params: algebra.removes_k(params),
+    "associativity_exact_mode": functools.partial(_identity, "associativity_exact_mode"),
+    "k_removal_homomorphism_exact": functools.partial(_identity, "k_removal_homomorphism_exact"),
+}
+
+
 @functools.cache
 def _certified(row: str) -> bool:
-    """True when the exact row named `row` holds at every charge set: the row's own
-    check, run once per process, on first use, at the symbolic charges (2ms, m, l).
+    """True when the exact row named `row` holds at every charge set: its claim,
+    run once per process, on first use, at the symbolic charges (2ms, m, l).
 
     Equality there is an identity in m, l and s (and the group rows' coordinates).
-    It proves the check wherever m != 0, at s = k/(2m), and at m = 0 too for a row
+    It proves the claim wherever m != 0, at s = k/(2m), and at m = 0 too for a row
     that does not divide by m, as a polynomial in k that vanishes at k = 2ms is zero.
     """
     m, l, s = (Poly.symbol(name) for name in ("m", "l", "s"))
-    charges = ExtensionParams(2 * m * s, m, l)
-    if row == "jacobi":
-        return not any(algebra.jacobi_entries(algebra.make_galilei_algebra(charges)))
-    if row == "k_removal":
-        return algebra.removes_k(charges)
-    ((_, _, _, arity, sides, _),) = (r for r in _group_rows(charges, 1, 0.0) if r[0] == row)
-    return group.identity_certified(sides, arity)
+    return _CLAIMS[row](ExtensionParams(2 * m * s, m, l))
+
+
+def _exact(row: str, params: ExtensionParams) -> dict:
+    """An exact row: its certificate, else its claim at the given charges."""
+    return _holds(row, _certified(row) or _CLAIMS[row](params))
 
 
 def cmd_group(opts) -> tuple:
@@ -305,12 +304,11 @@ def cmd_group(opts) -> tuple:
         except OverflowError:
             raise ValueError(f"{name} is too large for a float") from None
     checks = []
-    rows = _group_rows(params, opts.samples, opts.tolerance)
-    for name, note, count, arity, law, bound in rows:
+    for name, note, count, arity, law, bound in _group_rows(params, opts.samples, opts.tolerance):
         if note:
             checks.append(_skip(name, note))
-        elif bound is None:  # exact: certified once per process, else proved at these charges
-            checks.append(_holds(name, _certified(name) or group.identity_certified(law, arity)))
+        elif bound is None:
+            checks.append(_exact(name, params))
         else:  # float elements, every sample in one call on numpy arrays
             with np.errstate(all="ignore"):  # a NaN or inf fails the row, silently as floats do
                 defects = law(*group.random_elements(rng, count, arity))

@@ -785,8 +785,9 @@ def _sampled_rows(argv) -> tuple:
         if note:
             continue
         if bound is None:
+            sides, arity = cli._sides(params)[name]
             draw = lambda: [random_rational_element(exact_rng) for _ in range(arity)]
-            defects[name] = [group.element_distance(*law(*draw())) for _ in range(opts.samples)]
+            defects[name] = [group.element_distance(*sides(*draw())) for _ in range(opts.samples)]
         else:
             worst[name] = algebra.worst_defect(law(*group.random_elements(rng, count, arity)).tolist(), 0.0)
     return defects, worst
@@ -809,6 +810,27 @@ def test_certified_reports_equal_sampled_reports(tmp_path, monkeypatch):
         assert {name: rows[name] for name in sampled} == dict.fromkeys(sampled, "0")
         # the float rows read one stream, in row order: an exact row draws nothing
         assert {name: rows[name] for name in worst} == worst
+
+
+CLAIM_REGIMES = [("--k=1/2", "--m=2", "--l=-3"), ("--k=-3/2", "--m=5/3", "--l=0"), ("--k=2", "--m=0", "--l=0"),
+                 ("--k=5/2", "--m=0", "--l=-3")]
+
+
+def test_the_claim_table_names_every_exact_row_the_commands_emit(tmp_path, monkeypatch):
+    """Each row of `cli._CLAIMS` that a report emits goes through `cli._exact`, in
+    every regime of both commands, and together those rows are the table's keys."""
+    reported, real = [], cli._exact
+    monkeypatch.setattr(cli, "_exact", lambda row, params: reported.append(row) or real(row, params))
+    emitted = set()
+    for command in ("verify-algebra", "group"):
+        for charges in CLAIM_REGIMES:
+            reported.clear()
+            out = tmp_path / "report.json"
+            assert main([command, *charges, "--samples=20", "--format=json", f"--out={out}"]) == 0
+            names = [c["name"] for c in json.loads(out.read_text())["checks"] if c["defect"] is not None]
+            assert reported == [name for name in names if name in cli._CLAIMS], (command, charges)
+            emitted.update(reported)
+    assert emitted == set(cli._CLAIMS)
 
 
 @pytest.mark.parametrize("argv, rows, builds", [

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import galilei21.cli as cli_module
 import galilei21.group as group_module
 from galilei21.algebra import ExtensionParams, Poly, worst_defect
-from galilei21.cli import _certified, _group_rows, _zeta, main
+from galilei21.cli import _CLAIMS, _certified, _group_rows, _sides, _zeta, main
 from galilei21.group import (
     BLOCK_DOUBLES,
     IDENTITY,
@@ -598,9 +598,11 @@ def test_exact_rows_are_certified_and_take_no_samples(params):
     assert [row[0] for row in exact] == ["associativity_exact_mode"] + (
         ["k_removal_homomorphism_exact"] if params.m != 0 else [])
     rng = random.Random(7)
-    for name, _, count, arity, sides, _ in exact:
+    for name, note, count, arity, law, bound in exact:
         assert count is None, name  # an exact row takes no samples
-        assert identity_certified(sides, arity), name  # at this charge set too
+        assert (note, arity, law, bound) == (None,) * 4, name  # only its name: the claim table has the rest
+        sides, arity = _sides(params)[name]
+        assert identity_certified(sides, arity) and _CLAIMS[name](params), name  # at this charge set too
         assert _certified(name), name
         for _ in range(60):  # the sampled check the certificate stands for
             d = element_distance(*sides(*(random_rational_element(rng) for _ in range(arity))))

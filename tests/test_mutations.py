@@ -8,14 +8,13 @@ the named rows must fail.  `cli._certified` keeps one certificate per exact row
 and process, so it is cleared before and after each run: a certificate of the
 intact law would hide a mutation, and one of a mutated law would outlive it.
 
-Four blind spots show here.  A reversed rotation sign is a group law too (theta
+Three blind spots show here.  A reversed rotation sign is a group law too (theta
 read as -theta), so no `group` row sees it; only the `contract` slopes of `mass`
 and `diagram`, whose Poincare side keeps the true rotation, do.  The l theta
 tau' term has no entry: with it zeroed every `group` report still passes, since
-no row yet pairs a whole turn with a time translation.  A dropped [M, H] = l is
-seen only by `casimir` at m != 0: no `verify-algebra` row and no m = 0 `casimir`
-row fails (measured at --k=5/2 --m=0 --l=-3).  And a wrong P1^2, P2^2 coefficient
-of `internal_energy` is seen only at l = 0, where that candidate is central.
+no row yet pairs a whole turn with a time translation.  And a dropped [M, H] = l
+is seen only by `casimir` at m != 0: no `verify-algebra` row and no m = 0
+`casimir` row fails (measured at --k=5/2 --m=0 --l=-3).
 """
 
 import importlib
@@ -34,6 +33,11 @@ _k_change, _algebra, _energy = algebra.eliminate_k_change, algebra.make_galilei_
 def _reversed_rotation(cs, vec):
     """`_rotated` by R(-theta): sin theta's sign flipped."""
     return _rotated(None if cs is None else (cs[0], -cs[1]), vec)
+
+
+def _doubled_momentum_coefficient(p):
+    """`internal_energy` at m/2: the P1^2 and P2^2 coefficient -1/(2m) doubled."""
+    return _energy(ExtensionParams(p.k, p.m / 2, p.l))
 
 
 GROUP = ["group", "--k=3/2", "--m=-5/4", "--samples=200"]
@@ -59,9 +63,11 @@ MUTATIONS = {
     "m_h_bracket": ("algebra.make_galilei_algebra", lambda p: _algebra(ExtensionParams(p.k, p.m, 0)),
                     [*CASIMIR, "--l=1/3"],
                     {"central[internal_angular_momentum]", "central[internal_energy]", "energy_defect_equals_l"}),
-    # internal_energy at m/2: the P1^2 and P2^2 coefficient -1/(2m) doubled
-    "energy_coefficient": ("enveloping.internal_energy", lambda p: _energy(ExtensionParams(p.k, p.m / 2, p.l)),
-                           [*CASIMIR, "--l=0"], {"central[internal_energy]", "centralizer_dimension"}),
+    "energy_coefficient": ("enveloping.internal_energy", _doubled_momentum_coefficient, [*CASIMIR, "--l=0"],
+                           {"central[internal_energy]", "centralizer_dimension", "energy_defect_equals_l"}),
+    # at l != 0 the candidate is not central either way: only its brackets' values tell
+    "energy_coefficient[l!=0]": ("enveloping.internal_energy", _doubled_momentum_coefficient, [*CASIMIR, "--l=1/3"],
+                                 {"energy_defect_equals_l"}),
     "wigner_sign[thomas]": ("contraction._wigner_angle", MUTANTS["wigner"][1], [*CONTRACT, "--experiment=thomas"],
                             SLOPES | LIMITS),
     "mass_coboundary[mass]": ("contraction.mass_cocycle_exponent", MUTANTS["mass"][1],
