@@ -225,40 +225,6 @@ def _sides(params: ExtensionParams) -> dict:
             "k_removal_homomorphism_exact": (lambda g, h: group.homomorphism_sides(p_k, p_0, phi, g, h), 2)}
 
 
-def _group_rows(params: ExtensionParams, n: int, tol: float) -> list:
-    """The group suite: (name, skip note, samples, elements per sample, law, bound).
-
-    An exact row carries only its name (`_exact` reports it).  A float row's law is
-    a defect of float elements, or of numpy arrays of samples; an identity's is the
-    `element_distance` of its `_sides`.  At l = 0 the extension of the Galilei group
-    itself is the one law, so `associativity_extended` samples it again on fresh draws.
-    """
-    (assoc, _), (hom, _) = _sides(params).values()
-    distance = lambda sides: lambda *gs: group.element_distance(*sides(*gs))
-
-    def round_trip(g):
-        gi = group.inverse(params, g)
-        to_identity = lambda a, b: group.element_distance(group.compose(params, a, b), group.IDENTITY)
-        return group.worst_per_sample((to_identity(g, gi), to_identity(gi, g)), 0.0)
-
-    twist = lambda g, h: group.compose(params, g, h, _zeta)
-    coboundary = lambda g, h, f: group.element_distance(twist(twist(g, h), f), twist(g, twist(h, f)))
-
-    l_note = "l != 0 lives on the covering only" if params.l != 0 else None
-    m_note = "m=0: hypothesis violated; skipped" if params.m == 0 else None
-    rows = [
-        ("associativity_covering", None, n, 3, distance(assoc), tol),
-        ("associativity_extended", l_note, n, 3, distance(assoc), tol),
-        ("associativity_exact_mode", None, None, None, None, None),
-        ("inverse_round_trip", None, min(n, 200), 1, round_trip, tol),
-        ("k_removal_homomorphism", m_note, n, 2, distance(hom), tol),
-    ]
-    if params.m != 0:
-        rows.append(("k_removal_homomorphism_exact", None, None, None, None, None))
-    rows.append(("coboundary_invariance", None, min(n, 300), 3, coboundary, 10 * tol))
-    return rows
-
-
 def _identity(row: str, params: ExtensionParams) -> bool:
     """A group identity's claim: its two sides agree as polynomials."""
     sides, arity = _sides(params)[row]  # imports group
@@ -292,9 +258,25 @@ def _exact(row: str, params: ExtensionParams) -> dict:
     return _holds(row, _certified(row) or _CLAIMS[row](params))
 
 
+def _sampled(rng, name: str, law, count: int, arity: int, bound: float) -> dict:
+    """A float row: `law`'s worst defect on `count` samples of `arity` float
+    elements, every sample in one call on numpy arrays."""
+    with np.errstate(all="ignore"):  # a NaN or inf fails the row, silently as floats do
+        defects = law(*group.random_elements(rng, count, arity))
+    # numpy's max keeps a NaN, and worst_defect fails a NaN or inf closed
+    worst = worst_defect((defects.max().item(),), 0.0)
+    return _check(name, worst, worst < bound)
+
+
 def cmd_group(opts) -> tuple:
+    """The group suite, one list in report order.  A float row is `_sampled` of a law
+    that takes float elements or numpy arrays of samples; an identity's law is the
+    `element_distance` of its `_sides`, read by row name.  The float rows draw from
+    the seeded stream in row order; a skipped or exact row draws nothing.  At l = 0
+    the extension of the Galilei group itself is the one law, so
+    `associativity_extended` samples it again on fresh draws."""
     _numeric()
-    rng = random.Random(opts.seed)
+    rng, n, tol = random.Random(opts.seed), opts.samples, opts.tolerance
     params = ExtensionParams(opts.k, opts.m, opts.l)
     # the float rows convert these charges; one too large for a float is bad input
     shift = {"k/(2m)": params.k_shift} if params.m else {}
@@ -303,19 +285,28 @@ def cmd_group(opts) -> tuple:
             float(value)
         except OverflowError:
             raise ValueError(f"{name} is too large for a float") from None
-    checks = []
-    for name, note, count, arity, law, bound in _group_rows(params, opts.samples, opts.tolerance):
-        if note:
-            checks.append(_skip(name, note))
-        elif bound is None:
-            checks.append(_exact(name, params))
-        else:  # float elements, every sample in one call on numpy arrays
-            with np.errstate(all="ignore"):  # a NaN or inf fails the row, silently as floats do
-                defects = law(*group.random_elements(rng, count, arity))
-            # numpy's max keeps a NaN, and worst_defect fails a NaN or inf closed
-            worst = worst_defect((defects.max().item(),), 0.0)
-            checks.append(_check(name, worst, worst < bound))
-    return checks, None
+    identities = _sides(params)
+    distance = lambda row: lambda *gs: group.element_distance(*identities[row][0](*gs))
+
+    def round_trip(g):
+        gi = group.inverse(params, g)
+        to_identity = lambda a, b: group.element_distance(group.compose(params, a, b), group.IDENTITY)
+        return group.worst_per_sample((to_identity(g, gi), to_identity(gi, g)), 0.0)
+
+    twist = lambda g, h: group.compose(params, g, h, _zeta)
+    coboundary = lambda g, h, f: group.element_distance(twist(twist(g, h), f), twist(g, twist(h, f)))
+    assoc, hom = distance("associativity_exact_mode"), distance("k_removal_homomorphism_exact")
+    return [
+        _sampled(rng, "associativity_covering", assoc, n, 3, tol),
+        _skip("associativity_extended", "l != 0 lives on the covering only") if params.l != 0
+        else _sampled(rng, "associativity_extended", assoc, n, 3, tol),
+        _exact("associativity_exact_mode", params),
+        _sampled(rng, "inverse_round_trip", round_trip, min(n, 200), 1, tol),
+        _sampled(rng, "k_removal_homomorphism", hom, n, 2, tol) if params.m != 0
+        else _skip("k_removal_homomorphism", "m=0: hypothesis violated; skipped"),
+        *([_exact("k_removal_homomorphism_exact", params)] if params.m != 0 else []),
+        _sampled(rng, "coboundary_invariance", coboundary, min(n, 300), 3, 10 * tol),
+    ], None
 
 
 def cmd_contract(opts) -> tuple:

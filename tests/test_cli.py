@@ -23,6 +23,7 @@ from cli_reference import build_reference_parser
 from galilei21.cli import EXPERIMENT_NAMES, build_parser, main
 from scalar_sampler import random_element, random_params, random_rational_element
 from test_contraction import _draw, _scalar_point
+from test_group import float_rows
 
 
 def run(capsys, *argv):
@@ -718,6 +719,7 @@ CI_REPORTS = {
     "group --k=2 --m=0 --samples 200": 0,
     "group --k=1/2 --m=3 --l=-2 --samples 200": 0,
     "group --k=0 --m=0 --l=0 --samples 200": 0,
+    "group --k=5/2 --m=0 --l=-3 --samples 200": 0,
     "group --k=1 --m=1 --samples=2 --tolerance=0": 1,
     "contract --experiment thomas --samples 2": 0,
     "contract --experiment mass --c-grid 1e2:1e6:logx2 --samples 60": 0,
@@ -764,8 +766,9 @@ def _sampled_rows(argv) -> tuple:
     """Each exact row's defects at the samples a seeded sampler draws for `argv`
     (verify-algebra's boundary and random charge sets, group's rational elements,
     `--samples` of them per row, from a stream of their own), and each group float
-    row's worst defect on `random_elements` drawn in row order from the report's
-    seed, with no draws between rows."""
+    row's worst defect, by the law the report handed `cli._sampled`, on
+    `random_elements` drawn in row order from the report's seed, with no draws
+    between rows."""
     opts = build_parser().parse_args(list(argv))
     params = algebra.ExtensionParams(opts.k, opts.m, opts.l)
     rng = random.Random(opts.seed)
@@ -781,15 +784,13 @@ def _sampled_rows(argv) -> tuple:
             "k_removal_random_charges": [F(not algebra.removes_k(p)) for p in removals],
         }, {}
     defects, worst, exact_rng = {}, {}, random.Random(opts.seed)
-    for name, note, count, arity, law, bound in cli._group_rows(params, opts.samples, opts.tolerance):
-        if note:
-            continue
-        if bound is None:
-            sides, arity = cli._sides(params)[name]
-            draw = lambda: [random_rational_element(exact_rng) for _ in range(arity)]
-            defects[name] = [group.element_distance(*sides(*draw())) for _ in range(opts.samples)]
-        else:
-            worst[name] = algebra.worst_defect(law(*group.random_elements(rng, count, arity)).tolist(), 0.0)
+    _, checks, floats = float_rows(*argv[1:])
+    for name in [c["name"] for c in checks if c["name"] in cli._CLAIMS]:
+        sides, arity = cli._sides(params)[name]
+        draw = lambda: [random_rational_element(exact_rng) for _ in range(arity)]
+        defects[name] = [group.element_distance(*sides(*draw())) for _ in range(opts.samples)]
+    for name, law, count, arity, _ in floats:
+        worst[name] = algebra.worst_defect(law(*group.random_elements(rng, count, arity)).tolist(), 0.0)
     return defects, worst
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import random
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import galilei21.cli as cli_module
 import galilei21.group as group_module
 from galilei21.algebra import ExtensionParams, Poly, worst_defect
-from galilei21.cli import _CLAIMS, _certified, _group_rows, _sides, _zeta, main
+from galilei21.cli import _CLAIMS, _certified, _sides, _zeta, main
 from galilei21.group import (
     BLOCK_DOUBLES,
     IDENTITY,
@@ -35,6 +37,25 @@ from galilei21.group import (
 from scalar_sampler import random_element, random_params, random_rational_element
 
 TOL = 1e-12
+
+
+def _charges(params):
+    return [f"--{name}={getattr(params, name)}" for name in ("k", "m", "l")]
+
+
+def float_rows(*options) -> tuple:
+    """A json `group` report's exit code, its check rows, and the (name, law, count,
+    arity, bound) of each float row, in the order `cmd_group` hands them to `cli._sampled`."""
+    calls, real = [], cli_module._sampled
+
+    def record(rng, name, law, count, arity, bound):
+        calls.append((name, law, count, arity, bound))
+        return real(rng, name, law, count, arity, bound)
+
+    with pytest.MonkeyPatch.context() as m, contextlib.redirect_stdout(io.StringIO()) as out:
+        m.setattr(cli_module, "_sampled", record)
+        code = main(["group", *options, "--format=json"])
+    return code, json.loads(out.getvalue())["checks"], calls
 
 
 def test_identity_is_neutral():
@@ -319,20 +340,19 @@ def test_worst_defect_keeps_exact_type():
 @pytest.mark.parametrize("defects", [
     [0.0, math.nan, 1e-13], [math.nan], [1e-13, math.inf, 0.0], [0.0] * 500, [3e-13], [2.0],
 ], ids=["nan", "nan_only", "inf", "zeros", "one_sample", "one_failing_sample"])
-def test_float_row_reduction_fails_closed_as_the_per_sample_aggregate(tmp_path, monkeypatch, defects):
-    """cmd_group reduces a row's defect array with numpy's max before worst_defect:
+def test_float_row_reduction_fails_closed_as_the_per_sample_aggregate(monkeypatch, defects):
+    """A float row reduces its defect array with numpy's max before worst_defect:
     the row gets the value and type that worst_defect gives on every sample's defect."""
     expected = worst_defect(defects, 0.0)
     seen = []
     real_check = cli_module._check
-    monkeypatch.setattr(cli_module, "_group_rows", lambda params, n, tol: [
-        ("row", None, len(defects), 1, lambda g: np.array(defects), 1e-12)])
     monkeypatch.setattr(cli_module, "_check", lambda *a: seen.append(a[1]) or real_check(*a))
-    code = main(["group", "--k=1", "--m=1", f"--out={tmp_path / 'r.txt'}"])
+    cli_module._numeric()
+    row = cli_module._sampled(random.Random(0), "row", lambda g: np.array(defects), len(defects), 1, 1e-12)
     (worst,) = seen
     assert type(worst) is type(expected) is float
     assert worst == expected or math.isnan(worst) and math.isnan(expected)
-    assert code == (0 if expected < 1e-12 else 1)  # the canary's exit 1: tests/test_cli.py
+    assert row["pass"] is (expected < 1e-12)  # a failing row is the canary's exit 1: tests/test_cli.py
 
 
 def test_nan_time_translation_fails_associativity():
@@ -408,6 +428,8 @@ def test_reading_the_rotation_leaves_the_element_unchanged():
 
 
 def test_a_product_computes_each_factors_rotation_once(monkeypatch):
+    _, _, floats = float_rows("--k=3", "--m=1", "--l=2", "--samples=50")
+    (coboundary,) = [law for name, law, *_ in floats if name == "coboundary_invariance"]
     calls = []
     real = group_module._cos_sin
     monkeypatch.setattr(group_module, "_cos_sin", lambda theta: calls.append(theta) or real(theta))
@@ -430,7 +452,6 @@ def test_a_product_computes_each_factors_rotation_once(monkeypatch):
         product()
         counts.append(len(rotated))
     assert counts == [2, 2, 8]
-    (coboundary,) = [row[4] for row in _group_rows(p, 50, TOL) if row[0] == "coboundary_invariance"]
     rotated.clear()
     coboundary(g, h, f)
     assert len(rotated) == 8  # four shifted products
@@ -484,9 +505,9 @@ def _bits(values):
 def test_batched_law_matches_scalar_law_bit_for_bit(params):
     """Each float row of the group suite: an array call's per-sample defects
     equal the scalar calls' defects on the same draws, bit for bit."""
-    float_rows = [row for row in _group_rows(params, 400, TOL) if not row[1] and row[5]]
-    assert len(float_rows) == 5 - (params.l != 0) - (params.m == 0)
-    for seed, (name, _, _, arity, defect, _) in enumerate(float_rows):
+    _, _, floats = float_rows(*_charges(params), "--samples=400")
+    assert len(floats) == 5 - (params.l != 0) - (params.m == 0)
+    for seed, (name, defect, _, arity, _) in enumerate(floats):
         batch_rng, scalar_rng = random.Random(seed), random.Random(seed)
         batch = random_elements(batch_rng, 400, arity)
         samples = [[random_element(scalar_rng) for _ in range(arity)] for _ in range(400)]
@@ -594,13 +615,13 @@ def test_symbolic_law_evaluates_to_the_exact_law():
 
 @pytest.mark.parametrize("params", REGIMES, ids=["l=0", "l!=0", "m=0"])
 def test_exact_rows_are_certified_and_take_no_samples(params):
-    exact = [row for row in _group_rows(params, 60, TOL) if row[5] is None]
-    assert [row[0] for row in exact] == ["associativity_exact_mode"] + (
-        ["k_removal_homomorphism_exact"] if params.m != 0 else [])
+    code, checks, floats = float_rows(*_charges(params), "--samples=60")
+    exact = [c["name"] for c in checks if isinstance(c["defect"], str)]  # an exact defect is a rational's str
+    assert code == 0 and exact == [c["name"] for c in checks if c["name"] in _CLAIMS]
+    assert exact == ["associativity_exact_mode"] + (["k_removal_homomorphism_exact"] if params.m != 0 else [])
+    assert not {name for name, *_ in floats} & set(exact)  # an exact row takes no samples
     rng = random.Random(7)
-    for name, note, count, arity, law, bound in exact:
-        assert count is None, name  # an exact row takes no samples
-        assert (note, arity, law, bound) == (None,) * 4, name  # only its name: the claim table has the rest
+    for name in exact:
         sides, arity = _sides(params)[name]
         assert identity_certified(sides, arity) and _CLAIMS[name](params), name  # at this charge set too
         assert _certified(name), name
@@ -610,7 +631,7 @@ def test_exact_rows_are_certified_and_take_no_samples(params):
 
 
 @pytest.mark.parametrize("params", REGIMES, ids=["l=0", "l!=0", "m=0"])
-def test_group_draws_only_the_float_rows_doubles(params, tmp_path, monkeypatch):
+def test_group_draws_only_the_float_rows_doubles(params, monkeypatch):
     """cmd_group's stream gives the float rows' doubles, 64 bits each, and an
     exact row takes no getrandbits word."""
     bits = []
@@ -621,10 +642,35 @@ def test_group_draws_only_the_float_rows_doubles(params, tmp_path, monkeypatch):
             return super().getrandbits(k)
 
     monkeypatch.setattr(cli_module.random, "Random", CountingRandom)
-    charges = [f"--{name}={getattr(params, name)}" for name in ("k", "m", "l")]
-    assert main(["group", *charges, "--samples=60", f"--out={tmp_path / 'r.txt'}"]) == 0
-    floats = [row for row in _group_rows(params, 60, TOL) if not row[1] and row[5] is not None]
-    assert sum(bits) == sum(64 * 7 * count * arity for _, _, count, arity, _, _ in floats)
+    code, _, floats = float_rows(*_charges(params), "--samples=60")
+    assert code == 0
+    assert sum(bits) == sum(64 * 7 * count * arity for _, _, count, arity, _ in floats)
+
+
+ROW_ORDER = ["associativity_covering", "associativity_extended", "associativity_exact_mode", "inverse_round_trip",
+             "k_removal_homomorphism", "k_removal_homomorphism_exact", "coboundary_invariance"]
+
+
+@pytest.mark.parametrize("charges, skipped, draws", [
+    (("-3/2", "5/3", "0"), set(), [(400, 3), (400, 3), (200, 1), (400, 2), (300, 3)]),
+    (("-5/3", "-5/4", "7/2"), {"associativity_extended"}, [(400, 3), (200, 1), (400, 2), (300, 3)]),
+    (("2", "0", "0"), {"k_removal_homomorphism"}, [(400, 3), (400, 3), (200, 1), (300, 3)]),
+    (("5/2", "0", "-3"), {"associativity_extended", "k_removal_homomorphism"}, [(400, 3), (200, 1), (300, 3)]),
+], ids=["l=0", "l!=0", "m=0,l=0", "m=0,l!=0"])
+def test_group_rows_and_draws_in_report_order(monkeypatch, charges, skipped, draws):
+    """In each regime the report's rows come in one order, a skipped row in its
+    place and k_removal_homomorphism_exact only where m != 0, and the float rows
+    draw (samples, elements per sample) from the stream in that order."""
+    calls, real = [], group_module.random_elements
+    monkeypatch.setattr(group_module, "random_elements",
+                        lambda rng, samples, count=1: calls.append((samples, count)) or real(rng, samples, count))
+    k, m, l = charges
+    code, checks, floats = float_rows(f"--k={k}", f"--m={m}", f"--l={l}", "--samples=400")
+    names = [c["name"] for c in checks]
+    assert code == 0 and names == [row for row in ROW_ORDER if m != "0" or row != "k_removal_homomorphism_exact"]
+    assert {c["name"] for c in checks if c["defect"] is None} == skipped
+    assert [name for name, *_ in floats] == [n for n in names if n not in skipped and n not in _CLAIMS]
+    assert calls == draws == [(count, arity) for _, _, count, arity, _ in floats]
 
 
 @pytest.mark.parametrize("seed", [0, 12, 8191])
