@@ -37,7 +37,8 @@ operations as one scalar call per sample.  An element's (cos theta,
 sin theta) is computed on its first rotation and kept with the element
 (`GroupElement.rotation`), and a product rotates u' and v' by it once, for
 its phase and its coordinates alike, also when its exponent is shifted by a
-coboundary (`compose`'s zeta).  With theta = 0 the law is a polynomial, which
+coboundary (`compose`'s zeta); g^-1 rotates by g's pair transposed,
+R(-theta) = R(theta)^T.  With theta = 0 the law is a polynomial, which
 `identity_certified` evaluates on `algebra.Poly` symbols and compares with
 `==`.  All values are immutable and all functions pure.
 
@@ -166,8 +167,10 @@ def compose(params: ExtensionParams, g: GroupElement, h: GroupElement,
 
 
 def inverse(params: ExtensionParams, g: GroupElement) -> GroupElement:
-    """Two-sided inverse under the twisted law (phases modulo 2*pi)."""
-    rminus = _cos_sin(-g.theta)
+    """Two-sided inverse under the twisted law (phases modulo 2*pi).  R(-theta) is
+    R(theta) transposed, (c, -s) of g's own rotation, as cos is even and sin odd."""
+    cs = g.rotation
+    rminus = None if cs is None else (cs[0], -cs[1])
     v_inv = _rotated(rminus, (-g.v[0], -g.v[1]))
     u_inv = _rotated(rminus, (g.v[0] * g.tau - g.u[0], g.v[1] * g.tau - g.u[1]))
     partial = GroupElement(phase=0, tau=-g.tau, u=u_inv, v=v_inv, theta=-g.theta)
@@ -178,31 +181,18 @@ def inverse(params: ExtensionParams, g: GroupElement) -> GroupElement:
     )
 
 
-def angle_distance(a, b):
-    """|a - b| folded into [0, pi]; exact zero stays exact."""
-    d = a - b
-    if not isinstance(d, np.ndarray) and d == 0:
-        return d * 0  # preserves int/Fraction zero
-    return abs((d + math.pi) % TWO_PI - math.pi)  # a Fraction d + pi is a float
-
-
-def worst_per_sample(defects: tuple, zero):
-    """`worst_defect` of one sample's defects, taken per entry when some
-    of them are numpy arrays of samples (the result is then an array)."""
-    if not _batched(zero, *defects):
-        return worst_defect(defects, zero)
-    worst = functools.reduce(np.maximum, defects, zero)  # NaN propagates
-    least = functools.reduce(np.minimum, defects, math.inf)  # -inf is not finite either
-    return np.where((least > -math.inf) & np.isfinite(worst), worst, math.nan)
-
-
 def element_distance(a: GroupElement, b: GroupElement):
-    """Component-wise max distance; theta on the line, the phase modulo 2*pi."""
-    return worst_per_sample(
-        (abs(a.tau - b.tau), abs(a.u[0] - b.u[0]), abs(a.u[1] - b.u[1]),
-         abs(a.v[0] - b.v[0]), abs(a.v[1] - b.v[1]), abs(a.theta - b.theta)),
-        angle_distance(a.phase, b.phase),
-    )
+    """Component-wise max distance; theta on the line, the phase modulo 2*pi.
+    `worst_defect` of the components, taken per entry when some of them are
+    numpy arrays of samples (the result is then an array)."""
+    parts = (abs(a.tau - b.tau), abs(a.u[0] - b.u[0]), abs(a.u[1] - b.u[1]),
+             abs(a.v[0] - b.v[0]), abs(a.v[1] - b.v[1]), abs(a.theta - b.theta))
+    d = a.phase - b.phase  # folded into [0, pi]; an exact zero stays an int or Fraction zero
+    phase = d * 0 if not isinstance(d, np.ndarray) and d == 0 else abs((d + math.pi) % TWO_PI - math.pi)
+    if not _batched(phase, *parts):
+        return worst_defect(parts, phase)
+    worst = functools.reduce(np.maximum, parts, phase)  # NaN propagates; no part is -inf
+    return np.where(np.isfinite(worst), worst, math.nan)
 
 
 def associativity_sides(params: ExtensionParams, g: GroupElement, h: GroupElement, f: GroupElement) -> tuple:

@@ -707,14 +707,23 @@ CI_REPORTS = {
     "verify-algebra --k 1 --m 2 --l 3 --samples 5": 0,
     "verify-algebra --k 1 --m 0": 0,
     "verify-algebra --k=-1/2 --m=3 --l=2": 0,
+    "verify-algebra --k -1e-5 --m 1": 0,
+    "casimir": 0,
     "casimir --max-degree 4": 0,
     "casimir --k 3/2 --m 2 --l 1/3 --max-degree 6": 0,
     "casimir --k=3/2 --m=2 --l=0 --max-degree 6": 0,
     "casimir --k=5/2 --m=0 --l=-3 --max-degree 6": 0,
     "casimir --k=0 --m=0 --l=0 --max-degree 6": 0,
     "casimir --k=3/2 --m=2 --l=0 --max-degree 10": 0,
+    "casimir --k=3/2 --m=2 --l=1/3 --max-degree 10": 0,
+    "casimir --k=5/2 --m=0 --l=-3 --max-degree 10": 0,
+    "casimir --k=0 --m=0 --l=0 --max-degree 10": 0,
     "casimir --k=-2/3 --m=0 --l=0 --max-degree 4": 0,
     "casimir --k=-9/5 --m=7/6 --l=2/9 --max-degree 5": 0,
+    "casimir --k=-9/5 --m=7/6 --l=0 --max-degree 6": 0,
+    "casimir --k=-9/5 --m=0 --l=0 --max-degree 6": 0,
+    "casimir --k -3/2 --m 2": 0,
+    "group": 0,
     "group --k=3/2 --m=-5/4 --samples 1000": 0,
     "group --k=2 --m=0 --samples 200": 0,
     "group --k=1/2 --m=3 --l=-2 --samples 200": 0,
@@ -722,6 +731,7 @@ CI_REPORTS = {
     "group --k=5/2 --m=0 --l=-3 --samples 200": 0,
     "group --k=1 --m=1 --samples=2 --tolerance=0": 1,
     "contract --experiment thomas --samples 2": 0,
+    "contract --experiment thomas --c-grid 1e2:1e6:logx2 --samples 60": 0,
     "contract --experiment mass --c-grid 1e2:1e6:logx2 --samples 60": 0,
     "contract --experiment diagram --c-grid 1e2:1e6:logx2 --samples 60": 0,
     "contract --experiment diagram --samples 1000 --c-grid 1e2:1e6:logx2": 0,

@@ -28,7 +28,6 @@ from galilei21.contraction import (
 )
 from galilei21.group import (
     GroupElement,
-    angle_distance,
     cocycle_exponent,
     compose,
     element_distance,
@@ -36,6 +35,11 @@ from galilei21.group import (
 
 K_UNIT, M_UNIT = ExtensionParams(1, 0, 0), ExtensionParams(0, 1, 0)  # the limits' unit charges
 NO_CHARGES = ExtensionParams(0, 0, 0)  # `compose` at these is the untwisted Galilei product
+
+
+def angle_distance(a, b):
+    """|a - b| folded into [0, pi]."""
+    return abs((a - b + math.pi) % (2 * math.pi) - math.pi)
 
 
 def rotate(theta, vec):

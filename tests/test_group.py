@@ -21,7 +21,6 @@ from galilei21.group import (
     IDENTITY,
     GroupElement,
     _rotated,
-    angle_distance,
     associativity_sides,
     cocycle_exponent,
     compose,
@@ -32,7 +31,6 @@ from galilei21.group import (
     identity_certified,
     inverse,
     random_elements,
-    worst_per_sample,
 )
 from scalar_sampler import random_element, random_params, random_rational_element
 
@@ -387,11 +385,12 @@ def test_non_finite_input_gives_nan_on_scalars_as_on_arrays(field, value):
         assert math.isnan(defect(1))
 
 
-def test_angle_distance_folds():
-    assert angle_distance(0, 2 * math.pi) < 1e-12
-    assert angle_distance(-math.pi, math.pi) < 1e-12
-    assert angle_distance(F(3), F(3)) == 0
-    assert not isinstance(angle_distance(F(3), F(3)), float)
+def test_element_distance_folds_the_phase():
+    phase_distance = lambda a, b: element_distance(GroupElement(phase=a), GroupElement(phase=b))
+    assert phase_distance(0, 2 * math.pi) < 1e-12
+    assert phase_distance(-math.pi, math.pi) < 1e-12
+    assert phase_distance(F(3), F(3)) == 0
+    assert not isinstance(phase_distance(F(3), F(3)), float)
 
 
 def test_rotation_matrix_convention():
@@ -419,6 +418,37 @@ def test_rotation_keeps_exact_zero_exact_and_fails_closed():
         assert all(math.isnan(c) for c in GroupElement(theta=value).rotation)
 
 
+def _inverse_by_negated_angle(params, g):
+    """g^-1 with R(-theta) evaluated as the trigonometry of -theta."""
+    rminus = group_module._cos_sin(-g.theta)
+    v_inv = _rotated(rminus, (-g.v[0], -g.v[1]))
+    u_inv = _rotated(rminus, (g.v[0] * g.tau - g.u[0], g.v[1] * g.tau - g.u[1]))
+    partial = GroupElement(0, -g.tau, u_inv, v_inv, -g.theta)
+    return dataclasses.replace(partial, phase=-g.phase - cocycle_exponent(params, g, partial))
+
+
+INVERSE_ANGLES = [0.0, -0.0, math.pi, -math.pi, 1e-8, -1e-8, 1e6]
+
+
+def test_inverse_by_the_transposed_rotation_is_the_negated_angles_bit_for_bit():
+    # R(-theta) read as R(theta) transposed relies on cos being even and sin odd,
+    # bit for bit: a platform where they are not fails here, not in a report's digits
+    p, rng = ExtensionParams(F(3, 2), F(-5, 4), F(1, 3)), random.Random(23)
+    g = random_elements(rng, 500)[0]
+    theta = np.concatenate([INVERSE_ANGLES, g.theta[len(INVERSE_ANGLES):]])
+    for angle in (theta, *INVERSE_ANGLES, *(rng.uniform(-math.pi, math.pi) for _ in range(20))):
+        h = dataclasses.replace(g, theta=angle) if isinstance(angle, np.ndarray) else \
+            dataclasses.replace(random_element(rng), theta=angle)
+        fast, negated = inverse(p, h), _inverse_by_negated_angle(p, h)
+        for field in ("phase", "tau", "u", "v", "theta"):
+            assert _bits(getattr(fast, field)) == _bits(getattr(negated, field)), (field, angle)
+    for value in (math.nan, math.inf, -math.inf):
+        for h in (random_element(rng), g):
+            with np.errstate(all="ignore"):
+                bad = inverse(p, dataclasses.replace(h, theta=h.theta * 0 + value))
+            assert np.isnan([bad.phase, *bad.u, *bad.v]).all()
+
+
 def test_reading_the_rotation_leaves_the_element_unchanged():
     g = random_element(random.Random(21))
     fresh = dataclasses.replace(g)
@@ -438,8 +468,10 @@ def test_a_product_computes_each_factors_rotation_once(monkeypatch):
     element_distance(*associativity_sides(p, g, h, f))
     assert len(calls) == 3  # g, h and gh; the right factors f and hf are never rotated by
     calls.clear()
-    inverse(p, g)  # g's own rotation is kept: only -theta is computed, once for both vectors
-    assert len(calls) == 1 and calls[0].tobytes() == (-g.theta).tobytes()
+    g_inv = inverse(p, g)  # R(-theta) is g's kept rotation transposed: no trigonometry
+    assert calls == []
+    (c, s), (c_inv, s_inv) = g.rotation, g_inv.rotation
+    assert c_inv.tobytes() == c.tobytes() and s_inv.tobytes() == (-s).tobytes()
     # a product rotates h's u and v once and hands them to its phase and its
     # coordinates; a coboundary-shifted product rotates no more
     rotated = []
@@ -561,10 +593,14 @@ def test_batched_defects_fail_closed_per_sample():
     with np.errstate(all="ignore"):
         d = element_distance(*associativity_sides(p, g, h, f))
         assert d[0] < TOL and np.isnan(d[1:]).all()
-    worst = worst_per_sample((np.array([0.0, 1.0, math.inf]), np.array([2.0, math.nan, 0.0])), 0.0)
+    worst = element_distance(GroupElement(phase=np.zeros(3), tau=np.array([0.0, 1.0, math.inf]),
+                                          u=(np.array([2.0, math.nan, 0.0]), 0.0)), IDENTITY)
     assert worst[0] == 2.0 and np.isnan(worst[1:]).all()
-    assert math.isnan(worst_per_sample((1.0, -math.inf), 0.0))  # scalars: worst_defect
-    assert isinstance(worst_per_sample((F(0), F(0)), F(0)), F)
+    with np.errstate(all="ignore"):
+        assert np.isnan(element_distance(GroupElement(phase=np.array([0.5, math.nan])), IDENTITY)[1])
+    assert math.isnan(element_distance(GroupElement(tau=1.0, u=(-math.inf, 0.0)), IDENTITY))  # scalars: worst_defect
+    exact = GroupElement(F(1), F(2), (F(3), F(0)), (F(0), F(-1)), F(0))
+    assert isinstance(element_distance(exact, exact), F)
 
 
 def test_one_law_for_exact_scalars_and_arrays():

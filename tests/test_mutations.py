@@ -15,8 +15,13 @@ tau' term has no entry: with it zeroed every `group` report still passes, since
 no row yet pairs a whole turn with a time translation.  And a dropped [M, H] = l
 is seen only by `casimir` at m != 0: no `verify-algebra` row and no m = 0
 `casimir` row fails (measured at --k=5/2 --m=0 --l=-3).
+
+An inverse without its exponent is no blind spot at m = 0, l = 0, where theory
+makes the exponent vanish: xi(g, g^-1) = -(k/2) v x (-v) = 0.  Its entry runs at
+m != 0.
 """
 
+import dataclasses
 import importlib
 import json
 
@@ -26,13 +31,21 @@ from galilei21 import algebra, cli, enveloping, group
 from galilei21.algebra import ExtensionParams
 from test_contraction import MUTANTS
 
-_xi, _k_map, _rotated = group.cocycle_exponent, group.eliminate_k_map, group._rotated
+_xi, _k_map, _rotated, _inverse = group.cocycle_exponent, group.eliminate_k_map, group._rotated, group.inverse
 _k_change, _algebra, _energy = algebra.eliminate_k_change, algebra.make_galilei_algebra, enveloping.internal_energy
 
 
 def _reversed_rotation(cs, vec):
     """`_rotated` by R(-theta): sin theta's sign flipped."""
     return _rotated(None if cs is None else (cs[0], -cs[1]), vec)
+
+
+def _untransposed_inverse(p, g):
+    """`inverse` with u and v rotated by R(theta), g's rotation, not by its transpose."""
+    v = _rotated(g.rotation, (-g.v[0], -g.v[1]))
+    u = _rotated(g.rotation, (g.v[0] * g.tau - g.u[0], g.v[1] * g.tau - g.u[1]))
+    partial = group.GroupElement(0, -g.tau, u, v, -g.theta)
+    return dataclasses.replace(partial, phase=-g.phase - _xi(p, g, partial))
 
 
 def _doubled_momentum_coefficient(p):
@@ -55,6 +68,9 @@ MUTATIONS = {
                lambda p, g, h, rotated=None: _xi(ExtensionParams(p.k, 0, p.l), g, h, rotated), GROUP, K_REMOVAL),
     "k_map_sign": ("group.eliminate_k_map",
                    lambda p, g: _k_map(ExtensionParams(-p.k, p.m, p.l), g), GROUP, K_REMOVAL),
+    "inverse_transpose": ("group.inverse", _untransposed_inverse, GROUP, {"inverse_round_trip"}),
+    "inverse_exponent": ("group.inverse", lambda p, g: _inverse(ExtensionParams(0, 0, 0), g), GROUP,
+                         {"inverse_round_trip"}),
     "rotation_sign[group]": ("group._rotated", _reversed_rotation, GROUP, set()),
     "rotation_sign[mass]": ("group._rotated", _reversed_rotation, [*CONTRACT, "--experiment=mass"], SLOPES),
     "rotation_sign[diagram]": ("group._rotated", _reversed_rotation, [*CONTRACT, "--experiment=diagram"], SLOPES),
